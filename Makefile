@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench-smoke bench-smoke-short bench tables api-compat daemon-smoke
+.PHONY: ci vet lint build test race bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke
 
-ci: vet lint build test race api-compat daemon-smoke bench-smoke
+ci: vet lint build test race api-compat daemon-smoke bench-smoke bench-verify
 
 # vet gates on the stock analyzer, formatting, and the repo's own
 # invariant suite: a gofmt diff anywhere or a tecclvet diagnostic
@@ -95,6 +95,17 @@ bench-smoke-short:
 # The full benchmark suite (one iteration each; wall-clock heavy).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# The repository benchmark (BENCHMARK.json, bench/) is a nested module
+# of its own, so `./...` above never reaches it: vet and unit-test it
+# from its directory, then run its determinism gate — every workload
+# twice, every exact count, every per-class record (pivots, nodes,
+# windows, rounds, outcomes, finish epochs) and algbw identical, diffed
+# against bench/expected/seed1.json. About 70 s; it builds into
+# .bench_build/ and writes bench/out/ (both gitignored).
+bench-verify:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	bash bench/run.sh --verify
 
 # Regenerate every paper table/figure via the CLI harness.
 tables:

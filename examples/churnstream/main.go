@@ -95,6 +95,6 @@ func main() {
 	st := planner.Stats()
 	fmt.Printf("\nsession: %d replans — %d incremental pivots, %d fallbacks "+
 		"(%d structural, %d budget), %d re-bases\n",
-		st.Replans, st.ReplanIncrementalPivots, st.ReplanFallbacks,
+		st.Replans, st.ReplanPivots, st.ReplanFallbacks,
 		st.ReplanFallbackStructural, st.ReplanFallbackBudget, st.ReBases)
 }

@@ -65,13 +65,15 @@ type batchEntry struct {
 
 // batchCache indexes solved points by model fingerprint. With a zero
 // limit it grows with the sweep it serves (one bounded call); a
-// long-lived Planner session sets a limit, past which storing evicts an
-// arbitrary fingerprint bucket (each retained entry holds a full
+// long-lived Planner session sets a limit, past which storing evicts the
+// oldest fingerprint bucket (each retained entry holds a full
 // lp.Problem, so an unbounded serving session would otherwise grow
-// linearly with distinct request shapes).
+// linearly with distinct request shapes). Oldest-first, like the
+// basisStore, so identical request streams replay identically.
 type batchCache struct {
 	mu      sync.Mutex
 	entries map[uint64][]*batchEntry
+	order   []uint64 // bucket fingerprints, oldest first (limit > 0 only)
 	limit   int
 	size    int
 }
@@ -93,14 +95,20 @@ func (c *batchCache) store(fp uint64, e *batchEntry) {
 	if c.entries == nil {
 		c.entries = make(map[uint64][]*batchEntry)
 	}
-	if c.limit > 0 && c.size >= c.limit {
-		for k := range c.entries {
-			if k == fp {
-				continue
+	if c.limit > 0 {
+		if c.size >= c.limit {
+			for i, k := range c.order {
+				if k == fp {
+					continue
+				}
+				c.size -= len(c.entries[k])
+				delete(c.entries, k)
+				c.order = append(c.order[:i], c.order[i+1:]...)
+				break
 			}
-			c.size -= len(c.entries[k])
-			delete(c.entries, k)
-			break
+		}
+		if len(c.entries[fp]) == 0 {
+			c.order = append(c.order, fp)
 		}
 	}
 	c.entries[fp] = append(c.entries[fp], e)
@@ -163,7 +171,7 @@ func BatchSolveLPContext(ctx context.Context, t *topo.Topology, demands []*colle
 				if prevModel != nil {
 					hint = hintFromSolve(prevModel.p, prevBasis)
 				}
-				res, m, b, err := cache.solvePoint(ctx, t, demands[i], opt, hint)
+				res, m, b, _, err := cache.solvePoint(ctx, t, demands[i], opt, hint)
 				results[i], errs[i] = res, err
 				if err == nil && m != nil {
 					prevModel, prevBasis = m, b
@@ -177,9 +185,11 @@ func BatchSolveLPContext(ctx context.Context, t *topo.Topology, demands []*colle
 
 // solvePoint solves one sweep point: replayed from the cache when a
 // structurally identical point was already solved, otherwise solved for
-// real (warm-started from hint) and cached. Options.TimeLimit is layered
-// onto ctx per point.
-func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (*Result, *lpModel, *lp.Basis, error) {
+// real (warm-started from hint) and cached. A replay carries no model or
+// basis of its own; replayOf names the cached model it replayed, so a
+// session can recognise a replay of its own incumbent. Options.TimeLimit
+// is layered onto ctx per point.
+func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, m *lpModel, b *lp.Basis, replayOf *lp.Problem, err error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
 	start := time.Now()
@@ -187,18 +197,18 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 	if pr.m == nil {
 		r := emptyResult(pr.in, start)
 		r.Schedule.AllowCopy = false
-		return r, nil, nil, nil
+		return r, nil, nil, nil, nil
 	}
 	fp := pr.m.p.Fingerprint()
 	if e := c.lookup(fp, pr.m.p, opt.MinimizeMakespan); e != nil {
 		if res := replayEntry(t, pr, e, start); res != nil {
-			return res, nil, nil, nil
+			return res, nil, nil, e.base, nil
 		}
 		// A replay that fails validation (e.g. a demand whose chunk
 		// numbering differs despite the identical model) falls through
 		// to an honest solve.
 	}
-	res, m, b, err := solvePrepped(ctx, t, pr, opt, hint, start)
+	res, m, b, err = solvePrepped(ctx, t, pr, opt, hint, start)
 	if err == nil && res != nil && res.Optimal && res.Schedule != nil {
 		c.store(fp, &batchEntry{
 			base:      pr.m.p,
@@ -211,7 +221,7 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 			makespan:  opt.MinimizeMakespan,
 		})
 	}
-	return res, m, b, err
+	return res, m, b, nil, err
 }
 
 // replayEntry re-issues a cached point's schedule under this point's

@@ -135,9 +135,6 @@ type PlannerStats struct {
 	// the dual-simplex pivots that carried each incumbent basis to the
 	// churned optimum.
 	ReplanPivots int
-	// ReplanIncrementalPivots mirrors ReplanPivots under the name the
-	// churn-stream tooling reports it by, next to ColdEstimatePivots.
-	ReplanIncrementalPivots int
 	// ColdEstimatePivots is the session's current EWMA estimate of one
 	// cold solve's pivot count — the baseline the bounded-regret budget
 	// and the re-base trigger compare incremental replans against.
@@ -150,8 +147,8 @@ type PlannerStats struct {
 	// cannot absorb); Budget — the incremental attempt was aborted by the
 	// bounded-regret pivot/deadline budget; Sour — the incremental solve
 	// came back non-optimal or its schedule failed re-validation; NoModel
-	// — the incumbent carried no incremental payload (a replayed schedule
-	// or an empty solve).
+	// — the incumbent carried no incremental payload (an empty solve, or a
+	// replayed schedule of a solve other than the incumbent's own).
 	ReplanFallbackStructural int
 	ReplanFallbackBudget     int
 	ReplanFallbackSour       int
@@ -330,7 +327,6 @@ func (pl *Planner) Topology() *topo.Topology { return pl.snapshot().t }
 func (pl *Planner) Stats() PlannerStats {
 	pl.mu.Lock()
 	st := pl.stats
-	st.ReplanIncrementalPivots = st.ReplanPivots
 	st.ColdEstimatePivots = int(pl.coldPivotEWMA + 0.5)
 	state := pl.state
 	pl.mu.Unlock()
@@ -455,9 +451,10 @@ func (pl *Planner) Plan(ctx context.Context, req Request) (*Plan, error) {
 
 // recordIncumbent remembers a successful request as the session's replan
 // target. The incremental payload in inc is form-specific and may be
-// empty (replays and empty solves replan by cold re-solve). A request
-// solved against an already-replaced session state (a Plan racing a
-// Replan) is not recorded: its model references the pre-churn topology.
+// empty (empty solves, and replays of anything but the incumbent's own
+// solve, replan by cold re-solve). A request solved against an
+// already-replaced session state (a Plan racing a Replan) is not
+// recorded: its model references the pre-churn topology.
 func (pl *Planner) recordIncumbent(st *sessionState, req Request, incOpt Options, inc incumbentState) {
 	inc.demand = req.Demand.Clone()
 	inc.opt = incOpt
@@ -517,7 +514,7 @@ func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.D
 	pl.mu.Unlock()
 	hint := sessionHint(last.prob, last.basis, st.warmBases)
 
-	res, m, b, err := st.lpCache.solvePoint(ctx, st.t, d, opt, hint)
+	res, m, b, replayOf, err := st.lpCache.solvePoint(ctx, st.t, d, opt, hint)
 
 	pl.mu.Lock()
 	// A Replan may have swapped the session state mid-solve; a model
@@ -543,10 +540,30 @@ func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.D
 	if res == nil {
 		return nil, nil, nil, err
 	}
+	if replayOf != nil {
+		m, b = pl.incumbentPayload(replayOf, d, res.Tau)
+	}
 	// A cancelled makespan refinement returns the last complete schedule
 	// alongside the cancellation error; pass both through.
 	return &Plan{Result: res, Solver: SolverLP, CacheHit: res.Reused,
 		WarmStart: res.WarmStarted, CrashStart: res.CrashStarted}, m, b, err
+}
+
+// incumbentPayload returns the incumbent's LP model and basis when a
+// request for d at epoch duration tau has just replayed the incumbent's
+// own solve (base is the replayed cache entry's model), and nils
+// otherwise. A replay carries no payload of its own; handing the
+// incumbent's back lets the request refresh the incumbent instead of
+// emptying it, so the next Replan stays incremental.
+func (pl *Planner) incumbentPayload(base *lp.Problem, d *collective.Demand, tau float64) (*lpModel, *lp.Basis) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	inc := pl.incumbent
+	if inc == nil || inc.model == nil || inc.model.p != base || inc.model.in.tau != tau ||
+		inc.demand.Fingerprint() != d.Fingerprint() {
+		return nil, nil
+	}
+	return inc.model, inc.basis
 }
 
 // planMILP serves a MILP-form request, warm-starting the root relaxation

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"teccl/internal/collective"
+	"teccl/internal/lp"
 	"teccl/internal/topo"
 )
 
@@ -307,4 +308,49 @@ func TestPlannerCloseConcurrentWithPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
+}
+
+// tinyLP is a one-row problem whose fingerprint is set by rhs.
+func tinyLP(rhs float64) *lp.Problem {
+	p := lp.NewProblem(lp.Maximize)
+	x := p.AddVar("x", 0, lp.Inf, 1)
+	p.AddRow([]lp.Term{{Var: x, Coeff: 1}}, lp.LE, rhs)
+	return p
+}
+
+// TestSessionCachesEvictOldestFirst: the bounded basis store and
+// schedule-replay cache drop their oldest entry when full, so two
+// sessions fed the same request stream retain the same entries (map
+// iteration order used to pick the victim).
+func TestSessionCachesEvictOldestFirst(t *testing.T) {
+	const limit, n = 4, 11
+	probs := make([]*lp.Problem, n)
+	for i := range probs {
+		probs[i] = tinyLP(float64(i + 1))
+	}
+	basis := &lp.Basis{Vars: []lp.BasisStatus{lp.BasisBasic}, Rows: []lp.BasisStatus{lp.BasisAtLower}}
+
+	for fill := 0; fill < 2; fill++ {
+		store := newBasisStore()
+		store.limit = limit
+		cache := &batchCache{limit: limit}
+		for _, p := range probs {
+			store.record(p, basis)
+			store.record(p, basis) // re-recording must not age or duplicate
+			cache.store(p.Fingerprint(), &batchEntry{base: p})
+		}
+		for i, p := range probs {
+			want := i >= n-limit
+			if got := store.lookup(p) != nil; got != want {
+				t.Errorf("fill %d: basis store holds entry %d = %v, want %v", fill, i, got, want)
+			}
+			if got := cache.lookup(p.Fingerprint(), p, false) != nil; got != want {
+				t.Errorf("fill %d: replay cache holds entry %d = %v, want %v", fill, i, got, want)
+			}
+		}
+		if len(store.order) != limit || len(cache.order) != limit || cache.size != limit {
+			t.Errorf("fill %d: bookkeeping store.order=%d cache.order=%d cache.size=%d, want %d each",
+				fill, len(store.order), len(cache.order), cache.size, limit)
+		}
+	}
 }

@@ -14,20 +14,23 @@ package core
 //     [0,0] (a column drop), capacity change rewrites the windowed
 //     capacity rows' budgets, and a dropped demand pair fixes its read
 //     columns to [0,0] and zeroes its destination-total row. None of
-//     those edits touch the cost vector or the constraint matrix, so
-//     the incumbent optimal basis stays dual feasible and the dual
-//     simplex reoptimizes from it in a handful of pivots. New demand is
-//     absorbed structurally: lpappend.go prices the new (source,
-//     destination) pairs in as appended columns and rows of the
-//     incumbent model, and the basis — padded so appended columns
-//     enter nonbasic and appended rows enter slack-basic — warm-starts
-//     the reoptimization.
+//     those edits touch the cost vector, the constraint matrix or the
+//     model's dimensions, so the incumbent optimal basis is still a
+//     complete, dual-feasible basis of the edited model: lp.Solve
+//     reoptimizes that model as stated (no presolve — see the lp
+//     package comment) and the dual simplex pays pivots in proportion
+//     to the edit, typically a few dozen. New demand is absorbed
+//     structurally: lpappend.go prices the new (source, destination)
+//     pairs in as appended columns and rows of the incumbent model, and
+//     Basis.Extended pads the basis — appended columns nonbasic,
+//     appended rows slack-basic — which keeps it complete.
 //
 //   - MILP incumbents re-root branch-and-bound: the root relaxation
-//     reoptimizes from the repaired incumbent root basis under the same
-//     bound/RHS edits, and the incumbent integer schedule, re-validated
-//     against the churned topology, seeds the search as a feasible
-//     incumbent when it survives.
+//     reoptimizes from the incumbent root basis (complete, so again
+//     without presolve) under the same bound/RHS edits, and the
+//     incumbent integer schedule, re-validated against the churned
+//     topology, seeds the search as a feasible incumbent when it
+//     survives.
 //
 //   - A* incumbents replay unaffected rounds through the round-state
 //     recurrence without solving anything, and resume the round loop at
@@ -43,7 +46,11 @@ package core
 // cold solve of the edited request. Sessions additionally track the
 // incremental path's advantage over cold solving and proactively
 // re-base (crash-started refactorization of the incumbent) when it
-// decays. Replan never errors when the cold solve would succeed.
+// decays. With incremental replans costing tens of pivots, the budget
+// and the re-base trigger are safety nets the benchmark and churnstream
+// scripts no longer reach (ROADMAP item 5 has the rung hit counts); the
+// rung that still fires is the structural one. Replan never errors when
+// the cold solve would succeed.
 
 import (
 	"context"

@@ -529,3 +529,53 @@ func TestReplanConcurrentWithPlans(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 replans", st)
 	}
 }
+
+// TestReplanAfterReplayedRequestStaysIncremental: a request replayed
+// from the schedule cache carries no model of its own, but when it
+// replays the incumbent's own solve the incumbent keeps its model and
+// basis, so the next Replan reoptimizes instead of solving cold. A
+// replay of some other solve still empties the incumbent.
+func TestReplanAfterReplayedRequestStaysIncremental(t *testing.T) {
+	tt := topo.DGX1()
+	a := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
+	pl := NewPlanner(tt, PlannerOptions{})
+	ctx := context.Background()
+	if _, err := pl.Plan(ctx, Request{Demand: a, Solver: SolverLP}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := pl.Plan(ctx, Request{Demand: a.Clone(), Solver: SolverLP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Fatal("identical request should replay (sanity)")
+	}
+	rp, err := pl.Replan(ctx, Delta{LinksDown: []topo.LinkID{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.ReplanFallback || !rp.WarmStart {
+		t.Fatalf("replan after a replayed request: fallback=%v warm=%v, want incremental", rp.ReplanFallback, rp.WarmStart)
+	}
+	assertAvoidsDown(t, rp)
+	if st := pl.Stats(); st.ReplanFallbackNoModel != 0 || st.ReplanFallbacks != 0 {
+		t.Fatalf("stats = %+v, want no fallbacks", st)
+	}
+
+	// Plan(A), Plan(B), Plan(A) [replay]: the incumbent is B's solve, not
+	// the one replayed, so there is no model to hand back.
+	pl = NewPlanner(tt, PlannerOptions{})
+	b := a.Clone()
+	b.DropPair(testGPUs(tt)[0], testGPUs(tt)[1])
+	for _, d := range []*collective.Demand{a, b, a.Clone()} {
+		if _, err := pl.Plan(ctx, Request{Demand: d, Solver: SolverLP}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rp, err = pl.Replan(ctx, Delta{LinksDown: []topo.LinkID{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := pl.Stats(); !rp.ReplanFallback || st.ReplanFallbackNoModel != 1 {
+		t.Fatalf("replay of a non-incumbent solve: fallback=%v stats=%+v, want one no-model fallback", rp.ReplanFallback, st)
+	}
+}

@@ -17,7 +17,9 @@ import (
 // with the slacks of uncovered rows. A session hint may additionally
 // carry a basisStore: when the new problem fingerprints to a basis
 // solved earlier in the session, that full basis (rows included) is used
-// verbatim instead of the name projection.
+// verbatim instead of the name projection. The two differ in kind to
+// lp.Solve: a store hit is a complete basis and reoptimizes the model as
+// stated, a name projection is a partial hint and goes through presolve.
 type basisHint struct {
 	vars map[string]lp.BasisStatus
 	// srcProb/srcBasis lazily back vars: session hints defer the
@@ -172,12 +174,12 @@ func crashBasisLP(m *lpModel, sends []schedule.Send) *lp.Basis {
 // fingerprint and dimensions returns a clone of the stored basis — even
 // a hash collision is safe, because a warm start is only ever a hint
 // (the solver repairs stale or singular bases). The store is bounded:
-// once full, recording evicts an arbitrary entry (map iteration order),
-// which is adequate for the sweep- and serving-shaped request streams
-// sessions see.
+// once full, recording evicts the oldest entry, so identical request
+// streams keep identical warm-start decisions and pivot paths.
 type basisStore struct {
 	mu    sync.Mutex
 	bases map[uint64]*lp.Basis
+	order []uint64 // fingerprints in bases, oldest first
 	hits  int
 	limit int
 }
@@ -209,11 +211,12 @@ func (s *basisStore) record(p *lp.Problem, b *lp.Basis) {
 	fp := p.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.bases[fp]; !ok && len(s.bases) >= s.limit {
-		for k := range s.bases {
-			delete(s.bases, k)
-			break
+	if _, ok := s.bases[fp]; !ok {
+		if len(s.order) >= s.limit {
+			delete(s.bases, s.order[0])
+			s.order = s.order[1:]
 		}
+		s.order = append(s.order, fp)
 	}
 	s.bases[fp] = b
 }

@@ -9,7 +9,8 @@ package experiments
 // stream's halves, and the bounded-regret guarantee: the most expensive
 // single replan relative to the measured cold-solve cost of the same
 // churned problem (the budget abort caps it near 1 + RegretFraction,
-// and aggressive re-basing keeps even that from being paid).
+// and aggressive re-basing keeps even that from being paid), next to
+// the median of the same ratio — what a typical delta costs.
 //
 // The delta script rotates six adversarial kinds, per the degradation
 // ladder: κ-preserving capacity degradation (×0.8) and restoration
@@ -22,6 +23,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"teccl/internal/collective"
@@ -83,6 +85,15 @@ func streamTau(t *topo.Topology, chunkBytes float64, slowest bool) float64 {
 	return chunkBytes / best
 }
 
+// median returns the middle value of xs (0 for none); xs is reordered.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
 // ChurnStream regenerates the churn-stream resilience scoreboard (see
 // the file comment). One row per platform; metrics carry the headline
 // acceptance numbers: fallbacks strictly below the always-fallback
@@ -134,6 +145,7 @@ func ChurnStream(short bool) *Table {
 
 		applied, failed := 0, 0
 		maxRegret := 0.0
+		var regrets []float64 // replan wall / cold wall, one per delta
 		midPivots, midIncrementals := 0, 0
 		for i := 0; i < streamDeltas; i++ {
 			var delta core.Delta
@@ -224,14 +236,16 @@ func ChurnStream(short bool) *Table {
 			cStart := time.Now()
 			if _, err := cold.Plan(Context(), core.Request{Demand: demand, Solver: core.SolverLP}); err == nil {
 				if cs := time.Since(cStart).Seconds(); cs > 0 {
-					if r := wall / cs; r > maxRegret {
+					r := wall / cs
+					regrets = append(regrets, r)
+					if r > maxRegret {
 						maxRegret = r
 					}
 				}
 			}
 			if i == streamDeltas/2 {
 				st := pl.Stats()
-				midPivots = st.ReplanIncrementalPivots
+				midPivots = st.ReplanPivots
 				midIncrementals = st.Replans - st.ReplanFallbacks - st.ReBases
 			}
 		}
@@ -240,12 +254,12 @@ func ChurnStream(short bool) *Table {
 		incremental := st.Replans - st.ReplanFallbacks - st.ReBases
 		pivotsPer := 0.0
 		if incremental > 0 {
-			pivotsPer = float64(st.ReplanIncrementalPivots) / float64(incremental)
+			pivotsPer = float64(st.ReplanPivots) / float64(incremental)
 		}
 		drift := 1.0
 		if h2 := incremental - midIncrementals; h2 > 0 && midIncrementals > 0 {
 			firstHalf := float64(midPivots) / float64(midIncrementals)
-			secondHalf := float64(st.ReplanIncrementalPivots-midPivots) / float64(h2)
+			secondHalf := float64(st.ReplanPivots-midPivots) / float64(h2)
 			drift = (secondHalf + 1) / (firstHalf + 1)
 		}
 
@@ -269,12 +283,15 @@ func ChurnStream(short bool) *Table {
 		tab.Metrics[key("fallbacks")] = float64(st.ReplanFallbacks)
 		tab.Metrics[key("rebases")] = float64(st.ReBases)
 		tab.Metrics[key("max_regret")] = maxRegret
+		medRegret := median(regrets)
+		tab.Metrics[key("median_regret")] = medRegret
 		tab.Metrics[key("pivot_drift")] = drift
 		if sc.name == "NDv2" {
 			// Headline acceptance numbers: incrementals must exist (the
 			// stream beats always-fallback) and regret stays bounded.
 			tab.Metrics["ndv2_fallback_rate"] = float64(st.ReplanFallbacks) / math.Max(1, float64(applied))
 			tab.Metrics["ndv2_max_regret"] = maxRegret
+			tab.Metrics["ndv2_median_regret"] = medRegret
 		}
 		if failed > 0 {
 			tab.Metrics[key("replan_errors")] = float64(failed)

@@ -109,15 +109,16 @@ func TestChurnHeadlineRatio(t *testing.T) {
 	if tab == nil {
 		t.Fatal("churn experiment missing")
 	}
-	// The acceptance criterion CI pins: a single-link-down replan on the
-	// NDv2 ALLTOALL reoptimizes in at most 25% of the cold solve's
-	// simplex iterations.
+	// The acceptance criterion CI pins: a single-NVLink-down replan on
+	// the NDv2 ALLTOALL reoptimizes in at most 5% of the cold solve's
+	// simplex iterations (the incumbent's complete basis reoptimizes the
+	// edited model directly; projected through presolve it took 14%).
 	ratio, ok := tab.Metrics["ndv2_linkdown_pivot_ratio"]
 	if !ok {
 		t.Fatalf("ndv2 link-down ratio missing from metrics: %v", tab.Metrics)
 	}
-	if ratio > 0.25 {
-		t.Fatalf("NDv2 link-down replan used %.0f%% of cold pivots, want <= 25%%", ratio*100)
+	if ratio > 0.05 {
+		t.Fatalf("NDv2 link-down replan used %.1f%% of cold pivots, want <= 5%%", ratio*100)
 	}
 	// ByID must merge the shared solver counters without clobbering the
 	// experiment's own metrics.
@@ -130,6 +131,35 @@ func TestChurnHeadlineRatio(t *testing.T) {
 		if len(row) > 2 && (row[2] == "replan-failed" || row[2] == "base-failed" || row[2] == "delta-failed") {
 			t.Fatalf("churn scenario failed: %v", row)
 		}
+	}
+}
+
+// TestChurnStreamMedianRegret pins ROADMAP item 5's replan-economics
+// number: over the 100-delta adversarial NDv2 stream, the median replan
+// costs under a quarter of a from-scratch plan of the same churned
+// problem. A ratio of two wall clocks measured back to back, so host
+// speed cancels; the stream's 100 cold reference solves make it the
+// slowest test of the package.
+func TestChurnStreamMedianRegret(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs 100 replans and 100 cold reference solves")
+	}
+	tab := ByID("churnstream", true)
+	if tab == nil {
+		t.Fatal("churnstream experiment missing")
+	}
+	if got := tab.Metrics["NDv2_deltas"]; got != streamDeltas {
+		t.Fatalf("%v of %d deltas applied: %v", got, streamDeltas, tab.Rows)
+	}
+	med, ok := tab.Metrics["ndv2_median_regret"]
+	if !ok || !(med > 0) {
+		t.Fatalf("median regret not measured: %v", tab.Metrics)
+	}
+	if med >= 0.25 {
+		t.Fatalf("median replan cost %.2fx a cold plan, want < 0.25x", med)
+	}
+	if got := tab.Metrics["NDv2_rebases"]; got != 0 {
+		t.Errorf("%v proactive re-bases; the incremental advantage should not decay on this stream", got)
 	}
 }
 

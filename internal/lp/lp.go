@@ -23,10 +23,31 @@
 // columns, with Bland's rule as the anti-cycling fallback. Feasibility is
 // reached by a composite phase 1 that minimizes the bound violations of
 // the basic variables directly — no artificial variables — which is also
-// what makes warm starts cheap: Solve can resume from a Basis snapshot of
-// an earlier solve (see Options.WarmStart), as branch-and-bound and
-// re-solve loops do, or crash-start from a structural guess (see
-// Options.Crash).
+// what makes starting bases safe: any Basis installs, and whatever it
+// gets wrong is repaired or re-driven to feasibility.
+//
+// # Starting bases: complete versus partial
+//
+// Solve reads the kind of start off Options.WarmStart itself:
+//
+//   - A complete basis — dimensions match the problem and exactly NumRows
+//     variables and slacks are basic — is an advanced start. Solve
+//     reoptimizes the problem as stated from it: no presolve, no scaling,
+//     one factorization. Every Solution.Basis is complete for the problem
+//     it solved and stays complete across SetBounds/SetRHS/SetObj edits
+//     and Basis.Extended, so re-solving from a solve's own basis costs a
+//     pricing pass, and absorbing a bound or right-hand-side edit costs
+//     dual-simplex pivots in proportion to the edit, not to the LP. This
+//     is the path of branch-and-bound children, Planner replans, and
+//     fingerprint-keyed basis-store hits.
+//   - Anything else — a basis transferred by variable name from a
+//     related model (rows unknown, too few basics), an over-full guess,
+//     a dimension mismatch, or an Options.Crash seed — is a hint. The
+//     solve goes through presolve; the hint's statuses are carried onto
+//     the surviving rows and columns and the install pass truncates or
+//     slack-pads the result, so the hint shortens phase 1 but does not
+//     skip it. Presolve's smaller, equilibrated model is worth more than
+//     the hint's exact shape here.
 package lp
 
 import (
@@ -364,22 +385,27 @@ type Options struct {
 	// same cadence as Deadline. The caller distinguishes an interrupt from
 	// a genuine iteration limit by inspecting Context.Err() afterwards.
 	Context context.Context
-	// WarmStart, when non-nil, resumes from a basis snapshot of an
-	// earlier solve instead of the all-slack basis. Dimension mismatches
-	// are ignored (the solve falls back to a cold start), and bases that
-	// are stale — singular after problem edits, or primal infeasible
-	// after bound changes — are repaired or re-driven to feasibility by
-	// the composite phase 1, so any snapshot of a related problem is a
-	// safe hint.
+	// WarmStart, when non-nil, starts from a basis instead of the
+	// all-slack one. What it buys depends on the basis (see the package
+	// comment): a complete basis of this problem — matching dimensions,
+	// exactly NumRows basics, as every Solution.Basis is — reoptimizes
+	// the problem as stated, skipping presolve as NoPresolve does; any
+	// other basis is a hint projected through presolve, with short bases
+	// padded by slacks and over-full ones truncated. Either way it is
+	// safe: dimension mismatches are ignored (cold start), and bases gone
+	// stale — singular after problem edits, primal infeasible after bound
+	// changes — are repaired or re-driven to feasibility by the composite
+	// phase 1.
 	WarmStart *Basis
 	// Crash, when non-nil and WarmStart is absent, seeds the starting
 	// basis from a structural guess instead of the all-slack basis — a
 	// "crash basis", typically built from a combinatorial heuristic's
 	// support (the core layer derives one from the greedy schedule's flow
-	// support). It is installed under the same contract as WarmStart
-	// (statuses sanitized, short bases padded with slacks, singular bases
-	// repaired), but it is only a phase-1 seed: it never routes the solve
-	// through the dual-reoptimization path the way a warm basis does.
+	// support). It is installed like a partial WarmStart hint (statuses
+	// sanitized, short bases padded with slacks, singular bases repaired)
+	// and always goes through presolve, however many basics it names; it
+	// is only a phase-1 seed and never routes the solve through the
+	// dual-reoptimization path the way a warm basis does.
 	Crash *Basis
 	// Method selects the simplex variant; the default MethodAuto uses
 	// the dual simplex exactly when a warm-start basis is dual feasible.
@@ -391,19 +417,44 @@ type Options struct {
 	// package).
 	testPerturb int
 	// NoPresolve disables the presolve/scaling layer and solves the
-	// problem as stated. Presolve is on by default: fixed variables,
-	// empty/singleton/forcing/redundant rows, and safe doubleton
-	// substitutions are eliminated and the remaining matrix is
-	// equilibrated before the simplex runs; the solution (X, Duals, and
-	// Basis) is mapped back to the original problem afterwards.
+	// problem as stated (a complete WarmStart implies it). Presolve is on
+	// otherwise: fixed variables, empty/singleton/forcing/redundant rows,
+	// and safe doubleton substitutions are eliminated and the remaining
+	// matrix is equilibrated before the simplex runs; the solution (X,
+	// Duals, and Basis) is mapped back to the original problem afterwards.
 	NoPresolve bool
 }
 
-// Solve optimizes the problem. The problem is not modified.
+// Solve optimizes the problem. The problem is not modified. A complete
+// WarmStart reoptimizes the problem as stated, exactly as NoPresolve
+// does; every other solve — cold, crashed, or hinted by a partial basis —
+// goes through presolve (see the package comment).
 func Solve(p *Problem, opt Options) (*Solution, error) {
-	if !opt.NoPresolve {
+	if !opt.NoPresolve && !opt.WarmStart.completeFor(p) {
 		return solvePresolved(p, opt)
 	}
 	s := newSimplex(p, opt)
 	return s.solve()
+}
+
+// completeFor reports whether b is a complete basis of p: its dimensions
+// match and exactly NumRows of its variables and slacks are basic, so it
+// installs as a square basis with nothing truncated or slack-padded (see
+// the package comment for which bases are).
+func (b *Basis) completeFor(p *Problem) bool {
+	if b == nil || len(b.Vars) != p.NumVars() || len(b.Rows) != p.NumRows() {
+		return false
+	}
+	nBasic := 0
+	for _, st := range b.Vars {
+		if st == BasisBasic {
+			nBasic++
+		}
+	}
+	for _, st := range b.Rows {
+		if st == BasisBasic {
+			nBasic++
+		}
+	}
+	return nBasic == len(b.Rows)
 }

@@ -7,7 +7,12 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := Solve(p, Options{})
+	return solveOptimal(t, p, Options{})
+}
+
+func solveOptimal(t *testing.T, p *Problem, opt Options) *Solution {
+	t.Helper()
+	sol, err := Solve(p, opt)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

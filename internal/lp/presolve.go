@@ -645,9 +645,13 @@ func (ps *presolver) build() *presolved {
 	return pre
 }
 
-// mapBasis projects a warm-start basis of the original problem onto the
-// reduced one (statuses are scale-invariant). Mismatched dimensions fall
-// back to a cold start, mirroring the solver's own warm-start contract.
+// mapBasis carries a starting hint of the original problem onto the
+// reduced one by dropping the statuses of eliminated rows and columns
+// (statuses are scale-invariant). The result generally has the wrong
+// number of basics for the reduction — the install pass truncates or
+// slack-pads it — so it seeds phase 1 rather than resuming a solve;
+// complete bases never come here (Solve reoptimizes the original problem
+// from them). Mismatched dimensions fall back to a cold start.
 func (pre *presolved) mapBasis(b *Basis) *Basis {
 	if b == nil || len(b.Vars) != pre.orig.NumVars() || len(b.Rows) != pre.orig.NumRows() {
 		return nil
@@ -887,7 +891,7 @@ func defaultBasis(p *Problem) *Basis {
 }
 
 // solvePresolved is the presolve-enabled solve path: reduce, solve the
-// reduction (with the warm basis projected into reduced space), and map
+// reduction (seeded by the starting hint's surviving statuses), and map
 // everything back.
 func solvePresolved(p *Problem, opt Options) (*Solution, error) {
 	ps := newPresolver(p)

@@ -34,16 +34,57 @@ func reSolveWarm(t *testing.T, p *Problem) (cold, warm *Solution) {
 	return cold, warm
 }
 
-// TestWarmRestartIsCheap: resuming from the optimal basis must terminate
-// almost immediately (one feasibility pass, one pricing pass).
-func TestWarmRestartIsCheap(t *testing.T) {
+// The hand-written instances of this file, shared with reopt_test.go's
+// warm-start corpus.
+
+func classicLP() *Problem {
 	p := NewProblem(Maximize)
 	x := p.AddVar("x", 0, Inf, 3)
 	y := p.AddVar("y", 0, Inf, 5)
 	p.AddRow([]Term{{x, 1}}, LE, 4)
 	p.AddRow([]Term{{y, 2}}, LE, 12)
 	p.AddRow([]Term{{x, 3}, {y, 2}}, LE, 18)
-	cold, warm := reSolveWarm(t, p)
+	return p
+}
+
+func degenerateLP() *Problem {
+	p := NewProblem(Maximize)
+	x := p.AddVar("x", 0, Inf, 2)
+	y := p.AddVar("y", 0, Inf, 1)
+	p.AddRow([]Term{{x, 1}, {y, 1}}, LE, 4)
+	p.AddRow([]Term{{x, 1}}, LE, 4)
+	p.AddRow([]Term{{y, 1}}, LE, 4)
+	p.AddRow([]Term{{x, 1}, {y, 2}}, LE, 8)
+	return p
+}
+
+func upperBoundedLP() *Problem {
+	p := NewProblem(Minimize)
+	x := p.AddVar("x", -2, 3, 1)
+	y := p.AddVar("y", -1, 4, -2)
+	z := p.AddVar("z", 0, 1, 0.5)
+	p.AddRow([]Term{{x, 1}, {y, 1}, {z, 1}}, LE, 5)
+	p.AddRow([]Term{{x, 1}, {y, -1}}, GE, -4)
+	return p
+}
+
+// bealeLP is Beale's cycling example (optimum -0.05).
+func bealeLP() *Problem {
+	p := NewProblem(Minimize)
+	x1 := p.AddVar("x1", 0, Inf, -0.75)
+	x2 := p.AddVar("x2", 0, Inf, 150)
+	x3 := p.AddVar("x3", 0, Inf, -0.02)
+	x4 := p.AddVar("x4", 0, Inf, 6)
+	p.AddRow([]Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
+	p.AddRow([]Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
+	p.AddRow([]Term{{x3, 1}}, LE, 1)
+	return p
+}
+
+// TestWarmRestartIsCheap: resuming from the optimal basis must terminate
+// almost immediately (one feasibility pass, one pricing pass).
+func TestWarmRestartIsCheap(t *testing.T) {
+	cold, warm := reSolveWarm(t, classicLP())
 	if warm.Iterations > 4 {
 		t.Fatalf("warm restart took %d iterations (cold %d); basis not reused",
 			warm.Iterations, cold.Iterations)
@@ -87,14 +128,7 @@ func TestWarmAfterBoundChange(t *testing.T) {
 // TestWarmDegenerate: a heavily degenerate optimum (many ties) restarts
 // cleanly from its own basis.
 func TestWarmDegenerate(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := p.AddVar("x", 0, Inf, 2)
-	y := p.AddVar("y", 0, Inf, 1)
-	p.AddRow([]Term{{x, 1}, {y, 1}}, LE, 4)
-	p.AddRow([]Term{{x, 1}}, LE, 4)
-	p.AddRow([]Term{{y, 1}}, LE, 4)
-	p.AddRow([]Term{{x, 1}, {y, 2}}, LE, 8)
-	_, warm := reSolveWarm(t, p)
+	_, warm := reSolveWarm(t, degenerateLP())
 	if math.Abs(warm.Objective-8) > 1e-6 {
 		t.Fatalf("objective = %g, want 8", warm.Objective)
 	}
@@ -103,12 +137,7 @@ func TestWarmDegenerate(t *testing.T) {
 // TestWarmUpperBounded: bound-flip-heavy instances (finite ranges on both
 // sides) must round-trip through a warm restart.
 func TestWarmUpperBounded(t *testing.T) {
-	p := NewProblem(Minimize)
-	x := p.AddVar("x", -2, 3, 1)
-	y := p.AddVar("y", -1, 4, -2)
-	z := p.AddVar("z", 0, 1, 0.5)
-	p.AddRow([]Term{{x, 1}, {y, 1}, {z, 1}}, LE, 5)
-	p.AddRow([]Term{{x, 1}, {y, -1}}, GE, -4)
+	p := upperBoundedLP()
 	_, warm := reSolveWarm(t, p)
 	checkFeasible(t, p, warm.X, 1e-6)
 }
@@ -140,18 +169,7 @@ func TestWarmInfeasible(t *testing.T) {
 // TestWarmBealeCycling: Beale's cycling LP solved from a warm basis still
 // terminates (the Bland fallback must survive the warm-start path).
 func TestWarmBealeCycling(t *testing.T) {
-	build := func() (*Problem, []VarID) {
-		p := NewProblem(Minimize)
-		x1 := p.AddVar("x1", 0, Inf, -0.75)
-		x2 := p.AddVar("x2", 0, Inf, 150)
-		x3 := p.AddVar("x3", 0, Inf, -0.02)
-		x4 := p.AddVar("x4", 0, Inf, 6)
-		p.AddRow([]Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
-		p.AddRow([]Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
-		p.AddRow([]Term{{x3, 1}}, LE, 1)
-		return p, []VarID{x1, x2, x3, x4}
-	}
-	p, _ := build()
+	p := bealeLP()
 	cold, err := Solve(p, Options{})
 	if err != nil || cold.Status != StatusOptimal {
 		t.Fatalf("cold Beale: %v %v", err, cold.Status)

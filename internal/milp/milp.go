@@ -136,7 +136,11 @@ type Options struct {
 	IncumbentX []float64
 	// RootWarmStart optionally seeds the root relaxation with a basis from
 	// an earlier related solve (e.g. the previous horizon in a makespan
-	// search, or the previous round of the A* decomposition).
+	// search, or the previous round of the A* decomposition). It is
+	// passed to the root solve as lp.Options.WarmStart, so a complete
+	// basis of this model (a re-rooted replan, a basis-store hit)
+	// reoptimizes the root as stated and a name-transferred one is a
+	// hint that goes through presolve.
 	RootWarmStart *lp.Basis
 }
 

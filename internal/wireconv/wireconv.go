@@ -425,7 +425,10 @@ func ToPlan(p wire.Plan, t *topo.Topology, d *collective.Demand) (*core.Plan, er
 	}, nil
 }
 
-// FromStats converts in-process session counters to wire form.
+// FromStats converts in-process session counters to wire form. The
+// locked v1 field replan_incremental_pivots has always mirrored
+// replan_pivots; it is filled here so the in-process struct need not
+// carry the duplicate.
 func FromStats(s core.PlannerStats) wire.Stats {
 	return wire.Stats{
 		Requests:                 s.Requests,
@@ -437,7 +440,7 @@ func FromStats(s core.PlannerStats) wire.Stats {
 		EpochCacheHits:           s.EpochCacheHits,
 		Replans:                  s.Replans,
 		ReplanPivots:             s.ReplanPivots,
-		ReplanIncrementalPivots:  s.ReplanIncrementalPivots,
+		ReplanIncrementalPivots:  s.ReplanPivots,
 		ColdEstimatePivots:       s.ColdEstimatePivots,
 		ReplanFallbacks:          s.ReplanFallbacks,
 		ReplanFallbackStructural: s.ReplanFallbackStructural,
@@ -460,7 +463,6 @@ func ToStats(s wire.Stats) core.PlannerStats {
 		EpochCacheHits:           s.EpochCacheHits,
 		Replans:                  s.Replans,
 		ReplanPivots:             s.ReplanPivots,
-		ReplanIncrementalPivots:  s.ReplanIncrementalPivots,
 		ColdEstimatePivots:       s.ColdEstimatePivots,
 		ReplanFallbacks:          s.ReplanFallbacks,
 		ReplanFallbackStructural: s.ReplanFallbackStructural,

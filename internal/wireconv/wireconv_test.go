@@ -31,18 +31,24 @@ func TestStatsMirrorsPlannerStats(t *testing.T) {
 	// wire.Stats must track PlannerStats field for field: a counter
 	// added in core without a wire mapping would silently read zero at
 	// every client. Round-trip a struct filled with distinct values and
-	// require every field to survive.
+	// require every field to survive. The one wire-only field is the
+	// locked replan_incremental_pivots, a mirror of replan_pivots.
 	var ps core.PlannerStats
 	v := reflect.ValueOf(&ps).Elem()
-	if v.NumField() != reflect.TypeOf(wire.Stats{}).NumField() {
-		t.Fatalf("PlannerStats has %d fields, wire.Stats %d — extend the wire mapping (and the golden)",
+	if v.NumField()+1 != reflect.TypeOf(wire.Stats{}).NumField() {
+		t.Fatalf("PlannerStats has %d fields, wire.Stats %d (want one more) — extend the wire mapping (and the golden)",
 			v.NumField(), reflect.TypeOf(wire.Stats{}).NumField())
 	}
 	for i := 0; i < v.NumField(); i++ {
 		v.Field(i).SetInt(int64(i + 1))
 	}
-	if got := ToStats(FromStats(ps)); got != ps {
+	ws := FromStats(ps)
+	if got := ToStats(ws); got != ps {
 		t.Errorf("PlannerStats round-trip lost counters:\n got: %+v\nwant: %+v", got, ps)
+	}
+	if ws.ReplanIncrementalPivots != ps.ReplanPivots {
+		t.Errorf("wire replan_incremental_pivots = %d, want the replan_pivots mirror %d",
+			ws.ReplanIncrementalPivots, ps.ReplanPivots)
 	}
 }
 
