@@ -83,14 +83,16 @@ daemon-smoke:
 
 # One iteration of the Fig 5 solver-time sweep plus the solver and
 # concurrency micro-benchmarks across all packages; fast enough for CI,
-# loud enough to catch a perf cliff.
+# loud enough to catch a perf cliff. NodeResolve reports B/op and
+# allocs/op of a branch-and-bound node re-solve, fresh context against
+# retained lp.Solver.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
 
 # The same smoke under -short (GitHub Actions): trimmed sweeps, and the
 # minutes-scale benches (e.g. NDv2AllToAll) skip themselves.
 bench-smoke-short:
-	$(GO) test -short -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
+	$(GO) test -short -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
 
 # The full benchmark suite (one iteration each; wall-clock heavy).
 bench:

@@ -7,11 +7,11 @@ package teccl
 //
 //	go test -bench=BenchmarkFig4 -benchtime=1x
 //
-// The same tables print from cmd/benchtables. Scale substitutions are
-// documented in DESIGN.md; paper-vs-measured numbers in EXPERIMENTS.md.
-// All benches run their experiment in -short form once per b.N iteration;
-// they are wall-clock heavy (seconds to minutes), so -benchtime=1x is the
-// intended invocation and is what the committed bench_output.txt used.
+// The same tables print from cmd/benchtables. Where an experiment runs
+// below the paper's scale, its Table.Notes says so (see the package
+// comment of internal/experiments). All benches run their experiment in
+// -short form once per b.N iteration; they are wall-clock heavy (seconds
+// to minutes), so -benchtime=1x is the intended invocation.
 
 import (
 	"testing"

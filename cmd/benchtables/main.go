@@ -1,6 +1,6 @@
 // Command benchtables regenerates the tables and figures of the paper's
-// evaluation (§6). Each experiment prints the rows the paper plots;
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// evaluation (§6). Each experiment prints the rows the paper plots and,
+// in its notes line, where it runs below the paper's scale.
 //
 // Usage:
 //

@@ -1,10 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) at laptop scale. Each experiment returns a Table whose
-// rows mirror the series the paper plots; EXPERIMENTS.md records the
-// paper-versus-measured comparison. The scale substitutions are listed in
-// DESIGN.md: the shapes (who wins, by what factor, where the crossovers
-// fall) are the reproduction target, not the absolute numbers from the
-// authors' 80-core Gurobi testbed.
+// rows mirror the series the paper plots. Where an experiment runs below
+// the paper's scale — the mini topologies of internal/topo, trimmed
+// sweeps, the early-stop gap — its Table.Notes and the comment at the
+// substitution say so: the shapes (who wins, by what factor, where the
+// crossovers fall) are the reproduction target, not the absolute numbers
+// from the authors' 80-core Gurobi testbed.
 package experiments
 
 import (

@@ -97,7 +97,7 @@ func Table3(short bool) *Table {
 		opt := core.Options{TimeLimit: solveLimit}
 		if ch > 1 {
 			// Larger chunk counts need the early stop and coarser epochs
-			// to stay within the laptop budget (DESIGN.md #3).
+			// to stay within the laptop budget.
 			opt.GapLimit = esGap
 			opt.EpochMode = core.SlowestLink
 			opt.TimeLimit = 45 * time.Second
@@ -254,7 +254,7 @@ func Fig6(short bool) *Table {
 		ID:     "fig6",
 		Title:  "Internal-2 ALLTOALL chassis sweep: TE-CCL LP vs TACCL",
 		Header: []string{"chassis", "TECCL_CT(us)", "TACCL_CT(us)", "bw_gain", "TECCL_ST", "TACCL_ST"},
-		Notes:  "paper sweeps 2-32 chassis; scale reduced per DESIGN.md substitution #3",
+		Notes:  "paper sweeps 2-32 chassis; scale reduced to the laptop budget",
 	}
 	const size = 4e6
 	for _, c := range chassis {
@@ -287,7 +287,7 @@ func Table4(short bool) *Table {
 		ID:     "table4",
 		Title:  "large-topology solver times (AG via A*, AtoA via LP)",
 		Header: []string{"topology", "collective", "GPUs", "EM", "solver_time", "CT(us)"},
-		Notes:  "paper reaches 64-256 GPUs with Gurobi on 80 cores; scale per DESIGN.md #3",
+		Notes:  "paper reaches 64-256 GPUs with Gurobi on 80 cores; scale reduced to the laptop budget",
 	}
 	type inst struct {
 		t    *topo.Topology
@@ -371,7 +371,7 @@ func Fig7(short bool) *Table {
 			copyOpt := opt
 			if len(gpus) > 6 && len(in.topo.Switches()) > 0 {
 				// Switched multi-chassis: the MILP does not fit; A* keeps
-				// copy support (DESIGN.md substitution #3).
+				// copy support.
 				copySolver = core.SolverAStar
 				copyOpt.TimeLimit = astarLimit
 			}

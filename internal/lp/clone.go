@@ -13,10 +13,11 @@ import (
 	"math"
 )
 
-// Clone returns a deep copy of the basis. Basis snapshots are immutable
-// by convention, but workers that resume solves concurrently clone their
-// warm-start hint anyway so no goroutine ever shares mutable state with
-// another. Clone of nil is nil.
+// Clone returns a deep copy of the basis, for callers that go on to edit
+// the copy. Sharing needs none: a Basis is immutable once returned, and
+// Solve never writes through Options.WarmStart or Options.Crash, so any
+// number of concurrent solves may resume from the same snapshot (the
+// branch-and-bound workers do). Clone of nil is nil.
 func (b *Basis) Clone() *Basis {
 	if b == nil {
 		return nil

@@ -69,11 +69,11 @@ const (
 // rEta is one Forrest–Tomlin row transform: row t of U gained
 // row_t -= Σ val[k]·row_idx[k] during the update's re-triangularization.
 // Applied to an FTRAN right-hand side as work[t] -= Σ val·work[idx];
-// transposed for BTRAN as work[idx] -= val·work[t].
+// transposed for BTRAN as work[idx] -= val·work[t]. The entries are
+// luFactor.etaIdx/etaVal[lo:hi].
 type rEta struct {
-	t   int32
-	idx []int32
-	val []float64
+	t      int32
+	lo, hi int32
 }
 
 // luFactor is a sparse LU factorization of the basis in pivot order, plus
@@ -123,8 +123,12 @@ type luFactor struct {
 	// triggers when it outweighs the (amortized) cost of refactorizing.
 	extraCost float64
 
-	retas []rEta
-	rNnz  int // nonzeros across the row-eta file
+	// The row-eta file: one rEta per update that eliminated anything, its
+	// entries appended to the two arenas, which factorize truncates — so
+	// the file's storage is reused from one refactorization to the next.
+	retas  []rEta
+	etaIdx []int32
+	etaVal []float64
 
 	updates int     // FT updates since the last refactorization
 	drift   float64 // worst FT diagonal-identity relative error so far
@@ -154,7 +158,13 @@ type luFactor struct {
 	wsColDone    []bool
 	wsWpos       []int32
 	wsActiveRows []int32
+	wsColQ       []int32 // singleton queues
+	wsRowQ       []int32
+	wsTgt        []int32 // pivot-column snapshot of one elimination step
 }
+
+// rNnz is the nonzero count of the row-eta file.
+func (f *luFactor) rNnz() int { return len(f.etaIdx) }
 
 func newLUFactor(m int) *luFactor {
 	return &luFactor{
@@ -186,7 +196,8 @@ func newLUFactor(m int) *luFactor {
 func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, failCols []int32) {
 	m := f.m
 	f.retas = f.retas[:0]
-	f.rNnz = 0
+	f.etaIdx = f.etaIdx[:0]
+	f.etaVal = f.etaVal[:0]
 	f.luNnz = 0
 	f.updates = 0
 	f.drift = 0
@@ -228,7 +239,7 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 		}
 	}
 	// Singleton queues; entries may be stale and are re-checked on pop.
-	var colQ, rowQ []int32
+	colQ, rowQ := f.wsColQ[:0], f.wsRowQ[:0]
 	for pos := 0; pos < m; pos++ {
 		if len(colRows[pos]) == 1 {
 			colQ = append(colQ, int32(pos))
@@ -296,7 +307,8 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 		lVal := f.lVal[step][:0]
 		spike := len(rowsIdx[i]) > 1 // pivot row has off-pivot entries
 		// Snapshot: the column's row set shrinks as we eliminate.
-		tgt := append([]int32(nil), colRows[pos]...)
+		tgt := append(f.wsTgt[:0], colRows[pos]...)
+		f.wsTgt = tgt
 		for _, r32 := range tgt {
 			r := int(r32)
 			if r == i {
@@ -479,6 +491,7 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 		pivotAt(pivRow, pivPos)
 	}
 
+	f.wsColQ, f.wsRowQ = colQ, rowQ
 	if step < m {
 		for i := 0; i < m; i++ {
 			if !rowDone[i] {
@@ -558,8 +571,9 @@ func (f *luFactor) ftranInto(x []float64, save bool) {
 	for ei := range f.retas {
 		e := &f.retas[ei]
 		acc := work[e.t]
-		for ki, k := range e.idx {
-			acc -= e.val[ki] * work[k]
+		val := f.etaVal[e.lo:e.hi]
+		for ki, k := range f.etaIdx[e.lo:e.hi] {
+			acc -= val[ki] * work[k]
 		}
 		work[e.t] = acc
 	}
@@ -620,8 +634,9 @@ func (f *luFactor) btran(x []float64) {
 		if vt == 0 {
 			continue
 		}
-		for ki, k := range e.idx {
-			work[k] -= e.val[ki] * vt
+		val := f.etaVal[e.lo:e.hi]
+		for ki, k := range f.etaIdx[e.lo:e.hi] {
+			work[k] -= val[ki] * vt
 		}
 	}
 	// Lᵀ backward (gather).
@@ -667,8 +682,9 @@ func (f *luFactor) update(leavePos int32, wLeave float64) bool {
 		acc[c] = f.uVal[t][ki]
 	}
 	d := spike[t]
-	var eIdx []int32
-	var eVal []float64
+	// The row eta's entries go straight onto the arenas; a rejected update
+	// truncates them back to eLo.
+	eLo := len(f.etaIdx)
 	for q := posT; q < m-1; q++ {
 		k := f.order[q+1]
 		f.order[q] = k
@@ -685,8 +701,8 @@ func (f *luFactor) update(leavePos int32, wLeave float64) bool {
 		if math.Abs(mult) <= dropTol {
 			continue
 		}
-		eIdx = append(eIdx, k)
-		eVal = append(eVal, mult)
+		f.etaIdx = append(f.etaIdx, k)
+		f.etaVal = append(f.etaVal, mult)
 		// Row k's (pending) column-t entry is the spike value.
 		d -= mult * spike[k]
 		for ki, c := range f.uIdx[k] {
@@ -713,6 +729,8 @@ func (f *luFactor) update(leavePos int32, wLeave float64) bool {
 		// U still describes the pre-pivot basis while the caller's
 		// bookkeeping has moved on; mark it unusable until the caller's
 		// mandatory refactorization.
+		f.etaIdx = f.etaIdx[:eLo]
+		f.etaVal = f.etaVal[:eLo]
 		f.stale = true
 		return false
 	}
@@ -764,18 +782,18 @@ func (f *luFactor) update(leavePos int32, wLeave float64) bool {
 	f.uNnz += added
 	f.uDiag[t] = d
 	// ...and record the row eta (the order was already rotated above).
-	if len(eIdx) > 0 {
-		f.retas = append(f.retas, rEta{t: t, idx: eIdx, val: eVal})
-		f.rNnz += len(eIdx)
+	eNnz := len(f.etaIdx) - eLo
+	if eNnz > 0 {
+		f.retas = append(f.retas, rEta{t: t, lo: int32(eLo), hi: int32(len(f.etaIdx))})
 	}
 
 	f.updates++
 	f.statUpdates++
-	f.statUpdNnz += added + len(eIdx)
+	f.statUpdNnz += added + eNnz
 	// Cost balance: every subsequent FTRAN/BTRAN pays for the update
 	// fill, so charge the current extra nonzeros once per update (one
 	// update ≈ one simplex iteration ≈ a constant number of solves).
-	f.extraCost += float64(f.uNnz - f.baseUNnz + f.rNnz)
+	f.extraCost += float64(f.uNnz - f.baseUNnz + f.rNnz())
 	return true
 }
 
@@ -805,5 +823,5 @@ func (f *luFactor) shouldRefactor() bool {
 	// Absolute fill bound, independent of amortization: never let the
 	// update file outgrow the factorization itself by more than the
 	// growth factor (memory, and the per-solve floor).
-	return f.uNnz+f.rNnz > ftGrowthFactor*f.luNnz+8*f.m
+	return f.uNnz+f.rNnz() > ftGrowthFactor*f.luNnz+8*f.m
 }

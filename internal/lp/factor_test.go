@@ -194,9 +194,9 @@ func TestFTDenseSpikeTriggersRefactor(t *testing.T) {
 			}
 			// The trigger must fire while the update file is still
 			// bounded by the growth factor (plus the small-m allowance).
-			if f.uNnz+f.rNnz > 2*(ftGrowthFactor*f.luNnz+8*m) {
+			if f.uNnz+f.rNnz() > 2*(ftGrowthFactor*f.luNnz+8*m) {
 				t.Fatalf("step %d: update file grew to %d nnz (factor %d) before refactorizing",
-					step, f.uNnz+f.rNnz, f.luNnz)
+					step, f.uNnz+f.rNnz(), f.luNnz)
 			}
 			if fr, _ := f.factorize(colIdx, colVal); fr != nil {
 				t.Fatalf("step %d: refactorization failed", step)

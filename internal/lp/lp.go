@@ -48,6 +48,19 @@
 //     slack-pads the result, so the hint shortens phase 1 but does not
 //     skip it. Presolve's smaller, equilibrated model is worth more than
 //     the hint's exact shape here.
+//
+// # Solve contexts
+//
+// A solve as stated runs in a context built from the problem's matrix:
+// column-wise and row-wise copies of A, static pricing norms, the work
+// vectors of both simplex methods, and the LU factor's storage. Solve
+// builds one, uses it once and drops it, which is what keeps it safe to
+// call concurrently on one Problem. A Solver keeps the context between
+// solves of one Problem and re-reads only bounds, right-hand sides and
+// objective, so a re-solve after a bound edit costs the pivots of the
+// edit plus one factorization, not a rebuild the size of the model — and
+// returns exactly what Solve would, down to the pivot path. One Solver
+// serves one goroutine; see its documentation for the full contract.
 package lp
 
 import (
@@ -115,6 +128,11 @@ type Problem struct {
 	senses []Sense
 	rhs    []float64
 
+	// gen counts the structural edits (AddVar, AddRow, AppendToRow) made
+	// so far; a Solver compares it against the value it was built at to
+	// notice that its matrix copies are out of date.
+	gen uint64
+
 	// scratch is the reusable sort/merge buffer of combineTerms, so the
 	// model-build hot path (AddRow per constraint, thousands per A* round)
 	// performs exactly one allocation per row: the stored row itself.
@@ -143,6 +161,7 @@ func (p *Problem) AddVar(name string, lo, hi, obj float64) VarID {
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.obj = append(p.obj, obj)
+	p.gen++
 	return VarID(len(p.lo) - 1)
 }
 
@@ -185,6 +204,7 @@ func (p *Problem) AddRow(terms []Term, sense Sense, rhs float64) int {
 	p.rows = append(p.rows, row)
 	p.senses = append(p.senses, sense)
 	p.rhs = append(p.rhs, rhs)
+	p.gen++
 	return len(p.rows) - 1
 }
 
@@ -205,6 +225,7 @@ func (p *Problem) AppendToRow(r int, terms []Term) {
 	merged = append(merged, p.rows[r]...)
 	merged = append(merged, terms...)
 	p.rows[r] = p.combineTerms(merged)
+	p.gen++
 }
 
 // combineTerms merges duplicate variables and drops zero coefficients,
@@ -428,13 +449,11 @@ type Options struct {
 // Solve optimizes the problem. The problem is not modified. A complete
 // WarmStart reoptimizes the problem as stated, exactly as NoPresolve
 // does; every other solve — cold, crashed, or hinted by a partial basis —
-// goes through presolve (see the package comment).
+// goes through presolve (see the package comment). Solve is the
+// single-use form of Solver: it builds a context, solves once and drops
+// it, so any number of goroutines may Solve the same Problem at once.
 func Solve(p *Problem, opt Options) (*Solution, error) {
-	if !opt.NoPresolve && !opt.WarmStart.completeFor(p) {
-		return solvePresolved(p, opt)
-	}
-	s := newSimplex(p, opt)
-	return s.solve()
+	return NewSolver(p).Solve(opt)
 }
 
 // completeFor reports whether b is a complete basis of p: its dimensions

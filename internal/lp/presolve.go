@@ -904,8 +904,7 @@ func solvePresolved(p *Problem, opt Options) (*Solution, error) {
 	ropt.NoPresolve = true
 	ropt.WarmStart = pre.mapBasis(opt.WarmStart)
 	ropt.Crash = pre.mapBasis(opt.Crash)
-	rs := newSimplex(pre.red, ropt)
-	rsol, err := rs.solve()
+	rsol, err := newSimplex(pre.red).solve(ropt)
 	if err != nil {
 		return nil, err
 	}

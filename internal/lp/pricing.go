@@ -133,6 +133,7 @@ func (s *simplex) priceOne(j int, cost []float64, y []float64) (float64, float64
 // Must run against the pre-pivot factorization (before the eta append).
 func (s *simplex) devexUpdate(enter, leaveRow int, wr float64) {
 	s.buildCSR()
+	s.gammaMoved = true
 	gq := s.gamma[enter]
 	rho := s.y
 	for i := range rho {

@@ -48,14 +48,19 @@ const (
 	nonbasicFree // free variable resting at value 0
 )
 
-// simplex is the working state of one solve. All variables live in a
-// single index space:
+// simplex is the working state of a solve context (see Solver). It is
+// built once per matrix by newSimplex — the CSC copy, the slack unit
+// columns, every work vector, the LU storage — and reset at the top of
+// each solve, which re-reads bounds, right-hand sides and costs from the
+// problem and returns every per-solve field to what a freshly built
+// simplex holds, so a retained context and a new one walk the same pivot
+// path bit for bit. All variables live in a single index space:
 //
 //	[0, n)    structural variables
 //	[n, n+m)  one slack per row (rows become equalities)
 type simplex struct {
 	p   *Problem
-	opt Options
+	opt Options // of the solve in progress
 
 	m int // rows
 	n int // structural variables
@@ -97,6 +102,9 @@ type simplex struct {
 
 	priceCursor int       // partial-pricing rotation state
 	gamma       []float64 // devex reference weights, one per column
+	// gammaMoved records that devexUpdate overwrote the static column
+	// norms in gamma, so the next solve recomputes them.
+	gammaMoved bool
 
 	// scratch buffers
 	y        []float64 // duals (BTRAN result)
@@ -127,10 +135,15 @@ type simplex struct {
 	slackVal []float64
 }
 
-func newSimplex(p *Problem, opt Options) *simplex {
+// newSimplex builds everything that depends only on p's matrix and
+// dimensions; nothing here is read from bounds, right-hand sides or
+// costs, so it survives SetBounds/SetRHS/SetObj edits and is rebuilt
+// only when the matrix changes (see Solver).
+func newSimplex(p *Problem) *simplex {
 	m := p.NumRows()
 	n := p.NumVars()
-	s := &simplex{p: p, opt: opt, m: m, n: n}
+	total := n + m
+	s := &simplex{p: p, m: m, n: n, nTotal: total}
 
 	// Build the structural matrix in CSC form with a single counted pass:
 	// count per-column entries, prefix-sum into extents, then fill the two
@@ -160,18 +173,68 @@ func newSimplex(p *Problem, opt Options) *simplex {
 		}
 	}
 
-	s.rhs = append([]float64(nil), p.rhs...)
+	s.rhs = make([]float64, m)
+	s.lo = make([]float64, total)
+	s.hi = make([]float64, total)
+	s.cost = make([]float64, total)
+	s.status = make([]varStatus, total)
+	s.value = make([]float64, total)
+	s.basis = make([]int, m)
+	s.inBrow = make([]int, total)
+	s.xB = make([]float64, m)
+	s.y = make([]float64, m)
+	s.w = make([]float64, m)
+	s.cb = make([]float64, m)
+	s.resid = make([]float64, m)
+	s.wNnz = make([]int32, 0, m)
+	s.slackIdx = make([]int32, m)
+	s.slackVal = make([]float64, m)
+	for i := 0; i < m; i++ {
+		s.slackIdx[i] = int32(i)
+		s.slackVal[i] = 1
+	}
+	s.fcolIdx = make([][]int32, m)
+	s.fcolVal = make([][]float64, m)
+	s.gamma = make([]float64, total)
+	s.staticNorms()
+	s.lu = newLUFactor(m)
+	return s
+}
+
+// staticNorms fills gamma with the default pricing weights: static
+// scale-invariant column norms (cheap, adequate on small problems),
+// upgraded in place by the devex recurrence on large instances (see
+// devexUpdate's caller).
+func (s *simplex) staticNorms() {
+	for j := 0; j < s.nTotal; j++ {
+		w := 1.0
+		_, val := s.column(j)
+		for _, v := range val {
+			w += v * v
+		}
+		s.gamma[j] = w
+	}
+	s.gammaMoved = false
+}
+
+// reset returns the context to the state of a freshly built simplex
+// about to solve p under opt: bounds, right-hand sides and costs are
+// re-read from the problem (slack bounds follow the row senses; a solve
+// that stopped while perturbed leaves shifted ones behind), the
+// per-variable statuses, values and basis positions are cleared for
+// install, and every counter restarts. The work vectors (xB, y, w, cb,
+// resid, the dual arrays) are always written before they are read and
+// keep whatever the last solve left in them.
+func (s *simplex) reset(opt Options) {
+	p, n, m := s.p, s.n, s.m
+	s.opt = opt
+	copy(s.rhs, p.rhs)
 
 	// Structural bounds and cost (convert to internal minimization).
 	sign := 1.0
 	if p.Dir == Maximize {
 		sign = -1.0
 	}
-	total := n + m
-	s.nTotal = total
-	s.lo = make([]float64, total)
-	s.hi = make([]float64, total)
-	s.cost = make([]float64, total)
 	copy(s.lo, p.lo)
 	copy(s.hi, p.hi)
 	for j := 0; j < n; j++ {
@@ -189,7 +252,18 @@ func newSimplex(p *Problem, opt Options) *simplex {
 			s.lo[sl], s.hi[sl] = 0, 0
 		}
 	}
-	return s
+	for j := range s.status {
+		s.status[j] = atLower
+		s.value[j] = 0
+		s.inBrow[j] = -1
+	}
+	if s.gammaMoved {
+		s.staticNorms()
+	}
+	s.iter, s.refactors, s.degenRun = 0, 0, 0
+	s.pertRound, s.perturbed = 0, false
+	s.priceCursor = 0
+	s.lu.statUpdates, s.lu.statUpdNnz = 0, 0
 }
 
 // column returns the sparse form of column j of the full matrix.
@@ -277,43 +351,9 @@ func sanitizeStatus(st varStatus, lo, hi float64) varStatus {
 }
 
 // install sets up statuses, the starting basis (warm or cold), the LU
-// factorization, and the basic values.
+// factorization, and the basic values on a freshly reset context.
 func (s *simplex) install() {
 	n, m := s.n, s.m
-	s.status = make([]varStatus, s.nTotal)
-	s.value = make([]float64, s.nTotal)
-	s.basis = make([]int, m)
-	s.inBrow = make([]int, s.nTotal)
-	s.xB = make([]float64, m)
-	s.y = make([]float64, m)
-	s.w = make([]float64, m)
-	s.cb = make([]float64, m)
-	s.resid = make([]float64, m)
-	s.wNnz = make([]int32, 0, m)
-	s.slackIdx = make([]int32, m)
-	s.slackVal = make([]float64, m)
-	for i := 0; i < m; i++ {
-		s.slackIdx[i] = int32(i)
-		s.slackVal[i] = 1
-	}
-	s.fcolIdx = make([][]int32, m)
-	s.fcolVal = make([][]float64, m)
-	// Pricing weights: static scale-invariant column norms by default
-	// (cheap, adequate on small problems), upgraded in place by the devex
-	// recurrence on large instances (see devexUpdate's caller).
-	s.gamma = make([]float64, s.nTotal)
-	for j := 0; j < s.nTotal; j++ {
-		w := 1.0
-		_, val := s.column(j)
-		for _, v := range val {
-			w += v * v
-		}
-		s.gamma[j] = w
-	}
-	s.lu = newLUFactor(m)
-	for j := range s.inBrow {
-		s.inBrow[j] = -1
-	}
 
 	warm := s.opt.WarmStart
 	if warm == nil {
@@ -504,8 +544,8 @@ func (s *simplex) computeXB() {
 // determinism).
 func (s *simplex) perturbBounds() {
 	if !s.perturbed {
-		s.trueLo = append([]float64(nil), s.lo...)
-		s.trueHi = append([]float64(nil), s.hi...)
+		s.trueLo = append(s.trueLo[:0], s.lo...)
+		s.trueHi = append(s.trueHi[:0], s.hi...)
 		s.perturbed = true
 	}
 	s.pertRound++
@@ -586,7 +626,10 @@ func (s *simplex) recertifyFeasible(maxIter int) Status {
 	return StatusNumericalError
 }
 
-func (s *simplex) solve() (*Solution, error) {
+// solve runs one solve of the bound problem as stated (no presolve) under
+// opt, starting from a reset context.
+func (s *simplex) solve(opt Options) (*Solution, error) {
+	s.reset(opt)
 	s.install()
 
 	maxIter := s.opt.MaxIter
@@ -898,7 +941,7 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 		}
 		if lpDebug && s.iter%5000 == 0 {
 			fmt.Fprintf(os.Stderr, "lp: iter=%d refactors=%d updates=%d luNnz=%d uNnz=%d(base %d) rNnz=%d obj=%.6g p1=%v bland=%v\n",
-				s.iter, s.refactors, s.lu.statUpdates, s.lu.luNnz, s.lu.uNnz, s.lu.baseUNnz, s.lu.rNnz, phaseObj(), phase1, useBland)
+				s.iter, s.refactors, s.lu.statUpdates, s.lu.luNnz, s.lu.uNnz, s.lu.baseUNnz, s.lu.rNnz(), phaseObj(), phase1, useBland)
 		}
 		s.iter++
 

@@ -63,14 +63,37 @@ func corpusProblem(seed int64) *Problem {
 	return &Problem{LP: p, Integer: ints}
 }
 
+// effort totals the counters that describe the tree a search explored
+// and the pivot paths its node re-solves took. Serial and deterministic
+// searches repeat them exactly, so the tests below pin them to the values
+// recorded before workers kept one lp.Solver each (PR 13's commit): a
+// retained solve context may only move the allocator, never a pivot.
+type effort struct{ nodes, nodeIters, refactors int }
+
+func (e *effort) add(s *Solution) {
+	e.nodes += s.Nodes
+	e.nodeIters += s.NodeIterations
+	e.refactors += s.Refactorizations
+}
+
+func (e effort) check(t *testing.T, what string, want effort) {
+	t.Helper()
+	if e != want {
+		t.Errorf("%s: nodes/node iterations/refactorizations %+v, recorded %+v", what, e, want)
+	}
+}
+
 // TestWorkersDeterministic is the reproducibility property: in
 // deterministic mode, Workers=1 and Workers=8 must return bit-identical
 // objectives and points across the corpus.
 func TestWorkersDeterministic(t *testing.T) {
+	var ea, eb effort
 	for seed := int64(0); seed < 40; seed++ {
 		prob := corpusProblem(seed)
 		a := Solve(prob, Options{Workers: 1, Deterministic: true})
 		b := Solve(prob, Options{Workers: 8, Deterministic: true})
+		ea.add(a)
+		eb.add(b)
 		if a.Status != b.Status {
 			t.Fatalf("seed %d: status %v (W=1) vs %v (W=8)", seed, a.Status, b.Status)
 		}
@@ -90,16 +113,21 @@ func TestWorkersDeterministic(t *testing.T) {
 			}
 		}
 	}
+	ea.check(t, "Workers=1", effort{1272, 5130, 1354})
+	eb.check(t, "Workers=8", effort{1302, 5254, 1384})
 }
 
 // TestDeterministicMatchesSerialObjective checks that deterministic mode
 // (exact pruning, tie-broken incumbents) still lands on the same optimal
 // value as the classic serial search.
 func TestDeterministicMatchesSerialObjective(t *testing.T) {
+	var es, ed effort
 	for seed := int64(0); seed < 20; seed++ {
 		prob := corpusProblem(seed)
 		serial := Solve(prob, Options{})
 		det := Solve(prob, Options{Workers: 4, Deterministic: true})
+		es.add(serial)
+		ed.add(det)
 		if serial.Status != StatusOptimal || det.Status != StatusOptimal {
 			t.Fatalf("seed %d: status %v / %v", seed, serial.Status, det.Status)
 		}
@@ -107,6 +135,8 @@ func TestDeterministicMatchesSerialObjective(t *testing.T) {
 			t.Fatalf("seed %d: serial %v vs deterministic %v", seed, serial.Objective, det.Objective)
 		}
 	}
+	es.check(t, "serial", effort{361, 1442, 392})
+	ed.check(t, "deterministic", effort{786, 3166, 821})
 }
 
 // TestOpportunisticOptimal checks the throughput mode proves the same
@@ -126,8 +156,11 @@ func TestOpportunisticOptimal(t *testing.T) {
 }
 
 // TestSolveConcurrentStress hammers Solve from many goroutines on
-// independent problems, each itself running a multi-worker search, so the
-// race detector sees nested concurrency.
+// independent problems, each itself running an opportunistic pool of up
+// to four workers — every one with its own clone and lp.Solver, resuming
+// from parent bases shared across the pool — so the race detector sees
+// nested concurrency and would see a solve context or a basis written
+// from two goroutines.
 func TestSolveConcurrentStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -14,10 +14,13 @@
 // Options.RootWarmStart, which the core layer uses to chain makespan
 // re-solves and A* rounds.
 //
-// With Workers > 1 open nodes are evaluated concurrently: each worker
-// owns a private clone of the problem (bound chains are applied to the
-// clone, never the caller's LP) and resumes from a deep copy of the
-// parent basis, so no two LP solves share mutable state. The default
+// Every driver evaluates nodes through workers: each owns a private clone
+// of the problem (bound chains are applied to the clone, never the
+// caller's LP) and one lp.Solver bound to that clone, so a node re-solve
+// re-reads the bounds it changed and reuses the matrix copies, work
+// vectors and LU storage of the node before it. Parent bases are shared
+// read-only (lp never writes through a warm start), so no two LP solves
+// share mutable state. With Workers > 1 nodes run concurrently. The default
 // search is opportunistic — workers pull the best open node from a
 // mutex-guarded heap and publish incumbents through an atomic for
 // lock-free best-bound pruning — which maximizes throughput but lets
@@ -112,9 +115,9 @@ type Options struct {
 	// Workers is the number of branch-and-bound nodes evaluated
 	// concurrently; 0 or 1 evaluates serially. Each worker owns a private
 	// clone of the LP (the caller's problem is never mutated) and a
-	// private simplex instance warm-started from a deep copy of the
-	// parent's basis, so worker count only changes scheduling, never what
-	// any single node solve computes.
+	// private lp.Solver warm-started from the parent's basis, so worker
+	// count only changes scheduling, never what any single node solve
+	// computes.
 	Workers int
 	// Deterministic makes the search result independent of Workers: open
 	// nodes are evaluated in synchronized rounds in a fixed best-first
@@ -262,18 +265,26 @@ type search struct {
 	incObj atomicFloat // mirrors incumbent for lock-free pruning
 }
 
-// worker owns the private problem clone one node evaluator uses. The
-// clone's integer-variable bounds are reset to the root's and the node's
-// bound chain applied before every solve, so evaluations on different
-// workers never share mutable state.
+// worker owns what one node evaluator uses: a private problem clone and
+// the lp.Solver bound to it. The clone's integer-variable bounds are
+// reset to the root's and the node's bound chain applied before every
+// solve, so evaluations on different workers never share mutable state;
+// the solver keeps the clone's matrix copies, work vectors and LU storage
+// from one node to the next, so a re-solve pays for the bounds that
+// changed, not for the size of the model. Both live exactly as long as
+// the Solve call that made the worker.
 type worker struct {
 	prob           *lp.Problem
-	origLo, origHi []float64 // root bounds per s.p.Integer entry
+	solver         *lp.Solver
+	origLo, origHi []float64      // root bounds per s.p.Integer entry
+	chain          []*boundChange // eval's scratch: the node's chain, leaf first
 }
 
 func (s *search) newWorker() *worker {
+	prob := s.p.LP.Clone()
 	w := &worker{
-		prob:   s.p.LP.Clone(),
+		prob:   prob,
+		solver: lp.NewSolver(prob),
 		origLo: make([]float64, len(s.p.Integer)),
 		origHi: make([]float64, len(s.p.Integer)),
 	}
@@ -284,21 +295,22 @@ func (s *search) newWorker() *worker {
 }
 
 // eval solves one node's LP on the worker's private clone, resuming from
-// a deep copy of the parent basis.
+// the parent basis (shared with the node's sibling; lp only reads it).
 func (w *worker) eval(s *search, nd *node) (*lp.Solution, error) {
 	for i, v := range s.p.Integer {
 		w.prob.SetBounds(v, w.origLo[i], w.origHi[i])
 	}
-	var stack []*boundChange
+	chain := w.chain[:0]
 	for c := nd.changes; c != nil; c = c.parent {
-		stack = append(stack, c)
+		chain = append(chain, c)
 	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		w.prob.SetBounds(stack[i].v, stack[i].lo, stack[i].hi)
+	w.chain = chain
+	for i := len(chain) - 1; i >= 0; i-- {
+		w.prob.SetBounds(chain[i].v, chain[i].lo, chain[i].hi)
 	}
 	o := s.childOpt
-	o.WarmStart = nd.basis.Clone()
-	return lp.Solve(w.prob, o)
+	o.WarmStart = nd.basis
+	return w.solver.Solve(o)
 }
 
 func (s *search) better(a, b float64) bool {

@@ -56,16 +56,19 @@ func TestWarmStartedNodesAreCheap(t *testing.T) {
 // TestWarmVsColdSameIncumbent: the warm-start machinery must not change
 // what branch and bound finds, only how fast it finds it.
 func TestWarmVsColdSameIncumbent(t *testing.T) {
+	var cold, rewarmed effort
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := knapsackMILP(rng, 25)
 		sol := Solve(p, Options{})
+		cold.add(sol)
 		if sol.Status != StatusOptimal {
 			t.Fatalf("seed %d: status %v", seed, sol.Status)
 		}
 		// Exhaustive-tree optimality is the equality oracle: re-solving
 		// with the root basis as an external hint must agree.
 		again := Solve(p, Options{RootWarmStart: sol.RootBasis})
+		rewarmed.add(again)
 		if again.Status != StatusOptimal {
 			t.Fatalf("seed %d: rewarmed status %v", seed, again.Status)
 		}
@@ -73,4 +76,6 @@ func TestWarmVsColdSameIncumbent(t *testing.T) {
 			t.Fatalf("seed %d: objective %g vs rewarmed %g", seed, sol.Objective, again.Objective)
 		}
 	}
+	cold.check(t, "cold root", effort{1988, 8089, 2020})
+	rewarmed.check(t, "rewarmed root", effort{1988, 8089, 2020})
 }

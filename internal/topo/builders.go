@@ -240,7 +240,7 @@ func ndv2MiniChassis(t *Topology, prefix string) []NodeID {
 // structure (fast NVLink quad per chassis, two GPUs per chassis uplinked
 // to a shared InfiniBand switch with the NDv2 α and capacity) with 4 GPUs
 // per chassis instead of 8. Used where the solver substrate cannot reach
-// the full 8-GPU-per-chassis scale; see DESIGN.md substitution #3.
+// the full 8-GPU-per-chassis scale.
 func NDv2Mini(chassis int) *Topology {
 	t := New(fmt.Sprintf("ndv2mini-%dc", chassis))
 	var sw NodeID = -1

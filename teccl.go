@@ -184,7 +184,8 @@ var (
 	// DGX2Mini is the laptop-scale DGX2 stand-in.
 	DGX2Mini = topo.DGX2Mini
 	// Internal1 and Internal2 are synthetic stand-ins for the paper's
-	// proprietary cloud topologies (see DESIGN.md).
+	// proprietary cloud topologies (their shapes are documented on the
+	// internal/topo builders).
 	Internal1        = topo.Internal1
 	Internal1NoAlpha = topo.Internal1NoAlpha
 	Internal2        = topo.Internal2
