@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke
+.PHONY: ci vet lint build test race bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc
 
 ci: vet lint build test race api-compat daemon-smoke bench-smoke bench-verify
 
@@ -112,3 +112,13 @@ bench-verify:
 # Regenerate every paper table/figure via the CLI harness.
 tables:
 	$(GO) run ./cmd/benchtables
+
+# Non-test Go lines per package and in total, without the nested bench
+# module and its build directory: the unit ROADMAP's line targets are
+# stated in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' \
+		| sort -k2 \
+		| awk '{ print; t += $$1 } END { printf "%7d total\n", t }'

@@ -370,6 +370,19 @@ func newInstance(t *topo.Topology, d *collective.Demand, opt Options) *instance 
 	return in
 }
 
+// capBudget is link l's Appendix F sliding-window budget for the window
+// ending at epoch k: κ epochs of the per-epoch chunk budget under the
+// per-epoch variable-bandwidth scaling (§5). The budget is κ·T·τ even
+// when the window is truncated at the horizon start, so the scale epoch
+// is clamped at 0.
+func (in *instance) capBudget(l, k int) float64 {
+	budget := 0.0
+	for kk := k - in.kappa[l] + 1; kk <= k; kk++ {
+		budget += in.capChunks[l] * in.opt.capScale(topo.LinkID(l), max(kk, 0))
+	}
+	return budget
+}
+
 // hopDistances returns all-pairs distances in epoch units.
 func (in *instance) hopDistances() [][]float64 {
 	t := in.topo

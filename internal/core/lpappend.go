@@ -12,10 +12,11 @@ package core
 //  2. New pair on an existing source — fresh read columns are appended
 //     and wired into the source's existing conservation rows, plus a
 //     new destination-total row.
-//  3. New source — a full per-source block (flow, buffer, and read
-//     columns; supply, conservation, bufferless-relay, and
-//     destination-total rows) is appended, mirroring buildLP exactly,
-//     and its flow columns are wired into the shared windowed capacity
+//  3. New source — the source is pushed onto the model's commodity
+//     index and lpModel.emit (lpform.go), the same emitter that built
+//     the model, adds its full block (flow, buffer, and read columns;
+//     supply, conservation, bufferless-relay, and destination-total
+//     rows), wiring its flow columns into the shared windowed capacity
 //     rows (creating rows for windows no existing source populated).
 //
 // Appends interact with the warm start through lp.Basis.Extended:
@@ -24,15 +25,14 @@ package core
 // stays nonsingular and the dual simplex (or the warm-start repair)
 // drives out the newly infeasible equality slacks.
 //
-// The mirror of buildLP's emission rules here is deliberate code
-// duplication: buildLP's variable creation order is pinned by the
-// pivot-path benchmarks and must not be refactored to share loops with
-// this file.
+// An appended model states the same LP as a cold build of the union
+// demand, in a different creation order (TestAppendMatchesColdUnion).
+// The order appends are created in is itself pinned, like every model's:
+// by bench/expected/seed1.json via make bench-verify.
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"teccl/internal/collective"
 	"teccl/internal/lp"
@@ -77,16 +77,6 @@ func (m *lpModel) cloneIndexes() {
 	m.consRow = deep3(m.consRow)
 }
 
-// tailWeights recomputes the LP objective's time-discount tail sums
-// (see buildLP): tail[k] = sum_{j>=k} 1/(j+1).
-func tailWeights(K int) []float64 {
-	tail := make([]float64, K+1)
-	for k := K - 1; k >= 0; k-- {
-		tail[k] = tail[k+1] + 1/float64(k+1)
-	}
-	return tail
-}
-
 // appendDemand prices the demand in add that the incumbent model does
 // not already carry into the model as appended columns and rows, and
 // ORs add into the model's demand. An error means the new demand is
@@ -97,10 +87,9 @@ func (m *lpModel) appendDemand(add *collective.Demand) error {
 	in := m.in
 	t := in.topo
 	d := in.demand
-	K := in.K
 	nN := t.NumNodes()
 
-	// Gates: model shapes the append cannot mirror. NoBuffers prunes
+	// Gates: model shapes an append cannot state. NoBuffers prunes
 	// buffer columns per demand pattern, buffer-limit rows would need
 	// the new buffer columns added to every limit row, and the priority
 	// objective weighs pairs by their first demanded chunk — all three
@@ -154,7 +143,6 @@ func (m *lpModel) appendDemand(add *collective.Demand) error {
 	}
 
 	m.cloneIndexes()
-	tail := tailWeights(K)
 	srcIdx := make(map[int]int, len(m.sources))
 	for si, s := range m.sources {
 		srcIdx[s] = si
@@ -187,7 +175,7 @@ func (m *lpModel) appendDemand(add *collective.Demand) error {
 			}
 			m.p.SetRHS(int(m.destRow[si][a.dst]), newCnt)
 			m.dem[si][a.dst] = newCnt
-		} else if err := m.appendPair(si, a.src, a.dst, float64(a.extra), tail); err != nil {
+		} else if err := m.appendPair(si, a.src, a.dst, float64(a.extra)); err != nil {
 			return err
 		}
 		touched[si] = true
@@ -195,7 +183,7 @@ func (m *lpModel) appendDemand(add *collective.Demand) error {
 	// New sources in ascending node order, for determinism.
 	for src := 0; src < nN; src++ {
 		if row := newSrc[src]; row != nil {
-			if err := m.appendSourceBlock(src, row, tail); err != nil {
+			if err := m.appendSourceBlock(src, row); err != nil {
 				return err
 			}
 		}
@@ -217,19 +205,16 @@ func (m *lpModel) appendDemand(add *collective.Demand) error {
 // appendPair appends the read columns and destination-total row of a
 // brand-new (source, destination) pair on an existing source, wiring
 // the read columns into the source's conservation rows.
-func (m *lpModel) appendPair(si, src, dst int, cnt float64, tail []float64) error {
+func (m *lpModel) appendPair(si, src, dst int, cnt float64) error {
 	in := m.in
 	K := in.K
 	p := m.p
 	if m.earliest[si][dst] > K {
 		return fmt.Errorf("new demand destination %d unreachable from %d within the incumbent horizon", dst, src)
 	}
-	// Consumption may happen the epoch an arrival lands, one epoch
-	// before the chunk becomes forwardable (mirrors buildLP).
-	lo := m.earliest[si][dst] - 1
-	if lo < 0 {
-		lo = 0
-	}
+	// The read window emit gives a pair: consumption may happen the
+	// epoch an arrival lands.
+	lo := max(m.earliest[si][dst]-1, 0)
 	col := m.rvar[si][dst]
 	var destTerms []lp.Term
 	for k := lo; k < K; k++ {
@@ -237,7 +222,7 @@ func (m *lpModel) appendPair(si, src, dst int, cnt float64, tail []float64) erro
 		if cr == noVar {
 			return fmt.Errorf("no conservation row for destination %d at epoch %d", dst, k)
 		}
-		v := p.AddVar(fmt.Sprintf("r[s%d,d%d,k%d]", src, dst, k), 0, cnt, tail[k])
+		v := p.AddVar(fmt.Sprintf("r[s%d,d%d,k%d]", src, dst, k), 0, cnt, m.tail[k])
 		col[k] = int32(v)
 		p.AppendToRow(int(cr), []lp.Term{{Var: v, Coeff: -1}})
 		destTerms = append(destTerms, lp.Term{Var: v, Coeff: 1})
@@ -251,30 +236,18 @@ func (m *lpModel) appendPair(si, src, dst int, cnt float64, tail []float64) erro
 }
 
 // appendSourceBlock appends the full per-source variable and constraint
-// block of a brand-new source, mirroring buildLP's emission rules for
-// one source (with NoBuffers and Priority gated off by appendDemand:
-// every GPU is buffered). row holds the per-destination chunk counts.
-func (m *lpModel) appendSourceBlock(src int, row []float64, tail []float64) error {
+// block of a brand-new source: the source joins the commodity index and
+// emit states its block over the full horizon from the initial boundary,
+// exactly as buildLP stated every other source's. row holds the
+// per-destination chunk counts.
+func (m *lpModel) appendSourceBlock(src int, row []float64) error {
 	in := m.in
 	t := in.topo
-	p := m.p
-	K := in.K
-	nL := t.NumLinks()
-	nN := t.NumNodes()
 	if t.IsSwitch(topo.NodeID(src)) {
 		return fmt.Errorf("new demand source %d is a switch", src)
 	}
-
 	// Reachability window from the new source on the current topology.
-	hop := in.hopDistances()
-	e := make([]int, nN)
-	for n := range e {
-		if math.IsInf(hop[src][n], 1) {
-			e[n] = K + 1
-		} else {
-			e[n] = int(hop[src][n])
-		}
-	}
+	e := in.reachWindow(in.hopDistances()[src])
 	for dst := range row {
 		if row[dst] == 0 {
 			continue
@@ -282,230 +255,12 @@ func (m *lpModel) appendSourceBlock(src int, row []float64, tail []float64) erro
 		if t.IsSwitch(topo.NodeID(dst)) {
 			return fmt.Errorf("new demand destination %d is a switch", dst)
 		}
-		if e[dst] > K {
+		if e[dst] > in.K {
 			return fmt.Errorf("new demand destination %d unreachable from %d within the incumbent horizon", dst, src)
 		}
 	}
-
-	// Flow variables.
-	fcol := make([][]int32, nL)
-	for l := 0; l < nL; l++ {
-		col := make([]int32, K)
-		for k := range col {
-			col[k] = noVar
-		}
-		fcol[l] = col
-		if t.LinkDown(topo.LinkID(l)) {
-			continue
-		}
-		lk := t.Link(topo.LinkID(l))
-		for k := 0; k < K; k++ {
-			if e[lk.Src] > k {
-				continue
-			}
-			if in.landEpoch(l, k) > K-1 {
-				continue
-			}
-			if int(lk.Dst) == src {
-				continue
-			}
-			col[k] = int32(p.AddVar(fmt.Sprintf("f[s%d,l%d,k%d]", src, l, k), 0, lp.Inf, 0))
-		}
-	}
-
-	// Buffer variables (every GPU is buffered here; see the doc comment).
-	bcol := make([][]int32, nN)
-	for n := 0; n < nN; n++ {
-		col := make([]int32, K+1)
-		for k := range col {
-			col[k] = noVar
-		}
-		bcol[n] = col
-		if t.IsSwitch(topo.NodeID(n)) {
-			continue
-		}
-		lo := e[n]
-		if n == src {
-			lo = 0
-		}
-		for k := lo; k <= K; k++ {
-			col[k] = int32(p.AddVar(fmt.Sprintf("b[s%d,n%d,k%d]", src, n, k), 0, lp.Inf, 0))
-		}
-	}
-
-	// Read variables.
-	rcol := make([][]int32, nN)
-	for dst := 0; dst < nN; dst++ {
-		col := make([]int32, K)
-		for k := range col {
-			col[k] = noVar
-		}
-		rcol[dst] = col
-		if row[dst] == 0 {
-			continue
-		}
-		lo := e[dst] - 1
-		if lo < 0 {
-			lo = 0
-		}
-		for k := lo; k < K; k++ {
-			col[k] = int32(p.AddVar(fmt.Sprintf("r[s%d,d%d,k%d]", src, dst, k), 0, row[dst], tail[k]))
-		}
-	}
-
-	fAt := func(l, k int) int32 {
-		if k < 0 || k >= K {
-			return noVar
-		}
-		return fcol[l][k]
-	}
-
-	// Supply row.
-	supply := 0.0
-	for dst := range row {
-		supply += row[dst]
-	}
-	terms := []lp.Term{{Var: lp.VarID(bcol[src][0]), Coeff: 1}}
-	for _, lid := range t.Out(topo.NodeID(src)) {
-		if f := fcol[int(lid)][0]; f != noVar {
-			terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
-		}
-	}
-	initRow := int32(p.AddRow(terms, lp.EQ, supply))
-
-	// Conservation rows for buffered nodes.
-	ccol := make([][]int32, nN)
-	for n := 0; n < nN; n++ {
-		col := make([]int32, K)
-		for k := range col {
-			col[k] = noVar
-		}
-		ccol[n] = col
-		if t.IsSwitch(topo.NodeID(n)) {
-			continue
-		}
-		for k := 0; k < K; k++ {
-			var terms []lp.Term
-			if b := bcol[n][k]; b != noVar {
-				terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: 1})
-			}
-			for _, lid := range t.In(topo.NodeID(n)) {
-				l := int(lid)
-				if f := fAt(l, k-in.delta[l]-in.kappa[l]+1); f != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
-				}
-			}
-			if b := bcol[n][k+1]; b != noVar {
-				terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: -1})
-			}
-			if r := rcol[n][k]; r != noVar {
-				terms = append(terms, lp.Term{Var: lp.VarID(r), Coeff: -1})
-			}
-			if k+1 < K {
-				for _, lid := range t.Out(topo.NodeID(n)) {
-					if f := fcol[int(lid)][k+1]; f != noVar {
-						terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: -1})
-					}
-				}
-			}
-			if len(terms) == 0 {
-				continue
-			}
-			ccol[n][k] = int32(p.AddRow(terms, lp.EQ, 0))
-		}
-	}
-
-	// Bufferless (switch) relay rows.
-	for n := 0; n < nN; n++ {
-		if !t.IsSwitch(topo.NodeID(n)) {
-			continue
-		}
-		for k := 0; k < K; k++ {
-			var out []lp.Term
-			for _, lid := range t.Out(topo.NodeID(n)) {
-				if f := fcol[int(lid)][k]; f != noVar {
-					out = append(out, lp.Term{Var: lp.VarID(f), Coeff: 1})
-				}
-			}
-			var inb []lp.Term
-			for _, lid := range t.In(topo.NodeID(n)) {
-				l := int(lid)
-				if f := fAt(l, k-in.delta[l]-in.kappa[l]); f != noVar {
-					inb = append(inb, lp.Term{Var: lp.VarID(f), Coeff: -1})
-				}
-			}
-			if len(out) == 0 {
-				continue
-			}
-			if len(inb) == 0 {
-				for _, tm := range out {
-					p.SetBounds(tm.Var, 0, 0)
-				}
-				continue
-			}
-			p.AddRow(append(out, inb...), lp.LE, 0)
-		}
-	}
-
-	// Destination totals.
-	dcol := make([]int32, nN)
-	for dst := 0; dst < nN; dst++ {
-		dcol[dst] = noVar
-		if row[dst] == 0 {
-			continue
-		}
-		var terms []lp.Term
-		for k := 0; k < K; k++ {
-			if r := rcol[dst][k]; r != noVar {
-				terms = append(terms, lp.Term{Var: lp.VarID(r), Coeff: 1})
-			}
-		}
-		dcol[dst] = int32(p.AddRow(terms, lp.EQ, row[dst]))
-	}
-
-	// Capacity: wire the new flow columns into the shared windowed rows,
-	// creating rows for windows no existing source populated.
-	for l := 0; l < nL; l++ {
-		if t.LinkDown(topo.LinkID(l)) {
-			continue
-		}
-		kap := in.kappa[l]
-		for k := 0; k < K; k++ {
-			var terms []lp.Term
-			budget := 0.0
-			for kk := k - kap + 1; kk <= k; kk++ {
-				se := kk
-				if se < 0 {
-					se = 0
-				}
-				budget += in.capChunks[l] * in.opt.capScale(topo.LinkID(l), se)
-				if kk < 0 {
-					continue
-				}
-				if f := fcol[l][kk]; f != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
-				}
-			}
-			if len(terms) == 0 {
-				continue
-			}
-			if r := m.capRow[l][k]; r != noVar {
-				p.AppendToRow(int(r), terms)
-				continue
-			}
-			m.capRow[l][k] = int32(p.AddRow(terms, lp.LE, budget))
-		}
-	}
-
-	// Register the block.
 	m.sources = append(m.sources, src)
 	m.dem = append(m.dem, append([]float64(nil), row...))
 	m.earliest = append(m.earliest, e)
-	m.fvar = append(m.fvar, fcol)
-	m.bvar = append(m.bvar, bcol)
-	m.rvar = append(m.rvar, rcol)
-	m.destRow = append(m.destRow, dcol)
-	m.initRow = append(m.initRow, initRow)
-	m.consRow = append(m.consRow, ccol)
-	return nil
+	return m.emit(len(m.sources)-1, 0, in.K, true, m.initialBoundary())
 }

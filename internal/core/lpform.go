@@ -12,55 +12,26 @@ import (
 	"teccl/internal/topo"
 )
 
-// lpModel holds the per-source variable indexing of the LP form (§4.1):
-// copy support removed, chunk indexes dropped, everything continuous.
-type lpModel struct {
-	in      *instance
-	p       *lp.Problem
-	sources []int
-	// dem[si][d]: chunks destination d wants from source si.
-	dem [][]float64
-	// earliest[si][n]: epoch windows per source.
-	earliest [][]int
-	// fvar[si][l][k], bvar[si][n][k] (k in 0..K), rvar[si][d][k].
-	fvar [][][]int32
-	bvar [][][]int32
-	rvar [][][]int32
-	// Row indexes the replanning layer edits in place (see replan.go):
-	// capRow[l][k] is the windowed capacity row of link l ending at epoch
-	// k, destRow[si][dst] the destination-total row of the pair; -1 when
-	// the row was not emitted. initRow[si] is source si's supply row and
-	// consRow[si][n][k] the conservation row of (source si, node n, epoch
-	// k) — the rows the demand-append replan path (lpappend.go) wires new
-	// columns into.
-	capRow  [][]int32
-	destRow [][]int32
-	initRow []int32
-	consRow [][][]int32
-}
-
-// landEpoch is the epoch by whose end a send at epoch e on link l is
-// resident at the destination.
-func (in *instance) landEpoch(l, e int) int { return e + in.delta[l] + in.kappa[l] - 1 }
-
 // lpIndex is the commodity indexing the LP form (§4.1) is stated over:
-// the demanded sources, their per-destination chunk counts, and each
-// source's reachability windows. It is shared between the monolithic
-// model (buildLP) and the rolling-horizon window builder (window.go) so
-// both slice the exact same commodity space.
+// the demanded sources, their per-destination chunk counts, each
+// source's reachability windows, and the objective's tail weights at the
+// instance's horizon. Every model of one instance — the monolithic LP
+// and each rolling-horizon window — is emitted over the same index, so
+// they slice the exact same commodity space.
 type lpIndex struct {
 	sources []int
 	// dem[si][d]: chunks destination d wants from source si.
 	dem [][]float64
 	// earliest[si][n]: epoch windows per source.
 	earliest [][]int
+	// tail[k]: reward of consuming at epoch k (see lpTailWeights).
+	tail []float64
 }
 
 func newLPIndex(in *instance) *lpIndex {
-	t := in.topo
 	d := in.demand
-	nN := t.NumNodes()
-	ix := &lpIndex{}
+	nN := in.topo.NumNodes()
+	ix := &lpIndex{tail: lpTailWeights(in.K)}
 
 	// Sources and per-destination demand counts.
 	for s := 0; s < nN; s++ {
@@ -86,17 +57,24 @@ func newLPIndex(in *instance) *lpIndex {
 	hop := in.hopDistances()
 	ix.earliest = make([][]int, len(ix.sources))
 	for si, s := range ix.sources {
-		e := make([]int, nN)
-		for n := range e {
-			if math.IsInf(hop[s][n], 1) {
-				e[n] = in.K + 1
-			} else {
-				e[n] = int(hop[s][n])
-			}
-		}
-		ix.earliest[si] = e
+		ix.earliest[si] = in.reachWindow(hop[s])
 	}
 	return ix
+}
+
+// reachWindow turns one source's hop distances into its reachability
+// window: the earliest epoch its commodity can be at each node, K+1 for
+// nodes it cannot reach.
+func (in *instance) reachWindow(hop []float64) []int {
+	e := make([]int, len(hop))
+	for n := range e {
+		if math.IsInf(hop[n], 1) {
+			e[n] = in.K + 1
+		} else {
+			e[n] = int(hop[n])
+		}
+	}
+	return e
 }
 
 // buffered reports whether node n holds inventory for source si's
@@ -115,6 +93,23 @@ func (ix *lpIndex) buffered(in *instance, si, n int) bool {
 	return true
 }
 
+// initialBoundary is the epoch-0 boundary: full supply at each source,
+// nothing in flight, full demand remaining.
+func (ix *lpIndex) initialBoundary() *Boundary {
+	bd := &Boundary{
+		Inv: make([][]float64, len(ix.sources)),
+		Rem: make([][]float64, len(ix.sources)),
+	}
+	for si, s := range ix.sources {
+		bd.Inv[si] = make([]float64, len(ix.dem[si]))
+		bd.Rem[si] = append([]float64(nil), ix.dem[si]...)
+		for _, cnt := range ix.dem[si] {
+			bd.Inv[si][s] += cnt
+		}
+	}
+	return bd
+}
+
 // lpTailWeights returns the objective's time-discounted tail weights for
 // horizon K: the paper's objective sums cumulative reads weighted
 // 1/(k+1), so consuming at epoch k earns tail[k] = sum_{j>=k} 1/(j+1).
@@ -126,41 +121,100 @@ func lpTailWeights(K int) []float64 {
 	return tail
 }
 
-// buildLP constructs the linear program of §4.1 with the Appendix A
-// initialization and termination handling.
-func buildLP(in *instance) *lpModel {
+// lpModel is an LP-form problem (§4.1: copy support removed, chunk
+// indexes dropped, everything continuous) over an lpIndex, with the
+// variable and row indexes its solution is read back through. The
+// monolithic LP, every rolling-horizon window, and a model grown by the
+// demand-append replan path are all this one struct, filled by emit.
+type lpModel struct {
+	lpIndex
+	in *instance
+	p  *lp.Problem
+	// fvar[si][l][k], bvar[si][n][k] (k in 0..K), rvar[si][d][k]; noVar
+	// where emit created no column.
+	fvar [][][]int32
+	bvar [][][]int32
+	rvar [][][]int32
+	// Row indexes the replanning layer edits in place (see replan.go):
+	// capRow[l][k] is the windowed capacity row of link l ending at epoch
+	// k, destRow[si][dst] the destination-total row of the pair; noVar
+	// when the row was not emitted. initRow[si] is source si's supply row
+	// and consRow[si][n][k] the conservation row of (source si, node n,
+	// epoch k) — the rows the demand-append replan path (lpappend.go)
+	// wires new columns into.
+	capRow  [][]int32
+	destRow [][]int32
+	initRow []int32
+	consRow [][][]int32
+}
+
+// landEpoch is the epoch by whose end a send at epoch e on link l is
+// resident at the destination.
+func (in *instance) landEpoch(l, e int) int { return e + in.delta[l] + in.kappa[l] - 1 }
+
+func newLPModel(in *instance, ix *lpIndex) *lpModel {
+	return &lpModel{lpIndex: *ix, in: in, p: lp.NewProblem(lp.Maximize)}
+}
+
+// noVars is an index column of n entries with nothing emitted yet.
+func noVars(n int) []int32 {
+	col := make([]int32, n)
+	for i := range col {
+		col[i] = noVar
+	}
+	return col
+}
+
+const remTol = 1e-9
+
+// emit is the one statement of the §4.1 LP with the Appendix A
+// initialization and termination handling: it adds to m.p the variables
+// and rows of sources [s0, len(m.sources)) over epochs [lo, hi), opened
+// from boundary bd, and records their indexes in m. Three callers:
+//
+//   - buildLP: every source, the full horizon, the initial boundary.
+//   - BuildWindow (window.go): every source over one rolling-horizon
+//     window, bd carrying the committed prefix — inventory rows pin
+//     b[lo]+out(lo) to the carried inventory, conservation rows absorb
+//     committed in-flight arrivals on their right-hand side, capacity
+//     budgets shrink by committed usage, and window flows are
+//     self-contained (they land by hi-1). Destination totals are <=
+//     remaining demand mid-stream and == remaining demand when final.
+//   - appendSourceBlock (lpappend.go): one source pushed onto an already
+//     emitted full-span model (s0 > 0). Its flow columns join the
+//     capacity rows earlier sources populated. appendDemand refuses the
+//     model shapes where a new source would change rows it does not own
+//     (NoBuffers, buffer limits, Priority).
+//
+// The creation order — all f, all b, all r columns, then inventory,
+// conservation, bufferless, destination-total, capacity and buffer-limit
+// rows — fixes the pivot path of every solve and is pinned by
+// bench/expected/seed1.json (make bench-verify).
+func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
+	in, p := m.in, m.p
 	t := in.topo
 	K := in.K
 	nL := t.NumLinks()
 	nN := t.NumNodes()
+	nS := len(m.sources)
 
-	m := &lpModel{in: in, p: lp.NewProblem(lp.Maximize)}
-	p := m.p
-
-	ix := newLPIndex(in)
-	m.sources, m.dem, m.earliest = ix.sources, ix.dem, ix.earliest
-
-	isBuffered := func(si, n int) bool { return ix.buffered(in, si, n) }
-
-	// Flow variables.
-	m.fvar = make([][][]int32, len(m.sources))
-	for si, s := range m.sources {
-		m.fvar[si] = make([][]int32, nL)
-		for l := 0; l < nL; l++ {
-			col := make([]int32, K)
-			for k := range col {
-				col[k] = noVar
-			}
-			m.fvar[si][l] = col
+	// Flow variables: departures in [lo, hi) that also land inside the
+	// window.
+	for si := s0; si < nS; si++ {
+		s := m.sources[si]
+		cols := make([][]int32, nL)
+		for l := range cols {
+			col := noVars(K)
+			cols[l] = col
 			if t.LinkDown(topo.LinkID(l)) {
 				continue
 			}
 			lk := t.Link(topo.LinkID(l))
-			for k := 0; k < K; k++ {
+			for k := lo; k < hi; k++ {
 				if m.earliest[si][lk.Src] > k {
 					continue
 				}
-				if in.landEpoch(l, k) > K-1 {
+				if in.landEpoch(l, k) > hi-1 {
 					continue
 				}
 				if int(lk.Dst) == s {
@@ -169,50 +223,42 @@ func buildLP(in *instance) *lpModel {
 				col[k] = int32(p.AddVar(fmt.Sprintf("f[s%d,l%d,k%d]", s, l, k), 0, lp.Inf, 0))
 			}
 		}
+		m.fvar = append(m.fvar, cols)
 	}
 
-	// Buffer variables (inventory semantics: what remains to forward).
-	m.bvar = make([][][]int32, len(m.sources))
-	for si, s := range m.sources {
-		m.bvar[si] = make([][]int32, nN)
-		for n := 0; n < nN; n++ {
-			col := make([]int32, K+1)
-			for k := range col {
-				col[k] = noVar
-			}
-			m.bvar[si][n] = col
-			if !isBuffered(si, n) {
+	// Buffer variables (inventory semantics: what remains to forward)
+	// over the window's epoch boundaries [lo..hi].
+	for si := s0; si < nS; si++ {
+		s := m.sources[si]
+		cols := make([][]int32, nN)
+		for n := range cols {
+			col := noVars(K + 1)
+			cols[n] = col
+			if !m.buffered(in, si, n) {
 				continue
 			}
-			lo := m.earliest[si][n]
+			blo := m.earliest[si][n]
 			if n == s {
-				lo = 0
+				blo = 0
 			}
-			for k := lo; k <= K; k++ {
+			for k := max(blo, lo); k <= hi; k++ {
 				col[k] = int32(p.AddVar(fmt.Sprintf("b[s%d,n%d,k%d]", s, n, k), 0, lp.Inf, 0))
 			}
 		}
+		m.bvar = append(m.bvar, cols)
 	}
 
-	// Read variables with time-discounted rewards (see lpTailWeights).
-	tail := lpTailWeights(K)
-	m.rvar = make([][][]int32, len(m.sources))
-	for si, s := range m.sources {
-		m.rvar[si] = make([][]int32, nN)
-		for dst := 0; dst < nN; dst++ {
-			col := make([]int32, K)
-			for k := range col {
-				col[k] = noVar
-			}
-			m.rvar[si][dst] = col
-			if m.dem[si][dst] == 0 {
+	// Read variables, bounded by the remaining (uncommitted) demand and
+	// weighted by the full-horizon tails (see lpTailWeights) so window
+	// objectives are comparable slices of the monolithic objective.
+	for si := s0; si < nS; si++ {
+		s := m.sources[si]
+		cols := make([][]int32, nN)
+		for dst := range cols {
+			col := noVars(K)
+			cols[dst] = col
+			if m.dem[si][dst] == 0 || bd.Rem[si][dst] <= remTol {
 				continue
-			}
-			// Consumption may happen the epoch an arrival lands, one
-			// epoch before the chunk becomes forwardable.
-			lo := m.earliest[si][dst] - 1
-			if lo < 0 {
-				lo = 0
 			}
 			prio := 1.0
 			if in.opt.Priority != nil {
@@ -222,53 +268,65 @@ func buildLP(in *instance) *lpModel {
 					prio = in.opt.priorityOf(s, cs[0], dst)
 				}
 			}
-			for k := lo; k < K; k++ {
-				col[k] = int32(p.AddVar(fmt.Sprintf("r[s%d,d%d,k%d]", s, dst, k), 0, m.dem[si][dst], prio*tail[k]))
+			// Consumption may happen the epoch an arrival lands, one
+			// epoch before the chunk becomes forwardable.
+			for k := max(m.earliest[si][dst]-1, lo); k < hi; k++ {
+				col[k] = int32(p.AddVar(fmt.Sprintf("r[s%d,d%d,k%d]", s, dst, k), 0, bd.Rem[si][dst], prio*m.tail[k]))
 			}
 		}
+		m.rvar = append(m.rvar, cols)
 	}
 
 	fAt := func(si, l, k int) int32 {
-		if k < 0 || k >= K {
+		if k < lo || k >= hi {
 			return noVar
 		}
 		return m.fvar[si][l][k]
 	}
 
-	// Initialization (Appendix A): the source's inventory plus its
-	// epoch-0 sends equal its total supply.
-	m.initRow = make([]int32, len(m.sources))
-	for si, s := range m.sources {
-		supply := 0.0
-		for dst := 0; dst < nN; dst++ {
-			supply += m.dem[si][dst]
-		}
-		terms := []lp.Term{{Var: lp.VarID(m.bvar[si][s][0]), Coeff: 1}}
-		for _, lid := range t.Out(topo.NodeID(s)) {
-			if f := m.fvar[si][int(lid)][0]; f != noVar {
-				terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
-			}
-		}
-		m.initRow[si] = int32(p.AddRow(terms, lp.EQ, supply))
-	}
-
-	// Conservation for buffered nodes:
-	//   B_k + in(k) = B_{k+1} + R_k + out(k+1)
-	// where in(k) are sends landing during epoch k (sent at k-δ-κ+1) and
-	// out(k+1) are sends departing at epoch k+1.
-	m.consRow = make([][][]int32, len(m.sources))
-	for si := range m.sources {
-		m.consRow[si] = make([][]int32, nN)
+	// Inventory rows: b[lo] plus epoch-lo departures equal the carried-in
+	// inventory. At lo = 0 only sources have a b[0] variable and Inv is
+	// the supply, which is exactly the Appendix A initialization: the
+	// source's inventory plus its epoch-0 sends equal its total supply.
+	for si := s0; si < nS; si++ {
+		m.initRow = append(m.initRow, noVar)
 		for n := 0; n < nN; n++ {
-			col := make([]int32, K)
-			for k := range col {
-				col[k] = noVar
-			}
-			m.consRow[si][n] = col
-			if !isBuffered(si, n) {
+			b := m.bvar[si][n][lo]
+			inv := bd.Inv[si][n]
+			if b == noVar {
+				if inv > 1e-6 {
+					return fmt.Errorf("core: window [%d,%d): %.6g chunks of source %d stranded at bufferless node %d",
+						lo, hi, inv, m.sources[si], n)
+				}
 				continue
 			}
-			for k := 0; k < K; k++ {
+			terms := []lp.Term{{Var: lp.VarID(b), Coeff: 1}}
+			for _, lid := range t.Out(topo.NodeID(n)) {
+				if f := m.fvar[si][int(lid)][lo]; f != noVar {
+					terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
+				}
+			}
+			r := p.AddRow(terms, lp.EQ, inv)
+			if n == m.sources[si] {
+				m.initRow[si] = int32(r)
+			}
+		}
+	}
+
+	// Conservation for buffered nodes, with committed in-flight arrivals
+	// landing during epoch k credited on the right-hand side:
+	//   B_k + in(k) + Arr(k) = B_{k+1} + R_k + out(k+1)
+	// where in(k) are sends landing during epoch k (sent at k-δ-κ+1) and
+	// out(k+1) are sends departing at epoch k+1.
+	for si := s0; si < nS; si++ {
+		rows := make([][]int32, nN)
+		for n := range rows {
+			row := noVars(K)
+			rows[n] = row
+			if !m.buffered(in, si, n) {
+				continue
+			}
+			for k := lo; k < hi; k++ {
 				var terms []lp.Term
 				if b := m.bvar[si][n][k]; b != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: 1})
@@ -285,30 +343,42 @@ func buildLP(in *instance) *lpModel {
 				if r := m.rvar[si][n][k]; r != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(r), Coeff: -1})
 				}
-				if k+1 < K {
+				if k+1 < hi {
 					for _, lid := range t.Out(topo.NodeID(n)) {
 						if f := m.fvar[si][int(lid)][k+1]; f != noVar {
 							terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: -1})
 						}
 					}
 				}
+				rhs := 0.0
+				if arr := bd.arrAt(si, n, k); arr != 0 {
+					rhs = -arr // avoid -0.0: fingerprints hash bit patterns
+				}
 				if len(terms) == 0 {
+					if rhs != 0 {
+						return fmt.Errorf("core: window [%d,%d): committed arrival at (source %d, node %d, epoch %d) has no receiving variables",
+							lo, hi, m.sources[si], n, k)
+					}
 					continue
 				}
-				col[k] = int32(p.AddRow(terms, lp.EQ, 0))
+				row[k] = int32(p.AddRow(terms, lp.EQ, rhs))
 			}
 		}
+		m.consRow = append(m.consRow, rows)
 	}
 
 	// Bufferless nodes (switches and, under NoBuffers, pass-through
-	// GPUs): outgoing flow at k is limited by arrivals forwardable
-	// exactly at k (landed during k-1).
-	for si := range m.sources {
+	// GPUs): outgoing flow at k is limited by window arrivals forwardable
+	// exactly at k (landed during k-1). Committed flows through a
+	// bufferless node are closed under forwarding before they are
+	// committed (see internal/horizon), so they never appear on either
+	// side here.
+	for si := s0; si < nS; si++ {
 		for n := 0; n < nN; n++ {
-			if isBuffered(si, n) {
+			if m.buffered(in, si, n) {
 				continue
 			}
-			for k := 0; k < K; k++ {
+			for k := lo; k < hi; k++ {
 				var out []lp.Term
 				for _, lid := range t.Out(topo.NodeID(n)) {
 					if f := m.fvar[si][int(lid)][k]; f != noVar {
@@ -338,47 +408,55 @@ func buildLP(in *instance) *lpModel {
 		}
 	}
 
-	// Destination totals: each demander consumes exactly its demand.
-	m.destRow = make([][]int32, len(m.sources))
-	for si := range m.sources {
-		m.destRow[si] = make([]int32, nN)
-		for dst := 0; dst < nN; dst++ {
-			m.destRow[si][dst] = noVar
-			if m.dem[si][dst] == 0 {
+	// Destination totals: the final window must consume exactly the
+	// remaining demand; earlier windows may consume at most that much
+	// (the rest arrives in later windows).
+	for si := s0; si < nS; si++ {
+		rows := noVars(nN)
+		for dst := range rows {
+			if m.dem[si][dst] == 0 || bd.Rem[si][dst] <= remTol {
 				continue
 			}
 			var terms []lp.Term
-			for k := 0; k < K; k++ {
+			for k := lo; k < hi; k++ {
 				if r := m.rvar[si][dst][k]; r != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(r), Coeff: 1})
 				}
 			}
-			m.destRow[si][dst] = int32(p.AddRow(terms, lp.EQ, m.dem[si][dst]))
+			if final {
+				// An empty row (unreachable pair) is emitted all the same:
+				// it yields an infeasible problem for the solver to report.
+				rows[dst] = int32(p.AddRow(terms, lp.EQ, bd.Rem[si][dst]))
+			} else if len(terms) > 0 {
+				rows[dst] = int32(p.AddRow(terms, lp.LE, bd.Rem[si][dst]))
+			}
 		}
+		m.destRow = append(m.destRow, rows)
 	}
 
 	// Capacity, windowed per Appendix F, with per-epoch variable
-	// bandwidth (§5).
-	m.capRow = make([][]int32, nL)
+	// bandwidth (§5) and committed usage inside each sliding span
+	// pre-charged against the budget. This is capBudget with the usage
+	// subtracted epoch by epoch: summing the budget first and the usage
+	// after rounds differently, and window right-hand sides are pinned to
+	// the bit.
+	if m.capRow == nil {
+		m.capRow = make([][]int32, nL)
+		for l := range m.capRow {
+			m.capRow[l] = noVars(K)
+		}
+	}
 	for l := 0; l < nL; l++ {
-		m.capRow[l] = make([]int32, K)
-		kap := in.kappa[l]
-		for k := 0; k < K; k++ {
-			m.capRow[l][k] = noVar
+		for k := lo; k < hi; k++ {
 			var row []lp.Term
 			budget := 0.0
-			for kk := k - kap + 1; kk <= k; kk++ {
-				// The window budget is κ·T·τ even when truncated at the
-				// horizon start; clamp the bandwidth-scale epoch.
-				se := kk
-				if se < 0 {
-					se = 0
-				}
-				budget += in.capChunks[l] * in.opt.capScale(topo.LinkID(l), se)
+			for kk := k - in.kappa[l] + 1; kk <= k; kk++ {
+				budget += in.capChunks[l] * in.opt.capScale(topo.LinkID(l), max(kk, 0))
 				if kk < 0 {
 					continue
 				}
-				for si := range m.sources {
+				budget -= bd.capUsedAt(l, kk)
+				for si := s0; si < nS; si++ {
 					if f := fAt(si, l, kk); f != noVar {
 						row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
 					}
@@ -387,7 +465,12 @@ func buildLP(in *instance) *lpModel {
 			if len(row) == 0 {
 				continue
 			}
-			m.capRow[l][k] = int32(p.AddRow(row, lp.LE, budget))
+			if r := m.capRow[l][k]; r != noVar {
+				// An earlier source populated the window: join its row.
+				p.AppendToRow(int(r), row)
+				continue
+			}
+			m.capRow[l][k] = int32(p.AddRow(row, lp.LE, max(budget, 0)))
 		}
 	}
 
@@ -398,7 +481,7 @@ func buildLP(in *instance) *lpModel {
 			if t.IsSwitch(topo.NodeID(n)) {
 				continue
 			}
-			for k := 1; k <= K; k++ {
+			for k := max(lo, 1); k <= hi; k++ {
 				var row []lp.Term
 				for si, s := range m.sources {
 					if s == n {
@@ -415,7 +498,19 @@ func buildLP(in *instance) *lpModel {
 			}
 		}
 	}
+	return nil
+}
 
+// buildLP constructs the monolithic LP: every source of ix over the full
+// horizon, opened from the initial boundary.
+func buildLP(in *instance, ix *lpIndex) *lpModel {
+	m := newLPModel(in, ix)
+	// Neither of emit's errors can occur from the initial boundary: its
+	// only inventory sits at each source, which always has a b[0] column
+	// to receive it, and it carries no in-flight arrivals.
+	if err := m.emit(0, 0, in.K, true, ix.initialBoundary()); err != nil {
+		panic(fmt.Sprintf("core: full-span LP from the initial boundary: %v", err))
+	}
 	return m
 }
 
@@ -439,24 +534,25 @@ func SolveLPContext(ctx context.Context, t *topo.Topology, d *collective.Demand,
 	return res, err
 }
 
-// lpPrep is a built-but-unsolved LP-form instance: the per-destination
+// lpPrep is a preprocessed LP-form instance: the per-destination
 // expanded demand, the preprocessed context (with an auto horizon already
-// tightened by the greedy bound), the constructed model, and the greedy
-// plan's sends (crash-basis seed; nil when the greedy did not run or
-// failed). m is nil when the demand has no commodities.
+// tightened by the greedy bound), its commodity index, the greedy plan's
+// sends (crash-basis seed; nil when the greedy did not run or failed),
+// and — from prepLP — the constructed model. ix and m are nil when the
+// demand has no commodities.
 type lpPrep struct {
 	d      *collective.Demand
 	in     *instance
+	ix     *lpIndex
 	m      *lpModel
 	greedy []schedule.Send
 }
 
-// prepLP performs everything of an LP solve that precedes the simplex:
-// multicast expansion, instance preprocessing, greedy horizon tightening,
-// and model construction. Split out so the batch layer can fingerprint
-// the built model (and reuse an identical point's solution) before
-// paying for a solve.
-func prepLP(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
+// prepIndex is the preprocessing the monolithic LP and the
+// rolling-horizon windows share, so both agree on the demand, K and the
+// commodity space: multicast expansion, instance preprocessing, greedy
+// horizon tightening, and the commodity index.
+func prepIndex(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
 	// Without copy, a chunk wanted by several destinations is physically
 	// several transfers; give each its own commodity so schedules stay
 	// expressible (the result's Schedule.Demand is the expanded form).
@@ -480,7 +576,19 @@ func prepLP(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
 			in = newInstance(t, d, opt2)
 		}
 	}
-	return &lpPrep{d: d, in: in, m: buildLP(in), greedy: greedy}
+	return &lpPrep{d: d, in: in, ix: newLPIndex(in), greedy: greedy}
+}
+
+// prepLP performs everything of an LP solve that precedes the simplex:
+// prepIndex plus model construction. Split out so the batch layer can
+// fingerprint the built model (and reuse an identical point's solution)
+// before paying for a solve.
+func prepLP(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
+	pr := prepIndex(t, d, opt)
+	if pr.ix != nil {
+		pr.m = buildLP(pr.in, pr.ix)
+	}
+	return pr
 }
 
 // solveLP is SolveLP plus warm-start plumbing: hint seeds the simplex
@@ -616,40 +724,39 @@ func solvePrepped(ctx context.Context, t *topo.Topology, pr *lpPrep, opt Options
 
 const flowTol = 1e-7
 
+// densify reads a solution vector back into full-horizon flow and read
+// arrays ([si][link][epoch] and [si][dst][epoch]) over the emitted epochs
+// [lo, hi); entries outside them are zero.
+func (m *lpModel) densify(x []float64, lo, hi int) (flows, reads [][][]float64) {
+	K := m.in.K
+	dense := func(vars [][]int32) [][]float64 {
+		out := make([][]float64, len(vars))
+		for i, col := range vars {
+			out[i] = make([]float64, K)
+			for k := lo; k < hi; k++ {
+				if v := col[k]; v != noVar {
+					out[i][k] = x[v]
+				}
+			}
+		}
+		return out
+	}
+	flows = make([][][]float64, len(m.sources))
+	reads = make([][][]float64, len(m.sources))
+	for si := range m.sources {
+		flows[si] = dense(m.fvar[si])
+		reads[si] = dense(m.rvar[si])
+	}
+	return flows, reads
+}
+
 // decompose peels the LP's rate allocation into per-chunk fractional
 // paths — the DFS-like translation from rates to chunk schedules that
-// §4.1 describes.
+// §4.1 describes. The stitched rolling-horizon path hands peelSchedule
+// the same arrays accumulated across windows.
 func (m *lpModel) decompose(x []float64) (*schedule.Schedule, error) {
-	in := m.in
-	t := in.topo
-	K := in.K
-
-	// Residual flows and per-pair read rates, densified from the solution
-	// vector; the stitched rolling-horizon path hands peelSchedule the
-	// same arrays accumulated across windows.
-	flows := make([][][]float64, len(m.sources))
-	reads := make([][][]float64, len(m.sources))
-	for si := range m.sources {
-		flows[si] = make([][]float64, t.NumLinks())
-		for l := 0; l < t.NumLinks(); l++ {
-			flows[si][l] = make([]float64, K)
-			for k := 0; k < K; k++ {
-				if f := m.fvar[si][l][k]; f != noVar {
-					flows[si][l][k] = x[f]
-				}
-			}
-		}
-		reads[si] = make([][]float64, t.NumNodes())
-		for dst := 0; dst < t.NumNodes(); dst++ {
-			reads[si][dst] = make([]float64, K)
-			for k := 0; k < K; k++ {
-				if r := m.rvar[si][dst][k]; r != noVar {
-					reads[si][dst][k] = x[r]
-				}
-			}
-		}
-	}
-	return peelSchedule(in, m.sources, m.dem, flows, reads)
+	flows, reads := m.densify(x, 0, m.in.K)
+	return peelSchedule(m.in, m.sources, m.dem, flows, reads)
 }
 
 // peelSchedule translates a rate allocation — per-source link flows and

@@ -294,23 +294,10 @@ func buildMILP(in *instance) (*milpModel, error) {
 	// variable-bandwidth scaling (§5).
 	m.capRow = make([][]int32, nL)
 	for l := 0; l < nL; l++ {
-		m.capRow[l] = make([]int32, K)
-		kap := in.kappa[l]
+		m.capRow[l] = noVars(K)
 		for k := 0; k < K; k++ {
-			m.capRow[l][k] = noVar
 			var row []lp.Term
-			budget := 0.0
-			for kk := k - kap + 1; kk <= k; kk++ {
-				// The window budget is κ·T·τ even when truncated at the
-				// horizon start; clamp the bandwidth-scale epoch.
-				se := kk
-				if se < 0 {
-					se = 0
-				}
-				budget += in.capChunks[l] * in.opt.capScale(topo.LinkID(l), se)
-				if kk < 0 {
-					continue
-				}
+			for kk := max(k-in.kappa[l]+1, 0); kk <= k; kk++ {
 				for ci := range in.comms {
 					if f := fAt(ci, l, kk); f != noVar {
 						row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
@@ -320,7 +307,7 @@ func buildMILP(in *instance) (*milpModel, error) {
 			if len(row) == 0 {
 				continue
 			}
-			m.capRow[l][k] = int32(p.AddRow(row, lp.LE, budget))
+			m.capRow[l][k] = int32(p.AddRow(row, lp.LE, in.capBudget(l, k)))
 		}
 	}
 

@@ -525,6 +525,14 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, newState *sessionSta
 		return nil, fbStructural
 	}
 
+	// The edited instance the schedule decomposition (and its built-in
+	// re-validation) runs against: the churned topology and demand, the
+	// recomputed per-epoch budgets, the incumbent discretization.
+	in2 := *in
+	in2.topo = newTopo
+	in2.capChunks = capChunks
+	in2.opt.estimates = nil
+
 	// Perturb a clone of the incumbent model. Bound and RHS edits only:
 	// the basis stays dual feasible.
 	q := m.p.Clone()
@@ -548,20 +556,10 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, newState *sessionSta
 		if newTopo.LinkDown(topo.LinkID(l)) {
 			continue
 		}
-		kap := in.kappa[l]
 		for k, r := range m.capRow[l] {
-			if r == noVar {
-				continue
+			if r != noVar {
+				q.SetRHS(int(r), in2.capBudget(l, k))
 			}
-			budget := 0.0
-			for kk := k - kap + 1; kk <= k; kk++ {
-				se := kk
-				if se < 0 {
-					se = 0
-				}
-				budget += capChunks[l] * in.opt.capScale(topo.LinkID(l), se)
-			}
-			q.SetRHS(int(r), budget)
 		}
 	}
 	// Demand drops: fix the pair's read columns at zero and zero its
@@ -605,14 +603,7 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, newState *sessionSta
 		}
 	}
 
-	// The edited instance the schedule decomposition (and its built-in
-	// re-validation) runs against: the churned topology and demand, the
-	// recomputed per-epoch budgets, the incumbent discretization.
-	in2 := *in
-	in2.topo = newTopo
 	in2.demand = expanded
-	in2.capChunks = capChunks
-	in2.opt.estimates = nil
 	m2 := *m
 	m2.p = q
 	m2.in = &in2
@@ -717,6 +708,11 @@ func (pl *Planner) replanIncrementalMILP(ctx context.Context, newState *sessionS
 		return nil, fbStructural
 	}
 
+	in2 := *in
+	in2.topo = newTopo
+	in2.capChunks = capChunks
+	in2.opt.estimates = nil
+
 	q := m.p.Clone()
 	nL := newTopo.NumLinks()
 	for l := 0; l < nL; l++ {
@@ -735,26 +731,12 @@ func (pl *Planner) replanIncrementalMILP(ctx context.Context, newState *sessionS
 		if newTopo.LinkDown(topo.LinkID(l)) {
 			continue
 		}
-		kap := in.kappa[l]
 		for k, r := range m.capRow[l] {
-			if r == noVar {
-				continue
+			if r != noVar {
+				q.SetRHS(int(r), in2.capBudget(l, k))
 			}
-			budget := 0.0
-			for kk := k - kap + 1; kk <= k; kk++ {
-				se := kk
-				if se < 0 {
-					se = 0
-				}
-				budget += capChunks[l] * in.opt.capScale(topo.LinkID(l), se)
-			}
-			q.SetRHS(int(r), budget)
 		}
 	}
-	in2 := *in
-	in2.topo = newTopo
-	in2.capChunks = capChunks
-	in2.opt.estimates = nil
 	m2 := *m
 	m2.p = q
 	m2.in = &in2

@@ -1,14 +1,15 @@
 package core
 
-// window.go is the rolling-horizon half of the formulation split: the
-// same §4.1 time-expanded LP, built over an epoch window [lo, hi)
-// instead of the full horizon, with the committed prefix folded into
-// boundary conditions. internal/horizon drives it; core owns it so the
-// window model shares the exact variable naming, row ordering, and
-// commodity indexing of buildLP — a single window spanning the full
-// horizon produces a bit-identical problem (same fingerprint), which is
-// what lets the session basis store and the name-transfer warm path
-// treat window models like any other.
+// window.go is the rolling-horizon face of the §4.1 LP: the exported
+// API internal/horizon drives to solve the formulation one epoch window
+// [lo, hi) at a time, the committed prefix folded into a Boundary. It
+// states no formulation of its own — a window is lpModel.emit
+// (lpform.go) over [lo, hi), and the monolithic LP is the same emit
+// over the full horizon from the initial boundary — so a window model
+// shares the variable naming, row ordering, and commodity indexing of
+// every other LP model by construction. That is what lets the session
+// basis store and the name-transfer warm path treat window models like
+// any other.
 
 import (
 	"fmt"
@@ -22,41 +23,20 @@ import (
 
 // WindowInstance is a preprocessed LP-form instance exposed to the
 // rolling-horizon driver: the per-destination expanded demand, the
-// derived epoch grid, and the shared commodity index. Construction
-// mirrors prepLP (multicast expansion, auto-horizon estimate, greedy
-// tightening) so the windowed and monolithic paths agree on K.
+// derived epoch grid, and the shared commodity index.
 type WindowInstance struct {
-	t    *topo.Topology
-	d    *collective.Demand
-	opt  Options
-	in   *instance
-	ix   *lpIndex
-	tail []float64
+	t   *topo.Topology
+	d   *collective.Demand
+	opt Options
+	in  *instance
+	ix  *lpIndex
 }
 
 // NewWindowInstance preprocesses (t, d, opt) exactly like the monolithic
-// LP path: multicast demands are expanded per destination, an auto
-// horizon is estimated and tightened by the greedy bound.
+// LP path (prepIndex), so the windowed and monolithic paths agree on K.
 func NewWindowInstance(t *topo.Topology, d *collective.Demand, opt Options) *WindowInstance {
-	if d.HasMulticast() {
-		d = d.ExpandPerDestination()
-	}
-	in := newInstance(t, d, opt)
-	wi := &WindowInstance{t: t, d: d, opt: opt, in: in}
-	if len(in.comms) == 0 {
-		return wi
-	}
-	if opt.Epochs == 0 {
-		if bound, _ := lpGreedyBound(in); bound >= 0 && bound+1 < in.K {
-			opt2 := opt
-			opt2.Epochs = bound + 1
-			in = newInstance(t, d, opt2)
-			wi.in = in
-		}
-	}
-	wi.ix = newLPIndex(in)
-	wi.tail = lpTailWeights(in.K)
-	return wi
+	pr := prepIndex(t, d, opt)
+	return &WindowInstance{t: t, d: pr.d, opt: opt, in: pr.in, ix: pr.ix}
 }
 
 // Empty reports whether the demand has no commodities (nothing to plan).
@@ -83,7 +63,6 @@ func (wi *WindowInstance) SetEpochs(K int) {
 	opt2.Tau = wi.in.tau
 	wi.in = newInstance(wi.t, wi.d, opt2)
 	wi.ix = newLPIndex(wi.in)
-	wi.tail = lpTailWeights(wi.in.K)
 }
 
 // Topo is the instance's topology.
@@ -126,7 +105,7 @@ func (wi *WindowInstance) MaxLinkSpan() int {
 // Objective evaluates the LP objective (priority-weighted discounted
 // reads) of a stitched read allocation at this instance's horizon.
 func (wi *WindowInstance) Objective(reads [][][]float64) float64 {
-	return wi.ObjectiveAt(reads, wi.tail)
+	return wi.ObjectiveAt(reads, wi.ix.tail)
 }
 
 // ObjectiveAt evaluates the objective under a caller-supplied tail-weight
@@ -204,392 +183,41 @@ func (bd *Boundary) capUsedAt(l, k int) float64 {
 
 // InitialBoundary is the epoch-0 boundary: full supply at each source,
 // nothing in flight, full demand remaining.
-func (wi *WindowInstance) InitialBoundary() *Boundary {
-	nN := wi.t.NumNodes()
-	bd := &Boundary{
-		Inv: make([][]float64, wi.NumSources()),
-		Rem: make([][]float64, wi.NumSources()),
-	}
-	for si, s := range wi.ix.sources {
-		bd.Inv[si] = make([]float64, nN)
-		bd.Rem[si] = append([]float64(nil), wi.ix.dem[si]...)
-		supply := 0.0
-		for dst := 0; dst < nN; dst++ {
-			supply += wi.ix.dem[si][dst]
-		}
-		bd.Inv[si][s] = supply
-	}
-	return bd
-}
+func (wi *WindowInstance) InitialBoundary() *Boundary { return wi.ix.initialBoundary() }
 
-// WindowLP is one window's built problem plus the variable indexes
-// needed to extract its solution.
+// WindowLP is one window's built problem plus the model whose indexes
+// extract its solution.
 type WindowLP struct {
 	P     *lp.Problem
 	Lo    int // first epoch in the window
 	Hi    int // one past the last epoch in the window
 	Final bool
 
-	wi   *WindowInstance
-	fvar [][][]int32
-	bvar [][][]int32
-	rvar [][][]int32
+	m *lpModel
 }
 
-const remTol = 1e-9
-
-// BuildWindow constructs the window LP over epochs [lo, hi): the same
-// variables and rows as buildLP restricted to the window, with three
-// boundary adaptations — inventory rows pin b[lo]+out(lo) to the carried
-// inventory, conservation rows absorb committed in-flight arrivals on
-// their right-hand side, and capacity budgets shrink by committed usage.
-// Window flows are self-contained (they land by hi-1). Destination
-// totals are <= remaining demand mid-stream and == remaining demand in
-// the final window. With lo=0, hi=K, final=true and the initial
-// boundary, the construction reduces term for term to buildLP.
+// BuildWindow constructs the window LP over epochs [lo, hi) (hi clamped
+// to the horizon) opened from bd; see lpModel.emit for the boundary
+// adaptations. With lo=0, hi=K, final=true and the initial boundary it
+// is the monolithic model.
 func (wi *WindowInstance) BuildWindow(lo, hi int, final bool, bd *Boundary) (*WindowLP, error) {
-	in, ix := wi.in, wi.ix
-	t := in.topo
-	K := in.K
+	K := wi.in.K
 	if hi > K {
 		hi = K
 	}
 	if lo < 0 || lo >= hi {
 		return nil, fmt.Errorf("core: window [%d,%d) out of range (K=%d)", lo, hi, K)
 	}
-	nL := t.NumLinks()
-	nN := t.NumNodes()
-
-	w := &WindowLP{P: lp.NewProblem(lp.Maximize), Lo: lo, Hi: hi, Final: final, wi: wi}
-	p := w.P
-
-	isBuffered := func(si, n int) bool { return ix.buffered(in, si, n) }
-
-	// Flow variables: buildLP's construction restricted to departures in
-	// [lo, hi) that also land inside the window.
-	w.fvar = make([][][]int32, len(ix.sources))
-	for si, s := range ix.sources {
-		w.fvar[si] = make([][]int32, nL)
-		for l := 0; l < nL; l++ {
-			col := make([]int32, K)
-			for k := range col {
-				col[k] = noVar
-			}
-			w.fvar[si][l] = col
-			if t.LinkDown(topo.LinkID(l)) {
-				continue
-			}
-			lk := t.Link(topo.LinkID(l))
-			for k := lo; k < hi; k++ {
-				if ix.earliest[si][lk.Src] > k {
-					continue
-				}
-				if in.landEpoch(l, k) > hi-1 {
-					continue
-				}
-				if int(lk.Dst) == s {
-					continue
-				}
-				col[k] = int32(p.AddVar(fmt.Sprintf("f[s%d,l%d,k%d]", s, l, k), 0, lp.Inf, 0))
-			}
-		}
+	m := newLPModel(wi.in, wi.ix)
+	if err := m.emit(0, lo, hi, final, bd); err != nil {
+		return nil, err
 	}
-
-	// Buffer variables over the window's epoch boundaries [lo..hi].
-	w.bvar = make([][][]int32, len(ix.sources))
-	for si, s := range ix.sources {
-		w.bvar[si] = make([][]int32, nN)
-		for n := 0; n < nN; n++ {
-			col := make([]int32, K+1)
-			for k := range col {
-				col[k] = noVar
-			}
-			w.bvar[si][n] = col
-			if !isBuffered(si, n) {
-				continue
-			}
-			blo := ix.earliest[si][n]
-			if n == s {
-				blo = 0
-			}
-			if blo < lo {
-				blo = lo
-			}
-			for k := blo; k <= hi; k++ {
-				col[k] = int32(p.AddVar(fmt.Sprintf("b[s%d,n%d,k%d]", s, n, k), 0, lp.Inf, 0))
-			}
-		}
-	}
-
-	// Read variables, bounded by the remaining (uncommitted) demand and
-	// weighted by the full-horizon tails so window objectives are
-	// comparable slices of the monolithic objective.
-	tail := wi.tail
-	w.rvar = make([][][]int32, len(ix.sources))
-	for si, s := range ix.sources {
-		w.rvar[si] = make([][]int32, nN)
-		for dst := 0; dst < nN; dst++ {
-			col := make([]int32, K)
-			for k := range col {
-				col[k] = noVar
-			}
-			w.rvar[si][dst] = col
-			if ix.dem[si][dst] == 0 || bd.Rem[si][dst] <= remTol {
-				continue
-			}
-			rlo := ix.earliest[si][dst] - 1
-			if rlo < 0 {
-				rlo = 0
-			}
-			if rlo < lo {
-				rlo = lo
-			}
-			prio := 1.0
-			if in.opt.Priority != nil {
-				if cs := in.demand.DestWantsFromSource(s, dst); len(cs) > 0 {
-					prio = in.opt.priorityOf(s, cs[0], dst)
-				}
-			}
-			for k := rlo; k < hi; k++ {
-				col[k] = int32(p.AddVar(fmt.Sprintf("r[s%d,d%d,k%d]", s, dst, k), 0, bd.Rem[si][dst], prio*tail[k]))
-			}
-		}
-	}
-
-	wfAt := func(si, l, k int) int32 {
-		if k < lo || k >= hi {
-			return noVar
-		}
-		return w.fvar[si][l][k]
-	}
-
-	// Boundary inventory rows: b[lo] plus epoch-lo departures equal the
-	// carried-in inventory (the windowed init row; at lo=0 only sources
-	// have a b[0] variable and Inv equals supply, reproducing Appendix A
-	// exactly).
-	for si := range ix.sources {
-		for n := 0; n < nN; n++ {
-			b := w.bvar[si][n][lo]
-			inv := bd.Inv[si][n]
-			if b == noVar {
-				if inv > 1e-6 {
-					return nil, fmt.Errorf("core: window [%d,%d): %.6g chunks of source %d stranded at bufferless node %d",
-						lo, hi, inv, ix.sources[si], n)
-				}
-				continue
-			}
-			terms := []lp.Term{{Var: lp.VarID(b), Coeff: 1}}
-			for _, lid := range t.Out(topo.NodeID(n)) {
-				if f := w.fvar[si][int(lid)][lo]; f != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
-				}
-			}
-			p.AddRow(terms, lp.EQ, inv)
-		}
-	}
-
-	// Conservation for buffered nodes, with committed in-flight arrivals
-	// landing during epoch k credited on the right-hand side:
-	//   B_k + in(k) + Arr(k) = B_{k+1} + R_k + out(k+1)
-	for si := range ix.sources {
-		for n := 0; n < nN; n++ {
-			if !isBuffered(si, n) {
-				continue
-			}
-			for k := lo; k < hi; k++ {
-				var terms []lp.Term
-				if b := w.bvar[si][n][k]; b != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: 1})
-				}
-				for _, lid := range t.In(topo.NodeID(n)) {
-					l := int(lid)
-					if f := wfAt(si, l, k-in.delta[l]-in.kappa[l]+1); f != noVar {
-						terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
-					}
-				}
-				if b := w.bvar[si][n][k+1]; b != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: -1})
-				}
-				if r := w.rvar[si][n][k]; r != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(r), Coeff: -1})
-				}
-				if k+1 < hi {
-					for _, lid := range t.Out(topo.NodeID(n)) {
-						if f := w.fvar[si][int(lid)][k+1]; f != noVar {
-							terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: -1})
-						}
-					}
-				}
-				rhs := 0.0
-				if arr := bd.arrAt(si, n, k); arr != 0 {
-					rhs = -arr // avoid -0.0: fingerprints hash bit patterns
-				}
-				if len(terms) == 0 {
-					if rhs != 0 {
-						return nil, fmt.Errorf("core: window [%d,%d): committed arrival at (source %d, node %d, epoch %d) has no receiving variables",
-							lo, hi, ix.sources[si], n, k)
-					}
-					continue
-				}
-				p.AddRow(terms, lp.EQ, rhs)
-			}
-		}
-	}
-
-	// Bufferless nodes: outgoing flow at k limited by window arrivals
-	// forwardable exactly at k. Committed flows through a bufferless node
-	// are closed under forwarding before they are committed (see
-	// internal/horizon), so they never appear on either side here.
-	for si := range ix.sources {
-		for n := 0; n < nN; n++ {
-			if isBuffered(si, n) {
-				continue
-			}
-			for k := lo; k < hi; k++ {
-				var out []lp.Term
-				for _, lid := range t.Out(topo.NodeID(n)) {
-					if f := w.fvar[si][int(lid)][k]; f != noVar {
-						out = append(out, lp.Term{Var: lp.VarID(f), Coeff: 1})
-					}
-				}
-				var inb []lp.Term
-				for _, lid := range t.In(topo.NodeID(n)) {
-					l := int(lid)
-					if f := wfAt(si, l, k-in.delta[l]-in.kappa[l]); f != noVar {
-						inb = append(inb, lp.Term{Var: lp.VarID(f), Coeff: -1})
-					}
-				}
-				if len(out) == 0 {
-					continue
-				}
-				if len(inb) == 0 {
-					for _, tm := range out {
-						p.SetBounds(tm.Var, 0, 0)
-					}
-					continue
-				}
-				p.AddRow(append(out, inb...), lp.LE, 0)
-			}
-		}
-	}
-
-	// Destination totals: the final window must consume exactly the
-	// remaining demand; earlier windows may consume at most that much
-	// (the rest arrives in later windows).
-	for si := range ix.sources {
-		for dst := 0; dst < nN; dst++ {
-			if ix.dem[si][dst] == 0 || bd.Rem[si][dst] <= remTol {
-				continue
-			}
-			var terms []lp.Term
-			for k := lo; k < hi; k++ {
-				if r := w.rvar[si][dst][k]; r != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(r), Coeff: 1})
-				}
-			}
-			if final {
-				// Like buildLP, an empty row (unreachable pair) yields an
-				// infeasible problem for the solver to report.
-				p.AddRow(terms, lp.EQ, bd.Rem[si][dst])
-			} else if len(terms) > 0 {
-				p.AddRow(terms, lp.LE, bd.Rem[si][dst])
-			}
-		}
-	}
-
-	// Capacity, windowed per Appendix F, with committed usage inside each
-	// sliding span pre-charged against the budget.
-	for l := 0; l < nL; l++ {
-		kap := in.kappa[l]
-		for k := lo; k < hi; k++ {
-			var row []lp.Term
-			budget := 0.0
-			for kk := k - kap + 1; kk <= k; kk++ {
-				se := kk
-				if se < 0 {
-					se = 0
-				}
-				budget += in.capChunks[l] * in.opt.capScale(topo.LinkID(l), se)
-				if kk < 0 {
-					continue
-				}
-				budget -= bd.capUsedAt(l, kk)
-				for si := range ix.sources {
-					if f := wfAt(si, l, kk); f != noVar {
-						row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
-					}
-				}
-			}
-			if len(row) == 0 {
-				continue
-			}
-			if budget < 0 {
-				budget = 0
-			}
-			p.AddRow(row, lp.LE, budget)
-		}
-	}
-
-	// Buffer limits (Appendix B) over the window's epoch boundaries.
-	if in.opt.BufferLimitChunks > 0 {
-		blo := lo
-		if blo < 1 {
-			blo = 1
-		}
-		for n := 0; n < nN; n++ {
-			if t.IsSwitch(topo.NodeID(n)) {
-				continue
-			}
-			for k := blo; k <= hi; k++ {
-				var row []lp.Term
-				for si, s := range ix.sources {
-					if s == n {
-						continue
-					}
-					if b := w.bvar[si][n][k]; b != noVar {
-						row = append(row, lp.Term{Var: lp.VarID(b), Coeff: 1})
-					}
-				}
-				if len(row) == 0 {
-					continue
-				}
-				p.AddRow(row, lp.LE, float64(in.opt.BufferLimitChunks))
-			}
-		}
-	}
-
-	return w, nil
+	return &WindowLP{P: m.p, Lo: lo, Hi: hi, Final: final, m: m}, nil
 }
 
 // Flows densifies a window solution into full-horizon flow and read
 // arrays ([si][link][epoch] and [si][dst][epoch]); entries outside
 // [Lo, Hi) are zero.
 func (w *WindowLP) Flows(x []float64) (flows, reads [][][]float64) {
-	wi := w.wi
-	K := wi.in.K
-	nL := wi.t.NumLinks()
-	nN := wi.t.NumNodes()
-	flows = make([][][]float64, len(wi.ix.sources))
-	reads = make([][][]float64, len(wi.ix.sources))
-	for si := range wi.ix.sources {
-		flows[si] = make([][]float64, nL)
-		for l := 0; l < nL; l++ {
-			flows[si][l] = make([]float64, K)
-			for k := w.Lo; k < w.Hi; k++ {
-				if f := w.fvar[si][l][k]; f != noVar {
-					flows[si][l][k] = x[f]
-				}
-			}
-		}
-		reads[si] = make([][]float64, nN)
-		for dst := 0; dst < nN; dst++ {
-			reads[si][dst] = make([]float64, K)
-			for k := w.Lo; k < w.Hi; k++ {
-				if r := w.rvar[si][dst][k]; r != noVar {
-					reads[si][dst][k] = x[r]
-				}
-			}
-		}
-	}
-	return flows, reads
+	return w.m.densify(x, w.Lo, w.Hi)
 }

@@ -200,11 +200,8 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 		// Warm start: an exact fingerprint hit from the session store
 		// beats a name-matched projection of the previous window.
 		var warm *lp.Basis
-		exact := false
 		if hooks != nil && hooks.LookupBasis != nil {
-			if warm = hooks.LookupBasis(wlp.P); warm != nil {
-				exact = true
-			}
+			warm = hooks.LookupBasis(wlp.P)
 		}
 		if warm == nil && prevProb != nil {
 			warm = core.TransferBasis(prevProb, prevBasis, wlp.P)
@@ -264,7 +261,6 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 
 		if res.Windows == 0 {
 			warmFirst = warm != nil
-			_ = exact
 		}
 		res.Windows++
 		res.RootIterations += sol.Iterations
