@@ -85,14 +85,15 @@ daemon-smoke:
 # concurrency micro-benchmarks across all packages; fast enough for CI,
 # loud enough to catch a perf cliff. NodeResolve reports B/op and
 # allocs/op of a branch-and-bound node re-solve, fresh context against
-# retained lp.Solver.
+# retained lp.Solver; FtranBtran the ns/op (and 0 allocs/op) of the three
+# triangular solves of a simplex iteration on a mid-update DGX1 basis.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
 
 # The same smoke under -short (GitHub Actions): trimmed sweeps, and the
 # minutes-scale benches (e.g. NDv2AllToAll) skip themselves.
 bench-smoke-short:
-	$(GO) test -short -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
+	$(GO) test -short -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
 
 # The full benchmark suite (one iteration each; wall-clock heavy).
 bench:

@@ -259,11 +259,7 @@ func (s *simplex) dualIterate(maxIter int) Status {
 
 		// Pivot row: ρ = B⁻ᵀe_r, then α = ρᵀA over the touched columns.
 		rho := s.y
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[r] = 1
-		s.lu.btran(rho)
+		s.lu.btranUnit(r, rho)
 		s.pivotRow(rho)
 
 		// Collect entering candidates with Harris-relaxed ratios. abar is
@@ -413,17 +409,7 @@ func (s *simplex) dualIterate(maxIter int) Status {
 
 		// FTRAN the entering column and pivot (spike saved for the FT
 		// update below).
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		s.scatterCol(enter, s.w)
-		s.lu.ftranPivot(s.w)
-		s.wNnz = s.wNnz[:0]
-		for i := 0; i < m; i++ {
-			if math.Abs(s.w[i]) > dropTol {
-				s.wNnz = append(s.wNnz, int32(i))
-			}
-		}
+		s.ftranEntering(enter)
 		pivot := s.w[r]
 		if math.Abs(pivot) < pivotTol {
 			// The FTRAN pivot disagrees with the priced row badly enough

@@ -19,9 +19,21 @@ package lp
 // and only the residual kernel pays for general elimination with a
 // minimum-degree style pivot search under threshold partial pivoting.
 //
-// FTRAN (solve B·w = a) and BTRAN (solve Bᵀ·y = c) run in time
-// proportional to the nonzeros of L, U, and the update etas — never
-// O(m²).
+// Cost of a solve. FTRAN (solve B·w = a) and BTRAN (solve Bᵀ·y = c) are
+// dense-vector solves that skip what is empty or zero, not
+// reach-driven ones: each costs O(m + touched nonzeros), never O(m²).
+// The O(m) part is two permutation sweeps (in and out of step space;
+// ftranColumn and btranUnit replace the inbound one with a clear and a
+// scatter) and one sweep of U's m rows in elimination order (btranUnit
+// starts it at the unit's position) that loads the row's entry and, in
+// FTRAN, its length. The rest is per nonzero: the L passes walk only the
+// columns that have multipliers (lStep), the scatter passes (L forward,
+// Uᵀ, the eta transposes) skip a column whose entry is zero, and no row
+// whose entry is zero is divided by its diagonal. Every sum keeps the
+// term order a full sweep would give it, so results are those of the
+// sweeping solves to the bit — refFactor in factor_test.go is that
+// sweep, and the test beside it holds the two together — except that a
+// skipped division leaves a zero's sign alone where 0/d could flip it.
 
 import "math"
 
@@ -83,11 +95,16 @@ type rEta struct {
 type luFactor struct {
 	m int
 
-	// L is unit lower triangular in pivot-position space: lIdx[k]/lVal[k]
-	// are the below-diagonal multipliers of column k (positions > k).
-	// L is static between refactorizations; updates only touch U.
-	lIdx [][]int32
-	lVal [][]float64
+	// L is unit lower triangular in pivot-position space and static
+	// between refactorizations (updates only touch U). Only the columns
+	// that have below-diagonal multipliers are stored: lStep lists their
+	// steps in ascending order, and column lStep[j]'s targets (positions
+	// > lStep[j]) and multipliers are lIdx/lVal[lStart[j]:lStart[j+1]].
+	// factorize truncates the four slices, so their storage is reused.
+	lStep  []int32
+	lStart []int32
+	lIdx   []int32
+	lVal   []float64
 
 	// U is upper triangular with respect to the elimination order below:
 	// uIdx[k]/uVal[k] are row k's off-diagonal entries (columns in step
@@ -113,6 +130,7 @@ type luFactor struct {
 	pivRow  []int32 // elimination step k pivoted original row pivRow[k]...
 	pivCol  []int32 // ...against basis position pivCol[k]
 	colStep []int32 // inverse of pivCol: basis position -> step
+	rowStep []int32 // inverse of pivRow: original row -> step
 
 	luNnz    int // L+U nonzeros of the fresh factorization
 	uNnz     int // current U off-diagonal nonzeros (tracks update fill)
@@ -169,8 +187,6 @@ func (f *luFactor) rNnz() int { return len(f.etaIdx) }
 func newLUFactor(m int) *luFactor {
 	return &luFactor{
 		m:        m,
-		lIdx:     make([][]int32, m),
-		lVal:     make([][]float64, m),
 		uIdx:     make([][]int32, m),
 		uVal:     make([][]float64, m),
 		uDiag:    make([]float64, m),
@@ -180,8 +196,10 @@ func newLUFactor(m int) *luFactor {
 		pivRow:   make([]int32, m),
 		pivCol:   make([]int32, m),
 		colStep:  make([]int32, m),
+		rowStep:  make([]int32, m),
 		work:     make([]float64, m),
 		spike:    make([]float64, m),
+		spikeNnz: make([]int32, 0, m),
 		acc:      make([]float64, m),
 	}
 }
@@ -198,6 +216,10 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 	f.retas = f.retas[:0]
 	f.etaIdx = f.etaIdx[:0]
 	f.etaVal = f.etaVal[:0]
+	f.lStep = f.lStep[:0]
+	f.lStart = append(f.lStart[:0], 0)
+	f.lIdx = f.lIdx[:0]
+	f.lVal = f.lVal[:0]
 	f.luNnz = 0
 	f.updates = 0
 	f.drift = 0
@@ -303,8 +325,7 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 		f.pivCol[step] = pos
 
 		// L multipliers: eliminate pos from every other active row.
-		lIdx := f.lIdx[step][:0]
-		lVal := f.lVal[step][:0]
+		lLo := len(f.lIdx)
 		spike := len(rowsIdx[i]) > 1 // pivot row has off-pivot entries
 		// Snapshot: the column's row set shrinks as we eliminate.
 		tgt := append(f.wsTgt[:0], colRows[pos]...)
@@ -325,8 +346,8 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 			if math.Abs(mult) <= dropTol {
 				continue
 			}
-			lIdx = append(lIdx, r32) // original row; remapped to steps below
-			lVal = append(lVal, mult)
+			f.lIdx = append(f.lIdx, r32) // original row; remapped to steps below
+			f.lVal = append(f.lVal, mult)
 			if !spike {
 				continue
 			}
@@ -361,8 +382,10 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 				rowQ = append(rowQ, r32)
 			}
 		}
-		f.lIdx[step] = lIdx
-		f.lVal[step] = lVal
+		if len(f.lIdx) > lLo {
+			f.lStep = append(f.lStep, int32(step))
+			f.lStart = append(f.lStart, int32(len(f.lIdx)))
+		}
 
 		// U row: the pivot row's remaining entries.
 		uIdx := f.uIdx[step][:0]
@@ -381,7 +404,7 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 		f.uIdx[step] = uIdx
 		f.uVal[step] = uVal
 		f.uDiag[step] = piv
-		f.luNnz += len(lIdx) + len(uIdx) + 1
+		f.luNnz += len(f.lIdx) - lLo + len(uIdx) + 1
 
 		rowDone[i] = true
 		colDone[pos] = true
@@ -506,17 +529,16 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 
 	// Remap L targets (original rows) and U columns (basis positions) into
 	// pivot-step space so the solves run on triangular systems directly.
-	rowStep := wpos // reuse
+	rowStep := f.rowStep
 	for k := 0; k < m; k++ {
 		rowStep[f.pivRow[k]] = int32(k)
 		f.colStep[f.pivCol[k]] = int32(k)
 	}
+	for ki, r := range f.lIdx {
+		f.lIdx[ki] = rowStep[r]
+	}
 	f.uNnz = 0
 	for k := 0; k < m; k++ {
-		li := f.lIdx[k]
-		for ki := range li {
-			li[ki] = rowStep[li[ki]]
-		}
 		ui := f.uIdx[k]
 		for ki := range ui {
 			ui[ki] = f.colStep[ui[ki]]
@@ -542,28 +564,40 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 
 // ftran solves B·w = a in place: on entry x holds a indexed by original
 // row; on return it holds w indexed by basis position.
-func (f *luFactor) ftran(x []float64) { f.ftranInto(x, false) }
-
-// ftranPivot is ftran for an entering column: the partial result after L
-// and the row etas (the Forrest–Tomlin spike of a) is additionally saved
-// for the update call that follows the pivot.
-func (f *luFactor) ftranPivot(x []float64) { f.ftranInto(x, true) }
-
-func (f *luFactor) ftranInto(x []float64, save bool) {
-	m := f.m
+func (f *luFactor) ftran(x []float64) {
 	work := f.work
-	for k := 0; k < m; k++ {
+	for k := range work {
 		work[k] = x[f.pivRow[k]]
 	}
-	// L forward (scatter).
-	for k := 0; k < m; k++ {
+	f.ftranWork(x, false)
+}
+
+// ftranColumn solves B·w = a into x (whose contents on entry are
+// ignored) for an entering column a given sparsely by row, and saves
+// the partial result after L and the row etas — the Forrest–Tomlin
+// spike of a — for the update call that follows the pivot.
+func (f *luFactor) ftranColumn(idx []int32, val []float64, x []float64) {
+	clear(f.work)
+	for k, i := range idx {
+		f.work[f.rowStep[i]] += val[k]
+	}
+	f.ftranWork(x, true)
+}
+
+// ftranWork runs FTRAN on f.work (the right-hand side in step space) and
+// writes the result to x indexed by basis position.
+func (f *luFactor) ftranWork(x []float64, save bool) {
+	m := f.m
+	work := f.work
+	// L forward (scatter), over the non-empty columns only.
+	for j, k := range f.lStep {
 		v := work[k]
 		if v == 0 {
 			continue
 		}
-		idx := f.lIdx[k]
-		val := f.lVal[k]
-		for ki, tgt := range idx {
+		lo, hi := f.lStart[j], f.lStart[j+1]
+		val := f.lVal[lo:hi]
+		for ki, tgt := range f.lIdx[lo:hi] {
 			work[tgt] -= val[ki] * v
 		}
 	}
@@ -577,28 +611,40 @@ func (f *luFactor) ftranInto(x []float64, save bool) {
 		}
 		work[e.t] = acc
 	}
-	if save {
-		// Save the spike — the partial result an immediately following
-		// Forrest–Tomlin update splices into U as the replaced column.
-		f.spikeNnz = f.spikeNnz[:0]
-		for k := 0; k < m; k++ {
-			v := work[k]
-			f.spike[k] = v
-			if v != 0 {
-				f.spikeNnz = append(f.spikeNnz, int32(k))
-			}
-		}
-	}
-	// U backward (gather) in elimination order.
+	// U backward (gather) in elimination order. When save is set, the
+	// same sweep records the spike — work[k] as L and the row etas left
+	// it, which row k's own step is the first to overwrite — for the
+	// Forrest–Tomlin update that follows. spikeNnz comes out in reverse
+	// elimination order; update reads it through a max and through
+	// splices into distinct rows, so its order is free.
+	spike, nz, n := f.spike, f.spikeNnz[:cap(f.spikeNnz)], 0
 	for q := m - 1; q >= 0; q-- {
 		k := f.order[q]
 		v := work[k]
+		if save {
+			spike[k] = v
+			nz[n] = k
+			if v != 0 {
+				n++
+			}
+		}
 		idx := f.uIdx[k]
+		if len(idx) == 0 {
+			// A zero entry is left as it is: 0/d is ±0, and no comparison,
+			// math.Abs, product or sum downstream tells +0 from −0.
+			if v != 0 {
+				work[k] = v / f.uDiag[k]
+			}
+			continue
+		}
 		val := f.uVal[k]
 		for ki, c := range idx {
 			v -= val[ki] * work[c]
 		}
 		work[k] = v / f.uDiag[k]
+	}
+	if save {
+		f.spikeNnz = nz[:n]
 	}
 	for k := 0; k < m; k++ {
 		x[f.pivCol[k]] = work[k]
@@ -608,19 +654,41 @@ func (f *luFactor) ftranInto(x []float64, save bool) {
 // btran solves Bᵀ·y = c in place: on entry x holds c indexed by basis
 // position; on return it holds y indexed by original row.
 func (f *luFactor) btran(x []float64) {
-	m := f.m
 	work := f.work
-	for k := 0; k < m; k++ {
+	for k := range work {
 		work[k] = x[f.pivCol[k]]
 	}
+	f.btranFrom(0, x)
+}
+
+// btranUnit solves Bᵀ·y = e_pos into x (whose contents on entry are
+// ignored): the row of B⁻¹ both pivot-row pricers need. Every step
+// ordered before the unit's own is zero on entry to the Uᵀ pass and
+// stays zero through it, so the pass starts at the unit's position.
+func (f *luFactor) btranUnit(pos int, x []float64) {
+	clear(f.work)
+	t := f.colStep[pos]
+	f.work[t] = 1
+	f.btranFrom(int(f.stepPos[t]), x)
+}
+
+// btranFrom runs BTRAN on f.work, whose entries ordered before from are
+// zero, and writes the result to x indexed by original row.
+func (f *luFactor) btranFrom(from int, x []float64) {
+	m := f.m
+	work := f.work
 	// Uᵀ forward (scatter) in elimination order.
-	for q := 0; q < m; q++ {
+	for q := from; q < m; q++ {
 		k := f.order[q]
-		v := work[k] / f.uDiag[k]
-		work[k] = v
+		v := work[k]
+		// Tested before the division: 0/d is ±0, a zero either way, and
+		// no comparison, math.Abs, product or sum downstream tells +0
+		// from −0.
 		if v == 0 {
 			continue
 		}
+		v /= f.uDiag[k]
+		work[k] = v
 		idx := f.uIdx[k]
 		val := f.uVal[k]
 		for ki, c := range idx {
@@ -639,12 +707,13 @@ func (f *luFactor) btran(x []float64) {
 			work[k] -= val[ki] * vt
 		}
 	}
-	// Lᵀ backward (gather).
-	for k := m - 1; k >= 0; k-- {
+	// Lᵀ backward (gather), over the non-empty columns only.
+	for j := len(f.lStep) - 1; j >= 0; j-- {
+		k := f.lStep[j]
 		v := work[k]
-		idx := f.lIdx[k]
-		val := f.lVal[k]
-		for ki, tgt := range idx {
+		lo, hi := f.lStart[j], f.lStart[j+1]
+		val := f.lVal[lo:hi]
+		for ki, tgt := range f.lIdx[lo:hi] {
 			v -= val[ki] * work[tgt]
 		}
 		work[k] = v

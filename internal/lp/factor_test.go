@@ -8,8 +8,10 @@ package lp
 // rejected without corrupting the factorization.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -136,10 +138,7 @@ func TestFTUpdateMatchesFreshFactorization(t *testing.T) {
 			// FTRAN the candidate column (saves the spike), as the
 			// simplex drivers do before a pivot.
 			w := make([]float64, m)
-			for k, i := range nIdx {
-				w[i] += nVal[k]
-			}
-			f.ftranPivot(w)
+			f.ftranColumn(nIdx, nVal, w)
 			if math.Abs(w[pos]) < 1e-4 {
 				// Too close to singular; the drivers' ratio tests prefer
 				// large pivots, so only healthy replacements are realistic.
@@ -180,10 +179,7 @@ func TestFTDenseSpikeTriggersRefactor(t *testing.T) {
 		pos := rng.Intn(m)
 		nIdx, nVal := randSparseCol(rng, m, 0.9)
 		w := make([]float64, m)
-		for k, i := range nIdx {
-			w[i] += nVal[k]
-		}
-		f.ftranPivot(w)
+		f.ftranColumn(nIdx, nVal, w)
 		if math.Abs(w[pos]) < pivotTol {
 			continue
 		}
@@ -229,12 +225,394 @@ func TestFTSingularSpikeRejected(t *testing.T) {
 	// Replace column 3 with a copy of column 5's unit vector: the new
 	// basis is singular (two identical columns).
 	w := make([]float64, m)
-	w[5] = 1
-	f.ftranPivot(w)
+	f.ftranColumn([]int32{5}, []float64{1}, w)
 	if ok := f.update(3, w[3]); ok {
 		t.Fatal("singular spike accepted")
 	}
 	if !f.shouldRefactor() {
 		t.Fatal("rejected update must force a refactorization")
 	}
+}
+
+// refFactor is the reference FTRAN/BTRAN: the loop bodies these solves had
+// before they learnt to skip empty rows and zero entries, kept verbatim —
+// every row swept, every row divided — over the same luFactor fields
+// (the flat L arena expanded back into one slice per step, empty for
+// most). The production solves must agree with it bit for bit.
+type refFactor struct {
+	f        *luFactor
+	lIdx     [][]int32
+	lVal     [][]float64
+	work     []float64
+	spike    []float64
+	spikeNnz []int32
+}
+
+func newRefFactor(f *luFactor) *refFactor {
+	r := &refFactor{f: f, lIdx: make([][]int32, f.m), lVal: make([][]float64, f.m),
+		work: make([]float64, f.m), spike: make([]float64, f.m)}
+	for j, k := range f.lStep {
+		r.lIdx[k] = f.lIdx[f.lStart[j]:f.lStart[j+1]]
+		r.lVal[k] = f.lVal[f.lStart[j]:f.lStart[j+1]]
+	}
+	return r
+}
+
+func (r *refFactor) ftranInto(x []float64, save bool) {
+	f := r.f
+	m := f.m
+	work := r.work
+	for k := 0; k < m; k++ {
+		work[k] = x[f.pivRow[k]]
+	}
+	// L forward (scatter).
+	for k := 0; k < m; k++ {
+		v := work[k]
+		if v == 0 {
+			continue
+		}
+		idx := r.lIdx[k]
+		val := r.lVal[k]
+		for ki, tgt := range idx {
+			work[tgt] -= val[ki] * v
+		}
+	}
+	// Row etas, oldest first.
+	for ei := range f.retas {
+		e := &f.retas[ei]
+		acc := work[e.t]
+		val := f.etaVal[e.lo:e.hi]
+		for ki, k := range f.etaIdx[e.lo:e.hi] {
+			acc -= val[ki] * work[k]
+		}
+		work[e.t] = acc
+	}
+	if save {
+		r.spikeNnz = r.spikeNnz[:0]
+		for k := 0; k < m; k++ {
+			v := work[k]
+			r.spike[k] = v
+			if v != 0 {
+				r.spikeNnz = append(r.spikeNnz, int32(k))
+			}
+		}
+	}
+	// U backward (gather) in elimination order.
+	for q := m - 1; q >= 0; q-- {
+		k := f.order[q]
+		v := work[k]
+		idx := f.uIdx[k]
+		val := f.uVal[k]
+		for ki, c := range idx {
+			v -= val[ki] * work[c]
+		}
+		work[k] = v / f.uDiag[k]
+	}
+	for k := 0; k < m; k++ {
+		x[f.pivCol[k]] = work[k]
+	}
+}
+
+func (r *refFactor) btran(x []float64) {
+	f := r.f
+	m := f.m
+	work := r.work
+	for k := 0; k < m; k++ {
+		work[k] = x[f.pivCol[k]]
+	}
+	// Uᵀ forward (scatter) in elimination order.
+	for q := 0; q < m; q++ {
+		k := f.order[q]
+		v := work[k] / f.uDiag[k]
+		work[k] = v
+		if v == 0 {
+			continue
+		}
+		idx := f.uIdx[k]
+		val := f.uVal[k]
+		for ki, c := range idx {
+			work[c] -= val[ki] * v
+		}
+	}
+	// Row-eta transposes, newest first.
+	for ei := len(f.retas) - 1; ei >= 0; ei-- {
+		e := &f.retas[ei]
+		vt := work[e.t]
+		if vt == 0 {
+			continue
+		}
+		val := f.etaVal[e.lo:e.hi]
+		for ki, k := range f.etaIdx[e.lo:e.hi] {
+			work[k] -= val[ki] * vt
+		}
+	}
+	// Lᵀ backward (gather).
+	for k := m - 1; k >= 0; k-- {
+		v := work[k]
+		idx := r.lIdx[k]
+		val := r.lVal[k]
+		for ki, tgt := range idx {
+			v -= val[ki] * work[tgt]
+		}
+		work[k] = v
+	}
+	for k := 0; k < m; k++ {
+		x[f.pivRow[k]] = work[k]
+	}
+}
+
+// sameBits requires got to be want component by component, to the bit,
+// except that a zero may carry either sign (the reference produces some
+// of its zeros as 0/d).
+func sameBits(t *testing.T, tag string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if got[i] == 0 && want[i] == 0 {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: component %d is %v (%#x), reference %v (%#x)",
+				tag, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// checkAgainstReference solves one right-hand side of each kind both ways
+// against f's current state: a sparse column and a unit vector through
+// ftranColumn (spike and spikeNnz included), a dense vector through ftran
+// and btran, a unit vector through btranUnit.
+func checkAgainstReference(t *testing.T, f *luFactor, rng *rand.Rand, tag string) {
+	t.Helper()
+	m := f.m
+	ref := newRefFactor(f)
+	got, want := make([]float64, m), make([]float64, m)
+
+	column := func(kind string, idx []int32, val []float64) {
+		t.Helper()
+		for i := range got {
+			got[i] = rng.NormFloat64() // ftranColumn ignores what x held
+			want[i] = 0
+		}
+		for k, i := range idx {
+			want[i] += val[k]
+		}
+		f.ftranColumn(idx, val, got)
+		ref.ftranInto(want, true)
+		sameBits(t, tag+": ftranColumn("+kind+")", got, want)
+		sameBits(t, tag+": spike("+kind+")", f.spike, ref.spike)
+		a := append([]int32(nil), f.spikeNnz...)
+		b := append([]int32(nil), ref.spikeNnz...)
+		slices.Sort(a)
+		slices.Sort(b)
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: spikeNnz(%s) as a set is %v, reference %v", tag, kind, a, b)
+		}
+	}
+	idx, val := randSparseCol(rng, m, 2.0/float64(m))
+	column("sparse", idx, val)
+	unit := int32(rng.Intn(m))
+	column("unit", []int32{unit}, []float64{1})
+
+	for i := range got {
+		got[i] = rng.NormFloat64()
+		if rng.Intn(4) == 0 {
+			got[i] = 0
+		}
+	}
+	dense := append([]float64(nil), got...)
+	copy(want, dense)
+	f.ftran(got)
+	ref.ftranInto(want, false)
+	sameBits(t, tag+": ftran(dense)", got, want)
+
+	copy(got, dense)
+	copy(want, dense)
+	f.btran(got)
+	ref.btran(want)
+	sameBits(t, tag+": btran(dense)", got, want)
+
+	for i := range want {
+		got[i] = rng.NormFloat64() // btranUnit ignores what x held
+		want[i] = 0
+	}
+	want[unit] = 1
+	f.btranUnit(int(unit), got)
+	ref.btran(want)
+	sameBits(t, tag+": btranUnit", got, want)
+}
+
+// TestSolvesMatchReferenceBitForBit is the kernel's arithmetic oracle:
+// over random bases and long Forrest–Tomlin update streams — through
+// refactorizations, and through a rejected update and the
+// refactorization it forces — every solve agrees with the reference
+// loops to the bit, so the zero-skipping solves make the pivots the
+// sweeping ones made.
+func TestSolvesMatchReferenceBitForBit(t *testing.T) {
+	for _, m := range []int{12, 60, 250} {
+		rng := rand.New(rand.NewSource(int64(m) * 104729))
+		colIdx, colVal := randBasisCols(rng, m, 3.0/float64(m))
+		f := newLUFactor(m)
+		if fr, _ := f.factorize(colIdx, colVal); fr != nil {
+			t.Fatalf("m=%d: initial factorization failed", m)
+		}
+		checkAgainstReference(t, f, rng, fmt.Sprintf("m=%d fresh", m))
+		w := make([]float64, m)
+		rejected := 0
+		for step := 0; f.statUpdates < 220; step++ {
+			pos := rng.Intn(m)
+			nIdx, nVal := randSparseCol(rng, m, 2.0/float64(m))
+			singular := step%40 == 39
+			if singular {
+				// A copy of another basis column: the update must refuse it.
+				other := (pos + 1) % m
+				nIdx, nVal = colIdx[other], colVal[other]
+			}
+			f.ftranColumn(nIdx, nVal, w)
+			if !singular && math.Abs(w[pos]) < 1e-4 {
+				continue
+			}
+			tag := fmt.Sprintf("m=%d step=%d", m, step)
+			if f.update(int32(pos), w[pos]) {
+				if singular {
+					t.Fatalf("%s: singular replacement accepted", tag)
+				}
+				colIdx[pos], colVal[pos] = nIdx, nVal
+				if !f.shouldRefactor() {
+					checkAgainstReference(t, f, rng, tag+" updated")
+					continue
+				}
+			} else if singular {
+				rejected++ // the basis keeps its old column
+			} else {
+				colIdx[pos], colVal[pos] = nIdx, nVal
+			}
+			if fr, _ := f.factorize(colIdx, colVal); fr != nil {
+				t.Fatalf("%s: refactorization failed", tag)
+			}
+			checkAgainstReference(t, f, rng, tag+" refactorized")
+		}
+		if rejected == 0 {
+			t.Fatalf("m=%d: no update was rejected; the stale path went untested", m)
+		}
+		t.Logf("m=%d: %d updates, %d rejected", m, f.statUpdates, rejected)
+	}
+}
+
+// TestKernelSteadyStateAllocs: once a luFactor has been through one
+// refactorization and update stream, repeating it — factorize included —
+// allocates nothing: the L arena and its step list, the row-eta arenas,
+// the spike index and the elimination workspace are truncated and
+// refilled, never rebuilt.
+func TestKernelSteadyStateAllocs(t *testing.T) {
+	const m = 120
+	rng := rand.New(rand.NewSource(4242))
+	baseIdx, baseVal := randBasisCols(rng, m, 3.0/float64(m))
+	type repl struct {
+		pos int
+		idx []int32
+		val []float64
+	}
+	var stream []repl
+	for len(stream) < 60 {
+		idx, val := randSparseCol(rng, m, 2.0/float64(m))
+		stream = append(stream, repl{rng.Intn(m), idx, val})
+	}
+	f := newLUFactor(m)
+	colIdx, colVal := make([][]int32, m), make([][]float64, m)
+	w, y := make([]float64, m), make([]float64, m)
+	updates := 0
+	run := func() {
+		copy(colIdx, baseIdx)
+		copy(colVal, baseVal)
+		if fr, _ := f.factorize(colIdx, colVal); fr != nil {
+			t.Fatal("factorization failed")
+		}
+		for _, r := range stream {
+			f.ftranColumn(r.idx, r.val, w)
+			if math.Abs(w[r.pos]) < 1e-4 {
+				continue
+			}
+			for i := range y {
+				y[i] = float64(i%3) - 1
+			}
+			f.btran(y)
+			f.btranUnit(r.pos, y)
+			colIdx[r.pos], colVal[r.pos] = r.idx, r.val
+			if !f.update(int32(r.pos), w[r.pos]) || f.shouldRefactor() {
+				if fr, _ := f.factorize(colIdx, colVal); fr != nil {
+					t.Fatal("refactorization failed")
+				}
+			}
+			updates++
+		}
+	}
+	run() // grows every retained buffer to its steady-state size
+	updates = 0
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("a repeated factorize + %d-pivot stream allocates %.0f times, want 0", len(stream), allocs)
+	}
+	if updates == 0 {
+		t.Fatal("no pivot was exercised; the fixture measures nothing")
+	}
+}
+
+// BenchmarkFtranBtran times the three solves of a simplex iteration on a
+// time-expanded DGX1 ALLTOALL basis (the K=10 model, 1000 rows) that has
+// absorbed about fifty Forrest–Tomlin updates since its last
+// refactorization: column is the entering-column FTRAN (spike saved),
+// unit the pivot-row BTRAN, dense an FTRAN plus a BTRAN of a dense
+// vector. None allocates.
+func BenchmarkFtranBtran(b *testing.B) {
+	p, _, _ := dgx1AllToAllLP(10)
+	sv := NewSolver(p)
+	// The pivot path is deterministic, so a longer iteration budget
+	// replays the shorter one and carries on: extend it until the factor
+	// holds 45–60 updates.
+	iters := 400
+	for tries := 0; ; tries++ {
+		if _, err := sv.Solve(Options{NoPresolve: true, Method: MethodPrimal, MaxIter: iters}); err != nil {
+			b.Fatal(err)
+		}
+		u := sv.s.lu.updates
+		if u >= 45 && u <= 60 {
+			break
+		}
+		if tries > 50 {
+			b.Fatalf("no budget near %d iterations leaves 45-60 updates on the factor (%d now)", iters, u)
+		}
+		if u < 45 {
+			iters += 45 - u
+		} else {
+			iters += 10
+		}
+	}
+	s := sv.s
+	f, m := s.lu, s.m
+	enter := slices.IndexFunc(s.status[:s.n], func(st varStatus) bool { return st != basic })
+	idx, val := s.column(enter)
+	x, src := make([]float64, m), make([]float64, m)
+	for i := range src {
+		src[i] = float64(i%7) - 3
+	}
+	b.Run("column", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.ftranColumn(idx, val, x)
+		}
+	})
+	b.Run("unit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.btranUnit(i%m, x)
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(x, src)
+			f.ftran(x)
+			copy(x, src)
+			f.btran(x)
+		}
+	})
 }

@@ -136,11 +136,7 @@ func (s *simplex) devexUpdate(enter, leaveRow int, wr float64) {
 	s.gammaMoved = true
 	gq := s.gamma[enter]
 	rho := s.y
-	for i := range rho {
-		rho[i] = 0
-	}
-	rho[leaveRow] = 1
-	s.lu.btran(rho)
+	s.lu.btranUnit(leaveRow, rho)
 	s.pivotRow(rho)
 	inv2 := gq / (wr * wr)
 	grew := false

@@ -275,12 +275,23 @@ func (s *simplex) column(j int) ([]int32, []float64) {
 	return s.slackIdx[r : r+1], s.slackVal[r : r+1]
 }
 
-// scatterCol accumulates column j into the dense vector dst (len m).
-func (s *simplex) scatterCol(j int, dst []float64) {
-	idx, val := s.column(j)
-	for k, i := range idx {
-		dst[i] += val[k]
+// ftranEntering computes w = B⁻¹a_enter into s.w, saving the spike for
+// the Forrest–Tomlin update that follows the pivot, and lists the
+// positions of w's entries above dropTol in s.wNnz, ascending (the ratio
+// tests break ties in that order). The compaction writes every position
+// and advances the cursor only past the kept ones, so it has no
+// data-dependent branch.
+func (s *simplex) ftranEntering(enter int) {
+	idx, val := s.column(enter)
+	s.lu.ftranColumn(idx, val, s.w)
+	nz, n := s.wNnz[:s.m], 0
+	for i, v := range s.w {
+		nz[n] = int32(i)
+		if math.Abs(v) > dropTol {
+			n++
+		}
 	}
+	s.wNnz = nz[:n]
 }
 
 // colDot returns a_j · y for column j.
@@ -901,6 +912,26 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 	stallWins := 0
 	sinceCheck := 0
 
+	// Phase 2's basic costs in position space are filled here and after a
+	// refactorization (whose repair may re-seat the basis); in between, a
+	// pivot changes them at the leaving position only.
+	fillCB := func() {
+		if !phase1 {
+			for i, v := range s.basis {
+				s.cb[i] = cost[v]
+			}
+		}
+	}
+	refresh := func() bool {
+		if !s.factorizeBasis() {
+			return false
+		}
+		s.computeXB()
+		fillCB()
+		return true
+	}
+	fillCB()
+
 	for {
 		if s.iter >= maxIter {
 			return StatusIterLimit
@@ -913,10 +944,9 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 				switch {
 				case stallWins == 1:
 					// Drift can manufacture phantom candidates; refresh.
-					if !s.factorizeBasis() {
+					if !refresh() {
 						return StatusNumericalError
 					}
-					s.computeXB()
 				case stallWins == 2 && s.pertRound < 3:
 					s.perturbBounds()
 					if !phase1 {
@@ -965,10 +995,6 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 			if !any {
 				return StatusOptimal // primal feasible: phase 1 done
 			}
-		} else {
-			for i := 0; i < m; i++ {
-				s.cb[i] = cost[s.basis[i]]
-			}
 		}
 
 		// BTRAN: y = B^-T c_B.
@@ -989,17 +1015,7 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 		}
 
 		// FTRAN: w = B^-1 a_enter (spike saved for the FT update below).
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		s.scatterCol(enter, s.w)
-		s.lu.ftranPivot(s.w)
-		s.wNnz = s.wNnz[:0]
-		for i := 0; i < m; i++ {
-			if math.Abs(s.w[i]) > dropTol {
-				s.wNnz = append(s.wNnz, int32(i))
-			}
-		}
+		s.ftranEntering(enter)
 
 		// Ratio test.
 		var leave int
@@ -1079,6 +1095,9 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 		s.status[enter] = basic
 		s.xB[leave] = newEnterVal
 		s.value[enter] = newEnterVal
+		if !phase1 {
+			s.cb[leave] = cost[enter]
+		}
 
 		// Factorization update: apply the Forrest–Tomlin update, or
 		// refactorize when the pivot is too small, the update is rejected
@@ -1086,10 +1105,9 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 		// file's measured fill/drift has grown past the refactor point.
 		if math.Abs(s.w[leave]) < pivotTol ||
 			!s.lu.update(int32(leave), s.w[leave]) || s.lu.shouldRefactor() {
-			if !s.factorizeBasis() {
+			if !refresh() {
 				return StatusNumericalError
 			}
-			s.computeXB()
 		}
 	}
 }

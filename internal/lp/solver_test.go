@@ -325,6 +325,22 @@ func TestNodeResolveAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshSolveAllocs bounds what NewSolver(p).Solve allocates on the
+// same fixture by the count it had before the L factor moved into one
+// arena (3884 at PR 15; one slice pair per non-empty L column since).
+func TestFreshSolveAllocs(t *testing.T) {
+	p, opt, edit := nodeResolve(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		edit()
+		if sol, err := Solve(p, opt); err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("re-solve: %v %v", sol.Status, err)
+		}
+	})
+	if allocs > 3884 {
+		t.Fatalf("a fresh context and solve allocate %.0f times, 3884 before", allocs)
+	}
+}
+
 // BenchmarkNodeResolve prices a node re-solve both ways: a fresh Solve
 // builds and drops a context per node, a retained Solver reuses one.
 // B/op and allocs/op are the point; the pivots are identical.
