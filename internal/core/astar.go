@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -167,6 +168,14 @@ func astarLoop(ctx context.Context, in *instance, st *astarState, hop [][]float6
 // solveAStar is SolveAStarContext returning the incremental payload the
 // session layer records for replanning.
 func solveAStar(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, *astarAux, error) {
+	// The round state tracks holders and arrivals in flight only: it has
+	// no bufferless-GPU or eviction case to carry between rounds.
+	if opt.NoBuffers {
+		return nil, nil, errors.New("core: A* does not support Options.NoBuffers; use SolverMILP or SolverLP")
+	}
+	if opt.BufferLimitChunks > 0 {
+		return nil, nil, errors.New("core: A* does not support Options.BufferLimitChunks; use SolverMILP or SolverLP")
+	}
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
 	start := time.Now()
@@ -218,389 +227,22 @@ func solveAStar(ctx context.Context, t *topo.Topology, d *collective.Demand, opt
 	}, &astarAux{in: in, Kr: Kr}, nil
 }
 
-// solveRound builds and solves one A* round MILP. hint optionally seeds
-// the root relaxation from the previous round's basis; the returned hint
-// carries this round's basis forward, and the milp.Solution carries the
-// round's gap and iteration counters.
+// solveRound builds and solves one A* round MILP: the §3.1 model over the
+// round's epochs, opened from the state the earlier rounds left and
+// allowed to carry over into the next (milpModel.emit). hint optionally
+// seeds the root relaxation from the previous round's basis; the returned
+// hint carries this round's basis forward, and the milp.Solution carries
+// the round's gap and iteration counters.
 func solveRound(ctx context.Context, in *instance, st *astarState, hop [][]float64, Kr, off int, hint *basisHint) ([]schedule.Send, *milp.Solution, *basisHint, error) {
-	t := in.topo
-	nL := t.NumLinks()
-	nN := t.NumNodes()
-	p := lp.NewProblem(lp.Maximize)
-	var ints []lp.VarID
-
-	// hasOrWill: nodes that hold the chunk or have it in flight; flows
-	// into them would double-deliver.
-	hasOrWill := make([][]bool, nN)
-	for n := range hasOrWill {
-		hasOrWill[n] = make([]bool, len(in.comms))
-		copy(hasOrWill[n], st.holds[n])
+	m := &milpModel{in: in, hop: hop}
+	if err := m.emit(off, off+Kr, false, st); err != nil {
+		return nil, nil, nil, err
 	}
-	for _, pa := range st.pendGPU {
-		hasOrWill[pa.node][pa.ci] = true
-	}
-
-	// Earliest local epoch a commodity can be forwardable at each node.
-	earliest := make([][]float64, len(in.comms))
-	for ci := range in.comms {
-		e := make([]float64, nN)
-		for n := range e {
-			e[n] = math.Inf(1)
-		}
-		for n := 0; n < nN; n++ {
-			if st.holds[n][ci] {
-				for v := 0; v < nN; v++ {
-					if dd := hop[n][v]; dd < e[v] {
-						e[v] = dd
-					}
-				}
-			}
-		}
-		for _, pa := range st.pendGPU {
-			if pa.ci != ci {
-				continue
-			}
-			for v := 0; v < nN; v++ {
-				if dd := float64(pa.localEpoch) + hop[pa.node][v]; dd < e[v] {
-					e[v] = dd
-				}
-			}
-			if float64(pa.localEpoch) < e[pa.node] {
-				e[pa.node] = float64(pa.localEpoch)
-			}
-		}
-		for _, pa := range st.pendSwitch {
-			if pa.ci != ci {
-				continue
-			}
-			for v := 0; v < nN; v++ {
-				if dd := float64(pa.localEpoch) + hop[pa.node][v]; dd < e[v] {
-					e[v] = dd
-				}
-			}
-			// The switch itself may forward at exactly the arrival epoch.
-			if float64(pa.localEpoch) < e[pa.node] {
-				e[pa.node] = float64(pa.localEpoch)
-			}
-		}
-		earliest[ci] = e
-	}
-
-	// Commodities with no remaining demand need no new flow.
-	active := make([]bool, len(in.comms))
-	for ci := range in.comms {
-		for n := 0; n < nN; n++ {
-			if st.needs[n][ci] {
-				active[ci] = true
-				break
-			}
-		}
-	}
-
-	// Flow variables.
-	fvar := make([][][]int32, len(in.comms))
-	for ci := range in.comms {
-		fvar[ci] = make([][]int32, nL)
-		for l := 0; l < nL; l++ {
-			col := make([]int32, Kr)
-			for k := range col {
-				col[k] = noVar
-			}
-			fvar[ci][l] = col
-			if !active[ci] || t.LinkDown(topo.LinkID(l)) {
-				continue
-			}
-			lk := t.Link(topo.LinkID(l))
-			if hasOrWill[lk.Dst][ci] && !t.IsSwitch(lk.Dst) {
-				continue // would double-deliver
-			}
-			if int(lk.Dst) == in.comms[ci].src {
-				continue
-			}
-			for k := 0; k < Kr; k++ {
-				if float64(k) < earliest[ci][lk.Src] {
-					continue
-				}
-				// Arrival may land in the next round (the Q carryover),
-				// but not beyond it.
-				if k+in.delta[l]+in.kappa[l] > 2*Kr {
-					continue
-				}
-				v := p.AddVar(fmt.Sprintf("F[c%d,l%d,k%d]", ci, l, k), 0, 1, 0)
-				col[k] = int32(v)
-				ints = append(ints, v)
-			}
-		}
-	}
-	fAt := func(ci, l, k int) int32 {
-		if k < 0 || k >= Kr {
-			return noVar
-		}
-		return fvar[ci][l][k]
-	}
-
-	// Buffer variables for GPUs (holders fixed at 1; A* always buffers).
-	bvar := make([][][]int32, len(in.comms))
-	for ci := range in.comms {
-		bvar[ci] = make([][]int32, nN)
-		for n := 0; n < nN; n++ {
-			col := make([]int32, Kr+1)
-			for k := range col {
-				col[k] = noVar
-			}
-			bvar[ci][n] = col
-			if !active[ci] || t.IsSwitch(topo.NodeID(n)) || st.holds[n][ci] {
-				continue
-			}
-			lo := int(math.Ceil(earliest[ci][n] - 1e-9))
-			if lo < 1 {
-				lo = 1
-			}
-			for k := lo; k <= Kr; k++ {
-				col[k] = int32(p.AddVar(fmt.Sprintf("B[c%d,n%d,k%d]", ci, n, k), 0, 1, 0))
-			}
-		}
-	}
-
-	// Pending GPU arrivals become constants in the buffer recurrences.
-	pendAt := map[[3]int]float64{} // (ci, node, epoch) -> constant arrivals
-	for _, pa := range st.pendGPU {
-		pendAt[[3]int{pa.ci, pa.node, pa.localEpoch}]++
-	}
-	pendSwAt := map[[3]int]float64{}
-	for _, pa := range st.pendSwitch {
-		pendSwAt[[3]int{pa.ci, pa.node, pa.localEpoch}]++
-	}
-
-	// Buffer evolution.
-	for ci := range in.comms {
-		for n := 0; n < nN; n++ {
-			if t.IsSwitch(topo.NodeID(n)) || st.holds[n][ci] {
-				continue
-			}
-			for k := 1; k <= Kr; k++ {
-				var terms []lp.Term
-				rhs := pendAt[[3]int{ci, n, k}]
-				if b := bvar[ci][n][k]; b != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: 1})
-				}
-				if b := bvar[ci][n][k-1]; b != noVar {
-					terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: -1})
-				}
-				has := rhs != 0
-				for _, lid := range t.In(topo.NodeID(n)) {
-					l := int(lid)
-					if f := fAt(ci, l, k-in.delta[l]-in.kappa[l]); f != noVar {
-						terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: -1})
-						has = true
-					}
-				}
-				if len(terms) == 0 && !has {
-					continue
-				}
-				if len(terms) == 0 {
-					continue
-				}
-				p.AddRow(terms, lp.EQ, rhs)
-			}
-		}
-	}
-
-	// Flow conservation.
-	for ci := range in.comms {
-		for n := 0; n < nN; n++ {
-			outLinks := t.Out(topo.NodeID(n))
-			if len(outLinks) == 0 {
-				continue
-			}
-			if !t.IsSwitch(topo.NodeID(n)) {
-				if st.holds[n][ci] {
-					continue // holder: B is the constant 1
-				}
-				for _, lid := range outLinks {
-					l := int(lid)
-					for k := 0; k < Kr; k++ {
-						f := fAt(ci, l, k)
-						if f == noVar {
-							continue
-						}
-						b := bvar[ci][n][k]
-						if b == noVar {
-							p.SetBounds(lp.VarID(f), 0, 0)
-							continue
-						}
-						p.AddRow([]lp.Term{
-							{Var: lp.VarID(f), Coeff: 1},
-							{Var: lp.VarID(b), Coeff: -1},
-						}, lp.LE, 0)
-					}
-				}
-				continue
-			}
-			// Switch: per-outgoing-link limit against exact arrivals,
-			// including carryover constants.
-			copyOK := in.opt.SwitchMode == SwitchCopy
-			for k := 0; k < Kr; k++ {
-				var arrivals []lp.Term
-				rhs := pendSwAt[[3]int{ci, n, k}]
-				for _, lid := range t.In(topo.NodeID(n)) {
-					l := int(lid)
-					if f := fAt(ci, l, k-in.delta[l]-in.kappa[l]); f != noVar {
-						arrivals = append(arrivals, lp.Term{Var: lp.VarID(f), Coeff: -1})
-					}
-				}
-				if copyOK {
-					for _, lid := range outLinks {
-						f := fAt(ci, int(lid), k)
-						if f == noVar {
-							continue
-						}
-						if len(arrivals) == 0 && rhs == 0 {
-							p.SetBounds(lp.VarID(f), 0, 0)
-							continue
-						}
-						row := append([]lp.Term{{Var: lp.VarID(f), Coeff: 1}}, arrivals...)
-						p.AddRow(row, lp.LE, rhs)
-					}
-				} else {
-					var row []lp.Term
-					for _, lid := range outLinks {
-						if f := fAt(ci, int(lid), k); f != noVar {
-							row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
-						}
-					}
-					if len(row) == 0 {
-						continue
-					}
-					if len(arrivals) == 0 && rhs == 0 {
-						for _, tm := range row {
-							p.SetBounds(tm.Var, 0, 0)
-						}
-						continue
-					}
-					p.AddRow(append(row, arrivals...), lp.LE, rhs)
-				}
-			}
-		}
-	}
-
-	// Cross-round dedup: a GPU may receive each chunk at most once in
-	// total — in-round landings (reflected in B at round end) plus
-	// carryover sends that land next round.
-	for ci := range in.comms {
-		for n := 0; n < nN; n++ {
-			if t.IsSwitch(topo.NodeID(n)) || st.holds[n][ci] {
-				continue
-			}
-			var row []lp.Term
-			if b := bvar[ci][n][Kr]; b != noVar {
-				row = append(row, lp.Term{Var: lp.VarID(b), Coeff: 1})
-			}
-			carried := false
-			for _, lid := range t.In(topo.NodeID(n)) {
-				l := int(lid)
-				for k := 0; k < Kr; k++ {
-					if k+in.delta[l]+in.kappa[l] <= Kr {
-						continue // lands in-round; already in B
-					}
-					if f := fAt(ci, l, k); f != noVar {
-						row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
-						carried = true
-					}
-				}
-			}
-			if carried && len(row) > 1 {
-				p.AddRow(row, lp.LE, 1)
-			}
-		}
-	}
-
-	// Capacity, with κ-windows that straddle the round boundary charged
-	// for the previous round's in-flight transmissions.
-	for l := 0; l < nL; l++ {
-		kap := in.kappa[l]
-		for k := 0; k < Kr; k++ {
-			var row []lp.Term
-			carry := 0.0
-			for kk := k - kap + 1; kk <= k; kk++ {
-				if kk < 0 {
-					carry += st.prevLoad[[2]int{l, off + kk}]
-					continue
-				}
-				for ci := range in.comms {
-					if f := fAt(ci, l, kk); f != noVar {
-						row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
-					}
-				}
-			}
-			if len(row) == 0 {
-				continue
-			}
-			rhs := in.capChunks[l]*float64(kap) - carry
-			if rhs < 0 {
-				rhs = 0
-			}
-			p.AddRow(row, lp.LE, rhs)
-		}
-	}
-
-	// Objective: delivery reward (1/k on a remaining destination's buffer)
-	// plus the distance potential on end-of-round positions (Appendix D's
-	// Floyd-Warshall reward) and on in-flight carryover sends.
-	gamma := 0.1 / float64(Kr)
-	potential := func(ci, n int) float64 {
-		best := math.Inf(1)
-		for dd := 0; dd < nN; dd++ {
-			if st.needs[dd][ci] && hop[n][dd] < best {
-				best = hop[n][dd]
-			}
-		}
-		if math.IsInf(best, 1) {
-			return 0
-		}
-		return gamma / (1 + best)
-	}
-	for ci := range in.comms {
-		for n := 0; n < nN; n++ {
-			for k := 1; k <= Kr; k++ {
-				b := bvar[ci][n][k]
-				if b == noVar {
-					continue
-				}
-				w := p.Obj(lp.VarID(b))
-				if st.needs[n][ci] {
-					w += 1 / float64(k)
-				}
-				if k == Kr {
-					w += potential(ci, n)
-				}
-				p.SetObj(lp.VarID(b), w)
-			}
-		}
-	}
-	for ci := range in.comms {
-		for l := 0; l < nL; l++ {
-			lk := t.Link(topo.LinkID(l))
-			for k := 0; k < Kr; k++ {
-				f := fvar[ci][l][k]
-				if f == noVar {
-					continue
-				}
-				if k+in.delta[l]+in.kappa[l] > Kr {
-					// Lands next round: reward the chunk for being en
-					// route toward its destination.
-					w := p.Obj(lp.VarID(f)) + 0.9*potential(ci, int(lk.Dst))
-					p.SetObj(lp.VarID(f), w)
-				}
-			}
-		}
-	}
-
 	aopt := milp.Options{
 		Context:       ctx,
 		GapLimit:      in.opt.GapLimit,
 		Workers:       in.opt.Workers,
-		RootWarmStart: hint.basisFor(p),
+		RootWarmStart: hint.basisFor(m.p),
 		Progress:      in.opt.Progress.milpHook("astar", off/Kr+1),
 	}
 	if aopt.RootWarmStart != nil {
@@ -608,7 +250,7 @@ func solveRound(ctx context.Context, in *instance, st *astarState, hop [][]float
 		// the dual simplex (falls back to primal when not dual feasible).
 		aopt.LP.Method = lp.MethodDual
 	}
-	msol := milp.Solve(&milp.Problem{LP: p, Integer: ints}, aopt)
+	msol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, aopt)
 	switch msol.Status {
 	case milp.StatusOptimal, milp.StatusFeasible:
 	default:
@@ -620,23 +262,7 @@ func solveRound(ctx context.Context, in *instance, st *astarState, hop [][]float
 		}
 		return nil, nil, nil, fmt.Errorf("core: A* round failed: %v", msol.Status)
 	}
-
-	var out []schedule.Send
-	for ci, cm := range in.comms {
-		for l := 0; l < nL; l++ {
-			for k := 0; k < Kr; k++ {
-				v := fvar[ci][l][k]
-				if v == noVar || msol.X[v] < 0.5 {
-					continue
-				}
-				out = append(out, schedule.Send{
-					Src: cm.src, Chunk: cm.chunk,
-					Link: topo.LinkID(l), Epoch: off + k, Fraction: 1,
-				})
-			}
-		}
-	}
-	return out, msol, hintFromSolve(p, msol.RootBasis), nil
+	return m.sends(msol.X, off), msol, hintFromSolve(m.p, msol.RootBasis), nil
 }
 
 // advanceState applies a round's sends to the A* state: materializes

@@ -93,10 +93,14 @@ type Options struct {
 	SwitchMode SwitchMode
 	// NoBuffers disables store-and-forward at GPUs (§2.2, Figure 9): a
 	// non-destination GPU must then forward an arrival in the next epoch,
-	// like a switch.
+	// like a switch. Honoured by the MILP, LP and rolling-horizon
+	// solvers; A* rejects it with an error (its round state carries no
+	// bufferless GPUs).
 	NoBuffers bool
 	// BufferLimitChunks caps per-GPU buffered chunks (Appendix B);
-	// 0 means unlimited.
+	// 0 means unlimited. Honoured by the MILP, LP and rolling-horizon
+	// solvers; A* rejects it with an error (its round state carries no
+	// evictions).
 	BufferLimitChunks int
 	// GapLimit passes an early-stop optimality gap to the MILP solver
 	// (the paper's Gurobi early-stop, e.g. 0.3). 0 solves to optimality.
@@ -260,9 +264,6 @@ type instance struct {
 
 	// commodities: the (src, chunk) pairs that exist.
 	comms []comm
-	// earliest[commIndex][node]: earliest epoch the chunk can be
-	// forwardable at the node (reachability pruning).
-	earliest [][]int
 }
 
 type comm struct {
@@ -294,8 +295,8 @@ func DeriveTau(t *topo.Topology, chunkBytes float64, mode EpochMode, multiplier 
 	return tau
 }
 
-// newInstance preprocesses a solve: derives τ, per-link δ and κ, the
-// commodity list, and reachability windows.
+// newInstance preprocesses a solve: derives τ, per-link δ and κ, and the
+// commodity list.
 func newInstance(t *topo.Topology, d *collective.Demand, opt Options) *instance {
 	in := &instance{topo: t, demand: d, opt: opt}
 
@@ -351,22 +352,6 @@ func newInstance(t *topo.Topology, d *collective.Demand, opt Options) *instance 
 		}
 	}
 
-	// Reachability: hop cost in epochs for link l is delta+kappa (a chunk
-	// sent at k is forwardable at k+delta+kappa).
-	hop := in.hopDistances()
-	in.earliest = make([][]int, len(in.comms))
-	for ci, cm := range in.comms {
-		e := make([]int, t.NumNodes())
-		for n := range e {
-			dd := hop[cm.src][n]
-			if math.IsInf(dd, 1) {
-				e[n] = in.K + 1 // unreachable within any horizon
-			} else {
-				e[n] = int(dd)
-			}
-		}
-		in.earliest[ci] = e
-	}
 	return in
 }
 
@@ -419,28 +404,6 @@ func (in *instance) hopDistances() [][]float64 {
 		}
 	}
 	return dist
-}
-
-// sendWindow reports whether commodity ci may be sent on link l at epoch
-// k: the chunk must be able to reach the link source by k, and the
-// arrival must land within the horizon.
-func (in *instance) sendWindow(ci, l, k int) bool {
-	if in.topo.LinkDown(topo.LinkID(l)) {
-		return false
-	}
-	lk := in.topo.Link(topo.LinkID(l))
-	if in.earliest[ci][lk.Src] > k {
-		return false
-	}
-	if k+in.delta[l]+in.kappa[l]-1 > in.K-1 {
-		return false
-	}
-	// Never route a commodity back into its own source: the source holds
-	// the chunk permanently, so such flows are always wasteful.
-	if int(lk.Dst) == in.comms[ci].src {
-		return false
-	}
-	return true
 }
 
 // epochsPerChunk returns the κ slice for schedule validation, or nil when

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"teccl/internal/collective"
@@ -10,24 +11,28 @@ import (
 // TestPriorityFavorsTenant: two tenants contend for one link; the
 // prioritized tenant's chunk must ship first (§5 multi-tenant priority).
 func TestPriorityFavorsTenant(t *testing.T) {
-	tp := topo.Line(2, 1e9, 0)
-	d := collective.New(2, 2, 1e6)
-	d.Set(0, 0, 1) // tenant A: chunk 0
-	d.Set(0, 1, 1) // tenant B: chunk 1
+	priorityFavorsTenant(t, SolveMILP, Options{Epochs: 4, NoIncumbentHeuristic: true})
+}
+
+// TestAStarPriorityFavorsTenant: the A* rounds weigh deliveries by the
+// same priorities.
+func TestAStarPriorityFavorsTenant(t *testing.T) {
+	priorityFavorsTenant(t, SolveAStar, Options{RoundEpochs: 4})
+}
+
+func priorityFavorsTenant(t *testing.T, solve func(*topo.Topology, *collective.Demand, Options) (*Result, error), opt Options) {
+	tp, d := twoChunkLine() // tenant A: chunk 0, tenant B: chunk 1
 
 	solveWithPriority := func(favored int) int {
-		res, err := SolveMILP(tp, d, Options{
-			Epochs:               4,
-			NoIncumbentHeuristic: true,
-			Priority: func(src, chunk, dst int) float64 {
-				if chunk == favored {
-					return 10
-				}
-				return 1
-			},
-		})
+		opt.Priority = func(src, chunk, dst int) float64 {
+			if chunk == favored {
+				return 10
+			}
+			return 1
+		}
+		res, err := solve(tp, d, opt)
 		if err != nil {
-			t.Fatalf("SolveMILP: %v", err)
+			t.Fatalf("solve: %v", err)
 		}
 		// Which chunk ships in epoch 0?
 		for _, snd := range res.Schedule.Sends {
@@ -99,28 +104,49 @@ func TestPriorityInLP(t *testing.T) {
 	}
 }
 
-// TestVariableBandwidthDelays: halving a link's capacity in early epochs
-// (variable bandwidth, §5) must delay the transfer accordingly.
-func TestVariableBandwidthDelays(t *testing.T) {
-	tp := topo.Line(2, 1e9, 0)
+// deadEpochs is a capacity schedule with every link dead in the listed
+// epochs (variable bandwidth, §5), and sendsAvoid the matching check.
+func deadEpochs(dead ...int) func(topo.LinkID, int) float64 {
+	return func(_ topo.LinkID, epoch int) float64 {
+		for _, e := range dead {
+			if e == epoch {
+				return 0
+			}
+		}
+		return 1
+	}
+}
+
+func sendsAvoid(t *testing.T, res *Result, dead ...int) {
+	t.Helper()
+	for _, snd := range res.Schedule.Sends {
+		if snd.Fraction > 1e-9 && deadEpochs(dead...)(snd.Link, snd.Epoch) == 0 {
+			t.Fatalf("send scheduled in a zero-capacity epoch: %+v", snd)
+		}
+	}
+}
+
+// twoChunkLine is two chunks 0→1 over one 1-chunk-per-epoch link: the
+// finish epoch is 1 plus however many epochs the link is dead.
+func twoChunkLine() (*topo.Topology, *collective.Demand) {
 	d := collective.New(2, 2, 1e6)
 	d.Set(0, 0, 1)
 	d.Set(0, 1, 1)
+	return topo.Line(2, 1e9, 0), d
+}
 
-	base, err := SolveMILP(tp, d, Options{Epochs: 8, NoIncumbentHeuristic: true})
+// TestVariableBandwidthDelays: a link dead in early epochs (variable
+// bandwidth, §5) must delay the transfer accordingly. The greedy
+// incumbent budgets a constant capacity, so it must stay out of the way:
+// it used to be returned as the answer, sends in the dead epochs and all.
+func TestVariableBandwidthDelays(t *testing.T) {
+	tp, d := twoChunkLine()
+	base, err := SolveMILP(tp, d, Options{Epochs: 8})
 	if err != nil {
 		t.Fatalf("base: %v", err)
 	}
 	// Link dead for the first two epochs.
-	throttled, err := SolveMILP(tp, d, Options{
-		Epochs: 8, NoIncumbentHeuristic: true,
-		LinkCapacity: func(l topo.LinkID, epoch int) float64 {
-			if epoch < 2 {
-				return 0
-			}
-			return 1
-		},
-	})
+	throttled, err := SolveMILP(tp, d, Options{Epochs: 8, LinkCapacity: deadEpochs(0, 1)})
 	if err != nil {
 		t.Fatalf("throttled: %v", err)
 	}
@@ -128,10 +154,63 @@ func TestVariableBandwidthDelays(t *testing.T) {
 	if tf != bf+2 {
 		t.Fatalf("throttling 2 epochs moved finish %d -> %d, want +2", bf, tf)
 	}
-	// No send may use the dead epochs.
-	for _, snd := range throttled.Schedule.Sends {
-		if snd.Epoch < 2 {
-			t.Fatalf("send scheduled in a zero-capacity epoch: %+v", snd)
+	sendsAvoid(t, throttled, 0, 1)
+}
+
+// TestVariableBandwidthAutoEpochs: with the horizon auto-estimated, the
+// greedy schedulers' finish must not tighten it under a capacity schedule
+// they do not model — it used to shrink K to 2 and make both forms
+// infeasible.
+func TestVariableBandwidthAutoEpochs(t *testing.T) {
+	tp, d := twoChunkLine()
+	opt := Options{LinkCapacity: deadEpochs(0, 1)}
+	for name, solve := range map[string]func(*topo.Topology, *collective.Demand, Options) (*Result, error){
+		"milp": SolveMILP, "lp": SolveLP,
+	} {
+		t.Run(name, func(t *testing.T) {
+			res, err := solve(tp, d, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fe := res.Schedule.FinishEpoch(); fe != 3 {
+				t.Fatalf("finish epoch = %d, want 3", fe)
+			}
+			sendsAvoid(t, res, 0, 1)
+		})
+	}
+}
+
+// TestAStarVariableBandwidth: A* rounds are the same model, so they honor
+// the capacity schedule too — by global epoch, across the round boundary
+// (rounds of 3 epochs: 0 and 1 are dead in the first, 3 in the second).
+func TestAStarVariableBandwidth(t *testing.T) {
+	tp, d := twoChunkLine()
+	base, err := SolveAStar(tp, d, Options{RoundEpochs: 3})
+	if err != nil {
+		t.Fatalf("base: %v", err)
+	}
+	throttled, err := SolveAStar(tp, d, Options{RoundEpochs: 3, LinkCapacity: deadEpochs(0, 1, 3)})
+	if err != nil {
+		t.Fatalf("throttled: %v", err)
+	}
+	bf, tf := base.Schedule.FinishEpoch(), throttled.Schedule.FinishEpoch()
+	if tf != bf+3 {
+		t.Fatalf("3 dead epochs moved finish %d -> %d, want +3", bf, tf)
+	}
+	sendsAvoid(t, throttled, 0, 1, 3)
+}
+
+// TestAStarRejectsBufferOptions: the A* round state has no bufferless-GPU
+// or eviction case, so the options that need one are refused by name
+// instead of being dropped.
+func TestAStarRejectsBufferOptions(t *testing.T) {
+	tp, d := twoChunkLine()
+	for name, opt := range map[string]Options{
+		"NoBuffers":         {NoBuffers: true},
+		"BufferLimitChunks": {BufferLimitChunks: 1},
+	} {
+		if _, err := SolveAStar(tp, d, opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("SolveAStar with %s: err = %v, want an error naming the option", name, err)
 		}
 	}
 }

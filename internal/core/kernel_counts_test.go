@@ -17,13 +17,39 @@ import (
 	"teccl/internal/topo"
 )
 
-// kernelCounts is the exact effort of one solve.
+// kernelCounts is the exact effort of one solve (Rounds is 0 off the A*
+// path).
 type kernelCounts struct {
-	Root, Refactorizations, FTUpdates, UpdateNnz, Nodes, NodeIters int
+	Root, Refactorizations, FTUpdates, UpdateNnz, Nodes, NodeIters, Rounds int
 }
 
 func countsOf(r *Result) kernelCounts {
-	return kernelCounts{r.RootIterations, r.Refactorizations, r.FTUpdates, r.UpdateNnz, r.Nodes, r.NodeIterations}
+	return kernelCounts{r.RootIterations, r.Refactorizations, r.FTUpdates, r.UpdateNnz, r.Nodes, r.NodeIterations, r.Rounds}
+}
+
+// link0 and lateLink pick the link a pinned Replan takes down: link 0, or
+// the link whose first use in the plan is latest (lowest ID on ties) — for
+// an A* plan one that only a later round uses, so the earlier rounds
+// replay and the round loop resumes mid-stream.
+func link0(*testing.T, *Plan) topo.LinkID { return 0 }
+
+func lateLink(t *testing.T, p *Plan) topo.LinkID {
+	first := map[topo.LinkID]int{}
+	for _, snd := range p.Schedule.Sends {
+		if e, ok := first[snd.Link]; !ok || snd.Epoch < e {
+			first[snd.Link] = snd.Epoch
+		}
+	}
+	best := p.Schedule.Sends[0].Link
+	for l, e := range first {
+		if e > first[best] || (e == first[best] && l < best) {
+			best = l
+		}
+	}
+	if Kr := p.Epochs / p.Rounds; first[best] < Kr {
+		t.Fatalf("every link is used in round 0 (latest first use: epoch %d, Kr = %d); nothing would replay", first[best], Kr)
+	}
+	return best
 }
 
 func TestKernelCountsPinned(t *testing.T) {
@@ -40,7 +66,7 @@ func TestKernelCountsPinned(t *testing.T) {
 		demand func(*topo.Topology) *collective.Demand
 		opt    Options
 		solver Solver
-		down   bool // follow the plan with a link-down Replan (dual simplex)
+		down   func(*testing.T, *Plan) topo.LinkID // follow the plan with a Replan taking this link down
 		want   kernelCounts
 		replan kernelCounts
 	}{
@@ -61,13 +87,30 @@ func TestKernelCountsPinned(t *testing.T) {
 		{name: "internal1x2-allgather-milp", topo: topo.Internal1(2), demand: allGather,
 			opt: Options{EpochMode: SlowestLink}, solver: SolverMILP,
 			want: kernelCounts{Root: 1948, Refactorizations: 38, FTUpdates: 1989, UpdateNnz: 17354, Nodes: 24, NodeIters: 186}},
-		{name: "dgx1-alltoall-linkdown-replan", topo: topo.DGX1(), demand: allToAll, solver: SolverLP, down: true,
+		{name: "dgx1-alltoall-linkdown-replan", topo: topo.DGX1(), demand: allToAll, solver: SolverLP, down: link0,
 			want:   kernelCounts{Root: 2100, Refactorizations: 44, FTUpdates: 2069, UpdateNnz: 39620},
 			replan: kernelCounts{Root: 38, Refactorizations: 1, FTUpdates: 35, UpdateNnz: 506}},
+		// The A* path, recorded at the commit before the round model and
+		// the monolithic MILP became one emitter. NDv2Mini(2) on the fastest
+		// link has κ up to 4, δ up to 3 and Kr = 9, so pending GPU and
+		// switch arrivals and the capacity window straddling a round
+		// boundary are all on the path; the last case takes down a link a
+		// later round uses, so the round loop is re-entered mid-stream.
+		{name: "ndv2mini2-allgather-astar", topo: topo.NDv2Mini(2), demand: allGather, solver: SolverAStar,
+			want: kernelCounts{Root: 515, Refactorizations: 15, FTUpdates: 493, UpdateNnz: 2080, Nodes: 6, NodeIters: 77, Rounds: 6}},
+		{name: "internal1x4-allgather-astar-slowest", topo: topo.Internal1(4), demand: allGather,
+			opt: Options{EpochMode: SlowestLink}, solver: SolverAStar,
+			want: kernelCounts{Root: 1637, Refactorizations: 254, FTUpdates: 2497, UpdateNnz: 19807, Nodes: 241, NodeIters: 1874, Rounds: 3}},
+		{name: "ndv2mini2-allgather-astar-linkdown-resume", topo: topo.NDv2Mini(2), demand: allGather,
+			solver: SolverAStar, down: lateLink,
+			want:   kernelCounts{Root: 515, Refactorizations: 15, FTUpdates: 493, UpdateNnz: 2080, Nodes: 6, NodeIters: 77, Rounds: 6},
+			replan: kernelCounts{Root: 128, Refactorizations: 9, FTUpdates: 117, UpdateNnz: 412, Nodes: 4, NodeIters: 33, Rounds: 5}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pl := NewPlanner(c.topo, PlannerOptions{Defaults: c.opt})
+			// Unbudgeted replans: a wall-clock budget abort (race detector,
+			// loaded host) would turn the A* resume into a cold fallback.
+			pl := NewPlanner(c.topo, PlannerOptions{Defaults: c.opt, Replan: ReplanOptions{RegretFraction: -1}})
 			defer pl.Close()
 			plan, err := pl.Plan(context.Background(), Request{Demand: c.demand(c.topo), Solver: c.solver})
 			if err != nil {
@@ -76,10 +119,10 @@ func TestKernelCountsPinned(t *testing.T) {
 			if got := countsOf(plan.Result); got != c.want {
 				t.Errorf("plan: %+v, pinned %+v", got, c.want)
 			}
-			if !c.down {
+			if c.down == nil {
 				return
 			}
-			rp, err := pl.Replan(context.Background(), Delta{LinksDown: []topo.LinkID{0}})
+			rp, err := pl.Replan(context.Background(), Delta{LinksDown: []topo.LinkID{c.down(t, plan)}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -565,9 +565,11 @@ func prepIndex(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
 	}
 	// Tighten an auto-estimated horizon with a quick greedy upper bound:
 	// the LP optimum finishes no later than the greedy schedule. The
-	// greedy plan's sends are kept as the crash-basis seed.
+	// greedy plan's sends are kept as the crash-basis seed. The greedy
+	// budgets a constant capacity per window, so under a per-epoch
+	// LinkCapacity its finish is no bound at all.
 	var greedy []schedule.Send
-	if opt.Epochs == 0 {
+	if opt.Epochs == 0 && opt.LinkCapacity == nil {
 		bound, sends := lpGreedyBound(in)
 		greedy = sends
 		if bound >= 0 && bound+1 < in.K {

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-
+	"math"
 	"time"
 
 	"teccl/internal/collective"
@@ -13,12 +13,19 @@ import (
 	"teccl/internal/topo"
 )
 
-// milpModel holds the variable indexing of one general-form instance.
+// milpModel is the §3.1 general form over one span of epochs, with the
+// variable and row indexes its solution is read back through. The
+// monolithic MILP and every A* round (§4.2) are this one struct, filled
+// by emit.
 type milpModel struct {
 	in *instance
-	p  *lp.Problem
+	// hop is in.hopDistances(): reachability pruning and, mid-stream, the
+	// Appendix D potential.
+	hop [][]float64
+	p   *lp.Problem
 
-	// fvar[ci][l][k] and bvar[ci][n][k] hold VarIDs, -1 where pruned.
+	// fvar[ci][l][k] and bvar[ci][n][k] hold VarIDs by span-local epoch,
+	// -1 where pruned.
 	fvar [][][]int32
 	bvar [][][]int32
 	ints []lp.VarID
@@ -52,115 +59,212 @@ func (in *instance) bufferless(ci, n int) bool {
 	return true
 }
 
-// buildMILP constructs the general formulation of §3.1 (with the
-// Appendix A initialization, Appendix B buffer limits, and Appendix F
-// windowed capacity constraints).
+// buildMILP constructs the general formulation of §3.1 over the whole
+// horizon (with the Appendix A initialization, Appendix B buffer limits,
+// and Appendix F windowed capacity constraints).
 func buildMILP(in *instance) (*milpModel, error) {
+	m := &milpModel{in: in, hop: in.hopDistances()}
+	return m, m.emit(0, in.K, true, newAStarState(in))
+}
+
+// emit is the one statement of the §3.1 MILP: it builds m.p over epochs
+// [lo, hi) opened from boundary st, and records the variable and row
+// indexes in m. The boundary carries the holders (their buffer is the
+// constant 1), the outstanding demands, the GPU and switch arrivals
+// already in flight (right-hand-side constants of the rows they land in)
+// and the previous span's link load, charged against the capacity windows
+// that straddle lo. Two callers:
+//
+//   - buildMILP: the whole horizon from the initial state, final.
+//   - solveRound (astar.go): one A* round from the state the earlier
+//     rounds left, not final.
+//
+// final is the one semantic difference between the end of the horizon and
+// a span that carries over: a final span's sends must land by hi and its
+// outstanding destinations' last buffers are fixed at 1; otherwise a send
+// may land up to one more span later, a GPU receives a chunk at most once
+// across the boundary (the dedup rows), and on top of the 1/k delivery
+// reward end-of-span positions and carried-over sends earn the Appendix D
+// distance potential.
+//
+// Variable names carry the span-local epoch, so the name-matched warm
+// start lines one span's basis up with the next. The creation order — all
+// F, all B, the X of limited buffers, then buffer evolution, conservation,
+// dedup, capacity and buffer-limit rows — fixes the pivot path of every
+// solve and is pinned by TestKernelCountsPinned and
+// bench/expected/seed1.json (make bench-verify).
+func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
+	in, hop := m.in, m.hop
 	t := in.topo
-	K := in.K
+	span := hi - lo
 	nL := t.NumLinks()
 	nN := t.NumNodes()
-	m := &milpModel{in: in, p: lp.NewProblem(lp.Maximize)}
-	p := m.p
+	nC := len(in.comms)
+	p := lp.NewProblem(lp.Maximize)
+	m.p = p
 
-	// Flow variables F[ci][l][k], binary, pruned by send windows.
-	m.fvar = make([][][]int32, len(in.comms))
-	for ci := range in.comms {
+	// A send at local epoch k on link l is forwardable at fwd(l, k); it
+	// must be by the end of this span when final, of the next otherwise.
+	fwd := func(l, k int) int { return k + in.delta[l] + in.kappa[l] }
+	land := span
+	if !final {
+		land = 2 * span
+	}
+
+	// Per commodity: whether any demand is outstanding (the others need
+	// no new flow), and the earliest local epoch it can be forwardable at
+	// each node, from its holders and its arrivals in flight. inbound
+	// marks GPUs an arrival is already committed to.
+	active := make([]bool, nC)
+	earliest := make([][]float64, nC)
+	for ci := range earliest {
+		e := make([]float64, nN)
+		for n := range e {
+			e[n] = math.Inf(1)
+		}
+		for n := 0; n < nN; n++ {
+			active[ci] = active[ci] || st.needs[n][ci]
+			if st.holds[n][ci] {
+				for v := range e {
+					e[v] = min(e[v], hop[n][v])
+				}
+			}
+		}
+		earliest[ci] = e
+	}
+	inbound := make(map[[2]int]bool, len(st.pendGPU))
+	for _, pa := range st.pendGPU {
+		inbound[[2]int{pa.node, pa.ci}] = true
+	}
+	pendAt := map[[3]int]float64{} // (ci, node, local epoch) -> arrivals
+	for _, pend := range [][]pendingArrival{st.pendGPU, st.pendSwitch} {
+		for _, pa := range pend {
+			pendAt[[3]int{pa.ci, pa.node, pa.localEpoch}]++
+			e := earliest[pa.ci]
+			for v := range e {
+				// hop[n][n] is 0: a switch may forward at exactly the
+				// arrival epoch.
+				e[v] = min(e[v], float64(pa.localEpoch)+hop[pa.node][v])
+			}
+		}
+	}
+
+	// Appendix D: the closer a chunk sits to a node still demanding it,
+	// the larger the reward.
+	gamma := 0.1 / float64(span)
+	potential := func(ci, n int) float64 {
+		best := math.Inf(1)
+		for dd := 0; dd < nN; dd++ {
+			if st.needs[dd][ci] {
+				best = min(best, hop[n][dd])
+			}
+		}
+		if math.IsInf(best, 1) {
+			return 0
+		}
+		return gamma / (1 + best)
+	}
+
+	// Flow variables F[ci][l][k], binary, pruned by send windows. Never
+	// into the commodity's own source, a holder, or a GPU the chunk is
+	// already in flight to: such flows are wasteful or double-deliver.
+	m.fvar = make([][][]int32, nC)
+	for ci, cm := range in.comms {
 		m.fvar[ci] = make([][]int32, nL)
 		for l := 0; l < nL; l++ {
-			col := make([]int32, K)
-			for k := range col {
-				col[k] = noVar
-			}
+			col := noVars(span)
 			m.fvar[ci][l] = col
-			for k := 0; k < K; k++ {
-				if !in.sendWindow(ci, l, k) {
+			if !active[ci] || t.LinkDown(topo.LinkID(l)) {
+				continue
+			}
+			lk := t.Link(topo.LinkID(l))
+			dst := int(lk.Dst)
+			if dst == cm.src || st.holds[dst][ci] || inbound[[2]int{dst, ci}] {
+				continue
+			}
+			for k := 0; k < span; k++ {
+				if float64(k) < earliest[ci][lk.Src] || fwd(l, k) > land {
 					continue
 				}
-				v := p.AddVar(fmt.Sprintf("F[s%d.c%d,l%d,k%d]",
-					in.comms[ci].src, in.comms[ci].chunk, l, k), 0, 1, 0)
+				w := 0.0
+				if fwd(l, k) > span {
+					// Lands next span: reward the chunk for being en route
+					// toward its destination.
+					w = 0.9 * potential(ci, dst)
+				}
+				v := p.AddVar(fmt.Sprintf("F[s%d.c%d,l%d,k%d]", cm.src, cm.chunk, l, k), 0, 1, w)
 				col[k] = int32(v)
 				m.ints = append(m.ints, v)
 			}
 		}
 	}
 
-	// Buffer variables B[ci][n][k] for buffered nodes only. The source's
-	// buffer is fixed at 1 (it never loses its chunk); other nodes start
-	// at 0 and can first hold the chunk at their earliest epoch.
-	m.bvar = make([][][]int32, len(in.comms))
-	wantsIt := func(ci, n int) bool {
-		for _, d := range in.comms[ci].dests {
-			if d == n {
-				return true
-			}
-		}
-		return false
-	}
+	// Buffer variables B[ci][n][k] for buffered nodes only. A holder's
+	// buffer is the constant 1 (it never loses its chunk); other nodes
+	// start at 0 and can first hold the chunk at their earliest epoch.
+	m.bvar = make([][][]int32, nC)
 	for ci, cm := range in.comms {
 		m.bvar[ci] = make([][]int32, nN)
 		for n := 0; n < nN; n++ {
-			col := make([]int32, K+1)
-			for k := range col {
-				col[k] = noVar
-			}
+			col := noVars(span + 1)
 			m.bvar[ci][n] = col
-			if in.bufferless(ci, n) {
+			if !active[ci] || in.bufferless(ci, n) || st.holds[n][ci] || math.IsInf(earliest[ci][n], 1) {
 				continue
 			}
-			if n == cm.src {
-				// Fixed 1 across all epochs; materialized lazily as a
-				// fixed variable only if the buffer-limit constraint
-				// needs it. Flow conservation treats it as the constant 1.
-				continue
-			}
-			e := in.earliest[ci][n]
-			for k := e; k <= K; k++ {
-				if k < 1 {
-					continue // B_0 is 0 for non-sources
-				}
-				v := p.AddVar(fmt.Sprintf("B[s%d.c%d,n%d,k%d]", cm.src, cm.chunk, n, k), 0, 1, 0)
-				col[k] = int32(v)
+			for k := max(int(earliest[ci][n]), 1); k <= span; k++ {
 				// Objective: a destination holding the chunk at the start
 				// of epoch k received it by the end of epoch k-1; the
 				// paper's 1/(k+1) reward for delivery by end of epoch k
 				// becomes a 1/k weight on B_k.
-				if wantsIt(ci, n) {
-					p.SetObj(v, in.opt.priorityOf(cm.src, cm.chunk, n)/float64(k))
+				w := 0.0
+				if st.needs[n][ci] {
+					w = in.opt.priorityOf(cm.src, cm.chunk, n) / float64(k)
 				}
+				if !final && k == span {
+					w += potential(ci, n)
+				}
+				col[k] = int32(p.AddVar(fmt.Sprintf("B[s%d.c%d,n%d,k%d]", cm.src, cm.chunk, n, k), 0, 1, w))
 			}
 			// Destination constraint: full demand met by the last epoch.
-			if wantsIt(ci, n) {
-				if col[K] == noVar {
-					return nil, fmt.Errorf("core: destination %d cannot receive chunk (%d,%d) within %d epochs",
-						n, cm.src, cm.chunk, K)
+			if final && st.needs[n][ci] {
+				if col[span] == noVar {
+					return fmt.Errorf("core: destination %d cannot receive chunk (%d,%d) within %d epochs",
+						n, cm.src, cm.chunk, span)
 				}
-				p.SetBounds(lp.VarID(col[K]), 1, 1)
+				p.SetBounds(lp.VarID(col[span]), 1, 1)
 			}
 		}
 	}
 
 	fAt := func(ci, l, k int) int32 {
-		if k < 0 || k >= K {
+		if k < 0 || k >= span {
 			return noVar
 		}
 		return m.fvar[ci][l][k]
+	}
+	// arrivals appends to terms, negated, the flows of ci forwardable at
+	// node n at exactly local epoch k.
+	arrivals := func(terms []lp.Term, ci, n, k int) []lp.Term {
+		for _, lid := range t.In(topo.NodeID(n)) {
+			l := int(lid)
+			if f := fAt(ci, l, k-in.delta[l]-in.kappa[l]); f != noVar {
+				terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: -1})
+			}
+		}
+		return terms
 	}
 
 	// Removal variables for limited buffers (Appendix B).
 	var xvar [][][]int32
 	if in.opt.BufferLimitChunks > 0 {
-		xvar = make([][][]int32, len(in.comms))
-		for ci := range in.comms {
+		xvar = make([][][]int32, nC)
+		for ci := range xvar {
 			xvar[ci] = make([][]int32, nN)
-			for n := 0; n < nN; n++ {
-				col := make([]int32, K+1)
-				for k := range col {
-					col[k] = noVar
-				}
+			for n := range xvar[ci] {
+				col := noVars(span + 1)
 				xvar[ci][n] = col
-				for k := 0; k <= K; k++ {
-					if m.bvar[ci][n][k] != noVar {
+				for k, b := range m.bvar[ci][n] {
+					if b != noVar {
 						col[k] = int32(p.AddVar("", 0, 1, 0))
 					}
 				}
@@ -169,45 +273,33 @@ func buildMILP(in *instance) (*milpModel, error) {
 	}
 
 	// Buffer evolution: B_k = B_{k-1} (- X_{k-1}) + arrivals forwardable
-	// at k, where arrivals at k were sent at k - δ - κ.
-	for ci := range in.comms {
-		cm := in.comms[ci]
+	// at k, where arrivals at k were sent at k - δ - κ — or before lo, in
+	// which case they are a constant.
+	for ci := 0; ci < nC; ci++ {
 		for n := 0; n < nN; n++ {
-			if in.bufferless(ci, n) || n == cm.src {
+			if in.bufferless(ci, n) || st.holds[n][ci] {
 				continue
 			}
-			for k := 1; k <= K; k++ {
-				bk := m.bvar[ci][n][k]
-				bkPrev := m.bvar[ci][n][k-1]
+			for k := 1; k <= span; k++ {
 				var terms []lp.Term
-				if bk != noVar {
+				if bk := m.bvar[ci][n][k]; bk != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(bk), Coeff: 1})
 				}
-				if bkPrev != noVar {
+				if bkPrev := m.bvar[ci][n][k-1]; bkPrev != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(bkPrev), Coeff: -1})
 					if xvar != nil && xvar[ci][n][k-1] != noVar {
 						terms = append(terms, lp.Term{Var: lp.VarID(xvar[ci][n][k-1]), Coeff: 1})
 					}
 				}
-				hasArrival := false
-				for _, lid := range t.In(topo.NodeID(n)) {
-					l := int(lid)
-					if f := fAt(ci, l, k-in.delta[l]-in.kappa[l]); f != noVar {
-						terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: -1})
-						hasArrival = true
-					}
+				if terms = arrivals(terms, ci, n, k); len(terms) > 0 {
+					p.AddRow(terms, lp.EQ, pendAt[[3]int{ci, n, k}])
 				}
-				if bk == noVar && bkPrev == noVar && !hasArrival {
-					continue
-				}
-				p.AddRow(terms, lp.EQ, 0)
 			}
 		}
 	}
 
 	// Flow conservation.
-	for ci := range in.comms {
-		cm := in.comms[ci]
+	for ci := 0; ci < nC; ci++ {
 		for n := 0; n < nN; n++ {
 			outLinks := t.Out(topo.NodeID(n))
 			if len(outLinks) == 0 {
@@ -215,15 +307,14 @@ func buildMILP(in *instance) (*milpModel, error) {
 			}
 			if !in.bufferless(ci, n) {
 				// Buffered GPU: each outgoing send needs the chunk in the
-				// buffer at the start of the epoch. Sources hold their
+				// buffer at the start of the epoch. Holders keep their
 				// chunks permanently (constant 1), so no row is needed.
-				if n == cm.src {
+				if st.holds[n][ci] {
 					continue
 				}
 				for _, lid := range outLinks {
-					l := int(lid)
-					for k := 0; k < K; k++ {
-						f := fAt(ci, l, k)
+					for k := 0; k < span; k++ {
+						f := fAt(ci, int(lid), k)
 						if f == noVar {
 							continue
 						}
@@ -243,90 +334,108 @@ func buildMILP(in *instance) (*milpModel, error) {
 				continue
 			}
 			// Bufferless node (switch, or GPU under NoBuffers): outgoing
-			// sends at k draw on arrivals forwardable exactly at k.
+			// sends at k draw on arrivals forwardable exactly at k,
+			// carried-over ones included.
 			copyOK := in.opt.SwitchMode == SwitchCopy || !t.IsSwitch(topo.NodeID(n))
-			for k := 0; k < K; k++ {
-				var arrivals []lp.Term
-				for _, lid := range t.In(topo.NodeID(n)) {
-					l := int(lid)
-					if f := fAt(ci, l, k-in.delta[l]-in.kappa[l]); f != noVar {
-						arrivals = append(arrivals, lp.Term{Var: lp.VarID(f), Coeff: -1})
+			for k := 0; k < span; k++ {
+				arr := arrivals(nil, ci, n, k)
+				carried := pendAt[[3]int{ci, n, k}]
+				var out []lp.Term
+				for _, lid := range outLinks {
+					if f := fAt(ci, int(lid), k); f != noVar {
+						out = append(out, lp.Term{Var: lp.VarID(f), Coeff: 1})
 					}
 				}
-				if copyOK {
+				switch {
+				case len(arr) == 0 && carried == 0:
+					for _, tm := range out {
+						p.SetBounds(tm.Var, 0, 0)
+					}
+				case copyOK:
 					// Per outgoing link: F_out <= sum(arrivals).
-					for _, lid := range outLinks {
-						f := fAt(ci, int(lid), k)
-						if f == noVar {
-							continue
-						}
-						if len(arrivals) == 0 {
-							p.SetBounds(lp.VarID(f), 0, 0)
-							continue
-						}
-						row := append([]lp.Term{{Var: lp.VarID(f), Coeff: 1}}, arrivals...)
-						p.AddRow(row, lp.LE, 0)
+					for _, tm := range out {
+						p.AddRow(append([]lp.Term{tm}, arr...), lp.LE, carried)
 					}
-				} else {
+				case len(out) > 0:
 					// Legacy switch: total out <= total in.
-					var row []lp.Term
-					for _, lid := range outLinks {
-						if f := fAt(ci, int(lid), k); f != noVar {
+					p.AddRow(append(out, arr...), lp.LE, carried)
+				}
+			}
+		}
+	}
+
+	// Cross-span dedup: a GPU may receive each chunk at most once in
+	// total — landings inside the span (reflected in B at its end) plus
+	// carryover sends that land in the next.
+	if !final {
+		for ci := 0; ci < nC; ci++ {
+			for n := 0; n < nN; n++ {
+				if in.bufferless(ci, n) || st.holds[n][ci] {
+					continue
+				}
+				var row []lp.Term
+				if b := m.bvar[ci][n][span]; b != noVar {
+					row = append(row, lp.Term{Var: lp.VarID(b), Coeff: 1})
+				}
+				carried := false
+				for _, lid := range t.In(topo.NodeID(n)) {
+					l := int(lid)
+					for k := 0; k < span; k++ {
+						if f := fAt(ci, l, k); f != noVar && fwd(l, k) > span {
 							row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
+							carried = true
 						}
 					}
-					if len(row) == 0 {
-						continue
-					}
-					if len(arrivals) == 0 {
-						for _, tm := range row {
-							p.SetBounds(tm.Var, 0, 0)
-						}
-						continue
-					}
-					p.AddRow(append(row, arrivals...), lp.LE, 0)
+				}
+				if carried && len(row) > 1 {
+					p.AddRow(row, lp.LE, 1)
 				}
 			}
 		}
 	}
 
 	// Capacity (windowed when κ > 1, Appendix F), with per-epoch
-	// variable-bandwidth scaling (§5).
+	// variable-bandwidth scaling (§5); a window straddling lo is charged
+	// for the previous span's transmissions still on the wire.
 	m.capRow = make([][]int32, nL)
 	for l := 0; l < nL; l++ {
-		m.capRow[l] = noVars(K)
-		for k := 0; k < K; k++ {
+		m.capRow[l] = noVars(span)
+		for k := 0; k < span; k++ {
 			var row []lp.Term
-			for kk := max(k-in.kappa[l]+1, 0); kk <= k; kk++ {
-				for ci := range in.comms {
+			carry := 0.0
+			for kk := k - in.kappa[l] + 1; kk <= k; kk++ {
+				if kk < 0 {
+					carry += st.prevLoad[[2]int{l, lo + kk}]
+					continue
+				}
+				for ci := 0; ci < nC; ci++ {
 					if f := fAt(ci, l, kk); f != noVar {
 						row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
 					}
 				}
 			}
-			if len(row) == 0 {
-				continue
+			if len(row) > 0 {
+				m.capRow[l][k] = int32(p.AddRow(row, lp.LE, max(in.capBudget(l, lo+k)-carry, 0)))
 			}
-			m.capRow[l][k] = int32(p.AddRow(row, lp.LE, in.capBudget(l, k)))
 		}
 	}
 
 	// Buffer size limit (Appendix B): sum of buffered chunks per node and
-	// epoch, counting the source's own resident chunks as constants.
+	// epoch, counting the chunks the node holds for good as constants.
 	if in.opt.BufferLimitChunks > 0 {
 		for n := 0; n < nN; n++ {
 			if t.IsSwitch(topo.NodeID(n)) {
 				continue
 			}
 			resident := 0
-			for _, cm := range in.comms {
-				if cm.src == n {
+			for _, held := range st.holds[n] {
+				if held {
 					resident++
 				}
 			}
-			for k := 1; k <= K; k++ {
+			for k := 1; k <= span; k++ {
 				var row []lp.Term
-				for ci := range in.comms {
+				for ci := 0; ci < nC; ci++ {
 					if b := m.bvar[ci][n][k]; b != noVar {
 						row = append(row, lp.Term{Var: lp.VarID(b), Coeff: 1})
 					}
@@ -334,43 +443,46 @@ func buildMILP(in *instance) (*milpModel, error) {
 				if len(row) == 0 {
 					continue
 				}
-				rhs := float64(in.opt.BufferLimitChunks - resident)
-				if rhs < 0 {
-					return nil, fmt.Errorf("core: buffer limit %d below node %d's own %d chunks",
+				if resident > in.opt.BufferLimitChunks {
+					return fmt.Errorf("core: buffer limit %d below node %d's own %d chunks",
 						in.opt.BufferLimitChunks, n, resident)
 				}
-				p.AddRow(row, lp.LE, rhs)
+				p.AddRow(row, lp.LE, float64(in.opt.BufferLimitChunks-resident))
 			}
 		}
 	}
-
-	return m, nil
+	return nil
 }
 
-// extractSchedule converts a MILP point into a pruned, validated schedule.
-func (m *milpModel) extractSchedule(x []float64) (*schedule.Schedule, error) {
-	in := m.in
+// sends reads the whole-chunk sends off a MILP point, span-local epoch k
+// at global epoch off+k.
+func (m *milpModel) sends(x []float64, off int) []schedule.Send {
 	var sends []schedule.Send
-	for ci, cm := range in.comms {
-		for l := 0; l < in.topo.NumLinks(); l++ {
-			for k := 0; k < in.K; k++ {
-				v := m.fvar[ci][l][k]
+	for ci, cm := range m.in.comms {
+		for l, col := range m.fvar[ci] {
+			for k, v := range col {
 				if v == noVar || x[v] < 0.5 {
 					continue
 				}
 				sends = append(sends, schedule.Send{
 					Src: cm.src, Chunk: cm.chunk,
-					Link: topo.LinkID(l), Epoch: k, Fraction: 1,
+					Link: topo.LinkID(l), Epoch: off + k, Fraction: 1,
 				})
 			}
 		}
 	}
+	return sends
+}
+
+// extractSchedule converts a MILP point into a pruned, validated schedule.
+func (m *milpModel) extractSchedule(x []float64) (*schedule.Schedule, error) {
+	in := m.in
 	s := &schedule.Schedule{
 		Topo:           in.topo,
 		Demand:         in.demand,
 		Tau:            in.tau,
 		NumEpochs:      in.K,
-		Sends:          sends,
+		Sends:          m.sends(x, 0),
 		AllowCopy:      true,
 		EpochsPerChunk: in.epochsPerChunk(),
 	}
@@ -412,10 +524,10 @@ func solveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt 
 		return emptyResult(in, start), nil, nil, nil
 	}
 
-	// The greedy warm start assumes buffered GPUs and copy-capable
-	// switches; skip it for the other models.
+	// The greedy warm start assumes buffered GPUs, copy-capable switches
+	// and a constant link budget; skip it for the other models.
 	warmStart := !opt.NoIncumbentHeuristic && !opt.NoBuffers &&
-		opt.BufferLimitChunks == 0 && opt.SwitchMode == SwitchCopy
+		opt.BufferLimitChunks == 0 && opt.SwitchMode == SwitchCopy && opt.LinkCapacity == nil
 	var inc []schedule.Send
 	if warmStart {
 		inc = greedyIncumbent(in)
@@ -676,29 +788,4 @@ func emptyResult(in *instance, start time.Time) *Result {
 		Epochs:    in.K,
 		Tau:       in.tau,
 	}
-}
-
-// DebugMILPStats reports problem dimensions and root-relaxation effort for
-// one instance; used for performance diagnosis during development.
-func DebugMILPStats(t *topo.Topology, d *collective.Demand, opt Options) string {
-	in := newInstance(t, d, opt)
-	inc := greedyIncumbent(in)
-	gf := -1
-	if inc != nil {
-		gf = sendsFinishEpoch(in, inc)
-		opt2 := opt
-		opt2.Epochs = gf + 1
-		if in2 := newInstance(t, d, opt2); greedyIncumbent(in2) != nil {
-			in = in2
-		}
-	}
-	m, err := buildMILP(in)
-	if err != nil {
-		return fmt.Sprintf("build error: %v", err)
-	}
-	start := time.Now()
-	sol, _ := lp.Solve(m.p, lp.Options{})
-	return fmt.Sprintf("K=%d greedyFinish=%d vars=%d rows=%d ints=%d rootLP=%v status=%v iters=%d",
-		in.K, gf, m.p.NumVars(), m.p.NumRows(), len(m.ints),
-		time.Since(start).Round(time.Millisecond), sol.Status, sol.Iterations)
 }

@@ -305,17 +305,26 @@ func (pl *Planner) wallBudget() time.Duration {
 	return d
 }
 
-// deltaKappaPreserved is the structural gate every incremental form
-// shares: each live link of newTopo must keep the δ/κ it has in the
-// incumbent instance at the incumbent τ, or the time discretization of
-// the model no longer matches the world. It returns the churned
-// per-epoch chunk budgets when the gate passes.
-func deltaKappaPreserved(in *instance, newTopo *topo.Topology) ([]float64, bool) {
+// churnedInstance is the structural gate every incremental form shares,
+// and the edited instance it opens onto: each live link of newTopo must
+// keep the δ/κ it has in the incumbent instance at the incumbent τ, or
+// the time discretization of the model no longer matches the world (nil
+// is returned and the caller falls back structurally). The edited
+// instance is the incumbent's on the churned topology with the
+// recomputed per-epoch chunk budgets.
+func churnedInstance(in *instance, newTopo *topo.Topology) *instance {
+	abort := func() *instance {
+		replanAbortf("structural fallback: a live link changed δ/κ at the incumbent τ")
+		return nil
+	}
 	nL := newTopo.NumLinks()
 	if nL != in.topo.NumLinks() || nL != len(in.kappa) {
-		return nil, false
+		return abort()
 	}
-	capChunks := make([]float64, nL)
+	in2 := *in
+	in2.topo = newTopo
+	in2.capChunks = make([]float64, nL)
+	in2.opt.estimates = nil
 	for l := 0; l < nL; l++ {
 		if newTopo.LinkDown(topo.LinkID(l)) {
 			continue
@@ -331,11 +340,38 @@ func deltaKappaPreserved(in *instance, newTopo *topo.Topology) ([]float64, bool)
 			kap = int(math.Ceil(1/per - 1e-9))
 		}
 		if del != in.delta[l] || kap != in.kappa[l] {
-			return nil, false
+			return abort()
 		}
-		capChunks[l] = per
+		in2.capChunks[l] = per
 	}
-	return capChunks, true
+	return &in2
+}
+
+// applyLinkChurn perturbs q, a clone of an incumbent LP or MILP model
+// whose flow columns and capacity rows fvar and capRow index, to the
+// churned instance in2. Bound and RHS edits only, so the incumbent basis
+// stays dual feasible: a newly-downed link's flow columns are dropped,
+// and every live link's windowed capacity budgets are rewritten with the
+// churned capacities (cheap, and uniform across scaled/unscaled).
+func applyLinkChurn(q *lp.Problem, fvar [][][]int32, capRow [][]int32, in2 *instance, oldTopo *topo.Topology) {
+	for l := 0; l < in2.topo.NumLinks(); l++ {
+		lid := topo.LinkID(l)
+		if !in2.topo.LinkDown(lid) {
+			for k, r := range capRow[l] {
+				if r != noVar {
+					q.SetRHS(int(r), in2.capBudget(l, k))
+				}
+			}
+		} else if !oldTopo.LinkDown(lid) {
+			for ci := range fvar {
+				for _, v := range fvar[ci][l] {
+					if v != noVar {
+						q.SetBounds(lp.VarID(v), 0, 0)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Replan applies churn to the session and re-solves the incumbent
@@ -519,49 +555,15 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, newState *sessionSta
 	in := m.in
 	start := time.Now()
 
-	capChunks, ok := deltaKappaPreserved(in, newTopo)
-	if !ok {
-		replanAbortf("structural fallback: a live link changed δ/κ at the incumbent τ")
-		return nil, fbStructural
-	}
-
 	// The edited instance the schedule decomposition (and its built-in
 	// re-validation) runs against: the churned topology and demand, the
 	// recomputed per-epoch budgets, the incumbent discretization.
-	in2 := *in
-	in2.topo = newTopo
-	in2.capChunks = capChunks
-	in2.opt.estimates = nil
-
-	// Perturb a clone of the incumbent model. Bound and RHS edits only:
-	// the basis stays dual feasible.
+	in2 := churnedInstance(in, newTopo)
+	if in2 == nil {
+		return nil, fbStructural
+	}
 	q := m.p.Clone()
-	nL := newTopo.NumLinks()
-	for l := 0; l < nL; l++ {
-		if !newTopo.LinkDown(topo.LinkID(l)) || oldTopo.LinkDown(topo.LinkID(l)) {
-			continue
-		}
-		// Newly-downed link: drop its flow columns.
-		for si := range m.fvar {
-			for _, v := range m.fvar[si][l] {
-				if v != noVar {
-					q.SetBounds(lp.VarID(v), 0, 0)
-				}
-			}
-		}
-	}
-	// Rewrite every live link's windowed capacity budgets with the
-	// churned capacities (cheap, and uniform across scaled/unscaled).
-	for l := 0; l < nL; l++ {
-		if newTopo.LinkDown(topo.LinkID(l)) {
-			continue
-		}
-		for k, r := range m.capRow[l] {
-			if r != noVar {
-				q.SetRHS(int(r), in2.capBudget(l, k))
-			}
-		}
-	}
+	applyLinkChurn(q, m.fvar, m.capRow, in2, oldTopo)
 	// Demand drops: fix the pair's read columns at zero and zero its
 	// destination-total row. The supply rows are left alone — the
 	// source's inventory chain absorbs the now-undelivered chunks.
@@ -606,7 +608,7 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, newState *sessionSta
 	in2.demand = expanded
 	m2 := *m
 	m2.p = q
-	m2.in = &in2
+	m2.in = in2
 	m2.dem = dem
 
 	// New demand: price the appended pairs into the incumbent model as
@@ -702,44 +704,15 @@ func (pl *Planner) replanIncrementalMILP(ctx context.Context, newState *sessionS
 	in := m.in
 	start := time.Now()
 
-	capChunks, ok := deltaKappaPreserved(in, newTopo)
-	if !ok {
-		replanAbortf("structural fallback: a live link changed δ/κ at the incumbent τ")
+	in2 := churnedInstance(in, newTopo)
+	if in2 == nil {
 		return nil, fbStructural
 	}
-
-	in2 := *in
-	in2.topo = newTopo
-	in2.capChunks = capChunks
-	in2.opt.estimates = nil
-
 	q := m.p.Clone()
-	nL := newTopo.NumLinks()
-	for l := 0; l < nL; l++ {
-		if !newTopo.LinkDown(topo.LinkID(l)) || oldTopo.LinkDown(topo.LinkID(l)) {
-			continue
-		}
-		for ci := range m.fvar {
-			for _, v := range m.fvar[ci][l] {
-				if v != noVar {
-					q.SetBounds(lp.VarID(v), 0, 0)
-				}
-			}
-		}
-	}
-	for l := 0; l < nL; l++ {
-		if newTopo.LinkDown(topo.LinkID(l)) {
-			continue
-		}
-		for k, r := range m.capRow[l] {
-			if r != noVar {
-				q.SetRHS(int(r), in2.capBudget(l, k))
-			}
-		}
-	}
+	applyLinkChurn(q, m.fvar, m.capRow, in2, oldTopo)
 	m2 := *m
 	m2.p = q
-	m2.in = &in2
+	m2.in = in2
 
 	// Re-validate the integer incumbent against the churned world: a
 	// surviving incumbent both bounds the re-rooted search from below
@@ -847,16 +820,10 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *session
 	ain := inc.ain
 	start := time.Now()
 
-	capChunks, ok := deltaKappaPreserved(ain, newTopo)
-	if !ok {
-		replanAbortf("structural fallback: a live link changed δ/κ at the incumbent τ")
+	in2 := churnedInstance(ain, newTopo)
+	if in2 == nil {
 		return nil, fbStructural
 	}
-
-	in2 := *ain
-	in2.topo = newTopo
-	in2.capChunks = capChunks
-	in2.opt.estimates = nil
 	Kr := inc.aKr
 
 	// Affected horizon: the first round whose sends ride a newly-downed
@@ -895,7 +862,7 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *session
 
 	// Replay rounds [0, r0) through the state recurrence; sends of later
 	// rounds are discarded and re-solved below.
-	st := newAStarState(&in2)
+	st := newAStarState(in2)
 	byRound := make([][]schedule.Send, r0)
 	for _, snd := range inc.sends {
 		if r := snd.Epoch / Kr; r < r0 {
@@ -904,7 +871,7 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *session
 	}
 	var sends []schedule.Send
 	for r := 0; r < r0; r++ {
-		advanceState(&in2, st, byRound[r], r*Kr, Kr)
+		advanceState(in2, st, byRound[r], r*Kr, Kr)
 		sends = append(sends, byRound[r]...)
 	}
 
@@ -923,7 +890,7 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *session
 			ctx, c2 = withTimeLimit(ctx, wb)
 			defer c2()
 		}
-		resumed, rounds, rGap, rIters, err := astarLoop(ctx, &in2, st, hop, Kr, maxRounds, r0, nil)
+		resumed, rounds, rGap, rIters, err := astarLoop(ctx, in2, st, hop, Kr, maxRounds, r0, nil)
 		if err != nil {
 			if interrupted(ctx) != nil {
 				return nil, fbSour // caller surfaces the cancellation
@@ -985,7 +952,7 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *session
 			demand:  newDemand.Clone(),
 			opt:     inc.opt,
 			solver:  inc.solver,
-			ain:     &in2,
+			ain:     in2,
 			aKr:     Kr,
 			aRounds: totalRounds,
 			aGap:    gap,

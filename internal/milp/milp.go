@@ -100,9 +100,10 @@ type Options struct {
 	// Progress, when non-nil, is called after every evaluated node (and on
 	// root completion) with the search state so far. It must be fast and
 	// must not call back into the solver. Calls never overlap — the
-	// opportunistic driver invokes it under the search lock, the serial
-	// and deterministic drivers from their single coordinating goroutine
-	// — but successive calls may come from different goroutines.
+	// opportunistic driver invokes it under the search lock, the round
+	// driver (serial and deterministic searches) from its single
+	// coordinating goroutine — but successive calls may come from
+	// different goroutines.
 	Progress func(ProgressInfo)
 	// GapLimit stops the search once the relative primal-dual gap falls
 	// to or below this value (e.g. 0.3 reproduces the paper's Gurobi
@@ -239,10 +240,11 @@ type atomicFloat struct{ bits atomic.Uint64 }
 func (a *atomicFloat) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 func (a *atomicFloat) Load() float64   { return math.Float64frombits(a.bits.Load()) }
 
-// search is the shared state of one branch-and-bound run. In the serial
-// and deterministic drivers it is touched by one goroutine at a time; in
-// the opportunistic driver every field below mu is guarded by it, and
-// incObj mirrors the incumbent objective for lock-free pruning.
+// search is the shared state of one branch-and-bound run. In the round
+// driver (serial and deterministic searches) it is touched by one
+// goroutine at a time; in the opportunistic driver every field below mu
+// is guarded by it, and incObj mirrors the incumbent objective for
+// lock-free pruning.
 type search struct {
 	p     *Problem
 	opt   Options
@@ -541,13 +543,10 @@ func Solve(p *Problem, opt Options) *Solution {
 	if workers < 1 {
 		workers = 1
 	}
-	switch {
-	case opt.Deterministic:
-		s.runDeterministic(workers)
-	case workers > 1:
+	if workers > 1 && !opt.Deterministic {
 		s.runOpportunistic(workers)
-	default:
-		s.runSerial()
+	} else {
+		s.runRounds(workers)
 	}
 
 	s.sol.Nodes = s.nodes
@@ -653,38 +652,15 @@ func (s *search) integrate(nd *node, lpSol *lp.Solution, err error, exact bool) 
 	s.branch(nd, lpSol, exact)
 }
 
-// runSerial is the single-threaded driver: the classic best-first loop,
-// evaluating nodes one at a time on one private clone.
-func (s *search) runSerial() {
-	w := s.newWorker()
-	for s.h.Len() > 0 {
-		if s.limitsHit() {
-			s.hitLimit = true
-			return
-		}
-		nd := heap.Pop(s.h).(*node)
-		s.bestBound = nd.bound
-		if s.incumbentX != nil {
-			if s.pruned(nd.bound, s.incumbent, false) {
-				continue
-			}
-			if s.opt.GapLimit > 0 && s.relGap(s.bestBound, s.incumbent) <= s.opt.GapLimit {
-				s.hitLimit = true
-				return
-			}
-		}
-		s.nodes++
-		lpSol, err := w.eval(s, nd)
-		s.integrate(nd, lpSol, err, false)
-	}
-}
-
-// runDeterministic is the reproducible parallel driver: nodes are pulled
-// in best-first order into rounds of up to `workers` entries, evaluated
-// concurrently on private clones, and integrated in node order behind a
-// barrier. Exact pruning plus the lexicographic incumbent tie-break make
-// the result a pure function of the problem (see Options.Deterministic).
-func (s *search) runDeterministic(workers int) {
+// runRounds is the serial and the reproducible parallel driver: nodes are
+// pulled in best-first order into rounds of up to `workers` entries,
+// evaluated concurrently on private clones, and integrated in node order
+// behind a barrier. With one worker that is the classic best-first loop,
+// one node at a time. Under Options.Deterministic, exact pruning plus the
+// lexicographic incumbent tie-break make the result a pure function of
+// the problem for every worker count.
+func (s *search) runRounds(workers int) {
+	exact := s.opt.Deterministic
 	pool := make([]*worker, workers)
 	for i := range pool {
 		pool[i] = s.newWorker()
@@ -707,7 +683,7 @@ func (s *search) runDeterministic(workers int) {
 			if len(batch) == 0 {
 				s.bestBound = nd.bound // best-first: the round's first pop is the best open bound
 			}
-			if s.incumbentX != nil && s.pruned(nd.bound, s.incumbent, true) {
+			if s.incumbentX != nil && s.pruned(nd.bound, s.incumbent, exact) {
 				continue
 			}
 			batch = append(batch, slot{nd: nd})
@@ -736,7 +712,7 @@ func (s *search) runDeterministic(workers int) {
 		}
 		for i := range batch {
 			s.nodes++
-			s.integrate(batch[i].nd, batch[i].lpSol, batch[i].err, true)
+			s.integrate(batch[i].nd, batch[i].lpSol, batch[i].err, exact)
 		}
 	}
 }
