@@ -86,14 +86,16 @@ daemon-smoke:
 # loud enough to catch a perf cliff. NodeResolve reports B/op and
 # allocs/op of a branch-and-bound node re-solve, fresh context against
 # retained lp.Solver; FtranBtran the ns/op (and 0 allocs/op) of the three
-# triangular solves of a simplex iteration on a mid-update DGX1 basis.
+# triangular solves of a simplex iteration on a mid-update DGX1 basis;
+# PlanAllocs the B/op and allocs/op of one whole A*, MILP and horizon plan
+# (add -memprofile for the by-site table, see bench_test.go).
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|PlanAllocs|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
 
 # The same smoke under -short (GitHub Actions): trimmed sweeps, and the
 # minutes-scale benches (e.g. NDv2AllToAll) skip themselves.
 bench-smoke-short:
-	$(GO) test -short -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
+	$(GO) test -short -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|PlanAllocs|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
 
 # The full benchmark suite (one iteration each; wall-clock heavy).
 bench:

@@ -189,6 +189,45 @@ func BenchmarkLPInternal2AllToAll(b *testing.B) {
 	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }
 
+// BenchmarkPlanAllocs reports B/op and allocs/op of one whole plan for the
+// four shapes in which a single planning call solves many LPs: two A*
+// plans (one small MILP per round), a branch-and-bound MILP (a presolved
+// root, then node re-solves on a clone) and a rolling-horizon LP (one
+// presolved LP per window) — cold_milp's and cold_lp's classes of the
+// same names in bench/. Everything a plan allocates besides what it
+// returns is per-LP overhead multiplied by rounds × (root + nodes) or by
+// windows, so
+//
+//	go test -run xxx -bench PlanAllocs -benchtime 1x -memprofile m.out .
+//	go tool pprof -sample_index=alloc_space -top m.out
+//
+// is the by-site table allocation work on the solve path is sized from.
+func BenchmarkPlanAllocs(b *testing.B) {
+	allGather := func(t *Topology) *Demand { return AllGather(t, 1, 25e3) }
+	allToAll2 := func(t *Topology) *Demand { return AllToAll(t, 2, 25e3) }
+	for _, c := range []struct {
+		name   string
+		topo   *Topology
+		demand func(*Topology) *Demand
+		solve  func(*Topology, *Demand, Options) (*Result, error)
+	}{
+		{"astar-internal2x6-allgather", Internal2(6), allGather, SolveAStar},
+		{"astar-ndv2m3-allgather", NDv2Mini(3), allGather, SolveAStar},
+		{"milp-internal1x2-allgather", Internal1(2), allGather, SolveMILP},
+		{"horizon-ndv2m2-x2", NDv2Mini(2), allToAll2, SolveHorizon},
+	} {
+		d := c.demand(c.topo)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.solve(c.topo, d, Options{EpochMode: SlowestLink}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // sweepSizes is the batched-vs-rebuilt sweep workload: an alpha-free
 // DGX1 ALLTOALL size sweep in power-of-two steps, so the chunk-unit LPs
 // coincide bit-for-bit and BatchSolveLP replays every point after the

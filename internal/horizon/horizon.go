@@ -176,6 +176,11 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 	extensions := 0
 	stalled := 0
 	S := 0
+	// One solve workspace for every window's LP: each rebinds the storage
+	// the one before sized (windows of one horizon are near-equal in
+	// size), nothing numeric carries over, no result aliases it, and it
+	// dies with this call — a session, Result or Plan must never hold one.
+	var ws lp.Solver
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -211,7 +216,7 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 			lpOpt.WarmStart = warm
 			lpOpt.Method = lp.MethodDual
 		}
-		sol, err := lp.Solve(wlp.P, lpOpt)
+		sol, err := ws.Solve(wlp.P, lpOpt)
 		if err != nil {
 			return nil, err
 		}

@@ -56,27 +56,29 @@ type dualCand struct {
 
 // buildCSR materializes a row-wise copy of the structural matrix, used by
 // pivotRow to form α = ρᵀA in time proportional to the nonzeros of the
-// rows ρ touches. Built once, on first dual use.
+// rows ρ touches. Built on the first dual use of a binding, in storage
+// sized like the arrays bind sized.
 func (s *simplex) buildCSR() {
-	if s.rowStart != nil {
+	if s.csr {
 		return
 	}
-	s.alpha = make([]float64, s.nTotal)
-	s.alphaSeen = make([]bool, s.nTotal)
-	s.alphaNnz = make([]int32, 0, s.m)
-	m := s.m
-	cnt := make([]int32, m+1)
+	s.csr = true
+	m, nnz := s.m, len(s.colRow)
+	s.alpha = fit(s.alpha, s.nTotal, cap(s.lo))
+	s.alphaSeen = fit(s.alphaSeen, s.nTotal, cap(s.lo))
+	s.alphaNnz = fit(s.alphaNnz, m, cap(s.rhs))[:0]
+	s.rowStart = fit(s.rowStart, m+1, cap(s.rhs)+1)
+	clear(s.rowStart)
 	for _, r := range s.colRow {
-		cnt[r+1]++
+		s.rowStart[r+1]++
 	}
-	s.rowStart = cnt
 	for i := 0; i < m; i++ {
 		s.rowStart[i+1] += s.rowStart[i]
 	}
-	nnz := len(s.colRow)
-	s.rowColJ = make([]int32, nnz)
-	s.rowValR = make([]float64, nnz)
-	next := make([]int32, m)
+	s.rowColJ = fit(s.rowColJ, nnz, cap(s.colRow))
+	s.rowValR = fit(s.rowValR, nnz, cap(s.colRow))
+	next := fit(s.next, m, cap(s.rhs))
+	s.next = next
 	copy(next, s.rowStart[:m])
 	for j := 0; j < s.n; j++ {
 		for k := s.colStart[j]; k < s.colStart[j+1]; k++ {
@@ -107,7 +109,7 @@ func (s *simplex) computeDuals() {
 }
 
 // prepareDual decides whether the current (installed) basis is a usable
-// dual-feasible start, allocating the dual working state on first use.
+// dual-feasible start, sizing the dual working state on first use.
 // When allowFlips is set, boxed nonbasic variables whose reduced cost has
 // the wrong sign are flipped to their other bound — a free dual
 // feasibility repair — before giving up. Flips are only applied when the
@@ -117,10 +119,8 @@ func (s *simplex) prepareDual(allowFlips bool) bool {
 	if s.m == 0 {
 		return false
 	}
-	if s.d == nil {
-		s.d = make([]float64, s.nTotal)
-		s.dwt = make([]float64, s.m)
-	}
+	s.d = fit(s.d, s.nTotal, cap(s.lo))
+	s.dwt = fit(s.dwt, s.m, cap(s.rhs))
 	s.buildCSR()
 	s.computeDuals()
 

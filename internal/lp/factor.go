@@ -184,24 +184,25 @@ type luFactor struct {
 // rNnz is the nonzero count of the row-eta file.
 func (f *luFactor) rNnz() int { return len(f.etaIdx) }
 
-func newLUFactor(m int) *luFactor {
-	return &luFactor{
-		m:        m,
-		uIdx:     make([][]int32, m),
-		uVal:     make([][]float64, m),
-		uDiag:    make([]float64, m),
-		uColRows: make([][]int32, m),
-		order:    make([]int32, m),
-		stepPos:  make([]int32, m),
-		pivRow:   make([]int32, m),
-		pivCol:   make([]int32, m),
-		colStep:  make([]int32, m),
-		rowStep:  make([]int32, m),
-		work:     make([]float64, m),
-		spike:    make([]float64, m),
-		spikeNnz: make([]int32, 0, m),
-		acc:      make([]float64, m),
-	}
+// bind sizes the factor for bases of m columns in the storage it holds
+// (fresh storage gets room for a basis of `room`): every fixed-length
+// array is resliced, and the row and column lists keep what their entries
+// have grown to. factorize rebuilds all of it but acc, whose all-zero
+// invariant holds over its whole capacity.
+func (f *luFactor) bind(m, room int) {
+	f.m = m
+	f.uIdx, f.uVal = fitKeep(f.uIdx, m, room), fitKeep(f.uVal, m, room)
+	f.uColRows = fitKeep(f.uColRows, m, room)
+	f.uDiag = fit(f.uDiag, m, room)
+	f.order, f.stepPos = fit(f.order, m, room), fit(f.stepPos, m, room)
+	f.pivRow, f.pivCol = fit(f.pivRow, m, room), fit(f.pivCol, m, room)
+	f.colStep, f.rowStep = fit(f.colStep, m, room), fit(f.rowStep, m, room)
+	f.work, f.spike, f.acc = fit(f.work, m, room), fit(f.spike, m, room), fit(f.acc, m, room)
+	f.spikeNnz = fit(f.spikeNnz, m, room)[:0]
+	f.wsRowsIdx, f.wsRowsVal = fitKeep(f.wsRowsIdx, m, room), fitKeep(f.wsRowsVal, m, room)
+	f.wsColRows = fitKeep(f.wsColRows, m, room)
+	f.wsRowDone, f.wsColDone = fit(f.wsRowDone, m, room), fit(f.wsColDone, m, room)
+	f.wsWpos, f.wsActiveRows = fit(f.wsWpos, m, room), fit(f.wsActiveRows, m, room)
 }
 
 // factorize computes the LU factors of the basis whose columns are given
@@ -228,15 +229,6 @@ func (f *luFactor) factorize(colIdx [][]int32, colVal [][]float64) (failRows, fa
 	// Active submatrix, maintained exactly: entries per original row and
 	// the set of rows containing each basis position (column). The
 	// workspace is retained on f across calls; only reset here.
-	if f.wsRowsIdx == nil {
-		f.wsRowsIdx = make([][]int32, m)
-		f.wsRowsVal = make([][]float64, m)
-		f.wsColRows = make([][]int32, m)
-		f.wsRowDone = make([]bool, m)
-		f.wsColDone = make([]bool, m)
-		f.wsWpos = make([]int32, m)
-		f.wsActiveRows = make([]int32, m)
-	}
 	rowsIdx := f.wsRowsIdx // per row: active basis positions
 	rowsVal := f.wsRowsVal
 	colRows := f.wsColRows // per basis position: active rows

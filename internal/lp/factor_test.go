@@ -15,6 +15,13 @@ import (
 	"testing"
 )
 
+// newLUFactor is a factor of its own, sized for bases of m columns.
+func newLUFactor(m int) *luFactor {
+	f := new(luFactor)
+	f.bind(m, 0)
+	return f
+}
+
 // randBasisCols draws a random sparse nonsingular-ish m×m column set:
 // a shuffled diagonal plus random off-diagonal entries.
 func randBasisCols(rng *rand.Rand, m int, density float64) ([][]int32, [][]float64) {
@@ -564,13 +571,13 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 // vector. None allocates.
 func BenchmarkFtranBtran(b *testing.B) {
 	p, _, _ := dgx1AllToAllLP(10)
-	sv := NewSolver(p)
+	var sv Solver
 	// The pivot path is deterministic, so a longer iteration budget
 	// replays the shorter one and carries on: extend it until the factor
 	// holds 45–60 updates.
 	iters := 400
 	for tries := 0; ; tries++ {
-		if _, err := sv.Solve(Options{NoPresolve: true, Method: MethodPrimal, MaxIter: iters}); err != nil {
+		if _, err := sv.Solve(p, Options{NoPresolve: true, Method: MethodPrimal, MaxIter: iters}); err != nil {
 			b.Fatal(err)
 		}
 		u := sv.s.lu.updates
@@ -586,8 +593,8 @@ func BenchmarkFtranBtran(b *testing.B) {
 			iters += 10
 		}
 	}
-	s := sv.s
-	f, m := s.lu, s.m
+	s := &sv.s
+	f, m := &s.lu, s.m
 	enter := slices.IndexFunc(s.status[:s.n], func(st varStatus) bool { return st != basic })
 	idx, val := s.column(enter)
 	x, src := make([]float64, m), make([]float64, m)

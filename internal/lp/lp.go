@@ -53,14 +53,18 @@
 //
 // A solve as stated runs in a context built from the problem's matrix:
 // column-wise and row-wise copies of A, static pricing norms, the work
-// vectors of both simplex methods, and the LU factor's storage. Solve
-// builds one, uses it once and drops it, which is what keeps it safe to
-// call concurrently on one Problem. A Solver keeps the context between
-// solves of one Problem and re-reads only bounds, right-hand sides and
-// objective, so a re-solve after a bound edit costs the pivots of the
-// edit plus one factorization, not a rebuild the size of the model — and
-// returns exactly what Solve would, down to the pivot path. One Solver
-// serves one goroutine; see its documentation for the full contract.
+// vectors of both simplex methods, and the LU factor's storage; a solve
+// through presolve adds the reduction's scratch and the reduced problem.
+// Solve builds all of it, uses it once and drops it, which is what keeps
+// it safe to call concurrently on one Problem. A Solver is that storage
+// as a workspace one planning call threads through every LP it solves —
+// A* rounds, a branch-and-bound root and its nodes, horizon windows: a
+// re-solve of the problem it is bound to (same pointer, same structural
+// generation) re-reads only bounds, right-hand sides and objective, any
+// other problem rebinds the storage it already holds, and either way the
+// result is exactly what Solve would return, down to the pivot path. One
+// Solver serves one goroutine and one call; results never alias it. See
+// its documentation for the full contract.
 package lp
 
 import (
@@ -129,7 +133,7 @@ type Problem struct {
 	rhs    []float64
 
 	// gen counts the structural edits (AddVar, AddRow, AppendToRow) made
-	// so far; a Solver compares it against the value it was built at to
+	// so far; a Solver compares it against the value it was bound at to
 	// notice that its matrix copies are out of date.
 	gen uint64
 
@@ -229,23 +233,25 @@ func (p *Problem) AppendToRow(r int, terms []Term) {
 }
 
 // combineTerms merges duplicate variables and drops zero coefficients,
-// returning a fresh exact-size slice in variable order. The sort+merge
-// runs in place on a reusable scratch buffer — no map, and the only
-// allocation is the stored row. Model builders emit terms in near-variable
-// order, so the insertion sort is effectively linear; genuinely shuffled
-// long rows fall back to sort.Slice.
+// returning a fresh exact-size slice in variable order: the only
+// allocation is the stored row.
 func (p *Problem) combineTerms(terms []Term) []Term {
-	if len(terms) == 0 {
+	sc := p.mergeTerms(terms)
+	if len(sc) == 0 {
 		return nil
 	}
-	if len(terms) == 1 {
-		if terms[0].Coeff == 0 {
-			return nil
-		}
-		return []Term{terms[0]}
-	}
-	sc := p.scratch[:0]
-	sc = append(sc, terms...)
+	out := make([]Term, len(sc))
+	copy(out, sc)
+	return out
+}
+
+// mergeTerms is the sort+merge of combineTerms, in place on a reusable
+// scratch buffer — no map — which the result is a view of, valid until
+// the next call. Model builders emit terms in near-variable order, so the
+// insertion sort is effectively linear; genuinely shuffled long rows fall
+// back to sort.Slice.
+func (p *Problem) mergeTerms(terms []Term) []Term {
+	sc := append(p.scratch[:0], terms...)
 	sorted := true
 	for i := 1; i < len(sc); i++ {
 		if sc[i-1].Var > sc[i].Var {
@@ -282,12 +288,7 @@ func (p *Problem) combineTerms(terms []Term) []Term {
 		}
 	}
 	p.scratch = sc[:0]
-	if w == 0 {
-		return nil
-	}
-	out := make([]Term, w)
-	copy(out, sc[:w])
-	return out
+	return sc[:w]
 }
 
 // Status is the outcome of a solve.
@@ -450,10 +451,11 @@ type Options struct {
 // WarmStart reoptimizes the problem as stated, exactly as NoPresolve
 // does; every other solve — cold, crashed, or hinted by a partial basis —
 // goes through presolve (see the package comment). Solve is the
-// single-use form of Solver: it builds a context, solves once and drops
-// it, so any number of goroutines may Solve the same Problem at once.
+// single-use form of Solver: a workspace that solves once and is dropped
+// (so it holds exactly what this one solve needs), which lets any number
+// of goroutines Solve the same Problem at once.
 func Solve(p *Problem, opt Options) (*Solution, error) {
-	return NewSolver(p).Solve(opt)
+	return new(Solver).solve(p, opt, false)
 }
 
 // completeFor reports whether b is a complete basis of p: its dimensions

@@ -56,60 +56,81 @@ type psOp struct {
 	terms   []Term // forcing: the row's terms (stable after dropRow)
 }
 
-// presolver is the working reduction state, kept in original index space
-// until the reduced problem is materialized at the end.
+// presolver is the presolve scratch of a solve workspace (see Solver): the
+// working reduction state, kept in original index space, then the
+// finished reduction — the reduced problem, the index maps and scales
+// connecting it to the original, and the op log postsolve replays. reset
+// starts a reduction of a new problem in the storage the last one left.
 type presolver struct {
 	p *Problem
 
 	lo, hi, obj []float64
-	rows        [][]Term
 	senses      []Sense
 	rhs         []float64
 	rowLive     []bool
 	varLive     []bool
 
-	origLo, origHi []float64
+	// rows[i] is the live part of row i, a view into arena — a private
+	// copy of every row, back to back. Rows only shrink (swap-delete), so
+	// the views never collide.
+	rows  [][]Term
+	arena []Term
 
-	colRows  [][]int32 // var -> rows referencing it at build time (stale-tolerant)
-	colCount []int     // live occurrence count per var
+	// Column view of the ORIGINAL matrix, counted once per reduction.
+	// The passes read it for the rows a variable occurs in (stale-
+	// tolerant: a listed row may have lost the term), postsolve for the
+	// coefficients that price a column against the reconstructed duals.
+	colMatrix
+	colCount []int // live occurrence count per var
 
 	fixQ   []int
 	queued []bool
 
 	ops        []psOp
 	infeasible bool
+
+	// The finished reduction (build).
+	red      Problem // rows are views into redArena
+	redArena []Term
+	terms    []Term // one reduced row under construction
+
+	varMap  []int32 // orig var -> reduced var, -1 when eliminated
+	redVars []int32 // reduced var -> orig var
+	rowMap  []int32
+	redRows []int32
+
+	rowScale []float64 // original index space; 1 for dropped rows
+	colScale []float64
+	colMin   []float64 // equilibration scratch, reduced index space
+	colMax   []float64
 }
 
-func newPresolver(p *Problem) *presolver {
+func (ps *presolver) reset(p *Problem) {
 	n, m := p.NumVars(), p.NumRows()
-	ps := &presolver{
-		p:        p,
-		lo:       append([]float64(nil), p.lo...),
-		hi:       append([]float64(nil), p.hi...),
-		obj:      append([]float64(nil), p.obj...),
-		senses:   append([]Sense(nil), p.senses...),
-		rhs:      append([]float64(nil), p.rhs...),
-		origLo:   p.lo,
-		origHi:   p.hi,
-		rowLive:  make([]bool, m),
-		varLive:  make([]bool, n),
-		colRows:  make([][]int32, n),
-		colCount: make([]int, n),
-		queued:   make([]bool, n),
+	ps.p = p
+	ps.lo = append(ps.lo[:0], p.lo...)
+	ps.hi = append(ps.hi[:0], p.hi...)
+	ps.obj = append(ps.obj[:0], p.obj...)
+	ps.senses = append(ps.senses[:0], p.senses...)
+	ps.rhs = append(ps.rhs[:0], p.rhs...)
+	ps.fixQ, ps.ops, ps.infeasible = ps.fixQ[:0], ps.ops[:0], false
+
+	ps.fill(p.rows, n, 0, 0)
+	ps.colCount = fit(ps.colCount, n, 0)
+	ps.varLive = fit(ps.varLive, n, 0)
+	ps.queued = fit(ps.queued, n, 0)
+	for j := 0; j < n; j++ {
+		ps.colCount[j] = int(ps.colStart[j+1] - ps.colStart[j])
+		ps.varLive[j], ps.queued[j] = true, false
 	}
-	ps.rows = make([][]Term, m)
+	ps.arena = fit(ps.arena, len(ps.colRow), 0)[:0]
+	ps.rows = fit(ps.rows, m, 0)
+	ps.rowLive = fit(ps.rowLive, m, 0)
 	for i, row := range p.rows {
-		ps.rows[i] = append([]Term(nil), row...)
-		ps.rowLive[i] = true
-		for _, t := range row {
-			ps.colRows[t.Var] = append(ps.colRows[t.Var], int32(i))
-			ps.colCount[t.Var]++
-		}
+		at := len(ps.arena)
+		ps.arena = append(ps.arena, row...)
+		ps.rows[i], ps.rowLive[i] = ps.arena[at:], true
 	}
-	for j := range ps.varLive {
-		ps.varLive[j] = true
-	}
-	return ps
 }
 
 // queueFix marks a live variable whose bounds have collapsed for
@@ -159,7 +180,7 @@ func (ps *presolver) dropRow(i int) {
 // fixStatus classifies a fixed value against the variable's pristine
 // bounds for basis reconstruction.
 func (ps *presolver) fixStatus(v int, val float64) BasisStatus {
-	lo, hi := ps.origLo[v], ps.origHi[v]
+	lo, hi := ps.p.lo[v], ps.p.hi[v]
 	switch {
 	case !math.IsInf(lo, -1) && math.Abs(val-lo) <= psActTol*(1+math.Abs(lo)):
 		return BasisAtLower
@@ -370,7 +391,7 @@ func (ps *presolver) fixPass() bool {
 			continue
 		}
 		val := ps.lo[v]
-		for _, r32 := range ps.colRows[v] {
+		for _, r32 := range ps.colRow[ps.colStart[v]:ps.colStart[v+1]] {
 			i := int(r32)
 			if !ps.rowLive[i] {
 				continue
@@ -490,24 +511,6 @@ func (ps *presolver) run() {
 	}
 }
 
-// presolved is the finished reduction: the reduced problem, the index
-// maps and scales connecting it to the original, and the op log.
-type presolved struct {
-	orig *Problem
-	red  *Problem
-
-	varMap  []int32 // orig var -> reduced var, -1 when eliminated
-	redVars []int32 // reduced var -> orig var
-	rowMap  []int32
-	redRows []int32
-
-	rowScale []float64 // original index space; 1 for dropped rows
-	colScale []float64
-
-	ops            []psOp
-	origLo, origHi []float64
-}
-
 // pow2Round rounds a positive scale to the nearest power of two, so
 // applying it is exact in floating point.
 func pow2Round(s float64) float64 {
@@ -523,54 +526,52 @@ func pow2Round(s float64) float64 {
 	return math.Ldexp(1, int(e))
 }
 
-// build materializes the reduced problem, running the Curtis–Reid-style
-// equilibration (iterative geometric-mean row/column scaling, rounded to
-// powers of two) over the surviving matrix.
-func (ps *presolver) build() *presolved {
+// build materializes the reduced problem ps.red, running the
+// Curtis–Reid-style equilibration (iterative geometric-mean row/column
+// scaling, rounded to powers of two) over the surviving matrix. The room
+// arguments are bind's: what storage the reduction outgrows is sized by.
+func (ps *presolver) build(roomN, roomM, roomNnz int) {
 	p := ps.p
 	n, m := p.NumVars(), p.NumRows()
-	pre := &presolved{
-		orig:     p,
-		varMap:   make([]int32, n),
-		rowMap:   make([]int32, m),
-		rowScale: make([]float64, m),
-		colScale: make([]float64, n),
-		ops:      ps.ops,
-		origLo:   ps.origLo,
-		origHi:   ps.origHi,
+	ps.varMap, ps.redVars = fit(ps.varMap, n, 0), fit(ps.redVars, n, 0)[:0]
+	ps.rowMap, ps.redRows = fit(ps.rowMap, m, 0), fit(ps.redRows, m, 0)[:0]
+	ps.rowScale, ps.colScale = fit(ps.rowScale, m, 0), fit(ps.colScale, n, 0)
+	for i := range ps.rowScale {
+		ps.rowScale[i] = 1
 	}
-	for i := range pre.rowScale {
-		pre.rowScale[i] = 1
-	}
-	for j := range pre.colScale {
-		pre.colScale[j] = 1
+	for j := range ps.colScale {
+		ps.colScale[j] = 1
 	}
 	for j := 0; j < n; j++ {
 		if ps.varLive[j] {
-			pre.varMap[j] = int32(len(pre.redVars))
-			pre.redVars = append(pre.redVars, int32(j))
+			ps.varMap[j] = int32(len(ps.redVars))
+			ps.redVars = append(ps.redVars, int32(j))
 		} else {
-			pre.varMap[j] = -1
+			ps.varMap[j] = -1
 		}
 	}
+	live := 0
 	for i := 0; i < m; i++ {
 		if ps.rowLive[i] {
-			pre.rowMap[i] = int32(len(pre.redRows))
-			pre.redRows = append(pre.redRows, int32(i))
+			ps.rowMap[i] = int32(len(ps.redRows))
+			ps.redRows = append(ps.redRows, int32(i))
+			live += len(ps.rows[i])
 		} else {
-			pre.rowMap[i] = -1
+			ps.rowMap[i] = -1
 		}
 	}
 
 	// Equilibration on the live submatrix: alternate row and column
 	// geometric-mean scaling, then snap to powers of two.
 	const scaleIters = 3
+	colMin, colMax := fit(ps.colMin, len(ps.redVars), roomN), fit(ps.colMax, len(ps.redVars), roomN)
+	ps.colMin, ps.colMax = colMin, colMax
 	for it := 0; it < scaleIters; it++ {
-		for _, i32 := range pre.redRows {
+		for _, i32 := range ps.redRows {
 			i := int(i32)
 			minA, maxA := math.Inf(1), 0.0
 			for _, t := range ps.rows[i] {
-				a := math.Abs(t.Coeff) * pre.rowScale[i] * pre.colScale[t.Var]
+				a := math.Abs(t.Coeff) * ps.rowScale[i] * ps.colScale[t.Var]
 				if a < minA {
 					minA = a
 				}
@@ -579,19 +580,17 @@ func (ps *presolver) build() *presolved {
 				}
 			}
 			if maxA > 0 && minA > 0 {
-				pre.rowScale[i] /= math.Sqrt(minA * maxA)
+				ps.rowScale[i] /= math.Sqrt(minA * maxA)
 			}
 		}
-		colMin := make([]float64, len(pre.redVars))
-		colMax := make([]float64, len(pre.redVars))
 		for k := range colMin {
-			colMin[k] = math.Inf(1)
+			colMin[k], colMax[k] = math.Inf(1), 0
 		}
-		for _, i32 := range pre.redRows {
+		for _, i32 := range ps.redRows {
 			i := int(i32)
 			for _, t := range ps.rows[i] {
-				k := pre.varMap[t.Var]
-				a := math.Abs(t.Coeff) * pre.rowScale[i] * pre.colScale[t.Var]
+				k := ps.varMap[t.Var]
+				a := math.Abs(t.Coeff) * ps.rowScale[i] * ps.colScale[t.Var]
 				if a < colMin[k] {
 					colMin[k] = a
 				}
@@ -600,25 +599,30 @@ func (ps *presolver) build() *presolved {
 				}
 			}
 		}
-		for k, j32 := range pre.redVars {
+		for k, j32 := range ps.redVars {
 			if colMax[k] > 0 && !math.IsInf(colMin[k], 1) && colMin[k] > 0 {
-				pre.colScale[j32] /= math.Sqrt(colMin[k] * colMax[k])
+				ps.colScale[j32] /= math.Sqrt(colMin[k] * colMax[k])
 			}
 		}
 	}
-	for _, i32 := range pre.redRows {
-		pre.rowScale[i32] = pow2Round(pre.rowScale[i32])
+	for _, i32 := range ps.redRows {
+		ps.rowScale[i32] = pow2Round(ps.rowScale[i32])
 	}
-	for _, j32 := range pre.redVars {
-		pre.colScale[j32] = pow2Round(pre.colScale[j32])
+	for _, j32 := range ps.redVars {
+		ps.colScale[j32] = pow2Round(ps.colScale[j32])
 	}
 
 	// Materialize the reduced, scaled problem: A' = R·A·C, b' = R·b,
-	// c' = C·c, bounds' = bounds/C (so x = C·x').
-	red := NewProblem(p.Dir)
-	for _, j32 := range pre.redVars {
+	// c' = C·c, bounds' = bounds/C (so x = C·x') — at its exact size, in
+	// the storage of the last one, each row merged as AddRow would merge
+	// it. The reduction is private to the solve and carries no names.
+	red := &ps.red
+	red.Dir = p.Dir
+	nr, mr := len(ps.redVars), len(ps.redRows)
+	red.lo, red.hi, red.obj = fit(red.lo, nr, roomN), fit(red.hi, nr, roomN), fit(red.obj, nr, roomN)
+	for k, j32 := range ps.redVars {
 		j := int(j32)
-		c := pre.colScale[j]
+		c := ps.colScale[j]
 		lo, hi := ps.lo[j], ps.hi[j]
 		if !math.IsInf(lo, -1) {
 			lo /= c
@@ -626,23 +630,25 @@ func (ps *presolver) build() *presolved {
 		if !math.IsInf(hi, 1) {
 			hi /= c
 		}
-		red.AddVar(p.names[j], lo, hi, ps.obj[j]*c)
+		red.lo[k], red.hi[k], red.obj[k] = lo, hi, ps.obj[j]*c
 	}
-	terms := make([]Term, 0, 16)
-	for _, i32 := range pre.redRows {
+	red.rows, red.senses, red.rhs = fit(red.rows, mr, roomM), fit(red.senses, mr, roomM), fit(red.rhs, mr, roomM)
+	arena, terms := fit(ps.redArena, live, roomNnz)[:0], ps.terms
+	for k, i32 := range ps.redRows {
 		i := int(i32)
-		r := pre.rowScale[i]
+		r := ps.rowScale[i]
 		terms = terms[:0]
 		for _, t := range ps.rows[i] {
 			terms = append(terms, Term{
-				Var:   VarID(pre.varMap[t.Var]),
-				Coeff: t.Coeff * r * pre.colScale[t.Var],
+				Var:   VarID(ps.varMap[t.Var]),
+				Coeff: t.Coeff * r * ps.colScale[t.Var],
 			})
 		}
-		red.AddRow(terms, ps.senses[i], ps.rhs[i]*r)
+		at := len(arena)
+		arena = append(arena, red.mergeTerms(terms)...)
+		red.rows[k], red.senses[k], red.rhs[k] = arena[at:], ps.senses[i], ps.rhs[i]*r
 	}
-	pre.red = red
-	return pre
+	ps.redArena, ps.terms = arena, terms
 }
 
 // mapBasis carries a starting hint of the original problem onto the
@@ -652,18 +658,18 @@ func (ps *presolver) build() *presolved {
 // slack-pads it — so it seeds phase 1 rather than resuming a solve;
 // complete bases never come here (Solve reoptimizes the original problem
 // from them). Mismatched dimensions fall back to a cold start.
-func (pre *presolved) mapBasis(b *Basis) *Basis {
-	if b == nil || len(b.Vars) != pre.orig.NumVars() || len(b.Rows) != pre.orig.NumRows() {
+func (ps *presolver) mapBasis(b *Basis) *Basis {
+	if b == nil || len(b.Vars) != ps.p.NumVars() || len(b.Rows) != ps.p.NumRows() {
 		return nil
 	}
 	rb := &Basis{
-		Vars: make([]BasisStatus, len(pre.redVars)),
-		Rows: make([]BasisStatus, len(pre.redRows)),
+		Vars: make([]BasisStatus, len(ps.redVars)),
+		Rows: make([]BasisStatus, len(ps.redRows)),
 	}
-	for k, j := range pre.redVars {
+	for k, j := range ps.redVars {
 		rb.Vars[k] = b.Vars[j]
 	}
-	for k, i := range pre.redRows {
+	for k, i := range ps.redRows {
 		rb.Rows[k] = b.Rows[i]
 	}
 	return rb
@@ -683,8 +689,8 @@ func tightSlackStatus(s Sense) BasisStatus {
 // unscale, eliminated variables and dropped rows are reconstructed by
 // replaying the op log in reverse, and the objective is recomputed from
 // the original cost vector.
-func (pre *presolved) post(rsol *Solution) *Solution {
-	p := pre.orig
+func (ps *presolver) post(rsol *Solution) *Solution {
+	p := ps.p
 	n, m := p.NumVars(), p.NumRows()
 	sol := &Solution{
 		Status:           rsol.Status,
@@ -697,43 +703,35 @@ func (pre *presolved) post(rsol *Solution) *Solution {
 	var x []float64
 	if rsol.X != nil {
 		x = make([]float64, n)
-		for k, j := range pre.redVars {
-			x[j] = rsol.X[k] * pre.colScale[j]
+		for k, j := range ps.redVars {
+			x[j] = rsol.X[k] * ps.colScale[j]
 		}
 	}
 	var duals []float64
-	var colOf [][]Term // var -> (row, coeff) over the ORIGINAL matrix
 	if rsol.Duals != nil || (rsol.Status == StatusOptimal && m > 0) {
 		// An optimal reduction with every row eliminated yields no reduced
 		// duals, but the original rows still deserve a dual vector (the op
 		// replay below fills the binding ones).
 		duals = make([]float64, m)
-		for k, i := range pre.redRows {
+		for k, i := range ps.redRows {
 			if rsol.Duals != nil {
-				duals[i] = rsol.Duals[k] * pre.rowScale[i]
-			}
-		}
-		// Column view for dual reconstruction: a dropped row that ends up
-		// binding (an active folded bound, a doubleton) receives the dual
-		// that zeroes its basic variable's reduced cost.
-		colOf = make([][]Term, n)
-		for i, row := range p.rows {
-			for _, t := range row {
-				colOf[t.Var] = append(colOf[t.Var], Term{Var: VarID(i), Coeff: t.Coeff})
+				duals[i] = rsol.Duals[k] * ps.rowScale[i]
 			}
 		}
 	}
-	// rowDual solves obj[v] - Σ a_iv·y_i = 0 for the dual of row (the one
-	// row whose basic variable v pins it), taking every other row's dual
-	// as already reconstructed.
-	rowDual := func(v, row int, coeff float64) float64 {
+	// redCost prices column v of the ORIGINAL matrix against every row's
+	// dual but row's own: obj[v] - Σ a_iv·y_i over i ≠ row. A dropped row
+	// that ends up binding (an active folded bound, a doubleton) receives
+	// the dual that zeroes its basic variable's reduced cost, taking every
+	// other row's dual as already reconstructed.
+	redCost := func(v VarID, row int) float64 {
 		d := p.obj[v]
-		for _, t := range colOf[v] {
-			if int(t.Var) != row {
-				d -= t.Coeff * duals[t.Var]
+		for k := ps.colStart[v]; k < ps.colStart[v+1]; k++ {
+			if i := ps.colRow[k]; int(i) != row {
+				d -= ps.colVal[k] * duals[i]
 			}
 		}
-		return d / coeff
+		return d
 	}
 
 	// Basis reconstruction: kept rows/vars inherit the reduced statuses;
@@ -747,16 +745,16 @@ func (pre *presolved) post(rsol *Solution) *Solution {
 		for i := range rowStat {
 			rowStat[i] = BasisBasic // dropped-row default; ops may override
 		}
-		for k, j := range pre.redVars {
+		for k, j := range ps.redVars {
 			varStat[j] = rsol.Basis.Vars[k]
 		}
-		for k, i := range pre.redRows {
+		for k, i := range ps.redRows {
 			rowStat[i] = rsol.Basis.Rows[k]
 		}
 	}
 
-	for oi := len(pre.ops) - 1; oi >= 0; oi-- {
-		op := &pre.ops[oi]
+	for oi := len(ps.ops) - 1; oi >= 0; oi-- {
+		op := &ps.ops[oi]
 		switch op.kind {
 		case opFixVar:
 			if x != nil {
@@ -788,13 +786,7 @@ func (pre *presolved) post(rsol *Solution) *Solution {
 			wantMax := op.maxSide == (p.Dir == Minimize)
 			lam, first := 0.0, true
 			for _, tm := range op.terms {
-				ctil := p.obj[tm.Var]
-				for _, e := range colOf[tm.Var] {
-					if int(e.Var) != op.row {
-						ctil -= e.Coeff * duals[e.Var]
-					}
-				}
-				r := ctil / tm.Coeff
+				r := redCost(tm.Var, op.row) / tm.Coeff
 				if first || (wantMax && r > lam) || (!wantMax && r < lam) {
 					lam, first = r, false
 				}
@@ -825,7 +817,7 @@ func (pre *presolved) post(rsol *Solution) *Solution {
 					rowStat[op.row] = tightSlackStatus(op.sns)
 					claimed = true
 					if duals != nil {
-						duals[op.row] = rowDual(op.v, op.row, op.a)
+						duals[op.row] = redCost(VarID(op.v), op.row) / op.a
 					}
 				}
 			}
@@ -843,7 +835,7 @@ func (pre *presolved) post(rsol *Solution) *Solution {
 			if duals != nil {
 				// Complementarity: the eliminated column is basic in this
 				// row, so the row's dual zeroes its reduced cost.
-				duals[op.row] = rowDual(op.v, op.row, op.b)
+				duals[op.row] = redCost(VarID(op.v), op.row) / op.b
 			}
 		}
 	}
@@ -893,20 +885,26 @@ func defaultBasis(p *Problem) *Basis {
 // solvePresolved is the presolve-enabled solve path: reduce, solve the
 // reduction (seeded by the starting hint's surviving statuses), and map
 // everything back.
-func solvePresolved(p *Problem, opt Options) (*Solution, error) {
-	ps := newPresolver(p)
+func (sv *Solver) solvePresolved(p *Problem, opt Options, roomy bool) (*Solution, error) {
+	ps := &sv.ps
+	ps.reset(p)
 	ps.run()
 	if ps.infeasible {
 		return &Solution{Status: StatusInfeasible, Basis: defaultBasis(p)}, nil
 	}
-	pre := ps.build()
+	var roomN, roomM, roomNnz int
+	if roomy {
+		roomN, roomM, roomNnz = p.NumVars(), p.NumRows(), len(ps.colRow)
+	}
+	ps.build(roomN, roomM, roomNnz)
 	ropt := opt
 	ropt.NoPresolve = true
-	ropt.WarmStart = pre.mapBasis(opt.WarmStart)
-	ropt.Crash = pre.mapBasis(opt.Crash)
-	rsol, err := newSimplex(pre.red).solve(ropt)
+	ropt.WarmStart = ps.mapBasis(opt.WarmStart)
+	ropt.Crash = ps.mapBasis(opt.Crash)
+	sv.s.bind(&ps.red, roomN, roomM, roomNnz)
+	rsol, err := sv.s.solve(ropt)
 	if err != nil {
 		return nil, err
 	}
-	return pre.post(rsol), nil
+	return ps.post(rsol), nil
 }

@@ -283,7 +283,7 @@ func TestCompleteBasisPredicate(t *testing.T) {
 				opt.NoPresolve = true
 				want, err = Solve(p, opt)
 			} else {
-				want, err = solvePresolved(p, opt)
+				want, err = new(Solver).solvePresolved(p, opt, false)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -48,30 +48,68 @@ const (
 	nonbasicFree // free variable resting at value 0
 )
 
-// simplex is the working state of a solve context (see Solver). It is
-// built once per matrix by newSimplex — the CSC copy, the slack unit
-// columns, every work vector, the LU storage — and reset at the top of
-// each solve, which re-reads bounds, right-hand sides and costs from the
-// problem and returns every per-solve field to what a freshly built
-// simplex holds, so a retained context and a new one walk the same pivot
-// path bit for bit. All variables live in a single index space:
+// colMatrix is a column-wise (CSC) copy of a row-wise matrix: column j's
+// rows, ascending, and coefficients are colRow/colVal[colStart[j]:
+// colStart[j+1]] — two shared backing arrays with per-column extents.
+type colMatrix struct {
+	colStart []int32
+	colRow   []int32
+	colVal   []float64
+	next     []int32 // fill cursors (scratch)
+}
+
+// fill builds the copy from rows over n columns with a single counted
+// pass — count per-column entries, prefix-sum into extents, fill — in the
+// storage it holds, grown (to at least roomN columns, roomNnz entries)
+// only where that is too small.
+func (c *colMatrix) fill(rows [][]Term, n, roomN, roomNnz int) {
+	c.colStart = fit(c.colStart, n+1, roomN+1)
+	clear(c.colStart)
+	nnz := 0
+	for _, row := range rows {
+		for _, t := range row {
+			c.colStart[t.Var+1]++
+			nnz++
+		}
+	}
+	for j := 0; j < n; j++ {
+		c.colStart[j+1] += c.colStart[j]
+	}
+	c.colRow = fit(c.colRow, nnz, roomNnz)
+	c.colVal = fit(c.colVal, nnz, roomNnz)
+	c.next = fit(c.next, n, roomN)
+	copy(c.next, c.colStart[:n])
+	for i, row := range rows {
+		for _, t := range row {
+			k := c.next[t.Var]
+			c.next[t.Var]++
+			c.colRow[k] = int32(i)
+			c.colVal[k] = t.Coeff
+		}
+	}
+}
+
+// simplex is the working state of a solve context (see Solver). bind
+// rebuilds what depends on the matrix — the CSC copy, the slack unit
+// columns, the pricing norms, the sizes of every work vector and of the LU
+// storage — and reset, at the top of each solve, re-reads bounds,
+// right-hand sides and costs from the problem and returns every per-solve
+// field to what a freshly built simplex holds, so a retained context and
+// a new one walk the same pivot path bit for bit. All variables live in a
+// single index space:
 //
 //	[0, n)    structural variables
 //	[n, n+m)  one slack per row (rows become equalities)
 type simplex struct {
-	p   *Problem
-	opt Options // of the solve in progress
+	p   *Problem // nil until the first bind
+	opt Options  // of the solve in progress
 
 	m int // rows
 	n int // structural variables
 
-	// Sparse constraint matrix in compressed-sparse-column form, covering
-	// structural columns only; slack columns are unit vectors handled
-	// implicitly. colRow/colVal share two backing arrays (one counted
-	// allocation each) with per-column extents in colStart.
-	colStart []int32
-	colRow   []int32
-	colVal   []float64
+	// Sparse constraint matrix, structural columns only; slack columns
+	// are unit vectors handled implicitly.
+	colMatrix
 
 	rhs []float64
 
@@ -86,7 +124,7 @@ type simplex struct {
 	basis  []int // basis[i] = variable basic in position i
 	inBrow []int // inBrow[v] = basis position of v, or -1
 
-	lu *luFactor
+	lu luFactor
 
 	xB []float64 // basic variable values (mirrors value[] for basic vars)
 
@@ -114,15 +152,19 @@ type simplex struct {
 	wNnz     []int32
 	p1events []p1event
 
-	// Dual-simplex state (dual.go), allocated on first dual use.
-	d         []float64 // reduced costs of nonbasic columns
-	dwt       []float64 // devex reference weights, one per basis row
-	alpha     []float64 // priced pivot row ρᵀA (full index space)
+	// Dual-simplex state (dual.go), sized on first dual use of a binding.
+	d     []float64 // reduced costs of nonbasic columns
+	dwt   []float64 // devex reference weights, one per basis row
+	alpha []float64 // priced pivot row ρᵀA (full index space)
+	// alpha and alphaSeen are zero outside alphaNnz, over their whole
+	// capacity: pivotRow clears what it listed, never the arrays.
 	alphaSeen []bool
 	alphaNnz  []int32
 	cand      []dualCand
 	flipBuf   []int32
-	// Row-wise (CSR) copy of the structural matrix for pivotRow.
+	// Row-wise (CSR) copy of the structural matrix for pivotRow; csr
+	// says it describes the bound matrix.
+	csr      bool
 	rowStart []int32
 	rowColJ  []int32
 	rowValR  []float64
@@ -135,70 +177,49 @@ type simplex struct {
 	slackVal []float64
 }
 
-// newSimplex builds everything that depends only on p's matrix and
-// dimensions; nothing here is read from bounds, right-hand sides or
-// costs, so it survives SetBounds/SetRHS/SetObj edits and is rebuilt
-// only when the matrix changes (see Solver).
-func newSimplex(p *Problem) *simplex {
-	m := p.NumRows()
-	n := p.NumVars()
-	total := n + m
-	s := &simplex{p: p, m: m, n: n, nTotal: total}
+// bind points the context at p, rebuilding everything that depends only
+// on p's matrix and dimensions in the storage the context holds; nothing
+// here is read from bounds, right-hand sides or costs, so a binding
+// survives SetBounds/SetRHS/SetObj edits (see Solver). Storage too small
+// for p is reallocated with room for roomN columns, roomM rows and
+// roomNnz entries when those are larger; a context holding none
+// allocates what one built for p alone would.
+func (s *simplex) bind(p *Problem, roomN, roomM, roomNnz int) {
+	m, n := p.NumRows(), p.NumVars()
+	total, roomT := n+m, roomN+roomM
+	for _, j := range s.alphaNnz {
+		s.alpha[j], s.alphaSeen[j] = 0, false
+	}
+	s.alphaNnz, s.csr = s.alphaNnz[:0], false
+	s.p, s.m, s.n, s.nTotal = p, m, n, total
+	s.fill(p.rows, n, roomN, roomNnz)
 
-	// Build the structural matrix in CSC form with a single counted pass:
-	// count per-column entries, prefix-sum into extents, then fill the two
-	// shared backing arrays.
-	cnt := make([]int32, n+1)
-	nnz := 0
-	for _, row := range p.rows {
-		for _, t := range row {
-			cnt[t.Var+1]++
-			nnz++
-		}
-	}
-	s.colStart = cnt
-	for j := 0; j < n; j++ {
-		s.colStart[j+1] += s.colStart[j]
-	}
-	s.colRow = make([]int32, nnz)
-	s.colVal = make([]float64, nnz)
-	next := make([]int32, n)
-	copy(next, s.colStart[:n])
-	for i, row := range p.rows {
-		for _, t := range row {
-			k := next[t.Var]
-			next[t.Var]++
-			s.colRow[k] = int32(i)
-			s.colVal[k] = t.Coeff
-		}
-	}
-
-	s.rhs = make([]float64, m)
-	s.lo = make([]float64, total)
-	s.hi = make([]float64, total)
-	s.cost = make([]float64, total)
-	s.status = make([]varStatus, total)
-	s.value = make([]float64, total)
-	s.basis = make([]int, m)
-	s.inBrow = make([]int, total)
-	s.xB = make([]float64, m)
-	s.y = make([]float64, m)
-	s.w = make([]float64, m)
-	s.cb = make([]float64, m)
-	s.resid = make([]float64, m)
-	s.wNnz = make([]int32, 0, m)
-	s.slackIdx = make([]int32, m)
-	s.slackVal = make([]float64, m)
+	s.rhs = fit(s.rhs, m, roomM)
+	s.lo = fit(s.lo, total, roomT)
+	s.hi = fit(s.hi, total, roomT)
+	s.cost = fit(s.cost, total, roomT)
+	clear(s.cost[n:]) // slacks cost nothing; reset writes the structurals
+	s.status = fit(s.status, total, roomT)
+	s.value = fit(s.value, total, roomT)
+	s.basis = fit(s.basis, m, roomM)
+	s.inBrow = fit(s.inBrow, total, roomT)
+	s.xB = fit(s.xB, m, roomM)
+	s.y = fit(s.y, m, roomM)
+	s.w = fit(s.w, m, roomM)
+	s.cb = fit(s.cb, m, roomM)
+	s.resid = fit(s.resid, m, roomM)
+	s.wNnz = fit(s.wNnz, m, roomM)[:0]
+	s.slackIdx = fit(s.slackIdx, m, roomM)
+	s.slackVal = fit(s.slackVal, m, roomM)
 	for i := 0; i < m; i++ {
 		s.slackIdx[i] = int32(i)
 		s.slackVal[i] = 1
 	}
-	s.fcolIdx = make([][]int32, m)
-	s.fcolVal = make([][]float64, m)
-	s.gamma = make([]float64, total)
+	s.fcolIdx = fit(s.fcolIdx, m, roomM)
+	s.fcolVal = fit(s.fcolVal, m, roomM)
+	s.gamma = fit(s.gamma, total, roomT)
 	s.staticNorms()
-	s.lu = newLUFactor(m)
-	return s
+	s.lu.bind(m, roomM)
 }
 
 // staticNorms fills gamma with the default pricing weights: static

@@ -1,50 +1,76 @@
 package lp
 
-// Solver is a solve context bound to one Problem, for callers that solve
-// the same model again and again between SetBounds/SetRHS/SetObj edits —
-// branch-and-bound workers re-solving one clone under a different bound
-// chain per node.
+// Solver is a call-scoped solve workspace: the storage of every LP one
+// planning call solves — the rounds of an A* plan, a branch-and-bound root
+// and the node re-solves after it, the windows of a rolling horizon. The
+// zero value is ready; it belongs to one goroutine and to one call, and
+// dies with it: no session, cache entry, Result or Plan may hold one (an
+// open session would pin a model's worth of matrix copies, work vectors
+// and LU storage).
 //
-// What it retains across Solve calls is everything that depends only on
-// the matrix: the column-wise and row-wise copies of A, the static
-// pricing norms, every primal and dual work vector, the LU factor's row
-// storage and elimination workspace, and the perturbation backups. What
-// it re-reads on every Solve is the rest of the problem — bounds,
-// right-hand sides, objective, direction — and the Options. No numeric
-// state carries over: each Solve starts from the basis its Options name
-// and factorizes it afresh, so a retained Solver returns, bit for bit
-// and pivot for pivot, what a new one would. Solves that go through
-// presolve (see the package comment) reduce the problem anew each time
-// and retain nothing.
+// A solve as stated binds the workspace to its problem, and the binding
+// is kept while (pointer, Problem.gen) stay what they were — sound because
+// the workspace keeps its bound problem reachable, so the address cannot
+// be reused, and gen counts every structural edit (AddVar, AddRow,
+// AppendToRow). A re-solve after SetBounds/SetRHS/SetObj edits therefore
+// re-reads bounds, right-hand sides, objective and direction and nothing
+// else; any other problem rebinds: the matrix copies, pricing norms and
+// index arrays are rebuilt in the storage already held, which grows only
+// where the new problem outgrows it. A solve through presolve (see the
+// package comment) reduces the problem into workspace storage and binds
+// the reduction; its scratch — row arena, column view, index maps,
+// scales, the reduced problem itself — is kept the same way.
 //
-// Structural edits to the bound problem (AddVar, AddRow, AppendToRow)
-// are noticed on the next Solve, which rebuilds the context. A Solver is
-// not safe for concurrent use, and the bound problem must not be edited
-// while a Solve runs; concurrent solves each take their own Solver (or
-// call the package-level Solve, the single-use form).
+// Storage carries over, numeric state never: every solve factorizes its
+// starting basis afresh and rebuilds whatever a previous solve could have
+// left behind, so a Solver returns, bit for bit and pivot for pivot, what
+// a new one would (solver_test.go pins it), and nothing a Solution holds
+// aliases the workspace. The problem must not be edited while a Solve
+// runs; concurrent solves each take their own Solver or call the
+// package-level Solve, the single-use form.
 type Solver struct {
-	p   *Problem
-	gen uint64   // p.gen the context was built at
-	s   *simplex // nil until the first solve as stated
+	s   simplex   // bound to s.p, the problem (or reduction) solved last
+	gen uint64    // s.p.gen at binding
+	ps  presolver // presolve scratch and the reduced problem
 }
 
-// NewSolver returns a solve context bound to p. It is cheap: the
-// matrix-dependent state is built by the first Solve that needs it.
-func NewSolver(p *Problem) *Solver {
-	return &Solver{p: p}
+// Solve optimizes p as it stands now: a complete WarmStart or NoPresolve
+// solves it as stated, everything else goes through presolve. The problem
+// is not modified.
+func (sv *Solver) Solve(p *Problem, opt Options) (*Solution, error) {
+	return sv.solve(p, opt, true)
 }
 
-// Solve optimizes the bound problem as it stands now, with the routing of
-// the package-level Solve: a complete WarmStart or NoPresolve solves the
-// problem as stated in the retained context, everything else goes
-// through presolve. The problem is not modified.
-func (sv *Solver) Solve(opt Options) (*Solution, error) {
-	p := sv.p
+// solve is Solve; roomy says the workspace will be used again, so storage
+// allocated for a reduction is sized by the original problem, which
+// bounds it — the next reduction of a similar model, or the model itself
+// (a branch-and-bound clone after its presolved root), then fits.
+func (sv *Solver) solve(p *Problem, opt Options, roomy bool) (*Solution, error) {
 	if !opt.NoPresolve && !opt.WarmStart.completeFor(p) {
-		return solvePresolved(p, opt)
+		return sv.solvePresolved(p, opt, roomy)
 	}
-	if sv.s == nil || sv.gen != p.gen {
-		sv.s, sv.gen = newSimplex(p), p.gen
+	if sv.s.p != p || sv.gen != p.gen {
+		sv.s.bind(p, 0, 0, 0)
+		sv.gen = p.gen
 	}
 	return sv.s.solve(opt)
+}
+
+// fit returns s with length n: resliced when its storage holds n entries
+// (they keep whatever they held), else allocated zeroed with capacity
+// max(n, room).
+func fit[T any](s []T, n, room int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n, max(n, room))
+}
+
+// fitKeep is fit for a slice of slices whose entries own storage worth
+// keeping: a fresh allocation inherits every entry of the old one.
+func fitKeep[T any](s [][]T, n, room int) [][]T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(make([][]T, 0, max(n, room)), s[:cap(s)]...)[:n]
 }

@@ -1,8 +1,9 @@
 package lp
 
-// solver_test.go pins the Solver contract: a retained context returns,
-// solve for solve and bit for bit, what a fresh Solve returns — whatever
-// the previous solve on it did — and a steady-state re-solve allocates
+// solver_test.go pins the Solver contract: a workspace returns, solve for
+// solve and bit for bit, what a fresh Solve returns — whatever problem
+// the previous solve on it bound and however that solve ended — nothing
+// it returned changes afterwards, and a steady-state re-solve allocates
 // only what it returns.
 
 import (
@@ -46,20 +47,31 @@ func sameSolution(t *testing.T, tag string, got, want *Solution) {
 	sameBits("Duals", got.Duals, want.Duals)
 }
 
-// solveBoth solves sv's problem as it stands on the retained context and
-// with a fresh Solve, and requires the two to agree.
-func solveBoth(t *testing.T, tag string, sv *Solver, opt Options) *Solution {
+// solveBoth solves p as it stands on the workspace and with a fresh
+// Solve, and requires the two to agree.
+func solveBoth(t *testing.T, tag string, sv *Solver, p *Problem, opt Options) *Solution {
 	t.Helper()
-	got, err := sv.Solve(opt)
+	got, err := sv.Solve(p, opt)
 	if err != nil {
 		t.Fatalf("%s: retained: %v", tag, err)
 	}
-	want, err := Solve(sv.p, opt)
+	want, err := Solve(p, opt)
 	if err != nil {
 		t.Fatalf("%s: fresh: %v", tag, err)
 	}
 	sameSolution(t, tag, got, want)
 	return got
+}
+
+// dualStartRefused reports whether the dual simplex has no start from
+// opt's basis, so a MethodDual solve of p as stated builds the dual arrays
+// and the CSR copy and then runs the primal phases instead.
+func dualStartRefused(p *Problem, opt Options) bool {
+	var s simplex
+	s.bind(p, 0, 0, 0)
+	s.reset(opt)
+	s.install()
+	return !s.prepareDual(true)
 }
 
 // TestSolverMatchesFreshSolve drives one Solver through a seeded stream
@@ -69,10 +81,11 @@ func solveBoth(t *testing.T, tag string, sv *Solver, opt Options) *Solution {
 // the same problem. Scripted steps make sure the solve BEFORE a compared
 // one ended every way a solve can end (infeasible, out of iterations,
 // cancelled, perturbed, dual start refused), and structural edits force
-// the context to rebuild.
+// the context to rebuild. The same workspace then goes through
+// differentProblems, a seeded sequence of other models.
 func TestSolverMatchesFreshSolve(t *testing.T) {
 	p, capRows, flows := dgx1AllToAllLP(5)
-	sv := NewSolver(p)
+	var sv Solver
 	rng := rand.New(rand.NewSource(20240914))
 
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -82,20 +95,11 @@ func TestSolverMatchesFreshSolve(t *testing.T) {
 	seen := map[string]int{}
 	both := func(tag string, opt Options) *Solution {
 		t.Helper()
-		got := solveBoth(t, tag, sv, opt)
+		got := solveBoth(t, tag, &sv, p, opt)
 		seen[got.Status.String()]++
 		older, last = last, got.Basis
 		return got
 	}
-	// dualStartRefused reports whether the dual simplex has no start from
-	// opt's basis, so a MethodDual solve runs the primal phases instead.
-	dualStartRefused := func(opt Options) bool {
-		s := newSimplex(p)
-		s.reset(opt)
-		s.install()
-		return !s.prepareDual(true)
-	}
-
 	// A read row: one destination's reads of one source sum to 1.
 	readRow := -1
 	for r := 0; r < capRows[0]; r++ {
@@ -188,7 +192,7 @@ func TestSolverMatchesFreshSolve(t *testing.T) {
 			p.SetBounds(v, 0, Inf)
 			p.SetObj(v, 3)
 			opt = Options{WarmStart: last, Method: MethodDual}
-			if !dualStartRefused(opt) {
+			if !dualStartRefused(p, opt) {
 				t.Fatalf("%s: the dual simplex accepted the start; the step no longer covers the primal fallback", tag)
 			}
 			both(tag+" (dual refused)", opt)
@@ -214,6 +218,208 @@ func TestSolverMatchesFreshSolve(t *testing.T) {
 	if seen["optimal"] < steps/2 || seen["infeasible"] < 2 || seen["iteration limit"] < 4 {
 		t.Fatalf("stream too one-sided to mean anything: %v", seen)
 	}
+	differentProblems(t, &sv, rng)
+}
+
+// differentProblems hands one workspace a seeded sequence of DIFFERENT
+// problems, alternating between the large and the small half of a corpus
+// (two rows to two thousand, more columns than rows and the reverse), so
+// every binding re-slices storage sized by another model, larger or
+// smaller. Steps come in pairs: an ender — a solve of any corpus problem
+// that stops infeasible, out of iterations, cancelled, on perturbed
+// bounds (restored, or abandoned mid-phase-1), or with its dual start
+// refused — then a solve of another problem through presolve or as
+// stated, cold, from its own last basis or from an over-full hint,
+// primal, dual or auto. Every solve of both kinds must be a fresh
+// Solve's, bit for bit.
+func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
+	type inst struct {
+		name       string
+		p, infeas  *Problem
+		last       *Basis
+		dualRefuse bool // a cold MethodDual solve as stated has no dual start
+	}
+	var corpus []*inst
+	add := func(name string, p *Problem) {
+		// The twin is p plus two singleton rows no point satisfies, behind
+		// a third that fixes a variable: presolve finds the contradiction
+		// with that variable still queued for substitution.
+		twin := p.Clone()
+		twin.AddRow([]Term{{1, 1}}, EQ, p.lo[1])
+		twin.AddRow([]Term{{0, 1}}, GE, 1)
+		twin.AddRow([]Term{{0, 1}}, LE, 0)
+		corpus = append(corpus, &inst{name: name, p: p, infeas: twin, dualRefuse: dualStartRefused(p, Options{})})
+	}
+	add("classic", classicLP())
+	add("upperBounded", upperBoundedLP())
+	add("beale", bealeLP())
+	for i := 0; i < 3; i++ {
+		p, _ := randFeasibleLP(rng)
+		add(fmt.Sprintf("randFeasible%d", i), p)
+	}
+	add("big30x40", bigLP(rng, 30, 40))
+	add("big30x40b", bigLP(rng, 30, 40)) // the same dimensions, another matrix
+	pinned := bigLP(rng, 30, 40)
+	pinned.AddRow([]Term{{1, 1}}, EQ, 0.5) // presolve substitutes the variable every twin leaves queued
+	add("pinned30x40", pinned)
+	small := len(corpus)
+	sameDims := corpus[small-3 : small-1]
+	if a, b := sameDims[0].p, sameDims[1].p; a.NumVars() != b.NumVars() || a.NumRows() != b.NumRows() {
+		t.Fatal("the same-dimensions pair differs in dimensions")
+	}
+	for _, K := range []int{4, 6, 5} {
+		p, _, _ := dgx1AllToAllLP(K)
+		add(fmt.Sprintf("dgx1K%d", K), p)
+	}
+	add("big200x150", bigLP(rng, 200, 150))
+	add("devex40x2100", bigLP(rng, 40, devexMinRows+50)) // primal pivots rewrite gamma
+	add("big120x60", bigLP(rng, 120, 60))
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	methods := []Method{MethodAuto, MethodPrimal, MethodDual}
+	seen := map[string]int{}
+	both := func(tag string, in *inst, p *Problem, opt Options) *Solution {
+		t.Helper()
+		sol := solveBoth(t, tag, sv, p, opt)
+		seen[sol.Status.String()]++
+		if p == in.p && sol.Status == StatusOptimal {
+			in.last = sol.Basis
+		}
+		return sol
+	}
+
+	const pairs = 96
+	refused, abandoned, midQueue := 0, 0, 0
+	for step := 0; step < pairs; step++ {
+		// The ender, on any problem.
+		e, next := corpus[rng.Intn(len(corpus))], (*inst)(nil)
+		tag := fmt.Sprintf("pair %d ender %s", step, e.name)
+		opt := Options{Method: methods[rng.Intn(3)], NoPresolve: rng.Intn(2) == 0}
+		switch step % 6 {
+		case 0: // infeasible: found by presolve, by the primal phase 1, or by the dual from a warm basis
+			if e.last != nil && rng.Intn(2) == 0 {
+				opt.WarmStart, opt.Method = e.last.Extended(e.infeas.NumVars(), e.infeas.NumRows()), MethodDual
+			}
+			if sol := both(tag+" (infeasible)", e, e.infeas, opt); sol.Status != StatusInfeasible {
+				t.Fatalf("%s: status %v, want infeasible", tag, sol.Status)
+			}
+			if sv.ps.infeasible && len(sv.ps.fixQ) > 0 {
+				midQueue++ // presolve gave up mid-queue: the pinned model goes through it next
+				next = corpus[small-1]
+			}
+		case 1: // out of iterations
+			opt.MaxIter = 1 + rng.Intn(6)
+			both(tag+" (MaxIter)", e, e.p, opt)
+		case 2: // cancelled before the first pivot
+			opt.Context = cancelled
+			if sol := both(tag+" (cancelled)", e, e.p, opt); sol.Iterations != 0 {
+				t.Fatalf("%s: %d iterations under a cancelled context", tag, sol.Iterations)
+			}
+		case 3: // perturbed bounds, restored on the way out
+			opt.testPerturb = 1 + rng.Intn(2)
+			both(tag+" (perturbed)", e, e.p, opt)
+		case 4: // perturbed bounds, abandoned: the budget runs out in phase 1, which returns without the restore
+			opt = Options{testPerturb: 1, MaxIter: 1, NoPresolve: true, Method: MethodPrimal}
+			if sol := both(tag+" (perturbed, MaxIter)", e, e.p, opt); sol.Status == StatusIterLimit && sv.s.perturbed {
+				abandoned++
+			}
+		default: // dual requested with no dual-feasible start
+			for !e.dualRefuse {
+				e = corpus[rng.Intn(len(corpus))]
+			}
+			both(fmt.Sprintf("pair %d ender %s (dual refused)", step, e.name), e, e.p, Options{Method: MethodDual, NoPresolve: true})
+			refused++
+		}
+
+		// The compared solve: another problem, from the other half of the
+		// corpus than the last compared one.
+		c := next
+		for c == nil || c == e {
+			switch {
+			case e == sameDims[0]: // only the pointer tells the two apart
+				c = sameDims[1]
+			case step%2 == 0:
+				c = corpus[small+rng.Intn(len(corpus)-small)]
+			default:
+				c = corpus[rng.Intn(small)]
+			}
+		}
+		tag = fmt.Sprintf("pair %d %s after %s", step, c.name, e.name)
+		opt = Options{Method: methods[rng.Intn(3)]}
+		switch mode := rng.Intn(4); {
+		case c == next: // cold, through presolve
+		case mode == 0: // cold, as stated
+			opt.NoPresolve = true
+		case mode == 1 && c.last != nil: // warm from a complete basis: as stated
+			opt.WarmStart = c.last
+		case mode == 2 && c.last != nil: // an over-full hint: through presolve, statuses carried over
+			hint := c.last.Clone()
+			for i := range hint.Rows {
+				hint.Rows[i] = BasisBasic
+			}
+			opt.WarmStart = hint
+		} // else cold, through presolve
+		if sol := both(tag, c, c.p, opt); sol.Status != StatusOptimal {
+			t.Fatalf("%s: status %v", tag, sol.Status)
+		}
+	}
+	if seen["infeasible"] < pairs/6 || seen["iteration limit"] < pairs/4 || refused < pairs/6 || abandoned < 4 || midQueue < 3 {
+		t.Fatalf("sequence too one-sided to mean anything: %v, %d dual starts refused, %d perturbed solves abandoned, %d presolves abandoned mid-queue",
+			seen, refused, abandoned, midQueue)
+	}
+}
+
+// TestResultsOutliveWorkspace: nothing a Solution holds aliases the
+// workspace it came from. A's X, Duals and Basis, and the duals postsolve
+// reconstructed for a forcing row (from the op log, the row arena and the
+// column view, all workspace storage), must read the same, bit for bit,
+// after the workspace has solved B, C and the forcing model again.
+func TestResultsOutliveWorkspace(t *testing.T) {
+	forcing := NewProblem(Maximize)
+	x := forcing.AddVar("x", 1, 2, 1)
+	y := forcing.AddVar("y", 1, 2, 1)
+	z := forcing.AddVar("z", 0, Inf, 1)
+	w := forcing.AddVar("w", 0, Inf, 1)
+	forcing.AddRow([]Term{{x, 1}, {y, 1}}, LE, 2) // forcing: x = y = 1
+	forcing.AddRow([]Term{{z, 1}, {w, 1}}, LE, 5)
+	forcing.AddRow([]Term{{z, 2}, {w, 1}}, LE, 8)
+	a, capRows, _ := dgx1AllToAllLP(5)
+	b := bigLP(rand.New(rand.NewSource(3)), 120, 60)
+	c, _, _ := dgx1AllToAllLP(4)
+
+	for _, asStated := range []bool{false, true} {
+		var sv Solver
+		solve := func(p *Problem, opt Options) *Solution {
+			t.Helper()
+			sol, err := sv.Solve(p, opt)
+			if err != nil || sol.Status != StatusOptimal {
+				t.Fatalf("NoPresolve=%v: %v %v", asStated, sol.Status, err)
+			}
+			return sol
+		}
+		type kept struct{ sol, copy *Solution }
+		keep := func(sol *Solution) kept {
+			cp := *sol
+			cp.X, cp.Duals, cp.Basis = slices.Clone(sol.X), slices.Clone(sol.Duals), sol.Basis.Clone()
+			return kept{sol, &cp}
+		}
+		kf := keep(solve(forcing, Options{}))
+		if kf.sol.Duals[0] == 0 {
+			t.Fatal("the forcing row's dual was not reconstructed; the fixture measures nothing")
+		}
+		opt := Options{NoPresolve: asStated}
+		ka := keep(solve(a, opt))
+		solve(b, opt)
+		solve(c, opt)
+		solve(forcing, Options{})
+		opt.WarmStart, opt.Method = ka.sol.Basis, MethodDual
+		a.SetRHS(capRows[0], a.RHS(capRows[0])/2)
+		solve(a, opt) // reads A's basis as a warm start, and must not write through it
+		a.SetRHS(capRows[0], a.RHS(capRows[0])*2)
+		sameSolution(t, fmt.Sprintf("NoPresolve=%v: A after B, C", asStated), ka.sol, ka.copy)
+		sameSolution(t, fmt.Sprintf("NoPresolve=%v: forcing-row solve after A, B, C", asStated), kf.sol, kf.copy)
+	}
 }
 
 // TestSolverSmallProblems runs shorter streams on the small random
@@ -226,7 +432,7 @@ func TestSolverSmallProblems(t *testing.T) {
 		if p.NumRows() == 0 {
 			continue
 		}
-		sv := NewSolver(p)
+		var sv Solver
 		var last *Basis
 		for step := 0; step < 12; step++ {
 			v := VarID(rng.Intn(p.NumVars()))
@@ -247,7 +453,7 @@ func TestSolverSmallProblems(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				opt.WarmStart = last
 			}
-			last = solveBoth(t, fmt.Sprintf("instance %d step %d", inst, step), sv, opt).Basis
+			last = solveBoth(t, fmt.Sprintf("instance %d step %d", inst, step), &sv, p, opt).Basis
 		}
 	}
 }
@@ -257,10 +463,10 @@ func TestSolverSmallProblems(t *testing.T) {
 // context must start from the static column norms again.
 func TestSolverResetsDevexWeights(t *testing.T) {
 	p := bigLP(rand.New(rand.NewSource(5)), 40, devexMinRows+50)
-	sv := NewSolver(p)
+	var sv Solver
 	opt := Options{NoPresolve: true, Method: MethodPrimal}
 	for round := 0; round < 3; round++ {
-		got := solveBoth(t, fmt.Sprintf("round %d", round), sv, opt)
+		got := solveBoth(t, fmt.Sprintf("round %d", round), &sv, p, opt)
 		if round == 0 && (!sv.s.gammaMoved || got.Iterations == 0) {
 			t.Fatalf("the first solve never ran the devex update (%d pivots); the fixture measures nothing", got.Iterations)
 		}
@@ -301,11 +507,11 @@ func nodeResolve(tb testing.TB) (p *Problem, opt Options, edit func()) {
 // model: no matrix copy, no work vector, no LU storage.
 func TestNodeResolveAllocs(t *testing.T) {
 	p, opt, edit := nodeResolve(t)
-	sv := NewSolver(p)
+	var sv Solver
 	pivots := 0
 	solve := func() {
 		edit()
-		sol, err := sv.Solve(opt)
+		sol, err := sv.Solve(p, opt)
 		if err != nil || sol.Status != StatusOptimal {
 			t.Fatalf("re-solve: %v %v", sol.Status, err)
 		}
@@ -325,19 +531,33 @@ func TestNodeResolveAllocs(t *testing.T) {
 	}
 }
 
-// TestFreshSolveAllocs bounds what NewSolver(p).Solve allocates on the
-// same fixture by the count it had before the L factor moved into one
-// arena (3884 at PR 15; one slice pair per non-empty L column since).
+// TestFreshSolveAllocs bounds what a single-use Solve allocates on the
+// same fixture — one allocation per array of the context and the first
+// growth of the LU row and column lists, 3582 in all — and what a
+// presolved re-solve allocates on a warm workspace: what it returns.
 func TestFreshSolveAllocs(t *testing.T) {
 	p, opt, edit := nodeResolve(t)
-	allocs := testing.AllocsPerRun(5, func() {
-		edit()
-		if sol, err := Solve(p, opt); err != nil || sol.Status != StatusOptimal {
-			t.Fatalf("re-solve: %v %v", sol.Status, err)
+	solve := func(sv *Solver, opt Options) func() {
+		return func() {
+			edit()
+			if sol, err := sv.solve(p, opt, false); err != nil || sol.Status != StatusOptimal {
+				t.Fatalf("re-solve: %v %v", sol.Status, err)
+			}
 		}
-	})
-	if allocs > 3884 {
-		t.Fatalf("a fresh context and solve allocate %.0f times, 3884 before", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { solve(new(Solver), opt)() }); allocs > 3590 {
+		t.Fatalf("a fresh context and solve allocate %.0f times, 3585 with a context of its own per solve (PR 17)", allocs)
+	}
+	var sv Solver
+	presolved := solve(&sv, Options{})
+	for i := 0; i < 4; i++ {
+		presolved() // grow every retained buffer to its steady-state size
+	}
+	// The reduction's Solution and postsolve's: two of each of Solution,
+	// X, Duals, Basis and its status slices; the op log is reused.
+	const returned = 12
+	if allocs := testing.AllocsPerRun(10, presolved); allocs > returned+2 {
+		t.Fatalf("a presolved re-solve on a warm workspace allocates %.0f times, want the %d returned objects (+2); 13552 on a fresh one before", allocs, returned)
 	}
 }
 
@@ -356,16 +576,16 @@ func BenchmarkNodeResolve(b *testing.B) {
 	})
 	b.Run("retained", func(b *testing.B) {
 		p, opt, edit := nodeResolve(b)
-		sv := NewSolver(p)
+		var sv Solver
 		for i := 0; i < 4; i++ { // steady state: a worker's first node pays for the context
 			edit()
-			benchSink, _ = sv.Solve(opt)
+			benchSink, _ = sv.Solve(p, opt)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			edit()
-			benchSink, _ = sv.Solve(opt)
+			benchSink, _ = sv.Solve(p, opt)
 		}
 	})
 }

@@ -9,6 +9,7 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -263,5 +264,95 @@ func BenchmarkMILPWorkers(b *testing.B) {
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 		})
+	}
+}
+
+// clones totals the problem clones the Solver's workers have made.
+func (ms *Solver) clones() (n int) {
+	for _, w := range ms.workers {
+		n += w.clones
+	}
+	return n
+}
+
+// TestWorkersCloneOnFirstNode: a worker clones the problem when a round
+// first hands it a node, not when the search starts — eight workers on a
+// tree that is the root alone make one clone, and none when the root
+// relaxation already ends the search.
+func TestWorkersCloneOnFirstNode(t *testing.T) {
+	opt := Options{Workers: 8, Deterministic: true}
+	// max x, 2x <= 6, x integer: the root relaxation is integral.
+	p := lp.NewProblem(lp.Maximize)
+	x := p.AddVar("x", 0, lp.Inf, 1)
+	p.AddRow([]lp.Term{{Var: x, Coeff: 2}}, lp.LE, 6)
+	var ms Solver
+	if sol := ms.Solve(&Problem{LP: p, Integer: []lp.VarID{x}}, opt); sol.Status != StatusOptimal || sol.Nodes != 1 {
+		t.Fatalf("status %v after %d nodes, want optimal at the root", sol.Status, sol.Nodes)
+	}
+	if n := ms.clones(); n > 1 {
+		t.Fatalf("a search of one node cloned the problem %d times, want at most 1", n)
+	}
+
+	// An infeasible root ends the search before any node is evaluated.
+	p.AddRow([]lp.Term{{Var: x, Coeff: 1}}, lp.GE, 4)
+	ms = Solver{}
+	if sol := ms.Solve(&Problem{LP: p, Integer: []lp.VarID{x}}, opt); sol.Status != StatusInfeasible {
+		t.Fatalf("status %v, want infeasible", sol.Status)
+	}
+	if n := ms.clones(); n != 0 {
+		t.Fatalf("a search that ended at the root relaxation cloned the problem %d times", n)
+	}
+
+	// A deep tree fills every slot, once each however many rounds follow.
+	ms = Solver{}
+	if sol := ms.Solve(corpusProblem(0), opt); sol.Nodes < 16 {
+		t.Fatalf("only %d nodes; the fixture measures nothing", sol.Nodes)
+	}
+	if n := ms.clones(); n < 2 || n > 8 {
+		t.Fatalf("eight workers over a deep tree made %d clones, want 2..8", n)
+	}
+}
+
+// TestResultsOutliveWorkspace: one Solver taken through the corpus —
+// knapsacks and assignment systems of different sizes, serial and with
+// deterministic rounds of four — returns on every model what a fresh
+// Solve returns, to the bit and the pivot, and no Solution it returned
+// earlier (X, RootBasis) changes while it solves the later ones.
+func TestResultsOutliveWorkspace(t *testing.T) {
+	var ms Solver
+	type kept struct {
+		sol   *Solution
+		x     []float64
+		basis *lp.Basis
+	}
+	var keep []kept
+	for seed := int64(0); seed < 16; seed++ {
+		prob := corpusProblem(seed)
+		opt := Options{Workers: 1 + 3*int(seed/2%2), Deterministic: true}
+		got, want := ms.Solve(prob, opt), Solve(prob, opt)
+		if got.Status != want.Status || got.Nodes != want.Nodes ||
+			got.RootIterations != want.RootIterations || got.NodeIterations != want.NodeIterations ||
+			got.Refactorizations != want.Refactorizations || got.FTUpdates != want.FTUpdates || got.UpdateNnz != want.UpdateNnz ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || math.Float64bits(got.Bound) != math.Float64bits(want.Bound) {
+			t.Fatalf("seed %d: workspace %+v, fresh %+v", seed, got, want)
+		}
+		sameX := func(what string, a, b []float64) {
+			if len(a) != len(b) {
+				t.Fatalf("seed %d: %s: %d entries vs %d", seed, what, len(a), len(b))
+			}
+			for j := range a {
+				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+					t.Fatalf("seed %d: %s: x[%d] = %v vs %v", seed, what, j, a[j], b[j])
+				}
+			}
+		}
+		sameX("workspace vs fresh", got.X, want.X)
+		for _, k := range keep {
+			sameX("an earlier solve's X, re-read", k.sol.X, k.x)
+			if !slices.Equal(k.sol.RootBasis.Vars, k.basis.Vars) || !slices.Equal(k.sol.RootBasis.Rows, k.basis.Rows) {
+				t.Fatalf("seed %d: an earlier solve's RootBasis changed", seed)
+			}
+		}
+		keep = append(keep, kept{got, slices.Clone(got.X), got.RootBasis.Clone()})
 	}
 }

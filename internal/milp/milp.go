@@ -16,18 +16,29 @@
 //
 // Every driver evaluates nodes through workers: each owns a private clone
 // of the problem (bound chains are applied to the clone, never the
-// caller's LP) and one lp.Solver bound to that clone, so a node re-solve
-// re-reads the bounds it changed and reuses the matrix copies, work
-// vectors and LU storage of the node before it. Parent bases are shared
-// read-only (lp never writes through a warm start), so no two LP solves
-// share mutable state. With Workers > 1 nodes run concurrently. The default
-// search is opportunistic — workers pull the best open node from a
-// mutex-guarded heap and publish incumbents through an atomic for
-// lock-free best-bound pruning — which maximizes throughput but lets
-// equal-objective ties resolve by arrival order. Options.Deterministic
-// instead evaluates nodes in synchronized rounds with a fixed ordering
-// and a value-then-lexicographic incumbent rule, making the returned
-// objective and point bit-identical for every worker count (see
+// caller's LP), made when the worker gets its first node, and one
+// lp.Solver, so a node re-solve re-reads the bounds it changed and reuses
+// the matrix copies, work vectors and LU storage of the node before it.
+// Parent bases are shared read-only (lp never writes through a warm
+// start), so no two LP solves share mutable state.
+//
+// The workers belong to a Solver, the workspace of one planning call:
+// worker 0's lp.Solver solves the root relaxation before its first node,
+// and a caller that solves a sequence of models (the rounds of an A* plan)
+// keeps the Solver, so every model after the first runs in storage the
+// one before sized. A Solver serves one goroutine and one call and holds
+// no numeric state — each Solve returns what a new Solver would, and
+// nothing a Solution holds aliases it; sessions, caches and results must
+// not keep one. The package-level Solve is its single-use form.
+//
+// With Workers > 1 nodes run concurrently. The default search is
+// opportunistic — workers pull the best open node from a mutex-guarded
+// heap and publish incumbents through an atomic for lock-free best-bound
+// pruning — which maximizes throughput but lets equal-objective ties
+// resolve by arrival order. Options.Deterministic instead evaluates nodes
+// in synchronized rounds with a fixed ordering and a
+// value-then-lexicographic incumbent rule, making the returned objective
+// and point bit-identical for every worker count (see
 // Options.Deterministic for the exact guarantee).
 package milp
 
@@ -255,6 +266,8 @@ type search struct {
 
 	sol *Solution
 
+	pool []*worker // the Solver's, one per Options.Workers
+
 	mu         sync.Mutex
 	h          *nodeHeap
 	nextID     int
@@ -267,38 +280,39 @@ type search struct {
 	incObj atomicFloat // mirrors incumbent for lock-free pruning
 }
 
-// worker owns what one node evaluator uses: a private problem clone and
-// the lp.Solver bound to it. The clone's integer-variable bounds are
-// reset to the root's and the node's bound chain applied before every
-// solve, so evaluations on different workers never share mutable state;
-// the solver keeps the clone's matrix copies, work vectors and LU storage
-// from one node to the next, so a re-solve pays for the bounds that
-// changed, not for the size of the model. Both live exactly as long as
-// the Solve call that made the worker.
-type worker struct {
-	prob           *lp.Problem
-	solver         *lp.Solver
-	origLo, origHi []float64      // root bounds per s.p.Integer entry
-	chain          []*boundChange // eval's scratch: the node's chain, leaf first
+// Solver is the call-scoped workspace of branch and bound (see the package
+// comment); the zero value is ready.
+type Solver struct {
+	workers []*worker // Solve grows it to Options.Workers
 }
 
-func (s *search) newWorker() *worker {
-	prob := s.p.LP.Clone()
-	w := &worker{
-		prob:   prob,
-		solver: lp.NewSolver(prob),
-		origLo: make([]float64, len(s.p.Integer)),
-		origHi: make([]float64, len(s.p.Integer)),
-	}
-	for i, v := range s.p.Integer {
-		w.origLo[i], w.origHi[i] = w.prob.Bounds(v)
-	}
-	return w
+// worker owns what one node evaluator uses: a private problem clone and
+// an lp.Solver. The clone's integer-variable bounds are reset to the
+// root's and the node's bound chain applied before every solve, so
+// evaluations on different workers never share mutable state; the solver
+// keeps the clone's matrix copies, work vectors and LU storage from one
+// node to the next, so a re-solve pays for the bounds that changed, not
+// for the size of the model. The clone lives as long as the Solve call
+// that made it, the lp.Solver as long as the Solver.
+type worker struct {
+	prob           *lp.Problem // nil until the worker's first node of this Solve
+	clones         int         // clones made so far (test hook)
+	solver         lp.Solver
+	origLo, origHi []float64      // root bounds per s.p.Integer entry
+	chain          []*boundChange // eval's scratch: the node's chain, leaf first
 }
 
 // eval solves one node's LP on the worker's private clone, resuming from
 // the parent basis (shared with the node's sibling; lp only reads it).
 func (w *worker) eval(s *search, nd *node) (*lp.Solution, error) {
+	if w.prob == nil {
+		w.prob, w.origLo, w.origHi = s.p.LP.Clone(), w.origLo[:0], w.origHi[:0]
+		w.clones++
+		for _, v := range s.p.Integer {
+			lo, hi := w.prob.Bounds(v)
+			w.origLo, w.origHi = append(w.origLo, lo), append(w.origHi, hi)
+		}
+	}
 	for i, v := range s.p.Integer {
 		w.prob.SetBounds(v, w.origLo[i], w.origHi[i])
 	}
@@ -312,7 +326,7 @@ func (w *worker) eval(s *search, nd *node) (*lp.Solution, error) {
 	}
 	o := s.childOpt
 	o.WarmStart = nd.basis
-	return w.solver.Solve(o)
+	return w.solver.Solve(w.prob, o)
 }
 
 func (s *search) better(a, b float64) bool {
@@ -374,8 +388,7 @@ func (s *search) push(bound float64, changes *boundChange, basis *lp.Basis, dept
 
 // branch expands an evaluated node: updates the incumbent on an integer-
 // feasible point, or pushes the two children of the branching variable.
-// Callers hold mu in the opportunistic driver. effLo/effHi report the
-// node's effective bounds for the branching variable.
+// Callers hold mu in the opportunistic driver.
 func (s *search) branch(nd *node, lpSol *lp.Solution, exact bool) {
 	v, frac := s.pickBranch(lpSol.X)
 	if !frac {
@@ -437,9 +450,23 @@ func lexLess(a, b []float64) bool {
 
 // Solve runs branch and bound. The problem is treated as read-only: node
 // bound changes are applied to private clones, so concurrent Solve calls
-// may even share one Problem.
+// may even share one Problem. It is the single-use form of Solver.
 func Solve(p *Problem, opt Options) *Solution {
+	return new(Solver).Solve(p, opt)
+}
+
+// Solve runs branch and bound on p in the workspace's storage; see the
+// package-level Solve, whose result it returns bit for bit.
+func (ms *Solver) Solve(p *Problem, opt Options) *Solution {
+	workers := max(opt.Workers, 1)
+	for i := len(ms.workers); i < workers; i++ {
+		ms.workers = append(ms.workers, new(worker))
+	}
+	for _, w := range ms.workers {
+		w.prob = nil // the last Solve's clone
+	}
 	s := &search{
+		pool:  ms.workers[:workers],
 		p:     p,
 		opt:   opt,
 		isMax: p.LP.Dir == lp.Maximize,
@@ -493,7 +520,7 @@ func Solve(p *Problem, opt Options) *Solution {
 
 	// Root.
 	lpOpt.WarmStart = opt.RootWarmStart
-	rootSol, err := lp.Solve(p.LP, lpOpt)
+	rootSol, err := s.pool[0].solver.Solve(p.LP, lpOpt)
 	if rootSol != nil {
 		s.sol.RootIterations = rootSol.Iterations
 		s.sol.Refactorizations = rootSol.Refactorizations
@@ -539,14 +566,10 @@ func Solve(p *Problem, opt Options) *Solution {
 	s.bestBound = rootSol.Objective
 	s.emitProgress()
 
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 && !opt.Deterministic {
-		s.runOpportunistic(workers)
+	if len(s.pool) > 1 && !opt.Deterministic {
+		s.runOpportunistic()
 	} else {
-		s.runRounds(workers)
+		s.runRounds()
 	}
 
 	s.sol.Nodes = s.nodes
@@ -659,12 +682,9 @@ func (s *search) integrate(nd *node, lpSol *lp.Solution, err error, exact bool) 
 // one node at a time. Under Options.Deterministic, exact pruning plus the
 // lexicographic incumbent tie-break make the result a pure function of
 // the problem for every worker count.
-func (s *search) runRounds(workers int) {
+func (s *search) runRounds() {
 	exact := s.opt.Deterministic
-	pool := make([]*worker, workers)
-	for i := range pool {
-		pool[i] = s.newWorker()
-	}
+	pool, workers := s.pool, len(s.pool)
 	type slot struct {
 		nd    *node
 		lpSol *lp.Solution
@@ -723,7 +743,8 @@ func (s *search) runRounds(workers int) {
 // incumbent objective is mirrored through an atomic so a worker returning
 // from a long LP solve can notice it lost the race and drop its node
 // without touching the lock ordering guarantees.
-func (s *search) runOpportunistic(workers int) {
+func (s *search) runOpportunistic() {
+	workers := len(s.pool)
 	cond := sync.NewCond(&s.mu)
 	inFlight := make([]float64, workers)
 	for i := range inFlight {
@@ -754,7 +775,7 @@ func (s *search) runOpportunistic(workers int) {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			w := s.newWorker()
+			w := s.pool[wi]
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			for {
