@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc
+.PHONY: ci vet lint build test race bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc identity
 
 ci: vet lint build test race api-compat daemon-smoke bench-smoke bench-verify
 
@@ -125,3 +125,15 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' \
 		| sort -k2 \
 		| awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
+
+# The acceptance evidence of a change that must move no count (a
+# refactor, a deletion): `make identity PARENT=<ref>` exports the parent
+# commit into a temporary directory, records `bench/run.sh --verify
+# --write-expected` from it and from this working tree, `cmp`s the two
+# records (every pivot, node, round, window, replan outcome and finish
+# epoch of every class of every workload), and prints both sha256 sums
+# and `make loc` per package before -> after. About 4 minutes. Not part
+# of `ci`: bench-verify already diffs against the committed record.
+identity:
+	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<ref>"; exit 2; }
+	bash scripts/identity.sh "$(PARENT)"

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -28,7 +29,7 @@ func TestAStarPlanAllocBudget(t *testing.T) {
 	tt := topo.NDv2Mini(2)
 	d := collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3)
 	plan := func() {
-		res, err := SolveAStar(tt, d, Options{})
+		res, err := SolveAStar(context.Background(), tt, d, Options{})
 		if err != nil || res.Rounds != 6 {
 			t.Fatalf("plan: %v (%+v)", err, res)
 		}

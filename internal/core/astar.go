@@ -39,29 +39,14 @@ type pendingArrival struct {
 // and for moving undelivered chunks closer to their destinations (the
 // Floyd-Warshall potential of Appendix D). Rounds continue until every
 // demand is met. Sub-optimal but far more scalable than the one-shot MILP,
-// and still copy-capable.
-func SolveAStar(t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
-	return SolveAStarContext(context.Background(), t, d, opt)
-}
-
-// SolveAStarContext is SolveAStar under a context: the round loop checks
-// ctx before every round, and each round's MILP (its node loop, worker
-// pool, and LP relaxations) watches the same ctx, so cancellation
-// interrupts the solve promptly with an error wrapping
-// context.Cause(ctx). Options.TimeLimit is layered onto ctx as a derived
-// deadline covering the whole round sequence — not, as before the
-// context plumbing, one budget per round.
-func SolveAStarContext(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
+// and still copy-capable. The round loop checks ctx before every round,
+// and each round's MILP (its node loop, worker pool, and LP relaxations)
+// watches the same ctx, so cancellation interrupts the solve promptly
+// with an error wrapping context.Cause(ctx). Options.TimeLimit is layered
+// onto ctx as a derived deadline covering the whole round sequence.
+func SolveAStar(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
 	res, _, err := solveAStar(ctx, t, d, opt)
 	return res, err
-}
-
-// astarAux is the incremental payload of an A* solve: the instance and
-// round length the replanning layer needs to replay unaffected rounds
-// and resume the round loop on a churned topology.
-type astarAux struct {
-	in *instance
-	Kr int
 }
 
 // astarRoundLength derives the round horizon Kr: long enough that an
@@ -106,37 +91,38 @@ func newAStarState(in *instance) *astarState {
 	return st
 }
 
-// iterTotals accumulates the per-round MILP solver counters so an A*
-// Result reports iteration effort like the other formulations.
-type iterTotals struct {
-	root, node, nodes, refac, ft, nnz int
-}
-
-// astarLoop runs the round loop from startRound (with st describing the
-// world at that round's start) until every demand is met. It returns
-// the sends of the rounds it solved, the total absolute round count,
-// the worst per-round gap, and the summed solver counters. The
-// replanning layer re-enters it mid-stream: replayed rounds advance st
-// without solving, then the loop resumes here on the churned instance.
-func astarLoop(ctx context.Context, in *instance, st *astarState, hop [][]float64, Kr, maxRounds, startRound int, hint *basisHint) ([]schedule.Send, int, float64, iterTotals, error) {
-	var sends []schedule.Send
-	var totalGap float64
-	var iters iterTotals
+// astarLoop runs the round loop from round `rounds` — st describing the
+// world at that round's start, sends and gap what the earlier rounds sent
+// and proved — until every demand is met, then assembles the pruned,
+// validated schedule, the Result of the whole round sequence and the
+// payload Replan resumes from. A plan enters at round 0 with nothing
+// sent; the replanning layer enters mid-stream, having replayed the
+// unaffected rounds through advanceState on the churned instance.
+func astarLoop(ctx context.Context, in *instance, st *astarState, Kr, rounds int, sends []schedule.Send, gap float64, start time.Time) (*Result, incumbentState, error) {
+	res := &Result{Tau: in.tau} // every round adds its effort
+	maxRounds := in.opt.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = 64
+	}
+	var hop [][]float64
+	if st.remaining > 0 {
+		hop = in.hopDistances()
+	}
+	var hint *basisHint
 	// One solve workspace for every round's MILP: it dies with this call
 	// (a session, Result or Plan must never hold one).
 	var ms milp.Solver
-	rounds := startRound
 	for st.remaining > 0 {
 		if rounds >= maxRounds {
-			return nil, rounds, 0, iters, fmt.Errorf("core: A* did not finish within %d rounds (%d demands left)",
+			return nil, incumbentState{}, fmt.Errorf("core: A* did not finish within %d rounds (%d demands left)",
 				maxRounds, st.remaining)
 		}
 		if budgetExpired(ctx) {
 			if ierr := interrupted(ctx); ierr != nil {
-				return nil, rounds, 0, iters, fmt.Errorf("core: A* cancelled at round %d with %d demands left: %w",
+				return nil, incumbentState{}, fmt.Errorf("core: A* cancelled at round %d with %d demands left: %w",
 					rounds, st.remaining, ierr)
 			}
-			return nil, rounds, 0, iters, fmt.Errorf("core: A* hit its time limit at round %d with %d demands left; raise TimeLimit",
+			return nil, incumbentState{}, fmt.Errorf("core: A* hit its time limit at round %d with %d demands left; raise TimeLimit",
 				rounds, st.remaining)
 		}
 		in.opt.Progress.emit(Progress{
@@ -146,63 +132,22 @@ func astarLoop(ctx context.Context, in *instance, st *astarState, hop [][]float6
 		off := rounds * Kr
 		roundSends, msol, roundHint, err := solveRound(ctx, &ms, in, st, hop, Kr, off, hint)
 		if err != nil {
-			return nil, rounds, 0, iters, err
+			return nil, incumbentState{}, err
 		}
-		iters.root += msol.RootIterations
-		iters.node += msol.NodeIterations
-		iters.nodes += msol.Nodes
-		iters.refac += msol.Refactorizations
-		iters.ft += msol.FTUpdates
-		iters.nnz += msol.UpdateNnz
+		res.addMILP(msol)
 		hint = roundHint
 		progressed := advanceState(in, st, roundSends, off, Kr)
 		if !progressed && len(roundSends) == 0 && st.remaining > 0 {
-			return nil, rounds, 0, iters, fmt.Errorf("core: A* stalled at round %d with %d demands left", rounds, st.remaining)
+			return nil, incumbentState{}, fmt.Errorf("core: A* stalled at round %d with %d demands left", rounds, st.remaining)
 		}
 		sends = append(sends, roundSends...)
-		if msol.Gap > totalGap {
-			totalGap = msol.Gap
-		}
+		gap = max(gap, msol.Gap)
 		rounds++
-	}
-	return sends, rounds, totalGap, iters, nil
-}
-
-// solveAStar is SolveAStarContext returning the incremental payload the
-// session layer records for replanning.
-func solveAStar(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, *astarAux, error) {
-	// The round state tracks holders and arrivals in flight only: it has
-	// no bufferless-GPU or eviction case to carry between rounds.
-	if opt.NoBuffers {
-		return nil, nil, errors.New("core: A* does not support Options.NoBuffers; use SolverMILP or SolverLP")
-	}
-	if opt.BufferLimitChunks > 0 {
-		return nil, nil, errors.New("core: A* does not support Options.BufferLimitChunks; use SolverMILP or SolverLP")
-	}
-	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
-	defer cancel()
-	start := time.Now()
-	in := newInstance(t, d, opt)
-	if len(in.comms) == 0 {
-		return emptyResult(in, start), nil, nil
-	}
-
-	Kr := astarRoundLength(in)
-	maxRounds := opt.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 64
-	}
-	st := newAStarState(in)
-	hop := in.hopDistances()
-
-	sends, rounds, totalGap, iters, err := astarLoop(ctx, in, st, hop, Kr, maxRounds, 0, nil)
-	if err != nil {
-		return nil, nil, err
 	}
 
 	s := &schedule.Schedule{
-		Topo:           t,
-		Demand:         d,
+		Topo:           in.topo,
+		Demand:         in.demand,
 		Tau:            in.tau,
 		NumEpochs:      rounds * Kr,
 		Sends:          sends,
@@ -211,23 +156,32 @@ func solveAStar(ctx context.Context, t *topo.Topology, d *collective.Demand, opt
 	}
 	s = s.Prune()
 	if err := s.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: A* produced invalid schedule: %w", err)
+		return nil, incumbentState{}, fmt.Errorf("core: A* produced invalid schedule: %w", err)
 	}
-	return &Result{
-		Schedule:         s,
-		Gap:              totalGap,
-		Optimal:          false,
-		SolveTime:        time.Since(start),
-		Epochs:           rounds * Kr,
-		Tau:              in.tau,
-		Rounds:           rounds,
-		Nodes:            iters.nodes,
-		RootIterations:   iters.root,
-		NodeIterations:   iters.node,
-		Refactorizations: iters.refac,
-		FTUpdates:        iters.ft,
-		UpdateNnz:        iters.nnz,
-	}, &astarAux{in: in, Kr: Kr}, nil
+	res.Schedule, res.Gap, res.Epochs, res.Rounds = s, gap, rounds*Kr, rounds
+	res.SolveTime = time.Since(start)
+	return res, incumbentState{ain: in, aKr: Kr, aRounds: rounds, aGap: gap, sends: s.Sends}, nil
+}
+
+// solveAStar is SolveAStar returning the incremental payload the session
+// layer records for replanning.
+func solveAStar(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
+	// The round state tracks holders and arrivals in flight only: it has
+	// no bufferless-GPU or eviction case to carry between rounds.
+	if opt.NoBuffers {
+		return nil, incumbentState{}, errors.New("core: A* does not support Options.NoBuffers; use SolverMILP or SolverLP")
+	}
+	if opt.BufferLimitChunks > 0 {
+		return nil, incumbentState{}, errors.New("core: A* does not support Options.BufferLimitChunks; use SolverMILP or SolverLP")
+	}
+	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
+	defer cancel()
+	start := time.Now()
+	in := newInstance(t, d, opt)
+	if len(in.comms) == 0 {
+		return emptyResult(in, start), incumbentState{}, nil
+	}
+	return astarLoop(ctx, in, newAStarState(in), astarRoundLength(in), 0, nil, 0, start)
 }
 
 // solveRound builds and solves one A* round MILP: the §3.1 model over the

@@ -119,17 +119,12 @@ func (c *batchCache) store(fp uint64, e *batchEntry) {
 // reusing solver state across points as described at the top of the
 // file. Results and errors are returned per point, aligned with demands;
 // points fail independently. opt applies to every point (opt.Workers is
-// the default pool size when bo.Workers is zero).
-func BatchSolveLP(t *topo.Topology, demands []*collective.Demand, opt Options, bo BatchOptions) ([]*Result, []error) {
-	return BatchSolveLPContext(context.Background(), t, demands, opt, bo)
-}
-
-// BatchSolveLPContext is BatchSolveLP under a context: the fan-out stops
+// the default pool size when bo.Workers is zero). The fan-out stops
 // picking up new points once ctx is done (each unsolved point's error
 // wraps context.Cause), and in-flight solves are interrupted through the
-// same ctx. Options.TimeLimit remains a per-point budget, as it was when
-// each point was a separate SolveLP call.
-func BatchSolveLPContext(ctx context.Context, t *topo.Topology, demands []*collective.Demand, opt Options, bo BatchOptions) ([]*Result, []error) {
+// same ctx. Options.TimeLimit is a per-point budget, as if each point
+// were a separate SolveLP call.
+func BatchSolveLP(ctx context.Context, t *topo.Topology, demands []*collective.Demand, opt Options, bo BatchOptions) ([]*Result, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -160,21 +155,16 @@ func BatchSolveLPContext(ctx context.Context, t *topo.Topology, demands []*colle
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var prevModel *lpModel
-			var prevBasis *lp.Basis
+			var prev incumbentState // the chain's last solved model and basis
 			for i := lo; i < hi; i++ {
 				if err := context.Cause(ctx); err != nil && ctx.Err() != nil {
 					errs[i] = err
 					continue
 				}
-				var hint *basisHint
-				if prevModel != nil {
-					hint = hintFromSolve(prevModel.p, prevBasis)
-				}
-				res, m, b, _, err := cache.solvePoint(ctx, t, demands[i], opt, hint)
+				res, inc, _, err := cache.solvePoint(ctx, t, demands[i], opt, hintFromSolve(prev.root()))
 				results[i], errs[i] = res, err
-				if err == nil && m != nil {
-					prevModel, prevBasis = m, b
+				if err == nil && inc.model != nil {
+					prev = inc
 				}
 			}
 		}(lo, hi)
@@ -185,31 +175,29 @@ func BatchSolveLPContext(ctx context.Context, t *topo.Topology, demands []*colle
 
 // solvePoint solves one sweep point: replayed from the cache when a
 // structurally identical point was already solved, otherwise solved for
-// real (warm-started from hint) and cached. A replay carries no model or
-// basis of its own; replayOf names the cached model it replayed, so a
-// session can recognise a replay of its own incumbent. Options.TimeLimit
-// is layered onto ctx per point.
-func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, m *lpModel, b *lp.Basis, replayOf *lp.Problem, err error) {
+// real (warm-started from hint) and cached. A replay carries no payload
+// of its own; replayOf names the cached model it replayed, so a session
+// can recognise a replay of its own incumbent. Options.TimeLimit is
+// layered onto ctx per point.
+func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, inc incumbentState, replayOf *lp.Problem, err error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
 	start := time.Now()
 	pr := prepLP(t, d, opt)
-	if pr.m == nil {
-		r := emptyResult(pr.in, start)
-		r.Schedule.AllowCopy = false
-		return r, nil, nil, nil, nil
-	}
-	fp := pr.m.p.Fingerprint()
-	if e := c.lookup(fp, pr.m.p, opt.MinimizeMakespan); e != nil {
-		if res := replayEntry(t, pr, e, start); res != nil {
-			return res, nil, nil, e.base, nil
+	var fp uint64
+	if pr.m != nil {
+		fp = pr.m.p.Fingerprint()
+		if e := c.lookup(fp, pr.m.p, opt.MinimizeMakespan); e != nil {
+			if res := replayEntry(t, pr, e, start); res != nil {
+				return res, incumbentState{}, e.base, nil
+			}
+			// A replay that fails validation (e.g. a demand whose chunk
+			// numbering differs despite the identical model) falls
+			// through to an honest solve.
 		}
-		// A replay that fails validation (e.g. a demand whose chunk
-		// numbering differs despite the identical model) falls through
-		// to an honest solve.
 	}
-	res, m, b, err = solvePrepped(ctx, t, pr, opt, hint, start)
-	if err == nil && res != nil && res.Optimal && res.Schedule != nil {
+	res, inc, err = solvePrepped(ctx, t, pr, opt, hint, start)
+	if err == nil && inc.model != nil {
 		c.store(fp, &batchEntry{
 			base:      pr.m.p,
 			sends:     res.Schedule.Sends,
@@ -221,7 +209,7 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 			makespan:  opt.MinimizeMakespan,
 		})
 	}
-	return res, m, b, nil, err
+	return res, inc, nil, err
 }
 
 // replayEntry re-issues a cached point's schedule under this point's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -35,12 +36,12 @@ func TestBatchSolveLPMatchesPointSolves(t *testing.T) {
 	demands := sweepDemands(topol, sizes)
 	opt := Options{EpochMode: FastestLink}
 
-	batch, errs := BatchSolveLP(topol, demands, opt, BatchOptions{})
+	batch, errs := BatchSolveLP(context.Background(), topol, demands, opt, BatchOptions{})
 	for i := range demands {
 		if errs[i] != nil {
 			t.Fatalf("point %d: %v", i, errs[i])
 		}
-		fresh, err := SolveLP(topol, demands[i], opt)
+		fresh, err := SolveLP(context.Background(), topol, demands[i], opt)
 		if err != nil {
 			t.Fatalf("fresh point %d: %v", i, err)
 		}
@@ -67,7 +68,7 @@ func TestBatchSolveLPMatchesPointSolves(t *testing.T) {
 func TestBatchSolveLPReusesIdenticalModels(t *testing.T) {
 	topol := topo.ZeroAlpha(topo.DGX1())
 	demands := sweepDemands(topol, []float64{100e3, 200e3, 400e3, 800e3})
-	batch, errs := BatchSolveLP(topol, demands, Options{EpochMode: FastestLink}, BatchOptions{})
+	batch, errs := BatchSolveLP(context.Background(), topol, demands, Options{EpochMode: FastestLink}, BatchOptions{})
 	reused := 0
 	for i := range batch {
 		if errs[i] != nil {
@@ -91,8 +92,8 @@ func TestBatchSolveLPWorkersAgree(t *testing.T) {
 	topol := topo.DGX1() // alpha > 0: models differ per size, full solves chain bases
 	demands := sweepDemands(topol, []float64{100e3, 200e3, 400e3})
 	opt := Options{EpochMode: FastestLink}
-	serial, errsA := BatchSolveLP(topol, demands, opt, BatchOptions{Workers: 1})
-	par, errsB := BatchSolveLP(topol, demands, opt, BatchOptions{Workers: 3})
+	serial, errsA := BatchSolveLP(context.Background(), topol, demands, opt, BatchOptions{Workers: 1})
+	par, errsB := BatchSolveLP(context.Background(), topol, demands, opt, BatchOptions{Workers: 3})
 	for i := range demands {
 		if errsA[i] != nil || errsB[i] != nil {
 			t.Fatalf("point %d: %v / %v", i, errsA[i], errsB[i])

@@ -10,12 +10,17 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"teccl/internal/collective"
 	"teccl/internal/topo"
 )
+
+// solveFunc is the shape of the three exported single-solve entries, for
+// tests that run one check over several forms.
+type solveFunc = func(context.Context, *topo.Topology, *collective.Demand, Options) (*Result, error)
 
 // testGPUs lists a topology's GPUs as ints.
 func testGPUs(t *topo.Topology) []int {
@@ -70,7 +75,7 @@ func TestCancelRootLP(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := SolveLPContext(ctx, tt, d, Options{})
+	res, err := SolveLP(ctx, tt, d, Options{})
 	promptly(t, start)
 	if res != nil {
 		t.Fatalf("cancelled LP returned a result (the simplex cannot have finished)")
@@ -101,7 +106,7 @@ func TestCancelDeepBranchAndBound(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	res, err := SolveMILPContext(ctx, tt, d, opt)
+	res, err := SolveMILP(ctx, tt, d, opt)
 	promptly(t, start)
 	if err == nil {
 		// The search may prove optimality before the third node on a fast
@@ -143,7 +148,7 @@ func TestCancelAStarRoundTwo(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	res, err := SolveAStarContext(ctx, tt, d, opt)
+	res, err := SolveAStar(ctx, tt, d, opt)
 	promptly(t, start)
 	if err == nil {
 		if res != nil && res.Rounds < 2 {
@@ -161,32 +166,59 @@ func TestCancelAStarRoundTwo(t *testing.T) {
 }
 
 func TestCancelDuringMakespanRefinement(t *testing.T) {
-	// Cancel right after the base LP solves, so the cancellation lands in
-	// the MinimizeMakespan re-solve chain: the last complete schedule
-	// must come back alongside an error wrapping context.Canceled.
-	tt := topo.DGX1()
-	d := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opt := Options{
-		MinimizeMakespan: true,
-		Progress: func(p Progress) {
-			if p.Solver == "lp" && p.Phase == "simplex" {
-				cancel()
+	// Cancel right after the base solve, so the cancellation lands in the
+	// MinimizeMakespan re-solve chain both forms share: the last complete
+	// schedule — the base solve's — must come back alongside an error
+	// wrapping context.Canceled. The LP is cancelled when its base simplex
+	// reports; the MILP when the second model sample announces the first
+	// re-solve.
+	for _, c := range []struct {
+		name     string
+		solve    solveFunc
+		topo     *topo.Topology
+		demand   func(numNodes int, gpus []int, chunks int, chunkBytes float64) *collective.Demand
+		opt      Options
+		cancelAt func(seen map[string]int) bool
+	}{
+		{"lp", SolveLP, topo.DGX1(), collective.AllToAll, Options{},
+			func(seen map[string]int) bool { return seen["lp/simplex"] == 1 }},
+		{"milp", SolveMILP, topo.Internal2(2), collective.AllGather, Options{EpochMode: SlowestLink},
+			func(seen map[string]int) bool { return seen["milp/model"] == 2 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := c.demand(c.topo.NumNodes(), testGPUs(c.topo), 1, 25e3)
+			base, err := c.solve(context.Background(), c.topo, d, c.opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-		},
-	}
-	start := time.Now()
-	res, err := SolveLPContext(ctx, tt, d, opt)
-	promptly(t, start)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want wrap of context.Canceled", err)
-	}
-	if res == nil {
-		t.Fatal("cancelled refinement dropped the completed schedule")
-	}
-	if verr := res.Schedule.Validate(); verr != nil {
-		t.Fatalf("returned schedule invalid: %v", verr)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			seen := map[string]int{}
+			opt := c.opt
+			opt.MinimizeMakespan = true
+			opt.Progress = func(p Progress) {
+				seen[p.Solver+"/"+p.Phase]++
+				if c.cancelAt(seen) {
+					cancel()
+				}
+			}
+			start := time.Now()
+			res, err := c.solve(ctx, c.topo, d, opt)
+			promptly(t, start)
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "makespan refinement cancelled") {
+				t.Fatalf("err = %v, want the refinement's wrap of context.Canceled", err)
+			}
+			if res == nil {
+				t.Fatal("cancelled refinement dropped the completed schedule")
+			}
+			if verr := res.Schedule.Validate(); verr != nil {
+				t.Fatalf("returned schedule invalid: %v", verr)
+			}
+			if res.Epochs != base.Epochs || res.Objective != base.Objective {
+				t.Fatalf("returned K=%d objective %g, want the base solve's K=%d objective %g",
+					res.Epochs, res.Objective, base.Epochs, base.Objective)
+			}
+		})
 	}
 }
 
@@ -201,7 +233,7 @@ func TestCancelBatchSolve(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, errs := BatchSolveLPContext(ctx, tt, demands, Options{}, BatchOptions{})
+	_, errs := BatchSolveLP(ctx, tt, demands, Options{}, BatchOptions{})
 	promptly(t, start)
 	sawCancel := false
 	for _, err := range errs {
@@ -221,15 +253,15 @@ func TestCancelledContextFailsFast(t *testing.T) {
 	cancel()
 	for name, solve := range map[string]func() error{
 		"lp": func() error {
-			_, err := SolveLPContext(ctx, tt, d, Options{})
+			_, err := SolveLP(ctx, tt, d, Options{})
 			return err
 		},
 		"milp": func() error {
-			_, err := SolveMILPContext(ctx, tt, d, Options{})
+			_, err := SolveMILP(ctx, tt, d, Options{})
 			return err
 		},
 		"astar": func() error {
-			_, err := SolveAStarContext(ctx, tt, d, Options{})
+			_, err := SolveAStar(ctx, tt, d, Options{})
 			return err
 		},
 	} {

@@ -4,9 +4,10 @@ package core
 // cancellation. Every solver entry point derives one context per request:
 // the caller's context (cancellation, caller deadlines) with
 // Options.TimeLimit layered on as a deadline whose *cause* is the
-// sentinel errTimeLimit. All three solvers — the LP simplex loops, the
-// branch-and-bound node loop, and the A* round loop — watch only that
-// context, which is what makes TimeLimit behave identically across them.
+// sentinel errTimeLimit. All four solvers — the LP simplex loops (the
+// rolling-horizon windows run them too), the branch-and-bound node
+// loop, and the A* round loop — watch only that context, which is what
+// makes TimeLimit behave identically across them.
 //
 // The cause distinguishes the two ways a solve can be stopped:
 //

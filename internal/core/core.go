@@ -2,16 +2,28 @@
 // communication optimization problem modeled as a time-expanded
 // multi-commodity flow problem.
 //
-// Three solvers are provided, mirroring §3-§4 of the paper:
+// Four solvers are provided, mirroring §3-§4 of the paper, each behind one
+// context-first entry (cancellation and Options.TimeLimit interrupt all
+// of them through that one context):
 //
 //   - SolveMILP: the general mixed-integer form (§3.1). Supports
 //     in-network copy, store-and-forward buffers, and α-aware pipelining.
 //     Optimal, but the slowest to solve.
-//   - SolveLP: the linear-program form (§4.1) for demands that do not
-//     benefit from copy (ALLTOALL-like). Optimal and far more scalable.
+//   - SolveLP (and BatchSolveLP for sweeps): the linear-program form
+//     (§4.1) for demands that do not benefit from copy (ALLTOALL-like).
+//     Optimal and far more scalable.
 //   - SolveAStar: the round-partitioned approximation (§4.2, Appendix D).
 //     Supports copy, scales further than the MILP, trades optimality for
 //     solver time via the round length.
+//   - SolverHorizon: the LP form over rolling windows, registered by
+//     internal/horizon and reached through a Planner.
+//
+// Every solve is the same three steps. A model is built (lpModel.emit,
+// milpModel.emit) or, by Replan, edited from the incumbent's; the form's
+// one tail runs it — (*lpModel).run, (*milpModel).run, astarLoop: solve,
+// status to error, schedule, Result — with refineMakespan on top when
+// asked; and a Planner session's epilogue (Plan's, or adoptReplan) reads
+// provenance off the Result and keeps the payload for the next request.
 //
 // Time is discrete: epochs of duration τ. Chunks are the schedulable unit;
 // a link of capacity T carries T·τ bytes per epoch, and a link latency α
@@ -23,6 +35,8 @@ import (
 	"time"
 
 	"teccl/internal/collective"
+	"teccl/internal/lp"
+	"teccl/internal/milp"
 	"teccl/internal/schedule"
 	"teccl/internal/topo"
 )
@@ -105,7 +119,11 @@ type Options struct {
 	// GapLimit passes an early-stop optimality gap to the MILP solver
 	// (the paper's Gurobi early-stop, e.g. 0.3). 0 solves to optimality.
 	GapLimit float64
-	// TimeLimit bounds MILP solve time (the paper uses 2 hours).
+	// TimeLimit bounds a solve's wall time, whichever solver runs it (the
+	// paper gives its MILPs 2 hours): every entry layers it onto its
+	// context as one derived deadline covering model build, the solve
+	// and any re-solves (context.go has what each solver returns when it
+	// expires). 0 means no limit.
 	TimeLimit time.Duration
 	// NoIncumbentHeuristic disables the greedy warm-start incumbent.
 	NoIncumbentHeuristic bool
@@ -123,10 +141,12 @@ type Options struct {
 
 	// Workers is the number of branch-and-bound nodes the MILP and A*
 	// solvers evaluate concurrently (and the default fan-out of
-	// BatchSolveLP sweeps); 0 or 1 solves serially. The parallel search
-	// is opportunistic: it proves the same optimum but may return a
-	// different one of several equally optimal schedules run to run —
-	// see milp.Options.Deterministic for the reproducible variant.
+	// BatchSolveLP sweeps); 0 or 1 solves serially. The LP and
+	// rolling-horizon solvers run one simplex at a time and ignore it.
+	// The parallel search is opportunistic: it proves the same optimum
+	// but may return a different one of several equally optimal
+	// schedules run to run — see milp.Options.Deterministic for the
+	// reproducible variant.
 	Workers int
 
 	// RoundEpochs is the number of epochs per A* round (§4.2); 0 derives
@@ -246,6 +266,24 @@ type Result struct {
 	// from the greedy schedule's flow support (a crash basis) instead of
 	// the all-slack identity. Mutually exclusive with WarmStarted.
 	CrashStarted bool
+}
+
+// addLP and addMILP fold one solve's effort into the counters: a
+// single-shot form adds its one solve, A* every round's.
+func (r *Result) addLP(sol *lp.Solution) {
+	r.RootIterations += sol.Iterations
+	r.Refactorizations += sol.Refactorizations
+	r.FTUpdates += sol.FTUpdates
+	r.UpdateNnz += sol.UpdateNnz
+}
+
+func (r *Result) addMILP(sol *milp.Solution) {
+	r.Nodes += sol.Nodes
+	r.RootIterations += sol.RootIterations
+	r.NodeIterations += sol.NodeIterations
+	r.Refactorizations += sol.Refactorizations
+	r.FTUpdates += sol.FTUpdates
+	r.UpdateNnz += sol.UpdateNnz
 }
 
 // instance is the preprocessed solve context shared by the formulations.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestMILPSingleHop(t *testing.T) {
 	tp := topo.Line(2, 1e9, 0)
 	d := collective.New(2, 1, chunk1ms)
 	d.Set(0, 0, 1)
-	r, err := SolveMILP(tp, d, Options{Epochs: 3})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 3})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -70,7 +71,7 @@ func TestMILPRelayLine(t *testing.T) {
 	tp := topo.Line(3, 1e9, 0)
 	d := collective.New(3, 1, chunk1ms)
 	d.Set(0, 0, 2)
-	r, err := SolveMILP(tp, d, Options{Epochs: 4})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 4})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestMILPCopyBroadcast(t *testing.T) {
 	d.Set(int(s), 0, int(d1))
 	d.Set(int(s), 0, int(d2))
 	d.Set(int(s), 0, int(d3))
-	r, err := SolveMILP(tp, d, Options{Epochs: 5})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 5})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -116,7 +117,7 @@ func TestMILPThroughSwitch(t *testing.T) {
 	d := collective.New(tp.NumNodes(), 1, chunk1ms)
 	d.Set(int(g[0]), 0, int(g[1]))
 	d.Set(int(g[0]), 0, int(g[2]))
-	r, err := SolveMILP(tp, d, Options{Epochs: 5})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 5})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -132,7 +133,7 @@ func TestMILPLegacySwitchNoCopy(t *testing.T) {
 	d := collective.New(tp.NumNodes(), 1, chunk1ms)
 	d.Set(int(g[0]), 0, int(g[1]))
 	d.Set(int(g[0]), 0, int(g[2]))
-	r, err := SolveMILP(tp, d, Options{Epochs: 6, SwitchMode: SwitchNoCopy})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 6, SwitchMode: SwitchNoCopy})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestMILPLegacySwitchNoCopy(t *testing.T) {
 func TestMILPRingAllGather(t *testing.T) {
 	tp := topo.Ring(4, 1e9, 0)
 	d := collective.AllGather(4, []int{0, 1, 2, 3}, 1, chunk1ms)
-	r, err := SolveMILP(tp, d, Options{Epochs: 4})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 4})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -171,7 +172,7 @@ func TestMILPAlphaPipelining(t *testing.T) {
 	d := collective.New(2, 2, chunk1ms)
 	d.Set(0, 0, 1)
 	d.Set(0, 1, 1)
-	r, err := SolveMILP(tp, d, Options{Epochs: 8})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 8})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -187,7 +188,7 @@ func TestMILPInfeasibleHorizon(t *testing.T) {
 	d := collective.New(3, 1, chunk1ms)
 	d.Set(0, 0, 2)
 	// Two hops cannot fit in 1 epoch.
-	if _, err := SolveMILP(tp, d, Options{Epochs: 1}); err == nil {
+	if _, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 1}); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
 }
@@ -195,7 +196,7 @@ func TestMILPInfeasibleHorizon(t *testing.T) {
 func TestMILPEmptyDemand(t *testing.T) {
 	tp := topo.Line(2, 1e9, 0)
 	d := collective.New(2, 1, chunk1ms)
-	r, err := SolveMILP(tp, d, Options{Epochs: 2})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 2})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -210,7 +211,7 @@ func TestMILPNoBuffers(t *testing.T) {
 	tp := topo.Line(3, 1e9, 0)
 	d := collective.New(3, 1, chunk1ms)
 	d.Set(0, 0, 2)
-	r, err := SolveMILP(tp, d, Options{Epochs: 4, NoBuffers: true, NoIncumbentHeuristic: true})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 4, NoBuffers: true, NoIncumbentHeuristic: true})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -222,7 +223,7 @@ func TestMILPNoBuffers(t *testing.T) {
 func TestMILPBufferLimit(t *testing.T) {
 	tp := topo.Ring(3, 1e9, 0)
 	d := collective.AllGather(3, []int{0, 1, 2}, 1, chunk1ms)
-	r, err := SolveMILP(tp, d, Options{Epochs: 4, BufferLimitChunks: 3})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 4, BufferLimitChunks: 3})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -243,7 +244,7 @@ func TestMILPFastEpochHeterogeneous(t *testing.T) {
 	d := collective.New(3, 2, chunk1ms)
 	d.Set(0, 0, 1)
 	d.Set(0, 1, 1)
-	r, err := SolveMILP(tp, d, Options{Epochs: 6, EpochMode: FastestLink})
+	r, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 6, EpochMode: FastestLink})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -257,7 +258,7 @@ func TestMILPFastEpochHeterogeneous(t *testing.T) {
 func TestLPAllToAllMesh(t *testing.T) {
 	tp := topo.FullMesh(3, 1e9, 0)
 	d := collective.AllToAll(3, []int{0, 1, 2}, 1, chunk1ms)
-	r, err := SolveLP(tp, d, Options{Epochs: 4})
+	r, err := SolveLP(context.Background(), tp, d, Options{Epochs: 4})
 	if err != nil {
 		t.Fatalf("SolveLP: %v", err)
 	}
@@ -274,7 +275,7 @@ func TestLPAllToAllMesh(t *testing.T) {
 func TestLPRelayAllToAll(t *testing.T) {
 	tp := topo.Line(3, 1e9, 0)
 	d := collective.AllToAll(3, []int{0, 1, 2}, 1, chunk1ms)
-	r, err := SolveLP(tp, d, Options{Epochs: 6})
+	r, err := SolveLP(context.Background(), tp, d, Options{Epochs: 6})
 	if err != nil {
 		t.Fatalf("SolveLP: %v", err)
 	}
@@ -295,7 +296,7 @@ func TestLPThroughSwitch(t *testing.T) {
 	g := tp.GPUs()
 	ids := []int{int(g[0]), int(g[1]), int(g[2]), int(g[3])}
 	d := collective.AllToAll(tp.NumNodes(), ids, 1, chunk1ms)
-	r, err := SolveLP(tp, d, Options{Epochs: 8})
+	r, err := SolveLP(context.Background(), tp, d, Options{Epochs: 8})
 	if err != nil {
 		t.Fatalf("SolveLP: %v", err)
 	}
@@ -311,11 +312,11 @@ func TestLPMatchesMILPOnAllToAll(t *testing.T) {
 	// finish epoch (§4.1's optimality claim).
 	tp := topo.Ring(3, 1e9, 0)
 	d := collective.AllToAll(3, []int{0, 1, 2}, 1, chunk1ms)
-	rLP, err := SolveLP(tp, d, Options{Epochs: 5})
+	rLP, err := SolveLP(context.Background(), tp, d, Options{Epochs: 5})
 	if err != nil {
 		t.Fatalf("SolveLP: %v", err)
 	}
-	rMILP, err := SolveMILP(tp, d, Options{Epochs: 5})
+	rMILP, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 5})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
@@ -329,7 +330,7 @@ func TestLPWithAlpha(t *testing.T) {
 	tp := topo.Line(2, 1e9, 3e-3) // delta = 3
 	d := collective.New(2, 1, chunk1ms)
 	d.Set(0, 0, 1)
-	r, err := SolveLP(tp, d, Options{Epochs: 8})
+	r, err := SolveLP(context.Background(), tp, d, Options{Epochs: 8})
 	if err != nil {
 		t.Fatalf("SolveLP: %v", err)
 	}
@@ -342,7 +343,7 @@ func TestLPWithAlpha(t *testing.T) {
 func TestAStarRingAllGather(t *testing.T) {
 	tp := topo.Ring(4, 1e9, 0)
 	d := collective.AllGather(4, []int{0, 1, 2, 3}, 1, chunk1ms)
-	r, err := SolveAStar(tp, d, Options{RoundEpochs: 3})
+	r, err := SolveAStar(context.Background(), tp, d, Options{RoundEpochs: 3})
 	if err != nil {
 		t.Fatalf("SolveAStar: %v", err)
 	}
@@ -364,7 +365,7 @@ func TestAStarThroughSwitch(t *testing.T) {
 	g := tp.GPUs()
 	ids := []int{int(g[0]), int(g[1]), int(g[2]), int(g[3])}
 	d := collective.AllGather(tp.NumNodes(), ids, 1, chunk1ms)
-	r, err := SolveAStar(tp, d, Options{RoundEpochs: 3})
+	r, err := SolveAStar(context.Background(), tp, d, Options{RoundEpochs: 3})
 	if err != nil {
 		t.Fatalf("SolveAStar: %v", err)
 	}
@@ -377,7 +378,7 @@ func TestAStarWithAlphaCarryover(t *testing.T) {
 	// Alpha of 2 epochs with 3-epoch rounds forces in-flight carryover.
 	tp := topo.Ring(4, 1e9, 2e-3)
 	d := collective.AllGather(4, []int{0, 1, 2, 3}, 1, chunk1ms)
-	r, err := SolveAStar(tp, d, Options{RoundEpochs: 4})
+	r, err := SolveAStar(context.Background(), tp, d, Options{RoundEpochs: 4})
 	if err != nil {
 		t.Fatalf("SolveAStar: %v", err)
 	}
@@ -394,11 +395,11 @@ func TestAStarMatchesOptOnEasyInstance(t *testing.T) {
 	// A* within a modest factor.
 	tp := topo.Ring(3, 1e9, 0)
 	d := collective.AllGather(3, []int{0, 1, 2}, 1, chunk1ms)
-	opt, err := SolveMILP(tp, d, Options{Epochs: 3})
+	opt, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 3})
 	if err != nil {
 		t.Fatalf("SolveMILP: %v", err)
 	}
-	ast, err := SolveAStar(tp, d, Options{RoundEpochs: 3})
+	ast, err := SolveAStar(context.Background(), tp, d, Options{RoundEpochs: 3})
 	if err != nil {
 		t.Fatalf("SolveAStar: %v", err)
 	}

@@ -7,6 +7,7 @@ package core
 // instances that have a greedy plan.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,8 +24,8 @@ func TestQuickCrashMatchesSlackStartLP(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tp := randTopo(rng)
 		d := randDemand(rng, tp.NumNodes())
-		crash, err1 := SolveLP(tp, d, Options{})
-		slack, err2 := SolveLP(tp, d, Options{Crash: CrashOff})
+		crash, err1 := SolveLP(context.Background(), tp, d, Options{})
+		slack, err2 := SolveLP(context.Background(), tp, d, Options{Crash: CrashOff})
 		if (err1 == nil) != (err2 == nil) {
 			t.Logf("seed %d: error mismatch crash=%v slack=%v", seed, err1, err2)
 			return false
@@ -60,7 +61,7 @@ func TestCrashEngagesOnAllToAll(t *testing.T) {
 			gpus = append(gpus, int(g))
 		}
 		d := collective.AllToAll(tc.tp.NumNodes(), gpus, 1, 8e6/float64(len(gpus)))
-		crash, err := SolveLP(tc.tp, d, tc.opt)
+		crash, err := SolveLP(context.Background(), tc.tp, d, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: crash solve: %v", tc.name, err)
 		}
@@ -69,7 +70,7 @@ func TestCrashEngagesOnAllToAll(t *testing.T) {
 		}
 		slackOpt := tc.opt
 		slackOpt.Crash = CrashOff
-		slack, err := SolveLP(tc.tp, d, slackOpt)
+		slack, err := SolveLP(context.Background(), tc.tp, d, slackOpt)
 		if err != nil {
 			t.Fatalf("%s: slack solve: %v", tc.name, err)
 		}
@@ -93,7 +94,7 @@ func TestCrashAllMatchesSlackStartMILP(t *testing.T) {
 		gpus = append(gpus, int(g))
 	}
 	d := collective.AllGather(tp.NumNodes(), gpus, 1, 1e6)
-	crash, err := SolveMILP(tp, d, Options{EpochMode: SlowestLink, Crash: CrashAll})
+	crash, err := SolveMILP(context.Background(), tp, d, Options{EpochMode: SlowestLink, Crash: CrashAll})
 	if err != nil {
 		t.Fatalf("crash solve: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestCrashAllMatchesSlackStartMILP(t *testing.T) {
 		t.Fatalf("want crash-started optimal solve, got crash=%v optimal=%v",
 			crash.CrashStarted, crash.Optimal)
 	}
-	slack, err := SolveMILP(tp, d, Options{EpochMode: SlowestLink, Crash: CrashOff})
+	slack, err := SolveMILP(context.Background(), tp, d, Options{EpochMode: SlowestLink, Crash: CrashOff})
 	if err != nil {
 		t.Fatalf("slack solve: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestAStarPriorityFavorsTenant(t *testing.T) {
 	priorityFavorsTenant(t, SolveAStar, Options{RoundEpochs: 4})
 }
 
-func priorityFavorsTenant(t *testing.T, solve func(*topo.Topology, *collective.Demand, Options) (*Result, error), opt Options) {
+func priorityFavorsTenant(t *testing.T, solve solveFunc, opt Options) {
 	tp, d := twoChunkLine() // tenant A: chunk 0, tenant B: chunk 1
 
 	solveWithPriority := func(favored int) int {
@@ -30,7 +31,7 @@ func priorityFavorsTenant(t *testing.T, solve func(*topo.Topology, *collective.D
 			}
 			return 1
 		}
-		res, err := solve(tp, d, opt)
+		res, err := solve(context.Background(), tp, d, opt)
 		if err != nil {
 			t.Fatalf("solve: %v", err)
 		}
@@ -67,7 +68,7 @@ func TestPriorityInLP(t *testing.T) {
 	d.Set(int(b), 0, int(dn))
 
 	finishOf := func(favored int) (fa, fb int) {
-		res, err := SolveLP(tp, d, Options{
+		res, err := SolveLP(context.Background(), tp, d, Options{
 			Epochs: 6,
 			Priority: func(src, chunk, dst int) float64 {
 				if src == favored {
@@ -141,12 +142,12 @@ func twoChunkLine() (*topo.Topology, *collective.Demand) {
 // it used to be returned as the answer, sends in the dead epochs and all.
 func TestVariableBandwidthDelays(t *testing.T) {
 	tp, d := twoChunkLine()
-	base, err := SolveMILP(tp, d, Options{Epochs: 8})
+	base, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 8})
 	if err != nil {
 		t.Fatalf("base: %v", err)
 	}
 	// Link dead for the first two epochs.
-	throttled, err := SolveMILP(tp, d, Options{Epochs: 8, LinkCapacity: deadEpochs(0, 1)})
+	throttled, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 8, LinkCapacity: deadEpochs(0, 1)})
 	if err != nil {
 		t.Fatalf("throttled: %v", err)
 	}
@@ -164,11 +165,11 @@ func TestVariableBandwidthDelays(t *testing.T) {
 func TestVariableBandwidthAutoEpochs(t *testing.T) {
 	tp, d := twoChunkLine()
 	opt := Options{LinkCapacity: deadEpochs(0, 1)}
-	for name, solve := range map[string]func(*topo.Topology, *collective.Demand, Options) (*Result, error){
+	for name, solve := range map[string]solveFunc{
 		"milp": SolveMILP, "lp": SolveLP,
 	} {
 		t.Run(name, func(t *testing.T) {
-			res, err := solve(tp, d, opt)
+			res, err := solve(context.Background(), tp, d, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,11 +186,11 @@ func TestVariableBandwidthAutoEpochs(t *testing.T) {
 // (rounds of 3 epochs: 0 and 1 are dead in the first, 3 in the second).
 func TestAStarVariableBandwidth(t *testing.T) {
 	tp, d := twoChunkLine()
-	base, err := SolveAStar(tp, d, Options{RoundEpochs: 3})
+	base, err := SolveAStar(context.Background(), tp, d, Options{RoundEpochs: 3})
 	if err != nil {
 		t.Fatalf("base: %v", err)
 	}
-	throttled, err := SolveAStar(tp, d, Options{RoundEpochs: 3, LinkCapacity: deadEpochs(0, 1, 3)})
+	throttled, err := SolveAStar(context.Background(), tp, d, Options{RoundEpochs: 3, LinkCapacity: deadEpochs(0, 1, 3)})
 	if err != nil {
 		t.Fatalf("throttled: %v", err)
 	}
@@ -209,7 +210,7 @@ func TestAStarRejectsBufferOptions(t *testing.T) {
 		"NoBuffers":         {NoBuffers: true},
 		"BufferLimitChunks": {BufferLimitChunks: 1},
 	} {
-		if _, err := SolveAStar(tp, d, opt); err == nil || !strings.Contains(err.Error(), name) {
+		if _, err := SolveAStar(context.Background(), tp, d, opt); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("SolveAStar with %s: err = %v, want an error naming the option", name, err)
 		}
 	}
@@ -220,7 +221,7 @@ func TestVariableBandwidthLP(t *testing.T) {
 	tp := topo.Line(2, 1e9, 0)
 	d := collective.New(2, 1, 1e6)
 	d.Set(0, 0, 1)
-	res, err := SolveLP(tp, d, Options{
+	res, err := SolveLP(context.Background(), tp, d, Options{
 		Epochs: 6,
 		LinkCapacity: func(l topo.LinkID, epoch int) float64 {
 			if epoch == 0 {
@@ -248,11 +249,11 @@ func TestNeutralHooksMatchDefault(t *testing.T) {
 	tp := topo.Ring(4, 1e9, 0)
 	gpus := []int{0, 1, 2, 3}
 	d := collective.AllGather(4, gpus, 1, 1e6)
-	a, err := SolveMILP(tp, d, Options{Epochs: 3})
+	a, err := SolveMILP(context.Background(), tp, d, Options{Epochs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveMILP(tp, d, Options{
+	b, err := SolveMILP(context.Background(), tp, d, Options{
 		Epochs:       3,
 		Priority:     func(int, int, int) float64 { return 1 },
 		LinkCapacity: func(topo.LinkID, int) float64 { return 1 },
@@ -272,11 +273,11 @@ func TestMinimizeMakespanNotWorse(t *testing.T) {
 	tp := topo.Internal2(2)
 	gpus := []int{1, 2, 3, 4}
 	d := collective.AllGather(tp.NumNodes(), gpus, 1, 250e3)
-	plain, err := SolveMILP(tp, d, Options{EpochMode: FastestLink})
+	plain, err := SolveMILP(context.Background(), tp, d, Options{EpochMode: FastestLink})
 	if err != nil {
 		t.Fatalf("plain: %v", err)
 	}
-	tight, err := SolveMILP(tp, d, Options{EpochMode: FastestLink, MinimizeMakespan: true})
+	tight, err := SolveMILP(context.Background(), tp, d, Options{EpochMode: FastestLink, MinimizeMakespan: true})
 	if err != nil {
 		t.Fatalf("tight: %v", err)
 	}
@@ -294,16 +295,66 @@ func TestMinimizeMakespanLP(t *testing.T) {
 	tp := topo.Internal2(2)
 	gpus := []int{1, 2, 3, 4}
 	d := collective.AllToAll(tp.NumNodes(), gpus, 1, 250e3)
-	plain, err := SolveLP(tp, d, Options{EpochMode: FastestLink})
+	plain, err := SolveLP(context.Background(), tp, d, Options{EpochMode: FastestLink})
 	if err != nil {
 		t.Fatalf("plain: %v", err)
 	}
-	tight, err := SolveLP(tp, d, Options{EpochMode: FastestLink, MinimizeMakespan: true})
+	tight, err := SolveLP(context.Background(), tp, d, Options{EpochMode: FastestLink, MinimizeMakespan: true})
 	if err != nil {
 		t.Fatalf("tight: %v", err)
 	}
 	if tight.Schedule.FinishEpoch() > plain.Schedule.FinishEpoch() {
 		t.Fatalf("makespan mode worsened finish: %d > %d",
 			tight.Schedule.FinishEpoch(), plain.Schedule.FinishEpoch())
+	}
+}
+
+// TestMakespanResolvesReportProgress: one refinement loop serves both
+// monolithic forms, so on either an accepted tighter horizon announces
+// itself with a makespan sample, and the result keeps reporting how the
+// request's own root solve started, not how the re-solves did (they are
+// always warm).
+func TestMakespanResolvesReportProgress(t *testing.T) {
+	line, ring := topo.Line(4, 1e9, 0), topo.Ring(4, 1e9, 0)
+	for _, c := range []struct {
+		name   string
+		solve  solveFunc
+		topo   *topo.Topology
+		demand *collective.Demand
+		opt    Options // chosen so the plain solve does not finish as early as it could
+	}{
+		{"lp", SolveLP, line, collective.AllToAll(line.NumNodes(), testGPUs(line), 2, 25e3), Options{}},
+		{"milp", SolveMILP, ring, collective.AllGather(ring.NumNodes(), testGPUs(ring), 2, 25e3), Options{GapLimit: 0.9}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plain, err := c.solve(context.Background(), c.topo, c.demand, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			announced := 0
+			opt := c.opt
+			opt.MinimizeMakespan = true
+			opt.Progress = func(p Progress) {
+				if p.Solver == c.name && p.Phase == "makespan" {
+					announced++
+				}
+			}
+			tight, err := c.solve(context.Background(), c.topo, c.demand, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tight.Schedule.FinishEpoch() >= plain.Schedule.FinishEpoch() {
+				t.Fatalf("finish %d, plain %d: the instance no longer exercises a tighter horizon",
+					tight.Schedule.FinishEpoch(), plain.Schedule.FinishEpoch())
+			}
+			if announced == 0 {
+				t.Errorf("no %s/makespan sample for a refinement that tightened the finish %d -> %d",
+					c.name, plain.Schedule.FinishEpoch(), tight.Schedule.FinishEpoch())
+			}
+			if tight.WarmStarted != plain.WarmStarted || tight.CrashStarted != plain.CrashStarted {
+				t.Errorf("warm/crash = %v/%v, the root solve's are %v/%v",
+					tight.WarmStarted, tight.CrashStarted, plain.WarmStarted, plain.CrashStarted)
+			}
+		})
 	}
 }

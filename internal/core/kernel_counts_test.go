@@ -90,6 +90,13 @@ func TestKernelCountsPinned(t *testing.T) {
 		{name: "dgx1-alltoall-linkdown-replan", topo: topo.DGX1(), demand: allToAll, solver: SolverLP, down: link0,
 			want:   kernelCounts{Root: 2100, Refactorizations: 44, FTUpdates: 2069, UpdateNnz: 39620},
 			replan: kernelCounts{Root: 38, Refactorizations: 1, FTUpdates: 35, UpdateNnz: 506}},
+		// The MILP re-root, recorded at the commit before plan and replan
+		// came to share one solve tail per form: with the LP replan above
+		// and the A* resume below, all three replan tails are pinned.
+		{name: "internal1x2-allgather-milp-linkdown-reroot", topo: topo.Internal1(2), demand: allGather,
+			opt: Options{EpochMode: SlowestLink}, solver: SolverMILP, down: link0,
+			want:   kernelCounts{Root: 1948, Refactorizations: 38, FTUpdates: 1989, UpdateNnz: 17354, Nodes: 24, NodeIters: 186},
+			replan: kernelCounts{Root: 21, Refactorizations: 2, FTUpdates: 18, UpdateNnz: 179, Nodes: 1, NodeIters: 3}},
 		// The A* path, recorded at the commit before the round model and
 		// the monolithic MILP became one emitter. NDv2Mini(2) on the fastest
 		// link has κ up to 4, δ up to 3 and Kr = 9, so pending GPU and

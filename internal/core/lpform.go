@@ -517,20 +517,16 @@ func buildLP(in *instance, ix *lpIndex) *lpModel {
 // SolveLP solves the linear-program form (§4.1): optimal for demands that
 // do not benefit from copy (ALLTOALL-like), and far more scalable than
 // the MILP. The resulting rate allocation is decomposed into per-chunk
-// fractional paths to produce an executable schedule.
-func SolveLP(t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
-	return SolveLPContext(context.Background(), t, d, opt)
-}
-
-// SolveLPContext is SolveLP under a context: the simplex checks ctx
-// between iterations, so cancellation (or a caller deadline) interrupts
-// the solve promptly with an error wrapping context.Cause(ctx).
-// Options.TimeLimit is layered onto ctx as a derived deadline covering
-// model build, the solve, and any MinimizeMakespan re-solves together.
-func SolveLPContext(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
+// fractional paths to produce an executable schedule. The simplex checks
+// ctx between iterations, so cancellation (or a caller deadline)
+// interrupts the solve promptly with an error wrapping
+// context.Cause(ctx). Options.TimeLimit is layered onto ctx as a derived
+// deadline covering model build, the solve, and any MinimizeMakespan
+// re-solves together.
+func SolveLP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
-	res, _, _, err := solveLP(ctx, t, d, opt, nil)
+	res, _, err := solveLP(ctx, t, d, opt, nil)
 	return res, err
 }
 
@@ -594,134 +590,149 @@ func prepLP(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
 }
 
 // solveLP is SolveLP plus warm-start plumbing: hint seeds the simplex
-// basis, and the returned model/basis let MinimizeMakespan's re-solves
-// chain each horizon's basis into the next. The caller has already
-// layered Options.TimeLimit onto ctx.
-func solveLP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (*Result, *lpModel, *lp.Basis, error) {
+// basis, and the returned payload (the solved model and its basis) lets
+// a session chain the next request and Replan edit this one. The caller
+// has already layered Options.TimeLimit onto ctx.
+func solveLP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (*Result, incumbentState, error) {
 	// The clock starts before model construction: SolveTime and the
 	// TimeLimit deadline cover the build, as they always have.
 	start := time.Now()
 	return solvePrepped(ctx, t, prepLP(t, d, opt), opt, hint, start)
 }
 
-// solvePrepped runs the simplex (and the MinimizeMakespan refinement) on
-// an already-built LP-form instance.
-func solvePrepped(ctx context.Context, t *topo.Topology, pr *lpPrep, opt Options, hint *basisHint, start time.Time) (*Result, *lpModel, *lp.Basis, error) {
-	d, in, m := pr.d, pr.in, pr.m
+// solvePrepped picks the start of an already-built LP-form instance —
+// the hint's basis, else a crash basis — and runs it (and the
+// MinimizeMakespan refinement).
+func solvePrepped(ctx context.Context, t *topo.Topology, pr *lpPrep, opt Options, hint *basisHint, start time.Time) (*Result, incumbentState, error) {
+	m := pr.m
 	if m == nil {
-		r := emptyResult(in, start)
+		r := emptyResult(pr.in, start)
 		r.Schedule.AllowCopy = false
-		return r, nil, nil, nil
+		return r, incumbentState{}, nil
 	}
-	lpOpt := lp.Options{Context: ctx}
-	lpOpt.WarmStart = hint.basisFor(m.p)
-	if lpOpt.WarmStart != nil {
-		// Re-solves (shrunken MinimizeMakespan horizons) reoptimize with
-		// the dual simplex: the transferred basis is near dual feasible
-		// under the unchanged cost structure, and the dual falls back to
-		// the primal on its own when it is not.
-		lpOpt.Method = lp.MethodDual
-	} else if opt.Crash != CrashOff {
+	lpOpt := lp.Options{WarmStart: hint.basisFor(m.p)}
+	if lpOpt.WarmStart == nil && opt.Crash != CrashOff {
 		// Cold start: seed phase 1 from the greedy schedule's flow
 		// support instead of the all-slack basis.
 		lpOpt.Crash = crashBasisLP(m, pr.greedy)
 	}
-	opt.Progress.emit(lpSample("model", 0, 0, false))
+	res, sol, err := m.run(ctx, lpOpt, start)
+	if err != nil {
+		return nil, incumbentState{}, err
+	}
+	inc := incumbentState{model: m, basis: sol.Basis}
+	if !opt.MinimizeMakespan {
+		return res, inc, nil
+	}
+	return refineMakespan(ctx, "lp", opt, res, inc, start, func(opt2 Options, h *basisHint) (*Result, incumbentState, error) {
+		return solveLP(ctx, t, pr.d, opt2, h)
+	})
+}
+
+// run is the LP form's one solve tail, shared by cold plans, makespan
+// re-solves and Replan's edited incumbents, which differ only in how m
+// was built or edited and in the start they pass: announce the model,
+// run the simplex, turn its status into the caller-facing error,
+// announce the optimum, decompose it into a schedule (validated against
+// m's instance, so an edited model re-validates on the churned world)
+// and report the effort. The lp.Solution comes back whenever the simplex
+// ran, error or not, so Replan can tell an exhausted budget from a sour
+// solve.
+func (m *lpModel) run(ctx context.Context, lpOpt lp.Options, start time.Time) (*Result, *lp.Solution, error) {
+	in, progress := m.in, m.in.opt.Progress
+	lpOpt.Context = ctx
+	if lpOpt.WarmStart != nil {
+		// A transferred basis is near dual feasible under the unchanged
+		// cost structure: reoptimize with the dual simplex, which falls
+		// back to the primal on its own when it is not.
+		lpOpt.Method = lp.MethodDual
+	}
+	progress.emit(lpSample("model", 0, 0, false))
 	sol, err := lp.Solve(m.p, lpOpt)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	switch sol.Status {
 	case lp.StatusOptimal:
 	case lp.StatusInfeasible:
-		return nil, nil, nil, fmt.Errorf("core: LP infeasible with K=%d epochs (tau=%g); increase Epochs", in.K, in.tau)
+		return nil, sol, fmt.Errorf("core: LP infeasible with K=%d epochs (tau=%g); increase Epochs", in.K, in.tau)
 	case lp.StatusIterLimit:
 		if ierr := interrupted(ctx); ierr != nil {
-			return nil, nil, nil, fmt.Errorf("core: LP solve interrupted after %d iterations: %w", sol.Iterations, ierr)
+			return nil, sol, fmt.Errorf("core: LP solve interrupted after %d iterations: %w", sol.Iterations, ierr)
 		}
-		return nil, nil, nil, fmt.Errorf("core: LP hit its time/iteration budget with K=%d (tau=%g); raise TimeLimit or EpochMultiplier", in.K, in.tau)
+		return nil, sol, fmt.Errorf("core: LP hit its time/iteration budget with K=%d (tau=%g); raise TimeLimit or EpochMultiplier", in.K, in.tau)
 	default:
-		return nil, nil, nil, fmt.Errorf("core: LP solve failed: %v", sol.Status)
+		return nil, sol, fmt.Errorf("core: LP solve failed: %v", sol.Status)
 	}
-	opt.Progress.emit(lpSample("simplex", sol.Iterations, sol.Objective, true))
+	progress.emit(lpSample("simplex", sol.Iterations, sol.Objective, true))
 
 	s, err := m.decompose(sol.X)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, sol, err
 	}
 	res := &Result{
-		Schedule:         s,
-		Objective:        sol.Objective,
-		Optimal:          true,
-		SolveTime:        time.Since(start),
-		Epochs:           in.K,
-		Tau:              in.tau,
-		RootIterations:   sol.Iterations,
-		Refactorizations: sol.Refactorizations,
-		FTUpdates:        sol.FTUpdates,
-		UpdateNnz:        sol.UpdateNnz,
-		WarmStarted:      lpOpt.WarmStart != nil,
-		CrashStarted:     lpOpt.Crash != nil,
+		Schedule:     s,
+		Objective:    sol.Objective,
+		Optimal:      true,
+		SolveTime:    time.Since(start),
+		Epochs:       in.K,
+		Tau:          in.tau,
+		WarmStarted:  lpOpt.WarmStart != nil,
+		CrashStarted: lpOpt.Crash != nil,
 	}
-	basis := sol.Basis
-	model := m
-	if opt.MinimizeMakespan {
-		// Each shrunken-horizon re-solve resumes from the previous
-		// horizon's optimal basis (matched by variable name, since the
-		// variable set changes with K). An expired TimeLimit stops the
-		// refinement and keeps the last complete schedule (valid, just
-		// not proven makespan-minimal); a caller cancellation returns
-		// that schedule alongside an error wrapping the cause, honoring
-		// the cancellation contract.
-		rootWarm := lpOpt.WarmStart != nil
-		rootCrash := lpOpt.Crash != nil
-		cancelled := func() (*Result, *lpModel, *lp.Basis, error) {
-			res.WarmStarted = rootWarm
-			res.CrashStarted = rootCrash
-			return res, model, basis, fmt.Errorf(
-				"core: makespan refinement cancelled; returning last complete schedule (finish epoch %d): %w",
-				res.Schedule.FinishEpoch(), interrupted(ctx))
+	res.addLP(sol)
+	return res, sol, nil
+}
+
+// refineMakespan is MinimizeMakespan for both monolithic forms (§6's
+// "binary search on the number of epochs"): re-solve with the horizon
+// pinned to the current finish epoch until that is infeasible or stops
+// helping. τ is pinned so quantization stays comparable across horizons,
+// and each re-solve resumes from the previous horizon's basis (matched
+// by variable name, since the variable set changes with K). An expired
+// TimeLimit stops the refinement and keeps the last complete schedule
+// (valid, just not proven makespan-minimal); a caller cancellation
+// returns that schedule alongside an error wrapping the cause, honoring
+// the cancellation contract.
+func refineMakespan(ctx context.Context, solver string, opt Options, res *Result, inc incumbentState, start time.Time,
+	resolve func(Options, *basisHint) (*Result, incumbentState, error)) (*Result, incumbentState, error) {
+	// WarmStarted/CrashStarted report how THIS REQUEST's root solve
+	// started; the re-solves are always internally warm-started and must
+	// not overwrite that.
+	rootWarm, rootCrash := res.WarmStarted, res.CrashStarted
+	var err error
+	for {
+		if ierr := interrupted(ctx); ierr != nil {
+			err = fmt.Errorf("core: makespan refinement cancelled; returning last complete schedule (finish epoch %d): %w",
+				res.Schedule.FinishEpoch(), ierr)
+			break
 		}
-		for {
-			if interrupted(ctx) != nil {
-				return cancelled()
-			}
-			if budgetExpired(ctx) {
-				break // TimeLimit: keep the result, no error
-			}
-			fe := res.Schedule.FinishEpoch()
-			if fe < 1 {
-				break
-			}
-			opt2 := opt
-			opt2.MinimizeMakespan = false
-			opt2.Epochs = fe
-			opt2.Tau = in.tau
-			var h *basisHint
-			if model != nil {
-				h = hintFromSolve(model.p, basis)
-			}
-			tighter, m2, b2, err := solveLP(ctx, t, d, opt2, h)
-			if err != nil {
-				if interrupted(ctx) != nil {
-					return cancelled()
-				}
-				break // infeasible at the tighter horizon: minimal
-			}
-			if tighter.Schedule.FinishEpoch() >= fe {
-				break
-			}
-			tighter.SolveTime = time.Since(start)
-			res, model, basis = tighter, m2, b2
-			opt.Progress.emit(lpSample("makespan", tighter.RootIterations, tighter.Objective, true))
+		fe := res.Schedule.FinishEpoch()
+		if budgetExpired(ctx) || fe < 1 {
+			break // TimeLimit (keep the result, no error), or nothing left to shrink
 		}
-		// WarmStarted/CrashStarted report how THIS REQUEST's root solve
-		// started; the re-solves above are always internally warm-started
-		// and must not overwrite that.
-		res.WarmStarted = rootWarm
-		res.CrashStarted = rootCrash
+		opt2 := opt
+		opt2.MinimizeMakespan = false
+		opt2.Epochs = fe // forces completion by epoch fe-1
+		opt2.Tau = res.Tau
+		tighter, inc2, rerr := resolve(opt2, hintFromSolve(inc.root()))
+		if rerr != nil && interrupted(ctx) != nil {
+			continue // reported at the top of the loop
+		}
+		if rerr != nil || tighter.Schedule.FinishEpoch() >= fe {
+			break // infeasible at the tighter horizon, or no earlier: minimal
+		}
+		tighter.SolveTime = time.Since(start)
+		res, inc = tighter, inc2
+		sample := Progress{Solver: solver, Phase: "makespan", Nodes: res.Nodes, Iterations: res.RootIterations,
+			Incumbent: res.Objective, Bound: math.NaN(), Gap: res.Gap}
+		if res.Optimal {
+			sample.Bound = res.Objective
+		}
+		opt.Progress.emit(sample)
 	}
-	return res, model, basis, nil
+	res.WarmStarted, res.CrashStarted = rootWarm, rootCrash
+	return res, inc, err
 }
 
 const flowTol = 1e-7

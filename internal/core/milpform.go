@@ -494,53 +494,50 @@ func (m *milpModel) extractSchedule(x []float64) (*schedule.Schedule, error) {
 }
 
 // SolveMILP solves the general formulation (§3.1): optimal collective
-// schedules with copy and store-and-forward support.
-func SolveMILP(t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
-	return SolveMILPContext(context.Background(), t, d, opt)
-}
-
-// SolveMILPContext is SolveMILP under a context: the branch-and-bound
-// node loop, its worker pool, and every node's LP relaxation watch ctx,
-// so cancellation interrupts the search promptly. When the search is
-// cancelled with an incumbent in hand the partial result is returned
-// alongside an error wrapping context.Cause(ctx); Options.TimeLimit is
-// layered onto ctx as a derived deadline and keeps its historical
-// budget semantics (incumbent returned as a feasible result, no error).
-func SolveMILPContext(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
+// schedules with copy and store-and-forward support. The
+// branch-and-bound node loop, its worker pool, and every node's LP
+// relaxation watch ctx, so cancellation interrupts the search promptly.
+// When the search is cancelled with an incumbent in hand the partial
+// result is returned alongside an error wrapping context.Cause(ctx);
+// Options.TimeLimit is layered onto ctx as a derived deadline and keeps
+// its historical budget semantics (incumbent returned as a feasible
+// result, no error).
+func SolveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
-	res, _, _, err := solveMILP(ctx, t, d, opt, nil)
+	res, _, err := solveMILP(ctx, t, d, opt, nil)
 	return res, err
 }
 
 // solveMILP is SolveMILP plus warm-start plumbing: hint seeds the root
-// relaxation's basis, and the returned model/root basis let
-// MinimizeMakespan's re-solves chain each horizon's basis into the next.
-// The caller has already layered Options.TimeLimit onto ctx.
-func solveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (*Result, *milpModel, *lp.Basis, error) {
+// relaxation's basis, and the returned payload (the solved model, its
+// root basis and the integer schedule's sends) lets a session chain the
+// next request and Replan re-root this one. The caller has already
+// layered Options.TimeLimit onto ctx.
+func solveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (*Result, incumbentState, error) {
 	start := time.Now()
 	in := newInstance(t, d, opt)
 	if len(in.comms) == 0 {
-		return emptyResult(in, start), nil, nil, nil
+		return emptyResult(in, start), incumbentState{}, nil
 	}
 
 	// The greedy warm start assumes buffered GPUs, copy-capable switches
 	// and a constant link budget; skip it for the other models.
 	warmStart := !opt.NoIncumbentHeuristic && !opt.NoBuffers &&
 		opt.BufferLimitChunks == 0 && opt.SwitchMode == SwitchCopy && opt.LinkCapacity == nil
-	var inc []schedule.Send
+	var greedy []schedule.Send
 	if warmStart {
-		inc = greedyIncumbent(in)
+		greedy = greedyIncumbent(in)
 		// When the horizon was auto-estimated, tighten it to the greedy
 		// schedule's finish: the optimum finishes no later, so variables
 		// beyond it are dead weight.
-		if inc != nil && opt.Epochs == 0 {
-			if tight := sendsFinishEpoch(in, inc) + 1; tight < in.K {
+		if greedy != nil && opt.Epochs == 0 {
+			if tight := sendsFinishEpoch(in, greedy) + 1; tight < in.K {
 				opt2 := opt
 				opt2.Epochs = tight
 				in2 := newInstance(t, d, opt2)
-				if inc2 := greedyIncumbent(in2); inc2 != nil {
-					in, inc = in2, inc2
+				if greedy2 := greedyIncumbent(in2); greedy2 != nil {
+					in, greedy = in2, greedy2
 				}
 			}
 		}
@@ -548,140 +545,97 @@ func solveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt 
 
 	m, err := buildMILP(in)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, incumbentState{}, err
 	}
-
-	opt.Progress.emit(Progress{Solver: "milp", Phase: "model"})
-	mopt := milp.Options{
-		Context:       ctx,
-		GapLimit:      opt.GapLimit,
-		Workers:       opt.Workers,
-		RootWarmStart: hint.basisFor(m.p),
-		Progress:      opt.Progress.milpHook("milp", 0),
-	}
-	if mopt.RootWarmStart != nil {
-		// Horizon re-solves reoptimize the root relaxation with the dual
-		// simplex (safe: it falls back to the primal when the transferred
-		// basis is not dual feasible).
-		mopt.LP.Method = lp.MethodDual
-	}
-	var incX []float64
-	if inc != nil {
-		if incX = m.pointFromSends(inc); incX != nil {
-			mopt.IncumbentX = incX
-		}
+	mopt := milp.Options{RootWarmStart: hint.basisFor(m.p)}
+	if greedy != nil {
+		mopt.IncumbentX = m.pointFromSends(greedy)
 	}
 	if mopt.RootWarmStart == nil && opt.Crash == CrashAll {
 		// Cold root relaxation: crash-start from the greedy incumbent's
 		// flow support instead of the all-slack basis.
-		mopt.LP.Crash = crashBasisMILP(m, incX)
+		mopt.LP.Crash = crashBasisMILP(m, mopt.IncumbentX)
 	}
-
-	msol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, mopt)
-	switch msol.Status {
-	case milp.StatusOptimal, milp.StatusFeasible:
-	case milp.StatusInfeasible:
-		return nil, nil, nil, fmt.Errorf("core: infeasible with K=%d epochs (tau=%g); increase Epochs", in.K, in.tau)
-	default:
-		if ierr := interrupted(ctx); ierr != nil {
-			return nil, nil, nil, fmt.Errorf("core: MILP solve interrupted before any incumbent (%v after %d nodes): %w",
-				msol.Status, msol.Nodes, ierr)
-		}
-		if budgetExpired(ctx) {
-			return nil, nil, nil, fmt.Errorf("core: MILP hit its time limit before any incumbent (%v after %d nodes); raise TimeLimit",
-				msol.Status, msol.Nodes)
-		}
-		return nil, nil, nil, fmt.Errorf("core: MILP solve failed: %v", msol.Status)
-	}
-
-	s, err := m.extractSchedule(msol.X)
+	res, msol, err := m.run(ctx, mopt, start)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, incumbentState{}, err
 	}
-	res := &Result{
-		Schedule:         s,
-		Objective:        msol.Objective,
-		Gap:              msol.Gap,
-		Optimal:          msol.Status == milp.StatusOptimal,
-		SolveTime:        time.Since(start),
-		Epochs:           in.K,
-		Tau:              in.tau,
-		Nodes:            msol.Nodes,
-		RootIterations:   msol.RootIterations,
-		NodeIterations:   msol.NodeIterations,
-		Refactorizations: msol.Refactorizations,
-		FTUpdates:        msol.FTUpdates,
-		UpdateNnz:        msol.UpdateNnz,
-		WarmStarted:      mopt.RootWarmStart != nil,
-		CrashStarted:     mopt.LP.Crash != nil,
-	}
-	basis := msol.RootBasis
-	model := m
+	inc := incumbentState{mmodel: m, basis: msol.RootBasis, sends: res.Schedule.Sends}
 	if opt.MinimizeMakespan {
-		// Shrink the horizon below the current finish until infeasible
-		// (the paper's binary search on epochs). Pin tau so quantization
-		// stays comparable across horizons, and resume each re-solve from
-		// the previous horizon's root basis (matched by variable name).
-		// An expired TimeLimit stops the refinement and keeps the last
-		// complete schedule; a caller cancellation returns that schedule
-		// alongside an error wrapping the cause.
-		rootWarm := mopt.RootWarmStart != nil
-		rootCrash := mopt.LP.Crash != nil
-		cancelled := func() (*Result, *milpModel, *lp.Basis, error) {
-			res.WarmStarted = rootWarm
-			res.CrashStarted = rootCrash
-			return res, model, basis, fmt.Errorf(
-				"core: makespan refinement cancelled; returning last complete schedule (finish epoch %d): %w",
-				res.Schedule.FinishEpoch(), interrupted(ctx))
+		res, inc, err = refineMakespan(ctx, "milp", opt, res, inc, start, func(opt2 Options, h *basisHint) (*Result, incumbentState, error) {
+			return solveMILP(ctx, t, d, opt2, h)
+		})
+		if err != nil {
+			return res, inc, err
 		}
-		for {
-			if interrupted(ctx) != nil {
-				return cancelled()
-			}
-			if budgetExpired(ctx) {
-				break // TimeLimit: keep the result, no error
-			}
-			fe := res.Schedule.FinishEpoch()
-			if fe < 1 {
-				break
-			}
-			opt2 := opt
-			opt2.MinimizeMakespan = false
-			opt2.Epochs = fe // forces completion by epoch fe-1
-			opt2.Tau = in.tau
-			var h *basisHint
-			if model != nil {
-				h = hintFromSolve(model.p, basis)
-			}
-			tighter, m2, b2, err := solveMILP(ctx, t, d, opt2, h)
-			if err != nil {
-				if interrupted(ctx) != nil {
-					return cancelled()
-				}
-				break // infeasible: current finish is minimal
-			}
-			if tighter.Schedule.FinishEpoch() >= fe {
-				break
-			}
-			tighter.SolveTime = time.Since(start)
-			res, model, basis = tighter, m2, b2
-		}
-		// WarmStarted/CrashStarted report how THIS REQUEST's root solve
-		// started; the re-solves above are always internally warm-started
-		// and must not overwrite that.
-		res.WarmStarted = rootWarm
-		res.CrashStarted = rootCrash
 	}
 	if !res.Optimal {
 		// A cancelled search that still produced an incumbent returns it
 		// as a partial result alongside the cancellation cause; a plain
 		// TimeLimit expiry keeps the historical no-error budget semantics.
 		if ierr := interrupted(ctx); ierr != nil {
-			return res, model, basis, fmt.Errorf("core: MILP solve cancelled with incumbent in hand (gap %.1f%%): %w",
+			return res, inc, fmt.Errorf("core: MILP solve cancelled with incumbent in hand (gap %.1f%%): %w",
 				100*res.Gap, ierr)
 		}
 	}
-	return res, model, basis, nil
+	return res, inc, nil
+}
+
+// run is the general form's one solve tail, shared by cold plans,
+// makespan re-solves and Replan's re-rooted incumbents, which differ
+// only in how m was built or edited and in the start they pass (root
+// basis, incumbent point, crash basis): announce the model, run
+// branch-and-bound under the instance's gap limit, worker count and
+// progress hook, turn its status into the caller-facing error, extract
+// the schedule (validated against m's instance, so an edited model
+// re-validates on the churned world) and report the effort. The
+// milp.Solution comes back whenever the search ran.
+func (m *milpModel) run(ctx context.Context, mopt milp.Options, start time.Time) (*Result, *milp.Solution, error) {
+	in := m.in
+	mopt.Context = ctx
+	mopt.GapLimit = in.opt.GapLimit
+	mopt.Workers = in.opt.Workers
+	mopt.Progress = in.opt.Progress.milpHook("milp", 0)
+	if mopt.RootWarmStart != nil {
+		// A transferred root basis reoptimizes with the dual simplex
+		// (safe: it falls back to the primal when the basis is not dual
+		// feasible).
+		mopt.LP.Method = lp.MethodDual
+	}
+	in.opt.Progress.emit(Progress{Solver: "milp", Phase: "model"})
+	msol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, mopt)
+	switch msol.Status {
+	case milp.StatusOptimal, milp.StatusFeasible:
+	case milp.StatusInfeasible:
+		return nil, msol, fmt.Errorf("core: infeasible with K=%d epochs (tau=%g); increase Epochs", in.K, in.tau)
+	default:
+		if ierr := interrupted(ctx); ierr != nil {
+			return nil, msol, fmt.Errorf("core: MILP solve interrupted before any incumbent (%v after %d nodes): %w",
+				msol.Status, msol.Nodes, ierr)
+		}
+		if budgetExpired(ctx) {
+			return nil, msol, fmt.Errorf("core: MILP hit its time limit before any incumbent (%v after %d nodes); raise TimeLimit",
+				msol.Status, msol.Nodes)
+		}
+		return nil, msol, fmt.Errorf("core: MILP solve failed: %v", msol.Status)
+	}
+	s, err := m.extractSchedule(msol.X)
+	if err != nil {
+		return nil, msol, err
+	}
+	res := &Result{
+		Schedule:     s,
+		Objective:    msol.Objective,
+		Gap:          msol.Gap,
+		Optimal:      msol.Status == milp.StatusOptimal,
+		SolveTime:    time.Since(start),
+		Epochs:       in.K,
+		Tau:          in.tau,
+		WarmStarted:  mopt.RootWarmStart != nil,
+		CrashStarted: mopt.LP.Crash != nil,
+	}
+	res.addMILP(msol)
+	return res, msol, nil
 }
 
 // pointFromSends converts a feasible whole-chunk send list into a variable

@@ -6,7 +6,8 @@ package core
 // derivations, epoch estimates (Algorithm 1 runs Floyd–Warshall), solved
 // schedules of structurally identical LP models, and warm-start bases
 // keyed by problem fingerprint or chained by variable name. The free
-// functions (SolveLP and friends) remain as stateless one-shot wrappers;
+// functions (SolveLP and friends) are the same solves with no session
+// around them — Plan's arms call what they call and add the caches — so
 // a service holding a Planner per topology gets the same answers with
 // the cold-start work amortized across its request stream.
 //
@@ -223,22 +224,20 @@ type sessionBasis struct {
 // incumbentState is the session's memory of the last successful Plan:
 // the request (demand snapshot, resolved options, forced solver) for
 // fallback re-solves, plus the formulation-specific incremental payload
-// Replan perturbs — the LP model and optimal basis, the MILP model with
-// its root basis and integer incumbent, or the A* instance with its
-// round schedule.
+// every solver returns and Replan perturbs — the LP model and optimal
+// basis, the MILP model with its root basis and integer incumbent, or
+// the A* instance with its round schedule.
 type incumbentState struct {
 	demand *collective.Demand // snapshot of the request demand
 	opt    Options            // resolved request options (estimates cleared)
 	solver Solver             // the request's forced solver (SolverAuto when policy-chosen)
 
-	model *lpModel  // LP incumbents; nil otherwise
-	basis *lp.Basis // final simplex basis of model.p
-
-	// MILP incumbents: Replan re-roots branch-and-bound from the repaired
-	// root-relaxation basis and re-validates the integer incumbent's
-	// sends against the churned topology.
+	// LP incumbents carry model, MILP incumbents mmodel; basis is the
+	// final simplex basis of model.p, or the root-relaxation basis of
+	// mmodel.p that Replan re-roots branch-and-bound from.
+	model  *lpModel
 	mmodel *milpModel
-	mbasis *lp.Basis
+	basis  *lp.Basis
 
 	// A* incumbents: Replan replays unaffected rounds through the state
 	// recurrence and re-solves only rounds touching churned links.
@@ -248,8 +247,22 @@ type incumbentState struct {
 	aGap    float64
 
 	// sends is the incumbent schedule of the MILP and A* forms (the LP
-	// form replans from its basis instead).
+	// form replans from its basis instead): Replan re-validates a MILP
+	// incumbent's against the churned topology to seed the re-root.
 	sends []schedule.Send
+}
+
+// root returns the solved problem and basis of an LP or MILP payload —
+// what a later solve of the same form chains its warm start from — and
+// nils for any other.
+func (inc *incumbentState) root() (*lp.Problem, *lp.Basis) {
+	switch {
+	case inc.model != nil:
+		return inc.model.p, inc.basis
+	case inc.mmodel != nil:
+		return inc.mmodel.p, inc.basis
+	}
+	return nil, nil
 }
 
 // NewPlanner opens a session on a topology. The topology is snapshotted
@@ -347,7 +360,7 @@ func (pl *Planner) Stats() PlannerStats {
 // wrapping context.Cause(ctx) — alongside a partial Plan when the
 // search had an incumbent in hand. Options.TimeLimit is layered onto
 // ctx as a derived deadline, so the budget is enforced identically for
-// all three formulations.
+// all four solvers.
 func (pl *Planner) Plan(ctx context.Context, req Request) (*Plan, error) {
 	if req.Demand == nil {
 		return nil, errors.New("core: Plan requires a Demand")
@@ -382,43 +395,15 @@ func (pl *Planner) Plan(ctx context.Context, req Request) (*Plan, error) {
 	pl.stats.Requests++
 	pl.mu.Unlock()
 
+	var res *Result
+	var inc incumbentState
 	switch solver {
 	case SolverLP:
-		plan, m, b, err := pl.planLP(ctx, st, req.Demand, opt)
-		if err == nil && plan != nil {
-			pl.observeCold(plan.Result)
-			pl.recordIncumbent(st, req, incOpt, incumbentState{model: m, basis: b})
-		}
-		return plan, err
+		res, inc, err = pl.planLP(ctx, st, req.Demand, opt)
 	case SolverMILP:
-		plan, m, b, err := pl.planMILP(ctx, st, req.Demand, opt)
-		if err == nil && plan != nil {
-			pl.observeCold(plan.Result)
-			inc := incumbentState{mmodel: m, mbasis: b}
-			if m != nil && b != nil && plan.Schedule != nil {
-				inc.sends = plan.Schedule.Sends
-			}
-			pl.recordIncumbent(st, req, incOpt, inc)
-		}
-		return plan, err
+		res, inc, err = pl.planMILP(ctx, st, req.Demand, opt)
 	case SolverAStar:
-		res, aux, err := solveAStar(ctx, st.t, req.Demand, opt)
-		if res == nil {
-			return nil, err
-		}
-		if err == nil {
-			pl.observeCold(res)
-			inc := incumbentState{}
-			if aux != nil && res.Schedule != nil {
-				inc.ain = aux.in
-				inc.aKr = aux.Kr
-				inc.aRounds = res.Rounds
-				inc.aGap = res.Gap
-				inc.sends = res.Schedule.Sends
-			}
-			pl.recordIncumbent(st, req, incOpt, inc)
-		}
-		return &Plan{Result: res, Solver: SolverAStar}, err
+		res, inc, err = solveAStar(ctx, st.t, req.Demand, opt)
 	case SolverHorizon:
 		fn := registeredSolver(SolverHorizon)
 		if fn == nil {
@@ -426,27 +411,37 @@ func (pl *Planner) Plan(ctx context.Context, req Request) (*Plan, error) {
 		}
 		// The hooks hand the driver the session's fingerprint-keyed basis
 		// store: each window's basis recorded by one request warm-starts
-		// the identical window of the next.
+		// the identical window of the next. No incremental payload: Replan
+		// degrades to a cold horizon re-solve of the recorded request.
 		hooks := &SessionHooks{LookupBasis: st.warmBases.lookup, RecordBasis: st.warmBases.record}
-		res, err := fn(ctx, st.t, req.Demand, opt, hooks)
-		if res == nil {
-			return nil, err
-		}
-		pl.mu.Lock()
-		if res.WarmStarted {
-			pl.stats.WarmStartHits++
-		}
-		pl.mu.Unlock()
-		if err == nil {
-			pl.observeCold(res)
-			// No incremental payload: Replan degrades to a cold horizon
-			// re-solve of the recorded request.
-			pl.recordIncumbent(st, req, incOpt, incumbentState{})
-		}
-		return &Plan{Result: res, Solver: SolverHorizon, WarmStart: res.WarmStarted}, err
+		res, err = fn(ctx, st.t, req.Demand, opt, hooks)
 	default:
 		return nil, fmt.Errorf("core: policy chose unknown solver %v", solver)
 	}
+	// A cancelled search or makespan refinement returns its last complete
+	// schedule alongside the cancellation error; pass both through.
+	if res == nil {
+		return nil, err
+	}
+	// Provenance and its counters are read off the Result, whichever
+	// solver produced it.
+	pl.mu.Lock()
+	if res.Reused {
+		pl.stats.ScheduleReplays++
+	}
+	if res.WarmStarted {
+		pl.stats.WarmStartHits++
+	}
+	if res.CrashStarted {
+		pl.stats.CrashStarts++
+	}
+	pl.mu.Unlock()
+	if err == nil {
+		pl.observeCold(res)
+		pl.recordIncumbent(st, req, incOpt, inc)
+	}
+	return &Plan{Result: res, Solver: solver, CacheHit: res.Reused,
+		WarmStart: res.WarmStarted, CrashStart: res.CrashStarted}, err
 }
 
 // recordIncumbent remembers a successful request as the session's replan
@@ -505,98 +500,69 @@ func (pl *Planner) choose(st *sessionState, d *collective.Demand, opt Options) S
 	return s
 }
 
+// keepBasis chains the basis of a solved LP or MILP payload into the
+// session: last, the name-matched chain of its form — unless a Replan
+// swapped the session state mid-solve (a model built against the old
+// topology must not seed the new chain) — and the fingerprint store of
+// the state it was solved against.
+func (pl *Planner) keepBasis(st *sessionState, last *sessionBasis, inc *incumbentState) {
+	p, b := inc.root()
+	if p == nil || b == nil {
+		return
+	}
+	pl.mu.Lock()
+	if pl.state == st {
+		*last = sessionBasis{prob: p, basis: b}
+	}
+	pl.mu.Unlock()
+	st.warmBases.record(p, b)
+}
+
 // planLP serves an LP-form request through the session caches: an
 // identical model replays its schedule, anything else warm-starts from
 // the fingerprint store or the previous LP's basis by name.
-func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Plan, *lpModel, *lp.Basis, error) {
+func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
 	pl.mu.Lock()
 	last := pl.lastLP
 	pl.mu.Unlock()
 	hint := sessionHint(last.prob, last.basis, st.warmBases)
 
-	res, m, b, replayOf, err := st.lpCache.solvePoint(ctx, st.t, d, opt, hint)
-
-	pl.mu.Lock()
-	// A Replan may have swapped the session state mid-solve; a model
-	// built against the old topology must not seed the new chain.
-	if err == nil && m != nil && pl.state == st {
-		pl.lastLP = sessionBasis{prob: m.p, basis: b}
-	}
-	if res != nil {
-		if res.Reused {
-			pl.stats.ScheduleReplays++
-		}
-		if res.WarmStarted {
-			pl.stats.WarmStartHits++
-		}
-		if res.CrashStarted {
-			pl.stats.CrashStarts++
-		}
-	}
-	pl.mu.Unlock()
-	if err == nil && m != nil {
-		st.warmBases.record(m.p, b)
-	}
-	if res == nil {
-		return nil, nil, nil, err
-	}
+	res, inc, replayOf, err := st.lpCache.solvePoint(ctx, st.t, d, opt, hint)
+	pl.keepBasis(st, &pl.lastLP, &inc)
 	if replayOf != nil {
-		m, b = pl.incumbentPayload(replayOf, d, res.Tau)
+		inc = pl.incumbentPayload(replayOf, d, res.Tau)
 	}
-	// A cancelled makespan refinement returns the last complete schedule
-	// alongside the cancellation error; pass both through.
-	return &Plan{Result: res, Solver: SolverLP, CacheHit: res.Reused,
-		WarmStart: res.WarmStarted, CrashStart: res.CrashStarted}, m, b, err
+	return res, inc, err
 }
 
 // incumbentPayload returns the incumbent's LP model and basis when a
 // request for d at epoch duration tau has just replayed the incumbent's
-// own solve (base is the replayed cache entry's model), and nils
-// otherwise. A replay carries no payload of its own; handing the
+// own solve (base is the replayed cache entry's model), and an empty
+// payload otherwise. A replay carries no payload of its own; handing the
 // incumbent's back lets the request refresh the incumbent instead of
 // emptying it, so the next Replan stays incremental.
-func (pl *Planner) incumbentPayload(base *lp.Problem, d *collective.Demand, tau float64) (*lpModel, *lp.Basis) {
+func (pl *Planner) incumbentPayload(base *lp.Problem, d *collective.Demand, tau float64) incumbentState {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	inc := pl.incumbent
 	if inc == nil || inc.model == nil || inc.model.p != base || inc.model.in.tau != tau ||
 		inc.demand.Fingerprint() != d.Fingerprint() {
-		return nil, nil
+		return incumbentState{}
 	}
-	return inc.model, inc.basis
+	return incumbentState{model: inc.model, basis: inc.basis}
 }
 
 // planMILP serves a MILP-form request, warm-starting the root relaxation
 // from the fingerprint store or the previous MILP's root basis by name.
-func (pl *Planner) planMILP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Plan, *milpModel, *lp.Basis, error) {
+func (pl *Planner) planMILP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
 	pl.mu.Lock()
 	last := pl.lastMILP
 	pl.mu.Unlock()
 	hint := sessionHint(last.prob, last.basis, st.warmBases)
 
-	res, m, b, err := solveMILP(ctx, st.t, d, opt, hint)
-
-	pl.mu.Lock()
-	if m != nil && b != nil && pl.state == st {
-		pl.lastMILP = sessionBasis{prob: m.p, basis: b}
-	}
-	if res != nil {
-		if res.WarmStarted {
-			pl.stats.WarmStartHits++
-		}
-		if res.CrashStarted {
-			pl.stats.CrashStarts++
-		}
-	}
-	pl.mu.Unlock()
-	if m != nil && b != nil {
-		st.warmBases.record(m.p, b)
-	}
-	if res == nil {
-		return nil, nil, nil, err
-	}
-	return &Plan{Result: res, Solver: SolverMILP,
-		WarmStart: res.WarmStarted, CrashStart: res.CrashStarted}, m, b, err
+	res, inc, err := solveMILP(ctx, st.t, d, opt, hint)
+	pl.keepBasis(st, &pl.lastMILP, &inc)
+	return res, inc, err
 }
 
 // estimateCache memoizes the per-topology derived quantities of a

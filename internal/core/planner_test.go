@@ -106,34 +106,42 @@ func TestPlannerWarmStartsRepeatedMILPRequest(t *testing.T) {
 }
 
 func TestPlannerMatchesFreeFunctions(t *testing.T) {
-	// The session must change the economics, never the answers.
+	// The session must change the economics, never the answers: a free
+	// function and a fresh single-use session are one solve path, so they
+	// agree on the effort spent, not just on the objective reached.
 	tt := topo.DGX1()
-	pl := NewPlanner(tt, PlannerOptions{})
 	atoa := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
 	ag := collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3)
-
-	lpRes, err := SolveLP(tt, atoa, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lpPlan, err := pl.Plan(context.Background(), Request{Demand: atoa, Solver: SolverLP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lpPlan.Objective != lpRes.Objective {
-		t.Fatalf("LP objective: planner %g, free %g", lpPlan.Objective, lpRes.Objective)
-	}
-
-	milpRes, err := SolveMILP(tt, ag, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	milpPlan, err := pl.Plan(context.Background(), Request{Demand: ag, Solver: SolverMILP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if milpPlan.Objective != milpRes.Objective {
-		t.Fatalf("MILP objective: planner %g, free %g", milpPlan.Objective, milpRes.Objective)
+	for _, c := range []struct {
+		solver Solver
+		demand *collective.Demand
+		free   solveFunc
+	}{
+		{SolverLP, atoa, SolveLP},
+		{SolverMILP, ag, SolveMILP},
+		{SolverAStar, ag, SolveAStar},
+	} {
+		t.Run(c.solver.String(), func(t *testing.T) {
+			free, err := c.free(context.Background(), tt, c.demand, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := NewPlanner(tt, PlannerOptions{})
+			defer pl.Close()
+			plan, err := pl.Plan(context.Background(), Request{Demand: c.demand, Solver: c.solver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := countsOf(plan.Result), countsOf(free); got != want {
+				t.Errorf("effort: planner %+v, free %+v", got, want)
+			}
+			if plan.Objective != free.Objective {
+				t.Errorf("objective: planner %g, free %g", plan.Objective, free.Objective)
+			}
+			if got, want := plan.Schedule.FinishEpoch(), free.Schedule.FinishEpoch(); got != want {
+				t.Errorf("finish epoch: planner %d, free %d", got, want)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"teccl/internal/topo"
 )
 
-// Solver identifies one of the three formulations.
+// Solver identifies one of the four formulations.
 type Solver int8
 
 const (

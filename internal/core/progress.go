@@ -17,15 +17,18 @@ type Progress struct {
 	// Solver identifies the formulation: "lp", "milp", "astar", or
 	// "horizon".
 	Solver string
-	// Phase is where the solve currently is: "model" (instance built,
-	// simplex not yet started), "simplex" (LP solved), "branch"
-	// (branch-and-bound node evaluated), "round" (an A* round is about
-	// to solve), or "makespan" (a MinimizeMakespan re-solve finished).
-	// The rolling-horizon solver adds "em" (epoch multiplier chosen),
-	// "window" (one window solved), "stitch" (stitched schedule
-	// validated), "certify" (monolithic certification re-solve
-	// finished), and "fallback" (decomposition abandoned for one
-	// monolithic solve).
+	// Phase is where the solve currently is: "model" (lp, milp: model
+	// built or, by Replan, edited; the solve is about to start),
+	// "simplex" (lp: optimum found), "branch" (milp, astar: a
+	// branch-and-bound node evaluated), "round" (astar: a round is about
+	// to solve), or "makespan" (lp, milp: a MinimizeMakespan re-solve
+	// finished earlier than the schedule before it). Cold plans, makespan
+	// re-solves and incremental replans of one form share its solve
+	// tail, so each announces the same phases. The rolling-horizon
+	// solver adds "em" (epoch multiplier chosen), "window" (one window
+	// solved), "stitch" (stitched schedule validated), "certify"
+	// (monolithic certification re-solve finished), and "fallback"
+	// (decomposition abandoned for one monolithic solve).
 	Phase string
 	// Round is the 1-based A* round or rolling-horizon window index, 0
 	// elsewhere.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,7 +59,7 @@ func TestQuickMILPSchedulesValid(t *testing.T) {
 		if d.Count() == 0 {
 			return true
 		}
-		res, err := SolveMILP(tp, d, Options{})
+		res, err := SolveMILP(context.Background(), tp, d, Options{})
 		if err != nil {
 			return true // infeasible within estimated horizon: acceptable
 		}
@@ -93,7 +94,7 @@ func TestQuickMILPNotWorseThanGreedy(t *testing.T) {
 			return true
 		}
 		greedyFinish := sendsFinishEpoch(in, inc)
-		res, err := SolveMILP(tp, d, Options{})
+		res, err := SolveMILP(context.Background(), tp, d, Options{})
 		if err != nil {
 			t.Logf("seed %d: MILP failed where greedy succeeded: %v", seed, err)
 			return false
@@ -121,7 +122,7 @@ func TestQuickLPSchedulesValid(t *testing.T) {
 			gpus[i] = i
 		}
 		d := collective.AllToAll(n, gpus, 1, 1e6)
-		res, err := SolveLP(tp, d, Options{})
+		res, err := SolveLP(context.Background(), tp, d, Options{})
 		if err != nil {
 			t.Logf("seed %d: LP failed: %v", seed, err)
 			return false
@@ -151,8 +152,8 @@ func TestQuickDeterministicSolves(t *testing.T) {
 		if d.Count() == 0 {
 			return true
 		}
-		a, errA := SolveMILP(tp, d, Options{})
-		b, errB := SolveMILP(tp, d, Options{})
+		a, errA := SolveMILP(context.Background(), tp, d, Options{})
+		b, errB := SolveMILP(context.Background(), tp, d, Options{})
 		if (errA == nil) != (errB == nil) {
 			return false
 		}
@@ -214,7 +215,7 @@ func TestLPGreedyBoundIsFeasibleHorizon(t *testing.T) {
 		if bound < 0 {
 			return true
 		}
-		_, err := SolveLP(tp, d, Options{Epochs: bound + 1})
+		_, err := SolveLP(context.Background(), tp, d, Options{Epochs: bound + 1})
 		if err != nil {
 			t.Logf("seed %d: bound %d not feasible: %v", seed, bound, err)
 			return false

@@ -6,7 +6,11 @@ package core
 // session and re-solves the incumbent request against the churned
 // world.
 //
-// The fast path depends on the incumbent's formulation:
+// The fast path edits the incumbent's model to the churned world and
+// hands it, with the incumbent's basis or sends as the start, to the
+// solve tail a cold plan of that form ends in ((*lpModel).run,
+// (*milpModel).run, astarLoop); adoptReplan then makes the outcome the
+// next incumbent. What is edited depends on the formulation:
 //
 //   - LP incumbents reoptimize by dual-feasible perturbation. Churn the
 //     LP can absorb reduces to bound and right-hand-side edits of the
@@ -48,7 +52,7 @@ package core
 // re-base (crash-started refactorization of the incumbent) when it
 // decays. With incremental replans costing tens of pivots, the budget
 // and the re-base trigger are safety nets the benchmark and churnstream
-// scripts no longer reach (ROADMAP item 5 has the rung hit counts); the
+// scripts no longer reach (ROADMAP item 4a has the rung hit counts); the
 // rung that still fires is the structural one. Replan never errors when
 // the cold solve would succeed.
 
@@ -477,7 +481,8 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 	kind := fbNoModel
 	if !rebase {
 		demandChurn := d.AddDemand != nil || len(d.DropPairs) > 0 || len(d.NodesDown) > 0
-		var plan *Plan
+		var res *Result
+		var next incumbentState
 		switch {
 		case grew:
 			// Growth changes the node space (and usually reachability);
@@ -486,24 +491,24 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 			replanAbortf("structural fallback: topology growth (+%d nodes, +%d links)",
 				len(d.AddNodes), len(d.AddLinks))
 		case inc.model != nil && inc.basis != nil:
-			plan, kind = pl.replanIncrementalLP(ctx, newState, inc, st.t, newTopo, newDemand, d)
-		case inc.mmodel != nil && inc.mbasis != nil:
+			res, next, kind = pl.replanIncrementalLP(ctx, inc, st.t, newTopo, d)
+		case inc.mmodel != nil && inc.basis != nil:
 			if demandChurn {
 				kind = fbStructural
 				replanAbortf("structural fallback: demand churn on a MILP incumbent")
 			} else {
-				plan, kind = pl.replanIncrementalMILP(ctx, newState, inc, st.t, newTopo, newDemand)
+				res, next, kind = pl.replanIncrementalMILP(ctx, inc, st.t, newTopo)
 			}
 		case inc.ain != nil && inc.aKr > 0:
 			if demandChurn {
 				kind = fbStructural
 				replanAbortf("structural fallback: demand churn on an A* incumbent")
 			} else {
-				plan, kind = pl.replanIncrementalAStar(ctx, newState, inc, st.t, newTopo, newDemand)
+				res, next, kind = pl.replanIncrementalAStar(ctx, inc, st.t, newTopo)
 			}
 		}
-		if plan != nil {
-			return plan, nil
+		if res != nil {
+			return pl.adoptReplan(newState, inc, newDemand, res, next), nil
 		}
 		if ierr := interrupted(ctx); ierr != nil {
 			return nil, fmt.Errorf("core: replan interrupted: %w", ierr)
@@ -542,15 +547,70 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 	return plan, err
 }
 
-// replanIncrementalLP attempts the dual-feasible incremental re-solve
-// of the incumbent LP, including column appends for new demand. It
+// adoptReplan is the epilogue of every incremental replan: the replanned
+// payload becomes the incumbent for the next delta under the incumbent's
+// own request (unless a later Replan already replaced the state), its
+// basis seeds the fresh session caches, and its pivots feed the replan
+// accounting and the re-base trigger.
+func (pl *Planner) adoptReplan(newState *sessionState, old *incumbentState, newDemand *collective.Demand, res *Result, next incumbentState) *Plan {
+	next.demand, next.opt, next.solver = newDemand.Clone(), old.opt, old.solver
+	solver, last := SolverAStar, (*sessionBasis)(nil) // an A* payload has no basis to keep
+	switch {
+	case next.model != nil:
+		solver, last = SolverLP, &pl.lastLP
+	case next.mmodel != nil:
+		solver, last = SolverMILP, &pl.lastMILP
+	}
+	pivots := res.RootIterations + res.NodeIterations
+	res.WarmStarted = true // resumed from the incumbent, whatever the form
+	pl.mu.Lock()
+	pl.stats.ReplanPivots += pivots
+	if pl.state == newState {
+		pl.incumbent = &next
+	}
+	pl.mu.Unlock()
+	pl.noteIncremental(pivots)
+	pl.keepBasis(newState, last, &next)
+	return &Plan{Result: res, Solver: solver, WarmStart: true, Replanned: true}
+}
+
+// wallBudgeted layers what bounds a MILP or A* incremental attempt onto
+// ctx: the incumbent request's TimeLimit and the bounded-regret wall
+// deadline, whichever is sooner (both expire as a budget, not as a
+// cancellation).
+func (pl *Planner) wallBudgeted(ctx context.Context, inc *incumbentState) (context.Context, context.CancelFunc) {
+	limit := inc.opt.TimeLimit
+	if wb := pl.wallBudget(); wb > 0 && (limit <= 0 || wb < limit) {
+		limit = wb
+	}
+	return withTimeLimit(ctx, limit)
+}
+
+// wallFallback classifies a failed MILP or A* incremental attempt: a
+// caller cancellation is sour (Replan surfaces it), an expired deadline
+// a budget abort, anything else — a sour search, a schedule that failed
+// extraction or re-validation — sour.
+func (pl *Planner) wallFallback(ctx context.Context, what string, err error) fallbackKind {
+	if interrupted(ctx) == nil && budgetExpired(ctx) {
+		_, coldWall := pl.coldEstimate()
+		replanAbortf("bounded-regret abort: %s exceeded its wall budget (%v, cold estimate %.3fs); falling back to a cold solve",
+			what, pl.wallBudget(), coldWall)
+		return fbBudget
+	}
+	replanAbortf("sour fallback: %v", err)
+	return fbSour
+}
+
+// replanIncrementalLP edits a clone of the incumbent LP to the churned
+// world — bound and right-hand-side edits for link churn and demand
+// drops, column and row appends for new demand — and reoptimizes it from
+// the (padded) incumbent basis under the bounded-regret pivot budget. It
 // returns the fallback kind when the churn is structural at the
-// incumbent discretization, the bounded-regret pivot budget expires,
-// the dual simplex does not reach a verified optimum, or the
-// reoptimized rates fail to decompose into a schedule that re-validates
-// on the churned topology — the caller then falls back to a cold solve.
-func (pl *Planner) replanIncrementalLP(ctx context.Context, newState *sessionState, inc *incumbentState,
-	oldTopo, newTopo *topo.Topology, newDemand *collective.Demand, d Delta) (*Plan, fallbackKind) {
+// incumbent discretization, the pivot budget expires, the dual simplex
+// does not reach a verified optimum, or the reoptimized rates fail to
+// decompose into a schedule that re-validates on the churned topology —
+// the caller then falls back to a cold solve.
+func (pl *Planner) replanIncrementalLP(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology, d Delta) (*Result, incumbentState, fallbackKind) {
 	m := inc.model
 	in := m.in
 	start := time.Now()
@@ -560,7 +620,7 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, newState *sessionSta
 	// recomputed per-epoch budgets, the incumbent discretization.
 	in2 := churnedInstance(in, newTopo)
 	if in2 == nil {
-		return nil, fbStructural
+		return nil, incumbentState{}, fbStructural
 	}
 	q := m.p.Clone()
 	applyLinkChurn(q, m.fvar, m.capRow, in2, oldTopo)
@@ -619,210 +679,85 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, newState *sessionSta
 	if d.AddDemand != nil {
 		if err := m2.appendDemand(d.AddDemand); err != nil {
 			replanAbortf("structural fallback: demand append: %v", err)
-			return nil, fbStructural
+			return nil, incumbentState{}, fbStructural
 		}
 		if basis = inc.basis.Extended(q.NumVars(), q.NumRows()); basis == nil {
-			return nil, fbStructural
+			return nil, incumbentState{}, fbStructural
 		}
 	}
 
-	// Reoptimization from the incumbent basis under the bounded-regret
-	// pivot budget. MethodDual falls back to the primal internally if
-	// the basis turns out not to be dual feasible after repair.
+	// Reoptimization from the incumbent basis (a warm start, so the dual
+	// simplex) under the bounded-regret pivot budget.
 	budget := pl.pivotBudget()
 	ctx, cancel := withTimeLimit(ctx, inc.opt.TimeLimit)
 	defer cancel()
-	sol, err := lp.Solve(q, lp.Options{
-		Context: ctx, WarmStart: basis, Method: lp.MethodDual, MaxIter: budget,
-	})
+	res, sol, err := m2.run(ctx, lp.Options{WarmStart: basis, MaxIter: budget}, start)
 	if err != nil {
-		return nil, fbSour
-	}
-	switch sol.Status {
-	case lp.StatusOptimal:
-	case lp.StatusIterLimit:
-		if interrupted(ctx) != nil {
-			return nil, fbSour // caller surfaces the cancellation
+		if sol != nil && sol.Status == lp.StatusIterLimit && interrupted(ctx) == nil {
+			coldPivots, _ := pl.coldEstimate()
+			replanAbortf("bounded-regret abort: %d pivots exhausted the incremental budget (%d; cold estimate %d); falling back to a cold solve",
+				sol.Iterations, budget, int(coldPivots+0.5))
+			return nil, incumbentState{}, fbBudget
 		}
-		coldPivots, _ := pl.coldEstimate()
-		replanAbortf("bounded-regret abort: %d pivots exhausted the incremental budget (%d; cold estimate %d); falling back to a cold solve",
-			sol.Iterations, budget, int(coldPivots+0.5))
-		return nil, fbBudget
-	default:
-		return nil, fbSour
-	}
-	sch, err := m2.decompose(sol.X) // re-validates on the churned topology
-	if err != nil {
 		replanAbortf("sour fallback: %v", err)
-		return nil, fbSour
+		return nil, incumbentState{}, fbSour // a cancellation is surfaced by the caller
 	}
-
-	res := &Result{
-		Schedule:         sch,
-		Objective:        sol.Objective,
-		Optimal:          true,
-		SolveTime:        time.Since(start),
-		Epochs:           in.K,
-		Tau:              in.tau,
-		RootIterations:   sol.Iterations,
-		Refactorizations: sol.Refactorizations,
-		FTUpdates:        sol.FTUpdates,
-		UpdateNnz:        sol.UpdateNnz,
-		WarmStarted:      true,
-	}
-	plan := &Plan{Result: res, Solver: SolverLP, WarmStart: true, Replanned: true}
-
-	// The replanned model becomes the incumbent for the next delta, and
-	// seeds the fresh session caches.
-	pl.mu.Lock()
-	pl.stats.ReplanPivots += sol.Iterations
-	if pl.state == newState {
-		pl.lastLP = sessionBasis{prob: q, basis: sol.Basis}
-		pl.incumbent = &incumbentState{
-			demand: newDemand.Clone(),
-			opt:    inc.opt,
-			solver: inc.solver,
-			model:  &m2,
-			basis:  sol.Basis,
-		}
-	}
-	pl.mu.Unlock()
-	pl.noteIncremental(sol.Iterations)
-	newState.warmBases.record(q, sol.Basis)
-	return plan, fbNone
+	return res, incumbentState{model: &m2, basis: sol.Basis}, fbNone
 }
 
 // replanIncrementalMILP re-roots the incumbent branch-and-bound on the
-// churned world: the same bound/RHS perturbation as the LP path applied
-// to the incumbent MILP relaxation, reoptimized from the repaired root
-// basis, with the incumbent integer schedule — re-validated against the
-// churned topology — seeding the search when it survives. Runs under
-// the bounded-regret wall deadline.
-func (pl *Planner) replanIncrementalMILP(ctx context.Context, newState *sessionState, inc *incumbentState,
-	oldTopo, newTopo *topo.Topology, newDemand *collective.Demand) (*Plan, fallbackKind) {
+// churned world: the LP path's link-churn edits applied to a clone of
+// the incumbent MILP, re-rooted from the incumbent root basis, with the
+// incumbent integer schedule — re-validated against the churned topology
+// — seeding the search when it survives. Runs under the bounded-regret
+// wall deadline.
+func (pl *Planner) replanIncrementalMILP(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology) (*Result, incumbentState, fallbackKind) {
 	m := inc.mmodel
-	in := m.in
 	start := time.Now()
 
-	in2 := churnedInstance(in, newTopo)
+	in2 := churnedInstance(m.in, newTopo)
 	if in2 == nil {
-		return nil, fbStructural
+		return nil, incumbentState{}, fbStructural
 	}
-	q := m.p.Clone()
-	applyLinkChurn(q, m.fvar, m.capRow, in2, oldTopo)
 	m2 := *m
-	m2.p = q
+	m2.p = m.p.Clone()
 	m2.in = in2
+	applyLinkChurn(m2.p, m.fvar, m.capRow, in2, oldTopo)
 
 	// Re-validate the integer incumbent against the churned world: a
 	// surviving incumbent both bounds the re-rooted search from below
 	// and guarantees a feasible answer under the wall budget.
-	var incX []float64
+	mopt := milp.Options{RootWarmStart: inc.basis.Clone()}
 	if len(inc.sends) > 0 {
 		s := &schedule.Schedule{
 			Topo: newTopo, Demand: in2.demand, Tau: in2.tau, NumEpochs: in2.K,
 			Sends: inc.sends, AllowCopy: true, EpochsPerChunk: in2.epochsPerChunk(),
 		}
 		if s.Validate() == nil {
-			incX = m2.pointFromSends(inc.sends)
+			mopt.IncumbentX = m2.pointFromSends(inc.sends)
 		}
 	}
 
-	ctx, cancel := withTimeLimit(ctx, inc.opt.TimeLimit)
+	ctx, cancel := pl.wallBudgeted(ctx, inc)
 	defer cancel()
-	if wb := pl.wallBudget(); wb > 0 {
-		var c2 context.CancelFunc
-		ctx, c2 = withTimeLimit(ctx, wb)
-		defer c2()
-	}
-	mopt := milp.Options{
-		Context:       ctx,
-		GapLimit:      in2.opt.GapLimit,
-		Workers:       in2.opt.Workers,
-		RootWarmStart: inc.mbasis.Clone(),
-		IncumbentX:    incX,
-		Progress:      in2.opt.Progress.milpHook("milp", 0),
-	}
-	// Re-roots reoptimize the root relaxation with the dual simplex
-	// (safe: it falls back to the primal when the transferred basis is
-	// not dual feasible).
-	mopt.LP.Method = lp.MethodDual
-	msol := milp.Solve(&milp.Problem{LP: q, Integer: m.ints}, mopt)
-	switch msol.Status {
-	case milp.StatusOptimal, milp.StatusFeasible:
-	default:
-		if interrupted(ctx) != nil {
-			return nil, fbSour // caller surfaces the cancellation
-		}
-		if budgetExpired(ctx) {
-			_, coldWall := pl.coldEstimate()
-			replanAbortf("bounded-regret abort: MILP re-root exceeded its wall budget (%v, cold estimate %.3fs) without an incumbent; falling back to a cold solve",
-				pl.wallBudget(), coldWall)
-			return nil, fbBudget
-		}
-		return nil, fbSour
-	}
-	sch, err := m2.extractSchedule(msol.X)
+	res, msol, err := m2.run(ctx, mopt, start)
 	if err != nil {
-		replanAbortf("sour fallback: %v", err)
-		return nil, fbSour
+		return nil, incumbentState{}, pl.wallFallback(ctx, "MILP re-root", err)
 	}
-	pivots := msol.RootIterations + msol.NodeIterations
-	res := &Result{
-		Schedule:         sch,
-		Objective:        msol.Objective,
-		Gap:              msol.Gap,
-		Optimal:          msol.Status == milp.StatusOptimal,
-		SolveTime:        time.Since(start),
-		Epochs:           in2.K,
-		Tau:              in2.tau,
-		Nodes:            msol.Nodes,
-		RootIterations:   msol.RootIterations,
-		NodeIterations:   msol.NodeIterations,
-		Refactorizations: msol.Refactorizations,
-		FTUpdates:        msol.FTUpdates,
-		UpdateNnz:        msol.UpdateNnz,
-		WarmStarted:      true,
-	}
-	plan := &Plan{Result: res, Solver: SolverMILP, WarmStart: true, Replanned: true}
-
-	pl.mu.Lock()
-	pl.stats.ReplanPivots += pivots
-	if pl.state == newState {
-		if msol.RootBasis != nil {
-			pl.lastMILP = sessionBasis{prob: q, basis: msol.RootBasis}
-		}
-		pl.incumbent = &incumbentState{
-			demand: newDemand.Clone(),
-			opt:    inc.opt,
-			solver: inc.solver,
-			mmodel: &m2,
-			mbasis: msol.RootBasis,
-			sends:  sch.Sends,
-		}
-	}
-	pl.mu.Unlock()
-	pl.noteIncremental(pivots)
-	if msol.RootBasis != nil {
-		newState.warmBases.record(q, msol.RootBasis)
-	}
-	return plan, fbNone
+	return res, incumbentState{mmodel: &m2, basis: msol.RootBasis, sends: res.Schedule.Sends}, fbNone
 }
 
 // replanIncrementalAStar replays the incumbent round schedule through
-// the A* state recurrence up to the first round whose sends touch a
-// newly-downed or capacity-degraded link, then resumes the round loop
-// from there on the churned instance. Pure capacity increases replay
-// the whole schedule without solving anything. Runs under the
+// the A* state recurrence on the churned instance up to the first round
+// whose sends touch a newly-downed or capacity-degraded link, then
+// re-enters the round loop there. Pure capacity increases replay the
+// whole schedule without solving anything. Runs under the
 // bounded-regret wall deadline.
-func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *sessionState, inc *incumbentState,
-	oldTopo, newTopo *topo.Topology, newDemand *collective.Demand) (*Plan, fallbackKind) {
-	ain := inc.ain
+func (pl *Planner) replanIncrementalAStar(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology) (*Result, incumbentState, fallbackKind) {
 	start := time.Now()
-
-	in2 := churnedInstance(ain, newTopo)
+	in2 := churnedInstance(inc.ain, newTopo)
 	if in2 == nil {
-		return nil, fbStructural
+		return nil, incumbentState{}, fbStructural
 	}
 	Kr := inc.aKr
 
@@ -848,8 +783,7 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *session
 			anyChanged = true
 		}
 	}
-	totalRounds := inc.aRounds
-	r0 := totalRounds // no affected round: replay everything
+	r0 := inc.aRounds // no affected round: replay everything
 	if anyChanged {
 		for _, snd := range inc.sends {
 			if changed[snd.Link] {
@@ -861,7 +795,7 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *session
 	}
 
 	// Replay rounds [0, r0) through the state recurrence; sends of later
-	// rounds are discarded and re-solved below.
+	// rounds are discarded and re-solved by the loop.
 	st := newAStarState(in2)
 	byRound := make([][]schedule.Send, r0)
 	for _, snd := range inc.sends {
@@ -875,91 +809,11 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, newState *session
 		sends = append(sends, byRound[r]...)
 	}
 
-	gap := inc.aGap
-	var iters iterTotals
-	if st.remaining > 0 {
-		maxRounds := in2.opt.MaxRounds
-		if maxRounds <= 0 {
-			maxRounds = 64
-		}
-		hop := in2.hopDistances()
-		ctx, cancel := withTimeLimit(ctx, inc.opt.TimeLimit)
-		defer cancel()
-		if wb := pl.wallBudget(); wb > 0 {
-			var c2 context.CancelFunc
-			ctx, c2 = withTimeLimit(ctx, wb)
-			defer c2()
-		}
-		resumed, rounds, rGap, rIters, err := astarLoop(ctx, in2, st, hop, Kr, maxRounds, r0, nil)
-		if err != nil {
-			if interrupted(ctx) != nil {
-				return nil, fbSour // caller surfaces the cancellation
-			}
-			if budgetExpired(ctx) {
-				_, coldWall := pl.coldEstimate()
-				replanAbortf("bounded-regret abort: A* resume exceeded its wall budget (%v, cold estimate %.3fs); falling back to a cold solve",
-					pl.wallBudget(), coldWall)
-				return nil, fbBudget
-			}
-			replanAbortf("sour fallback: %v", err)
-			return nil, fbSour
-		}
-		sends = append(sends, resumed...)
-		totalRounds = rounds
-		if rGap > gap {
-			gap = rGap
-		}
-		iters = rIters
+	ctx, cancel := pl.wallBudgeted(ctx, inc)
+	defer cancel()
+	res, next, err := astarLoop(ctx, in2, st, Kr, r0, sends, inc.aGap, start)
+	if err != nil {
+		return nil, incumbentState{}, pl.wallFallback(ctx, "A* resume", err)
 	}
-
-	s := &schedule.Schedule{
-		Topo:           newTopo,
-		Demand:         in2.demand,
-		Tau:            in2.tau,
-		NumEpochs:      totalRounds * Kr,
-		Sends:          sends,
-		AllowCopy:      true,
-		EpochsPerChunk: in2.epochsPerChunk(),
-	}
-	s = s.Prune()
-	if err := s.Validate(); err != nil {
-		replanAbortf("sour fallback: replayed A* schedule failed re-validation: %v", err)
-		return nil, fbSour
-	}
-	pivots := iters.root + iters.node
-	res := &Result{
-		Schedule:         s,
-		Gap:              gap,
-		Optimal:          false,
-		SolveTime:        time.Since(start),
-		Epochs:           totalRounds * Kr,
-		Tau:              in2.tau,
-		Rounds:           totalRounds,
-		Nodes:            iters.nodes,
-		RootIterations:   iters.root,
-		NodeIterations:   iters.node,
-		Refactorizations: iters.refac,
-		FTUpdates:        iters.ft,
-		UpdateNnz:        iters.nnz,
-		WarmStarted:      true,
-	}
-	plan := &Plan{Result: res, Solver: SolverAStar, WarmStart: true, Replanned: true}
-
-	pl.mu.Lock()
-	pl.stats.ReplanPivots += pivots
-	if pl.state == newState {
-		pl.incumbent = &incumbentState{
-			demand:  newDemand.Clone(),
-			opt:     inc.opt,
-			solver:  inc.solver,
-			ain:     in2,
-			aKr:     Kr,
-			aRounds: totalRounds,
-			aGap:    gap,
-			sends:   s.Sends,
-		}
-	}
-	pl.mu.Unlock()
-	pl.noteIncremental(pivots)
-	return plan, fbNone
+	return res, next, fbNone
 }

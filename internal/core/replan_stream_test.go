@@ -72,7 +72,7 @@ func TestReplanCapacityIncreaseIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveLP(upgraded, d, Options{Epochs: rp.Epochs, Tau: rp.Tau})
+	cold, err := SolveLP(context.Background(), upgraded, d, Options{Epochs: rp.Epochs, Tau: rp.Tau})
 	if err != nil {
 		t.Fatalf("cold reference solve: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestReplanAddDemandNewPairAndNewSource(t *testing.T) {
 			t.Fatalf("%s: added pair missing from replanned demand", stp.name)
 		}
 		assertAvoidsDown(t, rp)
-		cold, err := SolveLP(tt, rp.Schedule.Demand, Options{Epochs: rp.Epochs, Tau: rp.Tau})
+		cold, err := SolveLP(context.Background(), tt, rp.Schedule.Demand, Options{Epochs: rp.Epochs, Tau: rp.Tau})
 		if err != nil {
 			t.Fatalf("%s: cold union solve: %v", stp.name, err)
 		}
@@ -226,7 +226,7 @@ func TestReplanMILPIncumbentIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveMILP(edited, ag, Options{Epochs: rp.Epochs, Tau: rp.Tau})
+	cold, err := SolveMILP(context.Background(), edited, ag, Options{Epochs: rp.Epochs, Tau: rp.Tau})
 	if err != nil {
 		t.Fatalf("cold MILP reference: %v", err)
 	}
@@ -333,33 +333,97 @@ func TestReplanBudgetAbortFallsBack(t *testing.T) {
 }
 
 // TestReplanCancellationSurfacesCleanly: caller cancellation mid-replan
-// surfaces as the context error — not an iteration-limit failure — and
-// leaves the session serviceable.
+// surfaces as the context error — not an iteration-limit failure, not a
+// counted fallback — and leaves the session serviceable, whichever form
+// the incumbent has. The downed link is one the incumbent uses (the
+// lowest-numbered: LP send order is not deterministic), so no form can
+// answer without solving (a surviving MILP incumbent, or an A* schedule
+// that replays whole, would).
 func TestReplanCancellationSurfacesCleanly(t *testing.T) {
 	tt := topo.DGX1()
-	d := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
-	pl := NewPlanner(tt, PlannerOptions{})
-	if _, err := pl.Plan(context.Background(), Request{Demand: d, Solver: SolverLP}); err != nil {
-		t.Fatal(err)
+	atoa := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
+	ag := collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3)
+	for _, c := range []struct {
+		solver Solver
+		demand *collective.Demand
+	}{{SolverLP, atoa}, {SolverMILP, ag}, {SolverAStar, ag}} {
+		t.Run(c.solver.String(), func(t *testing.T) {
+			pl := NewPlanner(tt, PlannerOptions{})
+			plan, err := pl.Plan(context.Background(), Request{Demand: c.demand, Solver: c.solver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			down := plan.Schedule.Sends[0].Link
+			for _, snd := range plan.Schedule.Sends {
+				down = min(down, snd.Link)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err = pl.Replan(ctx, Delta{LinksDown: []topo.LinkID{down}})
+			if err == nil {
+				t.Fatal("cancelled replan should error")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if s := err.Error(); strings.Contains(s, "iteration") || strings.Contains(s, "iter limit") {
+				t.Fatalf("cancellation must not masquerade as an iteration limit: %v", err)
+			}
+			if st := pl.Stats(); st.Replans != 1 || st.ReplanFallbacks != 0 {
+				t.Fatalf("stats = %+v, want one replan and no fallback counted", st)
+			}
+			// The session stays serviceable after the interrupted replan.
+			after, err := pl.Plan(context.Background(), Request{Demand: c.demand.Clone(), Solver: c.solver})
+			if err != nil {
+				t.Fatalf("session unusable after cancelled replan (link %d down): %v", down, err)
+			}
+			assertAvoidsDown(t, after)
+		})
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := pl.Replan(ctx, Delta{LinksDown: []topo.LinkID{0}})
-	if err == nil {
-		t.Fatal("cancelled replan should error")
+}
+
+// TestReplanProgressMatchesColdPhases: an incremental replan stands in
+// for a cold solve of the same form through the same solve tail, so the
+// hook of the request it re-solves hears the phases that solve announces
+// — the model on both forms, and the simplex on the LP.
+func TestReplanProgressMatchesColdPhases(t *testing.T) {
+	tt := topo.DGX1()
+	for _, c := range []struct {
+		solver Solver
+		demand *collective.Demand
+		phases []string
+	}{
+		{SolverLP, collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3), []string{"lp/model", "lp/simplex"}},
+		{SolverMILP, collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3), []string{"milp/model"}},
+	} {
+		t.Run(c.solver.String(), func(t *testing.T) {
+			seen := map[string]int{}
+			hook := func(p Progress) { seen[p.Solver+"/"+p.Phase]++ }
+			pl := NewPlanner(tt, PlannerOptions{Replan: ReplanOptions{RegretFraction: -1}})
+			defer pl.Close()
+			if _, err := pl.Plan(context.Background(), Request{Demand: c.demand, Solver: c.solver, Progress: hook}); err != nil {
+				t.Fatal(err)
+			}
+			for _, ph := range c.phases {
+				if seen[ph] == 0 {
+					t.Fatalf("cold %v solve emitted %v, missing %q", c.solver, seen, ph)
+				}
+			}
+			clear(seen)
+			rp, err := pl.Replan(context.Background(), Delta{LinksDown: []topo.LinkID{0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rp.ReplanFallback {
+				t.Fatal("link-down replan fell back to a cold solve; the incremental tail did not run")
+			}
+			for _, ph := range c.phases {
+				if seen[ph] == 0 {
+					t.Errorf("incremental %v replan emitted %v, missing %q", c.solver, seen, ph)
+				}
+			}
+		})
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if s := err.Error(); strings.Contains(s, "iteration") || strings.Contains(s, "iter limit") {
-		t.Fatalf("cancellation must not masquerade as an iteration limit: %v", err)
-	}
-	// The session stays serviceable after the interrupted replan.
-	after, err := pl.Plan(context.Background(), Request{Demand: d.Clone(), Solver: SolverLP})
-	if err != nil {
-		t.Fatalf("session unusable after cancelled replan: %v", err)
-	}
-	assertAvoidsDown(t, after)
 }
 
 // TestReplanAdaptiveRebase: when the incremental pivot EWMA exceeds the
@@ -528,7 +592,7 @@ func TestReplanStreamMixedProperty(t *testing.T) {
 			// at its reported discretization only when the incumbent τ
 			// survived; growth fallbacks keep τ (it is pinned), so every
 			// LP plan in this stream admits a cold reference.
-			cold, err := SolveLP(world, demand, Options{Epochs: rp.Epochs, Tau: rp.Tau})
+			cold, err := SolveLP(context.Background(), world, demand, Options{Epochs: rp.Epochs, Tau: rp.Tau})
 			if err != nil {
 				t.Fatalf("trial %d step %d: cold reference %v", trial, step, err)
 			}
@@ -564,7 +628,7 @@ func TestReplanStreamMixedProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := SolveMILP(world, ag, Options{Epochs: rp.Epochs, Tau: rp.Tau})
+		cold, err := SolveMILP(context.Background(), world, ag, Options{Epochs: rp.Epochs, Tau: rp.Tau})
 		if err != nil {
 			t.Fatalf("milp step %d: cold reference %v", step, err)
 		}

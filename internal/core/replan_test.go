@@ -62,7 +62,7 @@ func TestReplanLinkDownIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveLP(edited, d, Options{Epochs: rp.Epochs, Tau: rp.Tau})
+	cold, err := SolveLP(context.Background(), edited, d, Options{Epochs: rp.Epochs, Tau: rp.Tau})
 	if err != nil {
 		t.Fatalf("cold reference solve: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestReplanDropPairAndAddDemand(t *testing.T) {
 
 	// The incremental append must agree with a cold solve of the union
 	// demand at the incumbent discretization.
-	cold, err := SolveLP(pl.Topology(), rp2.Schedule.Demand, Options{Tau: rp2.Tau, Epochs: rp2.Epochs})
+	cold, err := SolveLP(context.Background(), pl.Topology(), rp2.Schedule.Demand, Options{Tau: rp2.Tau, Epochs: rp2.Epochs})
 	if err != nil {
 		t.Fatalf("cold union solve: %v", err)
 	}
@@ -451,7 +451,7 @@ func TestReplanVsColdProperty(t *testing.T) {
 			if rp.ReplanFallback {
 				break
 			}
-			cold, err := SolveLP(world, demand, Options{Epochs: rp.Epochs, Tau: rp.Tau})
+			cold, err := SolveLP(context.Background(), world, demand, Options{Epochs: rp.Epochs, Tau: rp.Tau})
 			if err != nil {
 				t.Fatalf("trial %d step %d: cold reference %v", trial, step, err)
 			}

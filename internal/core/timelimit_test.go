@@ -22,9 +22,9 @@ func TestTimeLimitHonoredByAllSolvers(t *testing.T) {
 	opt := Options{TimeLimit: limit}
 
 	for name, solve := range map[string]func() (*Result, error){
-		"lp":    func() (*Result, error) { return SolveLP(tt, d, opt) },
-		"milp":  func() (*Result, error) { return SolveMILP(tt, d, opt) },
-		"astar": func() (*Result, error) { return SolveAStar(tt, d, opt) },
+		"lp":    func() (*Result, error) { return SolveLP(context.Background(), tt, d, opt) },
+		"milp":  func() (*Result, error) { return SolveMILP(context.Background(), tt, d, opt) },
+		"astar": func() (*Result, error) { return SolveAStar(context.Background(), tt, d, opt) },
 	} {
 		start := time.Now()
 		res, err := solve()
@@ -53,7 +53,7 @@ func TestTimeLimitReturnsPartialMILPIncumbent(t *testing.T) {
 	// applies (it assumes copy-friendly demands).
 	tt := topo.NDv2Mini(2)
 	d := collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3)
-	res, err := SolveMILP(tt, d, Options{TimeLimit: 150 * time.Millisecond})
+	res, err := SolveMILP(context.Background(), tt, d, Options{TimeLimit: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("budget-stopped MILP with greedy incumbent errored: %v", err)
 	}

@@ -159,7 +159,7 @@ func Churn(short bool) *Table {
 			continue
 		}
 		start = time.Now()
-		cold, coldErr := core.SolveLPContext(Context(), churned, d, sc.opts)
+		cold, coldErr := core.SolveLP(Context(), churned, d, sc.opts)
 		coldElapsed := time.Since(start)
 		account(cold, coldErr)
 

@@ -208,7 +208,7 @@ func Fig4and5(short bool) *Table {
 			if len(ds) == 0 {
 				continue
 			}
-			rs, errs := core.BatchSolveLPContext(Context(), in.topo, ds, core.Options{
+			rs, errs := core.BatchSolveLP(Context(), in.topo, ds, core.Options{
 				EpochMode: mode, TimeLimit: solveLimit, MinimizeMakespan: true,
 				Workers: Workers()}, core.BatchOptions{Workers: Workers()})
 			for k, i := range idxs {
@@ -263,7 +263,7 @@ func Fig6(short bool) *Table {
 		chunk := size / float64(len(gpus))
 		d := collective.AllToAll(t.NumNodes(), gpus, 1, chunk)
 		tecCT, tecST := run(func() (*core.Result, error) {
-			return core.SolveLPContext(Context(), t, d, core.Options{
+			return core.SolveLP(Context(), t, d, core.Options{
 				EpochMode: core.FastestLink, MinimizeMakespan: true})
 		})
 		tacCT, tacST := tacclRun(t, d, 1, 60)
@@ -319,12 +319,12 @@ func Table4(short bool) *Table {
 		var st time.Duration
 		if in.coll == "AtoA" {
 			d := collective.AllToAll(in.t.NumNodes(), gpus, 1, chunk)
-			ct, st = run(func() (*core.Result, error) { return core.SolveLPContext(Context(), in.t, d, opt) })
+			ct, st = run(func() (*core.Result, error) { return core.SolveLP(Context(), in.t, d, opt) })
 		} else {
 			d := collective.AllGather(in.t.NumNodes(), gpus, 1, chunk)
 			aopt := opt
 			aopt.TimeLimit = astarLimit
-			ct, st = run(func() (*core.Result, error) { return core.SolveAStarContext(Context(), in.t, d, aopt) })
+			ct, st = run(func() (*core.Result, error) { return core.SolveAStar(Context(), in.t, d, aopt) })
 		}
 		tab.Rows = append(tab.Rows, []string{
 			in.t.Name, in.coll, fmt.Sprint(len(gpus)), fmt.Sprintf("%.0f", math.Max(in.em, 1)),

@@ -62,7 +62,7 @@ func Horizon(short bool) *Table {
 
 		mopt := core.Options{EpochMode: in.opt.EpochMode, Workers: Workers()}
 		t0 = time.Now()
-		mres, merr := core.SolveLPContext(Context(), in.t, d, mopt)
+		mres, merr := core.SolveLP(Context(), in.t, d, mopt)
 		mwall := time.Since(t0)
 		mct, _ := account(mres, merr)
 

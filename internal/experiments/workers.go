@@ -116,7 +116,7 @@ func WorkersSweep(short bool) *Table {
 
 	start := time.Now()
 	for _, d := range demands {
-		res, err := core.SolveLPContext(Context(), t, d, opt)
+		res, err := core.SolveLP(Context(), t, d, opt)
 		account(res, err)
 	}
 	rebuilt := time.Since(start)
@@ -126,7 +126,7 @@ func WorkersSweep(short bool) *Table {
 	})
 
 	start = time.Now()
-	rs, errs := core.BatchSolveLPContext(Context(), t, demands, opt, core.BatchOptions{Workers: maxInt(1, Workers())})
+	rs, errs := core.BatchSolveLP(Context(), t, demands, opt, core.BatchOptions{Workers: maxInt(1, Workers())})
 	batched := time.Since(start)
 	reused := 0
 	for i := range rs {

@@ -101,7 +101,7 @@ func TestAutoEMNeverInfeasible(t *testing.T) {
 				t.Fatalf("SelectEM returned %g < 1", em)
 			}
 			opt.EpochMultiplier = em
-			res, err := core.SolveLPContext(ctx, tc.topo, d, opt)
+			res, err := core.SolveLP(ctx, tc.topo, d, opt)
 			if err != nil {
 				t.Fatalf("solve at auto EM %g: %v", em, err)
 			}

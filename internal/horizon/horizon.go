@@ -120,7 +120,7 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 	// Makespan refinement re-solves whole horizons; it composes with the
 	// monolithic path, not with windowed commitment.
 	if opt.MinimizeMakespan {
-		return core.SolveLPContext(ctx, t, d, opt)
+		return core.SolveLP(ctx, t, d, opt)
 	}
 
 	if opt.AutoEpochMultiplier && opt.EpochMultiplier <= 1 && opt.Tau == 0 {
@@ -326,7 +326,7 @@ func certify(ctx context.Context, t *topo.Topology, d *collective.Demand, opt co
 	copt.TimeLimit = 0
 	copt.HorizonCertify = 0
 	copt.Progress = nil
-	mono, err := core.SolveLPContext(cctx, t, d, copt)
+	mono, err := core.SolveLP(cctx, t, d, copt)
 	if err != nil || mono.Objective <= 0 {
 		return
 	}
@@ -346,7 +346,7 @@ func certify(ctx context.Context, t *topo.Topology, d *collective.Demand, opt co
 // feasibility, stitched-schedule validation).
 func fallbackMono(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core.Options, start time.Time, cause error) (*core.Result, error) {
 	prog(&opt, sample("fallback", 0, 0, 0, false))
-	res, err := core.SolveLPContext(ctx, t, d, opt)
+	res, err := core.SolveLP(ctx, t, d, opt)
 	if err != nil {
 		return nil, fmt.Errorf("core: horizon fallback (%v) failed: %w", cause, err)
 	}

@@ -56,7 +56,7 @@ func TestWindowedMatchesMonolithic(t *testing.T) {
 	for _, tc := range propCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.dem(tc.topo)
-			mono, err := core.SolveLPContext(ctx, tc.topo, d, tc.opt)
+			mono, err := core.SolveLP(ctx, tc.topo, d, tc.opt)
 			if err != nil {
 				t.Fatalf("monolithic solve: %v", err)
 			}

@@ -5,7 +5,7 @@ package teccl
 // per-topology state (tau derivations, epoch estimates, schedule replay
 // for structurally identical models, warm-start bases keyed by problem
 // fingerprint and chained by variable name), context-aware cancellation
-// through all three solvers, pluggable solver-selection policy, and a
+// through all four solvers, pluggable solver-selection policy, and a
 // progress hook for serving-side observability. The stateless free
 // functions in teccl.go are thin wrappers over single-use sessions.
 
@@ -120,7 +120,7 @@ type ProgressFunc = core.ProgressFunc
 // Plan honors ctx end to end — the simplex iteration loops, the
 // branch-and-bound worker pool, and the A* round loop all watch it —
 // and Options.TimeLimit is enforced through the same mechanism, so all
-// three solvers respect the budget uniformly.
+// four solvers respect the budget uniformly.
 //
 // The session snapshots the topology (Topology.Clone), so the caller
 // may keep mutating its own value afterwards without corrupting cached

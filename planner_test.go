@@ -163,3 +163,32 @@ func TestPlannerHonorsRequestTimeout(t *testing.T) {
 		t.Skip("machine solved the instance inside the deadline")
 	}
 }
+
+// TestHorizonPlanProvenanceMatchesResult: the provenance flags and their
+// session counters are read off the Result for every solver. A
+// SolverHorizon request with MinimizeMakespan is served by one
+// monolithic crash-started LP solve (makespan refinement re-solves whole
+// horizons), and must say so.
+func TestHorizonPlanProvenanceMatchesResult(t *testing.T) {
+	tt := DGX1()
+	planner := NewPlanner(tt, PlannerOptions{})
+	defer planner.Close()
+	plan, err := planner.Plan(context.Background(), Request{
+		Demand:  AllToAll(tt, 1, 25e3),
+		Options: &Options{MinimizeMakespan: true},
+		Solver:  SolverHorizon,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Windows != 0 || !plan.CrashStarted {
+		t.Fatalf("windows = %d, crash-started = %v; want one monolithic crash-started solve", plan.Windows, plan.CrashStarted)
+	}
+	if plan.CrashStart != plan.CrashStarted || plan.WarmStart != plan.WarmStarted || plan.CacheHit != plan.Reused {
+		t.Fatalf("plan flags crash/warm/replay = %v/%v/%v, result says %v/%v/%v",
+			plan.CrashStart, plan.WarmStart, plan.CacheHit, plan.CrashStarted, plan.WarmStarted, plan.Reused)
+	}
+	if st := planner.Stats(); st.CrashStarts != 1 || st.WarmStartHits != 0 || st.ScheduleReplays != 0 {
+		t.Fatalf("stats = %+v, want exactly one crash start", st)
+	}
+}

@@ -20,7 +20,7 @@
 // Plan honors ctx end to end: cancellation (or a deadline) interrupts
 // the simplex mid-iteration, the branch-and-bound worker pool between
 // nodes, and the A* loop between rounds; Options.TimeLimit is enforced
-// through the same mechanism, uniformly for all three solvers. The
+// through the same mechanism, uniformly for all four solvers. The
 // session caches per-topology state across requests — epoch estimates,
 // tau derivations, solved schedules of structurally identical models,
 // and warm-start bases — so repeated and related requests (sweeps,
@@ -99,6 +99,8 @@
 package teccl
 
 import (
+	"context"
+
 	"teccl/internal/collective"
 	"teccl/internal/core"
 	"teccl/internal/msccl"
@@ -275,7 +277,7 @@ type BatchOptions = core.BatchOptions
 // bases point-to-point, and the points fan out over a worker pool.
 // Results and errors are aligned with demands; points fail independently.
 func BatchSolveLP(t *Topology, demands []*Demand, opt Options, bo BatchOptions) ([]*Result, []error) {
-	return core.BatchSolveLP(t, demands, opt, bo)
+	return core.BatchSolveLP(context.Background(), t, demands, opt, bo)
 }
 
 // SolveAStar solves with the A* round partitioning (§4.2).
