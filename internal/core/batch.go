@@ -16,7 +16,7 @@ package core
 //     confirmation, and every replayed schedule is re-validated against
 //     its own demand before being trusted.
 //   - The remaining points chain bases: each worker's chain passes the
-//     previous point's optimal basis (matched by variable name, as the
+//     previous point's optimal basis (matched by column key, as the
 //     MinimizeMakespan loop already does across horizons) into the next
 //     solve, which then reoptimizes with the dual simplex instead of
 //     starting cold.

@@ -216,13 +216,13 @@ func (m *lpModel) appendPair(si, src, dst int, cnt float64) error {
 	// epoch an arrival lands.
 	lo := max(m.earliest[si][dst]-1, 0)
 	col := m.rvar[si][dst]
-	var destTerms []lp.Term
+	destTerms := make([]lp.Term, 0, K-lo)
 	for k := lo; k < K; k++ {
 		cr := m.consRow[si][dst][k]
 		if cr == noVar {
 			return fmt.Errorf("no conservation row for destination %d at epoch %d", dst, k)
 		}
-		v := p.AddVar(fmt.Sprintf("r[s%d,d%d,k%d]", src, dst, k), 0, cnt, m.tail[k])
+		v := p.AddKeyedVar(lp.MakeKey(lp.KindRead, src, 0, dst, k), 0, cnt, m.tail[k])
 		col[k] = int32(v)
 		p.AppendToRow(int(cr), []lp.Term{{Var: v, Coeff: -1}})
 		destTerms = append(destTerms, lp.Term{Var: v, Coeff: 1})

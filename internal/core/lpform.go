@@ -165,6 +165,80 @@ func noVars(n int) []int32 {
 	return col
 }
 
+// noVarGrid is rows index columns of n entries each with nothing emitted
+// yet, cut from one allocation.
+func noVarGrid(rows, n int) [][]int32 {
+	slab := noVars(rows * n)
+	grid := make([][]int32, rows)
+	for i := range grid {
+		grid[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	return grid
+}
+
+// fSpan, bSpan and rSpan are the epochs [k0, k1) at which a model over
+// [lo, hi) has a flow column of source si on link l, a buffer column at
+// node n, and a read column at destination dst opened from bd; k0 >= k1
+// when it has none. emit creates exactly these columns, and counts them
+// first so the problem's column storage is allocated once at its size.
+
+// fSpan: departures in [lo, hi) that the source's commodity can make
+// (reach window) and that also land inside the window, on a live link
+// that does not lead back into the source.
+func (m *lpModel) fSpan(si, l, lo, hi int) (k0, k1 int) {
+	t := m.in.topo
+	if t.LinkDown(topo.LinkID(l)) {
+		return 0, 0
+	}
+	lk := t.Link(topo.LinkID(l))
+	if int(lk.Dst) == m.sources[si] {
+		return 0, 0
+	}
+	return max(lo, m.earliest[si][lk.Src]), hi - m.in.landEpoch(l, 0)
+}
+
+// bSpan: inventory semantics (what remains to forward) over the window's
+// epoch boundaries [lo..hi], from the first epoch the commodity can be
+// at a buffered node.
+func (m *lpModel) bSpan(si, n, lo, hi int) (k0, k1 int) {
+	if !m.buffered(m.in, si, n) {
+		return 0, 0
+	}
+	blo := m.earliest[si][n]
+	if n == m.sources[si] {
+		blo = 0
+	}
+	return max(blo, lo), hi + 1
+}
+
+// rSpan: a pair with demand still uncommitted may consume the epoch an
+// arrival lands, one epoch before the chunk becomes forwardable.
+func (m *lpModel) rSpan(si, dst, lo, hi int, bd *Boundary) (k0, k1 int) {
+	if m.dem[si][dst] == 0 || bd.Rem[si][dst] <= remTol {
+		return 0, 0
+	}
+	return max(m.earliest[si][dst]-1, lo), hi
+}
+
+// countCols is the number of columns emit(s0, lo, hi, _, bd) creates.
+func (m *lpModel) countCols(s0, lo, hi int, bd *Boundary) int {
+	t := m.in.topo
+	cols := 0
+	for si := s0; si < len(m.sources); si++ {
+		for l := 0; l < t.NumLinks(); l++ {
+			k0, k1 := m.fSpan(si, l, lo, hi)
+			cols += max(k1-k0, 0)
+		}
+		for n := 0; n < t.NumNodes(); n++ {
+			k0, k1 := m.bSpan(si, n, lo, hi)
+			cols += max(k1-k0, 0)
+			k0, k1 = m.rSpan(si, n, lo, hi, bd)
+			cols += max(k1-k0, 0)
+		}
+	}
+	return cols
+}
+
 const remTol = 1e-9
 
 // emit is the one statement of the §4.1 LP with the Appendix A
@@ -198,51 +272,27 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 	nN := t.NumNodes()
 	nS := len(m.sources)
 
-	// Flow variables: departures in [lo, hi) that also land inside the
-	// window.
+	p.Reserve(m.countCols(s0, lo, hi, bd))
+
+	// Flow variables.
 	for si := s0; si < nS; si++ {
 		s := m.sources[si]
-		cols := make([][]int32, nL)
-		for l := range cols {
-			col := noVars(K)
-			cols[l] = col
-			if t.LinkDown(topo.LinkID(l)) {
-				continue
-			}
-			lk := t.Link(topo.LinkID(l))
-			for k := lo; k < hi; k++ {
-				if m.earliest[si][lk.Src] > k {
-					continue
-				}
-				if in.landEpoch(l, k) > hi-1 {
-					continue
-				}
-				if int(lk.Dst) == s {
-					continue
-				}
-				col[k] = int32(p.AddVar(fmt.Sprintf("f[s%d,l%d,k%d]", s, l, k), 0, lp.Inf, 0))
+		cols := noVarGrid(nL, K)
+		for l, col := range cols {
+			for k, k1 := m.fSpan(si, l, lo, hi); k < k1; k++ {
+				col[k] = int32(p.AddKeyedVar(lp.MakeKey(lp.KindFlow, s, 0, l, k), 0, lp.Inf, 0))
 			}
 		}
 		m.fvar = append(m.fvar, cols)
 	}
 
-	// Buffer variables (inventory semantics: what remains to forward)
-	// over the window's epoch boundaries [lo..hi].
+	// Buffer variables.
 	for si := s0; si < nS; si++ {
 		s := m.sources[si]
-		cols := make([][]int32, nN)
-		for n := range cols {
-			col := noVars(K + 1)
-			cols[n] = col
-			if !m.buffered(in, si, n) {
-				continue
-			}
-			blo := m.earliest[si][n]
-			if n == s {
-				blo = 0
-			}
-			for k := max(blo, lo); k <= hi; k++ {
-				col[k] = int32(p.AddVar(fmt.Sprintf("b[s%d,n%d,k%d]", s, n, k), 0, lp.Inf, 0))
+		cols := noVarGrid(nN, K+1)
+		for n, col := range cols {
+			for k, k1 := m.bSpan(si, n, lo, hi); k < k1; k++ {
+				col[k] = int32(p.AddKeyedVar(lp.MakeKey(lp.KindBuffer, s, 0, n, k), 0, lp.Inf, 0))
 			}
 		}
 		m.bvar = append(m.bvar, cols)
@@ -253,11 +303,10 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 	// objectives are comparable slices of the monolithic objective.
 	for si := s0; si < nS; si++ {
 		s := m.sources[si]
-		cols := make([][]int32, nN)
-		for dst := range cols {
-			col := noVars(K)
-			cols[dst] = col
-			if m.dem[si][dst] == 0 || bd.Rem[si][dst] <= remTol {
+		cols := noVarGrid(nN, K)
+		for dst, col := range cols {
+			k, k1 := m.rSpan(si, dst, lo, hi, bd)
+			if k >= k1 {
 				continue
 			}
 			prio := 1.0
@@ -268,15 +317,16 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 					prio = in.opt.priorityOf(s, cs[0], dst)
 				}
 			}
-			// Consumption may happen the epoch an arrival lands, one
-			// epoch before the chunk becomes forwardable.
-			for k := max(m.earliest[si][dst]-1, lo); k < hi; k++ {
-				col[k] = int32(p.AddVar(fmt.Sprintf("r[s%d,d%d,k%d]", s, dst, k), 0, bd.Rem[si][dst], prio*m.tail[k]))
+			for ; k < k1; k++ {
+				col[k] = int32(p.AddKeyedVar(lp.MakeKey(lp.KindRead, s, 0, dst, k), 0, bd.Rem[si][dst], prio*m.tail[k]))
 			}
 		}
 		m.rvar = append(m.rvar, cols)
 	}
 
+	// Every row is assembled in this one buffer: AddRow and AppendToRow
+	// copy what they keep.
+	var terms []lp.Term
 	fAt := func(si, l, k int) int32 {
 		if k < lo || k >= hi {
 			return noVar
@@ -300,7 +350,7 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 				}
 				continue
 			}
-			terms := []lp.Term{{Var: lp.VarID(b), Coeff: 1}}
+			terms = append(terms[:0], lp.Term{Var: lp.VarID(b), Coeff: 1})
 			for _, lid := range t.Out(topo.NodeID(n)) {
 				if f := m.fvar[si][int(lid)][lo]; f != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
@@ -319,15 +369,13 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 	// where in(k) are sends landing during epoch k (sent at k-δ-κ+1) and
 	// out(k+1) are sends departing at epoch k+1.
 	for si := s0; si < nS; si++ {
-		rows := make([][]int32, nN)
-		for n := range rows {
-			row := noVars(K)
-			rows[n] = row
+		rows := noVarGrid(nN, K)
+		for n, row := range rows {
 			if !m.buffered(in, si, n) {
 				continue
 			}
 			for k := lo; k < hi; k++ {
-				var terms []lp.Term
+				terms = terms[:0]
 				if b := m.bvar[si][n][k]; b != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: 1})
 				}
@@ -379,31 +427,32 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 				continue
 			}
 			for k := lo; k < hi; k++ {
-				var out []lp.Term
+				terms = terms[:0]
 				for _, lid := range t.Out(topo.NodeID(n)) {
 					if f := m.fvar[si][int(lid)][k]; f != noVar {
-						out = append(out, lp.Term{Var: lp.VarID(f), Coeff: 1})
-					}
-				}
-				var inb []lp.Term
-				for _, lid := range t.In(topo.NodeID(n)) {
-					l := int(lid)
-					if f := fAt(si, l, k-in.delta[l]-in.kappa[l]); f != noVar {
-						inb = append(inb, lp.Term{Var: lp.VarID(f), Coeff: -1})
+						terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
 					}
 				}
 				// Demanders always keep buffers for their own demand, so
 				// bufferless nodes here never consume — only relay.
-				if len(out) == 0 {
+				nOut := len(terms)
+				if nOut == 0 {
 					continue
 				}
-				if len(inb) == 0 {
-					for _, tm := range out {
+				for _, lid := range t.In(topo.NodeID(n)) {
+					l := int(lid)
+					if f := fAt(si, l, k-in.delta[l]-in.kappa[l]); f != noVar {
+						terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: -1})
+					}
+				}
+				if len(terms) == nOut {
+					// Nothing can arrive to be relayed.
+					for _, tm := range terms {
 						p.SetBounds(tm.Var, 0, 0)
 					}
 					continue
 				}
-				p.AddRow(append(out, inb...), lp.LE, 0)
+				p.AddRow(terms, lp.LE, 0)
 			}
 		}
 	}
@@ -417,7 +466,7 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 			if m.dem[si][dst] == 0 || bd.Rem[si][dst] <= remTol {
 				continue
 			}
-			var terms []lp.Term
+			terms = terms[:0]
 			for k := lo; k < hi; k++ {
 				if r := m.rvar[si][dst][k]; r != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(r), Coeff: 1})
@@ -441,14 +490,11 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 	// after rounds differently, and window right-hand sides are pinned to
 	// the bit.
 	if m.capRow == nil {
-		m.capRow = make([][]int32, nL)
-		for l := range m.capRow {
-			m.capRow[l] = noVars(K)
-		}
+		m.capRow = noVarGrid(nL, K)
 	}
 	for l := 0; l < nL; l++ {
 		for k := lo; k < hi; k++ {
-			var row []lp.Term
+			terms = terms[:0]
 			budget := 0.0
 			for kk := k - in.kappa[l] + 1; kk <= k; kk++ {
 				budget += in.capChunks[l] * in.opt.capScale(topo.LinkID(l), max(kk, 0))
@@ -458,19 +504,19 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 				budget -= bd.capUsedAt(l, kk)
 				for si := s0; si < nS; si++ {
 					if f := fAt(si, l, kk); f != noVar {
-						row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
+						terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
 					}
 				}
 			}
-			if len(row) == 0 {
+			if len(terms) == 0 {
 				continue
 			}
 			if r := m.capRow[l][k]; r != noVar {
 				// An earlier source populated the window: join its row.
-				p.AppendToRow(int(r), row)
+				p.AppendToRow(int(r), terms)
 				continue
 			}
-			m.capRow[l][k] = int32(p.AddRow(row, lp.LE, max(budget, 0)))
+			m.capRow[l][k] = int32(p.AddRow(terms, lp.LE, max(budget, 0)))
 		}
 	}
 
@@ -482,19 +528,19 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 				continue
 			}
 			for k := max(lo, 1); k <= hi; k++ {
-				var row []lp.Term
+				terms = terms[:0]
 				for si, s := range m.sources {
 					if s == n {
 						continue
 					}
 					if b := m.bvar[si][n][k]; b != noVar {
-						row = append(row, lp.Term{Var: lp.VarID(b), Coeff: 1})
+						terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: 1})
 					}
 				}
-				if len(row) == 0 {
+				if len(terms) == 0 {
 					continue
 				}
-				p.AddRow(row, lp.LE, float64(in.opt.BufferLimitChunks))
+				p.AddRow(terms, lp.LE, float64(in.opt.BufferLimitChunks))
 			}
 		}
 	}
@@ -689,7 +735,7 @@ func (m *lpModel) run(ctx context.Context, lpOpt lp.Options, start time.Time) (*
 // pinned to the current finish epoch until that is infeasible or stops
 // helping. τ is pinned so quantization stays comparable across horizons,
 // and each re-solve resumes from the previous horizon's basis (matched
-// by variable name, since the variable set changes with K). An expired
+// by column key, since the variable set changes with K). An expired
 // TimeLimit stops the refinement and keeps the last complete schedule
 // (valid, just not proven makespan-minimal); a caller cancellation
 // returns that schedule alongside an error wrapping the cause, honoring

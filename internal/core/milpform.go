@@ -87,7 +87,7 @@ func buildMILP(in *instance) (*milpModel, error) {
 // reward end-of-span positions and carried-over sends earn the Appendix D
 // distance potential.
 //
-// Variable names carry the span-local epoch, so the name-matched warm
+// Column keys carry the span-local epoch, so the key-matched warm
 // start lines one span's basis up with the next. The creation order — all
 // F, all B, the X of limited buffers, then buffer evolution, conservation,
 // dedup, capacity and buffer-limit rows — fixes the pivot path of every
@@ -165,53 +165,80 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 		return gamma / (1 + best)
 	}
 
-	// Flow variables F[ci][l][k], binary, pruned by send windows. Never
+	// fSpan and bSpan are the local epochs [k0, k1) at which commodity ci
+	// has a flow column on link l and a buffer column at node n; k0 >= k1
+	// when it has none, and bSpan's k1 is 0 when the node keeps no buffer
+	// for ci at all. Flows are pruned by send windows and never lead
 	// into the commodity's own source, a holder, or a GPU the chunk is
 	// already in flight to: such flows are wasteful or double-deliver.
+	// Buffers exist for buffered nodes only; a holder's is the constant 1
+	// (it never loses its chunk), other nodes start at 0 and can first
+	// hold the chunk at their earliest epoch.
+	fSpan := func(ci, l int) (k0, k1 int) {
+		if !active[ci] || t.LinkDown(topo.LinkID(l)) {
+			return 0, 0
+		}
+		lk := t.Link(topo.LinkID(l))
+		dst := int(lk.Dst)
+		if dst == in.comms[ci].src || st.holds[dst][ci] || inbound[[2]int{dst, ci}] || math.IsInf(earliest[ci][lk.Src], 1) {
+			return 0, 0
+		}
+		return int(math.Ceil(earliest[ci][lk.Src])), min(span, land-fwd(l, 0)+1)
+	}
+	bSpan := func(ci, n int) (k0, k1 int) {
+		if !active[ci] || in.bufferless(ci, n) || st.holds[n][ci] || math.IsInf(earliest[ci][n], 1) {
+			return 0, 0
+		}
+		return max(int(earliest[ci][n]), 1), span + 1
+	}
+	nF, nB := 0, 0
+	for ci := 0; ci < nC; ci++ {
+		for l := 0; l < nL; l++ {
+			k0, k1 := fSpan(ci, l)
+			nF += max(k1-k0, 0)
+		}
+		for n := 0; n < nN; n++ {
+			k0, k1 := bSpan(ci, n)
+			nB += max(k1-k0, 0)
+		}
+	}
+	if in.opt.BufferLimitChunks > 0 {
+		p.Reserve(nF + 2*nB) // one removal variable per buffer variable
+	} else {
+		p.Reserve(nF + nB)
+	}
+	m.ints = make([]lp.VarID, 0, nF)
+
+	// Flow variables F[ci][l][k], binary.
 	m.fvar = make([][][]int32, nC)
 	for ci, cm := range in.comms {
-		m.fvar[ci] = make([][]int32, nL)
-		for l := 0; l < nL; l++ {
-			col := noVars(span)
-			m.fvar[ci][l] = col
-			if !active[ci] || t.LinkDown(topo.LinkID(l)) {
-				continue
-			}
-			lk := t.Link(topo.LinkID(l))
-			dst := int(lk.Dst)
-			if dst == cm.src || st.holds[dst][ci] || inbound[[2]int{dst, ci}] {
-				continue
-			}
-			for k := 0; k < span; k++ {
-				if float64(k) < earliest[ci][lk.Src] || fwd(l, k) > land {
-					continue
-				}
+		m.fvar[ci] = noVarGrid(nL, span)
+		for l, col := range m.fvar[ci] {
+			dst := int(t.Link(topo.LinkID(l)).Dst)
+			for k, k1 := fSpan(ci, l); k < k1; k++ {
 				w := 0.0
 				if fwd(l, k) > span {
 					// Lands next span: reward the chunk for being en route
 					// toward its destination.
 					w = 0.9 * potential(ci, dst)
 				}
-				v := p.AddVar(fmt.Sprintf("F[s%d.c%d,l%d,k%d]", cm.src, cm.chunk, l, k), 0, 1, w)
+				v := p.AddKeyedVar(lp.MakeKey(lp.KindChunkFlow, cm.src, cm.chunk, l, k), 0, 1, w)
 				col[k] = int32(v)
 				m.ints = append(m.ints, v)
 			}
 		}
 	}
 
-	// Buffer variables B[ci][n][k] for buffered nodes only. A holder's
-	// buffer is the constant 1 (it never loses its chunk); other nodes
-	// start at 0 and can first hold the chunk at their earliest epoch.
+	// Buffer variables B[ci][n][k].
 	m.bvar = make([][][]int32, nC)
 	for ci, cm := range in.comms {
-		m.bvar[ci] = make([][]int32, nN)
-		for n := 0; n < nN; n++ {
-			col := noVars(span + 1)
-			m.bvar[ci][n] = col
-			if !active[ci] || in.bufferless(ci, n) || st.holds[n][ci] || math.IsInf(earliest[ci][n], 1) {
+		m.bvar[ci] = noVarGrid(nN, span+1)
+		for n, col := range m.bvar[ci] {
+			k, k1 := bSpan(ci, n)
+			if k1 == 0 {
 				continue
 			}
-			for k := max(int(earliest[ci][n]), 1); k <= span; k++ {
+			for ; k < k1; k++ {
 				// Objective: a destination holding the chunk at the start
 				// of epoch k received it by the end of epoch k-1; the
 				// paper's 1/(k+1) reward for delivery by end of epoch k
@@ -223,7 +250,7 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 				if !final && k == span {
 					w += potential(ci, n)
 				}
-				col[k] = int32(p.AddVar(fmt.Sprintf("B[s%d.c%d,n%d,k%d]", cm.src, cm.chunk, n, k), 0, 1, w))
+				col[k] = int32(p.AddKeyedVar(lp.MakeKey(lp.KindChunkBuffer, cm.src, cm.chunk, n, k), 0, 1, w))
 			}
 			// Destination constraint: full demand met by the last epoch.
 			if final && st.needs[n][ci] {
@@ -242,6 +269,9 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 		}
 		return m.fvar[ci][l][k]
 	}
+	// Every row is assembled in these two buffers: AddRow copies what it
+	// keeps.
+	var terms, out []lp.Term
 	// arrivals appends to terms, negated, the flows of ci forwardable at
 	// node n at exactly local epoch k.
 	arrivals := func(terms []lp.Term, ci, n, k int) []lp.Term {
@@ -259,10 +289,8 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 	if in.opt.BufferLimitChunks > 0 {
 		xvar = make([][][]int32, nC)
 		for ci := range xvar {
-			xvar[ci] = make([][]int32, nN)
-			for n := range xvar[ci] {
-				col := noVars(span + 1)
-				xvar[ci][n] = col
+			xvar[ci] = noVarGrid(nN, span+1)
+			for n, col := range xvar[ci] {
 				for k, b := range m.bvar[ci][n] {
 					if b != noVar {
 						col[k] = int32(p.AddVar("", 0, 1, 0))
@@ -281,7 +309,7 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 				continue
 			}
 			for k := 1; k <= span; k++ {
-				var terms []lp.Term
+				terms = terms[:0]
 				if bk := m.bvar[ci][n][k]; bk != noVar {
 					terms = append(terms, lp.Term{Var: lp.VarID(bk), Coeff: 1})
 				}
@@ -325,10 +353,10 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 							p.SetBounds(lp.VarID(f), 0, 0)
 							continue
 						}
-						p.AddRow([]lp.Term{
-							{Var: lp.VarID(f), Coeff: 1},
-							{Var: lp.VarID(b), Coeff: -1},
-						}, lp.LE, 0)
+						terms = append(terms[:0],
+							lp.Term{Var: lp.VarID(f), Coeff: 1},
+							lp.Term{Var: lp.VarID(b), Coeff: -1})
+						p.AddRow(terms, lp.LE, 0)
 					}
 				}
 				continue
@@ -338,27 +366,31 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 			// carried-over ones included.
 			copyOK := in.opt.SwitchMode == SwitchCopy || !t.IsSwitch(topo.NodeID(n))
 			for k := 0; k < span; k++ {
-				arr := arrivals(nil, ci, n, k)
+				// terms[0] is the slot of one outgoing send, terms[1:] the
+				// arrivals.
+				terms = arrivals(append(terms[:0], lp.Term{}), ci, n, k)
 				carried := pendAt[[3]int{ci, n, k}]
-				var out []lp.Term
+				out = out[:0]
 				for _, lid := range outLinks {
 					if f := fAt(ci, int(lid), k); f != noVar {
 						out = append(out, lp.Term{Var: lp.VarID(f), Coeff: 1})
 					}
 				}
 				switch {
-				case len(arr) == 0 && carried == 0:
+				case len(terms) == 1 && carried == 0:
 					for _, tm := range out {
 						p.SetBounds(tm.Var, 0, 0)
 					}
 				case copyOK:
 					// Per outgoing link: F_out <= sum(arrivals).
 					for _, tm := range out {
-						p.AddRow(append([]lp.Term{tm}, arr...), lp.LE, carried)
+						terms[0] = tm
+						p.AddRow(terms, lp.LE, carried)
 					}
 				case len(out) > 0:
 					// Legacy switch: total out <= total in.
-					p.AddRow(append(out, arr...), lp.LE, carried)
+					out = append(out, terms[1:]...)
+					p.AddRow(out, lp.LE, carried)
 				}
 			}
 		}
@@ -373,22 +405,22 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 				if in.bufferless(ci, n) || st.holds[n][ci] {
 					continue
 				}
-				var row []lp.Term
+				terms = terms[:0]
 				if b := m.bvar[ci][n][span]; b != noVar {
-					row = append(row, lp.Term{Var: lp.VarID(b), Coeff: 1})
+					terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: 1})
 				}
 				carried := false
 				for _, lid := range t.In(topo.NodeID(n)) {
 					l := int(lid)
 					for k := 0; k < span; k++ {
 						if f := fAt(ci, l, k); f != noVar && fwd(l, k) > span {
-							row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
+							terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
 							carried = true
 						}
 					}
 				}
-				if carried && len(row) > 1 {
-					p.AddRow(row, lp.LE, 1)
+				if carried && len(terms) > 1 {
+					p.AddRow(terms, lp.LE, 1)
 				}
 			}
 		}
@@ -397,11 +429,10 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 	// Capacity (windowed when κ > 1, Appendix F), with per-epoch
 	// variable-bandwidth scaling (§5); a window straddling lo is charged
 	// for the previous span's transmissions still on the wire.
-	m.capRow = make([][]int32, nL)
+	m.capRow = noVarGrid(nL, span)
 	for l := 0; l < nL; l++ {
-		m.capRow[l] = noVars(span)
 		for k := 0; k < span; k++ {
-			var row []lp.Term
+			terms = terms[:0]
 			carry := 0.0
 			for kk := k - in.kappa[l] + 1; kk <= k; kk++ {
 				if kk < 0 {
@@ -410,12 +441,12 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 				}
 				for ci := 0; ci < nC; ci++ {
 					if f := fAt(ci, l, kk); f != noVar {
-						row = append(row, lp.Term{Var: lp.VarID(f), Coeff: 1})
+						terms = append(terms, lp.Term{Var: lp.VarID(f), Coeff: 1})
 					}
 				}
 			}
-			if len(row) > 0 {
-				m.capRow[l][k] = int32(p.AddRow(row, lp.LE, max(in.capBudget(l, lo+k)-carry, 0)))
+			if len(terms) > 0 {
+				m.capRow[l][k] = int32(p.AddRow(terms, lp.LE, max(in.capBudget(l, lo+k)-carry, 0)))
 			}
 		}
 	}
@@ -434,20 +465,20 @@ func (m *milpModel) emit(lo, hi int, final bool, st *astarState) error {
 				}
 			}
 			for k := 1; k <= span; k++ {
-				var row []lp.Term
+				terms = terms[:0]
 				for ci := 0; ci < nC; ci++ {
 					if b := m.bvar[ci][n][k]; b != noVar {
-						row = append(row, lp.Term{Var: lp.VarID(b), Coeff: 1})
+						terms = append(terms, lp.Term{Var: lp.VarID(b), Coeff: 1})
 					}
 				}
-				if len(row) == 0 {
+				if len(terms) == 0 {
 					continue
 				}
 				if resident > in.opt.BufferLimitChunks {
 					return fmt.Errorf("core: buffer limit %d below node %d's own %d chunks",
 						in.opt.BufferLimitChunks, n, resident)
 				}
-				p.AddRow(row, lp.LE, float64(in.opt.BufferLimitChunks-resident))
+				p.AddRow(terms, lp.LE, float64(in.opt.BufferLimitChunks-resident))
 			}
 		}
 	}

@@ -5,7 +5,7 @@ package core
 // expensive that survives from one request to the next — tau
 // derivations, epoch estimates (Algorithm 1 runs Floyd–Warshall), solved
 // schedules of structurally identical LP models, and warm-start bases
-// keyed by problem fingerprint or chained by variable name. The free
+// keyed by problem fingerprint or chained by column key. The free
 // functions (SolveLP and friends) are the same solves with no session
 // around them — Plan's arms call what they call and add the caches — so
 // a service holding a Planner per topology gets the same answers with
@@ -23,7 +23,7 @@ package core
 //     the churned topology, so cached state can never outlive the
 //     topology it was derived from.
 //  3. Close marks the session closed and releases the retained state —
-//     the schedule-replay cache, the warm-basis store, the name-matched
+//     the schedule-replay cache, the warm-basis store, the key-matched
 //     basis chains, and the replan incumbent, each of which pins whole
 //     LP models. Subsequent Plan/Replan calls fail with
 //     ErrPlannerClosed; calls already in flight finish normally (their
@@ -173,8 +173,8 @@ type Planner struct {
 	mu        sync.Mutex
 	closed    bool
 	state     *sessionState
-	lastLP    sessionBasis // name-matched warm-start chain, LP form
-	lastMILP  sessionBasis // name-matched warm-start chain, MILP form
+	lastLP    sessionBasis // key-matched warm-start chain, LP form
+	lastMILP  sessionBasis // key-matched warm-start chain, MILP form
 	incumbent *incumbentState
 	stats     PlannerStats
 
@@ -215,7 +215,7 @@ func newSessionState(t *topo.Topology) *sessionState {
 }
 
 // sessionBasis remembers the most recent solved model of one form for
-// name-matched basis transfer into the next request.
+// key-matched basis transfer into the next request.
 type sessionBasis struct {
 	prob  *lp.Problem
 	basis *lp.Basis
@@ -297,7 +297,7 @@ func (pl *Planner) snapshotOpen() (*sessionState, error) {
 var ErrPlannerClosed = errors.New("core: planner session is closed")
 
 // Close releases the session's retained state — the schedule-replay
-// cache, the warm-basis store, the name-matched basis chains, and the
+// cache, the warm-basis store, the key-matched basis chains, and the
 // replan incumbent (each pins whole LP models) — and marks the session
 // closed: subsequent Plan and Replan calls return ErrPlannerClosed.
 // Calls already in flight finish normally; their results are not
@@ -501,7 +501,7 @@ func (pl *Planner) choose(st *sessionState, d *collective.Demand, opt Options) S
 }
 
 // keepBasis chains the basis of a solved LP or MILP payload into the
-// session: last, the name-matched chain of its form — unless a Replan
+// session: last, the key-matched chain of its form — unless a Replan
 // swapped the session state mid-solve (a model built against the old
 // topology must not seed the new chain) — and the fingerprint store of
 // the state it was solved against.

@@ -54,10 +54,10 @@ func registeredSolver(s Solver) SolverFunc {
 }
 
 // TransferBasis projects a solved problem's basis onto a related problem
-// by variable name — the same transfer the MinimizeMakespan and batch
+// by column key — the same transfer the MinimizeMakespan and batch
 // chains use internally, exported for the horizon driver's
-// window-to-window basis chaining (overlapping epochs share variable
-// names). Returns nil when nothing projects.
+// window-to-window basis chaining (overlapping epochs share column
+// keys). Returns nil when nothing projects.
 func TransferBasis(src *lp.Problem, basis *lp.Basis, dst *lp.Problem) *lp.Basis {
 	return hintFromSolve(src, basis).basisFor(dst)
 }

@@ -451,7 +451,7 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 
 	// Swap the session onto the churned topology with fresh caches; from
 	// here on, every concurrent and future Plan sees post-churn state
-	// only. The name-matched basis chains are flushed too — the fallback
+	// only. The key-matched basis chains are flushed too — the fallback
 	// below must be a genuinely cold (crash-started) solve.
 	newState := newSessionState(newTopo)
 	pl.mu.Lock()
@@ -675,7 +675,7 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, inc *incumbentState,
 	// appended columns and rows (lpappend.go). The incumbent basis is
 	// padded across the append — new columns nonbasic, new rows
 	// slack-basic — so the warm start stays structurally valid.
-	basis := inc.basis.Clone()
+	var basis *lp.Basis
 	if d.AddDemand != nil {
 		if err := m2.appendDemand(d.AddDemand); err != nil {
 			replanAbortf("structural fallback: demand append: %v", err)
@@ -684,6 +684,8 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, inc *incumbentState,
 		if basis = inc.basis.Extended(q.NumVars(), q.NumRows()); basis == nil {
 			return nil, incumbentState{}, fbStructural
 		}
+	} else {
+		basis = inc.basis.Clone()
 	}
 
 	// Reoptimization from the incumbent basis (a warm start, so the dual

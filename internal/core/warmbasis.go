@@ -10,20 +10,21 @@ import (
 // basisHint carries a basis from one solved formulation to a related one
 // whose dimensions differ — a shrunken MinimizeMakespan horizon, the
 // next A* round, or the next request of a Planner session. Variables are
-// matched by their diagnostic names (stable across horizons:
-// "f[s3,l7,k2]" names the same flow regardless of K), so the surviving
-// structure of the old optimal basis seeds the new solve; rows are left
-// to the solver's basis-repair pass, which completes any short basis
-// with the slacks of uncovered rows. A session hint may additionally
-// carry a basisStore: when the new problem fingerprints to a basis
-// solved earlier in the session, that full basis (rows included) is used
-// verbatim instead of the name projection. The two differ in kind to
-// lp.Solve: a store hit is a complete basis and reoptimizes the model as
-// stated, a name projection is a partial hint and goes through presolve.
+// matched by their column keys (lp.VarKey, stable across horizons: the
+// key of f[s3,l7,k2] identifies the same flow regardless of K), so the
+// surviving structure of the old optimal basis seeds the new solve;
+// anonymous columns take no part, and rows are left to the solver's
+// basis-repair pass, which completes any short basis with the slacks of
+// uncovered rows. A session hint may additionally carry a basisStore:
+// when the new problem fingerprints to a basis solved earlier in the
+// session, that full basis (rows included) is used verbatim instead of
+// the key projection. The two differ in kind to lp.Solve: a store hit is
+// a complete basis and reoptimizes the model as stated, a key projection
+// is a partial hint and goes through presolve.
 type basisHint struct {
-	vars map[string]lp.BasisStatus
+	vars map[lp.VarKey]lp.BasisStatus
 	// srcProb/srcBasis lazily back vars: session hints defer the
-	// O(numVars) name-map build to first use, after the fingerprint
+	// O(numVars) key-map build to first use, after the fingerprint
 	// store has had its (cheaper, often successful) say — and outside
 	// the Planner mutex the hint was captured under.
 	srcProb  *lp.Problem
@@ -37,22 +38,22 @@ func hintFromSolve(p *lp.Problem, b *lp.Basis) *basisHint {
 	if p == nil || b == nil || len(b.Vars) != p.NumVars() {
 		return nil
 	}
-	return &basisHint{vars: nameMap(p, b)}
+	return &basisHint{vars: keyMap(p, b)}
 }
 
-// nameMap indexes a basis by variable name.
-func nameMap(p *lp.Problem, b *lp.Basis) map[string]lp.BasisStatus {
-	m := make(map[string]lp.BasisStatus, len(b.Vars))
+// keyMap indexes a basis by column key.
+func keyMap(p *lp.Problem, b *lp.Basis) map[lp.VarKey]lp.BasisStatus {
+	m := make(map[lp.VarKey]lp.BasisStatus, len(b.Vars))
 	for j, st := range b.Vars {
-		if name := p.Name(lp.VarID(j)); name != "" {
-			m[name] = st
+		if key := p.Key(lp.VarID(j)); key != 0 {
+			m[key] = st
 		}
 	}
 	return m
 }
 
 // sessionHint builds a Planner request hint: an exact-fingerprint store
-// plus a lazily materialized name map over the session's previous solve
+// plus a lazily materialized key map over the session's previous solve
 // of the same form. Returns nil when there is nothing to offer.
 func sessionHint(prob *lp.Problem, basis *lp.Basis, store *basisStore) *basisHint {
 	if prob == nil || basis == nil || len(basis.Vars) != prob.NumVars() {
@@ -65,7 +66,7 @@ func sessionHint(prob *lp.Problem, basis *lp.Basis, store *basisStore) *basisHin
 }
 
 // basisFor projects the hint onto a new problem: an exact-fingerprint
-// store hit returns the stored basis verbatim; otherwise named variables
+// store hit returns the stored basis verbatim; otherwise keyed variables
 // inherit their old status, everything else rests nonbasic, and all rows
 // start nonbasic so the solver's repair pass installs slacks exactly
 // where the transferred columns leave rows uncovered.
@@ -79,7 +80,7 @@ func (h *basisHint) basisFor(p *lp.Problem) *lp.Basis {
 		}
 	}
 	if h.vars == nil && h.srcProb != nil {
-		h.vars = nameMap(h.srcProb, h.srcBasis)
+		h.vars = keyMap(h.srcProb, h.srcBasis)
 	}
 	if len(h.vars) == 0 {
 		return nil
@@ -90,7 +91,7 @@ func (h *basisHint) basisFor(p *lp.Problem) *lp.Basis {
 	}
 	matched := 0
 	for j := range b.Vars {
-		if st, ok := h.vars[p.Name(lp.VarID(j))]; ok {
+		if st, ok := h.vars[p.Key(lp.VarID(j))]; ok {
 			b.Vars[j] = st
 			if st == lp.BasisBasic {
 				matched++

@@ -6,9 +6,9 @@ package core
 // states no formulation of its own — a window is lpModel.emit
 // (lpform.go) over [lo, hi), and the monolithic LP is the same emit
 // over the full horizon from the initial boundary — so a window model
-// shares the variable naming, row ordering, and commodity indexing of
+// shares the column keys, row ordering, and commodity indexing of
 // every other LP model by construction. That is what lets the session
-// basis store and the name-transfer warm path treat window models like
+// basis store and the key-transfer warm path treat window models like
 // any other.
 
 import (

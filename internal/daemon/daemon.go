@@ -21,7 +21,10 @@
 // saturated solver. BeginDrain flips the daemon into lame-duck mode (new
 // solves get 503, /healthz goes unhealthy for load balancers) and
 // Drain waits for the in-flight solves to finish — the SIGTERM path of
-// cmd/teccld.
+// cmd/teccld. A panic inside a solve is contained to its request: the
+// caller gets a 500, the session the solve ran on is closed and dropped
+// (whatever state the panic left in it is not served again), the solve's
+// admission slot is released like any other, and /metrics counts it.
 package daemon
 
 import (
@@ -29,7 +32,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,7 +101,8 @@ type Server struct {
 
 	// testHookSolve, when set, runs in place of nothing while a solve
 	// holds its concurrency slot — the seam the saturation and drain
-	// tests use to keep solves in flight deterministically.
+	// tests use to keep solves in flight deterministically, and the
+	// containment test to panic where a solver would.
 	testHookSolve func()
 }
 
@@ -242,9 +248,36 @@ func (s *Server) resolveOptions(wopts *wire.Options) (core.Options, error) {
 	return opt, nil
 }
 
+// errSolverPanic is what solve reports for a solve that panicked.
+var errSolverPanic = errors.New("solver panic")
+
+// solve runs one admitted Plan or Replan of sess. A panic inside it
+// closes and drops that session — and no other — and comes back as an
+// error wrapping errSolverPanic for the handler to answer 500 with; the
+// handler's deferred release then frees the admission slot as on any
+// other return.
+func (s *Server) solve(sess *session, run func() (*core.Plan, error)) (plan *core.Plan, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			// The stack net/http's own recovery would have logged.
+			log.Printf("daemon: solver panic on session %s: %v\n%s", sess.id, r, debug.Stack())
+			s.pool.remove(sess.id)
+			s.met.solverPanicked()
+			plan, err = nil, fmt.Errorf("%w: %v; session %s closed", errSolverPanic, r, sess.id)
+		}
+	}()
+	if s.testHookSolve != nil {
+		s.testHookSolve()
+	}
+	sess.requests.Add(1)
+	return run()
+}
+
 // solveStatus maps a Plan/Replan error to an HTTP status.
 func solveStatus(err error) int {
 	switch {
+	case errors.Is(err, errSolverPanic):
+		return http.StatusInternalServerError
 	case errors.Is(err, core.ErrPlannerClosed):
 		return http.StatusGone
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -314,12 +347,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if s.testHookSolve != nil {
-		s.testHookSolve()
-	}
-
-	sess.requests.Add(1)
-	plan, err := sess.planner.Plan(r.Context(), core.Request{Demand: demand, Options: &opt, Solver: solver})
+	plan, err := s.solve(sess, func() (*core.Plan, error) {
+		return sess.planner.Plan(r.Context(), core.Request{Demand: demand, Options: &opt, Solver: solver})
+	})
 	if err != nil {
 		writeError(w, solveStatus(err), "plan: %v", err)
 		return
@@ -359,12 +389,9 @@ func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if s.testHookSolve != nil {
-		s.testHookSolve()
-	}
-
-	sess.requests.Add(1)
-	plan, err := sess.planner.Replan(r.Context(), delta)
+	plan, err := s.solve(sess, func() (*core.Plan, error) {
+		return sess.planner.Replan(r.Context(), delta)
+	})
 	if err != nil {
 		writeError(w, solveStatus(err), "replan: %v", err)
 		return

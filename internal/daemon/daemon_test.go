@@ -357,6 +357,67 @@ func TestDaemonDrain(t *testing.T) {
 	}
 }
 
+// TestDaemonContainsSolverPanic: a panic where a solver would run is
+// answered 500 with a wire.Error, costs exactly the session it ran on,
+// gives its admission slot back and shows in /metrics; the daemon and
+// its other sessions keep serving.
+func TestDaemonContainsSolverPanic(t *testing.T) {
+	s, hs := newTestServer(t, Options{MaxConcurrent: 1, QueueDepth: 1})
+	fabrics := []*topo.Topology{topo.DGX1(), topo.Ring(4, 25e9, 0.6e-6), topo.Ring(6, 25e9, 0.6e-6)}
+	plans := make([]wire.PlanResponse, len(fabrics))
+	for i, tt := range fabrics {
+		if st := call(t, "POST", hs.URL+"/v1/plan", wire.PlanRequest{Topology: wireTopo(t, tt), Demand: testDemand(tt, 1)}, &plans[i]); st != 200 {
+			t.Fatalf("plan %d: status %d", i, st)
+		}
+	}
+	planned, replanned, bystander := plans[0].SessionID, plans[1].SessionID, plans[2].SessionID
+
+	s.testHookSolve = func() { panic("injected solver fault") }
+	for _, hit := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/plan", wire.PlanRequest{SessionID: planned, Demand: testDemand(fabrics[0], 1)}},
+		{"/v1/replan", wire.ReplanRequest{SessionID: replanned, Delta: wire.Delta{LinksDown: []int{0}}}},
+	} {
+		var werr wire.Error
+		if st := call(t, "POST", hs.URL+hit.path, hit.body, &werr); st != 500 || werr.Code != 500 || !strings.Contains(werr.Error, "solver panic") {
+			t.Fatalf("%s through a panicking solve: status %d, body %+v; want a 500 wire.Error", hit.path, st, werr)
+		}
+		if q, in := s.queued.Load(), s.inflight.Load(); q != 0 || in != 0 {
+			t.Fatalf("%s: admission leaked: queued %d, inflight %d", hit.path, q, in)
+		}
+	}
+	s.testHookSolve = nil
+
+	for _, id := range []string{planned, replanned} {
+		if st := call(t, "POST", hs.URL+"/v1/plan", wire.PlanRequest{SessionID: id, Demand: testDemand(fabrics[0], 1)}, nil); st != 404 {
+			t.Fatalf("session %s, closed by a panic, answers %d, want 404", id, st)
+		}
+	}
+	var kept, fresh wire.PlanResponse
+	if st := call(t, "POST", hs.URL+"/v1/plan", wire.PlanRequest{SessionID: bystander, Demand: testDemand(fabrics[2], 1)}, &kept); st != 200 || !kept.Plan.CacheHit {
+		t.Fatalf("bystander session after the panics: status %d, cache hit %v; want its replay cache intact", st, kept.Plan.CacheHit)
+	}
+	if st := call(t, "POST", hs.URL+"/v1/plan", wire.PlanRequest{Topology: wireTopo(t, fabrics[0]), Demand: testDemand(fabrics[0], 1)}, &fresh); st != 200 || fresh.SessionID == planned || fresh.Plan.CacheHit {
+		t.Fatalf("same fabric after the panic: status %d, session %s (closed: %s), cache hit %v; want a fresh session", st, fresh.SessionID, planned, fresh.Plan.CacheHit)
+	}
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"teccld_solver_panics_total 2\n", "teccld_sessions 2\n", "teccld_inflight_solves 0\n", "teccld_queued_solves 0\n"} {
+		if !strings.Contains(string(text), want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, text)
+		}
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

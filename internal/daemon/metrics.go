@@ -39,6 +39,10 @@ type metrics struct {
 	rejected429 int64
 	rejected503 int64
 
+	// solverPanics counts solves that panicked and were contained
+	// (Server.solve).
+	solverPanics int64
+
 	// evicted accumulates the final counters of sessions the pool has
 	// closed; scrapes add the live sessions on top.
 	evicted core.PlannerStats
@@ -78,6 +82,13 @@ func (m *metrics) observe(endpoint string, status int, d time.Duration, solve bo
 			m.bucketCounts[i]++
 		}
 	}
+}
+
+// solverPanicked records one contained solver panic.
+func (m *metrics) solverPanicked() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.solverPanics++
 }
 
 // foldEvicted absorbs a closed session's final counters.
@@ -147,6 +158,9 @@ func (m *metrics) render(w io.Writer, live core.PlannerStats, sessions int, evic
 	fmt.Fprintf(w, "# TYPE teccld_rejected_total counter\n")
 	fmt.Fprintf(w, "teccld_rejected_total{reason=\"saturated\"} %d\n", m.rejected429)
 	fmt.Fprintf(w, "teccld_rejected_total{reason=\"draining\"} %d\n", m.rejected503)
+	fmt.Fprintf(w, "# HELP teccld_solver_panics_total Solves that panicked; each answered 500 and closed its session.\n")
+	fmt.Fprintf(w, "# TYPE teccld_solver_panics_total counter\n")
+	fmt.Fprintf(w, "teccld_solver_panics_total %d\n", m.solverPanics)
 
 	fmt.Fprintf(w, "# HELP teccld_solve_seconds Latency of successful plan/replan requests.\n")
 	fmt.Fprintf(w, "# TYPE teccld_solve_seconds histogram\n")

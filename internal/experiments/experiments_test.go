@@ -134,8 +134,9 @@ func TestChurnHeadlineRatio(t *testing.T) {
 	}
 }
 
-// TestChurnStreamMedianRegret pins ROADMAP item 5's replan-economics
-// number: over the 100-delta adversarial NDv2 stream, the median replan
+// TestChurnStreamMedianRegret pins the replan-economics number (one of
+// the pinned acceptance tests ROADMAP item 4f keeps this package for):
+// over the 100-delta adversarial NDv2 stream, the median replan
 // costs under a quarter of a from-scratch plan of the same churned
 // problem. A ratio of two wall clocks measured back to back, so host
 // speed cancels; the stream's 100 cold reference solves make it the

@@ -50,8 +50,8 @@
 //
 // Windows chain warm bases two ways: an exact fingerprint hit from the
 // Planner session's basis store (identical window of an earlier
-// request), else a name-matched projection of the previous window's
-// basis — overlapping epochs share variable names, so the projection
+// request), else a key-matched projection of the previous window's
+// basis — overlapping epochs share column keys, so the projection
 // seeds most of the new basis and the dual simplex repairs the rest.
 //
 // Policy routes to this solver (SolverHorizon) when CostModelPolicy
@@ -203,7 +203,7 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 		}
 
 		// Warm start: an exact fingerprint hit from the session store
-		// beats a name-matched projection of the previous window.
+		// beats a key-matched projection of the previous window.
 		var warm *lp.Basis
 		if hooks != nil && hooks.LookupBasis != nil {
 			warm = hooks.LookupBasis(wlp.P)

@@ -9,8 +9,9 @@ package lp
 // chains — take a Clone and edit that.
 
 import (
-	"hash/maphash"
 	"math"
+	"math/bits"
+	"math/rand/v2"
 )
 
 // Clone returns a deep copy of the basis, for callers that go on to edit
@@ -56,12 +57,16 @@ func (b *Basis) Extended(numVars, numRows int) *Basis {
 // Clone returns an independent copy of the problem: bound, objective,
 // sense, and right-hand-side storage is owned by the copy, so SetBounds/
 // SetObj/AddVar/AddRow on either side never touch the other. The per-row
-// term slices are shared — they are write-once (AddRow stores a fresh
-// merged slice and nothing mutates it afterwards) — which keeps a clone
-// O(vars + rows) instead of O(nonzeros).
+// term slices and the column keys are shared — both are write-once
+// (AddRow and AppendToRow store a fresh merged slice and nothing mutates
+// it afterwards; a key is set by the AddKeyedVar that creates its column)
+// and capacity-clamped, so an append on either side reallocates instead of
+// writing into storage the other can see — which keeps a clone O(vars +
+// rows) instead of O(nonzeros) and a cloned model's identities free.
 func (p *Problem) Clone() *Problem {
 	q := &Problem{
 		Dir:    p.Dir,
+		keys:   p.keys[:len(p.keys):len(p.keys)],
 		names:  append([]string(nil), p.names...),
 		lo:     append([]float64(nil), p.lo...),
 		hi:     append([]float64(nil), p.hi...),
@@ -75,54 +80,49 @@ func (p *Problem) Clone() *Problem {
 
 // fpSeed is the process-wide seed for Fingerprint, so fingerprints are
 // comparable across problems within one process (which is all the batch
-// cache needs).
-var fpSeed = maphash.MakeSeed()
+// cache needs) and unpredictable across processes.
+var fpSeed = rand.Uint64()
+
+// fpMix folds one 64-bit word into a running hash: the two halves of the
+// 128-bit product of the mixed-in state with an odd constant, folded —
+// every bit of the word reaches every bit of the state in one step.
+func fpMix(h, w uint64) uint64 {
+	hi, lo := bits.Mul64(h^w, 0x9e3779b97f4a7c15)
+	return hi ^ lo
+}
 
 // Fingerprint returns a hash of the problem's full content — dimensions,
-// direction, bounds, objective, rows (terms, senses, right-hand sides).
-// Two problems with equal fingerprints are almost certainly structurally
+// direction, bounds, objective, rows (terms, senses, right-hand sides) —
+// mixed a 64-bit word at a time; floats enter as their bit patterns, so
+// fingerprint equality means bit equality, negative zero and NaN
+// payloads included. Keys and names are left out, like in EqualTo. Two
+// problems with equal fingerprints are almost certainly structurally
 // identical; confirm with EqualTo before treating them as the same model
 // (the schedule-batching layer uses the pair as a presolve/solve cache
 // key for sweep points that reduce to the same chunk-unit LP).
 func (p *Problem) Fingerprint() uint64 {
-	var h maphash.Hash
-	h.SetSeed(fpSeed)
-	writeInt := func(v int) {
-		var b [8]byte
-		u := uint64(v)
-		for i := range b {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	writeF := func(v float64) {
-		// Hash the bit pattern: fingerprint equality must mean bit
-		// equality, including negative zero and NaN payloads.
-		writeInt(int(math.Float64bits(v)))
-	}
-	writeInt(int(p.Dir))
-	writeInt(len(p.lo))
-	writeInt(len(p.rows))
+	h := fpMix(fpSeed, uint64(p.Dir))
+	h = fpMix(h, uint64(len(p.lo)))
+	h = fpMix(h, uint64(len(p.rows)))
 	for j := range p.lo {
-		writeF(p.lo[j])
-		writeF(p.hi[j])
-		writeF(p.obj[j])
+		h = fpMix(h, math.Float64bits(p.lo[j]))
+		h = fpMix(h, math.Float64bits(p.hi[j]))
+		h = fpMix(h, math.Float64bits(p.obj[j]))
 	}
 	for i, row := range p.rows {
-		writeInt(int(p.senses[i]))
-		writeF(p.rhs[i])
-		writeInt(len(row))
+		h = fpMix(h, uint64(p.senses[i])<<32|uint64(len(row)))
+		h = fpMix(h, math.Float64bits(p.rhs[i]))
 		for _, t := range row {
-			writeInt(int(t.Var))
-			writeF(t.Coeff)
+			h = fpMix(h, uint64(t.Var))
+			h = fpMix(h, math.Float64bits(t.Coeff))
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // EqualTo reports whether q states bit-for-bit the same program as p:
 // same direction, variable bounds and objective, and identical rows.
-// Variable names are ignored — they are diagnostics, not semantics.
+// Variable keys and names are ignored — they identify, they do not state.
 func (p *Problem) EqualTo(q *Problem) bool {
 	if p.Dir != q.Dir || len(p.lo) != len(q.lo) || len(p.rows) != len(q.rows) {
 		return false

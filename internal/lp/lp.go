@@ -40,7 +40,7 @@
 //     dual-simplex pivots in proportion to the edit, not to the LP. This
 //     is the path of branch-and-bound children, Planner replans, and
 //     fingerprint-keyed basis-store hits.
-//   - Anything else — a basis transferred by variable name from a
+//   - Anything else — a basis transferred by column key from a
 //     related model (rows unknown, too few basics), an over-full guess,
 //     a dimension mismatch, or an Options.Crash seed — is a hint. The
 //     solve goes through presolve; the hint's statuses are carried onto
@@ -48,6 +48,27 @@
 //     slack-pads the result, so the hint shortens phase 1 but does not
 //     skip it. Presolve's smaller, equilibrated model is worth more than
 //     the hint's exact shape here.
+//
+// # Columns: keys, names, storage
+//
+// A model builder that creates columns by the thousand identifies them
+// with AddKeyedVar and a packed 64-bit VarKey (key.go) — kind, source,
+// chunk, link or node, epoch — instead of a formatted name. The key is
+// what a basis is carried between related models by (the core layer
+// matches the columns of a shorter horizon, the next window, the next A*
+// round by key), it costs eight bytes and no allocation, and Name
+// formats the string it stands for — "f[s3,l7,k2]" — on demand, for
+// diagnostics and tests only. Where AddVar was given a name, Name
+// prefers it; the zero key, which is also what MakeKey returns for an
+// index that does not fit its field, leaves a column anonymous: it is
+// left out of basis transfers and nothing else changes. Fingerprint and
+// EqualTo ignore keys and names alike.
+//
+// A Problem costs what it holds: Reserve sizes the column arrays exactly
+// for a builder that counted its columns, AddRow merges into one scratch
+// buffer and stores rows a block at a time rather than one allocation
+// each, and Clone shares what is write-once — row terms and keys, both
+// capacity-clamped — and copies only what SetBounds/SetObj/SetRHS edit.
 //
 // # Solve contexts
 //
@@ -123,6 +144,12 @@ type Term struct {
 type Problem struct {
 	Dir Direction
 
+	// keys and names are the two identities a column may carry (key.go);
+	// both slices stop at the last column that has one, so a problem whose
+	// columns are anonymous holds neither. keys is write-once — a column's
+	// key never changes after the AddKeyedVar that set it — which is what
+	// lets Clone share it.
+	keys  []VarKey
 	names []string
 	lo    []float64
 	hi    []float64
@@ -137,11 +164,19 @@ type Problem struct {
 	// notice that its matrix copies are out of date.
 	gen uint64
 
-	// scratch is the reusable sort/merge buffer of combineTerms, so the
-	// model-build hot path (AddRow per constraint, thousands per A* round)
-	// performs exactly one allocation per row: the stored row itself.
+	// scratch is the reusable sort/merge buffer of mergeTerms and block
+	// the unused tail of the current rowBlock-term block of row storage, so
+	// the model-build hot path (AddRow per constraint, thousands per A*
+	// round) allocates once per block of rows, not once per row.
 	scratch []Term
+	block   []Term
 }
+
+// rowBlock is the size, in terms, of the blocks stored rows are cut
+// from (4 KB): large enough that a time-expanded model's three-to-ten
+// term rows cost one allocation per few dozen, small enough that the
+// unused tail a finished model keeps alive is noise beside the model.
+const rowBlock = 256
 
 // NewProblem returns an empty problem with the given direction.
 func NewProblem(dir Direction) *Problem {
@@ -156,17 +191,66 @@ func (p *Problem) NumRows() int { return len(p.rows) }
 
 // AddVar adds a variable with bounds [lo, hi] and objective coefficient
 // obj. Use -Inf/Inf for unbounded sides. The name is used only for
-// diagnostics and may be empty.
+// diagnostics and may be empty; model builders that create columns by
+// the thousand identify them with AddKeyedVar instead, which costs no
+// string.
 func (p *Problem) AddVar(name string, lo, hi, obj float64) VarID {
 	if lo > hi {
 		panic(fmt.Sprintf("lp: variable %q has lo %g > hi %g", name, lo, hi))
 	}
-	p.names = append(p.names, name)
+	v := p.addCol(lo, hi, obj)
+	if name != "" {
+		p.names = append(padTo(p.names, int(v)), name)
+	}
+	return v
+}
+
+// AddKeyedVar is AddVar for a column identified by a packed key rather
+// than a name: Key reads it back, Name formats the name it stands for on
+// demand, and a zero key leaves the column anonymous.
+func (p *Problem) AddKeyedVar(key VarKey, lo, hi, obj float64) VarID {
+	if lo > hi {
+		panic(fmt.Sprintf("lp: variable %q has lo %g > hi %g", key, lo, hi))
+	}
+	v := p.addCol(lo, hi, obj)
+	if key != 0 {
+		p.keys = append(padTo(p.keys, int(v)), key)
+	}
+	return v
+}
+
+func (p *Problem) addCol(lo, hi, obj float64) VarID {
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.obj = append(p.obj, obj)
 	p.gen++
 	return VarID(len(p.lo) - 1)
+}
+
+// padTo extends s with zero values to length n.
+func padTo[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
+// Reserve makes room for exactly vars more variables and their keys, so
+// a builder that knows how many columns it is about to create pays one
+// allocation per column array instead of append's doubling, and leaves
+// no spare capacity behind on a model that is then kept.
+func (p *Problem) Reserve(vars int) {
+	p.keys = reserve(p.keys, len(p.lo)+vars-len(p.keys))
+	p.lo = reserve(p.lo, vars)
+	p.hi = reserve(p.hi, vars)
+	p.obj = reserve(p.obj, vars)
+}
+
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // SetObj replaces the objective coefficient of v.
@@ -178,7 +262,7 @@ func (p *Problem) Obj(v VarID) float64 { return p.obj[v] }
 // SetBounds replaces the bounds of v.
 func (p *Problem) SetBounds(v VarID, lo, hi float64) {
 	if lo > hi {
-		panic(fmt.Sprintf("lp: variable %q set to lo %g > hi %g", p.names[v], lo, hi))
+		panic(fmt.Sprintf("lp: variable %q set to lo %g > hi %g", p.Name(v), lo, hi))
 	}
 	p.lo[v] = lo
 	p.hi[v] = hi
@@ -187,8 +271,22 @@ func (p *Problem) SetBounds(v VarID, lo, hi float64) {
 // Bounds returns the bounds of v.
 func (p *Problem) Bounds(v VarID) (lo, hi float64) { return p.lo[v], p.hi[v] }
 
-// Name returns the diagnostic name of v.
-func (p *Problem) Name(v VarID) string { return p.names[v] }
+// Name returns the diagnostic name of v: the one AddVar was given, else
+// the one its key stands for (VarKey.String), else "".
+func (p *Problem) Name(v VarID) string {
+	if int(v) < len(p.names) && p.names[v] != "" {
+		return p.names[v]
+	}
+	return p.Key(v).String()
+}
+
+// Key returns the key AddKeyedVar gave v, zero for an anonymous column.
+func (p *Problem) Key(v VarID) VarKey {
+	if int(v) < len(p.keys) {
+		return p.keys[v]
+	}
+	return 0
+}
 
 // SetRHS replaces the right-hand side of row r. Together with SetBounds
 // this is the whole dual-feasible edit surface: changing b or the
@@ -204,7 +302,7 @@ func (p *Problem) RHS(r int) float64 { return p.rhs[r] }
 // Returns the row index. The terms slice is not retained (callers may
 // reuse it); the stored row holds the merged terms in variable order.
 func (p *Problem) AddRow(terms []Term, sense Sense, rhs float64) int {
-	row := p.combineTerms(terms)
+	row := p.storeRow(p.mergeTerms(terms, nil))
 	p.rows = append(p.rows, row)
 	p.senses = append(p.senses, sense)
 	p.rhs = append(p.rhs, rhs)
@@ -216,42 +314,48 @@ func (p *Problem) AddRow(terms []Term, sense Sense, rhs float64) int {
 // column-append counterpart of SetBounds/SetRHS for warm model growth:
 // columns created by a later AddVar are wired into the rows they
 // participate in without rebuilding the model. The stored row is
-// replaced with a fresh merged slice, never mutated in place, so clones
-// that share the previous term slice (see Clone's write-once contract)
-// are unaffected. Note that unlike SetBounds/SetRHS this edits the
-// matrix: a basis warm-started across an AppendToRow is only safe if
+// replaced with a freshly stored merged slice, never mutated in place,
+// so clones that share the previous term slice (see Clone's write-once
+// contract) are unaffected. Note that unlike SetBounds/SetRHS this edits
+// the matrix: a basis warm-started across an AppendToRow is only safe if
 // the appended variables are nonbasic (see Basis.Extended).
 func (p *Problem) AppendToRow(r int, terms []Term) {
 	if len(terms) == 0 {
 		return
 	}
-	merged := make([]Term, 0, len(p.rows[r])+len(terms))
-	merged = append(merged, p.rows[r]...)
-	merged = append(merged, terms...)
-	p.rows[r] = p.combineTerms(merged)
+	p.rows[r] = p.storeRow(p.mergeTerms(p.rows[r], terms))
 	p.gen++
 }
 
-// combineTerms merges duplicate variables and drops zero coefficients,
-// returning a fresh exact-size slice in variable order: the only
-// allocation is the stored row.
-func (p *Problem) combineTerms(terms []Term) []Term {
-	sc := p.mergeTerms(terms)
-	if len(sc) == 0 {
+// storeRow copies a merged row into the problem's row storage and
+// returns the stored, capacity-clamped slice. Rows are cut from blocks
+// of rowBlock terms; a row too long to share a block gets an exact
+// allocation of its own and leaves the current block's tail in use.
+func (p *Problem) storeRow(row []Term) []Term {
+	n := len(row)
+	if n == 0 {
 		return nil
 	}
-	out := make([]Term, len(sc))
-	copy(out, sc)
+	if n > len(p.block) {
+		if n > rowBlock/4 {
+			return append(make([]Term, 0, n), row...)
+		}
+		p.block = make([]Term, rowBlock)
+	}
+	out := p.block[:n:n]
+	p.block = p.block[n:]
+	copy(out, row)
 	return out
 }
 
-// mergeTerms is the sort+merge of combineTerms, in place on a reusable
-// scratch buffer — no map — which the result is a view of, valid until
+// mergeTerms concatenates two term lists, merges duplicate variables and
+// drops zero coefficients, in place on a reusable scratch buffer — no
+// map — which the result, in variable order, is a view of, valid until
 // the next call. Model builders emit terms in near-variable order, so the
 // insertion sort is effectively linear; genuinely shuffled long rows fall
 // back to sort.Slice.
-func (p *Problem) mergeTerms(terms []Term) []Term {
-	sc := append(p.scratch[:0], terms...)
+func (p *Problem) mergeTerms(a, b []Term) []Term {
+	sc := append(append(p.scratch[:0], a...), b...)
 	sorted := true
 	for i := 1; i < len(sc); i++ {
 		if sc[i-1].Var > sc[i].Var {

@@ -645,7 +645,7 @@ func (ps *presolver) build(roomN, roomM, roomNnz int) {
 			})
 		}
 		at := len(arena)
-		arena = append(arena, red.mergeTerms(terms)...)
+		arena = append(arena, red.mergeTerms(terms, nil)...)
 		red.rows[k], red.senses[k], red.rhs[k] = arena[at:], ps.senses[i], ps.rhs[i]*r
 	}
 	ps.redArena, ps.terms = arena, terms

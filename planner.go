@@ -4,7 +4,7 @@ package teccl
 // per topology answering a stream of solve requests with cached
 // per-topology state (tau derivations, epoch estimates, schedule replay
 // for structurally identical models, warm-start bases keyed by problem
-// fingerprint and chained by variable name), context-aware cancellation
+// fingerprint and chained by column key), context-aware cancellation
 // through all four solvers, pluggable solver-selection policy, and a
 // progress hook for serving-side observability. The stateless free
 // functions in teccl.go are thin wrappers over single-use sessions.

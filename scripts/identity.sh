@@ -5,18 +5,16 @@
 # pivots, nodes, rounds, windows, replan outcomes and finish epochs of
 # every class of every workload — from that checkout and from this
 # working tree, and compares the two records byte for byte; then prints
-# both sha256 sums and `make loc` per package, before -> after. The
-# parent is a `git archive` export, not a worktree, so an interrupted
-# run leaves nothing behind in .git. About 4 minutes; `make identity
-# PARENT=<ref>` runs it.
+# both sha256 sums and `make loc` per package, before -> after. About 4
+# minutes; `make identity PARENT=<ref>` runs it.
 set -euo pipefail
 parent="${1:?usage: identity.sh <parent-ref>}"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-mkdir "$tmp/parent"
-git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
+. "$root/scripts/parent.sh"
+export_parent "$parent" "$tmp/parent"
 for side in parent change; do
 	dir="$root"
 	[ "$side" = parent ] && dir="$tmp/parent"
