@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc identity pair
+.PHONY: ci vet lint build test race fuzz-smoke bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc identity pair
 
-ci: vet lint build test race api-compat daemon-smoke bench-smoke bench-verify
+ci: vet lint build test race fuzz-smoke api-compat daemon-smoke bench-smoke bench-verify
 
 # vet gates on the stock analyzer, formatting, and the repo's own
 # invariant suite: a gofmt diff anywhere or a tecclvet diagnostic
@@ -56,6 +56,15 @@ test:
 # and batched sweep solving are only trustworthy if this stays clean.
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of coverage-guided fuzzing per target, on top of the seed
+# corpora `test` already runs: topology churn (FuzzApplyDelta) and the
+# daemon's plan request decoder over the v1 wire goldens
+# (FuzzPlanRequest). A failing input is written under the package's
+# testdata/fuzz/ and fails the target; commit it as a regression seed.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz '^FuzzApplyDelta$$' -fuzztime 10s ./internal/topo
+	$(GO) test -run xxx -fuzz '^FuzzPlanRequest$$' -fuzztime 10s ./internal/daemon
 
 # End-to-end smoke of the serving path: build both binaries, boot a real
 # teccld on a localhost port, drive it through the CLI (health poll,

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 )
 
 // Demand is a demand matrix over n nodes with up to c chunks per source.
@@ -234,6 +235,12 @@ func (d *Demand) Fingerprint() uint64 {
 		writeU64(word)
 	}
 	return h.Sum64()
+}
+
+// Equal reports whether e is the same demand as d: dimensions, chunk size
+// (bit pattern) and want set — what Fingerprint hashes, compared exactly.
+func (d *Demand) Equal(e *Demand) bool {
+	return d.n == e.n && d.c == e.c && math.Float64bits(d.ChunkBytes) == math.Float64bits(e.ChunkBytes) && slices.Equal(d.want, e.want)
 }
 
 // AllGather builds an ALLGATHER demand: every GPU wants every chunk of

@@ -22,9 +22,13 @@ package core
 //     starting cold.
 //   - Points fan out over a worker pool (BatchOptions.Workers), the
 //     same knob that parallelizes branch-and-bound node evaluation.
+//
+// A Planner session serves its LP requests through the same cache, where
+// the request index below makes a repeated request a lookup.
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
@@ -46,43 +50,142 @@ type BatchOptions struct {
 // batchEntry caches the outcome of one solved sweep point for replay by
 // structurally identical later points. The schedule is stored in chunk
 // units (sends, epochs), which is exactly the part that coincides; only
-// the epoch duration differs between identical points.
+// the epoch duration differs between identical points. The model the
+// point was solved from is kept as its recipe — the request's demand and
+// options, which prepLP restates it from — rather than as an lp.Problem;
+// only a request carrying a Priority or LinkCapacity function, which
+// cannot be restated as data, keeps its model in base.
 type batchEntry struct {
-	base      *lp.Problem // the built base model (pre-makespan), for exact identity checks
+	demand *collective.Demand
+	opt    Options // the request's options, Progress cleared
+	base   *lp.Problem
+
 	sends     []schedule.Send
 	numEpochs int
 	epc       []int // EpochsPerChunk of the solved schedule
 	objective float64
 	gap       float64
 	optimal   bool
-	// makespan records whether the entry was solved with
-	// MinimizeMakespan. The flag is consumed after the model is built,
-	// so it is invisible to the fingerprint; a Planner session mixing
-	// per-request options must not replay an unrefined schedule into a
-	// request that asked for the refinement (or vice versa).
-	makespan bool
 }
 
-// batchCache indexes solved points by model fingerprint. With a zero
-// limit it grows with the sweep it serves (one bounded call); a
+// model states the model the entry was solved from: the one it holds, or
+// its recipe built afresh.
+func (e *batchEntry) model(t *topo.Topology) *lp.Problem {
+	if e.base != nil {
+		return e.base
+	}
+	return prepLP(t, e.demand, e.opt).m.p
+}
+
+// requestKey identifies a request by what its LP model and cached
+// schedule are made of: the demand, by fingerprint (a hit is confirmed
+// with Demand.Equal), every Options field prepLP reads, and
+// MinimizeMakespan, which decides the schedule an entry holds. The rest
+// is the cache's topology. TestRequestKeyCoversModelInputs classifies
+// every Options field as keyed, unread by the model, or a function.
+type requestKey struct {
+	demand            uint64
+	epochs            int
+	bufferLimitChunks int
+	tau, multiplier   uint64 // bit patterns
+	epochMode         EpochMode
+	switchMode        SwitchMode
+	noBuffers         bool
+	makespan          bool
+}
+
+// keyOf returns the request key of d under opt, and false for a request
+// carrying a Priority or LinkCapacity function, which has none.
+func keyOf(d *collective.Demand, opt *Options) (requestKey, bool) {
+	if opt.Priority != nil || opt.LinkCapacity != nil {
+		return requestKey{}, false
+	}
+	return requestKey{
+		demand:            d.Fingerprint(),
+		epochs:            opt.Epochs,
+		bufferLimitChunks: opt.BufferLimitChunks,
+		tau:               math.Float64bits(opt.Tau),
+		multiplier:        math.Float64bits(opt.EpochMultiplier),
+		epochMode:         opt.EpochMode,
+		switchMode:        opt.SwitchMode,
+		noBuffers:         opt.NoBuffers,
+		makespan:          opt.MinimizeMakespan,
+	}, true
+}
+
+// keyedRequest is one request the cache has answered: its demand, which
+// a later hit must equal, the τ it resolved to, and the entry whose
+// schedule answered it.
+type keyedRequest struct {
+	demand *collective.Demand
+	tau    float64
+	entry  *batchEntry
+}
+
+// batchCache indexes solved points twice. The request index maps a
+// requestKey to the entry that answered it, so a repeated request is a
+// lookup: no estimate, no build, no fingerprint. Behind it the model
+// index maps lp.Problem.Fingerprint to entries, for a request not seen
+// before whose model equals a solved one (a chunk-size sweep under a
+// proportional τ); such a hit builds the entry's model from its recipe
+// to confirm with EqualTo, then enters the request in the request index,
+// so the extra build is paid once per (request, model) pair. With a zero
+// limit both indexes grow with the sweep they serve (one bounded call); a
 // long-lived Planner session sets a limit, past which storing evicts the
-// oldest fingerprint bucket (each retained entry holds a full
-// lp.Problem, so an unbounded serving session would otherwise grow
-// linearly with distinct request shapes). Oldest-first, like the
-// basisStore, so identical request streams replay identically.
+// oldest fingerprint bucket and remembering the oldest request key, each
+// index on its own. Oldest-first, like the basisStore, so identical
+// request streams replay identically.
 type batchCache struct {
-	mu      sync.Mutex
-	entries map[uint64][]*batchEntry
-	order   []uint64 // bucket fingerprints, oldest first (limit > 0 only)
-	limit   int
-	size    int
+	mu       sync.Mutex
+	entries  map[uint64][]*batchEntry // buckets are append-only
+	order    []uint64                 // bucket fingerprints, oldest first (limit > 0 only)
+	size     int
+	requests map[requestKey]keyedRequest
+	keys     []requestKey // request keys, oldest first (limit > 0 only)
+	limit    int
 }
 
-func (c *batchCache) lookup(fp uint64, base *lp.Problem, makespan bool) *batchEntry {
+// lookupRequest returns the entry that answered a request for d under k,
+// and the τ that request resolved to.
+func (c *batchCache) lookupRequest(k requestKey, d *collective.Demand) (*batchEntry, float64) {
+	c.mu.Lock()
+	r, ok := c.requests[k]
+	c.mu.Unlock()
+	if !ok || !r.demand.Equal(d) {
+		return nil, 0
+	}
+	return r.entry, r.tau
+}
+
+// remember enters a request in the request index.
+func (c *batchCache) remember(k requestKey, r keyedRequest) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.entries[fp] {
-		if e.makespan == makespan && e.base.EqualTo(base) {
+	if c.requests == nil {
+		c.requests = make(map[requestKey]keyedRequest)
+	}
+	if _, ok := c.requests[k]; !ok && c.limit > 0 {
+		if len(c.keys) >= c.limit {
+			delete(c.requests, c.keys[0])
+			c.keys = c.keys[1:]
+		}
+		c.keys = append(c.keys, k)
+	}
+	c.requests[k] = r
+}
+
+// lookup returns an entry solved from a model equal to p under the same
+// MinimizeMakespan choice. The flag is consumed after the model is built,
+// so it is invisible to the fingerprint; a session mixing per-request
+// options must not replay an unrefined schedule into a request that asked
+// for the refinement (or vice versa). The confirming build runs outside
+// the lock.
+func (c *batchCache) lookup(t *topo.Topology, fp uint64, p *lp.Problem, makespan bool) *batchEntry {
+	c.mu.Lock()
+	bucket := c.entries[fp]
+	c.mu.Unlock()
+	for _, e := range bucket {
+		if e.opt.MinimizeMakespan == makespan && e.model(t).EqualTo(p) {
 			return e
 		}
 	}
@@ -173,23 +276,35 @@ func BatchSolveLP(ctx context.Context, t *topo.Topology, demands []*collective.D
 	return results, errs
 }
 
-// solvePoint solves one sweep point: replayed from the cache when a
-// structurally identical point was already solved, otherwise solved for
-// real (warm-started from hint) and cached. A replay carries no payload
-// of its own; replayOf names the cached model it replayed, so a session
-// can recognise a replay of its own incumbent. Options.TimeLimit is
-// layered onto ctx per point.
-func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, inc incumbentState, replayOf *lp.Problem, err error) {
+// solvePoint solves one sweep point: replayed from the cache when the
+// same request or a structurally identical point was already solved,
+// otherwise solved for real (warm-started from hint) and cached. A replay
+// carries no payload of its own; replayOf names the entry it replayed,
+// and a solve's payload names the entry it stored, so a session can
+// recognise a replay of its own incumbent. Options.TimeLimit is layered
+// onto ctx per point.
+func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, inc incumbentState, replayOf *batchEntry, err error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
 	start := time.Now()
+	key, keyed := keyOf(d, &opt)
+	if keyed {
+		if e, tau := c.lookupRequest(key, d); e != nil {
+			if res := e.replay(t, noCopy(d), tau, start); res != nil {
+				return res, incumbentState{}, e, nil
+			}
+		}
+	}
 	pr := prepLP(t, d, opt)
 	var fp uint64
 	if pr.m != nil {
 		fp = pr.m.p.Fingerprint()
-		if e := c.lookup(fp, pr.m.p, opt.MinimizeMakespan); e != nil {
-			if res := replayEntry(t, pr, e, start); res != nil {
-				return res, incumbentState{}, e.base, nil
+		if e := c.lookup(t, fp, pr.m.p, opt.MinimizeMakespan); e != nil {
+			if res := e.replay(t, pr.d, pr.in.tau, start); res != nil {
+				if keyed {
+					c.remember(key, keyedRequest{demand: d.Clone(), tau: pr.in.tau, entry: e})
+				}
+				return res, incumbentState{}, e, nil
 			}
 			// A replay that fails validation (e.g. a demand whose chunk
 			// numbering differs despite the identical model) falls
@@ -198,30 +313,39 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 	}
 	res, inc, err = solvePrepped(ctx, t, pr, opt, hint, start)
 	if err == nil && inc.model != nil {
-		c.store(fp, &batchEntry{
-			base:      pr.m.p,
+		e := &batchEntry{
+			demand:    d.Clone(),
+			opt:       opt,
 			sends:     res.Schedule.Sends,
 			numEpochs: res.Schedule.NumEpochs,
 			epc:       res.Schedule.EpochsPerChunk,
 			objective: res.Objective,
 			gap:       res.Gap,
 			optimal:   res.Optimal,
-			makespan:  opt.MinimizeMakespan,
-		})
+		}
+		e.opt.Progress = nil
+		if !keyed {
+			e.base = pr.m.p
+		}
+		c.store(fp, e)
+		if keyed {
+			c.remember(key, keyedRequest{demand: e.demand, tau: pr.in.tau, entry: e})
+		}
+		inc.entry = e
 	}
 	return res, inc, nil, err
 }
 
-// replayEntry re-issues a cached point's schedule under this point's
-// epoch duration and demand. The sweep points coincide in chunk units,
-// so only tau (and the demand the schedule serves) changes; a validation
-// pass confirms the transplanted schedule really satisfies this demand,
-// returning nil (solve for real) if anything disagrees.
-func replayEntry(t *topo.Topology, pr *lpPrep, e *batchEntry, start time.Time) *Result {
+// replay re-issues the entry's schedule for demand d (the form the LP
+// schedules, see noCopy) at epoch duration tau. Identical points coincide
+// in chunk units, so only tau and the demand the schedule serves change;
+// a validation pass confirms the transplanted schedule really satisfies
+// d, returning nil (solve for real) if anything disagrees.
+func (e *batchEntry) replay(t *topo.Topology, d *collective.Demand, tau float64, start time.Time) *Result {
 	sch := &schedule.Schedule{
 		Topo:           t,
-		Demand:         pr.d,
-		Tau:            pr.in.tau,
+		Demand:         d,
+		Tau:            tau,
 		NumEpochs:      e.numEpochs,
 		Sends:          e.sends,
 		AllowCopy:      false,
@@ -237,7 +361,7 @@ func replayEntry(t *topo.Topology, pr *lpPrep, e *batchEntry, start time.Time) *
 		Optimal:   e.optimal,
 		SolveTime: time.Since(start),
 		Epochs:    e.numEpochs,
-		Tau:       pr.in.tau,
+		Tau:       tau,
 		Reused:    true,
 	}
 }

@@ -64,7 +64,7 @@ func checkTransfer(t *testing.T, what string, src *lp.Problem, basis *lp.Basis, 
 	}
 	// The session path: the same projection behind a lazily built map and
 	// an (empty) fingerprint store.
-	if got := sessionHint(src, basis, newBasisStore()).basisFor(dst); !reflect.DeepEqual(got, want) {
+	if got := sessionHint(src.Keys(), basis, newBasisStore()).basisFor(dst); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: session hint differs from the by-name reference", what)
 	}
 }

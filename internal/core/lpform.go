@@ -590,17 +590,23 @@ type lpPrep struct {
 	greedy []schedule.Send
 }
 
+// noCopy returns the demand the LP form schedules. Without copy, a chunk
+// wanted by several destinations is physically several transfers, so a
+// multicast demand gives each its own commodity (a result's
+// Schedule.Demand is that expanded form); any other is d itself.
+func noCopy(d *collective.Demand) *collective.Demand {
+	if d.HasMulticast() {
+		return d.ExpandPerDestination()
+	}
+	return d
+}
+
 // prepIndex is the preprocessing the monolithic LP and the
 // rolling-horizon windows share, so both agree on the demand, K and the
 // commodity space: multicast expansion, instance preprocessing, greedy
 // horizon tightening, and the commodity index.
 func prepIndex(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
-	// Without copy, a chunk wanted by several destinations is physically
-	// several transfers; give each its own commodity so schedules stay
-	// expressible (the result's Schedule.Demand is the expanded form).
-	if d.HasMulticast() {
-		d = d.ExpandPerDestination()
-	}
+	d = noCopy(d)
 	in := newInstance(t, d, opt)
 	if len(in.comms) == 0 {
 		return &lpPrep{d: d, in: in}

@@ -4,12 +4,12 @@ package core
 // topology that answers a stream of solve requests, reusing everything
 // expensive that survives from one request to the next — tau
 // derivations, epoch estimates (Algorithm 1 runs Floyd–Warshall), solved
-// schedules of structurally identical LP models, and warm-start bases
-// keyed by problem fingerprint or chained by column key. The free
-// functions (SolveLP and friends) are the same solves with no session
-// around them — Plan's arms call what they call and add the caches — so
-// a service holding a Planner per topology gets the same answers with
-// the cold-start work amortized across its request stream.
+// schedules of repeated requests and of structurally identical LP models,
+// and warm-start bases keyed by problem fingerprint or chained by column
+// key. The free functions (SolveLP and friends) are the same solves with
+// no session around them — Plan's arms call what they call and add the
+// caches — so a service holding a Planner per topology gets the same
+// answers with the cold-start work amortized across its request stream.
 //
 // # Session lifecycle
 //
@@ -24,8 +24,8 @@ package core
 //     topology it was derived from.
 //  3. Close marks the session closed and releases the retained state —
 //     the schedule-replay cache, the warm-basis store, the key-matched
-//     basis chains, and the replan incumbent, each of which pins whole
-//     LP models. Subsequent Plan/Replan calls fail with
+//     basis chains, and the replan incumbent, the one of them that pins
+//     a whole LP model. Subsequent Plan/Replan calls fail with
 //     ErrPlannerClosed; calls already in flight finish normally (their
 //     results are simply not recorded back into the session). Close is
 //     idempotent, and Stats/Topology keep working on a closed session,
@@ -115,7 +115,9 @@ type PlannerStats struct {
 	// Requests counts Plan calls that reached a solver.
 	Requests int
 	// ScheduleReplays counts requests served from the schedule cache
-	// (Plan.CacheHit).
+	// (Plan.CacheHit): a repeat of an LP request (equal demand, equal
+	// model options, no Priority or LinkCapacity function) by lookup, a
+	// new request whose model equals a solved one by building it.
 	ScheduleReplays int
 	// WarmStartHits counts solves that resumed from an earlier
 	// request's basis (Plan.WarmStart).
@@ -126,7 +128,10 @@ type PlannerStats struct {
 	// ExactBasisHits counts warm starts served verbatim from the
 	// fingerprint-keyed basis store (a subset of WarmStartHits).
 	ExactBasisHits int
-	// TauCacheHits / EpochCacheHits count derived-state cache hits.
+	// TauCacheHits / EpochCacheHits count derived-state cache hits. A
+	// replay by lookup derives nothing, so it moves neither (a policy
+	// choosing its solver still derives τ); a replay that builds its
+	// model, and every solve, consult both.
 	TauCacheHits   int
 	EpochCacheHits int
 	// Replans counts Replan calls that reached a solve (incremental or
@@ -173,9 +178,9 @@ type Planner struct {
 	mu        sync.Mutex
 	closed    bool
 	state     *sessionState
-	lastLP    sessionBasis // key-matched warm-start chain, LP form
-	lastMILP  sessionBasis // key-matched warm-start chain, MILP form
-	incumbent *incumbentState
+	lastLP    sessionBasis    // key-matched warm-start chain, LP form
+	lastMILP  sessionBasis    // key-matched warm-start chain, MILP form
+	incumbent *incumbentState // the one thing a session keeps a whole model for
 	stats     PlannerStats
 
 	// Bounded-regret bookkeeping (replan.go, all under mu): EWMAs of
@@ -208,16 +213,19 @@ func newSessionState(t *topo.Topology) *sessionState {
 		numGPU: len(t.GPUs()),
 		est:    newEstimateCache(),
 		// Sessions are long-lived: bound the schedule-replay cache (each
-		// entry retains a full model) the same way the basis store is.
+		// entry retains a schedule and the request that built its model)
+		// the same way the basis store is.
 		lpCache:   &batchCache{limit: basisStoreLimit},
 		warmBases: newBasisStore(),
 	}
 }
 
-// sessionBasis remembers the most recent solved model of one form for
-// key-matched basis transfer into the next request.
+// sessionBasis remembers the most recent solve of one form for
+// key-matched basis transfer into the next request: the model's column
+// keys (lp.Problem.Keys) and final basis, which is all the transfer
+// reads — not the model.
 type sessionBasis struct {
-	prob  *lp.Problem
+	keys  []lp.VarKey
 	basis *lp.Basis
 }
 
@@ -238,6 +246,9 @@ type incumbentState struct {
 	model  *lpModel
 	mmodel *milpModel
 	basis  *lp.Basis
+	// entry is the replay-cache entry an LP solve stored: a later replay
+	// of that entry is a replay of this solve (see incumbentPayload).
+	entry *batchEntry
 
 	// A* incumbents: Replan replays unaffected rounds through the state
 	// recurrence and re-solves only rounds touching churned links.
@@ -298,7 +309,7 @@ var ErrPlannerClosed = errors.New("core: planner session is closed")
 
 // Close releases the session's retained state — the schedule-replay
 // cache, the warm-basis store, the key-matched basis chains, and the
-// replan incumbent (each pins whole LP models) — and marks the session
+// replan incumbent (which pins a whole LP model) — and marks the session
 // closed: subsequent Plan and Replan calls return ErrPlannerClosed.
 // Calls already in flight finish normally; their results are not
 // recorded back into the session. Close is idempotent and safe for
@@ -507,25 +518,26 @@ func (pl *Planner) choose(st *sessionState, d *collective.Demand, opt Options) S
 // the state it was solved against.
 func (pl *Planner) keepBasis(st *sessionState, last *sessionBasis, inc *incumbentState) {
 	p, b := inc.root()
-	if p == nil || b == nil {
+	if p == nil || b == nil || len(b.Vars) != p.NumVars() {
 		return
 	}
 	pl.mu.Lock()
 	if pl.state == st {
-		*last = sessionBasis{prob: p, basis: b}
+		*last = sessionBasis{keys: p.Keys(), basis: b}
 	}
 	pl.mu.Unlock()
 	st.warmBases.record(p, b)
 }
 
-// planLP serves an LP-form request through the session caches: an
-// identical model replays its schedule, anything else warm-starts from
-// the fingerprint store or the previous LP's basis by name.
+// planLP serves an LP-form request through the session caches: a
+// repeated request or an identical model replays its schedule, anything
+// else warm-starts from the fingerprint store or the previous LP's basis
+// by column key.
 func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
 	pl.mu.Lock()
 	last := pl.lastLP
 	pl.mu.Unlock()
-	hint := sessionHint(last.prob, last.basis, st.warmBases)
+	hint := sessionHint(last.keys, last.basis, st.warmBases)
 
 	res, inc, replayOf, err := st.lpCache.solvePoint(ctx, st.t, d, opt, hint)
 	pl.keepBasis(st, &pl.lastLP, &inc)
@@ -537,19 +549,18 @@ func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.D
 
 // incumbentPayload returns the incumbent's LP model and basis when a
 // request for d at epoch duration tau has just replayed the incumbent's
-// own solve (base is the replayed cache entry's model), and an empty
-// payload otherwise. A replay carries no payload of its own; handing the
-// incumbent's back lets the request refresh the incumbent instead of
-// emptying it, so the next Replan stays incremental.
-func (pl *Planner) incumbentPayload(base *lp.Problem, d *collective.Demand, tau float64) incumbentState {
+// own solve (e, the replayed cache entry, is the one that solve stored),
+// and an empty payload otherwise. A replay carries no payload of its own;
+// handing the incumbent's back lets the request refresh the incumbent
+// instead of emptying it, so the next Replan stays incremental.
+func (pl *Planner) incumbentPayload(e *batchEntry, d *collective.Demand, tau float64) incumbentState {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	inc := pl.incumbent
-	if inc == nil || inc.model == nil || inc.model.p != base || inc.model.in.tau != tau ||
-		inc.demand.Fingerprint() != d.Fingerprint() {
+	if inc == nil || inc.model == nil || inc.entry != e || inc.model.in.tau != tau || !inc.demand.Equal(d) {
 		return incumbentState{}
 	}
-	return incumbentState{model: inc.model, basis: inc.basis}
+	return incumbentState{model: inc.model, basis: inc.basis, entry: e}
 }
 
 // planMILP serves a MILP-form request, warm-starting the root relaxation
@@ -558,7 +569,7 @@ func (pl *Planner) planMILP(ctx context.Context, st *sessionState, d *collective
 	pl.mu.Lock()
 	last := pl.lastMILP
 	pl.mu.Unlock()
-	hint := sessionHint(last.prob, last.basis, st.warmBases)
+	hint := sessionHint(last.keys, last.basis, st.warmBases)
 
 	res, inc, err := solveMILP(ctx, st.t, d, opt, hint)
 	pl.keepBasis(st, &pl.lastMILP, &inc)

@@ -46,8 +46,11 @@ func TestPlannerReplaysIdenticalLPRequest(t *testing.T) {
 	if st.Requests != 2 || st.ScheduleReplays != 1 {
 		t.Fatalf("stats = %+v, want 2 requests / 1 replay", st)
 	}
-	if st.EpochCacheHits == 0 {
-		t.Fatalf("stats = %+v, want epoch-estimate cache hits on the repeat", st)
+	// The repeat is answered by the request index: no model is built, so
+	// the epoch estimator the first request consulted is not consulted
+	// again.
+	if st.EpochCacheHits != 0 {
+		t.Fatalf("stats = %+v, want no epoch-estimate lookups on the keyed repeat", st)
 	}
 }
 
@@ -270,18 +273,27 @@ func TestPlannerClose(t *testing.T) {
 
 func TestPlannerCloseKeepsCacheHitCounters(t *testing.T) {
 	// Cache-hit counters live in the per-topology state bundle that
-	// Close (and Replan) swap out; folding must preserve them.
+	// Close (and Replan) swap out; folding must preserve them. A repeat
+	// of the first request is a keyed replay and estimates nothing; the
+	// third request states "no scaling" differently (EpochMultiplier 1,
+	// not 0), so it misses the request key, builds its model — consulting
+	// the epoch estimate the first request cached — and replays by
+	// fingerprint.
 	tt := topo.DGX1()
 	d := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
 	pl := NewPlanner(tt, PlannerOptions{})
-	for i := 0; i < 2; i++ {
-		if _, err := pl.Plan(context.Background(), Request{Demand: d.Clone()}); err != nil {
+	for i, opt := range []*Options{nil, nil, {EpochMultiplier: 1}} {
+		plan, err := pl.Plan(context.Background(), Request{Demand: d.Clone(), Options: opt})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if plan.CacheHit != (i > 0) {
+			t.Fatalf("request %d: CacheHit = %v", i, plan.CacheHit)
 		}
 	}
 	before := pl.Stats()
-	if before.EpochCacheHits == 0 {
-		t.Fatalf("stats = %+v, want epoch-estimate cache hits before Close", before)
+	if before.EpochCacheHits == 0 || before.TauCacheHits == 0 {
+		t.Fatalf("stats = %+v, want epoch-estimate and tau cache hits before Close", before)
 	}
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
@@ -326,15 +338,17 @@ func tinyLP(rhs float64) *lp.Problem {
 	return p
 }
 
-// TestSessionCachesEvictOldestFirst: the bounded basis store and
-// schedule-replay cache drop their oldest entry when full, so two
-// sessions fed the same request stream retain the same entries (map
-// iteration order used to pick the victim).
+// TestSessionCachesEvictOldestFirst: the bounded basis store and both
+// indexes of the schedule-replay cache drop their oldest entry when full,
+// so two sessions fed the same request stream retain the same entries
+// (map iteration order used to pick the victim).
 func TestSessionCachesEvictOldestFirst(t *testing.T) {
 	const limit, n = 4, 11
 	probs := make([]*lp.Problem, n)
+	demands := make([]*collective.Demand, n)
 	for i := range probs {
 		probs[i] = tinyLP(float64(i + 1))
+		demands[i] = collective.New(2, 1, float64(i+1))
 	}
 	basis := &lp.Basis{Vars: []lp.BasisStatus{lp.BasisBasic}, Rows: []lp.BasisStatus{lp.BasisAtLower}}
 
@@ -342,23 +356,32 @@ func TestSessionCachesEvictOldestFirst(t *testing.T) {
 		store := newBasisStore()
 		store.limit = limit
 		cache := &batchCache{limit: limit}
-		for _, p := range probs {
+		for i, p := range probs {
 			store.record(p, basis)
 			store.record(p, basis) // re-recording must not age or duplicate
-			cache.store(p.Fingerprint(), &batchEntry{base: p})
+			e := &batchEntry{base: p}
+			cache.store(p.Fingerprint(), e)
+			k, _ := keyOf(demands[i], &Options{})
+			cache.remember(k, keyedRequest{demand: demands[i], entry: e})
+			cache.remember(k, keyedRequest{demand: demands[i], entry: e}) // nor re-remembering
 		}
 		for i, p := range probs {
 			want := i >= n-limit
 			if got := store.lookup(p) != nil; got != want {
 				t.Errorf("fill %d: basis store holds entry %d = %v, want %v", fill, i, got, want)
 			}
-			if got := cache.lookup(p.Fingerprint(), p, false) != nil; got != want {
-				t.Errorf("fill %d: replay cache holds entry %d = %v, want %v", fill, i, got, want)
+			if got := cache.lookup(nil, p.Fingerprint(), p, false) != nil; got != want {
+				t.Errorf("fill %d: model index holds entry %d = %v, want %v", fill, i, got, want)
+			}
+			k, _ := keyOf(demands[i], &Options{})
+			if e, _ := cache.lookupRequest(k, demands[i]); (e != nil) != want {
+				t.Errorf("fill %d: request index holds entry %d = %v, want %v", fill, i, e != nil, want)
 			}
 		}
-		if len(store.order) != limit || len(cache.order) != limit || cache.size != limit {
-			t.Errorf("fill %d: bookkeeping store.order=%d cache.order=%d cache.size=%d, want %d each",
-				fill, len(store.order), len(cache.order), cache.size, limit)
+		if len(store.order) != limit || len(cache.order) != limit || cache.size != limit ||
+			len(cache.keys) != limit || len(cache.requests) != limit {
+			t.Errorf("fill %d: bookkeeping store.order=%d cache.order=%d cache.size=%d cache.keys=%d cache.requests=%d, want %d each",
+				fill, len(store.order), len(cache.order), cache.size, len(cache.keys), len(cache.requests), limit)
 		}
 	}
 }

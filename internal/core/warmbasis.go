@@ -23,11 +23,11 @@ import (
 // is a partial hint and goes through presolve.
 type basisHint struct {
 	vars map[lp.VarKey]lp.BasisStatus
-	// srcProb/srcBasis lazily back vars: session hints defer the
+	// srcKeys/srcBasis lazily back vars: session hints defer the
 	// O(numVars) key-map build to first use, after the fingerprint
 	// store has had its (cheaper, often successful) say — and outside
 	// the Planner mutex the hint was captured under.
-	srcProb  *lp.Problem
+	srcKeys  []lp.VarKey
 	srcBasis *lp.Basis
 	store    *basisStore
 }
@@ -38,31 +38,30 @@ func hintFromSolve(p *lp.Problem, b *lp.Basis) *basisHint {
 	if p == nil || b == nil || len(b.Vars) != p.NumVars() {
 		return nil
 	}
-	return &basisHint{vars: keyMap(p, b)}
+	return &basisHint{vars: keyMap(p.Keys(), b)}
 }
 
-// keyMap indexes a basis by column key.
-func keyMap(p *lp.Problem, b *lp.Basis) map[lp.VarKey]lp.BasisStatus {
-	m := make(map[lp.VarKey]lp.BasisStatus, len(b.Vars))
-	for j, st := range b.Vars {
-		if key := p.Key(lp.VarID(j)); key != 0 {
-			m[key] = st
+// keyMap indexes a basis by column key; keys are the solved problem's
+// (lp.Problem.Keys), so they are no longer than b.Vars.
+func keyMap(keys []lp.VarKey, b *lp.Basis) map[lp.VarKey]lp.BasisStatus {
+	m := make(map[lp.VarKey]lp.BasisStatus, len(keys))
+	for j, key := range keys {
+		if key != 0 {
+			m[key] = b.Vars[j]
 		}
 	}
 	return m
 }
 
 // sessionHint builds a Planner request hint: an exact-fingerprint store
-// plus a lazily materialized key map over the session's previous solve
-// of the same form. Returns nil when there is nothing to offer.
-func sessionHint(prob *lp.Problem, basis *lp.Basis, store *basisStore) *basisHint {
-	if prob == nil || basis == nil || len(basis.Vars) != prob.NumVars() {
-		prob, basis = nil, nil
-	}
-	if prob == nil && store == nil {
+// plus a lazily materialized key map over the column keys and final
+// basis of the session's previous solve of the same form (see
+// sessionBasis). Returns nil when there is nothing to offer.
+func sessionHint(keys []lp.VarKey, basis *lp.Basis, store *basisStore) *basisHint {
+	if basis == nil && store == nil {
 		return nil
 	}
-	return &basisHint{srcProb: prob, srcBasis: basis, store: store}
+	return &basisHint{srcKeys: keys, srcBasis: basis, store: store}
 }
 
 // basisFor projects the hint onto a new problem: an exact-fingerprint
@@ -79,8 +78,8 @@ func (h *basisHint) basisFor(p *lp.Problem) *lp.Basis {
 			return b
 		}
 	}
-	if h.vars == nil && h.srcProb != nil {
-		h.vars = keyMap(h.srcProb, h.srcBasis)
+	if h.vars == nil && h.srcBasis != nil {
+		h.vars = keyMap(h.srcKeys, h.srcBasis)
 	}
 	if len(h.vars) == 0 {
 		return nil

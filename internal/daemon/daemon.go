@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -40,7 +41,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"teccl/internal/collective"
 	"teccl/internal/core"
+	"teccl/internal/topo"
 	"teccl/internal/wireconv"
 	"teccl/wire"
 )
@@ -287,56 +290,84 @@ func solveStatus(err error) int {
 	}
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+// planInput is a decoded plan request, validated as far as it can be
+// before a session is involved.
+type planInput struct {
+	sessionID string
+	topo      *topo.Topology // nil when sessionID is set
+	demand    *collective.Demand
+	opt       core.Options
+	solver    core.Solver
+}
+
+// decodePlan decodes a plan request body and validates it: a topology
+// must come through wireconv and topo.Validate, the demand must be over
+// the topology's nodes, the options and solver must parse. Every error is the
+// caller's (a 400). It runs no solve, so it is what FuzzPlanRequest
+// drives.
+func (s *Server) decodePlan(body io.Reader) (*planInput, error) {
 	var req wire.PlanRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return nil, fmt.Errorf("decoding plan request: %w", err)
+	}
+	switch {
+	case req.SessionID != "" && req.Topology != nil:
+		return nil, errors.New("plan request sets both topology and session_id")
+	case req.SessionID == "" && req.Topology == nil:
+		return nil, errors.New("plan request needs a topology or a session_id")
+	}
+	in := &planInput{sessionID: req.SessionID}
+	var err error
+	if in.demand, err = wireconv.ToDemand(req.Demand); err != nil {
+		return nil, err
+	}
+	if req.Topology != nil {
+		if in.topo, err = wireconv.ToTopology(req.Topology); err != nil {
+			return nil, fmt.Errorf("invalid topology: %w", err)
+		}
+		if err := demandFits(in.demand, in.topo); err != nil {
+			return nil, err
+		}
+		if err := in.topo.Validate(); err != nil {
+			return nil, fmt.Errorf("invalid topology: %w", err)
+		}
+	}
+	if in.opt, err = s.resolveOptions(req.Options); err != nil {
+		return nil, err
+	}
+	if in.solver, err = wireconv.ParseSolver(req.Solver); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// demandFits refuses a demand over another node count than the topology's,
+// which the solvers would index out of range.
+func demandFits(d *collective.Demand, t *topo.Topology) error {
+	if d.NumNodes() != t.NumNodes() {
+		return fmt.Errorf("demand over %d nodes, topology has %d", d.NumNodes(), t.NumNodes())
+	}
+	return nil
+}
+
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding plan request: %v", err)
+	in, err := s.decodePlan(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
 	var sess *session
-	switch {
-	case req.SessionID != "":
-		if req.Topology != nil {
-			writeError(w, http.StatusBadRequest, "plan request sets both topology and session_id")
+	if in.sessionID != "" {
+		if sess = s.pool.byId(in.sessionID); sess == nil {
+			writeError(w, http.StatusNotFound, "no session %q", in.sessionID)
 			return
 		}
-		if sess = s.pool.byId(req.SessionID); sess == nil {
-			writeError(w, http.StatusNotFound, "no session %q", req.SessionID)
-			return
-		}
-	case req.Topology != nil:
-		t, err := wireconv.ToTopology(req.Topology)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid topology: %v", err)
-			return
-		}
-		if err := t.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid topology: %v", err)
-			return
-		}
-		if sess, err = s.pool.get(t); err != nil {
+		if err := demandFits(in.demand, sess.planner.Topology()); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-	default:
-		writeError(w, http.StatusBadRequest, "plan request needs a topology or a session_id")
-		return
-	}
-
-	demand, err := wireconv.ToDemand(req.Demand)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.resolveOptions(req.Options)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	solver, err := wireconv.ParseSolver(req.Solver)
-	if err != nil {
+	} else if sess, err = s.pool.get(in.topo); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -348,7 +379,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	plan, err := s.solve(sess, func() (*core.Plan, error) {
-		return sess.planner.Plan(r.Context(), core.Request{Demand: demand, Options: &opt, Solver: solver})
+		return sess.planner.Plan(r.Context(), core.Request{Demand: in.demand, Options: &in.opt, Solver: in.solver})
 	})
 	if err != nil {
 		writeError(w, solveStatus(err), "plan: %v", err)

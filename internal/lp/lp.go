@@ -288,6 +288,11 @@ func (p *Problem) Key(v VarID) VarKey {
 	return 0
 }
 
+// Keys returns the column keys indexed by VarID; like the storage it
+// shares, it ends at the last keyed column. It is capacity-clamped and
+// read-only: a caller may keep it past the problem, never write it.
+func (p *Problem) Keys() []VarKey { return p.keys[:len(p.keys):len(p.keys)] }
+
 // SetRHS replaces the right-hand side of row r. Together with SetBounds
 // this is the whole dual-feasible edit surface: changing b or the
 // variable bounds leaves the costs and the matrix — and therefore the

@@ -505,6 +505,12 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 		if int(l.Src) >= len(t.nodes) || int(l.Dst) >= len(t.nodes) || l.Src < 0 || l.Dst < 0 {
 			return fmt.Errorf("topo: link %d->%d references missing node", l.Src, l.Dst)
 		}
+		// What AddLink would panic on, and the negative α ApplyDelta
+		// refuses, is an error here: the input is someone else's JSON.
+		if l.Src == l.Dst || !(l.Capacity > 0) || l.Alpha < 0 {
+			return fmt.Errorf("topo: link %d->%d has capacity %g, alpha %g (want distinct endpoints, capacity > 0, alpha >= 0)",
+				l.Src, l.Dst, l.Capacity, l.Alpha)
+		}
 		t.AddLink(l.Src, l.Dst, l.Capacity, l.Alpha)
 	}
 	if len(tj.Down) > 0 {

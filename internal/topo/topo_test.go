@@ -243,6 +243,18 @@ func TestJSONBadLink(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for out-of-range link")
 	}
+	// Links AddLink panics on, or ApplyDelta refuses, are errors too.
+	for _, link := range []string{
+		`{"src":0,"dst":0,"capacity":1}`,
+		`{"src":0,"dst":1,"capacity":0}`,
+		`{"src":0,"dst":1,"capacity":-1}`,
+		`{"src":0,"dst":1,"capacity":1,"alpha":-1e-6}`,
+	} {
+		js := `{"name":"x","nodes":[{"name":"a"},{"name":"b"}],"links":[` + link + `]}`
+		if err := json.Unmarshal([]byte(js), &tp); err == nil {
+			t.Errorf("link %s accepted", link)
+		}
+	}
 }
 
 func TestRingStructure(t *testing.T) {

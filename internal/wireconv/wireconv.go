@@ -39,11 +39,21 @@ func FromDemand(d *collective.Demand) wire.Demand {
 	return out
 }
 
+// maxDemandCells bounds the want set a wire demand may size: it is
+// NumNodes × NumChunks × NumNodes cells, one byte each, allocated from
+// three integers before a single triple is read. 64 Mi cells (64 MB) is
+// some thirty times a 128-GPU ALLTOALL with one chunk per pair and a few
+// switches (≈ 136 × 127 × 136 ≈ 2.3 M).
+const maxDemandCells = 1 << 26
+
 // ToDemand converts a wire demand back to the in-process form,
 // validating dimensions and every triple.
 func ToDemand(d wire.Demand) (*collective.Demand, error) {
 	if d.NumNodes <= 0 || d.NumChunks <= 0 {
 		return nil, fmt.Errorf("wire: bad demand dimensions %d nodes, %d chunks", d.NumNodes, d.NumChunks)
+	}
+	if d.NumNodes > maxDemandCells || d.NumChunks > maxDemandCells/d.NumNodes/d.NumNodes {
+		return nil, fmt.Errorf("wire: demand of %d nodes × %d chunks exceeds %d cells", d.NumNodes, d.NumChunks, maxDemandCells)
 	}
 	if d.ChunkBytes <= 0 {
 		return nil, fmt.Errorf("wire: bad demand chunk size %g", d.ChunkBytes)

@@ -128,6 +128,10 @@ func TestDemandValidation(t *testing.T) {
 		{NumNodes: 2, NumChunks: 1, ChunkBytes: 1, Wants: []wire.Want{{Src: 2, Chunk: 0, Dst: 0}}},
 		{NumNodes: 2, NumChunks: 1, ChunkBytes: 1, Wants: []wire.Want{{Src: 0, Chunk: 1, Dst: 1}}},
 		{NumNodes: 2, NumChunks: 1, ChunkBytes: 1, Wants: []wire.Want{{Src: 0, Chunk: 0, Dst: -1}}},
+		// Sizes that would allocate past the cell bound, or overflow it.
+		{NumNodes: 1 << 13, NumChunks: 2, ChunkBytes: 1},
+		{NumNodes: 1 << 14, NumChunks: 1, ChunkBytes: 1},
+		{NumNodes: 1 << 40, NumChunks: 1 << 40, ChunkBytes: 1},
 	}
 	for i, c := range cases {
 		if _, err := ToDemand(c); err == nil {

@@ -58,7 +58,7 @@ func TestPlannerSweepReuseCounters(t *testing.T) {
 		t.Fatalf("sweep through one Planner produced no warm-basis hits (stats %+v)", st)
 	}
 	// Every sweep point is a distinct demand, so the epoch cache cannot
-	// hit here (TestPlannerReplaysIdenticalLPRequest covers it); the tau
+	// hit here (TestPlannerCloseKeepsCacheHitCounters covers it); the tau
 	// cache serves repeated derivations within and across requests.
 	if st.TauCacheHits == 0 {
 		t.Fatalf("sweep through one Planner produced no tau cache hits (stats %+v)", st)

@@ -1,10 +1,13 @@
 package wire
 
-// Golden tests pin the v1 wire schema: the JSON below is the contract.
-// If a test here fails because a field was renamed or dropped, that is
-// an API break — revert the rename or bump the wire version, never
-// update the golden to match. (The tecclvet wirelock analyzer enforces
-// the same contract structurally against schema.lock.json.)
+// Golden tests pin the v1 wire schema: the JSON below, and the request
+// goldens under testdata/v1, are the contract. If a test here fails
+// because a field was renamed or dropped, that is an API break — revert
+// the rename or bump the wire version, never update the golden to match.
+// (The tecclvet wirelock analyzer enforces the same contract structurally
+// against schema.lock.json.) The request goldens are files so that the
+// packages serving them can replay them: internal/daemon plans every one
+// through an embedded daemon and seeds FuzzPlanRequest with them.
 //
 // This package is stdlib-only by machine-enforced rule, so these tests
 // exercise pure serialization; the conversion round-trips against the
@@ -12,6 +15,7 @@ package wire
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -94,7 +98,7 @@ func TestGoldenPlanRequestAndDelta(t *testing.T) {
 		Topology: &Topology{
 			Name:  "pair",
 			Nodes: []Node{{Name: "a"}, {Name: "b"}},
-			Links: []Link{{Src: 0, Dst: 1, Capacity: 1e9, Alpha: 1e-6}},
+			Links: []Link{{Src: 0, Dst: 1, Capacity: 1e9, Alpha: 1e-6}, {Src: 1, Dst: 0, Capacity: 1e9, Alpha: 1e-6}},
 		},
 		Demand: Demand{
 			NumNodes: 2, NumChunks: 1, ChunkBytes: 1024,
@@ -103,13 +107,11 @@ func TestGoldenPlanRequestAndDelta(t *testing.T) {
 		Options: &Options{Epochs: 4, EpochMode: "slowest", TimeLimitMs: 1500},
 		Solver:  "lp",
 	}
-	const goldenReq = `{"topology":{"name":"pair",` +
-		`"nodes":[{"name":"a"},{"name":"b"}],` +
-		`"links":[{"src":0,"dst":1,"capacity":1000000000,"alpha":0.000001}]},` +
-		`"demand":{"num_nodes":2,"num_chunks":1,"chunk_bytes":1024,` +
-		`"wants":[{"src":0,"chunk":0,"dst":1}]},` +
-		`"options":{"epochs":4,"epoch_mode":"slowest","time_limit_ms":1500},` +
-		`"solver":"lp"}`
+	raw, err := os.ReadFile("testdata/v1/plan_request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenReq := strings.TrimSpace(string(raw))
 	if got := mustJSON(t, req); got != goldenReq {
 		t.Errorf("PlanRequest JSON drifted:\n got: %s\nwant: %s", got, goldenReq)
 	}
