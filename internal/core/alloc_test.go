@@ -38,6 +38,15 @@ func allocsOf(t *testing.T, f func()) (bytes uint64, objects float64) {
 	return after.TotalAlloc - before.TotalAlloc, testing.AllocsPerRun(3, f)
 }
 
+// liveHeap reports the bytes of live heap objects after a full collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // TestAStarPlanAllocBudget pins what one A* plan allocates — NDv2Mini(2)
 // ALLGATHER on the fastest link, the six-round plan TestKernelCountsPinned
 // pins the pivots of, Workers = 0 — now that the rounds share one solve
@@ -133,14 +142,7 @@ func TestSessionRetention(t *testing.T) {
 		t   *topo.Topology
 		opt Options
 	}{{topo.DGX1(), Options{}}, {topo.NDv2Mini(2), Options{EpochMode: SlowestLink}}}
-	heap := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	before := heap()
+	before := liveHeap()
 	var sessions []*Planner
 	for _, s := range shapes {
 		pl := NewPlanner(s.t, PlannerOptions{})
@@ -156,7 +158,7 @@ func TestSessionRetention(t *testing.T) {
 		}
 		sessions = append(sessions, pl)
 	}
-	retained := heap() - before
+	retained := liveHeap() - before
 	for _, pl := range sessions {
 		var want []uintptr
 		if m := pl.incumbent.model; m != nil {
@@ -171,6 +173,53 @@ func TestSessionRetention(t *testing.T) {
 	const maxBytes = 370_000
 	if retained > maxBytes {
 		t.Errorf("the two sessions retain %d bytes, budget %d", retained, maxBytes)
+	}
+}
+
+// TestSessionRetentionAcrossChurn pins what a session keeps through the
+// churn_replan benchmark's seven-delta script on DGX1 at the fastest-link
+// τ. The replay cache's model index crosses every Replan, so by recover
+// the session holds the entries of its base plan and of its three
+// structural fallbacks — recipes, schedules and bases, no model. After
+// every delta the only lp.Problem reachable from the session is the
+// incumbent's, and recover, served by replaying restore's entry, leaves
+// an incumbent with no model at all. The session holds 50 KB of heap
+// (49 632–49 728 B); the bound is the reading + 10 %.
+func TestSessionRetentionAcrossChurn(t *testing.T) {
+	before := liveHeap()
+	s := newScriptSession(t, topo.DGX1(), Options{})
+	pl := s.pl
+	for _, kind := range churnScript {
+		p, rung := s.replan(t, s.delta(t, kind))
+		var want []uintptr
+		if m := pl.incumbent.model; m != nil {
+			want = append(want, reflect.ValueOf(m.p).Pointer())
+		}
+		if got := problemsReachable(pl); !reflect.DeepEqual(got, want) {
+			t.Errorf("after %s: %d lp.Problems reachable from the session, want %d (the incumbent's)", kind, len(got), len(want))
+		}
+		if kind == "recover" && (!p.CacheHit || rung != "structural-replay" || len(want) != 0) {
+			t.Errorf("recover: %s (cache hit %v, incumbent model %v), want a replay leaving no model", rung, p.CacheHit, len(want) != 0)
+		}
+	}
+	carried := 0
+	for _, bucket := range pl.state.lpCache.entries {
+		for _, e := range bucket {
+			if e.base != nil {
+				t.Error("a carried replay entry holds its model")
+			}
+			carried++
+		}
+	}
+	if carried != 4 || pl.state.lpCache.size != carried {
+		t.Errorf("the session carries %d replay entries (size %d), want the base plan's and three fallbacks'", carried, pl.state.lpCache.size)
+	}
+	retained := liveHeap() - before
+	runtime.KeepAlive(s)
+	skipUnderRace(t)
+	const maxBytes = 54_700
+	if retained > maxBytes {
+		t.Errorf("the session retains %d bytes, budget %d", retained, maxBytes)
 	}
 }
 

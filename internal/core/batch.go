@@ -25,6 +25,14 @@ package core
 //
 // A Planner session serves its LP requests through the same cache, where
 // the request index below makes a repeated request a lookup.
+//
+// What a session cache may keep across churn: the request index is
+// per-topology (a request names a demand, not a world), but an entry of
+// the model index answers the model it was solved from, on the topology
+// it was solved on, and that stays true on any world. Planner.Replan
+// therefore hands the model index on to the churned state (carry), and a
+// carried entry answers only a model EqualTo its own, rebuilt on its own
+// topology, with its schedule re-validated on the world that asks.
 
 import (
 	"context"
@@ -52,13 +60,18 @@ type BatchOptions struct {
 // units (sends, epochs), which is exactly the part that coincides; only
 // the epoch duration differs between identical points. The model the
 // point was solved from is kept as its recipe — the request's demand and
-// options, which prepLP restates it from — rather than as an lp.Problem;
-// only a request carrying a Priority or LinkCapacity function, which
-// cannot be restated as data, keeps its model in base.
+// options and the topology it was solved on, which prepLP restates it
+// from — rather than as an lp.Problem; only a request carrying a Priority
+// or LinkCapacity function, which cannot be restated as data, keeps its
+// model in base. basis is the final basis of that model, what a Replan of
+// an incumbent that replayed the entry reoptimizes from; nil when the
+// solve ended on another model (a MinimizeMakespan refinement).
 type batchEntry struct {
 	demand *collective.Demand
 	opt    Options // the request's options, Progress cleared
+	topo   *topo.Topology
 	base   *lp.Problem
+	basis  *lp.Basis
 
 	sends     []schedule.Send
 	numEpochs int
@@ -69,12 +82,12 @@ type batchEntry struct {
 }
 
 // model states the model the entry was solved from: the one it holds, or
-// its recipe built afresh.
-func (e *batchEntry) model(t *topo.Topology) *lp.Problem {
+// its recipe built afresh on the entry's own topology.
+func (e *batchEntry) model() *lp.Problem {
 	if e.base != nil {
 		return e.base
 	}
-	return prepLP(t, e.demand, e.opt).m.p
+	return prepLP(e.topo, e.demand, e.opt).m.p
 }
 
 // requestKey identifies a request by what its LP model and cached
@@ -134,7 +147,9 @@ type keyedRequest struct {
 // long-lived Planner session sets a limit, past which storing evicts the
 // oldest fingerprint bucket and remembering the oldest request key, each
 // index on its own. Oldest-first, like the basisStore, so identical
-// request streams replay identically.
+// request streams replay identically. A session's Replan starts the
+// churned state's cache with the model index carried over (carry) and
+// an empty request index.
 type batchCache struct {
 	mu       sync.Mutex
 	entries  map[uint64][]*batchEntry // buckets are append-only
@@ -180,16 +195,45 @@ func (c *batchCache) remember(k requestKey, r keyedRequest) {
 // options must not replay an unrefined schedule into a request that asked
 // for the refinement (or vice versa). The confirming build runs outside
 // the lock.
-func (c *batchCache) lookup(t *topo.Topology, fp uint64, p *lp.Problem, makespan bool) *batchEntry {
+func (c *batchCache) lookup(fp uint64, p *lp.Problem, makespan bool) *batchEntry {
 	c.mu.Lock()
 	bucket := c.entries[fp]
 	c.mu.Unlock()
 	for _, e := range bucket {
-		if e.opt.MinimizeMakespan == makespan && e.model(t).EqualTo(p) {
+		if e.opt.MinimizeMakespan == makespan && e.model().EqualTo(p) {
 			return e
 		}
 	}
 	return nil
+}
+
+// carry returns the cache a churned session state starts from: c's model
+// index, oldest first as in c, with an empty request index. Entries that
+// hold their model (function-bearing requests) stay behind, so a session
+// carries no lp.Problem across churn. Buckets are copied, so neither
+// cache's appends reach the other's.
+func (c *batchCache) carry() *batchCache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := &batchCache{limit: c.limit, entries: make(map[uint64][]*batchEntry, len(c.entries))}
+	for fp, bucket := range c.entries {
+		var kept []*batchEntry
+		for _, e := range bucket {
+			if e.base == nil {
+				kept = append(kept, e)
+			}
+		}
+		if kept != nil {
+			next.entries[fp] = kept
+			next.size += len(kept)
+		}
+	}
+	for _, fp := range c.order {
+		if next.entries[fp] != nil {
+			next.order = append(next.order, fp)
+		}
+	}
+	return next
 }
 
 func (c *batchCache) store(fp uint64, e *batchEntry) {
@@ -281,8 +325,8 @@ func BatchSolveLP(ctx context.Context, t *topo.Topology, demands []*collective.D
 // otherwise solved for real (warm-started from hint) and cached. A replay
 // carries no payload of its own; replayOf names the entry it replayed,
 // and a solve's payload names the entry it stored, so a session can
-// recognise a replay of its own incumbent. Options.TimeLimit is layered
-// onto ctx per point.
+// recognise a replay of its own incumbent, or keep the entry as the
+// incumbent's payload. Options.TimeLimit is layered onto ctx per point.
 func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, inc incumbentState, replayOf *batchEntry, err error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
@@ -299,7 +343,7 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 	var fp uint64
 	if pr.m != nil {
 		fp = pr.m.p.Fingerprint()
-		if e := c.lookup(t, fp, pr.m.p, opt.MinimizeMakespan); e != nil {
+		if e := c.lookup(fp, pr.m.p, opt.MinimizeMakespan); e != nil {
 			if res := e.replay(t, pr.d, pr.in.tau, start); res != nil {
 				if keyed {
 					c.remember(key, keyedRequest{demand: d.Clone(), tau: pr.in.tau, entry: e})
@@ -316,6 +360,7 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 		e := &batchEntry{
 			demand:    d.Clone(),
 			opt:       opt,
+			topo:      t,
 			sends:     res.Schedule.Sends,
 			numEpochs: res.Schedule.NumEpochs,
 			epc:       res.Schedule.EpochsPerChunk,
@@ -326,6 +371,9 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 		e.opt.Progress = nil
 		if !keyed {
 			e.base = pr.m.p
+		}
+		if inc.model == pr.m {
+			e.basis = inc.basis
 		}
 		c.store(fp, e)
 		if keyed {

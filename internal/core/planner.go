@@ -19,9 +19,14 @@ package core
 //     caches; nothing expensive happens until the first request.
 //  2. Plan and Replan calls, freely concurrent, populate the caches
 //     (schedule replay, warm bases, estimates) and maintain the replan
-//     incumbent. Replan swaps the entire cache bundle atomically onto
-//     the churned topology, so cached state can never outlive the
-//     topology it was derived from.
+//     incumbent. Replan swaps the cache bundle atomically onto the
+//     churned topology. Topology-derived state — τ and epoch estimates,
+//     the request index, warm bases, the key-matched chains — is per
+//     state and never outlives the topology it was derived from. What
+//     survives churn is the replay cache's model index: an answer to a
+//     model, which a later world serves only for a model EqualTo the
+//     one it answered, and only after its schedule re-validates on that
+//     world.
 //  3. Close marks the session closed and releases the retained state —
 //     the schedule-replay cache, the warm-basis store, the key-matched
 //     basis chains, and the replan incumbent, the one of them that pins
@@ -99,7 +104,8 @@ type Plan struct {
 	// incumbent incrementally (structural churn, a sour or infeasible
 	// incremental solve, a bounded-regret budget abort, or an incumbent
 	// with no incremental payload) and degraded to a cold solve of the
-	// edited request.
+	// edited request — a replay (CacheHit) when the session has solved
+	// that model before.
 	ReplanFallback bool
 	// ReBased marks a replan served by a proactive crash-started re-base:
 	// the session detected that the incremental advantage had decayed
@@ -153,8 +159,11 @@ type PlannerStats struct {
 	// cannot absorb); Budget — the incremental attempt was aborted by the
 	// bounded-regret pivot/deadline budget; Sour — the incremental solve
 	// came back non-optimal or its schedule failed re-validation; NoModel
-	// — the incumbent carried no incremental payload (an empty solve, or a
-	// replayed schedule of a solve other than the incumbent's own).
+	// — the incumbent carried no incremental payload and none could be
+	// restated (an empty solve, a horizon plan, or a replay of a cache
+	// entry that kept no basis: a MinimizeMakespan refinement). A replayed
+	// LP incumbent is not one: Replan restates its model from its request
+	// and reoptimizes from the replayed entry's basis.
 	ReplanFallbackStructural int
 	ReplanFallbackBudget     int
 	ReplanFallbackSour       int
@@ -196,9 +205,12 @@ type Planner struct {
 
 // sessionState is everything a session derives from its current
 // topology: the snapshot itself plus every per-topology cache. Replan
-// swaps the whole bundle atomically, so a cache entry can never outlive
-// the topology it was computed against — the replay/basis/estimate
-// staleness bugs all reduce to violating that invariant.
+// swaps the whole bundle atomically, so nothing derived from a topology
+// can outlive it — the replay/basis/estimate staleness bugs all reduce
+// to violating that invariant. The one thing the swap hands on is
+// lpCache's model index (batchCache.carry), whose entries are not
+// derived from the current topology: each answers the model it was
+// solved from on its own.
 type sessionState struct {
 	t         *topo.Topology
 	numGPU    int
@@ -213,8 +225,9 @@ func newSessionState(t *topo.Topology) *sessionState {
 		numGPU: len(t.GPUs()),
 		est:    newEstimateCache(),
 		// Sessions are long-lived: bound the schedule-replay cache (each
-		// entry retains a schedule and the request that built its model)
-		// the same way the basis store is.
+		// entry retains a schedule, the request that built its model and
+		// its final basis; entries carried across Replans count too) the
+		// same way the basis store is.
 		lpCache:   &batchCache{limit: basisStoreLimit},
 		warmBases: newBasisStore(),
 	}
@@ -246,8 +259,11 @@ type incumbentState struct {
 	model  *lpModel
 	mmodel *milpModel
 	basis  *lp.Basis
-	// entry is the replay-cache entry an LP solve stored: a later replay
-	// of that entry is a replay of this solve (see incumbentPayload).
+	// entry is the replay-cache entry of an LP incumbent: the one its
+	// solve stored (a later replay of that entry is a replay of this
+	// solve, see incumbentPayload), or, for a replay, the one it replayed,
+	// which is all the incumbent keeps — Replan restates the model from
+	// the request and reoptimizes from the entry's basis (restated).
 	entry *batchEntry
 
 	// A* incumbents: Replan replays unaffected rounds through the state
@@ -274,6 +290,26 @@ func (inc *incumbentState) root() (*lp.Problem, *lp.Basis) {
 		return inc.mmodel.p, inc.basis
 	}
 	return nil, nil
+}
+
+// restated returns the LP incumbent a replay left with only its cache
+// entry, with the model restated from its own request on t (the topology
+// it was planned on) and the entry's basis; nil when the entry kept no
+// basis or the basis does not fit. The replay confirmed that this
+// request's model is the entry's (EqualTo, or the same request on the
+// same world), so the basis is an optimal basis of the restated model.
+func (inc *incumbentState) restated(t *topo.Topology) *incumbentState {
+	b := inc.entry.basis
+	if b == nil {
+		return nil
+	}
+	m := prepLP(t, inc.demand, inc.opt).m
+	if m == nil || len(b.Vars) != m.p.NumVars() || len(b.Rows) != m.p.NumRows() {
+		return nil
+	}
+	r := *inc
+	r.model, r.basis = m, b
+	return &r
 }
 
 // NewPlanner opens a session on a topology. The topology is snapshotted
@@ -457,9 +493,9 @@ func (pl *Planner) Plan(ctx context.Context, req Request) (*Plan, error) {
 
 // recordIncumbent remembers a successful request as the session's replan
 // target. The incremental payload in inc is form-specific and may be
-// empty (empty solves, and replays of anything but the incumbent's own
-// solve, replan by cold re-solve). A request solved against an
-// already-replaced session state (a Plan racing a Replan) is not
+// empty (empty solves and horizon plans replan by cold re-solve) or, for
+// an LP replay, the replayed cache entry alone. A request solved against
+// an already-replaced session state (a Plan racing a Replan) is not
 // recorded: its model references the pre-churn topology.
 func (pl *Planner) recordIncumbent(st *sessionState, req Request, incOpt Options, inc incumbentState) {
 	inc.demand = req.Demand.Clone()
@@ -547,18 +583,18 @@ func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.D
 	return res, inc, err
 }
 
-// incumbentPayload returns the incumbent's LP model and basis when a
-// request for d at epoch duration tau has just replayed the incumbent's
-// own solve (e, the replayed cache entry, is the one that solve stored),
-// and an empty payload otherwise. A replay carries no payload of its own;
-// handing the incumbent's back lets the request refresh the incumbent
-// instead of emptying it, so the next Replan stays incremental.
+// incumbentPayload returns the payload of a request for d at epoch
+// duration tau that has just replayed cache entry e. A replay carries no
+// model of its own: when it replayed the incumbent's own solve (e is the
+// entry that solve stored), the incumbent's model and basis are handed
+// back, so the request refreshes the incumbent instead of emptying it;
+// otherwise the payload is e alone, whose model Replan restates.
 func (pl *Planner) incumbentPayload(e *batchEntry, d *collective.Demand, tau float64) incumbentState {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	inc := pl.incumbent
 	if inc == nil || inc.model == nil || inc.entry != e || inc.model.in.tau != tau || !inc.demand.Equal(d) {
-		return incumbentState{}
+		return incumbentState{entry: e}
 	}
 	return incumbentState{model: inc.model, basis: inc.basis, entry: e}
 }

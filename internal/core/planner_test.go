@@ -370,7 +370,7 @@ func TestSessionCachesEvictOldestFirst(t *testing.T) {
 			if got := store.lookup(p) != nil; got != want {
 				t.Errorf("fill %d: basis store holds entry %d = %v, want %v", fill, i, got, want)
 			}
-			if got := cache.lookup(nil, p.Fingerprint(), p, false) != nil; got != want {
+			if got := cache.lookup(p.Fingerprint(), p, false) != nil; got != want {
 				t.Errorf("fill %d: model index holds entry %d = %v, want %v", fill, i, got, want)
 			}
 			k, _ := keyOf(demands[i], &Options{})
@@ -382,6 +382,10 @@ func TestSessionCachesEvictOldestFirst(t *testing.T) {
 			len(cache.keys) != limit || len(cache.requests) != limit {
 			t.Errorf("fill %d: bookkeeping store.order=%d cache.order=%d cache.size=%d cache.keys=%d cache.requests=%d, want %d each",
 				fill, len(store.order), len(cache.order), cache.size, len(cache.keys), len(cache.requests), limit)
+		}
+		// Every entry here holds its model, so a Replan carries none of them.
+		if next := cache.carry(); next.size != 0 || len(next.order) != 0 || len(next.entries) != 0 || next.limit != limit {
+			t.Errorf("fill %d: carried %d entries in %d buckets (limit %d), want none under limit %d", fill, next.size, len(next.order), next.limit, limit)
 		}
 	}
 }

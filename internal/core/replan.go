@@ -53,8 +53,10 @@ package core
 // decays. With incremental replans costing tens of pivots, the budget
 // and the re-base trigger are safety nets the benchmark and churnstream
 // scripts no longer reach (ROADMAP item 4a has the rung hit counts); the
-// rung that still fires is the structural one. Replan never errors when
-// the cold solve would succeed.
+// rung that still fires is the structural one, and when churn returns
+// the session to a world it has already solved (a straggler recovered)
+// that rung is a replay from the carried model index (batch.go). Replan
+// never errors when the cold solve would succeed.
 
 import (
 	"context"
@@ -106,8 +108,9 @@ type Delta struct {
 	AddDemand *collective.Demand
 }
 
-// topoDelta extracts the topology part of the churn.
-func (d Delta) topoDelta() topo.Delta {
+// TopoDelta is the topology part of the churn: what Replan applies to
+// the session's topology snapshot.
+func (d Delta) TopoDelta() topo.Delta {
 	return topo.Delta{
 		LinksDown: d.LinksDown, NodesDown: d.NodesDown, Scale: d.Scale,
 		AddNodes: d.AddNodes, AddLinks: d.AddLinks,
@@ -192,8 +195,10 @@ const (
 	// fbSour: the incremental solve came back non-optimal, numerically
 	// sour, or produced a schedule that failed re-validation.
 	fbSour
-	// fbNoModel: the incumbent carries no incremental payload (replays,
-	// empty solves).
+	// fbNoModel: the incumbent carries no incremental payload and none
+	// can be restated (empty solves, horizon plans, replays of a cache
+	// entry that kept no basis). A replayed LP incumbent restates its
+	// model from its own request instead (incumbentState.restated).
 	fbNoModel
 )
 
@@ -381,12 +386,17 @@ func applyLinkChurn(q *lp.Problem, fvar [][][]int32, capRow [][]int32, in2 *inst
 // Replan applies churn to the session and re-solves the incumbent
 // request (the session's last successful Plan) against the churned
 // topology and demand. The session's topology snapshot is replaced and
-// every per-topology cache — tau derivations, epoch estimates,
-// fingerprint-keyed schedule replays, and warm bases — is invalidated
-// atomically, so requests planned after Replan returns can never replay
-// pre-churn state. Concurrent Plan calls are safe: each captures a
-// consistent snapshot and in-flight solves against the old topology
-// cannot contaminate the new caches.
+// every cache derived from the topology — tau derivations, epoch
+// estimates, the replay cache's request index, warm bases, the
+// key-matched chains — starts empty, atomically, so requests planned
+// after Replan returns can never replay pre-churn state. The replay
+// cache's model index is carried over: its entries answer models, not
+// worlds, so a churned world whose model is EqualTo one solved earlier
+// in the session (a straggler recovered, a capacity cut undone) replays
+// that answer once its schedule re-validates on the churned topology.
+// Concurrent Plan calls are safe: each captures a consistent snapshot
+// and in-flight solves against the old topology cannot contaminate the
+// new caches.
 //
 // When the churn is non-structural, the re-solve is incremental per the
 // incumbent's formulation (see the file comment) under the
@@ -420,7 +430,7 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 		return nil, errors.New("core: Replan requires a prior successful Plan")
 	}
 
-	newTopo, err := st.t.ApplyDelta(d.topoDelta())
+	newTopo, err := st.t.ApplyDelta(d.TopoDelta())
 	if err != nil {
 		return nil, err
 	}
@@ -449,10 +459,12 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 		newDemand.Or(d.AddDemand)
 	}
 
-	// Swap the session onto the churned topology with fresh caches; from
-	// here on, every concurrent and future Plan sees post-churn state
-	// only. The key-matched basis chains are flushed too — the fallback
-	// below must be a genuinely cold (crash-started) solve.
+	// Swap the session onto the churned topology with fresh caches but
+	// the carried model index; from here on, every concurrent and future
+	// Plan sees post-churn state only. The key-matched basis chains are
+	// flushed too — the fallback below must be a genuinely cold
+	// (crash-started) solve, unless its model is one the session solved
+	// before.
 	newState := newSessionState(newTopo)
 	pl.mu.Lock()
 	if pl.closed {
@@ -462,6 +474,7 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 		return nil, ErrPlannerClosed
 	}
 	pl.foldStateHitsLocked(pl.state)
+	newState.lpCache = pl.state.lpCache.carry()
 	pl.state = newState
 	pl.lastLP = sessionBasis{}
 	pl.lastMILP = sessionBasis{}
@@ -492,6 +505,12 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 				len(d.AddNodes), len(d.AddLinks))
 		case inc.model != nil && inc.basis != nil:
 			res, next, kind = pl.replanIncrementalLP(ctx, inc, st.t, newTopo, d)
+		case inc.entry != nil:
+			// A replayed LP incumbent: restate its model and reoptimize it
+			// from the replayed entry's basis.
+			if r := inc.restated(st.t); r != nil {
+				res, next, kind = pl.replanIncrementalLP(ctx, r, st.t, newTopo, d)
+			}
 		case inc.mmodel != nil && inc.basis != nil:
 			if demandChurn {
 				kind = fbStructural
@@ -516,9 +535,11 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 	}
 
 	// Graceful degradation: cold re-solve of the edited request. The
-	// fresh session state guarantees no replay or warm start survives
-	// from before the churn, so this is exactly the solve a brand-new
-	// session would run.
+	// fresh session state guarantees no warm start survives from before
+	// the churn, so this is exactly the solve a brand-new session would
+	// run — or, when the churned model is EqualTo one the session solved
+	// earlier, that solve's schedule replayed after Schedule.Validate on
+	// the churned topology: an optimum of the same model, no simplex run.
 	pl.mu.Lock()
 	if !rebase {
 		pl.stats.ReplanFallbacks++

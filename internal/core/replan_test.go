@@ -534,7 +534,9 @@ func TestReplanConcurrentWithPlans(t *testing.T) {
 // from the schedule cache carries no model of its own, but when it
 // replays the incumbent's own solve the incumbent keeps its model and
 // basis, so the next Replan reoptimizes instead of solving cold. A
-// replay of some other solve still empties the incumbent.
+// replay of some other solve keeps the replayed cache entry, and Replan
+// restates the model from the request and reoptimizes from the entry's
+// basis.
 func TestReplanAfterReplayedRequestStaysIncremental(t *testing.T) {
 	tt := topo.DGX1()
 	a := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
@@ -563,19 +565,32 @@ func TestReplanAfterReplayedRequestStaysIncremental(t *testing.T) {
 	}
 
 	// Plan(A), Plan(B), Plan(A) [replay]: the incumbent is B's solve, not
-	// the one replayed, so there is no model to hand back.
+	// the one replayed, so there is no model to hand back; the incumbent
+	// keeps A's cache entry, and Replan reoptimizes A's restated model.
 	pl = NewPlanner(tt, PlannerOptions{})
 	b := a.Clone()
 	b.DropPair(testGPUs(tt)[0], testGPUs(tt)[1])
-	for _, d := range []*collective.Demand{a, b, a.Clone()} {
-		if _, err := pl.Plan(ctx, Request{Demand: d, Solver: SolverLP}); err != nil {
-			t.Fatal(err)
+	for i, d := range []*collective.Demand{a, b, a.Clone()} {
+		p, err := pl.Plan(ctx, Request{Demand: d, Solver: SolverLP})
+		if err != nil || p.CacheHit != (i == 2) {
+			t.Fatalf("request %d: %v (cache hit %v)", i, err, p != nil && p.CacheHit)
 		}
+	}
+	if pl.incumbent.model != nil || pl.incumbent.entry == nil {
+		t.Fatal("a replayed incumbent must hold its cache entry and no model")
 	}
 	if rp, err = pl.Replan(ctx, Delta{LinksDown: []topo.LinkID{0}}); err != nil {
 		t.Fatal(err)
 	}
-	if st := pl.Stats(); !rp.ReplanFallback || st.ReplanFallbackNoModel != 1 {
-		t.Fatalf("replay of a non-incumbent solve: fallback=%v stats=%+v, want one no-model fallback", rp.ReplanFallback, st)
+	if st := pl.Stats(); rp.ReplanFallback || !rp.WarmStart || st.ReplanFallbackNoModel != 0 || st.ReplanFallbacks != 0 {
+		t.Fatalf("replay of a non-incumbent solve: fallback=%v warm=%v stats=%+v, want an incremental replan", rp.ReplanFallback, rp.WarmStart, st)
+	}
+	assertAvoidsDown(t, rp)
+	cold, err := NewPlanner(pl.Topology(), PlannerOptions{}).Plan(ctx, Request{Demand: a.Clone(), Solver: SolverLP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(rp.Objective-cold.Objective) > 1e-9*math.Abs(cold.Objective) {
+		t.Fatalf("restated replan objective %.12g, a fresh cold plan's %.12g", rp.Objective, cold.Objective)
 	}
 }

@@ -392,27 +392,73 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
+// replanInput is a decoded replan request, checked against the session
+// it names.
+type replanInput struct {
+	sess  *session
+	delta core.Delta
+}
+
+// errNoSession marks a request naming a session the pool does not hold.
+var errNoSession = errors.New("no session")
+
+// decodeReplan decodes a replan request body and checks its delta against
+// the topology of the session it names: the delta must come through
+// wireconv and apply to that topology (topo.ApplyDelta), the churned
+// topology must pass topo.ValidateLive (a GPU the delta takes down is
+// lost, not cut off), and dropped pairs and added demand must lie over
+// its nodes. Every error but an unknown session (errNoSession, a 404) is
+// the caller's (a 400), returned before admission. It runs no solve, so
+// it is what FuzzReplanRequest drives.
+func (s *Server) decodeReplan(body io.Reader) (*replanInput, error) {
 	var req wire.ReplanRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding replan request: %v", err)
-		return
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return nil, fmt.Errorf("decoding replan request: %w", err)
 	}
 	if req.SessionID == "" {
-		writeError(w, http.StatusBadRequest, "replan request needs a session_id")
-		return
+		return nil, errors.New("replan request needs a session_id")
 	}
-	sess := s.pool.byId(req.SessionID)
-	if sess == nil {
-		writeError(w, http.StatusNotFound, "no session %q", req.SessionID)
-		return
+	in := &replanInput{sess: s.pool.byId(req.SessionID)}
+	if in.sess == nil {
+		return nil, fmt.Errorf("%w %q", errNoSession, req.SessionID)
 	}
-	delta, err := wireconv.ToDelta(req.Delta)
+	var err error
+	if in.delta, err = wireconv.ToDelta(req.Delta); err != nil {
+		return nil, err
+	}
+	churned, err := in.sess.planner.Topology().ApplyDelta(in.delta.TopoDelta())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, err
+	}
+	if err := churned.ValidateLive(); err != nil {
+		return nil, fmt.Errorf("delta leaves an invalid topology: %w", err)
+	}
+	n := churned.NumNodes()
+	for _, p := range in.delta.DropPairs {
+		if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
+			return nil, fmt.Errorf("delta drops unknown demand pair (%d,%d)", p.Src, p.Dst)
+		}
+	}
+	if in.delta.AddDemand != nil {
+		if err := demandFits(in.delta.AddDemand, churned); err != nil {
+			return nil, fmt.Errorf("added demand: %w", err)
+		}
+	}
+	return in, nil
+}
+
+func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	in, err := s.decodeReplan(r.Body)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, errNoSession) {
+			status = http.StatusNotFound
+		}
+		writeError(w, status, "%v", err)
 		return
 	}
+	sess, delta := in.sess, in.delta
 
 	release, status, err := s.admit(r.Context())
 	if err != nil {

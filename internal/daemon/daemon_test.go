@@ -195,6 +195,49 @@ func TestDaemonPlanReplanStats(t *testing.T) {
 	}
 }
 
+// TestReplanRefusesBadDeltaBeforeAdmission: a delta that does not apply
+// to the session's topology, cuts a live GPU off, or names demand outside
+// the churned nodes is a 400 that never reaches the planner; a node loss
+// is not a cut, and replans.
+func TestReplanRefusesBadDeltaBeforeAdmission(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	tt := topo.DGX1()
+	var plan wire.PlanResponse
+	if st := call(t, "POST", hs.URL+"/v1/plan", wire.PlanRequest{Topology: wireTopo(t, tt), Demand: testDemand(tt, 1)}, &plan); st != 200 {
+		t.Fatalf("plan status %d", st)
+	}
+	var intoGPU0 []int
+	for _, l := range tt.In(0) {
+		intoGPU0 = append(intoGPU0, int(l))
+	}
+	otherNodes := wireconv.FromDemand(collective.New(tt.NumNodes()+1, 1, 25e3))
+	for _, c := range []struct {
+		what  string
+		id    string
+		delta wire.Delta
+		want  int
+	}{
+		{"unknown session", "nope", wire.Delta{LinksDown: []int{0}}, 404},
+		{"unknown link", plan.SessionID, wire.Delta{LinksDown: []int{tt.NumLinks()}}, 400},
+		{"a live GPU cut off", plan.SessionID, wire.Delta{LinksDown: intoGPU0}, 400},
+		{"a pair outside the topology", plan.SessionID, wire.Delta{DropPairs: []wire.Pair{{Src: 0, Dst: tt.NumNodes()}}}, 400},
+		{"added demand over other nodes", plan.SessionID, wire.Delta{AddDemand: &otherNodes}, 400},
+	} {
+		var werr wire.Error
+		if st := call(t, "POST", hs.URL+"/v1/replan", wire.ReplanRequest{SessionID: c.id, Delta: c.delta}, &werr); st != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.what, st, werr.Error, c.want)
+		}
+	}
+	var sessions wire.SessionsResponse
+	if st := call(t, "GET", hs.URL+"/v1/sessions", nil, &sessions); st != 200 || len(sessions.Sessions) != 1 || sessions.Sessions[0].Requests != 1 {
+		t.Fatalf("sessions = %+v (status %d), want the plan's one request and no replan", sessions.Sessions, st)
+	}
+	var rp wire.ReplanResponse
+	if st := call(t, "POST", hs.URL+"/v1/replan", wire.ReplanRequest{SessionID: plan.SessionID, Delta: wire.Delta{NodesDown: []int{3}}}, &rp); st != 200 || !rp.Plan.Replanned {
+		t.Fatalf("node loss: status %d (replanned %v), want a replan", st, rp.Plan.Replanned)
+	}
+}
+
 func TestDaemonSessionRouting(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	a := topo.DGX1()

@@ -2,9 +2,9 @@ package daemon
 
 // The v1 wire contract made executable: every PlanRequest golden of
 // package wire (wire/testdata/v1) still decodes and plans, a repeat of it
-// is answered by the session's request index, and the request decoder
-// survives arbitrary bytes. Wire changes are additive only; these are
-// the tests that say so.
+// is answered by the session's request index, and the plan and replan
+// request decoders survive arbitrary bytes. Wire changes are additive
+// only; these are the tests that say so.
 
 import (
 	"bytes"
@@ -15,15 +15,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"teccl/internal/topo"
 	"teccl/wire"
 )
 
-// v1PlanGoldens reads the PlanRequest goldens of package wire.
-func v1PlanGoldens(tb testing.TB) map[string][]byte {
+// v1Goldens reads the request goldens of package wire whose file names
+// match pattern.
+func v1Goldens(tb testing.TB, pattern string) map[string][]byte {
 	tb.Helper()
-	paths, err := filepath.Glob("../../wire/testdata/v1/plan_request*.json")
+	paths, err := filepath.Glob("../../wire/testdata/v1/" + pattern)
 	if err != nil || len(paths) == 0 {
-		tb.Fatalf("no v1 PlanRequest goldens (%v)", err)
+		tb.Fatalf("no v1 goldens %s (%v)", pattern, err)
 	}
 	out := map[string][]byte{}
 	for _, p := range paths {
@@ -42,7 +44,7 @@ func v1PlanGoldens(tb testing.TB) map[string][]byte {
 // its model would (a policy choosing the solver of an unpinned request
 // derives one, and is allowed for).
 func TestV1GoldenPlanRequestsPlan(t *testing.T) {
-	for name, raw := range v1PlanGoldens(t) {
+	for name, raw := range v1Goldens(t, "plan_request*.json") {
 		t.Run(name, func(t *testing.T) {
 			var req wire.PlanRequest
 			if err := json.Unmarshal(raw, &req); err != nil {
@@ -93,7 +95,7 @@ func TestV1GoldenPlanRequestsPlan(t *testing.T) {
 // passes topo.Validate with a demand over exactly its nodes, or a session
 // ID.
 func FuzzPlanRequest(f *testing.F) {
-	for _, raw := range v1PlanGoldens(f) {
+	for _, raw := range v1Goldens(f, "plan_request*.json") {
 		f.Add(raw)
 	}
 	f.Add([]byte(`{"topology":{"nodes":[{"name":"a"},{"name":"b"}],"links":[{"src":0,"dst":0,"capacity":1}]},` +
@@ -124,6 +126,59 @@ func FuzzPlanRequest(f *testing.F) {
 			}
 		case in.sessionID == "":
 			t.Fatal("accepted a request with neither a topology nor a session")
+		}
+	})
+}
+
+// FuzzReplanRequest drives the replan request decoder — JSON, wireconv,
+// the delta applied to the named session's topology — with arbitrary
+// bytes against a daemon holding one DGX1 session, s1. It must never
+// panic, and whatever it accepts names that session and churns its
+// topology into one that passes topo.ValidateLive, with dropped pairs
+// and added demand over the churned nodes.
+func FuzzReplanRequest(f *testing.F) {
+	for _, raw := range v1Goldens(f, "replan_request*.json") {
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"session_id":"s1","delta":{"links_down":[0]}}`))
+	f.Add([]byte(`{"session_id":"s1","delta":{"nodes_down":[3],"drop_pairs":[{"src":3,"dst":0}]}}`))
+	f.Add([]byte(`{"session_id":"s1","delta":{"scale":[{"link":1,"capacity":0.8,"alpha":3}]}}`))
+	f.Add([]byte(`{"session_id":"s1","delta":{"add_nodes":[{"name":"x"}],"add_links":[{"src":0,"dst":8,"capacity":1e9},{"src":8,"dst":0,"capacity":1e9}]}}`))
+	f.Add([]byte(`{"session_id":"s1","delta":{"add_demand":{"num_nodes":9,"num_chunks":1,"chunk_bytes":1}}}`))
+	f.Add([]byte(`{"session_id":"s1","delta":{"drop_pairs":[{"src":0,"dst":99}]}}`))
+	f.Add([]byte(`{"session_id":"s2","delta":{}}`))
+	s := New(Options{})
+	defer s.Close()
+	sess, err := s.pool.get(topo.DGX1())
+	if err != nil || sess.id != "s1" {
+		f.Fatalf("session %v (%v), want s1", sess, err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4<<10 {
+			return
+		}
+		in, err := s.decodeReplan(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if in.sess != sess {
+			t.Fatalf("accepted a replan of session %q", in.sess.id)
+		}
+		churned, err := sess.planner.Topology().ApplyDelta(in.delta.TopoDelta())
+		if err != nil {
+			t.Fatalf("accepted a delta that does not apply: %v", err)
+		}
+		if err := churned.ValidateLive(); err != nil {
+			t.Fatalf("accepted a delta whose churned topology fails ValidateLive: %v", err)
+		}
+		n := churned.NumNodes()
+		for _, p := range in.delta.DropPairs {
+			if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
+				t.Fatalf("accepted a drop of pair (%d,%d) over %d nodes", p.Src, p.Dst, n)
+			}
+		}
+		if d := in.delta.AddDemand; d != nil && d.NumNodes() != n {
+			t.Fatalf("accepted added demand over %d nodes for a topology of %d", d.NumNodes(), n)
 		}
 	})
 }

@@ -192,8 +192,22 @@ func (t *Topology) MaxAlpha() float64 {
 // Validate checks structural invariants: GPU-to-GPU reachability among all
 // non-switch nodes (collectives need every GPU to reach every other) and
 // positive capacities.
-func (t *Topology) Validate() error {
-	gpus := t.GPUs()
+func (t *Topology) Validate() error { return t.validate(t.GPUs()) }
+
+// ValidateLive is Validate for a churned topology: a GPU whose links are
+// all down is a lost node (Delta.NodesDown) and is skipped; every other
+// GPU must still reach every other.
+func (t *Topology) ValidateLive() error {
+	var live []NodeID
+	for _, g := range t.GPUs() {
+		if len(t.out[g])+len(t.in[g]) > 0 {
+			live = append(live, g)
+		}
+	}
+	return t.validate(live)
+}
+
+func (t *Topology) validate(gpus []NodeID) error {
 	if len(gpus) == 0 {
 		return fmt.Errorf("topology %q has no GPU nodes", t.Name)
 	}

@@ -391,6 +391,32 @@ func TestApplyDeltaNodeDown(t *testing.T) {
 	if err := edited.Validate(); err == nil {
 		t.Fatal("expected Validate to fail with the IB switch down")
 	}
+	if err := edited.ValidateLive(); err == nil {
+		t.Fatal("expected ValidateLive to fail: the chassis' GPUs are live but cut apart")
+	}
+}
+
+// TestValidateLiveSkipsLostGPUs: a GPU taken down is lost, not cut off,
+// so ValidateLive accepts the churned topology Validate refuses — and
+// still refuses one whose live GPUs cannot all reach each other.
+func TestValidateLiveSkipsLostGPUs(t *testing.T) {
+	tp := DGX1()
+	lost, err := tp.ApplyDelta(Delta{NodesDown: []NodeID{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost.Validate() == nil || lost.ValidateLive() != nil {
+		t.Fatalf("GPU 3 down: Validate %v, ValidateLive %v; want only Validate to refuse", lost.Validate(), lost.ValidateLive())
+	}
+	// Every link into GPU 0 down, its outgoing ones live: GPU 0 is live
+	// and nothing reaches it.
+	cut, err := lost.ApplyDelta(Delta{LinksDown: append([]LinkID(nil), lost.In(0)...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cut.Out(0)) == 0 || cut.ValidateLive() == nil {
+		t.Fatal("ValidateLive accepted a live GPU nothing can reach")
+	}
 }
 
 func TestApplyDeltaInvalid(t *testing.T) {

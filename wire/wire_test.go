@@ -6,8 +6,9 @@ package wire
 // the rename or bump the wire version, never update the golden to match.
 // (The tecclvet wirelock analyzer enforces the same contract structurally
 // against schema.lock.json.) The request goldens are files so that the
-// packages serving them can replay them: internal/daemon plans every one
-// through an embedded daemon and seeds FuzzPlanRequest with them.
+// packages serving them can replay them: internal/daemon plans every
+// PlanRequest golden through an embedded daemon and seeds FuzzPlanRequest
+// with them, and FuzzReplanRequest with the ReplanRequest golden.
 //
 // This package is stdlib-only by machine-enforced rule, so these tests
 // exercise pure serialization; the conversion round-trips against the
@@ -124,14 +125,13 @@ func TestGoldenPlanRequestAndDelta(t *testing.T) {
 		AddLinks:  []Link{{Src: 0, Dst: 2, Capacity: 1e9, Alpha: 1e-6}},
 		DropPairs: []Pair{{Src: 0, Dst: 1}},
 	}
-	const goldenDelta = `{"links_down":[0],"nodes_down":[1],` +
-		`"scale":[{"link":2,"capacity":0.5}],` +
-		`"add_nodes":[{"name":"c","switch":true}],` +
-		`"add_links":[{"src":0,"dst":2,"capacity":1000000000,"alpha":0.000001}],` +
-		`"drop_pairs":[{"src":0,"dst":1}]}`
-	if got := mustJSON(t, ReplanRequest{SessionID: "s1", Delta: delta}); got !=
-		`{"session_id":"s1","delta":`+goldenDelta+`}` {
-		t.Errorf("ReplanRequest JSON drifted:\n got: %s", got)
+	raw, err = os.ReadFile("testdata/v1/replan_request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenReplan := strings.TrimSpace(string(raw))
+	if got := mustJSON(t, ReplanRequest{SessionID: "s1", Delta: delta}); got != goldenReplan {
+		t.Errorf("ReplanRequest JSON drifted:\n got: %s\nwant: %s", got, goldenReplan)
 	}
 }
 
