@@ -58,15 +58,17 @@ race:
 	$(GO) test -race ./...
 
 # Ten seconds of coverage-guided fuzzing per target, on top of the seed
-# corpora `test` already runs: topology churn (FuzzApplyDelta) and the
+# corpora `test` already runs: topology churn (FuzzApplyDelta), the
 # daemon's plan and replan request decoders over the v1 wire goldens
-# (FuzzPlanRequest, FuzzReplanRequest). A failing input is written under
-# the package's testdata/fuzz/ and fails the target; commit it as a
-# regression seed.
+# (FuzzPlanRequest, FuzzReplanRequest) and the two schedule checkers held
+# to each other on mutated schedules (FuzzScheduleCheck). A failing input
+# is written under the package's testdata/fuzz/ and fails the target;
+# commit it as a regression seed.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzApplyDelta$$' -fuzztime 10s ./internal/topo
 	$(GO) test -run xxx -fuzz '^FuzzPlanRequest$$' -fuzztime 10s ./internal/daemon
 	$(GO) test -run xxx -fuzz '^FuzzReplanRequest$$' -fuzztime 10s ./internal/daemon
+	$(GO) test -run xxx -fuzz '^FuzzScheduleCheck$$' -fuzztime 10s ./internal/sim
 
 # End-to-end smoke of the serving path: build both binaries, boot a real
 # teccld on a localhost port, drive it through the CLI (health poll,

@@ -224,3 +224,68 @@ func TestLPModelRowIndexes(t *testing.T) {
 		checkRowIndexes(t, pl.incumbent.model, 0, K, true)
 	})
 }
+
+// TestDownedLinkEqualsNeverAdded is ROADMAP 3f's link relation at the
+// emit level: a link added through ApplyDelta and then taken down must
+// leave the LP model exactly what the topology that never had it builds —
+// no column on the down link, and no τ, δ/κ, horizon or bound that still
+// sees it. The added duplex is made much faster and much slower than the
+// fabric, so an estimate that read a down link under either epoch mode
+// would move τ and the capacity right-hand sides with it.
+func TestDownedLinkEqualsNeverAdded(t *testing.T) {
+	const capacity, alpha = 25e9, 0.6e-6
+	type fabric struct {
+		t    *topo.Topology
+		a, b topo.NodeID // the added duplex's endpoints, not yet linked
+	}
+	var fabrics []fabric
+	for n := 3; n <= 5; n++ {
+		if n >= 4 {
+			fabrics = append(fabrics, fabric{topo.Ring(n, capacity, alpha), 0, 2})
+		}
+		fabrics = append(fabrics, fabric{topo.Line(n, capacity, alpha), 0, topo.NodeID(n - 1)})
+		fabrics = append(fabrics, fabric{topo.Star(n-1, capacity, alpha), 1, 2}) // two GPUs
+	}
+	for _, fb := range fabrics {
+		g := testGPUs(fb.t)
+		demands := map[string]*collective.Demand{
+			"alltoall":  collective.AllToAll(fb.t.NumNodes(), g, 1, 25e3),
+			"allgather": collective.AllGather(fb.t.NumNodes(), g, 1, 25e3),
+		}
+		for _, added := range []struct {
+			name       string
+			cap, alpha float64
+		}{{"fast", 4 * capacity, 0}, {"slow", capacity / 4, 10 * alpha}} {
+			nL := topo.LinkID(fb.t.NumLinks())
+			grown, err := fb.t.ApplyDelta(topo.Delta{AddLinks: []topo.Link{
+				{Src: fb.a, Dst: fb.b, Capacity: added.cap, Alpha: added.alpha},
+				{Src: fb.b, Dst: fb.a, Capacity: added.cap, Alpha: added.alpha},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			downed, err := grown.ApplyDelta(topo.Delta{LinksDown: []topo.LinkID{nL, nL + 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for dname, d := range demands {
+				for _, mode := range []EpochMode{FastestLink, SlowestLink} {
+					name := fmt.Sprintf("%s/%s-link/%s/mode%d", fb.t.Name, added.name, dname, mode)
+					opt := Options{EpochMode: mode}
+					never, churned := prepLP(fb.t, d, opt), prepLP(downed, d, opt)
+					if !churned.m.p.EqualTo(never.m.p) {
+						t.Errorf("%s: the model with the added link down differs from the one that never had it (%d×%d vs %d×%d, τ %g vs %g, K %d vs %d)",
+							name, churned.m.p.NumRows(), churned.m.p.NumVars(), never.m.p.NumRows(), never.m.p.NumVars(),
+							churned.in.tau, never.in.tau, churned.in.K, never.in.K)
+					}
+					// A live slow link lands nothing inside a fastest-link
+					// horizon; every other live variant must move the model.
+					bites := added.name == "fast" || mode == SlowestLink
+					if live := prepLP(grown, d, opt); bites && live.m.p.EqualTo(never.m.p) {
+						t.Errorf("%s: the live added link changes nothing; the relation measures nothing", name)
+					}
+				}
+			}
+		}
+	}
+}

@@ -52,6 +52,22 @@ import (
 // fabric-scale instances are well under this.
 const maxBodyBytes = 16 << 20
 
+// maxTopologyNodes bounds the nodes of a topology a request may send or
+// grow a session's to. Validation runs Floyd–Warshall, whose distance
+// matrix is n² floats: a body under maxBodyBytes can list millions of
+// nodes, which would ask for terabytes. 1 024 nodes keep the matrix at
+// 8 MiB, well above every topology the experiments and wire goldens
+// build.
+const maxTopologyNodes = 1024
+
+// nodesFit refuses a topology of n nodes above maxTopologyNodes.
+func nodesFit(n int) error {
+	if n > maxTopologyNodes {
+		return fmt.Errorf("topology of %d nodes exceeds the %d-node limit", n, maxTopologyNodes)
+	}
+	return nil
+}
+
 // Options configures a Server. Zero values mean the documented defaults.
 type Options struct {
 	// MaxSessions bounds the session pool; past it the least-recently
@@ -301,10 +317,11 @@ type planInput struct {
 }
 
 // decodePlan decodes a plan request body and validates it: a topology
-// must come through wireconv and topo.Validate, the demand must be over
-// the topology's nodes, the options and solver must parse. Every error is the
-// caller's (a 400). It runs no solve, so it is what FuzzPlanRequest
-// drives.
+// must come through wireconv, hold at most maxTopologyNodes nodes (checked
+// first: topo.Validate is quadratic in them) and pass topo.Validate, the
+// demand must be over the topology's nodes, the options and solver must
+// parse. Every error is the caller's (a 400). It runs no solve, so it is
+// what FuzzPlanRequest drives.
 func (s *Server) decodePlan(body io.Reader) (*planInput, error) {
 	var req wire.PlanRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -324,6 +341,9 @@ func (s *Server) decodePlan(body io.Reader) (*planInput, error) {
 	if req.Topology != nil {
 		if in.topo, err = wireconv.ToTopology(req.Topology); err != nil {
 			return nil, fmt.Errorf("invalid topology: %w", err)
+		}
+		if err := nodesFit(in.topo.NumNodes()); err != nil {
+			return nil, err
 		}
 		if err := demandFits(in.demand, in.topo); err != nil {
 			return nil, err
@@ -404,12 +424,13 @@ var errNoSession = errors.New("no session")
 
 // decodeReplan decodes a replan request body and checks its delta against
 // the topology of the session it names: the delta must come through
-// wireconv and apply to that topology (topo.ApplyDelta), the churned
-// topology must pass topo.ValidateLive (a GPU the delta takes down is
-// lost, not cut off), and dropped pairs and added demand must lie over
-// its nodes. Every error but an unknown session (errNoSession, a 404) is
-// the caller's (a 400), returned before admission. It runs no solve, so
-// it is what FuzzReplanRequest drives.
+// wireconv, grow that topology to at most maxTopologyNodes nodes (checked
+// before anything runs on the grown topology) and apply to it
+// (topo.ApplyDelta), the churned topology must pass topo.ValidateLive (a
+// GPU the delta takes down is lost, not cut off), and dropped pairs and
+// added demand must lie over its nodes. Every error but an unknown
+// session (errNoSession, a 404) is the caller's (a 400), returned before
+// admission. It runs no solve, so it is what FuzzReplanRequest drives.
 func (s *Server) decodeReplan(body io.Reader) (*replanInput, error) {
 	var req wire.ReplanRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -426,7 +447,11 @@ func (s *Server) decodeReplan(body io.Reader) (*replanInput, error) {
 	if in.delta, err = wireconv.ToDelta(req.Delta); err != nil {
 		return nil, err
 	}
-	churned, err := in.sess.planner.Topology().ApplyDelta(in.delta.TopoDelta())
+	cur := in.sess.planner.Topology()
+	if err := nodesFit(cur.NumNodes() + len(in.delta.AddNodes)); err != nil {
+		return nil, fmt.Errorf("delta grows the topology: %w", err)
+	}
+	churned, err := cur.ApplyDelta(in.delta.TopoDelta())
 	if err != nil {
 		return nil, err
 	}

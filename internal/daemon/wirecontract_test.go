@@ -9,10 +9,12 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"teccl/internal/topo"
@@ -89,11 +91,61 @@ func TestV1GoldenPlanRequestsPlan(t *testing.T) {
 	}
 }
 
+// nodesPlanRequest is a plan request for a topology of n unnamed,
+// unlinked GPUs with a demand over them: 3 bytes a node, so a topology
+// over maxTopologyNodes fits the fuzzers' 4 KiB inputs.
+func nodesPlanRequest(n int) []byte {
+	nodes := strings.TrimSuffix(strings.Repeat("{},", n), ",")
+	return []byte(fmt.Sprintf(`{"topology":{"nodes":[%s]},"demand":{"num_nodes":%d,"num_chunks":1,"chunk_bytes":1}}`, nodes, n))
+}
+
+// addNodesReplanRequest is a replan request of session s1 adding n
+// unnamed nodes.
+func addNodesReplanRequest(n int) []byte {
+	nodes := strings.TrimSuffix(strings.Repeat("{},", n), ",")
+	return []byte(fmt.Sprintf(`{"session_id":"s1","delta":{"add_nodes":[%s]}}`, nodes))
+}
+
+// TestTopologyNodeCap: a plan request listing more than maxTopologyNodes
+// nodes, and a replan growing a session's topology past it, are 400s
+// refused by the cap — before topo.Validate or topo.ValidateLive runs
+// Floyd–Warshall over them.
+func TestTopologyNodeCap(t *testing.T) {
+	if nodesFit(maxTopologyNodes) != nil || nodesFit(maxTopologyNodes+1) == nil {
+		t.Fatalf("nodesFit does not put the limit at %d nodes", maxTopologyNodes)
+	}
+	s, hs := newTestServer(t, Options{})
+	if sess, err := s.pool.get(topo.DGX1()); err != nil || sess.id != "s1" {
+		t.Fatalf("session %v (%v), want s1", sess, err)
+	}
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/plan", nodesPlanRequest(maxTopologyNodes + 1)},
+		{"/v1/replan", addNodesReplanRequest(maxTopologyNodes + 1 - topo.DGX1().NumNodes())},
+	} {
+		if len(c.body) > 4<<10 {
+			t.Fatalf("%s: a %d-byte body does not fit the fuzzers' inputs", c.path, len(c.body))
+		}
+		resp, err := http.Post(hs.URL+c.path, "application/json", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var werr wire.Error
+		err = json.NewDecoder(resp.Body).Decode(&werr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(werr.Error, "node limit") {
+			t.Errorf("%s: status %d, error %q (%v); want a 400 from the node limit", c.path, resp.StatusCode, werr.Error, err)
+		}
+	}
+}
+
 // FuzzPlanRequest drives the plan request decoder — JSON, wireconv, the
 // topology and demand checks, options, solver — with arbitrary bytes. It
-// must never panic, and whatever it accepts is servable: a topology that
-// passes topo.Validate with a demand over exactly its nodes, or a session
-// ID.
+// must never panic, and whatever it accepts is servable: a topology of at
+// most maxTopologyNodes nodes that passes topo.Validate with a demand over
+// exactly its nodes, or a session ID.
 func FuzzPlanRequest(f *testing.F) {
 	for _, raw := range v1Goldens(f, "plan_request*.json") {
 		f.Add(raw)
@@ -104,6 +156,7 @@ func FuzzPlanRequest(f *testing.F) {
 		`"demand":{"num_nodes":2,"num_chunks":1,"chunk_bytes":1}}`))
 	f.Add([]byte(`{"session_id":"s1","demand":{"num_nodes":100000,"num_chunks":100000,"chunk_bytes":1}}`))
 	f.Add([]byte(`{"session_id":"s1","demand":{"num_nodes":2,"num_chunks":1,"chunk_bytes":1},"options":{"epoch_mode":"x"}}`))
+	f.Add(nodesPlanRequest(maxTopologyNodes + 1))
 	s := New(Options{})
 	defer s.Close()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -118,6 +171,9 @@ func FuzzPlanRequest(f *testing.F) {
 		}
 		switch {
 		case in.topo != nil:
+			if n := in.topo.NumNodes(); n > maxTopologyNodes {
+				t.Fatalf("accepted a topology of %d nodes", n)
+			}
 			if err := in.topo.Validate(); err != nil {
 				t.Fatalf("accepted a topology that fails Validate: %v", err)
 			}
@@ -134,8 +190,9 @@ func FuzzPlanRequest(f *testing.F) {
 // the delta applied to the named session's topology — with arbitrary
 // bytes against a daemon holding one DGX1 session, s1. It must never
 // panic, and whatever it accepts names that session and churns its
-// topology into one that passes topo.ValidateLive, with dropped pairs
-// and added demand over the churned nodes.
+// topology into one of at most maxTopologyNodes nodes that passes
+// topo.ValidateLive, with dropped pairs and added demand over the
+// churned nodes.
 func FuzzReplanRequest(f *testing.F) {
 	for _, raw := range v1Goldens(f, "replan_request*.json") {
 		f.Add(raw)
@@ -147,6 +204,7 @@ func FuzzReplanRequest(f *testing.F) {
 	f.Add([]byte(`{"session_id":"s1","delta":{"add_demand":{"num_nodes":9,"num_chunks":1,"chunk_bytes":1}}}`))
 	f.Add([]byte(`{"session_id":"s1","delta":{"drop_pairs":[{"src":0,"dst":99}]}}`))
 	f.Add([]byte(`{"session_id":"s2","delta":{}}`))
+	f.Add(addNodesReplanRequest(maxTopologyNodes + 1 - topo.DGX1().NumNodes()))
 	s := New(Options{})
 	defer s.Close()
 	sess, err := s.pool.get(topo.DGX1())
@@ -167,6 +225,9 @@ func FuzzReplanRequest(f *testing.F) {
 		churned, err := sess.planner.Topology().ApplyDelta(in.delta.TopoDelta())
 		if err != nil {
 			t.Fatalf("accepted a delta that does not apply: %v", err)
+		}
+		if n := churned.NumNodes(); n > maxTopologyNodes {
+			t.Fatalf("accepted a delta growing the topology to %d nodes", n)
 		}
 		if err := churned.ValidateLive(); err != nil {
 			t.Fatalf("accepted a delta whose churned topology fails ValidateLive: %v", err)

@@ -94,17 +94,14 @@ func (s *simplex) buildCSR() {
 // nonbasic column from scratch (basic columns get exactly zero). Called on
 // dual startup and after each refactorization to kill accumulated drift.
 func (s *simplex) computeDuals() {
-	for i := 0; i < s.m; i++ {
-		s.cb[i] = s.cost[s.basis[i]]
-	}
-	copy(s.y, s.cb)
-	s.lu.btran(s.y)
+	s.fillCB(s.cost)
+	s.y = s.lu.btranStep(s.cb, s.y)
 	for j := 0; j < s.nTotal; j++ {
 		if s.status[j] == basic {
 			s.d[j] = 0
 			continue
 		}
-		s.d[j] = s.cost[j] - s.colDot(j, s.y)
+		s.d[j] = s.cost[j] - s.stepDot(j, s.y)
 	}
 }
 
@@ -178,8 +175,9 @@ func (s *simplex) prepareDual(allowFlips bool) bool {
 
 // pivotRow computes α_j = ρᵀa_j for every column touched by the nonzeros
 // of ρ, sparsely: structural columns through the CSR rows, slack columns
-// directly from ρ. Results land in s.alpha with the touched set listed in
-// s.alphaNnz (previous contents are cleared first).
+// directly from ρ. ρ is in step space (btranUnitStep's result) and is
+// read through rowStep in row order. Results land in s.alpha with the
+// touched set listed in s.alphaNnz (previous contents are cleared first).
 func (s *simplex) pivotRow(rho []float64) {
 	alpha, seen := s.alpha, s.alphaSeen
 	for _, j := range s.alphaNnz {
@@ -187,8 +185,8 @@ func (s *simplex) pivotRow(rho []float64) {
 		seen[j] = false
 	}
 	nnz := s.alphaNnz[:0]
-	for i := 0; i < s.m; i++ {
-		ri := rho[i]
+	for i, k := range s.lu.rowStep {
+		ri := rho[k]
 		if ri > -dropTol && ri < dropTol {
 			continue
 		}
@@ -258,9 +256,8 @@ func (s *simplex) dualIterate(maxIter int) Status {
 		}
 
 		// Pivot row: ρ = B⁻ᵀe_r, then α = ρᵀA over the touched columns.
-		rho := s.y
-		s.lu.btranUnit(r, rho)
-		s.pivotRow(rho)
+		s.y = s.lu.btranUnitStep(r, s.y)
+		s.pivotRow(s.y)
 
 		// Collect entering candidates with Harris-relaxed ratios. abar is
 		// the slope σ·α_j; a candidate's reduced cost moves by -θ·abar as

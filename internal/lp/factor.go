@@ -19,14 +19,35 @@ package lp
 // and only the residual kernel pays for general elimination with a
 // minimum-degree style pivot search under threshold partial pivoting.
 //
+// Index spaces. A vector of length m is indexed by one of three things:
+// an original row (the constraint, and the slack that belongs to it), a
+// basis position (the simplex's slot basis[pos]), or a step k of the last
+// fresh factorization, which pivoted row pivRow[k] against position
+// pivCol[k] (rowStep and colStep are the inverses). L, U and the row etas
+// live in step space, and the steps move only in factorize — an FT update
+// rotates the elimination order, never rowStep or colStep — so a vector
+// the simplex keeps by step stays valid until the next refactorization.
+// The entry points, by what they take and give:
+//
+//	ftran          a by row in, w by position out (computeXB, bound flips)
+//	ftranStep      a sparse entering column by step in; w by position and
+//	               its positions above dropTol out, from one gather; the
+//	               FT spike saved
+//	btranStep      c by step in (the basic costs, cb), y by step out
+//	btranUnitStep  e_pos in, ρ = B⁻ᵀe_pos by step out (the pivot row)
+//
+// The BTRANs solve in f.work and hand it over as the result, taking the
+// caller's buffer as the next work vector, so no pass moves y anywhere.
+//
 // Cost of a solve. FTRAN (solve B·w = a) and BTRAN (solve Bᵀ·y = c) are
 // dense-vector solves that skip what is empty or zero, not
 // reach-driven ones: each costs O(m + touched nonzeros), never O(m²).
-// The O(m) part is two permutation sweeps (in and out of step space;
-// ftranColumn and btranUnit replace the inbound one with a clear and a
-// scatter) and one sweep of U's m rows in elimination order (btranUnit
-// starts it at the unit's position) that loads the row's entry and, in
-// FTRAN, its length. The rest is per nonzero: the L passes walk only the
+// The O(m) part is the way in and out of step space — ftran gathers in
+// and scatters out, ftranStep clears in and gathers out (w and its
+// nonzero list together), btranStep copies in, btranUnitStep clears in —
+// and one sweep of U's m rows in elimination order (btranUnitStep starts
+// it at the unit's position) that loads the row's entry and, in FTRAN,
+// its length. The rest is per nonzero: the L passes walk only the
 // columns that have multipliers (lStep), the scatter passes (L forward,
 // Uᵀ, the eta transposes) skip a column whose entry is zero, and no row
 // whose entry is zero is divided by its diagonal. Every sum keeps the
@@ -34,6 +55,17 @@ package lp
 // sweeping solves to the bit — refFactor in factor_test.go is that
 // sweep, and the test beside it holds the two together — except that a
 // skipped division leaves a zero's sign alone where 0/d could flip it.
+//
+// Passes over m per simplex iteration. A phase-2 primal iteration makes
+// five: btranStep's copy of cb and its Uᵀ sweep, ftranStep's clear, U
+// sweep and gather. Phase 1 adds the scan that sets cb, and the devex
+// update (m ≥ devexMinRows) a unit BTRAN's clear and sweep plus
+// pivotRow's scan of ρ, read through rowStep in row order. A dual
+// iteration makes seven: the leaving-row scan, the unit BTRAN's clear and
+// sweep, pivotRow's scan and the entering FTRAN's three. Pricing and the
+// duals dot columns against y by step through simplex.stepRow, which
+// each successful factorize costs one pass over the matrix nonzeros to
+// rebuild; Solution.Duals go back to rows once, at the end of a solve.
 
 import "math"
 
@@ -561,24 +593,42 @@ func (f *luFactor) ftran(x []float64) {
 	for k := range work {
 		work[k] = x[f.pivRow[k]]
 	}
-	f.ftranWork(x, false)
-}
-
-// ftranColumn solves B·w = a into x (whose contents on entry are
-// ignored) for an entering column a given sparsely by row, and saves
-// the partial result after L and the row etas — the Forrest–Tomlin
-// spike of a — for the update call that follows the pivot.
-func (f *luFactor) ftranColumn(idx []int32, val []float64, x []float64) {
-	clear(f.work)
-	for k, i := range idx {
-		f.work[f.rowStep[i]] += val[k]
+	f.ftranWork(false)
+	for k, v := range work {
+		x[f.pivCol[k]] = v
 	}
-	f.ftranWork(x, true)
 }
 
-// ftranWork runs FTRAN on f.work (the right-hand side in step space) and
-// writes the result to x indexed by basis position.
-func (f *luFactor) ftranWork(x []float64, save bool) {
+// ftranStep solves B·w = a for an entering column a given sparsely by
+// step (its rows mapped through rowStep), saving the partial result after
+// L and the row etas — the Forrest–Tomlin spike of a — for the update
+// call that follows the pivot. One gather over the basis positions writes
+// w into x (whose contents on entry are ignored) and lists the positions
+// of its entries above dropTol, ascending, in nz's storage (capacity m),
+// which it returns. The listing writes every position and advances the
+// cursor only past the kept ones, so it has no data-dependent branch.
+func (f *luFactor) ftranStep(idx []int32, val []float64, x []float64, nz []int32) []int32 {
+	work := f.work
+	clear(work)
+	for k, i := range idx {
+		work[i] += val[k]
+	}
+	f.ftranWork(true)
+	nz, n := nz[:f.m], 0
+	for pos, k := range f.colStep {
+		v := work[k]
+		x[pos] = v
+		nz[n] = int32(pos)
+		if math.Abs(v) > dropTol {
+			n++
+		}
+	}
+	return nz[:n]
+}
+
+// ftranWork runs FTRAN in place on f.work, the right-hand side in step
+// space; the result is left there, in step space.
+func (f *luFactor) ftranWork(save bool) {
 	m := f.m
 	work := f.work
 	// L forward (scatter), over the non-empty columns only.
@@ -638,35 +688,37 @@ func (f *luFactor) ftranWork(x []float64, save bool) {
 	if save {
 		f.spikeNnz = nz[:n]
 	}
-	for k := 0; k < m; k++ {
-		x[f.pivCol[k]] = work[k]
-	}
 }
 
-// btran solves Bᵀ·y = c in place: on entry x holds c indexed by basis
-// position; on return it holds y indexed by original row.
-func (f *luFactor) btran(x []float64) {
-	work := f.work
-	for k := range work {
-		work[k] = x[f.pivCol[k]]
-	}
-	f.btranFrom(0, x)
+// btranStep solves Bᵀ·y = c for c indexed by step (c[colStep[pos]] is
+// the entry of basis position pos). The result, indexed by step (y of row
+// i is at rowStep[i]), is solved in f.work, which then trades places with
+// y: the returned slice is the solution, and y's storage (whose contents
+// on entry are ignored) becomes the factor's work vector.
+func (f *luFactor) btranStep(c, y []float64) []float64 {
+	copy(f.work, c)
+	f.btranFrom(0)
+	y, f.work = f.work, y
+	return y
 }
 
-// btranUnit solves Bᵀ·y = e_pos into x (whose contents on entry are
-// ignored): the row of B⁻¹ both pivot-row pricers need. Every step
-// ordered before the unit's own is zero on entry to the Uᵀ pass and
-// stays zero through it, so the pass starts at the unit's position.
-func (f *luFactor) btranUnit(pos int, x []float64) {
+// btranUnitStep is btranStep of the unit vector e_pos: the row of B⁻¹
+// both pivot-row pricers need, returned in step space the same way.
+// Every step ordered before the unit's own is zero on entry to the Uᵀ
+// pass and stays zero through it, so the pass starts at the unit's
+// position.
+func (f *luFactor) btranUnitStep(pos int, y []float64) []float64 {
 	clear(f.work)
 	t := f.colStep[pos]
 	f.work[t] = 1
-	f.btranFrom(int(f.stepPos[t]), x)
+	f.btranFrom(int(f.stepPos[t]))
+	y, f.work = f.work, y
+	return y
 }
 
-// btranFrom runs BTRAN on f.work, whose entries ordered before from are
-// zero, and writes the result to x indexed by original row.
-func (f *luFactor) btranFrom(from int, x []float64) {
+// btranFrom runs BTRAN in place on f.work, whose entries ordered before
+// from are zero; the result is left there, in step space.
+func (f *luFactor) btranFrom(from int) {
 	m := f.m
 	work := f.work
 	// Uᵀ forward (scatter) in elimination order.
@@ -709,9 +761,6 @@ func (f *luFactor) btranFrom(from int, x []float64) {
 			v -= val[ki] * work[tgt]
 		}
 		work[k] = v
-	}
-	for k := 0; k < m; k++ {
-		x[f.pivRow[k]] = work[k]
 	}
 }
 

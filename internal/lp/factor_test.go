@@ -67,6 +67,34 @@ func randSparseCol(rng *rand.Rand, m int, density float64) ([]int32, []float64) 
 	return idx, val
 }
 
+// ftranRows is ftranStep of a column given by row, mapped into step space
+// the way the simplex maps its columns (through rowStep); it returns the
+// positions ftranStep listed.
+func ftranRows(f *luFactor, idx []int32, val []float64, x []float64) []int32 {
+	steps := make([]int32, len(idx))
+	for k, i := range idx {
+		steps[k] = f.rowStep[i]
+	}
+	return f.ftranStep(steps, val, x, make([]int32, 0, f.m))
+}
+
+// btranRows solves Bᵀ·y = c for c by basis position into y by row,
+// through btranStep: c scattered to steps, y gathered back from them.
+func btranRows(f *luFactor, c, y []float64) {
+	cs := make([]float64, f.m)
+	for pos, v := range c {
+		cs[f.colStep[pos]] = v
+	}
+	stepsToRows(f, f.btranStep(cs, make([]float64, f.m)), y)
+}
+
+// stepsToRows copies a step-space solve result into y by row.
+func stepsToRows(f *luFactor, ys, y []float64) {
+	for i, k := range f.rowStep {
+		y[i] = ys[k]
+	}
+}
+
 // residFtran checks B·w = a for w = ftran(a) against the raw columns.
 func residFtran(t *testing.T, colIdx [][]int32, colVal [][]float64, f *luFactor, rng *rand.Rand, tag string) {
 	t.Helper()
@@ -99,7 +127,8 @@ func residFtran(t *testing.T, colIdx [][]int32, colVal [][]float64, f *luFactor,
 	}
 }
 
-// residBtran checks Bᵀ·y = c for y = btran(c) against the raw columns.
+// residBtran checks Bᵀ·y = c for y = btranStep(c) against the raw
+// columns.
 func residBtran(t *testing.T, colIdx [][]int32, colVal [][]float64, f *luFactor, rng *rand.Rand, tag string) {
 	t.Helper()
 	m := f.m
@@ -107,8 +136,8 @@ func residBtran(t *testing.T, colIdx [][]int32, colVal [][]float64, f *luFactor,
 	for i := range c {
 		c[i] = rng.NormFloat64()
 	}
-	y := append([]float64(nil), c...)
-	f.btran(y)
+	y := make([]float64, m)
+	btranRows(f, c, y)
 	ymax := 0.0
 	for _, v := range y {
 		if a := math.Abs(v); a > ymax {
@@ -145,7 +174,7 @@ func TestFTUpdateMatchesFreshFactorization(t *testing.T) {
 			// FTRAN the candidate column (saves the spike), as the
 			// simplex drivers do before a pivot.
 			w := make([]float64, m)
-			f.ftranColumn(nIdx, nVal, w)
+			ftranRows(f, nIdx, nVal, w)
 			if math.Abs(w[pos]) < 1e-4 {
 				// Too close to singular; the drivers' ratio tests prefer
 				// large pivots, so only healthy replacements are realistic.
@@ -186,7 +215,7 @@ func TestFTDenseSpikeTriggersRefactor(t *testing.T) {
 		pos := rng.Intn(m)
 		nIdx, nVal := randSparseCol(rng, m, 0.9)
 		w := make([]float64, m)
-		f.ftranColumn(nIdx, nVal, w)
+		ftranRows(f, nIdx, nVal, w)
 		if math.Abs(w[pos]) < pivotTol {
 			continue
 		}
@@ -232,7 +261,7 @@ func TestFTSingularSpikeRejected(t *testing.T) {
 	// Replace column 3 with a copy of column 5's unit vector: the new
 	// basis is singular (two identical columns).
 	w := make([]float64, m)
-	f.ftranColumn([]int32{5}, []float64{1}, w)
+	ftranRows(f, []int32{5}, []float64{1}, w)
 	if ok := f.update(3, w[3]); ok {
 		t.Fatal("singular spike accepted")
 	}
@@ -385,9 +414,10 @@ func sameBits(t *testing.T, tag string, got, want []float64) {
 }
 
 // checkAgainstReference solves one right-hand side of each kind both ways
-// against f's current state: a sparse column and a unit vector through
-// ftranColumn (spike and spikeNnz included), a dense vector through ftran
-// and btran, a unit vector through btranUnit.
+// against f's current state, the step-space solves read back by position
+// or by row: a sparse column and a unit vector through ftranStep (spike,
+// spikeNnz and the listed positions included), a dense vector through
+// ftran and btranStep, a unit vector through btranUnitStep.
 func checkAgainstReference(t *testing.T, f *luFactor, rng *rand.Rand, tag string) {
 	t.Helper()
 	m := f.m
@@ -397,15 +427,24 @@ func checkAgainstReference(t *testing.T, f *luFactor, rng *rand.Rand, tag string
 	column := func(kind string, idx []int32, val []float64) {
 		t.Helper()
 		for i := range got {
-			got[i] = rng.NormFloat64() // ftranColumn ignores what x held
+			got[i] = rng.NormFloat64() // ftranStep ignores what x held
 			want[i] = 0
 		}
 		for k, i := range idx {
 			want[i] += val[k]
 		}
-		f.ftranColumn(idx, val, got)
+		nz := ftranRows(f, idx, val, got)
 		ref.ftranInto(want, true)
-		sameBits(t, tag+": ftranColumn("+kind+")", got, want)
+		sameBits(t, tag+": ftranStep("+kind+")", got, want)
+		var kept []int32
+		for pos, v := range got {
+			if math.Abs(v) > dropTol {
+				kept = append(kept, int32(pos))
+			}
+		}
+		if !slices.Equal(nz, kept) {
+			t.Fatalf("%s: ftranStep(%s) listed positions %v, want %v", tag, kind, nz, kept)
+		}
 		sameBits(t, tag+": spike("+kind+")", f.spike, ref.spike)
 		a := append([]int32(nil), f.spikeNnz...)
 		b := append([]int32(nil), ref.spikeNnz...)
@@ -432,20 +471,20 @@ func checkAgainstReference(t *testing.T, f *luFactor, rng *rand.Rand, tag string
 	ref.ftranInto(want, false)
 	sameBits(t, tag+": ftran(dense)", got, want)
 
-	copy(got, dense)
 	copy(want, dense)
-	f.btran(got)
+	btranRows(f, dense, got)
 	ref.btran(want)
-	sameBits(t, tag+": btran(dense)", got, want)
+	sameBits(t, tag+": btranStep(dense)", got, want)
 
+	y := make([]float64, m)
 	for i := range want {
-		got[i] = rng.NormFloat64() // btranUnit ignores what x held
+		y[i] = rng.NormFloat64() // btranUnitStep ignores what y held
 		want[i] = 0
 	}
 	want[unit] = 1
-	f.btranUnit(int(unit), got)
+	stepsToRows(f, f.btranUnitStep(int(unit), y), got)
 	ref.btran(want)
-	sameBits(t, tag+": btranUnit", got, want)
+	sameBits(t, tag+": btranUnitStep", got, want)
 }
 
 // TestSolvesMatchReferenceBitForBit is the kernel's arithmetic oracle:
@@ -474,7 +513,7 @@ func TestSolvesMatchReferenceBitForBit(t *testing.T) {
 				other := (pos + 1) % m
 				nIdx, nVal = colIdx[other], colVal[other]
 			}
-			f.ftranColumn(nIdx, nVal, w)
+			ftranRows(f, nIdx, nVal, w)
 			if !singular && math.Abs(w[pos]) < 1e-4 {
 				continue
 			}
@@ -526,7 +565,11 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	}
 	f := newLUFactor(m)
 	colIdx, colVal := make([][]int32, m), make([][]float64, m)
-	w, y := make([]float64, m), make([]float64, m)
+	w, c, y := make([]float64, m), make([]float64, m), make([]float64, m)
+	steps, nz := make([]int32, 0, m), make([]int32, 0, m)
+	for i := range c {
+		c[i] = float64(i%3) - 1
+	}
 	updates := 0
 	run := func() {
 		copy(colIdx, baseIdx)
@@ -535,15 +578,16 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 			t.Fatal("factorization failed")
 		}
 		for _, r := range stream {
-			f.ftranColumn(r.idx, r.val, w)
+			steps = steps[:0]
+			for _, i := range r.idx {
+				steps = append(steps, f.rowStep[i])
+			}
+			nz = f.ftranStep(steps, r.val, w, nz)
 			if math.Abs(w[r.pos]) < 1e-4 {
 				continue
 			}
-			for i := range y {
-				y[i] = float64(i%3) - 1
-			}
-			f.btran(y)
-			f.btranUnit(r.pos, y)
+			y = f.btranStep(c, y)
+			y = f.btranUnitStep(r.pos, y)
 			colIdx[r.pos], colVal[r.pos] = r.idx, r.val
 			if !f.update(int32(r.pos), w[r.pos]) || f.shouldRefactor() {
 				if fr, _ := f.factorize(colIdx, colVal); fr != nil {
@@ -596,7 +640,6 @@ func BenchmarkFtranBtran(b *testing.B) {
 	s := &sv.s
 	f, m := &s.lu, s.m
 	enter := slices.IndexFunc(s.status[:s.n], func(st varStatus) bool { return st != basic })
-	idx, val := s.column(enter)
 	x, src := make([]float64, m), make([]float64, m)
 	for i := range src {
 		src[i] = float64(i%7) - 3
@@ -604,13 +647,13 @@ func BenchmarkFtranBtran(b *testing.B) {
 	b.Run("column", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.ftranColumn(idx, val, x)
+			s.ftranEntering(enter)
 		}
 	})
 	b.Run("unit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.btranUnit(i%m, x)
+			x = f.btranUnitStep(i%m, x)
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
@@ -618,8 +661,7 @@ func BenchmarkFtranBtran(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(x, src)
 			f.ftran(x)
-			copy(x, src)
-			f.btran(x)
+			x = f.btranStep(src, x)
 		}
 	})
 }

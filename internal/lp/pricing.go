@@ -39,7 +39,8 @@ func priceWindow(n int) int {
 	return w
 }
 
-// price selects an entering variable given the duals y. cost may be nil,
+// price selects an entering variable given the duals y (in step space,
+// see stepDot). cost may be nil,
 // meaning the all-zero cost vector (used by the composite phase 1, whose
 // objective lives entirely in the duals). It returns the entering index
 // and its direction of motion, or (-1, 0) if no column prices out — which,
@@ -101,7 +102,7 @@ func (s *simplex) priceOne(j int, cost []float64, y []float64) (float64, float64
 	if boundsFixed(s.lo[j], s.hi[j]) && !math.IsInf(s.lo[j], 0) {
 		return 0, 0 // fixed variable can never improve
 	}
-	d := -s.colDot(j, y)
+	d := -s.stepDot(j, y)
 	if cost != nil {
 		d += cost[j]
 	}
@@ -135,9 +136,8 @@ func (s *simplex) devexUpdate(enter, leaveRow int, wr float64) {
 	s.buildCSR()
 	s.gammaMoved = true
 	gq := s.gamma[enter]
-	rho := s.y
-	s.lu.btranUnit(leaveRow, rho)
-	s.pivotRow(rho)
+	s.y = s.lu.btranUnitStep(leaveRow, s.y)
+	s.pivotRow(s.y)
 	inv2 := gq / (wr * wr)
 	grew := false
 	for _, j32 := range s.alphaNnz {

@@ -110,6 +110,12 @@ type simplex struct {
 	// Sparse constraint matrix, structural columns only; slack columns
 	// are unit vectors handled implicitly.
 	colMatrix
+	// stepRow is colRow in the step space of the current factorization
+	// (stepRow[k] = lu.rowStep[colRow[k]]), rebuilt by factorizeBasis, the
+	// only caller of factorize: rowStep moves nowhere else. Pricing, the
+	// phase-1 slope and computeDuals dot columns against y through it, and
+	// the entering column scatters into FTRAN through it.
+	stepRow []int32
 
 	rhs []float64
 
@@ -145,9 +151,17 @@ type simplex struct {
 	gammaMoved bool
 
 	// scratch buffers
-	y        []float64 // duals (BTRAN result)
-	w        []float64 // FTRAN spike B^-1 a_j
-	cb       []float64 // basic costs, position space
+	// y is the last BTRAN result in step space (y of row i at
+	// lu.rowStep[i]): the duals B⁻ᵀc_B, or ρ = B⁻ᵀe_r for a pivot row. It
+	// trades storage with lu.work on every BTRAN (see btranStep).
+	y []float64
+	// w is B⁻¹a_enter by basis position, and wNnz the positions of its
+	// entries above dropTol, ascending; both come out of ftranStep.
+	w []float64
+	// cb holds the basic costs in step space: the cost of the variable at
+	// basis position pos is cb[lu.colStep[pos]], so BTRAN starts with a
+	// copy. colStep moves only in factorize, which every refill follows.
+	cb       []float64
 	resid    []float64
 	wNnz     []int32
 	p1events []p1event
@@ -193,6 +207,7 @@ func (s *simplex) bind(p *Problem, roomN, roomM, roomNnz int) {
 	s.alphaNnz, s.csr = s.alphaNnz[:0], false
 	s.p, s.m, s.n, s.nTotal = p, m, n, total
 	s.fill(p.rows, n, roomN, roomNnz)
+	s.stepRow = fit(s.stepRow, len(s.colRow), roomNnz)
 
 	s.rhs = fit(s.rhs, m, roomM)
 	s.lo = fit(s.lo, total, roomT)
@@ -299,35 +314,42 @@ func (s *simplex) column(j int) ([]int32, []float64) {
 // ftranEntering computes w = B⁻¹a_enter into s.w, saving the spike for
 // the Forrest–Tomlin update that follows the pivot, and lists the
 // positions of w's entries above dropTol in s.wNnz, ascending (the ratio
-// tests break ties in that order). The compaction writes every position
-// and advances the cursor only past the kept ones, so it has no
-// data-dependent branch.
+// tests break ties in that order). The column reaches FTRAN by step:
+// a structural through stepRow, a slack through rowStep.
 func (s *simplex) ftranEntering(enter int) {
-	idx, val := s.column(enter)
-	s.lu.ftranColumn(idx, val, s.w)
-	nz, n := s.wNnz[:s.m], 0
-	for i, v := range s.w {
-		nz[n] = int32(i)
-		if math.Abs(v) > dropTol {
-			n++
-		}
+	var idx []int32
+	var val []float64
+	if enter < s.n {
+		lo, hi := s.colStart[enter], s.colStart[enter+1]
+		idx, val = s.stepRow[lo:hi], s.colVal[lo:hi]
+	} else {
+		r := enter - s.n
+		idx, val = s.lu.rowStep[r:r+1], s.slackVal[r:r+1]
 	}
-	s.wNnz = nz[:n]
+	s.wNnz = s.lu.ftranStep(idx, val, s.w, s.wNnz)
 }
 
-// colDot returns a_j · y for column j.
-func (s *simplex) colDot(j int, y []float64) float64 {
+// stepDot returns a_j · y for column j and y in step space, summing in
+// the column's row order.
+func (s *simplex) stepDot(j int, y []float64) float64 {
 	if j < s.n {
 		var d float64
 		lo, hi := s.colStart[j], s.colStart[j+1]
-		idx := s.colRow[lo:hi]
+		idx := s.stepRow[lo:hi]
 		val := s.colVal[lo:hi]
 		for k := range idx {
 			d += val[k] * y[idx[k]]
 		}
 		return d
 	}
-	return y[j-s.n]
+	return y[s.lu.rowStep[j-s.n]]
+}
+
+// fillCB writes the basic costs of the current basis into cb, by step.
+func (s *simplex) fillCB(cost []float64) {
+	for pos, v := range s.basis {
+		s.cb[s.lu.colStep[pos]] = cost[v]
+	}
 }
 
 // restValue returns the value a nonbasic variable rests at.
@@ -475,6 +497,9 @@ func (s *simplex) factorizeBasis() bool {
 		failRows, failCols := s.lu.factorize(s.fcolIdx, s.fcolVal)
 		if failRows == nil {
 			s.refactors++
+			for k, r := range s.colRow {
+				s.stepRow[k] = s.lu.rowStep[r]
+			}
 			return true
 		}
 		if attempt < 2 {
@@ -831,20 +856,18 @@ restart:
 		sol.Objective = objv
 	}
 	if st == StatusOptimal && s.m > 0 {
-		// Row duals y = B⁻ᵀc_B, converted from the internal minimization
-		// form back to the problem's stated direction.
-		for i := 0; i < s.m; i++ {
-			s.cb[i] = s.cost[s.basis[i]]
-		}
-		copy(s.y, s.cb)
-		s.lu.btran(s.y)
+		// Row duals y = B⁻ᵀc_B, converted to rows from step space and from
+		// the internal minimization form back to the problem's stated
+		// direction.
+		s.fillCB(s.cost)
+		s.y = s.lu.btranStep(s.cb, s.y)
 		sign := 1.0
 		if s.p.Dir == Maximize {
 			sign = -1.0
 		}
 		sol.Duals = make([]float64, s.m)
 		for i := range sol.Duals {
-			d := sign * s.y[i]
+			d := sign * s.y[s.lu.rowStep[i]]
 			if math.Abs(d) < zeroTol {
 				d = 0
 			}
@@ -933,14 +956,12 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 	stallWins := 0
 	sinceCheck := 0
 
-	// Phase 2's basic costs in position space are filled here and after a
-	// refactorization (whose repair may re-seat the basis); in between, a
-	// pivot changes them at the leaving position only.
+	// Phase 2's basic costs are filled here and after a refactorization
+	// (whose repair may re-seat the basis, and which renumbers the steps);
+	// in between, a pivot changes them at the leaving position's step only.
 	fillCB := func() {
 		if !phase1 {
-			for i, v := range s.basis {
-				s.cb[i] = cost[v]
-			}
+			s.fillCB(cost)
 		}
 	}
 	refresh := func() bool {
@@ -996,21 +1017,22 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 		}
 		s.iter++
 
-		// Basic costs in position space: the phase-1 objective is the
-		// total violation, whose gradient on basic variables is ±1.
+		// Basic costs in step space: the phase-1 objective is the total
+		// violation, whose gradient on basic variables is ±1.
 		if phase1 {
 			any := false
+			colStep := s.lu.colStep
 			for i := 0; i < m; i++ {
 				v := s.basis[i]
 				switch {
 				case s.xB[i] < s.lo[v]-feasTol:
-					s.cb[i] = -1
+					s.cb[colStep[i]] = -1
 					any = true
 				case s.xB[i] > s.hi[v]+feasTol:
-					s.cb[i] = 1
+					s.cb[colStep[i]] = 1
 					any = true
 				default:
-					s.cb[i] = 0
+					s.cb[colStep[i]] = 0
 				}
 			}
 			if !any {
@@ -1018,9 +1040,8 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 			}
 		}
 
-		// BTRAN: y = B^-T c_B.
-		copy(s.y, s.cb)
-		s.lu.btran(s.y)
+		// BTRAN: y = B^-T c_B, in step space.
+		s.y = s.lu.btranStep(s.cb, s.y)
 
 		// Pricing: pick the entering variable.
 		var pcost []float64
@@ -1043,7 +1064,7 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 		var t float64
 		var leaveToUpper bool
 		if phase1 {
-			slope0 := enterDir * -s.colDot(enter, s.y)
+			slope0 := enterDir * -s.stepDot(enter, s.y)
 			leave, t, leaveToUpper = s.ratioTestPhase1(enter, enterDir, slope0, useBland)
 		} else {
 			leave, t, leaveToUpper = s.ratioTest(enter, enterDir, useBland)
@@ -1117,7 +1138,7 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 		s.xB[leave] = newEnterVal
 		s.value[enter] = newEnterVal
 		if !phase1 {
-			s.cb[leave] = cost[enter]
+			s.cb[s.lu.colStep[leave]] = cost[enter]
 		}
 
 		// Factorization update: apply the Forrest–Tomlin update, or

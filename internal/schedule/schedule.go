@@ -136,7 +136,11 @@ func (s *Schedule) TotalBytesSent() float64 {
 	return total
 }
 
-const fracTol = 1e-6
+// FracTol is the slack Validate allows a chunk fraction: LP-derived
+// schedules carry solver noise, so a fraction, a held amount or a
+// delivered total counts as reached within FracTol of it. sim.Run
+// honours the same slack.
+const FracTol = 1e-6
 
 // Validate checks the schedule end to end:
 //
@@ -164,7 +168,7 @@ func (s *Schedule) Validate() error {
 		if s.NumEpochs > 0 && snd.Epoch >= s.NumEpochs {
 			return fmt.Errorf("send %d: epoch %d beyond horizon %d", i, snd.Epoch, s.NumEpochs)
 		}
-		if snd.Fraction <= 0 || snd.Fraction > 1+fracTol {
+		if snd.Fraction <= 0 || snd.Fraction > 1+FracTol {
 			return fmt.Errorf("send %d: fraction %g out of (0,1]", i, snd.Fraction)
 		}
 		if int(snd.Link) < 0 || int(snd.Link) >= t.NumLinks() {
@@ -288,7 +292,7 @@ func (s *Schedule) Validate() error {
 
 			lk := fmt.Sprintf("%d/%d/%d", snd.Link, snd.Src, snd.Chunk)
 			perLink[lk] += snd.Fraction
-			if perLink[lk] > avail+fracTol {
+			if perLink[lk] > avail+FracTol {
 				return fmt.Errorf("epoch %d: link %d carries %g of chunk (%d,%d) but only %g is held",
 					epoch, snd.Link, perLink[lk], snd.Src, snd.Chunk, avail)
 			}
@@ -303,7 +307,7 @@ func (s *Schedule) Validate() error {
 				if !t.IsSwitch(l.Src) {
 					used = usedNoCopy[n][key]
 				}
-				if perNodeOut[k2]+used > avail+fracTol {
+				if perNodeOut[k2]+used > avail+FracTol {
 					return fmt.Errorf("epoch %d: node %d duplicates chunk (%d,%d) without copy support",
 						epoch, n, snd.Src, snd.Chunk)
 				}
@@ -331,7 +335,7 @@ func (s *Schedule) Validate() error {
 				if !d.Wants(src, c, dst) {
 					continue
 				}
-				if delivered[dst][chunkKey(src, c)] < 1-fracTol {
+				if delivered[dst][chunkKey(src, c)] < 1-FracTol {
 					return fmt.Errorf("demand unmet: dst %d holds %.4f of chunk (%d,%d)",
 						dst, delivered[dst][chunkKey(src, c)], src, c)
 				}

@@ -52,16 +52,21 @@ func (a *arrivalList) add(t, f float64) {
 }
 
 // timeAtFraction returns the earliest time the cumulative arrived fraction
-// reaches f, or +Inf if it never does.
+// reaches f, or +Inf if it never does. Reaching means within 1e-9 or,
+// failing that, within schedule.FracTol — the slack schedule.Validate
+// grants — so a schedule Validate accepts runs, and one that reaches f
+// within 1e-9 keeps the time it always had.
 func (a *arrivalList) timeAtFraction(f float64) float64 {
 	if f <= 1e-12 {
 		return 0
 	}
-	var cum float64
-	for i, t := range a.times {
-		cum += a.fracs[i]
-		if cum >= f-1e-9 {
-			return t
+	for _, tol := range []float64{1e-9, schedule.FracTol} {
+		var cum float64
+		for i, t := range a.times {
+			cum += a.fracs[i]
+			if cum >= f-tol {
+				return t
+			}
 		}
 	}
 	return math.Inf(1)
