@@ -152,14 +152,15 @@ identity:
 	bash scripts/identity.sh "$(PARENT)"
 
 # The paired-run evidence of a change that claims a gain, or must not
-# move a metric: `make pair PARENT=<ref> [WORKLOAD=<name>] [PAIRS=<n>]`
-# exports the parent commit like `identity`, runs n (default 10) pairs of
-# fresh benchmark processes per workload (default all four), parent and
-# working tree alternating and the side that starts rotated, and prints
+# move a metric: `make pair PARENT=<ref> [WORKLOAD=<name>] [PAIRS=<n>]
+# [SEED=<s>]` exports the parent commit like `identity`, runs n (default
+# 10) pairs of fresh benchmark processes per workload (default all four)
+# on benchmark seed s (default 1), parent and working tree alternating
+# and the side that starts rotated, and prints
 # CHANGES.md's `median [q1, q3] | delta | wins | bound | inside` row for
 # each of the eight end-to-end metrics, every run's reading, and the
 # hypervisor steal over the runs (scripts/pair.sh). About a minute per
 # pair. Not part of `ci`.
 pair:
-	@test -n "$(PARENT)" || { echo "usage: make pair PARENT=<ref> [WORKLOAD=<name>] [PAIRS=<n>]"; exit 2; }
-	bash scripts/pair.sh "$(PARENT)" $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS))
+	@test -n "$(PARENT)" || { echo "usage: make pair PARENT=<ref> [WORKLOAD=<name>] [PAIRS=<n>] [SEED=<s>]"; exit 2; }
+	bash scripts/pair.sh "$(PARENT)" $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))

@@ -231,7 +231,10 @@ func TestLPModelRowIndexes(t *testing.T) {
 // no column on the down link, and no τ, δ/κ, horizon or bound that still
 // sees it. The added duplex is made much faster and much slower than the
 // fabric, so an estimate that read a down link under either epoch mode
-// would move τ and the capacity right-hand sides with it.
+// would move τ and the capacity right-hand sides with it. The relation
+// holds for every model emit states: the monolithic LP (prepLP), the
+// first and the final rolling-horizon window opened from the initial
+// boundary, and a model grown by appendDemand.
 func TestDownedLinkEqualsNeverAdded(t *testing.T) {
 	const capacity, alpha = 25e9, 0.6e-6
 	type fabric struct {
@@ -284,8 +287,72 @@ func TestDownedLinkEqualsNeverAdded(t *testing.T) {
 					if live := prepLP(grown, d, opt); bites && live.m.p.EqualTo(never.m.p) {
 						t.Errorf("%s: the live added link changes nothing; the relation measures nothing", name)
 					}
+					checkWindowsEqual(t, name, fb.t, downed, d, opt)
+					// The append path refuses a multicast incumbent before
+					// it reads the topology, so only the unicast demand
+					// gets that far.
+					if dname == "alltoall" {
+						checkAppendEqual(t, name, fb.t, downed, d, g[0], opt)
+					}
 				}
 			}
 		}
+	}
+}
+
+// checkWindowsEqual requires the first and the final rolling-horizon
+// window of (downed, d), each opened from the initial boundary, to state
+// the windows (never, d) states.
+func checkWindowsEqual(t *testing.T, name string, never, downed *topo.Topology, d *collective.Demand, opt Options) {
+	t.Helper()
+	wn, wd := NewWindowInstance(never, d, opt), NewWindowInstance(downed, d, opt)
+	K := wn.Epochs()
+	if wd.Epochs() != K {
+		t.Errorf("%s: window horizon %d, never-linked %d", name, wd.Epochs(), K)
+		return
+	}
+	span := max(1, K/2)
+	for _, w := range []struct {
+		lo, hi int
+		final  bool
+	}{{0, span, false}, {K - span, K, true}} {
+		a, err := wn.BuildWindow(w.lo, w.hi, w.final, wn.InitialBoundary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := wd.BuildWindow(w.lo, w.hi, w.final, wd.InitialBoundary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !b.P.EqualTo(a.P) {
+			t.Errorf("%s: window [%d,%d) final=%v with the added link down differs from the never-linked one (%d×%d vs %d×%d)",
+				name, w.lo, w.hi, w.final, b.P.NumRows(), b.P.NumVars(), a.P.NumRows(), a.P.NumVars())
+		}
+	}
+}
+
+// checkAppendEqual appends src's demand of d through appendDemand onto
+// the model of d without src's demand, on never and on downed at the
+// horizon d itself needs, and requires the two grown models to be equal.
+func checkAppendEqual(t *testing.T, name string, never, downed *topo.Topology, d *collective.Demand, src int, opt Options) {
+	t.Helper()
+	opt.Epochs = prepLP(never, d, opt).in.K
+	grow := func(tp *topo.Topology) *lp.Problem {
+		base, add := d.Clone(), collective.New(d.NumNodes(), d.NumChunks(), d.ChunkBytes)
+		for dst := 0; dst < d.NumNodes(); dst++ {
+			for _, c := range d.DestWantsFromSource(src, dst) {
+				add.Set(src, c, dst)
+			}
+			base.DropPair(src, dst)
+		}
+		m := prepLP(tp, base, opt).m
+		if err := m.appendDemand(add); err != nil {
+			t.Fatalf("%s: appending source %d on %s: %v", name, src, tp.Name, err)
+		}
+		return m.p
+	}
+	if a, b := grow(never), grow(downed); !b.EqualTo(a) {
+		t.Errorf("%s: source %d appended with the added link down differs from the never-linked append (%d×%d vs %d×%d)",
+			name, src, b.NumRows(), b.NumVars(), a.NumRows(), a.NumVars())
 	}
 }

@@ -200,11 +200,19 @@ func FuzzReplanRequest(f *testing.F) {
 	f.Add([]byte(`{"session_id":"s1","delta":{"links_down":[0]}}`))
 	f.Add([]byte(`{"session_id":"s1","delta":{"nodes_down":[3],"drop_pairs":[{"src":3,"dst":0}]}}`))
 	f.Add([]byte(`{"session_id":"s1","delta":{"scale":[{"link":1,"capacity":0.8,"alpha":3}]}}`))
+	f.Add([]byte(`{"session_id":"s1","delta":{"scale":[{"link":1,"capacity":1e300},{"link":1,"capacity":1e300}]}}`))
 	f.Add([]byte(`{"session_id":"s1","delta":{"add_nodes":[{"name":"x"}],"add_links":[{"src":0,"dst":8,"capacity":1e9},{"src":8,"dst":0,"capacity":1e9}]}}`))
 	f.Add([]byte(`{"session_id":"s1","delta":{"add_demand":{"num_nodes":9,"num_chunks":1,"chunk_bytes":1}}}`))
 	f.Add([]byte(`{"session_id":"s1","delta":{"drop_pairs":[{"src":0,"dst":99}]}}`))
 	f.Add([]byte(`{"session_id":"s2","delta":{}}`))
 	f.Add(addNodesReplanRequest(maxTopologyNodes + 1 - topo.DGX1().NumNodes()))
+	// Duplicate links: twice within one delta, over a live link, and over
+	// a live link the same delta downs (added links are checked against
+	// the topology before the delta, so all three are 400s).
+	l0 := topo.DGX1().Link(0)
+	f.Add([]byte(`{"session_id":"s1","delta":{"add_nodes":[{"name":"x"}],"add_links":[{"src":8,"dst":0,"capacity":1e9},{"src":8,"dst":0,"capacity":2e9}]}}`))
+	f.Add([]byte(fmt.Sprintf(`{"session_id":"s1","delta":{"add_links":[{"src":%d,"dst":%d,"capacity":1e9}]}}`, l0.Src, l0.Dst)))
+	f.Add([]byte(fmt.Sprintf(`{"session_id":"s1","delta":{"links_down":[0],"add_links":[{"src":%d,"dst":%d,"capacity":1e9}]}}`, l0.Src, l0.Dst)))
 	s := New(Options{})
 	defer s.Close()
 	sess, err := s.pool.get(topo.DGX1())

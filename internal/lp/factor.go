@@ -40,29 +40,36 @@ package lp
 // caller's buffer as the next work vector, so no pass moves y anywhere.
 //
 // Cost of a solve. FTRAN (solve B·w = a) and BTRAN (solve Bᵀ·y = c) are
-// dense-vector solves that skip what is empty or zero, not
-// reach-driven ones: each costs O(m + touched nonzeros), never O(m²).
-// The O(m) part is the way in and out of step space — ftran gathers in
-// and scatters out, ftranStep clears in and gathers out (w and its
-// nonzero list together), btranStep copies in, btranUnitStep clears in —
-// and one sweep of U's m rows in elimination order (btranUnitStep starts
-// it at the unit's position) that loads the row's entry and, in FTRAN,
-// its length. The rest is per nonzero: the L passes walk only the
-// columns that have multipliers (lStep), the scatter passes (L forward,
-// Uᵀ, the eta transposes) skip a column whose entry is zero, and no row
-// whose entry is zero is divided by its diagonal. Every sum keeps the
-// term order a full sweep would give it, so results are those of the
-// sweeping solves to the bit — refFactor in factor_test.go is that
-// sweep, and the test beside it holds the two together — except that a
-// skipped division leaves a zero's sign alone where 0/d could flip it.
+// dense-vector solves that skip what is empty or zero, not reach-driven
+// ones: each costs O(m + touched nonzeros), never O(m²). The O(m) part
+// is the way in and out of step space — ftran gathers in and scatters
+// out, ftranStep clears in and gathers out (w and its nonzero list
+// together), btranStep copies in, btranUnitStep clears in — and one walk
+// of U's m rows in elimination order (btranUnitStep starts it at the
+// unit's position) that loads each row's entry, plus, when FTRAN saves
+// the spike, one copy of the vector. The rest is per nonzero: the L
+// passes walk only the columns that have multipliers (lStep), the scatter
+// passes (L forward, Uᵀ, the eta transposes) skip a column whose entry is
+// zero, and FTRAN's U pass is output-sensitive in its gathers. A row of
+// U gathers and divides only if its entry is nonzero or it was marked:
+// each row whose result comes out nonzero marks, through uColRows, the
+// rows still to come that carry its column and whose entry is zero. So
+// uColRows must list every off-diagonal entry (a missing one is a wrong
+// answer, not a wrong bit), and the mark array is all-false between
+// solves, each marked row clearing its own mark when the walk reaches it.
+// Every sum keeps the term order a full sweep would give it, so results
+// are those of the sweeping solves to the bit — refFactor in
+// factor_test.go is that sweep, and the test beside it holds the two
+// together — except that a skipped row or division leaves a zero's sign
+// alone where 0/d could flip it.
 //
 // Passes over m per simplex iteration. A phase-2 primal iteration makes
-// five: btranStep's copy of cb and its Uᵀ sweep, ftranStep's clear, U
-// sweep and gather. Phase 1 adds the scan that sets cb, and the devex
-// update (m ≥ devexMinRows) a unit BTRAN's clear and sweep plus
+// six: btranStep's copy of cb and its Uᵀ walk, ftranStep's clear, spike
+// copy, U walk and gather. Phase 1 adds the scan that sets cb, and the
+// devex update (m ≥ devexMinRows) a unit BTRAN's clear and walk plus
 // pivotRow's scan of ρ, read through rowStep in row order. A dual
-// iteration makes seven: the leaving-row scan, the unit BTRAN's clear and
-// sweep, pivotRow's scan and the entering FTRAN's three. Pricing and the
+// iteration makes eight: the leaving-row scan, the unit BTRAN's clear and
+// walk, pivotRow's scan and the entering FTRAN's four. Pricing and the
 // duals dot columns against y by step through simplex.stepRow, which
 // each successful factorize costs one pass over the matrix nonzeros to
 // rebuild; Solution.Duals go back to rows once, at the end of a solve.
@@ -147,9 +154,12 @@ type luFactor struct {
 	uDiag []float64
 
 	// uColRows[c] lists the rows carrying an off-diagonal entry at column
-	// c, so updates can splice a column out without scanning all rows.
-	// Entries may be stale (a row edit does not eagerly prune the lists
-	// of its old columns); consumers verify against the row itself.
+	// c: FTRAN's U pass marks the rows to gather through it, and updates
+	// splice a column out without scanning all rows. It must be complete.
+	// Entries may be stale — retiring a row does not prune the lists of
+	// its old columns — but a stale entry names a row ordered after c
+	// (retired rows move to the end), which the U pass has already passed
+	// and the splice verifies against the row itself.
 	uColRows [][]int32
 
 	// order is the triangular elimination order of the steps: row
@@ -197,6 +207,7 @@ type luFactor struct {
 	spike    []float64
 	spikeNnz []int32
 	acc      []float64 // update elimination accumulator, kept all-zero
+	mark     []bool    // FTRAN's U pass: rows to gather, kept all-false
 
 	// Elimination workspace, retained across factorizations so the hot
 	// refactorization path reuses grown backing arrays instead of
@@ -219,8 +230,8 @@ func (f *luFactor) rNnz() int { return len(f.etaIdx) }
 // bind sizes the factor for bases of m columns in the storage it holds
 // (fresh storage gets room for a basis of `room`): every fixed-length
 // array is resliced, and the row and column lists keep what their entries
-// have grown to. factorize rebuilds all of it but acc, whose all-zero
-// invariant holds over its whole capacity.
+// have grown to. factorize rebuilds all of it but acc and mark, whose
+// all-zero invariants hold over their whole capacity.
 func (f *luFactor) bind(m, room int) {
 	f.m = m
 	f.uIdx, f.uVal = fitKeep(f.uIdx, m, room), fitKeep(f.uVal, m, room)
@@ -230,6 +241,7 @@ func (f *luFactor) bind(m, room int) {
 	f.pivRow, f.pivCol = fit(f.pivRow, m, room), fit(f.pivCol, m, room)
 	f.colStep, f.rowStep = fit(f.colStep, m, room), fit(f.rowStep, m, room)
 	f.work, f.spike, f.acc = fit(f.work, m, room), fit(f.spike, m, room), fit(f.acc, m, room)
+	f.mark = fit(f.mark, m, room)
 	f.spikeNnz = fit(f.spikeNnz, m, room)[:0]
 	f.wsRowsIdx, f.wsRowsVal = fitKeep(f.wsRowsIdx, m, room), fitKeep(f.wsRowsVal, m, room)
 	f.wsColRows = fitKeep(f.wsColRows, m, room)
@@ -653,37 +665,50 @@ func (f *luFactor) ftranWork(save bool) {
 		}
 		work[e.t] = acc
 	}
-	// U backward (gather) in elimination order. When save is set, the
-	// same sweep records the spike — work[k] as L and the row etas left
-	// it, which row k's own step is the first to overwrite — for the
-	// Forrest–Tomlin update that follows. spikeNnz comes out in reverse
+	// U backward (gather) in elimination order, over the rows that can be
+	// nonzero: a row's result is nonzero only if its entry is, or if one
+	// of its columns' results is, so each row whose result comes out
+	// nonzero marks the zero-entry rows of its column (uColRows) still to
+	// come. A row neither nonzero nor marked keeps its zero, which is the
+	// sweep's result up to the sign of 0/d. When save is set, the spike —
+	// work as L and the row etas left it — is saved for the Forrest–Tomlin
+	// update that follows, and spikeNnz lists its nonzeros in reverse
 	// elimination order; update reads it through a max and through
 	// splices into distinct rows, so its order is free.
-	spike, nz, n := f.spike, f.spikeNnz[:cap(f.spikeNnz)], 0
+	if save {
+		copy(f.spike, work)
+	}
+	mark, stepPos := f.mark, f.stepPos
+	nz, n := f.spikeNnz[:cap(f.spikeNnz)], 0
 	for q := m - 1; q >= 0; q-- {
 		k := f.order[q]
 		v := work[k]
+		if v == 0 && !mark[k] {
+			continue
+		}
+		mark[k] = false
 		if save {
-			spike[k] = v
 			nz[n] = k
 			if v != 0 {
 				n++
 			}
 		}
-		idx := f.uIdx[k]
-		if len(idx) == 0 {
-			// A zero entry is left as it is: 0/d is ±0, and no comparison,
-			// math.Abs, product or sum downstream tells +0 from −0.
-			if v != 0 {
-				work[k] = v / f.uDiag[k]
-			}
-			continue
-		}
 		val := f.uVal[k]
-		for ki, c := range idx {
+		for ki, c := range f.uIdx[k] {
 			v -= val[ki] * work[c]
 		}
-		work[k] = v / f.uDiag[k]
+		v /= f.uDiag[k]
+		work[k] = v
+		if v == 0 {
+			continue
+		}
+		// Every row that carries column k is ordered before it; a stale
+		// entry names a retired row ordered after it, already passed.
+		for _, r := range f.uColRows[k] {
+			if work[r] == 0 && stepPos[r] < int32(q) {
+				mark[r] = true
+			}
+		}
 	}
 	if save {
 		f.spikeNnz = nz[:n]

@@ -399,12 +399,17 @@ func (r *refFactor) btran(x []float64) {
 
 // sameBits requires got to be want component by component, to the bit,
 // except that a zero may carry either sign (the reference produces some
-// of its zeros as 0/d).
+// of its zeros as 0/d). The zero patterns must agree: a component the
+// reference computes nonzero that got left zero is a row the FTRAN's U
+// pass skipped although one of its columns came out nonzero.
 func sameBits(t *testing.T, tag string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if got[i] == 0 && want[i] == 0 {
 			continue
+		}
+		if got[i] == 0 {
+			t.Fatalf("%s: component %d is zero, reference %v: a row that can be nonzero was skipped", tag, i, want[i])
 		}
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: component %d is %v (%#x), reference %v (%#x)",
@@ -446,6 +451,11 @@ func checkAgainstReference(t *testing.T, f *luFactor, rng *rand.Rand, tag string
 			t.Fatalf("%s: ftranStep(%s) listed positions %v, want %v", tag, kind, nz, kept)
 		}
 		sameBits(t, tag+": spike("+kind+")", f.spike, ref.spike)
+		for i := 1; i < len(f.spikeNnz); i++ {
+			if f.stepPos[f.spikeNnz[i-1]] <= f.stepPos[f.spikeNnz[i]] {
+				t.Fatalf("%s: spikeNnz(%s) = %v is not in reverse elimination order", tag, kind, f.spikeNnz)
+			}
+		}
 		a := append([]int32(nil), f.spikeNnz...)
 		b := append([]int32(nil), ref.spikeNnz...)
 		slices.Sort(a)
@@ -456,8 +466,10 @@ func checkAgainstReference(t *testing.T, f *luFactor, rng *rand.Rand, tag string
 	}
 	idx, val := randSparseCol(rng, m, 2.0/float64(m))
 	column("sparse", idx, val)
+	checkMarksClear(t, f, tag+": ftranStep(sparse)")
 	unit := int32(rng.Intn(m))
 	column("unit", []int32{unit}, []float64{1})
+	checkMarksClear(t, f, tag+": ftranStep(unit)")
 
 	for i := range got {
 		got[i] = rng.NormFloat64()
@@ -470,6 +482,7 @@ func checkAgainstReference(t *testing.T, f *luFactor, rng *rand.Rand, tag string
 	f.ftran(got)
 	ref.ftranInto(want, false)
 	sameBits(t, tag+": ftran(dense)", got, want)
+	checkMarksClear(t, f, tag+": ftran(dense)")
 
 	copy(want, dense)
 	btranRows(f, dense, got)
@@ -485,6 +498,69 @@ func checkAgainstReference(t *testing.T, f *luFactor, rng *rand.Rand, tag string
 	stepsToRows(f, f.btranUnitStep(int(unit), y), got)
 	ref.btran(want)
 	sameBits(t, tag+": btranUnitStep", got, want)
+}
+
+// checkMarksClear requires the FTRAN's mark array to be all-false over its
+// whole capacity, as every U pass must leave it.
+func checkMarksClear(t *testing.T, f *luFactor, tag string) {
+	t.Helper()
+	if i := slices.Index(f.mark[:cap(f.mark)], true); i >= 0 {
+		t.Fatalf("%s: mark[%d] left set", tag, i)
+	}
+}
+
+// checkColRows requires uColRows to list the row of every off-diagonal U
+// entry under its column. The FTRAN's U pass marks the rows to gather
+// through these lists, so a missing row is a wrong answer, not a wrong
+// bit; stale entries are allowed.
+func checkColRows(t *testing.T, f *luFactor, tag string) {
+	t.Helper()
+	for k := 0; k < f.m; k++ {
+		for _, c := range f.uIdx[k] {
+			if !slices.Contains(f.uColRows[c], int32(k)) {
+				t.Fatalf("%s: U entry (%d, %d) is missing from uColRows[%d] = %v", tag, k, c, c, f.uColRows[c])
+			}
+		}
+	}
+}
+
+// TestUColRowsComplete drives random Forrest–Tomlin update streams
+// through refactorizations and checks, after every update and every
+// factorize, that uColRows covers every off-diagonal entry of U.
+func TestUColRowsComplete(t *testing.T) {
+	for _, m := range []int{12, 60, 250} {
+		rng := rand.New(rand.NewSource(int64(m) * 6151))
+		colIdx, colVal := randBasisCols(rng, m, 3.0/float64(m))
+		f := newLUFactor(m)
+		if fr, _ := f.factorize(colIdx, colVal); fr != nil {
+			t.Fatalf("m=%d: initial factorization failed", m)
+		}
+		checkColRows(t, f, fmt.Sprintf("m=%d fresh", m))
+		w := make([]float64, m)
+		refactors := 0
+		for step := 0; step < 20*m && f.statUpdates < 300; step++ {
+			pos := rng.Intn(m)
+			nIdx, nVal := randSparseCol(rng, m, 2.0/float64(m))
+			ftranRows(f, nIdx, nVal, w)
+			if math.Abs(w[pos]) < 1e-4 {
+				continue
+			}
+			colIdx[pos], colVal[pos] = nIdx, nVal
+			tag := fmt.Sprintf("m=%d step=%d", m, step)
+			if f.update(int32(pos), w[pos]) && !f.shouldRefactor() {
+				checkColRows(t, f, tag+" updated")
+				continue
+			}
+			if fr, _ := f.factorize(colIdx, colVal); fr != nil {
+				t.Fatalf("%s: refactorization failed", tag)
+			}
+			refactors++
+			checkColRows(t, f, tag+" refactorized")
+		}
+		if f.statUpdates < 100 || refactors == 0 {
+			t.Fatalf("m=%d: %d updates, %d refactorizations; the stream exercised too little", m, f.statUpdates, refactors)
+		}
+	}
 }
 
 // TestSolvesMatchReferenceBitForBit is the kernel's arithmetic oracle:
@@ -612,7 +688,8 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 // absorbed about fifty Forrest–Tomlin updates since its last
 // refactorization: column is the entering-column FTRAN (spike saved),
 // unit the pivot-row BTRAN, dense an FTRAN plus a BTRAN of a dense
-// vector. None allocates.
+// vector. column-fresh is column again once the same basis has been
+// refactorized, the other end of the update file. None allocates.
 func BenchmarkFtranBtran(b *testing.B) {
 	p, _, _ := dgx1AllToAllLP(10)
 	var sv Solver
@@ -662,6 +739,15 @@ func BenchmarkFtranBtran(b *testing.B) {
 			copy(x, src)
 			f.ftran(x)
 			x = f.btranStep(src, x)
+		}
+	})
+	if !s.factorizeBasis() {
+		b.Fatal("refactorization failed")
+	}
+	b.Run("column-fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.ftranEntering(enter)
 		}
 	})
 }

@@ -216,3 +216,79 @@ func TestApplyDeltaGrowthValidation(t *testing.T) {
 		t.Fatalf("scale lost when combined with growth: %g", got)
 	}
 }
+
+// TestApplyDeltaDuplicateLinkErrors pins the two duplicate-link errors
+// word for word: a pair added twice in one delta, and a pair that a live
+// link already joins, named by the lowest such link — a downed link of
+// the pair is passed over, and a pair whose only link is down may be
+// added again.
+func TestApplyDeltaDuplicateLinkErrors(t *testing.T) {
+	tp := New("parallel")
+	a, b, c := tp.AddNode("a", false), tp.AddNode("b", false), tp.AddNode("c", false)
+	tp.AddLink(a, b, 1e9, 0) // link 0
+	tp.AddLink(b, c, 1e9, 0) // link 1
+	tp.AddLink(a, b, 1e9, 0) // link 2, parallel to link 0
+	tp.AddLink(c, a, 1e9, 0) // link 3
+
+	downed, err := tp.ApplyDelta(Delta{LinksDown: []LinkID{0, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		on   *Topology
+		add  []Link
+		want string
+	}{
+		{"twice in one delta", tp,
+			[]Link{{Src: b, Dst: a, Capacity: 1}, {Src: c, Dst: b, Capacity: 1}, {Src: b, Dst: a, Capacity: 2}},
+			"topo: delta adds duplicate link 1→0"},
+		{"lowest live link", tp, []Link{{Src: a, Dst: b, Capacity: 1}},
+			"topo: delta adds link 0→1 duplicating live link 0"},
+		{"downed parallel passed over", downed, []Link{{Src: b, Dst: a, Capacity: 1}, {Src: a, Dst: b, Capacity: 1}},
+			"topo: delta adds link 0→1 duplicating live link 2"},
+		{"validity before duplicates", tp, []Link{{Src: b, Dst: a, Capacity: 1}, {Src: b, Dst: a, Capacity: 0}},
+			"topo: delta adds link 1 with non-positive capacity 0"},
+	} {
+		if _, err := tc.on.ApplyDelta(Delta{AddLinks: tc.add}); err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	// Link 3 (c→a) is down and has no live twin: re-adding it is growth,
+	// and so is a link twice over a pair whose only link is down — once.
+	grown, err := downed.ApplyDelta(Delta{AddLinks: []Link{{Src: c, Dst: a, Capacity: 2e9}}})
+	if err != nil {
+		t.Fatalf("re-adding downed link 3: %v", err)
+	}
+	if l := grown.Link(LinkID(grown.NumLinks() - 1)); l.Src != c || l.Dst != a || grown.LinkDown(LinkID(grown.NumLinks()-1)) {
+		t.Fatalf("re-added link is %+v (down %v)", l, grown.LinkDown(LinkID(grown.NumLinks()-1)))
+	}
+	if _, err := grown.ApplyDelta(Delta{AddLinks: []Link{{Src: c, Dst: a, Capacity: 1}}}); err == nil ||
+		err.Error() != "topo: delta adds link 2→0 duplicating live link 4" {
+		t.Fatalf("adding over the re-added link: error %v", err)
+	}
+}
+
+// BenchmarkApplyDeltaAddLinks applies one delta that adds 10⁴ distinct
+// links among 128 new nodes of a DGX1 — a replan body well under the
+// daemon's size cap — so the duplicate checks' cost is visible.
+func BenchmarkApplyDeltaAddLinks(b *testing.B) {
+	tp := DGX1()
+	n0 := NodeID(tp.NumNodes())
+	const nodes, links = 128, 10_000
+	d := Delta{AddNodes: make([]Node, nodes)}
+	for i := NodeID(0); i < nodes && len(d.AddLinks) < links; i++ {
+		for j := NodeID(0); j < nodes && len(d.AddLinks) < links; j++ {
+			if i != j {
+				d.AddLinks = append(d.AddLinks, Link{Src: n0 + i, Dst: n0 + j, Capacity: 1e9})
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := tp.ApplyDelta(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -401,7 +401,22 @@ func (t *Topology) ApplyDelta(d Delta) (*Topology, error) {
 	}
 	// Growth validation happens before any mutation: a malformed delta
 	// returns an error and leaves t (and any session holding it) intact.
+	// A duplicate is found through one map of the links by endpoints, the
+	// live ones seeded first in index order (so a pair names its lowest
+	// live link), then each added link once it passed; -1 marks an added
+	// link.
 	grownNodes := len(t.nodes) + len(d.AddNodes)
+	type pair struct{ src, dst NodeID }
+	var seen map[pair]int
+	if len(d.AddLinks) > 0 {
+		seen = make(map[pair]int, len(t.links)+len(d.AddLinks))
+		for l, lk := range t.links {
+			p := pair{lk.Src, lk.Dst}
+			if _, ok := seen[p]; !ok && !t.LinkDown(LinkID(l)) {
+				seen[p] = l
+			}
+		}
+	}
 	for i, lk := range d.AddLinks {
 		if int(lk.Src) < 0 || int(lk.Src) >= grownNodes || int(lk.Dst) < 0 || int(lk.Dst) >= grownNodes {
 			return nil, fmt.Errorf("topo: delta adds link %d with unknown endpoint (%d→%d)", i, lk.Src, lk.Dst)
@@ -415,16 +430,14 @@ func (t *Topology) ApplyDelta(d Delta) (*Topology, error) {
 		if lk.Alpha < 0 {
 			return nil, fmt.Errorf("topo: delta adds link %d with negative alpha %g", i, lk.Alpha)
 		}
-		for j := 0; j < i; j++ {
-			if d.AddLinks[j].Src == lk.Src && d.AddLinks[j].Dst == lk.Dst {
+		p := pair{lk.Src, lk.Dst}
+		if l, ok := seen[p]; ok {
+			if l < 0 {
 				return nil, fmt.Errorf("topo: delta adds duplicate link %d→%d", lk.Src, lk.Dst)
 			}
+			return nil, fmt.Errorf("topo: delta adds link %d→%d duplicating live link %d", lk.Src, lk.Dst, l)
 		}
-		for l := range t.links {
-			if !t.LinkDown(LinkID(l)) && t.links[l].Src == lk.Src && t.links[l].Dst == lk.Dst {
-				return nil, fmt.Errorf("topo: delta adds link %d→%d duplicating live link %d", lk.Src, lk.Dst, l)
-			}
-		}
+		seen[p] = -1
 	}
 
 	out := t.Clone()
@@ -459,6 +472,12 @@ func (t *Topology) ApplyDelta(d Delta) (*Topology, error) {
 		}
 		if s.Alpha != 0 {
 			lk.Alpha *= s.Alpha
+		}
+		// Factors compound: repeated or huge ones can overflow a link's
+		// metadata to +Inf (which no topology serializes) or underflow
+		// its capacity to 0, and neither comes back.
+		if !(lk.Capacity > 0) || math.IsInf(lk.Capacity, 0) || math.IsNaN(lk.Alpha) || math.IsInf(lk.Alpha, 0) {
+			return nil, fmt.Errorf("topo: delta scales link %d to capacity %g, alpha %g", s.Link, lk.Capacity, lk.Alpha)
 		}
 	}
 

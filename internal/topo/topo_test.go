@@ -428,6 +428,12 @@ func TestApplyDeltaInvalid(t *testing.T) {
 		{Scale: []LinkScale{{Link: -1, Capacity: 0.5}}},
 		{Scale: []LinkScale{{Link: 0, Capacity: -1}}},
 		{Scale: []LinkScale{{Link: 0, Alpha: -0.5}}},
+		// Factors that compound past float64's range.
+		{Scale: []LinkScale{{Link: 0, Capacity: 1e300}, {Link: 0, Capacity: 1e300}}},
+		{Scale: []LinkScale{{Link: 0, Capacity: 1e-300}, {Link: 0, Capacity: 1e-300}}},
+		{Scale: []LinkScale{{Link: 0, Alpha: 1e300}, {Link: 0, Alpha: 1e300}, {Link: 0, Alpha: 1e300}}},
+		{Scale: []LinkScale{{Link: 0, Capacity: math.NaN()}}},
+		{Scale: []LinkScale{{Link: 0, Alpha: math.Inf(1)}}},
 	}
 	for i, d := range cases {
 		if _, err := tp.ApplyDelta(d); err == nil {

@@ -20,7 +20,7 @@
 # host's, not the change's (.claude/skills/verify/SKILL.md). A claim
 # holds when the change wins at least nine pairs in ten and the medians
 # are further apart than the parent's q3 - q1. About N x 1 minute per
-# workload; `make pair PARENT=<ref> [WORKLOAD=W] [PAIRS=N]` runs it.
+# workload; `make pair PARENT=<ref> [WORKLOAD=W] [PAIRS=N] [SEED=S]` runs it.
 set -euo pipefail
 usage="usage: pair.sh <parent-ref> [--workload W]... [--pairs N] [--seed S] [--seconds T]"
 parent="${1:?$usage}"
