@@ -5,8 +5,11 @@
 # so solver regressions surface immediately.
 
 GO ?= go
+# The repository root, so targets that run a script find it when make runs
+# with -C on another tree (identity.sh counts the parent's lines this way).
+ROOT := $(dir $(abspath $(lastword $(MAKEFILE_LIST))))
 
-.PHONY: ci vet lint build test race fuzz-smoke bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc identity pair
+.PHONY: ci vet lint build test race fuzz-smoke bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc loc-lock loc-check identity pair
 
 ci: vet lint build test race fuzz-smoke api-compat daemon-smoke bench-smoke bench-verify
 
@@ -22,10 +25,11 @@ vet:
 	fi
 	$(GO) run teccl/cmd/tecclvet ./...
 
-# lint is the deep static pass: tecclvet plus staticcheck and
-# govulncheck when they are installed (the CI lint job installs both;
-# locally they are optional so a bare toolchain can still run make ci).
-lint:
+# lint is the deep static pass: the line lock (loc-check), tecclvet, plus
+# staticcheck and govulncheck when they are installed (the CI lint job
+# installs both; locally they are optional so a bare toolchain can still
+# run make ci).
+lint: loc-check
 	$(GO) run teccl/cmd/tecclvet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -131,13 +135,20 @@ tables:
 
 # Non-test Go lines per package and in total, without the nested bench
 # module and its build directory: the unit ROADMAP's line targets are
-# stated in.
+# stated in (scripts/loc.sh).
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
-		| xargs -0 wc -l \
-		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' \
-		| sort -k2 \
-		| awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
+	@bash $(ROOT)scripts/loc.sh
+
+# The line lock: loc.lock.json holds every package's `make loc` count.
+# loc-check (run by lint) fails when a package's count differs from its
+# lock or a package has none, naming the package, the lock and the delta;
+# loc-lock rewrites the lock, and CHANGES.md states each delta, as a wire
+# schema change is regenerated and committed.
+loc-lock:
+	@bash $(ROOT)scripts/loc.sh --lock
+
+loc-check:
+	@bash $(ROOT)scripts/loc.sh --check
 
 # The acceptance evidence of a change that must move no count (a
 # refactor, a deletion): `make identity PARENT=<ref>` exports the parent

@@ -57,7 +57,7 @@ type benchRecord struct {
 	Notes       string     `json:"notes,omitempty"`
 	// Metrics carries every experiment-specific counter not hoisted into
 	// a dedicated field above (e.g. churnstream's per-platform
-	// incremental/fallback/re-base counts and max replan regret).
+	// incremental/fallback counts and max replan regret).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

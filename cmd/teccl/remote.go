@@ -154,8 +154,7 @@ func cmdStats(args []string) {
 	fmt.Printf("exact basis hits:  %d\n", st.ExactBasisHits)
 	fmt.Printf("tau cache hits:    %d\n", st.TauCacheHits)
 	fmt.Printf("epoch cache hits:  %d\n", st.EpochCacheHits)
-	fmt.Printf("replans:           %d (%d fallbacks, %d re-bases)\n",
-		st.Replans, st.ReplanFallbacks, st.ReBases)
+	fmt.Printf("replans:           %d (%d fallbacks)\n", st.Replans, st.ReplanFallbacks)
 }
 
 func cmdHealth(args []string) {

@@ -3,8 +3,7 @@
 // deltas — capacity wobble, a permanent link failure, structural growth
 // (a new node joining mid-stream), and demand churn via AddDemand — and
 // reports, per delta, whether the session reoptimized its incumbent
-// basis incrementally, proactively re-based, or degraded to a cold
-// crash-started solve. See the "Replanning under churn" section of the
+// basis incrementally or degraded to a cold crash-started solve. See the "Replanning under churn" section of the
 // package docs for the degradation ladder this walks.
 package main
 
@@ -21,10 +20,6 @@ func main() {
 	t := teccl.NDv2Mini(2)
 	planner := teccl.NewPlanner(t, teccl.PlannerOptions{
 		Defaults: teccl.Options{EpochMode: teccl.SlowestLink},
-		// Re-base eagerly once incremental replans cost half the pivot
-		// budget: at this scale a decayed basis is cheaper to replace
-		// than to keep repairing.
-		Replan: teccl.ReplanOptions{RebaseThreshold: 0.5},
 	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -82,10 +77,7 @@ func main() {
 			log.Fatalf("%s: %v", step.name, err)
 		}
 		mode := "incremental"
-		switch {
-		case rp.ReBased:
-			mode = "re-based"
-		case rp.ReplanFallback:
+		if rp.ReplanFallback {
 			mode = "cold fallback"
 		}
 		fmt.Printf("%-45s %-13s %5d pivots, finish %.2f us\n",
@@ -94,7 +86,7 @@ func main() {
 
 	st := planner.Stats()
 	fmt.Printf("\nsession: %d replans — %d incremental pivots, %d fallbacks "+
-		"(%d structural, %d budget), %d re-bases\n",
+		"(%d structural, %d budget, %d sour)\n",
 		st.Replans, st.ReplanPivots, st.ReplanFallbacks,
-		st.ReplanFallbackStructural, st.ReplanFallbackBudget, st.ReBases)
+		st.ReplanFallbackStructural, st.ReplanFallbackBudget, st.ReplanFallbackSour)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"teccl/internal/collective"
@@ -36,6 +37,30 @@ func allocsOf(t *testing.T, f func()) (bytes uint64, objects float64) {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc, testing.AllocsPerRun(3, f)
+}
+
+// spareThreads has the runtime start n OS threads and leave them idle.
+// The scheduler hands out an idle thread before it starts a new one, and
+// a new one is ~5 KB of heap (runtime.allocm), so a retention test that
+// reads its baseline after this does not count a thread the scheduler
+// happens to start inside the measured window as retained state.
+func spareThreads(n int) {
+	var ready, done sync.WaitGroup
+	ready.Add(n)
+	done.Add(n)
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread() // blocked below, it keeps its thread
+			ready.Done()
+			<-release
+			runtime.UnlockOSThread() // and exits leaving the thread idle
+		}()
+	}
+	ready.Wait()
+	close(release)
+	done.Wait()
 }
 
 // liveHeap reports the bytes of live heap objects after a full collection.
@@ -142,6 +167,7 @@ func TestSessionRetention(t *testing.T) {
 		t   *topo.Topology
 		opt Options
 	}{{topo.DGX1(), Options{}}, {topo.NDv2Mini(2), Options{EpochMode: SlowestLink}}}
+	spareThreads(8)
 	before := liveHeap()
 	var sessions []*Planner
 	for _, s := range shapes {
@@ -184,8 +210,9 @@ func TestSessionRetention(t *testing.T) {
 // every delta the only lp.Problem reachable from the session is the
 // incumbent's, and recover, served by replaying restore's entry, leaves
 // an incumbent with no model at all. The session holds 50 KB of heap
-// (49 632–49 728 B); the bound is the reading + 10 %.
+// (49 632–50 128 B); the bound is the reading + 10 %.
 func TestSessionRetentionAcrossChurn(t *testing.T) {
+	spareThreads(8)
 	before := liveHeap()
 	s := newScriptSession(t, topo.DGX1(), Options{})
 	pl := s.pl

@@ -115,9 +115,7 @@ func TestKernelCountsPinned(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// Unbudgeted replans: a wall-clock budget abort (race detector,
-			// loaded host) would turn the A* resume into a cold fallback.
-			pl := NewPlanner(c.topo, PlannerOptions{Defaults: c.opt, Replan: ReplanOptions{RegretFraction: -1}})
+			pl := NewPlanner(c.topo, PlannerOptions{Defaults: c.opt})
 			defer pl.Close()
 			plan, err := pl.Plan(context.Background(), Request{Demand: c.demand(c.topo), Solver: c.solver})
 			if err != nil {

@@ -62,8 +62,8 @@ type PlannerOptions struct {
 	// Policy picks the formulation for requests that do not force one;
 	// nil means DefaultPolicy{}.
 	Policy Policy
-	// Replan tunes the bounded-regret budget and adaptive re-basing of
-	// Planner.Replan; the zero value means sensible defaults.
+	// Replan tunes the pivot budget of Planner.Replan's incremental LP
+	// attempts; the zero value means sensible defaults.
 	Replan ReplanOptions
 }
 
@@ -102,16 +102,12 @@ type Plan struct {
 	Replanned bool
 	// ReplanFallback marks a replan that could not reoptimize the
 	// incumbent incrementally (structural churn, a sour or infeasible
-	// incremental solve, a bounded-regret budget abort, or an incumbent
-	// with no incremental payload) and degraded to a cold solve of the
-	// edited request — a replay (CacheHit) when the session has solved
-	// that model before.
+	// incremental solve, or an incumbent with no incremental payload) and
+	// degraded to a cold solve of the edited request — a replay
+	// (CacheHit) when the session has solved that model before.
 	ReplanFallback bool
-	// ReBased marks a replan served by a proactive crash-started re-base:
-	// the session detected that the incremental advantage had decayed
-	// (see ReplanOptions.RebaseThreshold) and chose a cold solve to
-	// refresh the incumbent basis. ReBased plans are not fallbacks — the
-	// session skipped the incremental attempt on purpose.
+	// ReBased is always false. It marked a proactive re-base, which is
+	// gone, and stays for wire v1 (the rebased field).
 	ReBased bool
 }
 
@@ -148,28 +144,29 @@ type PlannerStats struct {
 	// churned optimum.
 	ReplanPivots int
 	// ColdEstimatePivots is the session's current EWMA estimate of one
-	// cold solve's pivot count — the baseline the bounded-regret budget
-	// and the re-base trigger compare incremental replans against.
+	// cold solve's pivot count — the baseline the incremental LP pivot
+	// budget is derived from.
 	ColdEstimatePivots int
 	// ReplanFallbacks counts replans that degraded to a cold solve.
 	ReplanFallbacks int
 	// Per-kind fallback counters (each fallback increments exactly one):
 	// Structural — the churn changed the model's shape (δ/κ at the
 	// incumbent τ, topology growth, or demand churn the incumbent form
-	// cannot absorb); Budget — the incremental attempt was aborted by the
-	// bounded-regret pivot/deadline budget; Sour — the incremental solve
-	// came back non-optimal or its schedule failed re-validation; NoModel
-	// — the incumbent carried no incremental payload and none could be
-	// restated (an empty solve, a horizon plan, or a replay of a cache
-	// entry that kept no basis: a MinimizeMakespan refinement). A replayed
-	// LP incumbent is not one: Replan restates its model from its request
-	// and reoptimizes from the replayed entry's basis.
+	// cannot absorb); Budget — the incremental LP attempt exhausted its
+	// pivot budget; Sour — the incremental solve came back non-optimal
+	// (infeasible at the incumbent horizon, or out of the request's
+	// TimeLimit or the kernel's iteration cap) or its schedule failed
+	// re-validation; NoModel — the incumbent carried no incremental
+	// payload and none could be restated (an empty solve, a horizon plan,
+	// or a replay of a cache entry that kept no basis: a MinimizeMakespan
+	// refinement). A replayed LP incumbent is not one: Replan restates
+	// its model from its request and reoptimizes from the replayed
+	// entry's basis.
 	ReplanFallbackStructural int
 	ReplanFallbackBudget     int
 	ReplanFallbackSour       int
 	ReplanFallbackNoModel    int
-	// ReBases counts replans served by a proactive crash-started re-base
-	// (Plan.ReBased); they are not included in ReplanFallbacks.
+	// ReBases is always 0, like Plan.ReBased, and stays for wire v1.
 	ReBases int
 }
 
@@ -192,15 +189,10 @@ type Planner struct {
 	incumbent *incumbentState // the one thing a session keeps a whole model for
 	stats     PlannerStats
 
-	// Bounded-regret bookkeeping (replan.go, all under mu): EWMAs of
-	// observed cold-solve cost seed the incremental pivot/deadline
-	// budget; the incremental-pivot EWMA tracks the advantage whose decay
-	// triggers a proactive re-base.
+	// coldPivotEWMA (under mu) is the session's estimate of one cold
+	// solve's pivots, which the incremental LP pivot budget is derived
+	// from (replan.go).
 	coldPivotEWMA float64
-	coldWallEWMA  float64 // seconds
-	incPivotEWMA  float64
-	incReplans    int
-	rebasePending bool
 }
 
 // sessionState is everything a session derives from its current

@@ -41,22 +41,27 @@ package core
 //     the first round whose sends touch a newly-downed or degraded
 //     link.
 //
-// Every incremental attempt runs under a bounded-regret budget derived
-// from an EWMA of observed cold-solve cost (ReplanOptions): the LP path
-// gets a pivot budget, the MILP and A* paths a wall-clock deadline. An
-// attempt that exhausts its budget — or churn no incumbent can absorb,
-// like a scale that changes a live link's δ or κ at the incumbent epoch
-// duration, or topology growth — degrades gracefully to a crash-started
-// cold solve of the edited request. Sessions additionally track the
-// incremental path's advantage over cold solving and proactively
-// re-base (crash-started refactorization of the incumbent) when it
-// decays. With incremental replans costing tens of pivots, the budget
-// and the re-base trigger are safety nets the benchmark and churnstream
-// scripts no longer reach (ROADMAP item 4a has the rung hit counts); the
-// rung that still fires is the structural one, and when churn returns
+// The ladder has two rungs: incremental, then cold. An incremental
+// attempt runs under the incumbent request's own TimeLimit, and an LP
+// one also under a pivot budget derived from the session's cold-pivot
+// EWMA (ReplanOptions): a deep edit — a GPU lost on a churned DGX1 —
+// can take the dual simplex five times the pivots and seven times the
+// wall time of aborting at the budget and solving cold. The budget
+// counts pivots, not time, so which rung serves a delta depends
+// on the inputs alone, never on the host's speed. Four things send a
+// delta to the cold rung, a crash-started solve of the edited request:
+// churn the incumbent cannot absorb (structural: a scale that changes a
+// live link's δ or κ at the incumbent epoch duration, topology growth,
+// demand churn on a MILP or A* incumbent), an exhausted pivot budget
+// (budget), an attempt that comes back without a validated optimum
+// (sour: infeasible at the incumbent horizon, out of its TimeLimit or of
+// the kernel's iteration cap, or a schedule that fails re-validation),
+// and an incumbent with nothing to edit (no model). When churn returns
 // the session to a world it has already solved (a straggler recovered)
-// that rung is a replay from the carried model index (batch.go). Replan
-// never errors when the cold solve would succeed.
+// the cold rung is a replay from the carried model index (batch.go).
+// Replan never errors when the cold solve would succeed. A seeded stream
+// of mixed churn pins the rung every delta lands on
+// (TestReplanStreamRungs).
 
 import (
 	"context"
@@ -117,36 +122,24 @@ func (d Delta) TopoDelta() topo.Delta {
 	}
 }
 
-// ReplanOptions tunes the bounded-regret budget and the adaptive
-// re-basing of Planner.Replan. The zero value means defaults; set a
-// field negative to disable that mechanism.
+// ReplanOptions tunes the pivot budget of Planner.Replan's incremental
+// LP attempts. The zero value means defaults; set a field negative to
+// disable that part.
 type ReplanOptions struct {
-	// RegretFraction bounds every incremental replan attempt to this
-	// fraction of the session's cold-solve cost estimate (an EWMA of
-	// observed cold pivots and wall time): the LP path gets a pivot
-	// budget, the MILP and A* paths a wall-clock deadline. An attempt
-	// that exhausts its budget aborts to the crash-started cold
-	// fallback, so a sour incremental replan can never cost much more
-	// than the cold solve it degrades to. Default 0.2; negative
-	// disables the budget.
+	// RegretFraction bounds every incremental LP replan attempt to this
+	// fraction of the session's cold-solve pivot estimate (an EWMA of
+	// observed cold pivots). An attempt that exhausts its budget aborts
+	// to the crash-started cold fallback: a deep edit (a GPU lost on
+	// DGX1) can take the dual simplex five times the pivots of a cold,
+	// presolved solve. Default 0.2; negative disables the budget.
 	RegretFraction float64
-	// PivotFloor is the minimum LP pivot budget, so small cold-pivot
-	// estimates do not starve legitimate incremental replans (on small
-	// models a disruptive delta legitimately reoptimizes in a sizable
-	// fraction of the cold pivot count; the regret fraction only
-	// governs at scale, where it is the binding bound). Default 2048;
-	// negative means no floor.
+	// PivotFloor is the minimum pivot budget, so small cold-pivot
+	// estimates do not starve legitimate incremental replans. Default
+	// 2048; negative means no floor.
 	PivotFloor int
-	// RebaseThreshold arms proactive re-basing: when the EWMA of
-	// incremental pivots per replan exceeds this fraction of the
-	// effective pivot budget (max(PivotFloor, RegretFraction·cold)) —
-	// the warm basis has drifted so far from the churned world that
-	// reoptimization trends toward the budget-abort region — the next
-	// Replan skips the incremental attempt and runs a crash-started
-	// cold solve to refresh the incumbent basis (Plan.ReBased,
-	// PlannerStats.ReBases). Keep it below 1 so re-basing fires before
-	// the budget abort would. Default 0.75; negative disables
-	// re-basing.
+	// Deprecated: ignored. Adaptive re-basing is gone; no re-base on a
+	// 10 000-delta seeded churn stream was cheaper than the replan it
+	// replaced.
 	RebaseThreshold float64
 }
 
@@ -170,16 +163,6 @@ func (o ReplanOptions) pivotFloor() int {
 	return o.PivotFloor
 }
 
-func (o ReplanOptions) rebaseThreshold() float64 {
-	if o.RebaseThreshold < 0 {
-		return 0
-	}
-	if o.RebaseThreshold == 0 {
-		return 0.75
-	}
-	return o.RebaseThreshold
-}
-
 // fallbackKind classifies why an incremental replan attempt degraded to
 // the cold fallback, for PlannerStats' per-kind counters.
 type fallbackKind int
@@ -190,10 +173,12 @@ const (
 	// change, topology growth, demand churn on a MILP/A* incumbent, or
 	// new demand the append path cannot price in.
 	fbStructural
-	// fbBudget: the bounded-regret pivot/deadline budget expired.
+	// fbBudget: the incremental LP attempt exhausted its pivot budget.
 	fbBudget
-	// fbSour: the incremental solve came back non-optimal, numerically
-	// sour, or produced a schedule that failed re-validation.
+	// fbSour: the incremental solve came back non-optimal — infeasible at
+	// the incumbent horizon, out of the request's TimeLimit or of the
+	// kernel's iteration cap, numerically sour — or produced a schedule
+	// that failed re-validation.
 	fbSour
 	// fbNoModel: the incumbent carries no incremental payload and none
 	// can be restated (empty solves, horizon plans, replays of a cache
@@ -212,20 +197,20 @@ func replanAbortf(format string, args ...any) {
 	}
 }
 
-// regretEWMAAlpha is the smoothing factor of the session cost EWMAs: new
-// observations count half, so estimates track drift within a few solves.
+// regretEWMAAlpha is the smoothing factor of the session's cold-pivot
+// EWMA: new observations count half, so the estimate tracks drift within
+// a few solves.
 const regretEWMAAlpha = 0.5
 
-// observeCold folds a genuinely cold solve's observed cost into the
-// session's cold-cost estimate. Replays and warm-started solves are
-// skipped: the budget must be calibrated against what the crash-started
-// fallback would actually cost.
+// observeCold folds a genuinely cold solve's pivots into the session's
+// cold-pivot estimate. Replays and warm-started solves are skipped: the
+// budget must be calibrated against what the crash-started fallback
+// would actually cost.
 func (pl *Planner) observeCold(res *Result) {
 	if res == nil || res.Reused || res.WarmStarted {
 		return
 	}
 	pivots := float64(res.RootIterations + res.NodeIterations)
-	wall := res.SolveTime.Seconds()
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if pl.coldPivotEWMA == 0 {
@@ -233,85 +218,25 @@ func (pl *Planner) observeCold(res *Result) {
 	} else {
 		pl.coldPivotEWMA += regretEWMAAlpha * (pivots - pl.coldPivotEWMA)
 	}
-	if pl.coldWallEWMA == 0 {
-		pl.coldWallEWMA = wall
-	} else {
-		pl.coldWallEWMA += regretEWMAAlpha * (wall - pl.coldWallEWMA)
-	}
-}
-
-// noteIncremental folds a successful incremental replan's pivot count
-// into the advantage EWMA and arms the re-base trigger when the
-// incremental advantage over cold solving has decayed — smoothed cost
-// trending into the budget-abort region means the warm basis has
-// drifted too far from the churned world to stay worth reoptimizing.
-func (pl *Planner) noteIncremental(pivots int) {
-	thr := pl.opt.Replan.rebaseThreshold()
-	budget := pl.pivotBudget()
-	v := float64(pivots)
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.incReplans == 0 {
-		pl.incPivotEWMA = v
-	} else {
-		pl.incPivotEWMA += regretEWMAAlpha * (v - pl.incPivotEWMA)
-	}
-	pl.incReplans++
-	if thr > 0 && budget > 0 && pl.incPivotEWMA > thr*float64(budget) {
-		pl.rebasePending = true
-	}
-}
-
-// coldEstimate snapshots the session's cold-cost EWMAs (pivots,
-// seconds) under the lock, for budget derivation and debug output.
-func (pl *Planner) coldEstimate() (float64, float64) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.coldPivotEWMA, pl.coldWallEWMA
 }
 
 // pivotBudget derives the LP incremental attempt's iteration budget
 // from the cold-pivot estimate; 0 means unbudgeted (no estimate yet, or
-// budgeting disabled).
+// budgeting disabled). It reads pivots, not a clock, so identical inputs
+// land on identical rungs.
 func (pl *Planner) pivotBudget() int {
 	frac := pl.opt.Replan.regretFraction()
-	if frac == 0 {
-		return 0
-	}
-	cold, _ := pl.coldEstimate()
-	if cold <= 0 {
+	pl.mu.Lock()
+	cold := pl.coldPivotEWMA
+	pl.mu.Unlock()
+	if frac == 0 || cold <= 0 {
 		return 0
 	}
 	b := int(frac*cold + 0.5)
 	if f := pl.opt.Replan.pivotFloor(); b < f {
 		b = f
 	}
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// minWallBudget keeps the MILP/A* incremental deadline from rounding to
-// nothing when the cold estimate is tiny.
-const minWallBudget = 100 * time.Millisecond
-
-// wallBudget derives the MILP/A* incremental attempt's deadline from
-// the cold wall-time estimate; 0 means unbudgeted.
-func (pl *Planner) wallBudget() time.Duration {
-	frac := pl.opt.Replan.regretFraction()
-	if frac == 0 {
-		return 0
-	}
-	_, wall := pl.coldEstimate()
-	if wall <= 0 {
-		return 0
-	}
-	d := time.Duration(frac * wall * float64(time.Second))
-	if d < minWallBudget {
-		d = minWallBudget
-	}
-	return d
+	return max(b, 1)
 }
 
 // churnedInstance is the structural gate every incremental form shares,
@@ -399,17 +324,17 @@ func applyLinkChurn(q *lp.Problem, fvar [][][]int32, capRow [][]int32, in2 *inst
 // new caches.
 //
 // When the churn is non-structural, the re-solve is incremental per the
-// incumbent's formulation (see the file comment) under the
-// bounded-regret budget of PlannerOptions.Replan; otherwise, or when
-// the incremental path sours or exhausts its budget, Replan degrades to
-// a cold solve of the edited request — Plan.ReplanFallback reports
-// which happened, and PlannerStats aggregates the session's churn
-// history per fallback kind. A session whose incremental advantage has
-// decayed re-bases instead: a deliberate crash-started cold solve that
-// refreshes the incumbent basis (Plan.ReBased; counted in ReBases, not
-// in ReplanFallbacks). An infeasible edited request (e.g. a demand
-// whose destination was disconnected without dropping the pair) returns
-// the cold solve's error.
+// incumbent's formulation (see the file comment), under the incumbent
+// request's TimeLimit and, for an LP, the pivot budget of
+// PlannerOptions.Replan; otherwise, or when the incremental path sours
+// or exhausts its budget, Replan degrades to a cold solve of the edited
+// request —
+// Plan.ReplanFallback reports which happened, and PlannerStats
+// aggregates the session's churn history per fallback kind. A caller
+// cancellation during the incremental attempt is returned, not
+// degraded. An infeasible edited request (e.g. a demand whose
+// destination was disconnected without dropping the pair) returns the
+// cold solve's error.
 //
 // Replan requires a prior successful Plan; an invalid delta (unknown
 // IDs, negative scales, malformed growth, mismatched AddDemand shape)
@@ -479,59 +404,47 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 	pl.lastLP = sessionBasis{}
 	pl.lastMILP = sessionBasis{}
 	pl.stats.Replans++
-	// Adaptive re-basing: when the incremental advantage has decayed
-	// (see noteIncremental), skip the incremental attempt on purpose and
-	// let the cold solve below refresh the incumbent basis.
-	rebase := pl.rebasePending
-	if rebase {
-		pl.rebasePending = false
-		pl.stats.ReBases++
-		pl.incPivotEWMA = 0
-		pl.incReplans = 0
-	}
 	pl.mu.Unlock()
 
 	kind := fbNoModel
-	if !rebase {
-		demandChurn := d.AddDemand != nil || len(d.DropPairs) > 0 || len(d.NodesDown) > 0
-		var res *Result
-		var next incumbentState
-		switch {
-		case grew:
-			// Growth changes the node space (and usually reachability);
-			// every formulation rebuilds cold.
+	demandChurn := d.AddDemand != nil || len(d.DropPairs) > 0 || len(d.NodesDown) > 0
+	var res *Result
+	var next incumbentState
+	switch {
+	case grew:
+		// Growth changes the node space (and usually reachability);
+		// every formulation rebuilds cold.
+		kind = fbStructural
+		replanAbortf("structural fallback: topology growth (+%d nodes, +%d links)",
+			len(d.AddNodes), len(d.AddLinks))
+	case inc.model != nil && inc.basis != nil:
+		res, next, kind = replanIncrementalLP(ctx, inc, st.t, newTopo, d, pl.pivotBudget())
+	case inc.entry != nil:
+		// A replayed LP incumbent: restate its model and reoptimize it
+		// from the replayed entry's basis.
+		if r := inc.restated(st.t); r != nil {
+			res, next, kind = replanIncrementalLP(ctx, r, st.t, newTopo, d, pl.pivotBudget())
+		}
+	case inc.mmodel != nil && inc.basis != nil:
+		if demandChurn {
 			kind = fbStructural
-			replanAbortf("structural fallback: topology growth (+%d nodes, +%d links)",
-				len(d.AddNodes), len(d.AddLinks))
-		case inc.model != nil && inc.basis != nil:
-			res, next, kind = pl.replanIncrementalLP(ctx, inc, st.t, newTopo, d)
-		case inc.entry != nil:
-			// A replayed LP incumbent: restate its model and reoptimize it
-			// from the replayed entry's basis.
-			if r := inc.restated(st.t); r != nil {
-				res, next, kind = pl.replanIncrementalLP(ctx, r, st.t, newTopo, d)
-			}
-		case inc.mmodel != nil && inc.basis != nil:
-			if demandChurn {
-				kind = fbStructural
-				replanAbortf("structural fallback: demand churn on a MILP incumbent")
-			} else {
-				res, next, kind = pl.replanIncrementalMILP(ctx, inc, st.t, newTopo)
-			}
-		case inc.ain != nil && inc.aKr > 0:
-			if demandChurn {
-				kind = fbStructural
-				replanAbortf("structural fallback: demand churn on an A* incumbent")
-			} else {
-				res, next, kind = pl.replanIncrementalAStar(ctx, inc, st.t, newTopo)
-			}
+			replanAbortf("structural fallback: demand churn on a MILP incumbent")
+		} else {
+			res, next, kind = replanIncrementalMILP(ctx, inc, st.t, newTopo)
 		}
-		if res != nil {
-			return pl.adoptReplan(newState, inc, newDemand, res, next), nil
+	case inc.ain != nil && inc.aKr > 0:
+		if demandChurn {
+			kind = fbStructural
+			replanAbortf("structural fallback: demand churn on an A* incumbent")
+		} else {
+			res, next, kind = replanIncrementalAStar(ctx, inc, st.t, newTopo)
 		}
-		if ierr := interrupted(ctx); ierr != nil {
-			return nil, fmt.Errorf("core: replan interrupted: %w", ierr)
-		}
+	}
+	if res != nil {
+		return pl.adoptReplan(newState, inc, newDemand, res, next), nil
+	}
+	if ierr := interrupted(ctx); ierr != nil {
+		return nil, fmt.Errorf("core: replan interrupted: %w", ierr)
 	}
 
 	// Graceful degradation: cold re-solve of the edited request. The
@@ -541,29 +454,23 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 	// earlier, that solve's schedule replayed after Schedule.Validate on
 	// the churned topology: an optimum of the same model, no simplex run.
 	pl.mu.Lock()
-	if !rebase {
-		pl.stats.ReplanFallbacks++
-		switch kind {
-		case fbStructural:
-			pl.stats.ReplanFallbackStructural++
-		case fbBudget:
-			pl.stats.ReplanFallbackBudget++
-		case fbSour:
-			pl.stats.ReplanFallbackSour++
-		default:
-			pl.stats.ReplanFallbackNoModel++
-		}
+	pl.stats.ReplanFallbacks++
+	switch kind {
+	case fbStructural:
+		pl.stats.ReplanFallbackStructural++
+	case fbBudget:
+		pl.stats.ReplanFallbackBudget++
+	case fbSour:
+		pl.stats.ReplanFallbackSour++
+	default:
+		pl.stats.ReplanFallbackNoModel++
 	}
 	pl.mu.Unlock()
 	fopt := inc.opt
 	plan, err := pl.Plan(ctx, Request{Demand: newDemand, Options: &fopt, Solver: inc.solver})
 	if plan != nil {
 		plan.Replanned = true
-		if rebase {
-			plan.ReBased = true
-		} else {
-			plan.ReplanFallback = true
-		}
+		plan.ReplanFallback = true
 	}
 	return plan, err
 }
@@ -572,7 +479,7 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 // payload becomes the incumbent for the next delta under the incumbent's
 // own request (unless a later Replan already replaced the state), its
 // basis seeds the fresh session caches, and its pivots feed the replan
-// accounting and the re-base trigger.
+// accounting.
 func (pl *Planner) adoptReplan(newState *sessionState, old *incumbentState, newDemand *collective.Demand, res *Result, next incumbentState) *Plan {
 	next.demand, next.opt, next.solver = newDemand.Clone(), old.opt, old.solver
 	solver, last := SolverAStar, (*sessionBasis)(nil) // an A* payload has no basis to keep
@@ -582,56 +489,35 @@ func (pl *Planner) adoptReplan(newState *sessionState, old *incumbentState, newD
 	case next.mmodel != nil:
 		solver, last = SolverMILP, &pl.lastMILP
 	}
-	pivots := res.RootIterations + res.NodeIterations
 	res.WarmStarted = true // resumed from the incumbent, whatever the form
 	pl.mu.Lock()
-	pl.stats.ReplanPivots += pivots
+	pl.stats.ReplanPivots += res.RootIterations + res.NodeIterations
 	if pl.state == newState {
 		pl.incumbent = &next
 	}
 	pl.mu.Unlock()
-	pl.noteIncremental(pivots)
 	pl.keepBasis(newState, last, &next)
 	return &Plan{Result: res, Solver: solver, WarmStart: true, Replanned: true}
 }
 
-// wallBudgeted layers what bounds a MILP or A* incremental attempt onto
-// ctx: the incumbent request's TimeLimit and the bounded-regret wall
-// deadline, whichever is sooner (both expire as a budget, not as a
-// cancellation).
-func (pl *Planner) wallBudgeted(ctx context.Context, inc *incumbentState) (context.Context, context.CancelFunc) {
-	limit := inc.opt.TimeLimit
-	if wb := pl.wallBudget(); wb > 0 && (limit <= 0 || wb < limit) {
-		limit = wb
-	}
-	return withTimeLimit(ctx, limit)
-}
-
-// wallFallback classifies a failed MILP or A* incremental attempt: a
-// caller cancellation is sour (Replan surfaces it), an expired deadline
-// a budget abort, anything else — a sour search, a schedule that failed
-// extraction or re-validation — sour.
-func (pl *Planner) wallFallback(ctx context.Context, what string, err error) fallbackKind {
-	if interrupted(ctx) == nil && budgetExpired(ctx) {
-		_, coldWall := pl.coldEstimate()
-		replanAbortf("bounded-regret abort: %s exceeded its wall budget (%v, cold estimate %.3fs); falling back to a cold solve",
-			what, pl.wallBudget(), coldWall)
-		return fbBudget
-	}
+// sour logs why an incremental attempt came back without a validated
+// answer and classifies it: a caller cancellation among them, which
+// Replan surfaces instead of falling back.
+func sour(err error) (*Result, incumbentState, fallbackKind) {
 	replanAbortf("sour fallback: %v", err)
-	return fbSour
+	return nil, incumbentState{}, fbSour
 }
 
 // replanIncrementalLP edits a clone of the incumbent LP to the churned
 // world — bound and right-hand-side edits for link churn and demand
 // drops, column and row appends for new demand — and reoptimizes it from
-// the (padded) incumbent basis under the bounded-regret pivot budget. It
+// the (padded) incumbent basis within budget pivots (0: unbudgeted). It
 // returns the fallback kind when the churn is structural at the
-// incumbent discretization, the pivot budget expires, the dual simplex
-// does not reach a verified optimum, or the reoptimized rates fail to
+// incumbent discretization, the budget runs out, the dual simplex does
+// not reach a verified optimum, or the reoptimized rates fail to
 // decompose into a schedule that re-validates on the churned topology —
 // the caller then falls back to a cold solve.
-func (pl *Planner) replanIncrementalLP(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology, d Delta) (*Result, incumbentState, fallbackKind) {
+func replanIncrementalLP(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology, d Delta, budget int) (*Result, incumbentState, fallbackKind) {
 	m := inc.model
 	in := m.in
 	start := time.Now()
@@ -710,20 +596,18 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, inc *incumbentState,
 	}
 
 	// Reoptimization from the incumbent basis (a warm start, so the dual
-	// simplex) under the bounded-regret pivot budget.
-	budget := pl.pivotBudget()
+	// simplex) within the pivot budget.
 	ctx, cancel := withTimeLimit(ctx, inc.opt.TimeLimit)
 	defer cancel()
 	res, sol, err := m2.run(ctx, lp.Options{WarmStart: basis, MaxIter: budget}, start)
 	if err != nil {
-		if sol != nil && sol.Status == lp.StatusIterLimit && interrupted(ctx) == nil {
-			coldPivots, _ := pl.coldEstimate()
-			replanAbortf("bounded-regret abort: %d pivots exhausted the incremental budget (%d; cold estimate %d); falling back to a cold solve",
-				sol.Iterations, budget, int(coldPivots+0.5))
+		// The budget is the iteration cap the simplex stopped at unless the
+		// request's TimeLimit or the caller ended it first.
+		if sol != nil && sol.Status == lp.StatusIterLimit && budget > 0 && ctx.Err() == nil {
+			replanAbortf("budget fallback: %d pivots exhausted the incremental budget (%d)", sol.Iterations, budget)
 			return nil, incumbentState{}, fbBudget
 		}
-		replanAbortf("sour fallback: %v", err)
-		return nil, incumbentState{}, fbSour // a cancellation is surfaced by the caller
+		return sour(err)
 	}
 	return res, incumbentState{model: &m2, basis: sol.Basis}, fbNone
 }
@@ -732,9 +616,8 @@ func (pl *Planner) replanIncrementalLP(ctx context.Context, inc *incumbentState,
 // churned world: the LP path's link-churn edits applied to a clone of
 // the incumbent MILP, re-rooted from the incumbent root basis, with the
 // incumbent integer schedule — re-validated against the churned topology
-// — seeding the search when it survives. Runs under the bounded-regret
-// wall deadline.
-func (pl *Planner) replanIncrementalMILP(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology) (*Result, incumbentState, fallbackKind) {
+// — seeding the search when it survives.
+func replanIncrementalMILP(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology) (*Result, incumbentState, fallbackKind) {
 	m := inc.mmodel
 	start := time.Now()
 
@@ -749,7 +632,7 @@ func (pl *Planner) replanIncrementalMILP(ctx context.Context, inc *incumbentStat
 
 	// Re-validate the integer incumbent against the churned world: a
 	// surviving incumbent both bounds the re-rooted search from below
-	// and guarantees a feasible answer under the wall budget.
+	// and guarantees a feasible answer within the request's TimeLimit.
 	mopt := milp.Options{RootWarmStart: inc.basis.Clone()}
 	if len(inc.sends) > 0 {
 		s := &schedule.Schedule{
@@ -761,11 +644,11 @@ func (pl *Planner) replanIncrementalMILP(ctx context.Context, inc *incumbentStat
 		}
 	}
 
-	ctx, cancel := pl.wallBudgeted(ctx, inc)
+	ctx, cancel := withTimeLimit(ctx, inc.opt.TimeLimit)
 	defer cancel()
 	res, msol, err := m2.run(ctx, mopt, start)
 	if err != nil {
-		return nil, incumbentState{}, pl.wallFallback(ctx, "MILP re-root", err)
+		return sour(err)
 	}
 	return res, incumbentState{mmodel: &m2, basis: msol.RootBasis, sends: res.Schedule.Sends}, fbNone
 }
@@ -774,9 +657,8 @@ func (pl *Planner) replanIncrementalMILP(ctx context.Context, inc *incumbentStat
 // the A* state recurrence on the churned instance up to the first round
 // whose sends touch a newly-downed or capacity-degraded link, then
 // re-enters the round loop there. Pure capacity increases replay the
-// whole schedule without solving anything. Runs under the
-// bounded-regret wall deadline.
-func (pl *Planner) replanIncrementalAStar(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology) (*Result, incumbentState, fallbackKind) {
+// whole schedule without solving anything.
+func replanIncrementalAStar(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology) (*Result, incumbentState, fallbackKind) {
 	start := time.Now()
 	in2 := churnedInstance(inc.ain, newTopo)
 	if in2 == nil {
@@ -832,11 +714,11 @@ func (pl *Planner) replanIncrementalAStar(ctx context.Context, inc *incumbentSta
 		sends = append(sends, byRound[r]...)
 	}
 
-	ctx, cancel := pl.wallBudgeted(ctx, inc)
+	ctx, cancel := withTimeLimit(ctx, inc.opt.TimeLimit)
 	defer cancel()
 	res, next, err := astarLoop(ctx, in2, st, Kr, r0, sends, inc.aGap, start)
 	if err != nil {
-		return nil, incumbentState{}, pl.wallFallback(ctx, "A* resume", err)
+		return sour(err)
 	}
 	return res, next, fbNone
 }

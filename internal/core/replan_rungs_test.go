@@ -61,7 +61,6 @@ var rungFabrics = []rungFabric{
 // mirror of the request it should now hold.
 type rungSession struct {
 	f          rungFabric
-	ropt       ReplanOptions
 	pl         *Planner
 	base       *topo.Topology
 	baseDemand *collective.Demand
@@ -82,7 +81,7 @@ func (s *rungSession) open(t *testing.T) {
 	s.baseDemand = s.f.demand(s.base)
 	s.demand = s.baseDemand.Clone()
 	s.dropped, s.age = nil, 0
-	s.pl = NewPlanner(s.base, PlannerOptions{Defaults: s.f.opt, Replan: s.ropt})
+	s.pl = NewPlanner(s.base, PlannerOptions{Defaults: s.f.opt})
 	if _, err := s.pl.Plan(context.Background(), Request{Demand: s.baseDemand, Solver: s.f.solver}); err != nil {
 		t.Fatalf("%s: base plan: %v", s.f.name, err)
 	}
@@ -210,9 +209,9 @@ func (s *rungSession) churnDemand(d Delta, nodes int) *collective.Demand {
 }
 
 // step replans one delta, checks the answer, and names the rung that
-// served it: "incremental", "structural", "structural-replay", "sour",
-// "no-model", "budget", "rebase", or "error" when Replan errored (then
-// the session is reopened).
+// served it: "incremental", "structural", "structural-replay", "budget",
+// "sour", "no-model", or "error" when Replan errored (then the session
+// is reopened).
 func (s *rungSession) step(t *testing.T, d Delta) string {
 	t.Helper()
 	ctx := context.Background()
@@ -238,8 +237,6 @@ func (s *rungSession) step(t *testing.T, d Delta) string {
 	after := s.pl.Stats()
 	rung := "incremental"
 	switch {
-	case after.ReBases > before.ReBases:
-		rung = "rebase"
 	case after.ReplanFallbackBudget > before.ReplanFallbackBudget:
 		rung = "budget"
 	case after.ReplanFallbackSour > before.ReplanFallbackSour:
@@ -274,13 +271,13 @@ func (s *rungSession) step(t *testing.T, d Delta) string {
 
 // runRungStream replans n seeded deltas, dealt round-robin over one
 // session per fabric, and returns the rung histogram per fabric.
-func runRungStream(t *testing.T, n int, ropt ReplanOptions) map[string]map[string]int {
+func runRungStream(t *testing.T, n int) map[string]map[string]int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	sessions := make([]*rungSession, len(rungFabrics))
 	hist := map[string]map[string]int{}
 	for i, f := range rungFabrics {
-		sessions[i] = &rungSession{f: f, ropt: ropt}
+		sessions[i] = &rungSession{f: f}
 		sessions[i].open(t)
 		hist[f.name] = map[string]int{}
 	}
@@ -316,9 +313,10 @@ func rungTable(hist map[string]map[string]int) string {
 // validates on its churned world and avoids its downed links; a replan
 // errors only where a fresh session's cold plan of the same churned
 // request errors too; every fourth LP replan equals a cold solve at its
-// (Epochs, Tau). The rung each delta lands on is pinned per fabric, so a
-// change to which rung fires is a diff of this table. -rungs.deltas=N
-// runs a stream of another length and logs its table.
+// (Epochs, Tau). No rung reads a clock (the LP budget counts pivots), so
+// the rung each delta lands on is pinned per fabric, and a change to which rung fires is a diff of
+// this table. -rungs.deltas=N runs a stream of another length and logs
+// its table.
 func TestReplanStreamRungs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the replan stream takes seconds")
@@ -337,20 +335,9 @@ func TestReplanStreamRungs(t *testing.T) {
 		"ring4-milp":  {"error": 4, "incremental": 8, "structural": 13},
 		"ring4-astar": {"error": 2, "incremental": 10, "structural": 13},
 	}
-	for _, arm := range []struct {
-		name string
-		opt  ReplanOptions
-		want map[string]map[string]int
-	}{
-		{"default", ReplanOptions{}, want},
-		{"rebase0.5", ReplanOptions{RebaseThreshold: 0.5}, want},
-	} {
-		t.Run(arm.name, func(t *testing.T) {
-			hist := runRungStream(t, n, arm.opt)
-			t.Logf("%d deltas, rungs per fabric:\n%s", n, rungTable(hist))
-			if n == rungStreamPinned && !reflect.DeepEqual(hist, arm.want) {
-				t.Errorf("rungs:\n%swant:\n%s", rungTable(hist), rungTable(arm.want))
-			}
-		})
+	hist := runRungStream(t, n)
+	t.Logf("%d deltas, rungs per fabric:\n%s", n, rungTable(hist))
+	if n == rungStreamPinned && !reflect.DeepEqual(hist, want) {
+		t.Errorf("rungs:\n%swant:\n%s", rungTable(hist), rungTable(want))
 	}
 }

@@ -44,7 +44,7 @@ func newScriptSession(t *testing.T, tt *topo.Topology, opt Options) *scriptSessi
 	t.Helper()
 	d := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
 	s := &scriptSession{
-		pl:  NewPlanner(tt, PlannerOptions{Defaults: opt, Replan: ReplanOptions{RebaseThreshold: 0.5}}),
+		pl:  NewPlanner(tt, PlannerOptions{Defaults: opt}),
 		opt: opt, base: tt, baseDemand: d, demand: d.Clone(),
 	}
 	for l := 0; l < tt.NumLinks(); l++ {
@@ -96,8 +96,8 @@ func (s *scriptSession) delta(t *testing.T, kind string) Delta {
 }
 
 // replan applies d and names the rung that served it: "incremental",
-// "structural-cold", "structural-replay", or the other fallback kinds
-// and "rebase", which the script should not reach.
+// "structural-cold", "structural-replay", or "fallback-other" (sour or
+// no model), which the script should not reach.
 func (s *scriptSession) replan(t *testing.T, d Delta) (*Plan, string) {
 	t.Helper()
 	before := s.pl.Stats()
@@ -113,8 +113,6 @@ func (s *scriptSession) replan(t *testing.T, d Delta) (*Plan, string) {
 	}
 	after := s.pl.Stats()
 	switch {
-	case p.ReBased:
-		return p, "rebase"
 	case !p.ReplanFallback:
 		return p, "incremental"
 	case after.ReplanFallbackStructural == before.ReplanFallbackStructural:

@@ -2,9 +2,8 @@ package core
 
 // Churn-stream replan tests: structural growth, incremental demand
 // appends (new pairs and new sources), MILP/A* incumbent replanning,
-// the bounded-regret budget abort, adaptive re-basing, cancellation
-// semantics, and a mixed-kind randomized replan-vs-cold property
-// corpus. Complements replan_test.go, which covers the single-delta
+// the LP pivot-budget abort, cancellation semantics, and a mixed-kind
+// randomized replan-vs-cold property corpus. Complements replan_test.go, which covers the single-delta
 // LP paths.
 
 import (
@@ -203,10 +202,7 @@ func TestReplanGrowthFallsBackThenResumesIncremental(t *testing.T) {
 func TestReplanMILPIncumbentIncremental(t *testing.T) {
 	tt := topo.DGX1()
 	ag := collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3)
-	// This test pins incumbent re-rooting mechanics, not budgeting: the
-	// wall deadline is derived from observed cold cost, which the race
-	// detector inflates ~10x, so run unbudgeted to stay deterministic.
-	pl := NewPlanner(tt, PlannerOptions{Replan: ReplanOptions{RegretFraction: -1}})
+	pl := NewPlanner(tt, PlannerOptions{})
 	if _, err := pl.Plan(context.Background(), Request{Demand: ag, Solver: SolverMILP}); err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +254,7 @@ func TestReplanMILPIncumbentIncremental(t *testing.T) {
 func TestReplanAStarIncumbentReplayAndResume(t *testing.T) {
 	tt := topo.DGX1()
 	ag := collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3)
-	// Unbudgeted for the same reason as the MILP incumbent test: the
-	// race detector's slowdown would turn the resume into a budget
-	// abort, and budget-expiry semantics have their own test.
-	pl := NewPlanner(tt, PlannerOptions{Replan: ReplanOptions{RegretFraction: -1}})
+	pl := NewPlanner(tt, PlannerOptions{})
 	if _, err := pl.Plan(context.Background(), Request{Demand: ag, Solver: SolverAStar}); err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +392,7 @@ func TestReplanProgressMatchesColdPhases(t *testing.T) {
 		t.Run(c.solver.String(), func(t *testing.T) {
 			seen := map[string]int{}
 			hook := func(p Progress) { seen[p.Solver+"/"+p.Phase]++ }
-			pl := NewPlanner(tt, PlannerOptions{Replan: ReplanOptions{RegretFraction: -1}})
+			pl := NewPlanner(tt, PlannerOptions{})
 			defer pl.Close()
 			if _, err := pl.Plan(context.Background(), Request{Demand: c.demand, Solver: c.solver, Progress: hook}); err != nil {
 				t.Fatal(err)
@@ -423,70 +416,6 @@ func TestReplanProgressMatchesColdPhases(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestReplanAdaptiveRebase: when the incremental pivot EWMA exceeds the
-// re-base threshold, the next Replan deliberately skips the incremental
-// attempt and refreshes the incumbent basis with a crash-started cold
-// solve — counted as a ReBase, not a fallback — after which incremental
-// replanning resumes.
-func TestReplanAdaptiveRebase(t *testing.T) {
-	tt := topo.DGX1()
-	const chunkBytes = 25e3
-	d := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, chunkBytes)
-	tau := 1.1 * chunkBytes / tt.MaxCapacity()
-	pl := NewPlanner(tt, PlannerOptions{
-		Defaults: Options{Tau: tau},
-		// Any nonzero incremental EWMA trips the trigger: every second
-		// replan re-bases.
-		Replan: ReplanOptions{RebaseThreshold: 1e-9},
-	})
-	if _, err := pl.Plan(context.Background(), Request{Demand: d, Solver: SolverLP}); err != nil {
-		t.Fatal(err)
-	}
-	scale := kappaPreservingScale(tt, tau, chunkBytes, []float64{0.95, 0.9, 0.85})
-	if scale == nil {
-		t.Fatal("no κ-preserving degradation exists at padded tau")
-	}
-
-	rp1, err := pl.Replan(context.Background(), Delta{Scale: scale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp1.ReplanFallback || rp1.ReBased {
-		t.Fatalf("first replan should be incremental, got fallback=%v rebased=%v", rp1.ReplanFallback, rp1.ReBased)
-	}
-
-	rp2, err := pl.Replan(context.Background(), Delta{Scale: scale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rp2.ReBased {
-		t.Fatal("decayed incremental advantage should trigger a proactive re-base")
-	}
-	if rp2.ReplanFallback {
-		t.Fatal("a re-base is deliberate maintenance, not a fallback")
-	}
-	assertAvoidsDown(t, rp2)
-
-	rp3, err := pl.Replan(context.Background(), Delta{Scale: scale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp3.ReBased || rp3.ReplanFallback {
-		t.Fatalf("replanning should resume incrementally after the re-base, got fallback=%v rebased=%v",
-			rp3.ReplanFallback, rp3.ReBased)
-	}
-	st := pl.Stats()
-	if st.ReBases != 1 {
-		t.Fatalf("ReBases = %d, want 1", st.ReBases)
-	}
-	if st.ReplanFallbacks != 0 {
-		t.Fatalf("re-bases must not count as fallbacks: %+v", st)
-	}
-	if st.Replans != 3 {
-		t.Fatalf("Replans = %d, want 3", st.Replans)
 	}
 }
 
@@ -667,18 +596,15 @@ func TestReplanStreamMixedProperty(t *testing.T) {
 }
 
 // TestReplanConcurrentFallbackRebaseStats: Plan, Replan, and Stats
-// racing while the replan stream mixes incremental solves, structural
-// fallbacks, and proactive re-bases. Run with -race; the assertions
-// check the counters stay coherent under contention.
+// racing while the replan stream mixes incremental solves and structural
+// fallbacks. Run with -race; the assertions check the counters stay
+// coherent under contention.
 func TestReplanConcurrentFallbackRebaseStats(t *testing.T) {
 	tt := topo.DGX1()
 	const chunkBytes = 25e3
 	d := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, chunkBytes)
 	tau := 1.1 * chunkBytes / tt.MaxCapacity()
-	pl := NewPlanner(tt, PlannerOptions{
-		Defaults: Options{Tau: tau},
-		Replan:   ReplanOptions{RebaseThreshold: 1e-9}, // re-base eagerly
-	})
+	pl := NewPlanner(tt, PlannerOptions{Defaults: Options{Tau: tau}})
 	if _, err := pl.Plan(context.Background(), Request{Demand: d, Solver: SolverLP}); err != nil {
 		t.Fatal(err)
 	}
@@ -712,7 +638,7 @@ func TestReplanConcurrentFallbackRebaseStats(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			st := pl.Stats()
-			if st.ReplanFallbacks+st.ReBases > st.Replans {
+			if st.ReplanFallbacks > st.Replans {
 				t.Errorf("incoherent stats snapshot: %+v", st)
 				return
 			}
@@ -744,7 +670,7 @@ func TestReplanConcurrentFallbackRebaseStats(t *testing.T) {
 	if st.ReplanFallbackStructural == 0 {
 		t.Fatalf("straggler deltas should have forced structural fallbacks: %+v", st)
 	}
-	if st.ReplanFallbacks+st.ReBases > st.Replans {
+	if st.ReplanFallbacks > st.Replans {
 		t.Fatalf("incoherent final stats: %+v", st)
 	}
 }

@@ -28,10 +28,10 @@ type Planner = core.Planner
 // solver-selection policy, and the replanning budget (Replan field).
 type PlannerOptions = core.PlannerOptions
 
-// ReplanOptions tunes Replan's bounded-regret budget (the pivot or
-// wall-clock cap on every incremental attempt, derived from observed
-// cold-solve cost) and the adaptive re-basing trigger. The zero value
-// means sensible defaults; negative fields disable a mechanism.
+// ReplanOptions tunes the pivot budget of Replan's incremental LP
+// attempts, derived from observed cold-solve pivots. The zero value means
+// sensible defaults; negative fields disable a part. RebaseThreshold is
+// deprecated and ignored.
 type ReplanOptions = core.ReplanOptions
 
 // Request is one unit of work for a Planner: a demand plus optional
@@ -150,8 +150,8 @@ type ProgressFunc = core.ProgressFunc
 //   - MILP incumbents re-root branch-and-bound from the repaired root
 //     relaxation basis, and the pre-churn integer incumbent is
 //     re-validated against the churned topology: when it survives, it
-//     seeds the search as a feasible incumbent, so even a
-//     budget-truncated re-solve returns a valid schedule.
+//     seeds the search as a feasible incumbent, so even a re-solve
+//     cut short by the request's TimeLimit returns a valid schedule.
 //   - A* incumbents replay the rounds untouched by the churn and
 //     re-solve only from the first round that routed over a failed or
 //     degraded link; a pure capacity increase replays the whole
@@ -160,15 +160,14 @@ type ProgressFunc = core.ProgressFunc
 // Churn that changes the model's shape — a scale that changes a link's
 // per-chunk epochs, topology growth (Delta.AddNodes/AddLinks), or
 // demand churn the incumbent form cannot absorb — degrades gracefully
-// to a cold crash-started solve (Plan.ReplanFallback). Incremental
-// attempts run under a bounded-regret budget derived from an EWMA of
-// observed cold-solve cost (pivots for the LP, wall clock for MILP and
-// A*; see ReplanOptions), so one replan never costs more than a small
-// multiple of solving cold; a budget abort falls back the same way.
-// When the per-replan pivot cost drifts upward across a long churn
-// stream, the session proactively re-bases — refactorizes and re-crash
-// starts (Plan.ReBased, PlannerStats.ReBases) — to restore the
-// incremental advantage. Every replanned schedule is re-validated
+// to a cold crash-started solve (Plan.ReplanFallback), and so does an
+// incremental attempt that comes back without a validated optimum (say,
+// infeasible at the incumbent's horizon, or out of the request's
+// TimeLimit), or an incremental LP attempt that exhausts its pivot
+// budget (a fraction of the session's observed cold-solve pivots; see
+// ReplanOptions) — a deep edit reoptimizes slower than a cold solve.
+// The rung a delta lands on depends on the inputs alone, never on the
+// host's speed. Every replanned schedule is re-validated
 // against the churned topology before being returned, and all session
 // caches are invalidated atomically, so no pre-churn schedule or basis
 // can leak into post-churn requests.

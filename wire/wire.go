@@ -194,6 +194,8 @@ type Plan struct {
 
 // Stats is the wire form of a session's cumulative counters. The field
 // set mirrors PlannerStats one for one; the golden test pins the tags.
+// rebases (like Plan's rebased) is always zero: the adaptive re-basing
+// it counted is gone, and the field stays for v1 clients.
 type Stats struct {
 	Requests                 int `json:"requests"`
 	ScheduleReplays          int `json:"schedule_replays"`
