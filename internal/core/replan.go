@@ -137,9 +137,9 @@ type ReplanOptions struct {
 	// estimates do not starve legitimate incremental replans. Default
 	// 2048; negative means no floor.
 	PivotFloor int
-	// Deprecated: ignored. Adaptive re-basing is gone; no re-base on a
-	// 10 000-delta seeded churn stream was cheaper than the replan it
-	// replaced.
+	// Deprecated: ignored. Adaptive re-basing is gone: the one re-base a
+	// 10 000-delta seeded churn stream reached ran the same cold solve as
+	// the structural fallback it stood in for.
 	RebaseThreshold float64
 }
 

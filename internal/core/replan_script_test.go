@@ -96,8 +96,8 @@ func (s *scriptSession) delta(t *testing.T, kind string) Delta {
 }
 
 // replan applies d and names the rung that served it: "incremental",
-// "structural-cold", "structural-replay", or "fallback-other" (sour or
-// no model), which the script should not reach.
+// "structural-cold", "structural-replay", or "fallback-other" (budget,
+// sour or no model), which the script should not reach.
 func (s *scriptSession) replan(t *testing.T, d Delta) (*Plan, string) {
 	t.Helper()
 	before := s.pl.Stats()

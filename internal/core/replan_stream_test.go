@@ -3,8 +3,8 @@ package core
 // Churn-stream replan tests: structural growth, incremental demand
 // appends (new pairs and new sources), MILP/A* incumbent replanning,
 // the LP pivot-budget abort, cancellation semantics, and a mixed-kind
-// randomized replan-vs-cold property corpus. Complements replan_test.go, which covers the single-delta
-// LP paths.
+// randomized replan-vs-cold property corpus. Complements replan_test.go,
+// which covers the single-delta LP paths.
 
 import (
 	"context"
