@@ -9,14 +9,16 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // newRemote starts an embedded daemon and dials it, returning the
 // client and the server for direct inspection.
-func newRemote(t *testing.T) (*Client, *Server) {
+func newRemote(t *testing.T, opt ServerOptions) (*Client, *Server) {
 	t.Helper()
-	srv := NewServer(ServerOptions{})
+	srv := NewServer(opt)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		hs.Close()
@@ -36,7 +38,7 @@ func TestRemotePlannerMatchesLocal(t *testing.T) {
 
 	local := NewPlanner(tp, PlannerOptions{})
 	defer local.Close()
-	c, _ := newRemote(t)
+	c, _ := newRemote(t, ServerOptions{})
 	remote := c.Planner(tp)
 	defer remote.Close()
 
@@ -97,6 +99,66 @@ func TestRemotePlannerMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestRemotePlannersShareASession: eight RemotePlanners over one DGX1
+// session each cycle four ALLTOALL chunk sizes, 96 requests in all,
+// through a daemon that runs four solves at a time. The queue holds every
+// client, so admission sheds nothing: each request succeeds with a valid
+// schedule and the objective a local Planner gives its size, and each
+// size is replayed from the session cache at least once.
+func TestRemotePlannersShareASession(t *testing.T) {
+	const clients, perClient = 8, 12
+	tp := DGX1()
+	sizes := []float64{25e3, 50e3, 100e3, 200e3}
+	ctx := context.Background()
+
+	local := NewPlanner(tp, PlannerOptions{})
+	defer local.Close()
+	want := make([]float64, len(sizes))
+	for k, bytes := range sizes {
+		p, err := local.Plan(ctx, Request{Demand: AllToAll(tp, 1, bytes)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = p.Objective
+	}
+
+	c, _ := newRemote(t, ServerOptions{MaxConcurrent: 4, QueueDepth: 16})
+	hits := make([]atomic.Int32, len(sizes))
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// No Close: it would close the daemon session the other
+			// clients still plan on; the server's cleanup drops it.
+			remote := c.Planner(tp)
+			for j := 0; j < perClient; j++ {
+				k := (w + j) % len(sizes)
+				p, err := remote.Plan(ctx, Request{Demand: AllToAll(tp, 1, sizes[k])})
+				if err != nil {
+					t.Errorf("client %d, %g B: %v", w, sizes[k], err)
+					return
+				}
+				if err := p.Schedule.Validate(); err != nil {
+					t.Errorf("client %d, %g B: invalid schedule: %v", w, sizes[k], err)
+				}
+				if p.Objective != want[k] {
+					t.Errorf("client %d, %g B: objective %g, local %g", w, sizes[k], p.Objective, want[k])
+				}
+				if p.CacheHit {
+					hits[k].Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k, bytes := range sizes {
+		if hits[k].Load() == 0 {
+			t.Errorf("%g B: no request replayed from the session cache", bytes)
+		}
+	}
+}
+
 func TestRemotePlannerPriorityParity(t *testing.T) {
 	// A priority function crosses the wire as sampled weights and must
 	// shift the objective exactly as it does locally.
@@ -115,7 +177,7 @@ func TestRemotePlannerPriorityParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := newRemote(t)
+	c, _ := newRemote(t, ServerOptions{})
 	remote := c.Planner(tp)
 	defer remote.Close()
 	rres, err := remote.Plan(ctx, Request{Demand: d.Clone(), Options: &opt})
@@ -128,7 +190,7 @@ func TestRemotePlannerPriorityParity(t *testing.T) {
 }
 
 func TestRemotePlannerRejectsLinkCapacity(t *testing.T) {
-	c, _ := newRemote(t)
+	c, _ := newRemote(t, ServerOptions{})
 	remote := c.Planner(DGX1())
 	defer remote.Close()
 	opt := Options{LinkCapacity: func(l LinkID, epoch int) float64 { return 1 }}
@@ -142,7 +204,7 @@ func TestRemotePlannerLifecycle(t *testing.T) {
 	tp := DGX1()
 	d := AllToAll(tp, 1, 25e3)
 	ctx := context.Background()
-	c, _ := newRemote(t)
+	c, _ := newRemote(t, ServerOptions{})
 
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("Health: %v", err)

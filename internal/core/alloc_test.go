@@ -110,8 +110,8 @@ func TestAStarPlanAllocBudget(t *testing.T) {
 func TestModelBuildAllocBudget(t *testing.T) {
 	dgx, ndv := topo.DGX1(), topo.NDv2Mini(2)
 	a2a := collective.AllToAll(dgx.NumNodes(), testGPUs(dgx), 1, 25e3)
-	pr := prepIndex(dgx, a2a, Options{})
-	min := newInstance(dgx, collective.AllGather(dgx.NumNodes(), testGPUs(dgx), 1, 25e3), Options{})
+	pr := must(prepIndex(dgx, a2a, Options{}))
+	min := must(newInstance(dgx, collective.AllGather(dgx.NumNodes(), testGPUs(dgx), 1, 25e3), Options{}))
 	wi := NewWindowInstance(ndv, collective.AllToAll(ndv.NumNodes(), testGPUs(ndv), 2, 25e3), Options{EpochMode: SlowestLink})
 	bd := wi.InitialBoundary()
 	pl := NewPlanner(dgx, PlannerOptions{})

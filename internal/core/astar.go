@@ -177,7 +177,10 @@ func solveAStar(ctx context.Context, t *topo.Topology, d *collective.Demand, opt
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
 	start := time.Now()
-	in := newInstance(t, d, opt)
+	in, err := newInstance(t, d, opt)
+	if err != nil {
+		return nil, incumbentState{}, err
+	}
 	if len(in.comms) == 0 {
 		return emptyResult(in, start), incumbentState{}, nil
 	}

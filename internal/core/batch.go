@@ -87,7 +87,9 @@ func (e *batchEntry) model() *lp.Problem {
 	if e.base != nil {
 		return e.base
 	}
-	return prepLP(e.topo, e.demand, e.opt).m.p
+	// The recipe was solved once, so its τ was accepted then.
+	pr, _ := prepLP(e.topo, e.demand, e.opt)
+	return pr.m.p
 }
 
 // requestKey identifies a request by what its LP model and cached
@@ -339,7 +341,10 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 			}
 		}
 	}
-	pr := prepLP(t, d, opt)
+	pr, err := prepLP(t, d, opt)
+	if err != nil {
+		return nil, incumbentState{}, nil, err
+	}
 	var fp uint64
 	if pr.m != nil {
 		fp = pr.m.p.Fingerprint()

@@ -123,9 +123,9 @@ func TestPowerOfTwoSweepReplaysInChunkUnits(t *testing.T) {
 	sizes := []float64{100e3, 200e3, 400e3, 800e3}
 	demands := sweepDemands(tt, sizes)
 	opt := Options{EpochMode: FastestLink}
-	first := prepLP(tt, demands[0], opt).m.p
+	first := must(prepLP(tt, demands[0], opt)).m.p
 	for i, d := range demands[1:] {
-		if !prepLP(tt, d, opt).m.p.EqualTo(first) {
+		if !must(prepLP(tt, d, opt)).m.p.EqualTo(first) {
 			t.Fatalf("%g B: the model differs from the %g B one", sizes[i+1], sizes[0])
 		}
 	}
@@ -187,10 +187,10 @@ func TestPowerOfTwoSweepReplaysInChunkUnits(t *testing.T) {
 	dgx := topo.DGX1()
 	gpus := testGPUs(dgx)
 	d25, d50 := collective.AllToAll(dgx.NumNodes(), gpus, 1, 25e3), collective.AllToAll(dgx.NumNodes(), gpus, 1, 50e3)
-	if reflect.DeepEqual(newInstance(dgx, d25, Options{}).delta, newInstance(dgx, d50, Options{}).delta) {
+	if reflect.DeepEqual(must(newInstance(dgx, d25, Options{})).delta, must(newInstance(dgx, d50, Options{})).delta) {
 		t.Fatal("DGX1's δ no longer differs between 25 and 50 kB chunks; pick sizes whose δ do")
 	}
-	if prepLP(dgx, d25, Options{}).m.p.EqualTo(prepLP(dgx, d50, Options{}).m.p) {
+	if must(prepLP(dgx, d25, Options{})).m.p.EqualTo(must(prepLP(dgx, d50, Options{})).m.p) {
 		t.Fatal("sizes whose δ differ build equal models")
 	}
 	if rs, errs := BatchSolveLP(ctx, dgx, []*collective.Demand{d25, d50}, Options{}, BatchOptions{}); errs[1] != nil || rs[1].Reused {

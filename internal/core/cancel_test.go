@@ -31,6 +31,16 @@ func testGPUs(t *topo.Topology) []int {
 	return out
 }
 
+// must unwraps a preprocessing result (newInstance, prepLP, ...) and
+// panics on its error: every world a test builds a model on has a live
+// link, so an error here is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // hardLPInstance is an NDv2-scale ALLTOALL whose fastest-link LP grinds
 // for minutes if left alone — the canonical instance a deadline or
 // cancellation must be able to interrupt.

@@ -31,6 +31,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -334,9 +335,28 @@ func DeriveTau(t *topo.Topology, chunkBytes float64, mode EpochMode, multiplier 
 }
 
 // newInstance preprocesses a solve: derives τ, per-link δ and κ, and the
-// commodity list.
-func newInstance(t *topo.Topology, d *collective.Demand, opt Options) *instance {
+// commodity list. A demand with commodities needs a positive, finite τ:
+// with no live link DeriveTau returns 0, and κ = ⌈1/0⌉ would size every
+// capacity window at 2⁶³ epochs, so that world is refused here, before
+// any form builds a model.
+func newInstance(t *topo.Topology, d *collective.Demand, opt Options) (*instance, error) {
 	in := &instance{topo: t, demand: d, opt: opt}
+
+	// Commodities.
+	for s := 0; s < d.NumNodes(); s++ {
+		for c := 0; c < d.NumChunks(); c++ {
+			if !d.SourceHasChunk(s, c) {
+				continue
+			}
+			cm := comm{src: s, chunk: c}
+			for dst := 0; dst < d.NumNodes(); dst++ {
+				if d.Wants(s, c, dst) {
+					cm.dests = append(cm.dests, dst)
+				}
+			}
+			in.comms = append(in.comms, cm)
+		}
+	}
 
 	in.tau = opt.Tau
 	if in.tau == 0 {
@@ -345,6 +365,9 @@ func newInstance(t *topo.Topology, d *collective.Demand, opt Options) *instance 
 		} else {
 			in.tau = DeriveTau(t, d.ChunkBytes, opt.EpochMode, opt.EpochMultiplier)
 		}
+	}
+	if len(in.comms) > 0 && !(in.tau > 0 && !math.IsInf(in.tau, 1)) {
+		return nil, fmt.Errorf("core: epoch duration τ = %g is not positive and finite: no live link carries the demand, or Options.Tau is out of range", in.tau)
 	}
 
 	nL := t.NumLinks()
@@ -365,22 +388,6 @@ func newInstance(t *topo.Topology, d *collective.Demand, opt Options) *instance 
 		}
 	}
 
-	// Commodities.
-	for s := 0; s < d.NumNodes(); s++ {
-		for c := 0; c < d.NumChunks(); c++ {
-			if !d.SourceHasChunk(s, c) {
-				continue
-			}
-			cm := comm{src: s, chunk: c}
-			for dst := 0; dst < d.NumNodes(); dst++ {
-				if d.Wants(s, c, dst) {
-					cm.dests = append(cm.dests, dst)
-				}
-			}
-			in.comms = append(in.comms, cm)
-		}
-	}
-
 	in.K = opt.Epochs
 	if in.K == 0 {
 		if opt.estimates != nil {
@@ -390,7 +397,7 @@ func newInstance(t *topo.Topology, d *collective.Demand, opt Options) *instance 
 		}
 	}
 
-	return in
+	return in, nil
 }
 
 // capBudget is link l's Appendix F sliding-window budget for the window

@@ -415,7 +415,7 @@ func TestAStarMatchesOptOnEasyInstance(t *testing.T) {
 func TestGreedyIncumbentValid(t *testing.T) {
 	tp := topo.Ring(4, 1e9, 0)
 	d := collective.AllGather(4, []int{0, 1, 2, 3}, 1, chunk1ms)
-	in := newInstance(tp, d, Options{Epochs: 4})
+	in := must(newInstance(tp, d, Options{Epochs: 4}))
 	sends := greedyIncumbent(in)
 	if sends == nil {
 		t.Fatal("greedy failed on an easy instance")
@@ -432,7 +432,7 @@ func TestGreedyIncumbentValid(t *testing.T) {
 func TestGreedyIncumbentAcceptedByModel(t *testing.T) {
 	tp := topo.Ring(4, 1e9, 0)
 	d := collective.AllGather(4, []int{0, 1, 2, 3}, 1, chunk1ms)
-	in := newInstance(tp, d, Options{Epochs: 4})
+	in := must(newInstance(tp, d, Options{Epochs: 4}))
 	m, err := buildMILP(in)
 	if err != nil {
 		t.Fatalf("buildMILP: %v", err)

@@ -116,7 +116,7 @@ func kernelBitsSolves(t *testing.T) map[string]kernelBits {
 	out["transport"] = bitsOf(solve("transport", transportLP(), lp.Options{}))
 
 	tt := topo.DGX1()
-	pr := prepLP(tt, collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3), Options{})
+	pr := must(prepLP(tt, collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3), Options{}))
 	m := pr.m
 	crash := crashBasisLP(m, pr.greedy)
 	if crash == nil {

@@ -154,7 +154,7 @@ func TestColumnNamesGolden(t *testing.T) {
 		}
 		return out
 	}
-	in := newInstance(tt, collective.AllGather(tt.NumNodes(), g, 2, 25e3), Options{BufferLimitChunks: 20})
+	in := must(newInstance(tt, collective.AllGather(tt.NumNodes(), g, 2, 25e3), Options{BufferLimitChunks: 20}))
 	mm, err := buildMILP(in)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestColumnNamesGolden(t *testing.T) {
 		digest string
 		clear  map[int]string
 	}{
-		{"DGX1 ALLTOALL LP", names(prepLP(tt, collective.AllToAll(tt.NumNodes(), g, 1, 25e3), Options{}).m.p), 2072,
+		{"DGX1 ALLTOALL LP", names(must(prepLP(tt, collective.AllToAll(tt.NumNodes(), g, 1, 25e3), Options{})).m.p), 2072,
 			"e0cb61ab698de7142bc4d495727ff92895532c3d1216fbd40265ddfa27b6e354",
 			map[int]string{0: "f[s0,l0,k0]", 1: "f[s0,l0,k1]", 2072 / 3: "f[s5,l2,k5]", 2072 / 2: "f[s7,l21,k0]", 2070: "r[s7,d6,k10]", 2071: "r[s7,d6,k11]"}},
 		{"DGX1 ALLGATHER x2 MILP, 20-chunk buffers", names(mm.p), 11328,
@@ -223,7 +223,7 @@ func TestCorpusColumnsKeyed(t *testing.T) {
 	for _, c := range corpusLP() {
 		what := fmt.Sprintf("%s x%d", c.t.Name, c.per)
 		d := collective.AllToAll(c.t.NumNodes(), testGPUs(c.t), c.per, 25e3)
-		pr := prepLP(c.t, d, c.opt)
+		pr := must(prepLP(c.t, d, c.opt))
 		if want := newLPModel(pr.in, pr.ix).countCols(0, 0, pr.in.K, pr.ix.initialBoundary()); pr.m.p.NumVars() != want {
 			t.Fatalf("%s: emit created %d columns after reserving %d", what, pr.m.p.NumVars(), want)
 		}
@@ -288,7 +288,7 @@ func TestCorpusColumnsKeyed(t *testing.T) {
 		if c.broadcast {
 			d = collective.Broadcast(c.t.NumNodes(), g, g[0], 1, 25e3)
 		}
-		m, err := buildMILP(newInstance(c.t, d, c.opt))
+		m, err := buildMILP(must(newInstance(c.t, d, c.opt)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestCorpusColumnsKeyed(t *testing.T) {
 // does, handing every round's model and solved root basis to visit.
 func eachAStarRound(t *testing.T, tt *topo.Topology, opt Options, visit func(round int, m *milpModel, root *lp.Basis)) {
 	t.Helper()
-	in := newInstance(tt, collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3), opt)
+	in := must(newInstance(tt, collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3), opt))
 	st, hop, Kr := newAStarState(in), in.hopDistances(), astarRoundLength(in)
 	var ms milp.Solver
 	for round := 0; st.remaining > 0; round++ {
@@ -392,18 +392,18 @@ func TestKeyTransferMatchesNameTransfer(t *testing.T) {
 	})
 
 	t.Run("MinimizeMakespan K to K-1", func(t *testing.T) {
-		pr := prepLP(ndv, a2a, Options{EpochMode: SlowestLink})
-		tighter := prepLP(ndv, a2a, Options{EpochMode: SlowestLink, Epochs: pr.in.K - 1, Tau: pr.in.tau})
+		pr := must(prepLP(ndv, a2a, Options{EpochMode: SlowestLink}))
+		tighter := must(prepLP(ndv, a2a, Options{EpochMode: SlowestLink, Epochs: pr.in.K - 1, Tau: pr.in.tau}))
 		checkTransfer(t, "LP", pr.m.p, solveRelaxation(t, pr.m.p), tighter.m.p)
 
 		dgx := topo.DGX1()
 		ag := collective.AllGather(dgx.NumNodes(), testGPUs(dgx), 1, 25e3)
-		in := newInstance(dgx, ag, Options{})
+		in := must(newInstance(dgx, ag, Options{}))
 		m, err := buildMILP(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := buildMILP(newInstance(dgx, ag, Options{Epochs: in.K - 1, Tau: in.tau}))
+		m2, err := buildMILP(must(newInstance(dgx, ag, Options{Epochs: in.K - 1, Tau: in.tau})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,13 +413,13 @@ func TestKeyTransferMatchesNameTransfer(t *testing.T) {
 	t.Run("session chain", func(t *testing.T) {
 		// One request's model onto the next's, as planLP chains them: a
 		// second chunk per pair, then another chunk size.
-		pr := prepLP(ndv, a2a, Options{EpochMode: SlowestLink})
+		pr := must(prepLP(ndv, a2a, Options{EpochMode: SlowestLink}))
 		basis := solveRelaxation(t, pr.m.p)
 		for _, next := range []*collective.Demand{
 			collective.AllToAll(ndv.NumNodes(), testGPUs(ndv), 2, 25e3),
 			collective.AllToAll(ndv.NumNodes(), testGPUs(ndv), 1, 200e3),
 		} {
-			checkTransfer(t, "next request", pr.m.p, basis, prepLP(ndv, next, Options{EpochMode: SlowestLink}).m.p)
+			checkTransfer(t, "next request", pr.m.p, basis, must(prepLP(ndv, next, Options{EpochMode: SlowestLink})).m.p)
 		}
 	})
 
@@ -442,7 +442,7 @@ func TestKeyTransferMatchesNameTransfer(t *testing.T) {
 		}
 		appended := pl.incumbent.model
 		checkColumns(t, "appended model", appended.p, lpColumns(appended))
-		cold := prepLP(ndv, rp.Schedule.Demand, Options{Epochs: rp.Epochs, Tau: rp.Tau}).m.p
+		cold := must(prepLP(ndv, rp.Schedule.Demand, Options{Epochs: rp.Epochs, Tau: rp.Tau})).m.p
 		checkTransfer(t, "appended model onto the cold union", appended.p, pl.incumbent.basis, cold)
 		checkTransfer(t, "cold union onto the appended model", cold, solveRelaxation(t, cold), appended.p)
 	})

@@ -605,11 +605,14 @@ func noCopy(d *collective.Demand) *collective.Demand {
 // rolling-horizon windows share, so both agree on the demand, K and the
 // commodity space: multicast expansion, instance preprocessing, greedy
 // horizon tightening, and the commodity index.
-func prepIndex(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
+func prepIndex(t *topo.Topology, d *collective.Demand, opt Options) (*lpPrep, error) {
 	d = noCopy(d)
-	in := newInstance(t, d, opt)
+	in, err := newInstance(t, d, opt)
+	if err != nil {
+		return nil, err
+	}
 	if len(in.comms) == 0 {
-		return &lpPrep{d: d, in: in}
+		return &lpPrep{d: d, in: in}, nil
 	}
 	// Tighten an auto-estimated horizon with a quick greedy upper bound:
 	// the LP optimum finishes no later than the greedy schedule. The
@@ -623,22 +626,22 @@ func prepIndex(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
 		if bound >= 0 && bound+1 < in.K {
 			opt2 := opt
 			opt2.Epochs = bound + 1
-			in = newInstance(t, d, opt2)
+			in, _ = newInstance(t, d, opt2) // the same τ, accepted above
 		}
 	}
-	return &lpPrep{d: d, in: in, ix: newLPIndex(in), greedy: greedy}
+	return &lpPrep{d: d, in: in, ix: newLPIndex(in), greedy: greedy}, nil
 }
 
 // prepLP performs everything of an LP solve that precedes the simplex:
 // prepIndex plus model construction. Split out so the batch layer can
 // fingerprint the built model (and reuse an identical point's solution)
 // before paying for a solve.
-func prepLP(t *topo.Topology, d *collective.Demand, opt Options) *lpPrep {
-	pr := prepIndex(t, d, opt)
-	if pr.ix != nil {
+func prepLP(t *topo.Topology, d *collective.Demand, opt Options) (*lpPrep, error) {
+	pr, err := prepIndex(t, d, opt)
+	if err == nil && pr.ix != nil {
 		pr.m = buildLP(pr.in, pr.ix)
 	}
-	return pr
+	return pr, err
 }
 
 // solveLP is SolveLP plus warm-start plumbing: hint seeds the simplex
@@ -649,7 +652,11 @@ func solveLP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Op
 	// The clock starts before model construction: SolveTime and the
 	// TimeLimit deadline cover the build, as they always have.
 	start := time.Now()
-	return solvePrepped(ctx, t, prepLP(t, d, opt), opt, hint, start)
+	pr, err := prepLP(t, d, opt)
+	if err != nil {
+		return nil, incumbentState{}, err
+	}
+	return solvePrepped(ctx, t, pr, opt, hint, start)
 }
 
 // solvePrepped picks the start of an already-built LP-form instance —

@@ -69,7 +69,7 @@ func TestAppendMatchesColdUnion(t *testing.T) {
 					t.Fatalf("%s: cold fallback, want an incremental append", stp.name)
 				}
 				got := pl.incumbent.model.p
-				want := prepLP(tt, rp.Schedule.Demand, Options{Epochs: rp.Epochs, Tau: rp.Tau}).m.p
+				want := must(prepLP(tt, rp.Schedule.Demand, Options{Epochs: rp.Epochs, Tau: rp.Tau})).m.p
 				if got.NumVars() != want.NumVars() || got.NumRows() != want.NumRows() {
 					t.Fatalf("%s: appended model is %d vars x %d rows, cold union %d x %d",
 						stp.name, got.NumVars(), got.NumRows(), want.NumVars(), want.NumRows())
@@ -187,7 +187,7 @@ func TestLPModelRowIndexes(t *testing.T) {
 	d := collective.AllToAll(tt.NumNodes(), g, 1, 25e3)
 
 	t.Run("full-span", func(t *testing.T) {
-		pr := prepLP(tt, d, Options{})
+		pr := must(prepLP(tt, d, Options{}))
 		checkRowIndexes(t, pr.m, 0, pr.in.K, true)
 	})
 
@@ -275,7 +275,7 @@ func TestDownedLinkEqualsNeverAdded(t *testing.T) {
 				for _, mode := range []EpochMode{FastestLink, SlowestLink} {
 					name := fmt.Sprintf("%s/%s-link/%s/mode%d", fb.t.Name, added.name, dname, mode)
 					opt := Options{EpochMode: mode}
-					never, churned := prepLP(fb.t, d, opt), prepLP(downed, d, opt)
+					never, churned := must(prepLP(fb.t, d, opt)), must(prepLP(downed, d, opt))
 					if !churned.m.p.EqualTo(never.m.p) {
 						t.Errorf("%s: the model with the added link down differs from the one that never had it (%d×%d vs %d×%d, τ %g vs %g, K %d vs %d)",
 							name, churned.m.p.NumRows(), churned.m.p.NumVars(), never.m.p.NumRows(), never.m.p.NumVars(),
@@ -284,7 +284,7 @@ func TestDownedLinkEqualsNeverAdded(t *testing.T) {
 					// A live slow link lands nothing inside a fastest-link
 					// horizon; every other live variant must move the model.
 					bites := added.name == "fast" || mode == SlowestLink
-					if live := prepLP(grown, d, opt); bites && live.m.p.EqualTo(never.m.p) {
+					if live := must(prepLP(grown, d, opt)); bites && live.m.p.EqualTo(never.m.p) {
 						t.Errorf("%s: the live added link changes nothing; the relation measures nothing", name)
 					}
 					checkWindowsEqual(t, name, fb.t, downed, d, opt)
@@ -336,7 +336,7 @@ func checkWindowsEqual(t *testing.T, name string, never, downed *topo.Topology, 
 // horizon d itself needs, and requires the two grown models to be equal.
 func checkAppendEqual(t *testing.T, name string, never, downed *topo.Topology, d *collective.Demand, src int, opt Options) {
 	t.Helper()
-	opt.Epochs = prepLP(never, d, opt).in.K
+	opt.Epochs = must(prepLP(never, d, opt)).in.K
 	grow := func(tp *topo.Topology) *lp.Problem {
 		base, add := d.Clone(), collective.New(d.NumNodes(), d.NumChunks(), d.ChunkBytes)
 		for dst := 0; dst < d.NumNodes(); dst++ {
@@ -345,7 +345,7 @@ func checkAppendEqual(t *testing.T, name string, never, downed *topo.Topology, d
 			}
 			base.DropPair(src, dst)
 		}
-		m := prepLP(tp, base, opt).m
+		m := must(prepLP(tp, base, opt)).m
 		if err := m.appendDemand(add); err != nil {
 			t.Fatalf("%s: appending source %d on %s: %v", name, src, tp.Name, err)
 		}

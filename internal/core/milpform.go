@@ -547,7 +547,10 @@ func SolveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt 
 // layered Options.TimeLimit onto ctx.
 func solveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (*Result, incumbentState, error) {
 	start := time.Now()
-	in := newInstance(t, d, opt)
+	in, err := newInstance(t, d, opt)
+	if err != nil {
+		return nil, incumbentState{}, err
+	}
 	if len(in.comms) == 0 {
 		return emptyResult(in, start), incumbentState{}, nil
 	}
@@ -566,7 +569,7 @@ func solveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt 
 			if tight := sendsFinishEpoch(in, greedy) + 1; tight < in.K {
 				opt2 := opt
 				opt2.Epochs = tight
-				in2 := newInstance(t, d, opt2)
+				in2, _ := newInstance(t, d, opt2) // the same τ, accepted above
 				if greedy2 := greedyIncumbent(in2); greedy2 != nil {
 					in, greedy = in2, greedy2
 				}

@@ -295,7 +295,9 @@ func (inc *incumbentState) restated(t *topo.Topology) *incumbentState {
 	if b == nil {
 		return nil
 	}
-	m := prepLP(t, inc.demand, inc.opt).m
+	// The request was planned on t, so its τ was accepted then.
+	pr, _ := prepLP(t, inc.demand, inc.opt)
+	m := pr.m
 	if m == nil || len(b.Vars) != m.p.NumVars() || len(b.Rows) != m.p.NumRows() {
 		return nil
 	}

@@ -88,7 +88,7 @@ func TestQuickMILPNotWorseThanGreedy(t *testing.T) {
 		if d.Count() == 0 {
 			return true
 		}
-		in := newInstance(tp, d, Options{})
+		in := must(newInstance(tp, d, Options{}))
 		inc := greedyIncumbent(in)
 		if inc == nil {
 			return true
@@ -210,7 +210,7 @@ func TestLPGreedyBoundIsFeasibleHorizon(t *testing.T) {
 			gpus[i] = i
 		}
 		d := collective.AllToAll(n, gpus, 1, 1e6)
-		in := newInstance(tp, d, Options{})
+		in := must(newInstance(tp, d, Options{}))
 		bound, _ := lpGreedyBound(in)
 		if bound < 0 {
 			return true

@@ -267,7 +267,7 @@ func TestReplanReplaysASolvedWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := prepLP(wider, e.demand, Options{}).m.p
+	other := must(prepLP(wider, e.demand, Options{})).m.p
 	c := &batchCache{}
 	c.store(other.Fingerprint(), e)
 	if _, _, replayOf, err := c.solvePoint(ctx, wider, e.demand, Options{}, nil); err != nil || replayOf != nil {

@@ -65,7 +65,7 @@ func TestRequestKeyCoversModelInputs(t *testing.T) {
 	if !ok {
 		t.Fatal("the zero Options have no request key")
 	}
-	baseModel := prepLP(tt, d, base).m.p
+	baseModel := must(prepLP(tt, d, base)).m.p
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -89,7 +89,7 @@ func TestRequestKeyCoversModelInputs(t *testing.T) {
 			if !hasKey || key != baseKey {
 				t.Errorf("setting unread Options.%s changes the request key", name)
 			}
-			if !prepLP(tt, d, opt).m.p.EqualTo(baseModel) {
+			if !must(prepLP(tt, d, opt)).m.p.EqualTo(baseModel) {
 				t.Errorf("prepLP reads Options.%s: the model changed, so the request key must cover it", name)
 			}
 		case function:

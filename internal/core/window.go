@@ -30,14 +30,23 @@ type WindowInstance struct {
 	opt Options
 	in  *instance
 	ix  *lpIndex
+	err error
 }
 
 // NewWindowInstance preprocesses (t, d, opt) exactly like the monolithic
 // LP path (prepIndex), so the windowed and monolithic paths agree on K.
+// When prepIndex refuses the world, the instance holds only that error:
+// check Err before anything else.
 func NewWindowInstance(t *topo.Topology, d *collective.Demand, opt Options) *WindowInstance {
-	pr := prepIndex(t, d, opt)
+	pr, err := prepIndex(t, d, opt)
+	if err != nil {
+		return &WindowInstance{err: err}
+	}
 	return &WindowInstance{t: t, d: pr.d, opt: opt, in: pr.in, ix: pr.ix}
 }
+
+// Err is the preprocessing error of a world no window can be built on.
+func (wi *WindowInstance) Err() error { return wi.err }
 
 // Empty reports whether the demand has no commodities (nothing to plan).
 func (wi *WindowInstance) Empty() bool { return wi.ix == nil }
@@ -61,7 +70,8 @@ func (wi *WindowInstance) SetEpochs(K int) {
 	opt2 := wi.opt
 	opt2.Epochs = K
 	opt2.Tau = wi.in.tau
-	wi.in = newInstance(wi.t, wi.d, opt2)
+	// The τ is wi's own, accepted when wi was built, so this cannot fail.
+	wi.in, _ = newInstance(wi.t, wi.d, opt2)
 	wi.ix = newLPIndex(wi.in)
 }
 

@@ -196,9 +196,9 @@ func TestDaemonPlanReplanStats(t *testing.T) {
 }
 
 // TestReplanRefusesBadDeltaBeforeAdmission: a delta that does not apply
-// to the session's topology, cuts a live GPU off, or names demand outside
-// the churned nodes is a 400 that never reaches the planner; a node loss
-// is not a cut, and replans.
+// to the session's topology, cuts a live GPU off, leaves no live link, or
+// names demand outside the churned nodes is a 400 that never reaches the
+// planner; a node loss is not a cut, and replans.
 func TestReplanRefusesBadDeltaBeforeAdmission(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	tt := topo.DGX1()
@@ -222,6 +222,8 @@ func TestReplanRefusesBadDeltaBeforeAdmission(t *testing.T) {
 		{"a live GPU cut off", plan.SessionID, wire.Delta{LinksDown: intoGPU0}, 400},
 		{"a pair outside the topology", plan.SessionID, wire.Delta{DropPairs: []wire.Pair{{Src: 0, Dst: tt.NumNodes()}}}, 400},
 		{"added demand over other nodes", plan.SessionID, wire.Delta{AddDemand: &otherNodes}, 400},
+		// GPUs 0 and 5 survive with no live link between them.
+		{"no live link left", plan.SessionID, wire.Delta{NodesDown: []int{1, 2, 3, 4, 6, 7}}, 400},
 	} {
 		var werr wire.Error
 		if st := call(t, "POST", hs.URL+"/v1/replan", wire.ReplanRequest{SessionID: c.id, Delta: c.delta}, &werr); st != c.want {

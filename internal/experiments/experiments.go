@@ -250,11 +250,9 @@ func All(short bool) []*Table {
 		AStarVsOpt(short),
 		Table7(short),
 		Table8(short),
-		WorkersSweep(short),
 		Churn(short),
 		ChurnStream(short),
 		Horizon(short),
-		LoadGen(short),
 	}
 }
 
@@ -304,16 +302,12 @@ func byID(id string, short bool) *Table {
 		return Table7(short)
 	case "table8":
 		return Table8(short)
-	case "workers":
-		return WorkersSweep(short)
 	case "churn":
 		return Churn(short)
 	case "churnstream":
 		return ChurnStream(short)
 	case "horizon":
 		return Horizon(short)
-	case "loadgen":
-		return LoadGen(short)
 	}
 	return nil
 }
@@ -321,6 +315,6 @@ func byID(id string, short bool) *Table {
 // IDs lists the available experiment identifiers.
 func IDs() []string {
 	return []string{"fig2", "table3", "fig4and5", "fig6", "table4",
-		"fig7", "fig8", "fig9", "astar", "table7", "table8", "workers", "churn",
-		"churnstream", "horizon", "loadgen"}
+		"fig7", "fig8", "fig9", "astar", "table7", "table8", "churn",
+		"churnstream", "horizon"}
 }

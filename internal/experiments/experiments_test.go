@@ -161,32 +161,6 @@ func TestChurnStreamMedianRegret(t *testing.T) {
 	}
 }
 
-func TestLoadGenP99Budget(t *testing.T) {
-	tab := ByID("loadgen", true)
-	if tab == nil {
-		t.Fatal("loadgen experiment missing")
-	}
-	if tab.Metrics["failed"] > 0 {
-		t.Fatalf("%v requests failed: %s", tab.Metrics["failed"], tab.Notes)
-	}
-	if got := tab.Metrics["p99_budget_ms"]; got != P99BudgetMs {
-		t.Fatalf("budget metric %v, want %v (benchtables gates CI on this key)", got, P99BudgetMs)
-	}
-	p99 := tab.Metrics["p99_ms"]
-	if !(p99 > 0) {
-		t.Fatalf("p99 not measured: %v", p99)
-	}
-	if raceEnabled {
-		t.Logf("race detector on; skipping the %dms budget check (p99 %.2fms)", P99BudgetMs, p99)
-		return
-	}
-	// The CI regression gate, asserted here too so a serving-path
-	// regression fails `go test` as well as the bench-smoke job.
-	if p99 > P99BudgetMs {
-		t.Fatalf("p99 %.2fms over the %dms budget", p99, P99BudgetMs)
-	}
-}
-
 func TestHorizonExperimentShort(t *testing.T) {
 	tab := ByID("horizon", true)
 	if tab == nil {

@@ -130,6 +130,9 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 	}
 
 	wi := core.NewWindowInstance(t, d, opt)
+	if err := wi.Err(); err != nil {
+		return nil, err
+	}
 	if wi.Empty() {
 		return wi.EmptyResult(start), nil
 	}

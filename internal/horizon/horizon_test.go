@@ -95,3 +95,67 @@ func TestWindowedMatchesMonolithic(t *testing.T) {
 		})
 	}
 }
+
+// TestNoLiveLinkErrorsPromptly: Ring(4) with GPUs 1 and 3 down leaves
+// GPUs 0 and 2 an ALLGATHER and no live link to carry it, so the derived
+// epoch duration τ is 0. Every solver, and a session's replan onto that
+// world, must refuse it at once rather than size capacity windows from
+// 1/τ; so must an explicit non-finite Options.Tau on a live ring.
+func TestNoLiveLinkErrorsPromptly(t *testing.T) {
+	ring := topo.Ring(4, 25e9, 0.7e-6)
+	down := []topo.NodeID{1, 3}
+	dead, err := ring.ApplyDelta(topo.Delta{NodesDown: down})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := collective.AllGather(dead.NumNodes(), []int{0, 2}, 1, 25e3)
+	full := collective.AllGather(ring.NumNodes(), gpuIDs(ring), 1, 25e3)
+	pl := core.NewPlanner(ring, core.PlannerOptions{})
+	if _, err := pl.Plan(context.Background(), core.Request{Demand: full}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name  string
+		solve func(ctx context.Context) error
+	}{
+		{"SolveLP", func(ctx context.Context) error {
+			_, err := core.SolveLP(ctx, dead, d, core.Options{})
+			return err
+		}},
+		{"SolveMILP", func(ctx context.Context) error {
+			_, err := core.SolveMILP(ctx, dead, d, core.Options{})
+			return err
+		}},
+		{"SolveAStar", func(ctx context.Context) error {
+			_, err := core.SolveAStar(ctx, dead, d, core.Options{})
+			return err
+		}},
+		{"Solve", func(ctx context.Context) error {
+			_, err := Solve(ctx, dead, d, core.Options{TimeLimit: 3 * time.Second})
+			return err
+		}},
+		{"Planner.Replan", func(ctx context.Context) error {
+			_, err := pl.Replan(ctx, core.Delta{NodesDown: down})
+			return err
+		}},
+		{"SolveMILP Tau=+Inf", func(ctx context.Context) error {
+			_, err := core.SolveMILP(ctx, ring, full, core.Options{Tau: math.Inf(1)})
+			return err
+		}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() { done <- c.solve(ctx) }()
+		select {
+		case err := <-done:
+			if el := time.Since(start); err == nil || el > time.Second {
+				t.Errorf("%s: returned %v after %v, want an error within 1s", c.name, err, el)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: no return 2s past its 3s deadline", c.name)
+		}
+		cancel()
+	}
+}
