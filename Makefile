@@ -101,8 +101,8 @@ daemon-smoke:
 # One iteration of the Fig 5 solver-time sweep plus the solver and
 # concurrency micro-benchmarks across all packages; fast enough for CI,
 # loud enough to catch a perf cliff. NodeResolve reports B/op and
-# allocs/op of a branch-and-bound node re-solve, fresh context against
-# retained lp.Solver; FtranBtran the ns/op (and 0 allocs/op) of the three
+# allocs/op of a branch-and-bound node re-solve three ways: a new
+# lp.Solver per node, the pooled lp.Solve, a retained lp.Solver; FtranBtran the ns/op (and 0 allocs/op) of the three
 # triangular solves of a simplex iteration on a mid-update DGX1 basis;
 # PlanAllocs the B/op and allocs/op of one whole A*, MILP and horizon plan
 # (add -memprofile for the by-site table, see bench_test.go).

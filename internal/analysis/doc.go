@@ -62,6 +62,13 @@
 // Planner dispatch depends on (solvers must be installed before any
 // Plan call can race them).
 //
+// solverlife — one workspace lifetime: outside teccl/internal/lp and
+// teccl/internal/milp, non-test code declares no variable or struct field
+// of type lp.Solver or milp.Solver, writes no composite literal of them
+// and calls no new on them. Planning code solves through lp.Solve and
+// milp.Solve, which borrow a workspace from a process-wide pool for one
+// solve, so no session, cache entry, Result or Plan can pin one.
+//
 // # Suppression
 //
 // Every analyzer honors a line directive of the form

@@ -74,10 +74,10 @@ func liveHeap() int64 {
 
 // TestAStarPlanAllocBudget pins what one A* plan allocates — NDv2Mini(2)
 // ALLGATHER on the fastest link, the six-round plan TestKernelCountsPinned
-// pins the pivots of, Workers = 0 — now that the rounds share one solve
-// workspace (milp.Solver, and through its worker the lp.Solver): six
-// presolved roots and six node re-solves run in the storage the first
-// round sized. The reading is 2 216 KB in 17 821 allocations; with a
+// pins the pivots of, Workers = 0 — now that the rounds borrow their
+// workspace (milp.Solver, and through its worker the lp.Solver) from
+// milp's pool: six presolved roots and six node re-solves run in the
+// storage an earlier round sized. The reading is 2 216 KB in 17 821 allocations; with a
 // context per LP (PR 17) the same plan allocated 4 514 KB in 40 050. The
 // bounds are the reading + 5 %.
 func TestAStarPlanAllocBudget(t *testing.T) {

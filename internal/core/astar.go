@@ -109,9 +109,6 @@ func astarLoop(ctx context.Context, in *instance, st *astarState, Kr, rounds int
 		hop = in.hopDistances()
 	}
 	var hint *basisHint
-	// One solve workspace for every round's MILP: it dies with this call
-	// (a session, Result or Plan must never hold one).
-	var ms milp.Solver
 	for st.remaining > 0 {
 		if rounds >= maxRounds {
 			return nil, incumbentState{}, fmt.Errorf("core: A* did not finish within %d rounds (%d demands left)",
@@ -130,7 +127,7 @@ func astarLoop(ctx context.Context, in *instance, st *astarState, Kr, rounds int
 			Incumbent: math.NaN(), Bound: math.NaN(), Gap: math.Inf(1),
 		})
 		off := rounds * Kr
-		roundSends, msol, roundHint, err := solveRound(ctx, &ms, in, st, hop, Kr, off, hint)
+		roundSends, msol, roundHint, err := solveRound(ctx, in, st, hop, Kr, off, hint)
 		if err != nil {
 			return nil, incumbentState{}, err
 		}
@@ -192,8 +189,10 @@ func solveAStar(ctx context.Context, t *topo.Topology, d *collective.Demand, opt
 // allowed to carry over into the next (milpModel.emit). hint optionally
 // seeds the root relaxation from the previous round's basis; the returned
 // hint carries this round's basis forward, and the milp.Solution carries
-// the round's gap and iteration counters. ms is the loop's workspace.
-func solveRound(ctx context.Context, ms *milp.Solver, in *instance, st *astarState, hop [][]float64, Kr, off int, hint *basisHint) ([]schedule.Send, *milp.Solution, *basisHint, error) {
+// the round's gap and iteration counters. The round's MILP borrows its
+// workspace from milp's process pool, so every round after the first
+// usually runs in the storage the round before sized.
+func solveRound(ctx context.Context, in *instance, st *astarState, hop [][]float64, Kr, off int, hint *basisHint) ([]schedule.Send, *milp.Solution, *basisHint, error) {
 	m := &milpModel{in: in, hop: hop}
 	if err := m.emit(off, off+Kr, false, st); err != nil {
 		return nil, nil, nil, err
@@ -210,7 +209,7 @@ func solveRound(ctx context.Context, ms *milp.Solver, in *instance, st *astarSta
 		// the dual simplex (falls back to primal when not dual feasible).
 		aopt.LP.Method = lp.MethodDual
 	}
-	msol := ms.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, aopt)
+	msol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, aopt)
 	switch msol.Status {
 	case milp.StatusOptimal, milp.StatusFeasible:
 	default:

@@ -328,7 +328,6 @@ func eachAStarRound(t *testing.T, tt *topo.Topology, opt Options, visit func(rou
 	t.Helper()
 	in := must(newInstance(tt, collective.AllGather(tt.NumNodes(), testGPUs(tt), 1, 25e3), opt))
 	st, hop, Kr := newAStarState(in), in.hopDistances(), astarRoundLength(in)
-	var ms milp.Solver
 	for round := 0; st.remaining > 0; round++ {
 		if round == 64 {
 			t.Fatalf("%s: A* still running after %d rounds", tt.Name, round)
@@ -337,7 +336,7 @@ func eachAStarRound(t *testing.T, tt *topo.Topology, opt Options, visit func(rou
 		if err := m.emit(round*Kr, (round+1)*Kr, false, st); err != nil {
 			t.Fatal(err)
 		}
-		msol := ms.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, milp.Options{Context: context.Background()})
+		msol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, milp.Options{Context: context.Background()})
 		if msol.Status != milp.StatusOptimal && msol.Status != milp.StatusFeasible {
 			t.Fatalf("%s round %d: %v", tt.Name, round, msol.Status)
 		}

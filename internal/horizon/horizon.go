@@ -179,11 +179,6 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 	extensions := 0
 	stalled := 0
 	S := 0
-	// One solve workspace for every window's LP: each rebinds the storage
-	// the one before sized (windows of one horizon are near-equal in
-	// size), nothing numeric carries over, no result aliases it, and it
-	// dies with this call — a session, Result or Plan must never hold one.
-	var ws lp.Solver
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -219,7 +214,10 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 			lpOpt.WarmStart = warm
 			lpOpt.Method = lp.MethodDual
 		}
-		sol, err := ws.Solve(wlp.P, lpOpt)
+		// Each window borrows a workspace from lp's process pool: windows of
+		// one horizon are near-equal in size, so a window usually rebinds
+		// the storage the one before sized.
+		sol, err := lp.Solve(wlp.P, lpOpt)
 		if err != nil {
 			return nil, err
 		}

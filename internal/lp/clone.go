@@ -74,6 +74,7 @@ func (p *Problem) Clone() *Problem {
 		rows:   append([][]Term(nil), p.rows...),
 		senses: append([]Sense(nil), p.senses...),
 		rhs:    append([]float64(nil), p.rhs...),
+		gen:    p.gen,
 	}
 	return q
 }

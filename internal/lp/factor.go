@@ -198,6 +198,7 @@ type luFactor struct {
 	// solver-effort reporting (Solution.FTUpdates / UpdateNnz).
 	statUpdates int
 	statUpdNnz  int
+	testPanic   int // Options.testPanic of the solve in progress
 
 	work []float64 // dense scratch, len m
 
@@ -815,6 +816,9 @@ func (f *luFactor) update(leavePos int32, wLeave float64) bool {
 	acc := f.acc
 	for ki, c := range f.uIdx[t] {
 		acc[c] = f.uVal[t][ki]
+	}
+	if f.testPanic > 0 && f.statUpdates+1 >= f.testPanic && len(f.uIdx[t]) > 0 {
+		panic("lp: test panic inside a Forrest–Tomlin update")
 	}
 	d := spike[t]
 	// The row eta's entries go straight onto the arenas; a rejected update

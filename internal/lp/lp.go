@@ -76,16 +76,15 @@
 // column-wise and row-wise copies of A, static pricing norms, the work
 // vectors of both simplex methods, and the LU factor's storage; a solve
 // through presolve adds the reduction's scratch and the reduced problem.
-// Solve builds all of it, uses it once and drops it, which is what keeps
-// it safe to call concurrently on one Problem. A Solver is that storage
-// as a workspace one planning call threads through every LP it solves —
-// A* rounds, a branch-and-bound root and its nodes, horizon windows: a
-// re-solve of the problem it is bound to (same pointer, same structural
-// generation) re-reads only bounds, right-hand sides and objective, any
-// other problem rebinds the storage it already holds, and either way the
-// result is exactly what Solve would return, down to the pivot path. One
-// Solver serves one goroutine and one call; results never alias it. See
-// its documentation for the full contract.
+// A Solver is that storage as a workspace, and Solve borrows one from a
+// process-wide pool for each solve: a re-solve of a structure the
+// workspace is bound to (same structural generation) re-reads only
+// bounds, right-hand sides and objective, any other problem rebinds the
+// storage it already holds, and either way the result is exactly what a
+// new Solver would return, down to the pivot path. A Solver serves one
+// goroutine at a time; results never alias it, it holds no caller memory
+// between solves, and the garbage collector empties the pool. See its
+// documentation for the full contract.
 package lp
 
 import (
@@ -93,6 +92,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -159,9 +159,11 @@ type Problem struct {
 	senses []Sense
 	rhs    []float64
 
-	// gen counts the structural edits (AddVar, AddRow, AppendToRow) made
-	// so far; a Solver compares it against the value it was bound at to
-	// notice that its matrix copies are out of date.
+	// gen names the problem's structure: every structural edit (AddVar,
+	// AddRow, AppendToRow) draws a fresh value from genSeq, and a Clone
+	// inherits it, so two problems with one nonzero gen have equal
+	// matrices. A Solver compares it against the value it was bound at to
+	// notice that its matrix copies are out of date (0: never edited).
 	gen uint64
 
 	// scratch is the reusable sort/merge buffer of mergeTerms and block
@@ -171,6 +173,9 @@ type Problem struct {
 	scratch []Term
 	block   []Term
 }
+
+// genSeq hands out Problem.gen values, unique across the process.
+var genSeq atomic.Uint64
 
 // rowBlock is the size, in terms, of the blocks stored rows are cut
 // from (4 KB): large enough that a time-expanded model's three-to-ten
@@ -223,7 +228,7 @@ func (p *Problem) addCol(lo, hi, obj float64) VarID {
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.obj = append(p.obj, obj)
-	p.gen++
+	p.gen = genSeq.Add(1)
 	return VarID(len(p.lo) - 1)
 }
 
@@ -311,7 +316,7 @@ func (p *Problem) AddRow(terms []Term, sense Sense, rhs float64) int {
 	p.rows = append(p.rows, row)
 	p.senses = append(p.senses, sense)
 	p.rhs = append(p.rhs, rhs)
-	p.gen++
+	p.gen = genSeq.Add(1)
 	return len(p.rows) - 1
 }
 
@@ -329,7 +334,7 @@ func (p *Problem) AppendToRow(r int, terms []Term) {
 		return
 	}
 	p.rows[r] = p.storeRow(p.mergeTerms(p.rows[r], terms))
-	p.gen++
+	p.gen = genSeq.Add(1)
 }
 
 // storeRow copies a merged row into the problem's row storage and
@@ -547,6 +552,12 @@ type Options struct {
 	// paths. Test hook only (unexported; settable from within the
 	// package).
 	testPerturb int
+	// testPanic, when positive, panics inside the first Forrest–Tomlin
+	// update from the solve's testPanic-th on that writes the elimination
+	// accumulator, with the accumulator half written: a solve that dies
+	// mid-update, for the pool's robustness tests. Test hook only, like
+	// testPerturb.
+	testPanic int
 	// NoPresolve disables the presolve/scaling layer and solves the
 	// problem as stated (a complete WarmStart implies it). Presolve is on
 	// otherwise: fixed variables, empty/singleton/forcing/redundant rows,
@@ -559,12 +570,18 @@ type Options struct {
 // Solve optimizes the problem. The problem is not modified. A complete
 // WarmStart reoptimizes the problem as stated, exactly as NoPresolve
 // does; every other solve — cold, crashed, or hinted by a partial basis —
-// goes through presolve (see the package comment). Solve is the
-// single-use form of Solver: a workspace that solves once and is dropped
-// (so it holds exactly what this one solve needs), which lets any number
-// of goroutines Solve the same Problem at once.
+// goes through presolve (see the package comment). Solve borrows a
+// Solver from a process-wide pool for this one solve and returns it
+// afterwards, so it returns what a new Solver would, and any number of
+// goroutines may Solve the same Problem at once.
 func Solve(p *Problem, opt Options) (*Solution, error) {
-	return new(Solver).solve(p, opt, false)
+	sv := solvers.Get()
+	sol, err := sv.Solve(p, opt)
+	// No defer: a solve that panics leaves its workspace mid-update (the
+	// LU accumulator and mark arrays are only all-zero between solves), so
+	// only a normal return hands it back.
+	solvers.Put(sv)
+	return sol, err
 }
 
 // completeFor reports whether b is a complete basis of p: its dimensions

@@ -885,23 +885,21 @@ func defaultBasis(p *Problem) *Basis {
 // solvePresolved is the presolve-enabled solve path: reduce, solve the
 // reduction (seeded by the starting hint's surviving statuses), and map
 // everything back.
-func (sv *Solver) solvePresolved(p *Problem, opt Options, roomy bool) (*Solution, error) {
+func (sv *Solver) solvePresolved(p *Problem, opt Options) (*Solution, error) {
 	ps := &sv.ps
 	ps.reset(p)
 	ps.run()
 	if ps.infeasible {
 		return &Solution{Status: StatusInfeasible, Basis: defaultBasis(p)}, nil
 	}
-	var roomN, roomM, roomNnz int
-	if roomy {
-		roomN, roomM, roomNnz = p.NumVars(), p.NumRows(), len(ps.colRow)
-	}
+	roomN, roomM, roomNnz := p.NumVars(), p.NumRows(), len(ps.colRow)
 	ps.build(roomN, roomM, roomNnz)
 	ropt := opt
 	ropt.NoPresolve = true
 	ropt.WarmStart = ps.mapBasis(opt.WarmStart)
 	ropt.Crash = ps.mapBasis(opt.Crash)
 	sv.s.bind(&ps.red, roomN, roomM, roomNnz)
+	sv.gen = 0
 	rsol, err := sv.s.solve(ropt)
 	if err != nil {
 		return nil, err

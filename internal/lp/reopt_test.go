@@ -283,7 +283,7 @@ func TestCompleteBasisPredicate(t *testing.T) {
 				opt.NoPresolve = true
 				want, err = Solve(p, opt)
 			} else {
-				want, err = new(Solver).solvePresolved(p, opt, false)
+				want, err = new(Solver).solvePresolved(p, opt)
 			}
 			if err != nil {
 				t.Fatal(err)

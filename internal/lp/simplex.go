@@ -299,7 +299,7 @@ func (s *simplex) reset(opt Options) {
 	s.iter, s.refactors, s.degenRun = 0, 0, 0
 	s.pertRound, s.perturbed = 0, false
 	s.priceCursor = 0
-	s.lu.statUpdates, s.lu.statUpdNnz = 0, 0
+	s.lu.statUpdates, s.lu.statUpdNnz, s.lu.testPanic = 0, 0, opt.testPanic
 }
 
 // column returns the sparse form of column j of the full matrix.

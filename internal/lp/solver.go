@@ -1,23 +1,33 @@
 package lp
 
-// Solver is a call-scoped solve workspace: the storage of every LP one
-// planning call solves — the rounds of an A* plan, a branch-and-bound root
-// and the node re-solves after it, the windows of a rolling horizon. The
-// zero value is ready; it belongs to one goroutine and to one call, and
-// dies with it: no session, cache entry, Result or Plan may hold one (an
-// open session would pin a model's worth of matrix copies, work vectors
-// and LU storage).
+import "teccl/internal/wspool"
+
+// Solver is a solve workspace: the storage of the LPs one planning call
+// solves — an A* plan's rounds, a branch-and-bound root and the node
+// re-solves after it, a rolling horizon's windows. The zero value is
+// ready; it serves one goroutine at a time. Planning code does not keep
+// one: the package-level Solve borrows a workspace from a process-wide
+// pool for one solve and hands it back, so a planning call's solves, and
+// the calls after it, usually run in the storage an earlier solve sized,
+// and the garbage collector empties the pool. No session, cache entry,
+// Result or Plan holds a workspace, and a workspace holds no caller
+// memory between solves: the problem, the Options (Context, WarmStart,
+// Crash) and presolve's reference to the original are dropped whenever a
+// solve returns.
 //
-// A solve as stated binds the workspace to its problem, and the binding
-// is kept while (pointer, Problem.gen) stay what they were — sound because
-// the workspace keeps its bound problem reachable, so the address cannot
-// be reused, and gen counts every structural edit (AddVar, AddRow,
-// AppendToRow). A re-solve after SetBounds/SetRHS/SetObj edits therefore
-// re-reads bounds, right-hand sides, objective and direction and nothing
-// else; any other problem rebinds: the matrix copies, pricing norms and
-// index arrays are rebuilt in the storage already held, which grows only
-// where the new problem outgrows it. A solve through presolve (see the
-// package comment) reduces the problem into workspace storage and binds
+// A solve as stated binds the workspace's matrix copies to the problem's
+// structure, named by Problem.gen: every structural edit (AddVar, AddRow,
+// AppendToRow) draws a fresh gen from a process-wide counter and a Clone
+// inherits its original's, so two problems carrying one gen have equal
+// matrices, and a binding outlives the pointer it was made from. A
+// re-solve after SetBounds/SetRHS/SetObj edits therefore re-reads bounds,
+// right-hand sides, objective and direction and nothing else; any other
+// structure rebinds: the matrix copies, pricing norms and index arrays
+// are rebuilt in the storage already held, which grows only where the new
+// problem outgrows it. A solve through presolve (see the package comment)
+// reduces the problem into workspace storage, sized by the original
+// problem so the next reduction of a similar model, or the model itself
+// (a branch-and-bound clone after its presolved root), fits, and binds
 // the reduction; its scratch — row arena, column view, index maps,
 // scales, the reduced problem itself — is kept the same way.
 //
@@ -26,34 +36,36 @@ package lp
 // left behind, so a Solver returns, bit for bit and pivot for pivot, what
 // a new one would (solver_test.go pins it), and nothing a Solution holds
 // aliases the workspace. The problem must not be edited while a Solve
-// runs; concurrent solves each take their own Solver or call the
-// package-level Solve, the single-use form.
+// runs; concurrent solves each take their own Solver or call Solve.
 type Solver struct {
-	s   simplex   // bound to s.p, the problem (or reduction) solved last
-	gen uint64    // s.p.gen at binding
+	s   simplex   // bound to the structure gen names
+	gen uint64    // Problem.gen at an as-stated binding; 0 when unbound
 	ps  presolver // presolve scratch and the reduced problem
 }
+
+// solvers is the process-wide pool behind the package-level Solve.
+var solvers wspool.Pool[Solver]
 
 // Solve optimizes p as it stands now: a complete WarmStart or NoPresolve
 // solves it as stated, everything else goes through presolve. The problem
 // is not modified.
 func (sv *Solver) Solve(p *Problem, opt Options) (*Solution, error) {
-	return sv.solve(p, opt, true)
-}
-
-// solve is Solve; roomy says the workspace will be used again, so storage
-// allocated for a reduction is sized by the original problem, which
-// bounds it — the next reduction of a similar model, or the model itself
-// (a branch-and-bound clone after its presolved root), then fits.
-func (sv *Solver) solve(p *Problem, opt Options, roomy bool) (*Solution, error) {
+	var sol *Solution
+	var err error
 	if !opt.NoPresolve && !opt.WarmStart.completeFor(p) {
-		return sv.solvePresolved(p, opt, roomy)
+		sol, err = sv.solvePresolved(p, opt)
+	} else {
+		if sv.gen == 0 || sv.gen != p.gen {
+			sv.s.bind(p, 0, 0, 0)
+			sv.gen = p.gen
+		}
+		sv.s.p = p
+		sol, err = sv.s.solve(opt)
 	}
-	if sv.s.p != p || sv.gen != p.gen {
-		sv.s.bind(p, 0, 0, 0)
-		sv.gen = p.gen
-	}
-	return sv.s.solve(opt)
+	// Drop the caller's memory: a workspace between solves (and in the
+	// pool) must not keep a problem, a context or a basis alive.
+	sv.s.p, sv.s.opt, sv.ps.p = nil, Options{}, nil
+	return sol, err
 }
 
 // fit returns s with length n: resliced when its storage holds n entries

@@ -1,17 +1,21 @@
 package lp
 
 // solver_test.go pins the Solver contract: a workspace returns, solve for
-// solve and bit for bit, what a fresh Solve returns — whatever problem
-// the previous solve on it bound and however that solve ended — nothing
-// it returned changes afterwards, and a steady-state re-solve allocates
-// only what it returns.
+// solve and bit for bit, what a new Solver returns — whatever problem the
+// previous solve on it bound and however that solve ended, and whether it
+// is held or borrowed from the pool behind Solve — nothing it returned
+// changes afterwards, a steady-state re-solve allocates only what it
+// returns, and a workspace the pool gets back holds no caller memory.
 
 import (
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -19,43 +23,53 @@ import (
 // basis and the bits of every float.
 func sameSolution(t *testing.T, tag string, got, want *Solution) {
 	t.Helper()
+	if d := solutionDiff(got, want); d != "" {
+		t.Fatalf("%s: %s", tag, d)
+	}
+}
+
+// solutionDiff is sameSolution's verdict: where got and want first
+// differ, or "" when they do not, for callers off the test goroutine.
+func solutionDiff(got, want *Solution) string {
 	if got.Status != want.Status || got.Iterations != want.Iterations ||
 		got.Refactorizations != want.Refactorizations ||
 		got.FTUpdates != want.FTUpdates || got.UpdateNnz != want.UpdateNnz {
-		t.Fatalf("%s: retained %v iters=%d refactors=%d ft=%d nnz=%d, fresh %v iters=%d refactors=%d ft=%d nnz=%d",
-			tag, got.Status, got.Iterations, got.Refactorizations, got.FTUpdates, got.UpdateNnz,
+		return fmt.Sprintf("retained %v iters=%d refactors=%d ft=%d nnz=%d, fresh %v iters=%d refactors=%d ft=%d nnz=%d",
+			got.Status, got.Iterations, got.Refactorizations, got.FTUpdates, got.UpdateNnz,
 			want.Status, want.Iterations, want.Refactorizations, want.FTUpdates, want.UpdateNnz)
 	}
 	if !slices.Equal(got.Basis.Vars, want.Basis.Vars) || !slices.Equal(got.Basis.Rows, want.Basis.Rows) {
-		t.Fatalf("%s: final bases differ", tag)
+		return "final bases differ"
 	}
 	if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
-		t.Fatalf("%s: objective %v vs fresh %v", tag, got.Objective, want.Objective)
+		return fmt.Sprintf("objective %v vs fresh %v", got.Objective, want.Objective)
 	}
-	sameBits := func(what string, a, b []float64) {
-		t.Helper()
+	sameBits := func(what string, a, b []float64) string {
 		if (a == nil) != (b == nil) || len(a) != len(b) {
-			t.Fatalf("%s: %s has %d entries (nil=%v), fresh %d (nil=%v)", tag, what, len(a), a == nil, len(b), b == nil)
+			return fmt.Sprintf("%s has %d entries (nil=%v), fresh %d (nil=%v)", what, len(a), a == nil, len(b), b == nil)
 		}
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("%s: %s[%d] = %v vs fresh %v", tag, what, i, a[i], b[i])
+				return fmt.Sprintf("%s[%d] = %v vs fresh %v", what, i, a[i], b[i])
 			}
 		}
+		return ""
 	}
-	sameBits("X", got.X, want.X)
-	sameBits("Duals", got.Duals, want.Duals)
+	if d := sameBits("X", got.X, want.X); d != "" {
+		return d
+	}
+	return sameBits("Duals", got.Duals, want.Duals)
 }
 
-// solveBoth solves p as it stands on the workspace and with a fresh
-// Solve, and requires the two to agree.
+// solveBoth solves p as it stands on the workspace and on a new one, and
+// requires the two to agree.
 func solveBoth(t *testing.T, tag string, sv *Solver, p *Problem, opt Options) *Solution {
 	t.Helper()
 	got, err := sv.Solve(p, opt)
 	if err != nil {
 		t.Fatalf("%s: retained: %v", tag, err)
 	}
-	want, err := Solve(p, opt)
+	want, err := new(Solver).Solve(p, opt)
 	if err != nil {
 		t.Fatalf("%s: fresh: %v", tag, err)
 	}
@@ -77,8 +91,8 @@ func dualStartRefused(p *Problem, opt Options) bool {
 // TestSolverMatchesFreshSolve drives one Solver through a seeded stream
 // of bound, right-hand-side and objective edits — warm from the last
 // basis, from an older one, or cold; primal, dual or auto; through
-// presolve or as stated — and compares every solve with a fresh Solve of
-// the same problem. Scripted steps make sure the solve BEFORE a compared
+// presolve or as stated — and compares every solve with a new Solver's
+// solve of the same problem. Scripted steps make sure the solve BEFORE a compared
 // one ended every way a solve can end (infeasible, out of iterations,
 // cancelled, perturbed, dual start refused), and structural edits force
 // the context to rebuild. The same workspace then goes through
@@ -230,8 +244,8 @@ func TestSolverMatchesFreshSolve(t *testing.T) {
 // bounds (restored, or abandoned mid-phase-1), or with its dual start
 // refused — then a solve of another problem through presolve or as
 // stated, cold, from its own last basis or from an over-full hint,
-// primal, dual or auto. Every solve of both kinds must be a fresh
-// Solve's, bit for bit.
+// primal, dual or auto. Every solve of both kinds must be a new
+// Solver's, bit for bit.
 func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
 	type inst struct {
 		name       string
@@ -376,14 +390,7 @@ func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
 // column view, all workspace storage), must read the same, bit for bit,
 // after the workspace has solved B, C and the forcing model again.
 func TestResultsOutliveWorkspace(t *testing.T) {
-	forcing := NewProblem(Maximize)
-	x := forcing.AddVar("x", 1, 2, 1)
-	y := forcing.AddVar("y", 1, 2, 1)
-	z := forcing.AddVar("z", 0, Inf, 1)
-	w := forcing.AddVar("w", 0, Inf, 1)
-	forcing.AddRow([]Term{{x, 1}, {y, 1}}, LE, 2) // forcing: x = y = 1
-	forcing.AddRow([]Term{{z, 1}, {w, 1}}, LE, 5)
-	forcing.AddRow([]Term{{z, 2}, {w, 1}}, LE, 8)
+	forcing := forcingLP()
 	a, capRows, _ := dgx1AllToAllLP(5)
 	b := bigLP(rand.New(rand.NewSource(3)), 120, 60)
 	c, _, _ := dgx1AllToAllLP(4)
@@ -420,6 +427,21 @@ func TestResultsOutliveWorkspace(t *testing.T) {
 		sameSolution(t, fmt.Sprintf("NoPresolve=%v: A after B, C", asStated), ka.sol, ka.copy)
 		sameSolution(t, fmt.Sprintf("NoPresolve=%v: forcing-row solve after A, B, C", asStated), kf.sol, kf.copy)
 	}
+}
+
+// forcingLP is a four-column model whose first row forces x = y = 1:
+// presolve removes it and postsolve reconstructs its dual from the op
+// log, the row arena and the column view, all workspace storage.
+func forcingLP() *Problem {
+	p := NewProblem(Maximize)
+	x := p.AddVar("x", 1, 2, 1)
+	y := p.AddVar("y", 1, 2, 1)
+	z := p.AddVar("z", 0, Inf, 1)
+	w := p.AddVar("w", 0, Inf, 1)
+	p.AddRow([]Term{{x, 1}, {y, 1}}, LE, 2) // forcing: x = y = 1
+	p.AddRow([]Term{{z, 1}, {w, 1}}, LE, 5)
+	p.AddRow([]Term{{z, 2}, {w, 1}}, LE, 8)
+	return p
 }
 
 // TestSolverSmallProblems runs shorter streams on the small random
@@ -531,8 +553,8 @@ func TestNodeResolveAllocs(t *testing.T) {
 	}
 }
 
-// TestFreshSolveAllocs bounds what a single-use Solve allocates on the
-// same fixture — one allocation per array of the context and the first
+// TestFreshSolveAllocs bounds what a new Solver allocates on the same
+// fixture — one allocation per array of the context and the first
 // growth of the LU row and column lists, 3582 in all — and what a
 // presolved re-solve allocates on a warm workspace: what it returns.
 func TestFreshSolveAllocs(t *testing.T) {
@@ -540,7 +562,7 @@ func TestFreshSolveAllocs(t *testing.T) {
 	solve := func(sv *Solver, opt Options) func() {
 		return func() {
 			edit()
-			if sol, err := sv.solve(p, opt, false); err != nil || sol.Status != StatusOptimal {
+			if sol, err := sv.Solve(p, opt); err != nil || sol.Status != StatusOptimal {
 				t.Fatalf("re-solve: %v %v", sol.Status, err)
 			}
 		}
@@ -561,12 +583,314 @@ func TestFreshSolveAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkNodeResolve prices a node re-solve both ways: a fresh Solve
-// builds and drops a context per node, a retained Solver reuses one.
-// B/op and allocs/op are the point; the pivots are identical.
+// poolCase is one solve of the pool tests: a problem no test edits, the
+// options, and what a new Solver returns for them.
+type poolCase struct {
+	name string
+	p    *Problem
+	opt  Options
+	want *Solution
+}
+
+// poolCorpus is the interleaved big → small → big sequence the pool tests
+// run through the package-level Solve, so every solve after the first
+// borrows a workspace a model of another size left behind: the DGX1 LP
+// through presolve, a 30×40 bigLP as stated, the nodeResolve re-solve
+// (one closed column, dual, as stated from the cold optimum), the forcing
+// model through presolve, a 200×150 bigLP through presolve and a smaller
+// DGX1 LP as stated. Every reference is a new Solver's.
+func poolCorpus(tb testing.TB) []*poolCase {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(38))
+	dgx1, _, _ := dgx1AllToAllLP(5)
+	node, nodeOpt, edit := nodeResolve(tb)
+	edit() // close the column: every solve of the case is the re-solve
+	dgx1K4, _, _ := dgx1AllToAllLP(4)
+	cases := []*poolCase{
+		{name: "dgx1K5 presolved", p: dgx1},
+		{name: "big30x40 as stated", p: bigLP(rng, 30, 40), opt: Options{NoPresolve: true}},
+		{name: "nodeResolve", p: node, opt: nodeOpt},
+		{name: "forcing presolved", p: forcingLP()},
+		{name: "big200x150 presolved", p: bigLP(rng, 200, 150)},
+		{name: "dgx1K4 as stated", p: dgx1K4, opt: Options{NoPresolve: true}},
+	}
+	for _, c := range cases {
+		var err error
+		if c.want, err = new(Solver).Solve(c.p, c.opt); err != nil || c.want.Status != StatusOptimal {
+			tb.Fatalf("%s: %v %v", c.name, c.want.Status, err)
+		}
+	}
+	if cases[2].want.Iterations == 0 {
+		tb.Fatal("the node re-solve pivots nowhere; the corpus measures nothing")
+	}
+	return cases
+}
+
+// pooledSolve runs c through the package-level Solve and reports how the
+// result differs from a new Solver's ("" when it does not).
+func pooledSolve(c *poolCase) string {
+	got, err := Solve(c.p, c.opt)
+	if err != nil {
+		return fmt.Sprintf("%s: %v", c.name, err)
+	}
+	if d := solutionDiff(got, c.want); d != "" {
+		return c.name + ": " + d
+	}
+	return ""
+}
+
+// TestPooledSolveMatchesFresh runs the corpus three times through the
+// package-level Solve: every result must be a new Solver's, bit for bit,
+// whatever size of model the borrowed workspace solved before.
+func TestPooledSolveMatchesFresh(t *testing.T) {
+	cases := poolCorpus(t)
+	for round := 0; round < 3; round++ {
+		for _, c := range cases {
+			if d := pooledSolve(c); d != "" {
+				t.Fatalf("round %d, %s", round, d)
+			}
+		}
+	}
+}
+
+// TestPooledSolveConcurrent: eight goroutines run the corpus twice
+// through the package-level Solve at once, each from its own offset, on
+// problems they share; `make race` runs it under the race detector.
+func TestPooledSolveConcurrent(t *testing.T) {
+	cases := poolCorpus(t)
+	const goroutines = 8
+	errs := make(chan string, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(cases); k++ {
+				if d := pooledSolve(cases[(g+k)%len(cases)]); d != "" {
+					errs <- fmt.Sprintf("goroutine %d, solve %d, %s", g, k, d)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// reachable walks, by reflection, everything root keeps alive — pointers,
+// interfaces, maps, and slices to their capacity, since a truncated slice
+// still pins its whole backing array — and returns the addresses reached
+// per pointer type, with the dynamic types of interfaces (at address 0
+// when they hold no pointer).
+func reachable(root any) map[reflect.Type][]uintptr {
+	out := map[reflect.Type][]uintptr{}
+	type visit struct {
+		at  uintptr
+		typ reflect.Type
+		n   int
+	}
+	seen := map[visit]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map:
+			if v.IsNil() {
+				return
+			}
+			k := visit{v.Pointer(), v.Type(), 0}
+			if v.Kind() == reflect.Slice {
+				k.n = v.Cap()
+			}
+			if seen[k] {
+				return
+			}
+			seen[k] = true
+			switch v.Kind() {
+			case reflect.Pointer:
+				out[v.Type()] = append(out[v.Type()], v.Pointer())
+				walk(v.Elem())
+			case reflect.Slice:
+				full := v.Slice(0, v.Cap())
+				for i := 0; i < full.Len(); i++ {
+					walk(full.Index(i))
+				}
+			default:
+				for it := v.MapRange(); it.Next(); {
+					walk(it.Key())
+					walk(it.Value())
+				}
+			}
+		case reflect.Interface:
+			if v.IsNil() {
+				return
+			}
+			if e := v.Elem(); e.Kind() != reflect.Pointer {
+				out[e.Type()] = append(out[e.Type()], 0)
+				walk(e)
+			} else {
+				walk(e)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(root))
+	return out
+}
+
+// TestPooledWorkspaceHoldsNoCallerMemory walks what the package-level
+// Solve hands back to the pool — its workspace once (*Solver).Solve has
+// returned — after a presolved solve seeded by a hint and a crash basis
+// under a context, and after an as-stated warm re-solve under a context
+// that stops it mid-run: no *Problem but its own reduction, no *Basis and
+// no context.Context may be reachable from it.
+func TestPooledWorkspaceHoldsNoCallerMemory(t *testing.T) {
+	ctxType := reflect.TypeOf((*context.Context)(nil)).Elem()
+	check := func(tag string, sv *Solver) {
+		t.Helper()
+		for typ, at := range reachable(sv) {
+			switch {
+			case typ == reflect.TypeOf((*Problem)(nil)):
+				for _, a := range at {
+					if a != reflect.ValueOf(&sv.ps.red).Pointer() {
+						t.Errorf("%s: the workspace reaches a *Problem other than its reduction", tag)
+					}
+				}
+			case typ == reflect.TypeOf((*Basis)(nil)):
+				t.Errorf("%s: the workspace reaches %d *Basis", tag, len(at))
+			case typ.Implements(ctxType):
+				t.Errorf("%s: the workspace reaches a context (%v)", tag, typ)
+			}
+		}
+	}
+	p, opt, edit := nodeResolve(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hint := opt.WarmStart.Clone()
+	for i := range hint.Rows {
+		hint.Rows[i] = BasisBasic // over-full: a hint, so the solve goes through presolve
+	}
+	sv := new(Solver)
+	if sol, err := sv.Solve(p, Options{WarmStart: hint, Crash: opt.WarmStart, Context: ctx}); err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("presolved: %v %v", sol.Status, err)
+	}
+	check("presolved", sv)
+	edit()
+	opt.Context = &countdownCtx{Context: ctx, n: 1 << 20}
+	if sol, err := sv.Solve(p, opt); err != nil || sol.Status != StatusOptimal || sol.Iterations == 0 {
+		t.Fatalf("as stated: %v after %d pivots, %v", sol.Status, sol.Iterations, err)
+	}
+	check("as stated", sv)
+	cold, _, _ := dgx1AllToAllLP(5)
+	if sol, err := sv.Solve(cold, Options{NoPresolve: true, Context: &countdownCtx{Context: ctx, n: 2}}); err != nil || sol.Status != StatusIterLimit {
+		t.Fatalf("cancelled: %v %v", sol.Status, err)
+	}
+	check("cancelled", sv)
+}
+
+// countdownCtx reads as cancelled from its n-th Err call on. The simplex
+// polls Err every 64 iterations, so a solve under it stops mid-run, at
+// the pivot the countdown picks.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPanickedSolveLeavesPoolClean: a solve that panics inside a
+// Forrest–Tomlin update (Options.testPanic) leaves its workspace's
+// elimination accumulator half written, so it must not go back to the
+// pool. After one, under recover, twenty pooled solves of the corpus must
+// each be a new Solver's, bit for bit. A solve cancelled mid-run returns
+// normally and does hand its workspace back; the pooled solves after it
+// must match too.
+func TestPanickedSolveLeavesPoolClean(t *testing.T) {
+	cases := poolCorpus(t)
+	cold, _, _ := dgx1AllToAllLP(5)
+	for _, stop := range []string{"panic", "cancel"} {
+		opt := Options{NoPresolve: true}
+		if stop == "panic" {
+			opt.testPanic = 40
+		} else {
+			opt.Context = &countdownCtx{Context: context.Background(), n: 3}
+		}
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != (stop == "panic") {
+					t.Fatalf("%s: recovered %v", stop, r)
+				}
+			}()
+			if sol, err := Solve(cold, opt); err != nil || sol.Status != StatusIterLimit || sol.Iterations == 0 {
+				t.Fatalf("%s: %v after %d pivots, %v", stop, sol.Status, sol.Iterations, err)
+			}
+		}()
+		for k := 0; k < 20; k++ {
+			if d := pooledSolve(cases[k%len(cases)]); d != "" {
+				t.Fatalf("solve %d after a %s: %s", k, stop, d)
+			}
+		}
+	}
+}
+
+// TestPooledSolveAllocs: a steady-state package-level Solve of the
+// nodeResolve fixture allocates what it returns, as a retained Solver's
+// re-solve does (TestNodeResolveAllocs) — the pool hands back the
+// workspace the last solve sized, still bound to the problem's structure,
+// on whatever thread the test runs. The collector is held off while it
+// measures, since a GC empties the pool.
+func TestPooledSolveAllocs(t *testing.T) {
+	p, opt, edit := nodeResolve(t)
+	solve := func() {
+		edit()
+		if sol, err := Solve(p, opt); err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("re-solve: %v %v", sol.Status, err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 4; i++ {
+		solve() // grow the pooled workspace to its steady-state size
+	}
+	const returned = 6
+	if allocs := testing.AllocsPerRun(20, solve); allocs > returned+2 {
+		t.Fatalf("a steady-state pooled re-solve allocates %.0f times, want the %d returned objects (+2)", allocs, returned)
+	}
+}
+
+// BenchmarkNodeResolve prices a node re-solve three ways: a new Solver
+// per node builds and drops a workspace every time, the package-level
+// Solve borrows one from the pool, a retained Solver keeps its own. B/op
+// and allocs/op are the point; the pivots are identical.
 func BenchmarkNodeResolve(b *testing.B) {
-	b.Run("fresh", func(b *testing.B) {
+	b.Run("new", func(b *testing.B) {
 		p, opt, edit := nodeResolve(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			edit()
+			benchSink, _ = new(Solver).Solve(p, opt)
+		}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		p, opt, edit := nodeResolve(b)
+		for i := 0; i < 4; i++ { // steady state: the pool's workspace is sized
+			edit()
+			benchSink, _ = Solve(p, opt)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

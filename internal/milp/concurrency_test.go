@@ -315,8 +315,8 @@ func TestWorkersCloneOnFirstNode(t *testing.T) {
 
 // TestResultsOutliveWorkspace: one Solver taken through the corpus —
 // knapsacks and assignment systems of different sizes, serial and with
-// deterministic rounds of four — returns on every model what a fresh
-// Solve returns, to the bit and the pivot, and no Solution it returned
+// deterministic rounds of four — returns on every model what a new
+// Solver returns, to the bit and the pivot, and no Solution it returned
 // earlier (X, RootBasis) changes while it solves the later ones.
 func TestResultsOutliveWorkspace(t *testing.T) {
 	var ms Solver
@@ -329,7 +329,7 @@ func TestResultsOutliveWorkspace(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
 		prob := corpusProblem(seed)
 		opt := Options{Workers: 1 + 3*int(seed/2%2), Deterministic: true}
-		got, want := ms.Solve(prob, opt), Solve(prob, opt)
+		got, want := ms.Solve(prob, opt), new(Solver).Solve(prob, opt)
 		if got.Status != want.Status || got.Nodes != want.Nodes ||
 			got.RootIterations != want.RootIterations || got.NodeIterations != want.NodeIterations ||
 			got.Refactorizations != want.Refactorizations || got.FTUpdates != want.FTUpdates || got.UpdateNnz != want.UpdateNnz ||

@@ -22,14 +22,16 @@
 // Parent bases are shared read-only (lp never writes through a warm
 // start), so no two LP solves share mutable state.
 //
-// The workers belong to a Solver, the workspace of one planning call:
-// worker 0's lp.Solver solves the root relaxation before its first node,
-// and a caller that solves a sequence of models (the rounds of an A* plan)
-// keeps the Solver, so every model after the first runs in storage the
-// one before sized. A Solver serves one goroutine and one call and holds
-// no numeric state — each Solve returns what a new Solver would, and
-// nothing a Solution holds aliases it; sessions, caches and results must
-// not keep one. The package-level Solve is its single-use form.
+// The workers belong to a Solver, a branch-and-bound workspace: worker
+// 0's lp.Solver solves the root relaxation before its first node. Solve
+// borrows a Solver from a process-wide pool for one search and hands it
+// back when the search returns, so the rounds of an A* plan, and the
+// planning calls after it, usually run in the storage an earlier search
+// sized, and the garbage collector empties the pool. A Solver holds no
+// numeric state — each Solve returns what a new Solver would, and nothing
+// a Solution holds aliases it — and no caller memory between searches:
+// the clones and the bound-change chains go when a search returns.
+// Sessions, caches and results never keep one.
 //
 // With Workers > 1 nodes run concurrently. The default search is
 // opportunistic — workers pull the best open node from a mutex-guarded
@@ -51,6 +53,7 @@ import (
 	"time"
 
 	"teccl/internal/lp"
+	"teccl/internal/wspool"
 )
 
 // Problem is a mixed-integer linear program: an LP plus a set of variables
@@ -280,11 +283,14 @@ type search struct {
 	incObj atomicFloat // mirrors incumbent for lock-free pruning
 }
 
-// Solver is the call-scoped workspace of branch and bound (see the package
-// comment); the zero value is ready.
+// Solver is the workspace of branch and bound (see the package comment);
+// the zero value is ready.
 type Solver struct {
 	workers []*worker // Solve grows it to Options.Workers
 }
+
+// solvers is the process-wide pool behind the package-level Solve.
+var solvers wspool.Pool[Solver]
 
 // worker owns what one node evaluator uses: a private problem clone and
 // an lp.Solver. The clone's integer-variable bounds are reset to the
@@ -292,8 +298,8 @@ type Solver struct {
 // evaluations on different workers never share mutable state; the solver
 // keeps the clone's matrix copies, work vectors and LU storage from one
 // node to the next, so a re-solve pays for the bounds that changed, not
-// for the size of the model. The clone lives as long as the Solve call
-// that made it, the lp.Solver as long as the Solver.
+// for the size of the model. The clone and the chain's nodes live as long
+// as the Solve call that made them, the lp.Solver as long as the Solver.
 type worker struct {
 	prob           *lp.Problem // nil until the worker's first node of this Solve
 	clones         int         // clones made so far (test hook)
@@ -450,20 +456,37 @@ func lexLess(a, b []float64) bool {
 
 // Solve runs branch and bound. The problem is treated as read-only: node
 // bound changes are applied to private clones, so concurrent Solve calls
-// may even share one Problem. It is the single-use form of Solver.
+// may even share one Problem. It borrows a Solver from a process-wide
+// pool for the search and returns it afterwards.
 func Solve(p *Problem, opt Options) *Solution {
-	return new(Solver).Solve(p, opt)
+	ms := solvers.Get()
+	sol := ms.Solve(p, opt)
+	// No defer: a search that panics leaves its workers' lp workspaces
+	// mid-update, so only a normal return hands the Solver back.
+	solvers.Put(ms)
+	return sol
 }
 
 // Solve runs branch and bound on p in the workspace's storage; see the
 // package-level Solve, whose result it returns bit for bit.
 func (ms *Solver) Solve(p *Problem, opt Options) *Solution {
+	sol := ms.run(p, opt)
+	// Drop what belongs to this search: the clones of the caller's problem
+	// and the bound-change chains (a truncated slice would still keep its
+	// pointers, and through them the last search tree, reachable).
+	for _, w := range ms.workers {
+		w.prob = nil
+		clear(w.chain[:cap(w.chain)])
+		w.chain = w.chain[:0]
+	}
+	return sol
+}
+
+// run is Solve's body.
+func (ms *Solver) run(p *Problem, opt Options) *Solution {
 	workers := max(opt.Workers, 1)
 	for i := len(ms.workers); i < workers; i++ {
 		ms.workers = append(ms.workers, new(worker))
-	}
-	for _, w := range ms.workers {
-		w.prob = nil // the last Solve's clone
 	}
 	s := &search{
 		pool:  ms.workers[:workers],
