@@ -14,7 +14,7 @@ set -euo pipefail
 lock=loc.lock.json
 
 count() {
-	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
+	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' -print0 |
 		xargs -0 wc -l |
 		awk '$2 != "total" { d = $2; sub(/\/[^\/]*$/, "", d); n[d] += $1 } END { for (d in n) printf "%7d %s\n", n[d], d }' |
 		sort -k2
