@@ -64,8 +64,9 @@ race:
 # Ten seconds of coverage-guided fuzzing per target, on top of the seed
 # corpora `test` already runs: topology churn (FuzzApplyDelta), the
 # daemon's plan and replan request decoders over the v1 wire goldens
-# (FuzzPlanRequest, FuzzReplanRequest) and the two schedule checkers held
-# to each other on mutated schedules (FuzzScheduleCheck). A failing input
+# (FuzzPlanRequest, FuzzReplanRequest), the two schedule checkers held
+# to each other on mutated schedules (FuzzScheduleCheck) and the ratio
+# tests' lazy sorter held to slices.SortFunc (FuzzRatioSort). A failing input
 # is written under the package's testdata/fuzz/ and fails the target;
 # commit it as a regression seed.
 fuzz-smoke:
@@ -73,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzPlanRequest$$' -fuzztime 10s ./internal/daemon
 	$(GO) test -run xxx -fuzz '^FuzzReplanRequest$$' -fuzztime 10s ./internal/daemon
 	$(GO) test -run xxx -fuzz '^FuzzScheduleCheck$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run xxx -fuzz '^FuzzRatioSort$$' -fuzztime 10s ./internal/lp
 
 # End-to-end smoke of the serving path: build both binaries, boot a real
 # teccld on a localhost port, drive it through the CLI (health poll,
@@ -105,14 +107,16 @@ daemon-smoke:
 # lp.Solver per node, the pooled lp.Solve, a retained lp.Solver; FtranBtran the ns/op (and 0 allocs/op) of the three
 # triangular solves of a simplex iteration on a mid-update DGX1 basis;
 # PlanAllocs the B/op and allocs/op of one whole A*, MILP and horizon plan
-# (add -memprofile for the by-site table, see bench_test.go).
+# (add -memprofile for the by-site table, see bench_test.go); RatioSort
+# the ratio tests' ordering, a full slices.SortFunc against the lazy
+# prefix the walks read.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|PlanAllocs|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|RatioSort|PlanAllocs|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
 
 # The same smoke under -short (GitHub Actions): trimmed sweeps, and the
 # minutes-scale benches (e.g. NDv2AllToAll) skip themselves.
 bench-smoke-short:
-	$(GO) test -short -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|PlanAllocs|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
+	$(GO) test -short -run xxx -bench 'Fig5SolverTime|SimplexTransport$$|NodeResolve|FtranBtran|RatioSort|PlanAllocs|MILPWorkers|Sweep(Rebuilt|Batched)|PlannerReuse' -benchtime 1x ./...
 
 # The full benchmark suite (one iteration each; wall-clock heavy).
 bench:

@@ -23,7 +23,6 @@ package lp
 import (
 	"cmp"
 	"math"
-	"slices"
 )
 
 const (
@@ -301,28 +300,33 @@ func (s *simplex) dualIterate(maxIter int) Status {
 		if len(cands) == 0 {
 			return StatusInfeasible // dual unbounded ⇒ primal infeasible
 		}
-		slices.SortFunc(cands, func(a, b dualCand) int { return cmp.Compare(a.ratio, b.ratio) })
+		keys := s.rsort.load(len(cands))
+		for k := range cands {
+			keys[k] = ratioPair{key: cands[k].ratio, at: int32(k)}
+		}
 
-		// Bound-flipping (long-step) walk: passing a boxed candidate's
-		// breakpoint flips it to its other bound and reduces the rate at
-		// which the leaving row's infeasibility shrinks; keep walking
-		// while the slope stays positive, so one dual iteration can sweep
-		// many bound flips.
+		// Bound-flipping (long-step) walk over the candidates in ratio
+		// order: passing a boxed candidate's breakpoint flips it to its
+		// other bound and reduces the rate at which the leaving row's
+		// infeasibility shrinks; keep walking while the slope stays
+		// positive, so one dual iteration can sweep many bound flips. The
+		// lazy sorter orders only the prefix the walk reads.
 		slope := math.Abs(delta)
 		flips := s.flipBuf[:0]
 		sel := -1
 		for k := range cands {
-			c := &cands[k]
+			i := s.rsort.at(k)
+			c := &cands[i]
 			j := int(c.j)
 			if !math.IsInf(s.lo[j], -1) && !math.IsInf(s.hi[j], 1) {
 				drop := math.Abs(c.abar) * (s.hi[j] - s.lo[j])
 				if slope-drop > dualTol {
 					slope -= drop
-					flips = append(flips, int32(k))
+					flips = append(flips, int32(i))
 					continue
 				}
 			}
-			sel = k
+			sel = i
 			break
 		}
 		s.flipBuf = flips
@@ -334,18 +338,45 @@ func (s *simplex) dualIterate(maxIter int) Status {
 
 		// Harris pass 2: any candidate whose strict ratio fits under the
 		// blocking candidate's relaxed ratio is eligible; take the
-		// largest pivot among them for numerical stability.
+		// largest pivot among them for numerical stability, the first in
+		// ratio order among equal largest ones. That needs no order: the
+		// smallest ratio among them, and a walk of the sorted prefix
+		// only when that smallest ratio is shared.
 		rrSel := cands[sel].ratio
-		q := sel
-		bestPiv := math.Abs(cands[sel].abar)
-		for k := range cands {
-			c := &cands[k]
+		eligible := func(c *dualCand) bool {
 			strict := s.d[c.j] / c.abar
 			if strict < 0 {
 				strict = 0
 			}
-			if strict <= rrSel && math.Abs(c.abar) > bestPiv {
-				q, bestPiv = k, math.Abs(c.abar)
+			return strict <= rrSel
+		}
+		q := sel
+		bestPiv := math.Abs(cands[sel].abar)
+		tied := false
+		for k := range cands {
+			c := &cands[k]
+			if !eligible(c) {
+				continue
+			}
+			switch piv := math.Abs(c.abar); {
+			case piv > bestPiv:
+				q, bestPiv, tied = k, piv, false
+			case q != sel && math.Float64bits(piv) == math.Float64bits(bestPiv):
+				switch cmp.Compare(c.ratio, cands[q].ratio) {
+				case -1:
+					q, tied = k, false
+				case 0:
+					tied = true
+				}
+			}
+		}
+		if tied {
+			for k := 0; ; k++ {
+				c := &cands[s.rsort.at(k)]
+				if math.Float64bits(math.Abs(c.abar)) == math.Float64bits(bestPiv) && eligible(c) {
+					q = s.rsort.at(k)
+					break
+				}
 			}
 		}
 		enter := int(cands[q].j)

@@ -9,11 +9,9 @@ package lp
 // skips phase 1 in a handful of iterations.
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"time"
 )
 
@@ -165,6 +163,9 @@ type simplex struct {
 	resid    []float64
 	wNnz     []int32
 	p1events []p1event
+	// rsort orders the breakpoints of both ratio tests (ratiosort.go):
+	// p1events here, cand in the dual.
+	rsort ratioSort
 
 	// Dual-simplex state (dual.go), sized on first dual use of a binding.
 	d     []float64 // reduced costs of nonbasic columns
@@ -234,6 +235,10 @@ func (s *simplex) bind(p *Problem, roomN, roomM, roomNnz int) {
 	s.fcolVal = fit(s.fcolVal, m, roomM)
 	s.gamma = fit(s.gamma, total, roomT)
 	s.staticNorms()
+	// A dual ratio test ranks at most n nonbasic candidates; a phase-1
+	// one at most two breakpoints per basic variable and the entering
+	// variable's own range.
+	s.rsort.bind(max(n, 2*m+1), max(roomN, 2*roomM+1))
 	s.lu.bind(m, roomM)
 }
 
@@ -1290,19 +1295,23 @@ func (s *simplex) ratioTestPhase1(enter int, dir float64, slope0 float64, useBla
 	if len(ev) == 0 {
 		return -2, 0, false
 	}
+	// Both walks read the breakpoints in order of step length through
+	// the lazy sorter, so only the prefix they reach gets sorted.
+	keys := s.rsort.load(len(ev))
 	for k := range ev {
 		if ev[k].t < 0 {
 			ev[k].t = 0
 		}
+		keys[k] = ratioPair{key: ev[k].t, at: int32(k)}
 	}
-	slices.SortFunc(ev, func(a, b p1event) int { return cmp.Compare(a.t, b.t) })
 
 	if useBland {
 		// Short-step Bland rule: the first breakpoint blocks; among
 		// (near-)coincident ones the lowest basis index leaves.
 		best := -1
 		for k := range ev {
-			e := &ev[k]
+			i := s.rsort.at(k)
+			e := &ev[i]
 			if best >= 0 && e.t > ev[best].t+1e-10 {
 				break
 			}
@@ -1310,7 +1319,7 @@ func (s *simplex) ratioTestPhase1(enter int, dir float64, slope0 float64, useBla
 				return -1, e.t, false
 			}
 			if best < 0 || s.basis[e.pos] < s.basis[ev[best].pos] {
-				best = k
+				best = i
 			}
 		}
 		return int(ev[best].pos), ev[best].t, ev[best].toUpper
@@ -1321,7 +1330,7 @@ func (s *simplex) ratioTestPhase1(enter int, dir float64, slope0 float64, useBla
 	t := 0.0
 	bestRate := 0.0
 	for k := range ev {
-		e := &ev[k]
+		e := &ev[s.rsort.at(k)]
 		if e.pos < 0 {
 			// Entering variable exhausted its range: bound flip.
 			return -1, e.t, false
