@@ -13,7 +13,11 @@ import (
 // chords topology, yielding a valid whole-chunk schedule with deliberate
 // over-sending (the raw pre-pruning state the MILP also produces).
 func randomValidSchedule(rng *rand.Rand) *Schedule {
-	n := 3 + rng.Intn(4)
+	return floodSchedule(rng, 3+rng.Intn(4))
+}
+
+// floodSchedule is randomValidSchedule's flood on an n-node ring.
+func floodSchedule(rng *rand.Rand, n int) *Schedule {
 	t := topo.Ring(n, 1e9, 0)
 	gpus := make([]int, n)
 	for i := range gpus {
@@ -100,38 +104,87 @@ func TestQuickPrunePreservesValidity(t *testing.T) {
 	}
 }
 
-// TestQuickFinishEpochMatchesSim: the epoch-quantized finish time must
-// bound the continuous-time finish from above for whole-chunk schedules
-// on α-free topologies (transmission exactly fills each epoch).
-func TestQuickFinishEpochConsistency(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomValidSchedule(rng)
-		if err := s.Validate(); err != nil {
-			return true
+// splitSchedule is a fractional schedule: the union of two independent
+// floods over one n-node ring, the first carrying f of every chunk and
+// the second the rest, so a chunk's fractions land at different epochs.
+func splitSchedule(rng *rand.Rand) *Schedule {
+	n := 3 + rng.Intn(4)
+	a, b := floodSchedule(rng, n), floodSchedule(rng, n)
+	f := []float64{0.25, 0.5, 0.7}[rng.Intn(3)]
+	for i := range a.Sends {
+		a.Sends[i].Fraction = f
+	}
+	for _, snd := range b.Sends {
+		snd.Fraction = 1 - f
+		a.Sends = append(a.Sends, snd)
+	}
+	return a
+}
+
+// arrivedBy keeps the sends of s that have landed by the end of epoch e.
+// Every send a kept send relays from landed earlier, so what is kept is
+// causal on its own, and it satisfies the demand exactly when every
+// wanted chunk has landed by e.
+func arrivedBy(s *Schedule, e int) *Schedule {
+	out := *s
+	out.Sends = nil
+	for _, snd := range s.Sends {
+		if s.ArrivalEpoch(snd) <= e {
+			out.Sends = append(out.Sends, snd)
 		}
+	}
+	return &out
+}
+
+// TestQuickFinishEpochConsistency: FinishEpoch is the first epoch by
+// whose end the sends landed so far satisfy the demand — Validate
+// accepts the schedule cut at FinishEpoch and rejects it cut one epoch
+// earlier — for whole-chunk floods and for fractional unions of two
+// floods, where the last fraction of a chunk, not the first, completes
+// it. A whole-chunk schedule, pruned, starts no send after its finish.
+func TestQuickFinishEpochConsistency(t *testing.T) {
+	fractional := 0
+	lands := func(seed int64, s *Schedule) bool {
 		fe := s.FinishEpoch()
 		if fe < 0 {
-			return true
+			t.Logf("seed %d: a valid schedule reports no finish", seed)
+			return false
 		}
-		// Epoch-quantized time = (fe+1)*tau must be >= any send's start.
-		for _, snd := range s.Sends {
-			if snd.Epoch > fe {
-				// Wasteful late sends are allowed pre-prune; after prune
-				// none may start beyond the finish epoch.
-				p := s.Prune()
-				for _, ps := range p.Sends {
-					if ps.Epoch > p.FinishEpoch() {
-						t.Logf("seed %d: pruned send after finish", seed)
-						return false
-					}
-				}
-				return true
-			}
+		if err := arrivedBy(s, fe).Validate(); err != nil {
+			t.Logf("seed %d: cut at its finish epoch %d: %v", seed, fe, err)
+			return false
+		}
+		if fe > 0 && arrivedBy(s, fe-1).Validate() == nil {
+			t.Logf("seed %d: already complete at epoch %d, finish reads %d", seed, fe-1, fe)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomValidSchedule(rng)
+		if s.Validate() == nil {
+			if !lands(seed, s) {
+				return false
+			}
+			p := s.Prune()
+			for _, ps := range p.Sends {
+				if ps.Epoch > p.FinishEpoch() {
+					t.Logf("seed %d: pruned send after finish", seed)
+					return false
+				}
+			}
+		}
+		if split := splitSchedule(rng); split.Validate() == nil {
+			fractional++
+			return lands(seed, split)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+	if fractional < 20 {
+		t.Fatalf("only %d of 60 fractional schedules validated", fractional)
 	}
 }

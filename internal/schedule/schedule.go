@@ -6,8 +6,10 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"teccl/internal/collective"
@@ -74,17 +76,22 @@ func (s *Schedule) ArrivalEpoch(send Send) int {
 
 // FinishEpoch returns the epoch by whose end every demanded chunk has
 // reached its destination, or -1 if the schedule does not satisfy the
-// demand. Call Validate first to check full validity.
+// demand. A chunk has reached a destination when the fractions landed
+// there add up to the whole of it, within FracTol — the rule Validate's
+// completeness check and sim.Run apply — so a fractional (LP-derived)
+// schedule finishes when the last fraction it needs lands, not the
+// first. Call Validate first to check full validity.
 func (s *Schedule) FinishEpoch() int {
 	type key struct{ src, chunk, dst int }
-	arrive := map[key]int{}
+	type landing struct {
+		epoch int
+		frac  float64
+	}
+	arrive := map[key][]landing{}
 	for _, snd := range s.Sends {
 		dst := int(s.Topo.Link(snd.Link).Dst)
 		k := key{snd.Src, snd.Chunk, dst}
-		ae := s.ArrivalEpoch(snd)
-		if cur, ok := arrive[k]; !ok || ae < cur {
-			arrive[k] = ae
-		}
+		arrive[k] = append(arrive[k], landing{s.ArrivalEpoch(snd), snd.Fraction})
 	}
 	finish := 0
 	d := s.Demand
@@ -94,13 +101,19 @@ func (s *Schedule) FinishEpoch() int {
 				if !d.Wants(src, c, dst) {
 					continue
 				}
-				ae, ok := arrive[key{src, c, dst}]
-				if !ok {
+				ls := arrive[key{src, c, dst}]
+				slices.SortStableFunc(ls, func(a, b landing) int { return cmp.Compare(a.epoch, b.epoch) })
+				landed, got := -1, 0.0
+				for _, l := range ls {
+					if got += l.frac; got >= 1-FracTol {
+						landed = l.epoch
+						break
+					}
+				}
+				if landed < 0 {
 					return -1
 				}
-				if ae > finish {
-					finish = ae
-				}
+				finish = max(finish, landed)
 			}
 		}
 	}
