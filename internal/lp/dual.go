@@ -355,10 +355,11 @@ func (s *simplex) dualIterate(maxIter int) Status {
 		tied := false
 		for k := range cands {
 			c := &cands[k]
-			if !eligible(c) {
-				continue
+			piv := math.Abs(c.abar)
+			if piv < bestPiv || !eligible(c) {
+				continue // a smaller pivot cannot win: skip its division
 			}
-			switch piv := math.Abs(c.abar); {
+			switch {
 			case piv > bestPiv:
 				q, bestPiv, tied = k, piv, false
 			case q != sel && math.Float64bits(piv) == math.Float64bits(bestPiv):
@@ -372,9 +373,9 @@ func (s *simplex) dualIterate(maxIter int) Status {
 		}
 		if tied {
 			for k := 0; ; k++ {
-				c := &cands[s.rsort.at(k)]
-				if math.Float64bits(math.Abs(c.abar)) == math.Float64bits(bestPiv) && eligible(c) {
-					q = s.rsort.at(k)
+				i := s.rsort.at(k)
+				if c := &cands[i]; math.Float64bits(math.Abs(c.abar)) == math.Float64bits(bestPiv) && eligible(c) {
+					q = i
 					break
 				}
 			}
