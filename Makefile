@@ -138,8 +138,8 @@ tables:
 	$(GO) run ./cmd/benchtables
 
 # Non-test Go lines per package and in total, without the nested bench
-# module and its build directory: the unit ROADMAP's line targets are
-# stated in (scripts/loc.sh).
+# module, its build directory and testdata fixtures: the unit ROADMAP's
+# line targets are stated in (scripts/loc.sh).
 loc:
 	@bash $(ROOT)scripts/loc.sh
 

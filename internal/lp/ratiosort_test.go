@@ -65,14 +65,7 @@ var ratioShapes = []struct {
 	{"ties", func(rng *rand.Rand, n int) []float64 {
 		return ratioKeys(n, func(int) float64 { return float64(rng.Intn(3)) })
 	}},
-	{"zeros", func(rng *rand.Rand, n int) []float64 { // degenerate ratios: mostly 0
-		return ratioKeys(n, func(int) float64 {
-			if rng.Intn(4) > 0 {
-				return 0
-			}
-			return float64(rng.Intn(8)) / 4
-		})
-	}},
+	{"zeros", mostlyZeroKeys},
 	{"special", func(rng *rand.Rand, n int) []float64 {
 		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1, -1}
 		return ratioKeys(n, func(int) float64 { return special[rng.Intn(len(special))] })
@@ -99,6 +92,17 @@ var ratioShapes = []struct {
 		return ratioKeys(n, func(i int) float64 { return float64(i % m) })
 	}},
 	{"adversary", func(rng *rand.Rand, n int) []float64 { return ratioAdversary(n) }},
+}
+
+// mostlyZeroKeys are a degenerate LP's ratios: three in four tied at 0,
+// the rest on eight values.
+func mostlyZeroKeys(rng *rand.Rand, n int) []float64 {
+	return ratioKeys(n, func(int) float64 {
+		if rng.Intn(4) > 0 {
+			return 0
+		}
+		return float64(rng.Intn(8)) / 4
+	})
 }
 
 func ratioKeys(n int, key func(i int) float64) []float64 {
@@ -196,7 +200,7 @@ func FuzzRatioSort(f *testing.F) {
 // before; "lazy" the prefix through at.
 func BenchmarkRatioSort(b *testing.B) {
 	for _, n := range []int{16, 70, 255, 2000} {
-		keys := ratioShapes[2].fill(rand.New(rand.NewSource(int64(n))), n)
+		keys := mostlyZeroKeys(rand.New(rand.NewSource(int64(n))), n)
 		for _, stop := range []int{6, 14} {
 			var r ratioSort
 			r.bind(n, 0)

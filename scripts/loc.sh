@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # loc.sh [--lock | --check]: non-test Go lines per package directory of the
-# tree in the current directory, without the nested bench module and its
-# build directory — the unit ROADMAP's line targets are stated in.
+# tree in the current directory, without the nested bench module, its
+# build directory and testdata fixture packages — the unit ROADMAP's line
+# targets are stated in.
 #
 #   loc.sh          prints the count of every package and the total
 #                   (`make loc`);
