@@ -16,7 +16,7 @@ ci: vet lint build test race fuzz-smoke api-compat daemon-smoke bench-smoke benc
 # vet gates on the stock analyzer, formatting, and the repo's own
 # invariant suite: a gofmt diff anywhere or a tecclvet diagnostic
 # (layering, wire schema lock, solver cancellation polling, float
-# comparisons, init-time registration) fails the target.
+# comparisons, solver workspace lifetime) fails the target.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \

@@ -71,7 +71,7 @@ func (d Diagnostic) String() string {
 
 // All returns the tecclvet suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{ImportRules, WireLock, CtxCheck, FloatCmp, InitRegister, SolverLife}
+	return []*Analyzer{ImportRules, WireLock, CtxCheck, FloatCmp, SolverLife}
 }
 
 // allowPrefix is the suppression directive stem; the analyzer name and

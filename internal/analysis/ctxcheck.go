@@ -28,7 +28,7 @@ import (
 // syntax cannot show carries //teccl:allow-ctxcheck <why>.
 var CtxCheck = &Analyzer{
 	Name: "ctxcheck",
-	Doc: "unbounded solver iteration loops in internal/lp, internal/milp and internal/horizon " +
+	Doc: "unbounded solver iteration loops in internal/lp, internal/milp and internal/core " +
 		"must poll cancellation on every iteration path",
 	Run: runCtxCheck,
 }
@@ -37,7 +37,7 @@ var CtxCheck = &Analyzer{
 var ctxCheckPkgs = []string{
 	"teccl/internal/lp",
 	"teccl/internal/milp",
-	"teccl/internal/horizon",
+	"teccl/internal/core",
 }
 
 // pollNameRE matches budget-helper callee names.

@@ -9,11 +9,12 @@ import (
 
 func TestCtxCheck(t *testing.T) {
 	// The same testdata is valid for any of the three governed solver
-	// subtrees; run it as each to pin the scope.
+	// subtrees; run it as each to pin the scope (a subpackage path
+	// checks that a subtree is governed too).
 	for _, pkg := range []string{
 		"teccl/internal/lp",
 		"teccl/internal/milp",
-		"teccl/internal/horizon/windows",
+		"teccl/internal/core/windows",
 	} {
 		t.Run(pkg, func(t *testing.T) {
 			analysistest.Run(t, analysis.CtxCheck, "testdata/src/ctxcheck", pkg)

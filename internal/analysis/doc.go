@@ -20,10 +20,6 @@
 //   - teccl/internal/experiments must never import the root teccl
 //     package: the root bench test imports experiments, so the reverse
 //     edge is an import cycle.
-//   - teccl/internal/core must never import teccl/internal/horizon:
-//     horizon registers itself into core's solver registry from an init
-//     (blank import in the root facade); the reverse edge closes a
-//     cycle.
 //   - teccl/wire may import only the standard library: the v1 JSON
 //     schema is a pure serialization contract and must not drag solver
 //     internals across the API boundary (conversions live in
@@ -40,7 +36,7 @@
 //
 // ctxcheck — cancellation discipline in solver loops: unbounded-form
 // iteration loops (`for { ... }` / `for cond { ... }`) in
-// teccl/internal/lp, teccl/internal/milp and teccl/internal/horizon
+// teccl/internal/lp, teccl/internal/milp and teccl/internal/core
 // must poll cancellation somewhere in their body — ctx.Err()/Done(), an
 // interrupted()/limitsHit()-style budget helper, or delegation to a
 // callee that takes the context. This is the class of bug PR 4 fixed by
@@ -56,11 +52,6 @@
 // (feq/approxEq-style), or under an explicit
 // //teccl:allow-floatcmp <why> directive. Identity checks should
 // compare math.Float64bits instead (see lp.boundsFixed, Problem.EqualTo).
-//
-// initregister — core.RegisterSolver may only be called from a package
-// init function, matching the blank-import registration contract the
-// Planner dispatch depends on (solvers must be installed before any
-// Plan call can race them).
 //
 // solverlife — one workspace lifetime: outside teccl/internal/lp and
 // teccl/internal/milp, non-test code declares no variable or struct field

@@ -13,7 +13,7 @@ import (
 var ImportRules = &Analyzer{
 	Name: "importrules",
 	Doc: "enforce package layering: experiments must not import the teccl root, " +
-		"core must not import horizon, wire stays stdlib-only, client must not import the daemon",
+		"wire stays stdlib-only, client must not import the daemon",
 	Run: runImportRules,
 }
 
@@ -41,13 +41,6 @@ var importRules = []importRule{
 		bans: []bannedImport{{
 			path: "teccl",
 			why:  "the root bench test imports experiments, so the reverse edge is an import cycle; use the internal packages (or teccl/client) directly",
-		}},
-	},
-	{
-		pkg: "teccl/internal/core",
-		bans: []bannedImport{{
-			path: "teccl/internal/horizon", subtree: true,
-			why: "horizon registers into core via init (blank import in the root facade); importing it back closes the cycle",
 		}},
 	},
 	{

@@ -12,7 +12,6 @@ func TestImportRules(t *testing.T) {
 	// one ungoverned control).
 	cases := []struct{ dir, pkg string }{
 		{"experiments", "teccl/internal/experiments"},
-		{"core", "teccl/internal/core"},
 		{"wire", "teccl/wire"},
 		{"client", "teccl/client"},
 		{"ok", "teccl/internal/ok"},
@@ -25,7 +24,7 @@ func TestImportRules(t *testing.T) {
 }
 
 func TestImportRulesSubpackage(t *testing.T) {
-	// A rule governs the package's subtree too: core/internal-helper
-	// paths inherit core's bans.
-	analysistest.Run(t, analysis.ImportRules, "testdata/src/importrules/core", "teccl/internal/core/pool")
+	// A rule governs the package's subtree too: experiments/helper
+	// paths inherit experiments' bans.
+	analysistest.Run(t, analysis.ImportRules, "testdata/src/importrules/experiments", "teccl/internal/experiments/figures")
 }

@@ -5,5 +5,4 @@ package ok
 import (
 	_ "teccl"
 	_ "teccl/internal/daemon"
-	_ "teccl/internal/horizon"
 )

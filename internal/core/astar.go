@@ -56,17 +56,7 @@ func astarRoundLength(in *instance) int {
 	if in.opt.RoundEpochs > 0 {
 		return in.opt.RoundEpochs
 	}
-	maxHop := 1
-	for l := range in.delta {
-		if h := in.delta[l] + in.kappa[l]; h > maxHop {
-			maxHop = h
-		}
-	}
-	Kr := maxHop + 2
-	if Kr < 3 {
-		Kr = 3
-	}
-	return Kr
+	return in.maxLinkSpan() + 2
 }
 
 // newAStarState builds the initial chunk-position state of an instance:

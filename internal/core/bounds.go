@@ -96,6 +96,7 @@ func lpGreedyBound(in *instance) (int, []schedule.Send) {
 					at := t0
 					node := s
 					ok := true
+					//teccl:allow-ctxcheck bounded: each next[dst] hop costs δ+κ >= 1 on top of the next node's distance, so dist[node][dst] strictly falls and the walk takes at most dist[s][dst] hops
 					for node != dst {
 						l := next[dst][node]
 						if l < 0 {
@@ -108,6 +109,7 @@ func lpGreedyBound(in *instance) (int, []schedule.Send) {
 								break
 							}
 						} else {
+							//teccl:allow-ctxcheck bounded: k rises every iteration and the loop returns once it passes horizon
 							for !windowFree(plan, l, k) {
 								k++
 								if k > horizon {

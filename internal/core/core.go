@@ -15,8 +15,8 @@
 //   - SolveAStar: the round-partitioned approximation (§4.2, Appendix D).
 //     Supports copy, scales further than the MILP, trades optimality for
 //     solver time via the round length.
-//   - SolverHorizon: the LP form over rolling windows, registered by
-//     internal/horizon and reached through a Planner.
+//   - SolveHorizon: the LP form over rolling epoch windows (horizon.go),
+//     also reached through a Planner as SolverHorizon.
 //
 // Every solve is the same three steps. A model is built (lpModel.emit,
 // milpModel.emit) or, by Replan, edited from the incumbent's; the form's
@@ -175,7 +175,7 @@ type Options struct {
 
 	// HorizonWindow is the rolling-horizon window length in epochs
 	// (SolverHorizon only); 0 derives one from the horizon and the
-	// longest link span. See internal/horizon.
+	// longest link span. See horizon.go.
 	HorizonWindow int
 	// HorizonOverlap is the number of trailing window epochs re-solved by
 	// the next window; the committed stride is HorizonWindow −

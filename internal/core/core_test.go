@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"teccl/internal/collective"
+	"teccl/internal/milp"
 	"teccl/internal/schedule"
 	"teccl/internal/sim"
 	"teccl/internal/topo"
@@ -443,5 +444,88 @@ func TestGreedyIncumbentAcceptedByModel(t *testing.T) {
 	}
 	if x := m.pointFromSends(sends); x == nil {
 		t.Fatal("greedy incumbent rejected by the model converter")
+	}
+}
+
+// TestGreedyIncumbentSkipsDownLinks: on each of the 8 Ring(4) ALLGATHER
+// worlds with one directed link down, and on one with links 0 and 6 down
+// and α×50 on links 3 and 4, the greedy's sends must pass Validate on
+// that world, and a cold SolveMILP — whose auto horizon the greedy
+// tightens — must return a plan. A greedy that sends on a down link
+// finishes early, and the tightened horizon is then shorter than any
+// live path ("cannot receive chunk … within N epochs").
+func TestGreedyIncumbentSkipsDownLinks(t *testing.T) {
+	ring := topo.Ring(4, 25e9, 0.7e-6)
+	d := collective.AllGather(4, []int{0, 1, 2, 3}, 1, 25e3)
+	var deltas []topo.Delta
+	for l := 0; l < ring.NumLinks(); l++ {
+		deltas = append(deltas, topo.Delta{LinksDown: []topo.LinkID{topo.LinkID(l)}})
+	}
+	deltas = append(deltas, topo.Delta{LinksDown: []topo.LinkID{0, 6},
+		Scale: []topo.LinkScale{{Link: 3, Alpha: 50}, {Link: 4, Alpha: 50}}})
+	for w, delta := range deltas {
+		down, err := ring.ApplyDelta(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := must(newInstance(down, d, Options{}))
+		sends := greedyIncumbent(in)
+		if sends == nil {
+			t.Errorf("world %d: greedy failed", w)
+		} else if err := (&schedule.Schedule{
+			Topo: down, Demand: d, Tau: in.tau, NumEpochs: in.K,
+			Sends: sends, AllowCopy: true, EpochsPerChunk: in.epochsPerChunk(),
+		}).Validate(); err != nil {
+			t.Errorf("world %d: greedy schedule invalid: %v", w, err)
+		}
+		res, err := SolveMILP(context.Background(), down, d, Options{})
+		if err != nil {
+			t.Errorf("world %d: SolveMILP: %v", w, err)
+			continue
+		}
+		if err := res.Schedule.Validate(); err != nil {
+			t.Errorf("world %d: MILP schedule invalid: %v", w, err)
+		}
+	}
+}
+
+// BenchmarkMILPDriversDGX1AllGather runs the DGX1 ALLGATHER MILP (the
+// benchmark's milp-dgx1-allgather request: fastest-link τ, greedy
+// incumbent and the horizon it tightens, as solveMILP builds it) through
+// both branch-and-bound drivers: serial, and 2 and 4 workers
+// opportunistic and through rounds (milp.Options.Deterministic), which
+// core.Options does not expose.
+func BenchmarkMILPDriversDGX1AllGather(b *testing.B) {
+	tp := topo.DGX1()
+	d := collective.AllGather(tp.NumNodes(), testGPUs(tp), 1, 25e3)
+	in := must(newInstance(tp, d, Options{}))
+	greedy := greedyIncumbent(in)
+	if tight := sendsFinishEpoch(in, greedy) + 1; tight < in.K {
+		in = must(newInstance(tp, d, Options{Epochs: tight}))
+		greedy = greedyIncumbent(in)
+	}
+	m, err := buildMILP(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := m.pointFromSends(greedy)
+	for _, c := range []struct {
+		name string
+		w    int
+		det  bool
+	}{{"serial", 1, false}, {"2-opportunistic", 2, false}, {"2-deterministic", 2, true},
+		{"4-opportunistic", 4, false}, {"4-deterministic", 4, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				sol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints},
+					milp.Options{IncumbentX: x, Workers: c.w, Deterministic: c.det})
+				if sol.Status != milp.StatusOptimal {
+					b.Fatalf("status %v", sol.Status)
+				}
+				nodes += sol.Nodes
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		})
 	}
 }

@@ -1,4 +1,4 @@
-package horizon
+package core
 
 // em.go is the epoch-multiplier auto-selection in front of the windowed
 // solves (Table 4's EM column): before any model is built, probe how
@@ -11,22 +11,21 @@ package horizon
 
 import (
 	"teccl/internal/collective"
-	"teccl/internal/core"
 	"teccl/internal/topo"
 )
 
-// DefaultEMCellBudget is the demands×links×epochs budget the chosen
+// defaultEMCellBudget is the demands×links×epochs budget the chosen
 // multiplier must fit when Options.HorizonCellBudget is zero. Calibrated
 // against Table 4: on the 16 MB SlowestLink instances of figures.go the
 // prober must keep EM=1 for Internal1(2) and Internal2(4) (<= 28 672
 // cells) yet pick EM=2 for Internal1(3) ALLTOALL (139 392 cells at EM 1,
 // 101 376 at EM 2) and Internal2(6) (118 800 at EM 1, 80 784 at EM 2) —
 // any budget in [101 376, 118 800) reproduces the paper's EM column.
-const DefaultEMCellBudget = 110_000
+const defaultEMCellBudget = 110_000
 
-// EMProbe is one prober evaluation: the multiplier, the estimated model
+// emProbe is one prober evaluation: the multiplier, the estimated model
 // cells at that multiplier, and whether it fits the budget.
-type EMProbe struct {
+type emProbe struct {
 	EM    float64
 	Cells int
 	Fits  bool
@@ -35,32 +34,27 @@ type EMProbe struct {
 // coarseEMs is the power-of-two grid probed first.
 var coarseEMs = []float64{1, 2, 4, 8, 16, 32}
 
-// SelectEM picks the smallest epoch multiplier whose estimated model
-// size fits the cell budget (0 means DefaultEMCellBudget). The largest
-// coarse grid point is returned when nothing fits.
-func SelectEM(t *topo.Topology, d *collective.Demand, opt core.Options, budget int) float64 {
-	em, _ := ProbeEM(t, d, opt, budget)
-	return em
-}
-
-// ProbeEM is SelectEM plus the probe trace: the coarse power-of-two
-// ascent and the integer refinement between the last miss and the first
-// fit. Model cells are estimated without building anything — demand
-// count × links × the Algorithm 1 horizon estimate at the scaled tau.
-func ProbeEM(t *topo.Topology, d *collective.Demand, opt core.Options, budget int) (float64, []EMProbe) {
+// probeEM picks the smallest epoch multiplier whose estimated model
+// size fits the cell budget (0 means defaultEMCellBudget), or the
+// largest coarse grid point when nothing fits, and returns the probe
+// trace: the coarse power-of-two ascent and the integer refinement
+// between the last miss and the first fit. Model cells are estimated
+// without building anything — demand count × links × the Algorithm 1
+// horizon estimate at the scaled tau.
+func probeEM(t *topo.Topology, d *collective.Demand, opt Options, budget int) (float64, []emProbe) {
 	if budget <= 0 {
-		budget = DefaultEMCellBudget
+		budget = defaultEMCellBudget
 	}
 	// The LP path expands multicast demands per destination before
 	// estimating; size the model the same way.
 	if d.HasMulticast() {
 		d = d.ExpandPerDestination()
 	}
-	var probes []EMProbe
+	var probes []emProbe
 	cells := func(em float64) int {
-		tau := core.DeriveTau(t, d.ChunkBytes, opt.EpochMode, em)
-		c := d.Count() * t.NumLinks() * core.EstimateEpochs(t, d, tau)
-		probes = append(probes, EMProbe{EM: em, Cells: c, Fits: c <= budget})
+		tau := DeriveTau(t, d.ChunkBytes, opt.EpochMode, em)
+		c := d.Count() * t.NumLinks() * EstimateEpochs(t, d, tau)
+		probes = append(probes, emProbe{EM: em, Cells: c, Fits: c <= budget})
 		return c
 	}
 

@@ -1,11 +1,10 @@
-package horizon
+package core
 
 import (
 	"context"
 	"testing"
 
 	"teccl/internal/collective"
-	"teccl/internal/core"
 	"teccl/internal/topo"
 )
 
@@ -32,7 +31,7 @@ func TestSelectEMTable4(t *testing.T) {
 	const size = 16e6
 	for _, in := range insts {
 		t.Run(in.name, func(t *testing.T) {
-			gpus := gpuIDs(in.t)
+			gpus := testGPUs(in.t)
 			chunk := size / float64(len(gpus))
 			var d *collective.Demand
 			if in.coll == "AtoA" {
@@ -40,8 +39,8 @@ func TestSelectEMTable4(t *testing.T) {
 			} else {
 				d = collective.AllGather(in.t.NumNodes(), gpus, 1, chunk)
 			}
-			opt := core.Options{EpochMode: core.SlowestLink}
-			em, probes := ProbeEM(in.t, d, opt, 0)
+			opt := Options{EpochMode: SlowestLink}
+			em, probes := probeEM(in.t, d, opt, 0)
 			if em != in.want {
 				for _, p := range probes {
 					t.Logf("probe em=%g cells=%d fits=%v", p.EM, p.Cells, p.Fits)
@@ -83,25 +82,25 @@ func TestAutoEMNeverInfeasible(t *testing.T) {
 		budget int
 	}{
 		{"dgx1-default-budget", topo.DGX1(), func(tp *topo.Topology) *collective.Demand {
-			return collective.AllToAll(tp.NumNodes(), gpuIDs(tp), 1, 5e4)
+			return collective.AllToAll(tp.NumNodes(), testGPUs(tp), 1, 5e4)
 		}, 0},
 		{"dgx1-tight-budget", topo.DGX1(), func(tp *topo.Topology) *collective.Demand {
-			return collective.AllToAll(tp.NumNodes(), gpuIDs(tp), 1, 5e4)
+			return collective.AllToAll(tp.NumNodes(), testGPUs(tp), 1, 5e4)
 		}, 4_000},
 		{"ndv2mini-tight-budget", topo.NDv2Mini(2), func(tp *topo.Topology) *collective.Demand {
-			return collective.AllToAll(tp.NumNodes(), gpuIDs(tp), 1, 2.5e4)
+			return collective.AllToAll(tp.NumNodes(), testGPUs(tp), 1, 2.5e4)
 		}, 6_000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.dem(tc.topo)
-			opt := core.Options{EpochMode: core.SlowestLink}
-			em := SelectEM(tc.topo, d, opt, tc.budget)
+			opt := Options{EpochMode: SlowestLink}
+			em, _ := probeEM(tc.topo, d, opt, tc.budget)
 			if em < 1 {
-				t.Fatalf("SelectEM returned %g < 1", em)
+				t.Fatalf("probeEM returned %g < 1", em)
 			}
 			opt.EpochMultiplier = em
-			res, err := core.SolveLP(ctx, tc.topo, d, opt)
+			res, err := SolveLP(ctx, tc.topo, d, opt)
 			if err != nil {
 				t.Fatalf("solve at auto EM %g: %v", em, err)
 			}

@@ -1,8 +1,10 @@
-// Package horizon implements the rolling-horizon decomposition of the
-// time-expanded LP (§4.1): instead of one monolithic simplex over all K
-// epochs, the horizon is sliced into overlapping windows [S, S+W) that
-// are solved in sequence, each a small LP in the same variable space as
-// the monolithic model.
+package core
+
+// horizon.go is the rolling-horizon decomposition of the time-expanded
+// LP (§4.1): instead of one monolithic simplex over all K epochs, the
+// horizon is sliced into overlapping windows [S, S+W) that are solved in
+// sequence, each a small LP in the same variable space as the
+// monolithic model.
 //
 // # Window / commit / carry-forward invariants
 //
@@ -57,10 +59,7 @@
 // Policy routes to this solver (SolverHorizon) when CostModelPolicy
 // prices an LP-eligible request above HorizonCells — the regime where
 // the monolithic model's demands×links×epochs product makes one simplex
-// the scaling wall. ForceHorizon pins it for tests; importing this
-// package (blank import from the facade, daemon, and experiments)
-// registers the implementation with core.
-package horizon
+// the scaling wall. ForceHorizon pins it for tests.
 
 import (
 	"context"
@@ -69,7 +68,6 @@ import (
 	"time"
 
 	"teccl/internal/collective"
-	"teccl/internal/core"
 	"teccl/internal/lp"
 	"teccl/internal/topo"
 )
@@ -78,66 +76,47 @@ import (
 // horizon before degrading to a monolithic solve.
 const maxExtensions = 4
 
-// Solve runs the rolling-horizon decomposition as a one-shot solve (no
-// session state). See the package comment for the invariants.
-func Solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core.Options) (*core.Result, error) {
-	if opt.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
-		defer cancel()
-		opt.TimeLimit = 0
-	}
-	return solve(ctx, t, d, opt, nil)
+// SolveHorizon runs the rolling-horizon decomposition as a one-shot
+// solve (no session basis store). See the file comment for the
+// invariants.
+func SolveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
+	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
+	defer cancel()
+	opt.TimeLimit = 0
+	return solveHorizon(ctx, t, d, opt, nil)
 }
 
-func prog(opt *core.Options, p core.Progress) {
-	if opt.Progress != nil {
-		opt.Progress(p)
-	}
-}
-
-func sample(phase string, round, iters int, obj float64, haveObj bool) core.Progress {
-	p := core.Progress{
-		Solver:     "horizon",
-		Phase:      phase,
-		Round:      round,
-		Iterations: iters,
-		Incumbent:  math.NaN(),
-		Bound:      math.NaN(),
-		Gap:        math.Inf(1),
-	}
-	if haveObj {
-		p.Incumbent, p.Bound, p.Gap = obj, obj, 0
-	}
-	return p
-}
-
-// solve is the registered SolverFunc (register.go): the caller (Planner
-// or Solve) has already layered TimeLimit onto ctx.
-func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core.Options, hooks *core.SessionHooks) (*core.Result, error) {
+// solveHorizon is SolveHorizon with the caller (Planner or SolveHorizon)
+// having already layered TimeLimit onto ctx. warmBases is the session's
+// fingerprint-keyed basis store, nil for a one-shot solve: each window's
+// basis recorded by one request warm-starts the identical window of the
+// next.
+func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, warmBases *basisStore) (*Result, error) {
 	start := time.Now()
 
 	// Makespan refinement re-solves whole horizons; it composes with the
 	// monolithic path, not with windowed commitment.
 	if opt.MinimizeMakespan {
-		return core.SolveLP(ctx, t, d, opt)
+		return SolveLP(ctx, t, d, opt)
 	}
 
 	if opt.AutoEpochMultiplier && opt.EpochMultiplier <= 1 && opt.Tau == 0 {
-		em := SelectEM(t, d, opt, opt.HorizonCellBudget)
+		em, _ := probeEM(t, d, opt, opt.HorizonCellBudget)
 		opt.EpochMultiplier = em
-		prog(&opt, sample("em", 0, 0, em, true))
+		opt.Progress.emit(lpSample("horizon", "em", 0, 0, em, true))
 	}
 
-	wi := core.NewWindowInstance(t, d, opt)
-	if err := wi.Err(); err != nil {
-		return nil, err
+	wi := NewWindowInstance(t, d, opt)
+	if wi.err != nil {
+		return nil, wi.err
 	}
-	if wi.Empty() {
-		return wi.EmptyResult(start), nil
+	if wi.ix == nil {
+		r := emptyResult(wi.in, start)
+		r.Schedule.AllowCopy = false
+		return r, nil
 	}
 
-	maxdk := wi.MaxLinkSpan()
+	maxdk := wi.in.maxLinkSpan()
 	span := maxdk * (1 + maxSwitchChain(t))
 	W := opt.HorizonWindow
 	if W <= 0 {
@@ -172,7 +151,7 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 	}
 
 	st := newStitcher(wi)
-	res := &core.Result{Tau: wi.Tau()}
+	res := &Result{Tau: wi.in.tau}
 	var prevProb *lp.Problem
 	var prevBasis *lp.Basis
 	warmFirst := false
@@ -184,7 +163,7 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: horizon solve interrupted at window %d: %w", res.Windows+1, context.Cause(ctx))
 		}
-		K := wi.Epochs()
+		K := wi.in.K
 		lo, hi := S, S+W
 		final := false
 		if hi >= K {
@@ -203,11 +182,11 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 		// Warm start: an exact fingerprint hit from the session store
 		// beats a key-matched projection of the previous window.
 		var warm *lp.Basis
-		if hooks != nil && hooks.LookupBasis != nil {
-			warm = hooks.LookupBasis(wlp.P)
+		if warmBases != nil {
+			warm = warmBases.lookup(wlp.P)
 		}
 		if warm == nil && prevProb != nil {
-			warm = core.TransferBasis(prevProb, prevBasis, wlp.P)
+			warm = hintFromSolve(prevProb, prevBasis).basisFor(wlp.P)
 		}
 		lpOpt := lp.Options{Context: ctx}
 		if warm != nil {
@@ -232,8 +211,8 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 				if maxdk > ext {
 					ext = maxdk
 				}
-				wi.SetEpochs(K + ext)
-				st.grow(wi.Epochs())
+				wi.setEpochs(K + ext)
+				st.grow(wi.in.K)
 				prevProb, prevBasis = nil, nil
 				continue
 			}
@@ -273,10 +252,10 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 		res.Refactorizations += sol.Refactorizations
 		res.FTUpdates += sol.FTUpdates
 		res.UpdateNnz += sol.UpdateNnz
-		prog(&opt, sample("window", res.Windows, sol.Iterations, sol.Objective, true))
+		opt.Progress.emit(lpSample("horizon", "window", res.Windows, sol.Iterations, sol.Objective, true))
 
-		if hooks != nil && hooks.RecordBasis != nil {
-			hooks.RecordBasis(wlp.P, sol.Basis)
+		if warmBases != nil {
+			warmBases.record(wlp.P, sol.Basis)
 		}
 
 		flows, reads := wlp.Flows(sol.X)
@@ -296,16 +275,16 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 	// the same peeling pass as the monolithic path decomposes and
 	// validates it (st.flows is consumed, st.reads survives for the
 	// objective and the certify pass).
-	obj := wi.Objective(st.reads)
+	obj := wi.objectiveAt(st.reads, wi.ix.tail)
 	sch, err := wi.Decompose(st.flows, st.reads)
 	if err != nil {
 		return fallbackMono(ctx, t, d, opt, start, err)
 	}
-	prog(&opt, sample("stitch", res.Windows, res.RootIterations, obj, true))
+	opt.Progress.emit(lpSample("horizon", "stitch", res.Windows, res.RootIterations, obj, true))
 
 	res.Schedule = sch
 	res.Objective = obj
-	res.Epochs = wi.Epochs()
+	res.Epochs = wi.in.K
 	res.WarmStarted = warmFirst
 	res.SolveTime = time.Since(start)
 
@@ -320,34 +299,34 @@ func solve(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core
 // weights, recording the relative objective gap. Certification time is
 // excluded from SolveTime; a budget overrun or error leaves the result
 // uncertified (Gap 0, Optimal false).
-func certify(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core.Options, wi *core.WindowInstance, reads [][][]float64, res *core.Result) {
+func certify(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, wi *WindowInstance, reads [][][]float64, res *Result) {
 	cctx, cancel := context.WithTimeout(ctx, opt.HorizonCertify)
 	defer cancel()
 	copt := opt
 	copt.TimeLimit = 0
 	copt.HorizonCertify = 0
 	copt.Progress = nil
-	mono, err := core.SolveLP(cctx, t, d, copt)
+	mono, err := SolveLP(cctx, t, d, copt)
 	if err != nil || mono.Objective <= 0 {
 		return
 	}
-	stObj := wi.ObjectiveAt(reads, core.LPTailWeights(mono.Epochs))
+	stObj := wi.objectiveAt(reads, lpTailWeights(mono.Epochs))
 	gap := (mono.Objective - stObj) / mono.Objective
 	if gap < 0 {
 		gap = 0
 	}
 	res.Gap = gap
 	res.Optimal = mono.Optimal && gap <= 1e-6
-	prog(&opt, sample("certify", res.Windows, mono.RootIterations, gap, true))
+	opt.Progress.emit(lpSample("horizon", "certify", res.Windows, mono.RootIterations, gap, true))
 }
 
 // fallbackMono abandons the decomposition for one monolithic LP solve —
 // the safety net behind every invariant the windowed path checks
 // (boundary bookkeeping, committed-flow closure, final-window
 // feasibility, stitched-schedule validation).
-func fallbackMono(ctx context.Context, t *topo.Topology, d *collective.Demand, opt core.Options, start time.Time, cause error) (*core.Result, error) {
-	prog(&opt, sample("fallback", 0, 0, 0, false))
-	res, err := core.SolveLP(ctx, t, d, opt)
+func fallbackMono(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, start time.Time, cause error) (*Result, error) {
+	opt.Progress.emit(lpSample("horizon", "fallback", 0, 0, 0, false))
+	res, err := SolveLP(ctx, t, d, opt)
 	if err != nil {
 		return nil, fmt.Errorf("core: horizon fallback (%v) failed: %w", cause, err)
 	}
@@ -363,24 +342,24 @@ func fallbackMono(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 // than this can never schedule the pair's read. Unreachable demanded
 // pairs are skipped — the monolithic model is just as infeasible for
 // them, and the final-window fallback reports it.
-func routeSpan(wi *core.WindowInstance) int {
-	t := wi.Topo()
+func routeSpan(wi *WindowInstance) int {
+	t := wi.t
 	nN := t.NumNodes()
 	type edge struct{ to, dk int }
 	adj := make([][]edge, nN)
 	for l := 0; l < t.NumLinks(); l++ {
 		lk := t.Link(topo.LinkID(l))
-		adj[lk.Src] = append(adj[lk.Src], edge{int(lk.Dst), wi.LandEpoch(l, 0) + 1})
+		adj[lk.Src] = append(adj[lk.Src], edge{int(lk.Dst), wi.in.landEpoch(l, 0) + 1})
 	}
 	const inf = math.MaxInt32
 	span := 0
 	dist := make([]int, nN)
 	done := make([]bool, nN)
-	for si := 0; si < wi.NumSources(); si++ {
+	for si, src := range wi.ix.sources {
 		for i := range dist {
 			dist[i], done[i] = inf, false
 		}
-		dist[wi.Source(si)] = 0
+		dist[src] = 0
 		//teccl:allow-ctxcheck bounded: Dijkstra over nN nodes; every iteration marks one node done or exits
 		for {
 			u, best := -1, inf
@@ -400,7 +379,7 @@ func routeSpan(wi *core.WindowInstance) int {
 			}
 		}
 		for dst := 0; dst < nN; dst++ {
-			if wi.Dem(si, dst) > 0 && dist[dst] < inf && dist[dst] > span {
+			if wi.dem(si, dst) > 0 && dist[dst] < inf && dist[dst] > span {
 				span = dist[dst]
 			}
 		}

@@ -1,7 +1,7 @@
-package horizon
+package core
 
 // Planner-path tests: the rolling-horizon solver reached through a
-// session (core.Planner) rather than the one-shot Solve wrapper. The
+// session (Planner) rather than the one-shot SolveHorizon. The
 // session's fingerprint-keyed basis store is what turns a repeated
 // request into a chain of exact warm starts, and the policy routing is
 // what sends large LP-eligible requests here without the caller asking.
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"teccl/internal/collective"
-	"teccl/internal/core"
 	"teccl/internal/topo"
 )
 
@@ -22,16 +21,16 @@ import (
 // hits, not name-matched projections).
 func TestPlannerHorizonWarmStarts(t *testing.T) {
 	tp := topo.DGX1()
-	pl := core.NewPlanner(tp, core.PlannerOptions{Policy: core.ForceHorizon})
+	pl := NewPlanner(tp, PlannerOptions{Policy: ForceHorizon})
 	defer pl.Close()
-	d := collective.AllToAll(tp.NumNodes(), gpuIDs(tp), 1, 25e3)
-	opt := core.Options{HorizonWindow: 8, HorizonOverlap: 7}
+	d := collective.AllToAll(tp.NumNodes(), testGPUs(tp), 1, 25e3)
+	opt := Options{HorizonWindow: 8, HorizonOverlap: 7}
 
-	first, err := pl.Plan(context.Background(), core.Request{Demand: d.Clone(), Options: &opt})
+	first, err := pl.Plan(context.Background(), Request{Demand: d.Clone(), Options: &opt})
 	if err != nil {
 		t.Fatalf("first plan: %v", err)
 	}
-	if first.Solver != core.SolverHorizon {
+	if first.Solver != SolverHorizon {
 		t.Fatalf("first plan solved by %v, want horizon", first.Solver)
 	}
 	if first.WarmStart {
@@ -41,7 +40,7 @@ func TestPlannerHorizonWarmStarts(t *testing.T) {
 		t.Fatalf("expected a multi-window solve, got %d windows", first.Windows)
 	}
 
-	second, err := pl.Plan(context.Background(), core.Request{Demand: d.Clone(), Options: &opt})
+	second, err := pl.Plan(context.Background(), Request{Demand: d.Clone(), Options: &opt})
 	if err != nil {
 		t.Fatalf("second plan: %v", err)
 	}
@@ -67,14 +66,14 @@ func TestPlannerHorizonWarmStarts(t *testing.T) {
 
 // TestPlannerHorizonConcurrent hammers one session with concurrent
 // identical horizon requests; under -race this pins the driver's use of
-// the shared SessionHooks basis store as data-race-free, and every
+// the session's shared basis store as data-race-free, and every
 // result must still validate and agree on the finish epoch.
 func TestPlannerHorizonConcurrent(t *testing.T) {
 	tp := topo.DGX1()
-	pl := core.NewPlanner(tp, core.PlannerOptions{Policy: core.ForceHorizon})
+	pl := NewPlanner(tp, PlannerOptions{Policy: ForceHorizon})
 	defer pl.Close()
-	d := collective.AllToAll(tp.NumNodes(), gpuIDs(tp), 1, 25e3)
-	opt := core.Options{HorizonWindow: 8, HorizonOverlap: 7}
+	d := collective.AllToAll(tp.NumNodes(), testGPUs(tp), 1, 25e3)
+	opt := Options{HorizonWindow: 8, HorizonOverlap: 7}
 
 	const workers = 4
 	finish := make([]int, workers)
@@ -84,7 +83,7 @@ func TestPlannerHorizonConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p, err := pl.Plan(context.Background(), core.Request{Demand: d.Clone(), Options: &opt})
+			p, err := pl.Plan(context.Background(), Request{Demand: d.Clone(), Options: &opt})
 			if err != nil {
 				errs[w] = err
 				return
@@ -109,39 +108,38 @@ func TestPlannerHorizonConcurrent(t *testing.T) {
 	}
 }
 
-// TestCostModelPolicyHorizonRouting exercises the HorizonCells knob with
-// the solver actually registered (this package's init): above the cell
-// threshold an LP-eligible request routes to the horizon decomposition,
-// a negative threshold disables the routing, and multicast requests are
-// never routed here.
+// TestCostModelPolicyHorizonRouting exercises the HorizonCells knob:
+// above the cell threshold an LP-eligible request routes to the horizon
+// decomposition, a negative threshold disables the routing, and
+// multicast requests are never routed here.
 func TestCostModelPolicyHorizonRouting(t *testing.T) {
 	tp := topo.DGX1()
-	atoa := collective.AllToAll(tp.NumNodes(), gpuIDs(tp), 1, 25e3)
-	ag := collective.AllGather(tp.NumNodes(), gpuIDs(tp), 1, 25e3)
+	atoa := collective.AllToAll(tp.NumNodes(), testGPUs(tp), 1, 25e3)
+	ag := collective.AllGather(tp.NumNodes(), testGPUs(tp), 1, 25e3)
 	in := policyInput(tp, atoa)
 
-	if got := (core.CostModelPolicy{HorizonCells: 1}).Choose(in); got != core.SolverHorizon {
+	if got := (CostModelPolicy{HorizonCells: 1}).Choose(in); got != SolverHorizon {
 		t.Errorf("one-cell threshold: got %v, want horizon", got)
 	}
-	if got := (core.CostModelPolicy{HorizonCells: 1 << 30}).Choose(in); got != core.SolverLP {
+	if got := (CostModelPolicy{HorizonCells: 1 << 30}).Choose(in); got != SolverLP {
 		t.Errorf("huge threshold: got %v, want lp", got)
 	}
-	if got := (core.CostModelPolicy{HorizonCells: -1}).Choose(in); got != core.SolverLP {
+	if got := (CostModelPolicy{HorizonCells: -1}).Choose(in); got != SolverLP {
 		t.Errorf("negative threshold must disable horizon routing: got %v, want lp", got)
 	}
-	if got := (core.CostModelPolicy{HorizonCells: 1}).Choose(policyInput(tp, ag)); got == core.SolverHorizon {
+	if got := (CostModelPolicy{HorizonCells: 1}).Choose(policyInput(tp, ag)); got == SolverHorizon {
 		t.Error("multicast request routed to the horizon LP decomposition")
 	}
 
 	// End to end: a session whose policy prices this request over the
 	// threshold must answer it with the horizon solver.
-	pl := core.NewPlanner(tp, core.PlannerOptions{Policy: core.CostModelPolicy{HorizonCells: 1}})
+	pl := NewPlanner(tp, PlannerOptions{Policy: CostModelPolicy{HorizonCells: 1}})
 	defer pl.Close()
-	p, err := pl.Plan(context.Background(), core.Request{Demand: atoa.Clone()})
+	p, err := pl.Plan(context.Background(), Request{Demand: atoa.Clone()})
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	if p.Solver != core.SolverHorizon {
+	if p.Solver != SolverHorizon {
 		t.Errorf("session solved with %v, want horizon", p.Solver)
 	}
 	if err := p.Schedule.Validate(); err != nil {
@@ -150,16 +148,16 @@ func TestCostModelPolicyHorizonRouting(t *testing.T) {
 }
 
 // policyInput builds a PolicyInput the way a Planner session does.
-func policyInput(tp *topo.Topology, d *collective.Demand) core.PolicyInput {
-	tau := core.DeriveTau(tp, d.ChunkBytes, core.FastestLink, 0)
-	return core.PolicyInput{
+func policyInput(tp *topo.Topology, d *collective.Demand) PolicyInput {
+	tau := DeriveTau(tp, d.ChunkBytes, FastestLink, 0)
+	return PolicyInput{
 		Topology:  tp,
 		Demand:    d,
 		NumGPUs:   len(tp.GPUs()),
 		Multicast: d.HasMulticast(),
 		Tau:       tau,
 		EstimateEpochs: func() int {
-			return core.EstimateEpochs(tp, d, tau)
+			return EstimateEpochs(tp, d, tau)
 		},
 	}
 }

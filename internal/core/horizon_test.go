@@ -1,4 +1,4 @@
-package horizon
+package core
 
 import (
 	"context"
@@ -7,42 +7,33 @@ import (
 	"time"
 
 	"teccl/internal/collective"
-	"teccl/internal/core"
 	"teccl/internal/topo"
 )
-
-func gpuIDs(t *topo.Topology) []int {
-	var out []int
-	for _, g := range t.GPUs() {
-		out = append(out, int(g))
-	}
-	return out
-}
 
 type propCase struct {
 	name string
 	topo *topo.Topology
 	dem  func(*topo.Topology) *collective.Demand
-	opt  core.Options
+	opt  Options
 }
 
 func propCorpus() []propCase {
 	allToAll := func(chunk float64) func(*topo.Topology) *collective.Demand {
 		return func(tp *topo.Topology) *collective.Demand {
-			return collective.AllToAll(tp.NumNodes(), gpuIDs(tp), 1, chunk)
+			return collective.AllToAll(tp.NumNodes(), testGPUs(tp), 1, chunk)
 		}
 	}
 	return []propCase{
 		{name: "dgx1-alltoall-fastest", topo: topo.DGX1(), dem: allToAll(25e3)},
 		{name: "dgx1-alltoall-slowest", topo: topo.DGX1(), dem: allToAll(50e3),
-			opt: core.Options{EpochMode: core.SlowestLink}},
+			opt: Options{EpochMode: SlowestLink}},
 		{name: "ndv2mini-alltoall-fastest-em2", topo: topo.NDv2Mini(2), dem: allToAll(25e3),
-			opt: core.Options{EpochMultiplier: 2}},
+			opt: Options{EpochMultiplier: 2}},
 		{name: "ndv2mini-alltoall-slowest", topo: topo.NDv2Mini(2), dem: allToAll(25e3),
-			opt: core.Options{EpochMode: core.SlowestLink}},
+			opt: Options{EpochMode: SlowestLink}},
 		{name: "dgx1-allgather-expanded", topo: topo.DGX1(),
 			dem: func(tp *topo.Topology) *collective.Demand {
-				return collective.AllGather(tp.NumNodes(), gpuIDs(tp), 1, 25e3)
+				return collective.AllGather(tp.NumNodes(), testGPUs(tp), 1, 25e3)
 			}},
 	}
 }
@@ -56,7 +47,7 @@ func TestWindowedMatchesMonolithic(t *testing.T) {
 	for _, tc := range propCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.dem(tc.topo)
-			mono, err := core.SolveLP(ctx, tc.topo, d, tc.opt)
+			mono, err := SolveLP(ctx, tc.topo, d, tc.opt)
 			if err != nil {
 				t.Fatalf("monolithic solve: %v", err)
 			}
@@ -70,7 +61,7 @@ func TestWindowedMatchesMonolithic(t *testing.T) {
 			hopt.HorizonWindow = 8
 			hopt.HorizonOverlap = 7
 			hopt.HorizonCertify = 30 * time.Second
-			hres, err := Solve(ctx, tc.topo, d, hopt)
+			hres, err := SolveHorizon(ctx, tc.topo, d, hopt)
 			if err != nil {
 				t.Fatalf("horizon solve: %v", err)
 			}
@@ -109,9 +100,9 @@ func TestNoLiveLinkErrorsPromptly(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := collective.AllGather(dead.NumNodes(), []int{0, 2}, 1, 25e3)
-	full := collective.AllGather(ring.NumNodes(), gpuIDs(ring), 1, 25e3)
-	pl := core.NewPlanner(ring, core.PlannerOptions{})
-	if _, err := pl.Plan(context.Background(), core.Request{Demand: full}); err != nil {
+	full := collective.AllGather(ring.NumNodes(), testGPUs(ring), 1, 25e3)
+	pl := NewPlanner(ring, PlannerOptions{})
+	if _, err := pl.Plan(context.Background(), Request{Demand: full}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,27 +111,27 @@ func TestNoLiveLinkErrorsPromptly(t *testing.T) {
 		solve func(ctx context.Context) error
 	}{
 		{"SolveLP", func(ctx context.Context) error {
-			_, err := core.SolveLP(ctx, dead, d, core.Options{})
+			_, err := SolveLP(ctx, dead, d, Options{})
 			return err
 		}},
 		{"SolveMILP", func(ctx context.Context) error {
-			_, err := core.SolveMILP(ctx, dead, d, core.Options{})
+			_, err := SolveMILP(ctx, dead, d, Options{})
 			return err
 		}},
 		{"SolveAStar", func(ctx context.Context) error {
-			_, err := core.SolveAStar(ctx, dead, d, core.Options{})
+			_, err := SolveAStar(ctx, dead, d, Options{})
 			return err
 		}},
-		{"Solve", func(ctx context.Context) error {
-			_, err := Solve(ctx, dead, d, core.Options{TimeLimit: 3 * time.Second})
+		{"SolveHorizon", func(ctx context.Context) error {
+			_, err := SolveHorizon(ctx, dead, d, Options{TimeLimit: 3 * time.Second})
 			return err
 		}},
 		{"Planner.Replan", func(ctx context.Context) error {
-			_, err := pl.Replan(ctx, core.Delta{NodesDown: down})
+			_, err := pl.Replan(ctx, Delta{NodesDown: down})
 			return err
 		}},
 		{"SolveMILP Tau=+Inf", func(ctx context.Context) error {
-			_, err := core.SolveMILP(ctx, ring, full, core.Options{Tau: math.Inf(1)})
+			_, err := SolveMILP(ctx, ring, full, Options{Tau: math.Inf(1)})
 			return err
 		}},
 	} {

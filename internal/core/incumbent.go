@@ -92,6 +92,9 @@ func greedyIncumbent(in *instance) []schedule.Send {
 		delete(pending, k)
 
 		for l := 0; l < nL; l++ {
+			if t.LinkDown(topo.LinkID(l)) {
+				continue
+			}
 			lk := t.Link(topo.LinkID(l))
 			src, dst := int(lk.Src), int(lk.Dst)
 			if k+in.delta[l]+in.kappa[l]-1 > K-1 {

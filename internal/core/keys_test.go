@@ -22,7 +22,7 @@ import (
 // have, and the tests require the two channels to agree on every kind of
 // model pair a basis is carried across.
 
-// refTransfer is the by-name projection TransferBasis used to be: index
+// refTransfer is the by-name projection the key transfer used to be: index
 // the source basis by Name, read each destination column's status back
 // by Name, nil when nothing basic carried over.
 func refTransfer(src *lp.Problem, basis *lp.Basis, dst *lp.Problem) *lp.Basis {
@@ -59,7 +59,7 @@ func checkTransfer(t *testing.T, what string, src *lp.Problem, basis *lp.Basis, 
 	if want == nil {
 		t.Fatalf("%s: the by-name reference carries nothing over; the case tests nothing", what)
 	}
-	if got := TransferBasis(src, basis, dst); !reflect.DeepEqual(got, want) {
+	if got := hintFromSolve(src, basis).basisFor(dst); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: by-key transfer differs from the by-name reference", what)
 	}
 	// The session path: the same projection behind a lazily built map and
@@ -255,7 +255,7 @@ func TestCorpusColumnsKeyed(t *testing.T) {
 		// overlapping.
 		wi := NewWindowInstance(c.t, d, c.opt)
 		K := wi.Epochs()
-		width := max(K/3, wi.MaxLinkSpan()+1)
+		width := max(K/3, wi.in.maxLinkSpan()+1)
 		for lo := 0; lo < K; lo += max(width/2, 1) {
 			hi := min(lo+width, K)
 			w, err := wi.BuildWindow(lo, hi, hi == K, wi.InitialBoundary())
@@ -355,7 +355,7 @@ func TestKeyTransferMatchesNameTransfer(t *testing.T) {
 	t.Run("window to window", func(t *testing.T) {
 		wi := NewWindowInstance(ndv, a2a, Options{EpochMode: SlowestLink})
 		K := wi.Epochs()
-		width := max(K/2, wi.MaxLinkSpan()+1)
+		width := max(K/2, wi.in.maxLinkSpan()+1)
 		var prev *WindowLP
 		var basis *lp.Basis
 		for lo := 0; lo+width <= K; lo += max(width/3, 1) {

@@ -152,6 +152,20 @@ type lpModel struct {
 // resident at the destination.
 func (in *instance) landEpoch(l, e int) int { return e + in.delta[l] + in.kappa[l] - 1 }
 
+// maxLinkSpan is the largest per-link δ+κ (at least 1): the number of
+// epochs a single send can stay in flight. The A* round length and the
+// rolling-horizon overlap are sized from it so a send lands within the
+// next round or window.
+func (in *instance) maxLinkSpan() int {
+	m := 1
+	for l := range in.delta {
+		if s := in.delta[l] + in.kappa[l]; s > m {
+			m = s
+		}
+	}
+	return m
+}
+
 func newLPModel(in *instance, ix *lpIndex) *lpModel {
 	return &lpModel{lpIndex: *ix, in: in, p: lp.NewProblem(lp.Maximize)}
 }
@@ -419,7 +433,7 @@ func (m *lpModel) emit(s0, lo, hi int, final bool, bd *Boundary) error {
 	// GPUs): outgoing flow at k is limited by window arrivals forwardable
 	// exactly at k (landed during k-1). Committed flows through a
 	// bufferless node are closed under forwarding before they are
-	// committed (see internal/horizon), so they never appear on either
+	// committed (see horizon.go), so they never appear on either
 	// side here.
 	for si := s0; si < nS; si++ {
 		for n := 0; n < nN; n++ {
@@ -706,7 +720,7 @@ func (m *lpModel) run(ctx context.Context, lpOpt lp.Options, start time.Time) (*
 		// back to the primal on its own when it is not.
 		lpOpt.Method = lp.MethodDual
 	}
-	progress.emit(lpSample("model", 0, 0, false))
+	progress.emit(lpSample("lp", "model", 0, 0, 0, false))
 	sol, err := lp.Solve(m.p, lpOpt)
 	if err != nil {
 		return nil, nil, err
@@ -723,7 +737,7 @@ func (m *lpModel) run(ctx context.Context, lpOpt lp.Options, start time.Time) (*
 	default:
 		return nil, sol, fmt.Errorf("core: LP solve failed: %v", sol.Status)
 	}
-	progress.emit(lpSample("simplex", sol.Iterations, sol.Objective, true))
+	progress.emit(lpSample("lp", "simplex", 0, sol.Iterations, sol.Objective, true))
 
 	s, err := m.decompose(sol.X)
 	if err != nil {
@@ -915,6 +929,7 @@ func peelSchedule(in *instance, sources []int, dem [][]float64, flows, reads [][
 			cursor := 0
 			for k := 0; k < K; k++ {
 				need := reads[si][dst][k]
+				//teccl:allow-ctxcheck bounded: a peel either meets need or is held to a residual arc's value, which it zeroes, so there are at most as many peels as positive arcs plus one
 				for need > flowTol {
 					path, got := peel(si, dst, k, false, need)
 					if path == nil || got <= flowTol {
@@ -928,6 +943,7 @@ func peelSchedule(in *instance, sources []int, dem [][]float64, flows, reads [][
 					// Assign the peeled fraction to chunk IDs in order,
 					// splitting across chunk boundaries.
 					left := got
+					//teccl:allow-ctxcheck bounded: each pass either uses up left or empties remaining[cursor] and advances cursor
 					for left > flowTol && cursor < len(chunks) {
 						take := math.Min(left, remaining[cursor])
 						for _, h := range path {

@@ -446,16 +446,9 @@ func (pl *Planner) Plan(ctx context.Context, req Request) (*Plan, error) {
 	case SolverAStar:
 		res, inc, err = solveAStar(ctx, st.t, req.Demand, opt)
 	case SolverHorizon:
-		fn := registeredSolver(SolverHorizon)
-		if fn == nil {
-			return nil, errors.New("core: no rolling-horizon solver registered (import teccl/internal/horizon)")
-		}
-		// The hooks hand the driver the session's fingerprint-keyed basis
-		// store: each window's basis recorded by one request warm-starts
-		// the identical window of the next. No incremental payload: Replan
-		// degrades to a cold horizon re-solve of the recorded request.
-		hooks := &SessionHooks{LookupBasis: st.warmBases.lookup, RecordBasis: st.warmBases.record}
-		res, err = fn(ctx, st.t, req.Demand, opt, hooks)
+		// No incremental payload: Replan degrades to a cold horizon
+		// re-solve of the recorded request.
+		res, err = solveHorizon(ctx, st.t, req.Demand, opt, st.warmBases)
 	default:
 		return nil, fmt.Errorf("core: policy chose unknown solver %v", solver)
 	}
@@ -527,18 +520,10 @@ func (pl *Planner) choose(st *sessionState, d *collective.Demand, opt Options) S
 	if p == nil {
 		p = DefaultPolicy{}
 	}
-	s := p.Choose(in)
-	if s == SolverAuto {
-		s = DefaultPolicy{}.Choose(in)
+	if s := p.Choose(in); s != SolverAuto {
+		return s
 	}
-	// A policy may route to the rolling-horizon solver without the
-	// implementation linked in; degrade to the monolithic LP rather than
-	// failing the request. Explicitly forced SolverHorizon requests skip
-	// choose() and do fail, so tests see the missing registration.
-	if s == SolverHorizon && registeredSolver(SolverHorizon) == nil {
-		s = SolverLP
-	}
-	return s
+	return DefaultPolicy{}.Choose(in)
 }
 
 // keepBasis chains the basis of a solved LP or MILP payload into the

@@ -26,8 +26,7 @@ const (
 	SolverAStar
 	// SolverHorizon is the rolling-horizon LP decomposition: the §4.1
 	// formulation sliced into overlapping epoch windows solved in
-	// sequence with warm-chained bases (internal/horizon). Registered
-	// dynamically; see RegisterSolver.
+	// sequence with warm-chained bases (horizon.go).
 	SolverHorizon
 )
 
@@ -137,8 +136,7 @@ type CostModelPolicy struct {
 	// LP-eligible requests are routed to the rolling-horizon
 	// decomposition instead of one monolithic simplex; 0 means 1<<17
 	// (roughly where the monolithic LP's solve time leaves interactive
-	// range). Negative disables horizon routing. The Planner falls back
-	// to SolverLP when no horizon implementation is linked in.
+	// range). Negative disables horizon routing.
 	HorizonCells int
 }
 

@@ -79,11 +79,13 @@ func (f ProgressFunc) milpHook(solver string, round int) func(milp.ProgressInfo)
 	}
 }
 
-// lpSample builds a Progress sample for a pure-LP phase.
-func lpSample(phase string, iterations int, objective float64, haveObj bool) Progress {
+// lpSample builds a Progress sample for a pure-LP phase of solver ("lp",
+// or "horizon" with its window index as round).
+func lpSample(solver, phase string, round, iterations int, objective float64, haveObj bool) Progress {
 	p := Progress{
-		Solver:     "lp",
+		Solver:     solver,
 		Phase:      phase,
+		Round:      round,
 		Iterations: iterations,
 		Incumbent:  math.NaN(),
 		Bound:      math.NaN(),

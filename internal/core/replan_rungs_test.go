@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"teccl/internal/collective"
 	"teccl/internal/topo"
@@ -21,6 +22,9 @@ import (
 
 var rungStreamDeltas = flag.Int("rungs.deltas", 0,
 	"deltas TestReplanStreamRungs replans (0: the pinned stream; any other count logs its rung table instead of pinning it)")
+
+var rungShadow = flag.Bool("rungs.shadow", false,
+	"TestReplanStreamRungs also plans each MILP/A* delta cold in a fresh session and logs incremental vs cold per form and delta kind")
 
 // rungStreamPinned is the committed stream's length.
 const rungStreamPinned = 175
@@ -68,6 +72,41 @@ type rungSession struct {
 	dropped    []DemandPair
 	age        int
 	lpReplans  int
+	shadow     *[]shadowRow // nil unless -rungs.shadow
+}
+
+// shadowRow is one MILP/A* replan beside a fresh session's cold plan of
+// the same churned request.
+type shadowRow struct {
+	form, kind, rung string
+	replanMs, coldMs float64
+	finishGap        float64 // replan's FinishTime minus the cold plan's, seconds
+	tauDiff, objDiff bool
+}
+
+// deltaKind names the draw of rungSession.next a delta came from.
+func deltaKind(d Delta) string {
+	switch {
+	case len(d.LinksDown) > 0 && len(d.Scale) > 0:
+		return "loss+cut"
+	case len(d.LinksDown) > 0:
+		return "link-loss"
+	case len(d.NodesDown) > 0:
+		return "gpu-loss"
+	case len(d.AddNodes) > 0:
+		return "join"
+	case len(d.DropPairs) > 0:
+		return "pair-drop"
+	case d.AddDemand != nil:
+		return "pair-readd"
+	case d.Scale[0].Capacity > 1:
+		return "cap-up"
+	case d.Scale[0].Capacity > 0:
+		return "cap-cut"
+	case d.Scale[0].Alpha > 1:
+		return "straggler"
+	}
+	return "recover"
 }
 
 // open starts a fresh session on the unchurned fabric and plans its
@@ -216,7 +255,9 @@ func (s *rungSession) step(t *testing.T, d Delta) string {
 	t.Helper()
 	ctx := context.Background()
 	before := s.pl.Stats()
+	start := time.Now()
 	p, err := s.pl.Replan(ctx, d)
+	replanMs := msSince(start)
 	world := s.pl.Topology()
 	demand := s.churnDemand(d, world.NumNodes())
 	s.age++
@@ -249,6 +290,24 @@ func (s *rungSession) step(t *testing.T, d Delta) string {
 			rung = "structural-replay"
 		}
 	}
+	if s.shadow != nil && s.f.solver != SolverLP {
+		fresh := NewPlanner(world, PlannerOptions{Defaults: s.f.opt})
+		start := time.Now()
+		cold, err := fresh.Plan(ctx, Request{Demand: demand, Solver: s.f.solver})
+		coldMs := msSince(start)
+		fresh.Close()
+		if err != nil {
+			t.Errorf("%s (%s): shadow cold plan of %+v: %v", s.f.name, rung, d, err)
+		} else {
+			*s.shadow = append(*s.shadow, shadowRow{
+				form: s.f.solver.String(), kind: deltaKind(d), rung: rung,
+				replanMs: replanMs, coldMs: coldMs,
+				finishGap: p.Schedule.FinishTime() - cold.Schedule.FinishTime(),
+				tauDiff:   p.Tau != cold.Tau,
+				objDiff:   !objClose(p.Objective, cold.Objective),
+			})
+		}
+	}
 	if s.f.solver == SolverLP {
 		// Every fourth LP replan is held to a cold solve of the churned
 		// request at the replan's own discretization.
@@ -269,15 +328,18 @@ func (s *rungSession) step(t *testing.T, d Delta) string {
 	return rung
 }
 
+func msSince(start time.Time) float64 { return float64(time.Since(start).Microseconds()) / 1e3 }
+
 // runRungStream replans n seeded deltas, dealt round-robin over one
-// session per fabric, and returns the rung histogram per fabric.
-func runRungStream(t *testing.T, n int) map[string]map[string]int {
+// session per fabric, and returns the rung histogram per fabric; shadow,
+// when non-nil, collects a shadowRow per MILP/A* replan.
+func runRungStream(t *testing.T, n int, shadow *[]shadowRow) map[string]map[string]int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	sessions := make([]*rungSession, len(rungFabrics))
 	hist := map[string]map[string]int{}
 	for i, f := range rungFabrics {
-		sessions[i] = &rungSession{f: f}
+		sessions[i] = &rungSession{f: f, shadow: shadow}
 		sessions[i].open(t)
 		hist[f.name] = map[string]int{}
 	}
@@ -327,17 +389,91 @@ func TestReplanStreamRungs(t *testing.T) {
 		n = rungStreamPinned
 	}
 	want := map[string]map[string]int{
-		"ndv2m2-lp":   {"incremental": 23, "sour": 1, "structural": 1},
-		"dgx1-lp":     {"error": 1, "incremental": 13, "sour": 1, "structural": 10},
-		"dgx2m2-lp":   {"error": 2, "incremental": 16, "sour": 3, "structural": 4},
-		"ring6-lp":    {"incremental": 9, "sour": 2, "structural-replay": 2, "structural": 12},
-		"mesh4-lp":    {"incremental": 8, "structural-replay": 1, "structural": 16},
-		"ring4-milp":  {"error": 4, "incremental": 8, "structural": 13},
+		"ndv2m2-lp":   {"incremental": 22, "sour": 1, "structural": 2},
+		"dgx1-lp":     {"incremental": 7, "structural-replay": 3, "structural": 15},
+		"dgx2m2-lp":   {"error": 1, "incremental": 20, "structural": 4},
+		"ring6-lp":    {"error": 1, "incremental": 13, "sour": 2, "structural": 9},
+		"mesh4-lp":    {"incremental": 8, "sour": 2, "structural-replay": 2, "structural": 13},
+		"ring4-milp":  {"incremental": 4, "sour": 3, "structural": 18},
 		"ring4-astar": {"error": 2, "incremental": 10, "structural": 13},
 	}
-	hist := runRungStream(t, n)
+	var shadow *[]shadowRow
+	if *rungShadow {
+		shadow = new([]shadowRow)
+	}
+	hist := runRungStream(t, n, shadow)
 	t.Logf("%d deltas, rungs per fabric:\n%s", n, rungTable(hist))
+	if shadow != nil {
+		t.Logf("incremental replans vs a fresh session's cold plan (ms):\n%s", shadowTable(*shadow))
+	}
 	if n == rungStreamPinned && !reflect.DeepEqual(hist, want) {
 		t.Errorf("rungs:\n%swant:\n%s", rungTable(hist), rungTable(want))
 	}
+}
+
+// shadowTable renders shadow rows one form × delta kind a line: the
+// deltas drawn, how many the incremental rung served, and over those the
+// replan's and the cold plan's median and p90 wall time, how many
+// replans complete later or earlier (FinishTime) than the cold plan, how
+// many cold plans re-derived another τ (the replan keeps its own), and
+// how many reached another objective (which also moves with K and τ).
+func shadowTable(rows []shadowRow) string {
+	type group struct {
+		n                          int
+		inc, cold                  []float64
+		later, earlier, taus, objs int
+	}
+	groups := map[[2]string]*group{}
+	var keys [][2]string
+	for _, r := range rows {
+		k := [2]string{r.form, r.kind}
+		g := groups[k]
+		if g == nil {
+			g = &group{}
+			groups[k] = g
+			keys = append(keys, k)
+		}
+		g.n++
+		if r.rung != "incremental" {
+			continue
+		}
+		g.inc = append(g.inc, r.replanMs)
+		g.cold = append(g.cold, r.coldMs)
+		switch {
+		case r.finishGap > 1e-12:
+			g.later++
+		case r.finishGap < -1e-12:
+			g.earlier++
+		}
+		if r.tauDiff {
+			g.taus++
+		}
+		if r.objDiff {
+			g.objs++
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	quantile := func(xs []float64, q float64) float64 {
+		if len(xs) == 0 {
+			return 0
+		}
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		return s[int(q*float64(len(s)-1)+0.5)]
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-6s %-10s %5s %5s %9s %9s %9s %9s %5s %5s %5s %5s\n",
+		"form", "kind", "n", "inc", "inc_p50", "inc_p90", "cold_p50", "cold_p90", "later", "early", "τ≠", "obj≠")
+	for _, k := range keys {
+		g := groups[k]
+		fmt.Fprintf(&b, "%-6s %-10s %5d %5d %9.2f %9.2f %9.2f %9.2f %5d %5d %5d %5d\n",
+			k[0], k[1], g.n, len(g.inc), quantile(g.inc, 0.5), quantile(g.inc, 0.9),
+			quantile(g.cold, 0.5), quantile(g.cold, 0.9), g.later, g.earlier, g.taus, g.objs)
+	}
+	return b.String()
 }

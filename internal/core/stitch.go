@@ -1,9 +1,8 @@
-package horizon
+package core
 
 import (
 	"fmt"
 
-	"teccl/internal/core"
 	"teccl/internal/topo"
 )
 
@@ -15,7 +14,7 @@ const (
 // stitcher accumulates the committed flow/read rates across windows and
 // replays them into the next window's boundary state.
 type stitcher struct {
-	wi *core.WindowInstance
+	wi *WindowInstance
 	// flows[si][l][k] and reads[si][dst][k]: committed rates over
 	// absolute epochs. After the final window commits, these are the
 	// full-horizon allocation handed to the peeling decomposition.
@@ -23,15 +22,15 @@ type stitcher struct {
 	reads [][][]float64
 }
 
-func newStitcher(wi *core.WindowInstance) *stitcher {
-	t := wi.Topo()
+func newStitcher(wi *WindowInstance) *stitcher {
+	t := wi.t
 	st := &stitcher{
 		wi:    wi,
-		flows: make([][][]float64, wi.NumSources()),
-		reads: make([][][]float64, wi.NumSources()),
+		flows: make([][][]float64, len(wi.ix.sources)),
+		reads: make([][][]float64, len(wi.ix.sources)),
 	}
-	K := wi.Epochs()
-	for si := 0; si < wi.NumSources(); si++ {
+	K := wi.in.K
+	for si := range wi.ix.sources {
 		st.flows[si] = make([][]float64, t.NumLinks())
 		for l := range st.flows[si] {
 			st.flows[si][l] = make([]float64, K)
@@ -70,8 +69,8 @@ func (st *stitcher) grow(K int) {
 // pruned forward cascades to the arrivals feeding it.
 func (st *stitcher) prune(wf [][][]float64) {
 	wi := st.wi
-	t := wi.Topo()
-	K := wi.Epochs()
+	t := wi.t
+	K := wi.in.K
 	nL := t.NumLinks()
 	nN := t.NumNodes()
 
@@ -91,7 +90,7 @@ func (st *stitcher) prune(wf [][][]float64) {
 		}
 		for l := 0; l < nL; l++ {
 			dst := int(t.Link(topo.LinkID(l)).Dst)
-			if wi.Buffered(si, dst) {
+			if wi.ix.buffered(wi.in, si, dst) {
 				continue
 			}
 			if byLand[dst] == nil {
@@ -99,7 +98,7 @@ func (st *stitcher) prune(wf [][][]float64) {
 			}
 			for e, f := range wf[si][l] {
 				if f > commitTol {
-					land := wi.LandEpoch(l, e)
+					land := wi.in.landEpoch(l, e)
 					byLand[dst][land] = append(byLand[dst][land], hop{l, e})
 				}
 			}
@@ -148,8 +147,8 @@ func (st *stitcher) prune(wf [][][]float64) {
 // edge) — the caller falls back to the monolithic solve.
 func (st *stitcher) commit(wf, wr [][][]float64, lo, commitHi int) error {
 	wi := st.wi
-	t := wi.Topo()
-	K := wi.Epochs()
+	t := wi.t
+	K := wi.in.K
 	nL := t.NumLinks()
 	nN := t.NumNodes()
 
@@ -159,7 +158,7 @@ func (st *stitcher) commit(wf, wr [][][]float64, lo, commitHi int) error {
 		comIn := make([][]float64, nN)
 		comOut := make([][]float64, nN)
 		for n := 0; n < nN; n++ {
-			if !wi.Buffered(si, n) {
+			if !wi.ix.buffered(wi.in, si, n) {
 				tentIn[n] = make([]float64, K)
 				comIn[n] = make([]float64, K)
 				comOut[n] = make([]float64, K)
@@ -172,7 +171,7 @@ func (st *stitcher) commit(wf, wr [][][]float64, lo, commitHi int) error {
 			}
 			for e, f := range wf[si][l] {
 				if f > commitTol {
-					tentIn[dst][wi.LandEpoch(l, e)] += f
+					tentIn[dst][wi.in.landEpoch(l, e)] += f
 				}
 			}
 		}
@@ -186,7 +185,7 @@ func (st *stitcher) commit(wf, wr [][][]float64, lo, commitHi int) error {
 				lk := t.Link(topo.LinkID(l))
 				org := int(lk.Src)
 				var cf float64
-				if wi.Buffered(si, org) {
+				if wi.ix.buffered(wi.in, si, org) {
 					if e < commitHi {
 						cf = f
 					}
@@ -210,7 +209,7 @@ func (st *stitcher) commit(wf, wr [][][]float64, lo, commitHi int) error {
 				}
 				dst := int(lk.Dst)
 				if comIn[dst] != nil {
-					comIn[dst][wi.LandEpoch(l, e)] += cf
+					comIn[dst][wi.in.landEpoch(l, e)] += cf
 				}
 			}
 		}
@@ -232,7 +231,7 @@ func (st *stitcher) commit(wf, wr [][][]float64, lo, commitHi int) error {
 				}
 				if in-out > lossTol {
 					return fmt.Errorf("core: horizon commit [%d,%d): %.6g committed chunks of source %d dropped at bufferless node %d (epoch %d)",
-						lo, commitHi, in-out, wi.Source(si), n, k)
+						lo, commitHi, in-out, wi.ix.sources[si], n, k)
 				}
 			}
 		}
@@ -250,7 +249,7 @@ func (st *stitcher) commit(wf, wr [][][]float64, lo, commitHi int) error {
 
 // commitAll commits the final window's entire allocation from lo on.
 func (st *stitcher) commitAll(wf, wr [][][]float64, lo int) {
-	K := st.wi.Epochs()
+	K := st.wi.in.K
 	for si := range wf {
 		for l := range wf[si] {
 			for e := lo; e < K; e++ {
@@ -274,15 +273,15 @@ func (st *stitcher) commitAll(wf, wr [][][]float64, lo int) {
 // committed link usage, and remaining demand. Negative inventory or
 // remaining demand signals a commit bookkeeping bug; the caller falls
 // back to the monolithic solve.
-func (st *stitcher) boundary(lo int) (*core.Boundary, error) {
+func (st *stitcher) boundary(lo int) (*Boundary, error) {
 	wi := st.wi
-	t := wi.Topo()
-	K := wi.Epochs()
+	t := wi.t
+	K := wi.in.K
 	nL := t.NumLinks()
 	nN := t.NumNodes()
 
-	bd := wi.InitialBoundary()
-	bd.Arr = make([][][]float64, wi.NumSources())
+	bd := wi.ix.initialBoundary()
+	bd.Arr = make([][][]float64, len(wi.ix.sources))
 	bd.CapUsed = make([][]float64, nL)
 	for l := 0; l < nL; l++ {
 		bd.CapUsed[l] = make([]float64, K)
@@ -300,11 +299,11 @@ func (st *stitcher) boundary(lo int) (*core.Boundary, error) {
 					continue
 				}
 				bd.CapUsed[l][e] += cf
-				if wi.Buffered(si, org) {
+				if wi.ix.buffered(wi.in, si, org) {
 					bd.Inv[si][org] -= cf
 				}
-				land := wi.LandEpoch(l, e)
-				if wi.Buffered(si, dst) {
+				land := wi.in.landEpoch(l, e)
+				if wi.ix.buffered(wi.in, si, dst) {
 					if land < lo {
 						bd.Inv[si][dst] += cf
 					} else {
@@ -324,7 +323,7 @@ func (st *stitcher) boundary(lo int) (*core.Boundary, error) {
 		for n := 0; n < nN; n++ {
 			if bd.Inv[si][n] < -lossTol {
 				return nil, fmt.Errorf("core: horizon boundary at epoch %d: negative inventory %.6g for source %d at node %d",
-					lo, bd.Inv[si][n], wi.Source(si), n)
+					lo, bd.Inv[si][n], wi.ix.sources[si], n)
 			}
 			if bd.Inv[si][n] < 0 {
 				bd.Inv[si][n] = 0
@@ -333,7 +332,7 @@ func (st *stitcher) boundary(lo int) (*core.Boundary, error) {
 		for dst := 0; dst < nN; dst++ {
 			if bd.Rem[si][dst] < -lossTol {
 				return nil, fmt.Errorf("core: horizon boundary at epoch %d: demand (source %d, dst %d) over-consumed by %.6g",
-					lo, wi.Source(si), dst, -bd.Rem[si][dst])
+					lo, wi.ix.sources[si], dst, -bd.Rem[si][dst])
 			}
 			if bd.Rem[si][dst] < 0 {
 				bd.Rem[si][dst] = 0

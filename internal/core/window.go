@@ -1,19 +1,17 @@
 package core
 
-// window.go is the rolling-horizon face of the §4.1 LP: the exported
-// API internal/horizon drives to solve the formulation one epoch window
-// [lo, hi) at a time, the committed prefix folded into a Boundary. It
-// states no formulation of its own — a window is lpModel.emit
-// (lpform.go) over [lo, hi), and the monolithic LP is the same emit
-// over the full horizon from the initial boundary — so a window model
-// shares the column keys, row ordering, and commodity indexing of
-// every other LP model by construction. That is what lets the session
-// basis store and the key-transfer warm path treat window models like
-// any other.
+// window.go is the rolling-horizon face of the §4.1 LP: the instance
+// the driver (horizon.go) solves one epoch window [lo, hi) at a time,
+// the committed prefix folded into a Boundary. It states no formulation
+// of its own — a window is lpModel.emit (lpform.go) over [lo, hi), and
+// the monolithic LP is the same emit over the full horizon from the
+// initial boundary — so a window model shares the column keys, row
+// ordering, and commodity indexing of every other LP model by
+// construction. That is what lets the session basis store and the
+// key-transfer warm path treat window models like any other.
 
 import (
 	"fmt"
-	"time"
 
 	"teccl/internal/collective"
 	"teccl/internal/lp"
@@ -21,9 +19,9 @@ import (
 	"teccl/internal/topo"
 )
 
-// WindowInstance is a preprocessed LP-form instance exposed to the
-// rolling-horizon driver: the per-destination expanded demand, the
-// derived epoch grid, and the shared commodity index.
+// WindowInstance is a preprocessed LP-form instance that windows are
+// built on: the per-destination expanded demand, the derived epoch grid,
+// and the shared commodity index.
 type WindowInstance struct {
 	t   *topo.Topology
 	d   *collective.Demand
@@ -48,25 +46,12 @@ func NewWindowInstance(t *topo.Topology, d *collective.Demand, opt Options) *Win
 // Err is the preprocessing error of a world no window can be built on.
 func (wi *WindowInstance) Err() error { return wi.err }
 
-// Empty reports whether the demand has no commodities (nothing to plan).
-func (wi *WindowInstance) Empty() bool { return wi.ix == nil }
-
-// EmptyResult is the trivial result for an empty instance.
-func (wi *WindowInstance) EmptyResult(start time.Time) *Result {
-	r := emptyResult(wi.in, start)
-	r.Schedule.AllowCopy = false
-	return r
-}
-
 // Epochs is the current horizon K in epochs.
 func (wi *WindowInstance) Epochs() int { return wi.in.K }
 
-// Tau is the derived epoch duration in seconds.
-func (wi *WindowInstance) Tau() float64 { return wi.in.tau }
-
-// SetEpochs rebuilds the instance over a longer horizon (same tau), used
+// setEpochs rebuilds the instance over a longer horizon (same tau), used
 // when the final window proves infeasible and the driver extends K.
-func (wi *WindowInstance) SetEpochs(K int) {
+func (wi *WindowInstance) setEpochs(K int) {
 	opt2 := wi.opt
 	opt2.Epochs = K
 	opt2.Tau = wi.in.tau
@@ -75,58 +60,24 @@ func (wi *WindowInstance) SetEpochs(K int) {
 	wi.ix = newLPIndex(wi.in)
 }
 
-// Topo is the instance's topology.
-func (wi *WindowInstance) Topo() *topo.Topology { return wi.t }
-
-// NumSources is the number of demanded-source commodities.
-func (wi *WindowInstance) NumSources() int { return len(wi.ix.sources) }
-
-// Source is the node ID of commodity si.
-func (wi *WindowInstance) Source(si int) int { return wi.ix.sources[si] }
-
-// Dem is the chunk count destination dst wants from commodity si.
-func (wi *WindowInstance) Dem(si, dst int) float64 {
+// dem is the chunk count destination dst wants from commodity si.
+func (wi *WindowInstance) dem(si, dst int) float64 {
 	if wi.ix.dem[si] == nil {
 		return 0
 	}
 	return wi.ix.dem[si][dst]
 }
 
-// Buffered reports whether node n holds inventory for commodity si.
-func (wi *WindowInstance) Buffered(si, n int) bool { return wi.ix.buffered(wi.in, si, n) }
-
-// LandEpoch is the epoch by whose end a send at epoch e on link l is
-// resident at the destination.
-func (wi *WindowInstance) LandEpoch(l, e int) int { return wi.in.landEpoch(l, e) }
-
-// MaxLinkSpan is the largest per-link delta+kappa: the number of epochs
-// a single send can stay in flight. The driver sizes window overlaps
-// from it so no committed send's landing falls outside its window.
-func (wi *WindowInstance) MaxLinkSpan() int {
-	m := 1
-	for l := range wi.in.delta {
-		if s := wi.in.delta[l] + wi.in.kappa[l]; s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-// Objective evaluates the LP objective (priority-weighted discounted
-// reads) of a stitched read allocation at this instance's horizon.
-func (wi *WindowInstance) Objective(reads [][][]float64) float64 {
-	return wi.ObjectiveAt(reads, wi.ix.tail)
-}
-
-// ObjectiveAt evaluates the objective under a caller-supplied tail-weight
-// vector (see LPTailWeights); reads at epochs past the vector's horizon
-// contribute nothing. The certify pass uses it to score the stitched
-// schedule at the monolithic solve's horizon for a like-for-like gap.
-func (wi *WindowInstance) ObjectiveAt(reads [][][]float64, tail []float64) float64 {
+// objectiveAt evaluates the LP objective (priority-weighted discounted
+// reads) of a stitched read allocation under a tail-weight vector (see
+// lpTailWeights); reads at epochs past the vector's horizon contribute
+// nothing. The driver scores at the instance's own tail, the certify
+// pass at the monolithic solve's horizon for a like-for-like gap.
+func (wi *WindowInstance) objectiveAt(reads [][][]float64, tail []float64) float64 {
 	obj := 0.0
 	for si, s := range wi.ix.sources {
 		for dst := range reads[si] {
-			if wi.Dem(si, dst) == 0 {
+			if wi.dem(si, dst) == 0 {
 				continue
 			}
 			prio := 1.0
@@ -145,10 +96,6 @@ func (wi *WindowInstance) ObjectiveAt(reads [][][]float64, tail []float64) float
 	}
 	return obj
 }
-
-// LPTailWeights exposes the LP objective's discounted tail weights for an
-// arbitrary horizon K: consuming at epoch k earns sum_{j>=k} 1/(j+1).
-func LPTailWeights(K int) []float64 { return lpTailWeights(K) }
 
 // Decompose translates stitched full-horizon flow and read rates into a
 // validated per-chunk schedule, via the same peeling pass the monolithic
@@ -198,10 +145,9 @@ func (wi *WindowInstance) InitialBoundary() *Boundary { return wi.ix.initialBoun
 // WindowLP is one window's built problem plus the model whose indexes
 // extract its solution.
 type WindowLP struct {
-	P     *lp.Problem
-	Lo    int // first epoch in the window
-	Hi    int // one past the last epoch in the window
-	Final bool
+	P  *lp.Problem
+	Lo int // first epoch in the window
+	Hi int // one past the last epoch in the window
 
 	m *lpModel
 }
@@ -222,7 +168,7 @@ func (wi *WindowInstance) BuildWindow(lo, hi int, final bool, bd *Boundary) (*Wi
 	if err := m.emit(0, lo, hi, final, bd); err != nil {
 		return nil, err
 	}
-	return &WindowLP{P: m.p, Lo: lo, Hi: hi, Final: final, m: m}, nil
+	return &WindowLP{P: m.p, Lo: lo, Hi: hi, m: m}, nil
 }
 
 // Flows densifies a window solution into full-horizon flow and read

@@ -1,7 +1,7 @@
 package experiments
 
 // horizon.go is the rolling-horizon experiment family: the same
-// ALLTOALL instances solved twice — windowed (internal/horizon) and
+// ALLTOALL instances solved twice — windowed (core.SolveHorizon) and
 // monolithic (one dual simplex over the full time-expanded model) — so
 // the table reports the decomposition's wall-clock win next to its
 // certified objective gap. Short mode keeps the corpus minis for CI
@@ -15,7 +15,6 @@ import (
 
 	"teccl/internal/collective"
 	"teccl/internal/core"
-	"teccl/internal/horizon"
 	"teccl/internal/topo"
 )
 
@@ -56,7 +55,7 @@ func Horizon(short bool) *Table {
 		hopt := in.opt
 		hopt.Workers = Workers()
 		t0 := time.Now()
-		hres, herr := horizon.Solve(Context(), in.t, d, hopt)
+		hres, herr := core.SolveHorizon(Context(), in.t, d, hopt)
 		hwall := time.Since(t0)
 		hct, _ := account(hres, herr)
 

@@ -250,14 +250,23 @@ func benchProblem(rows, vars int, seed int64) *Problem {
 // budget keeps the denominator identical across worker counts). On a
 // multi-core host the 4-worker run should finish the budget well over
 // 1.5x faster than the serial one; on a single-core host it doubles as
-// an overhead check (the pool should cost roughly nothing).
+// an overhead check (the pool should cost roughly nothing). The
+// "-deterministic" twins at 2 and 4 workers run the same budget through
+// the rounds driver (Options.Deterministic), the serial search's order.
 func BenchmarkMILPWorkers(b *testing.B) {
 	const nodeBudget = 2000
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(strconv.Itoa(w), func(b *testing.B) {
+	for _, c := range []struct {
+		w   int
+		det bool
+	}{{1, false}, {2, false}, {4, false}, {8, false}, {2, true}, {4, true}} {
+		name := strconv.Itoa(c.w)
+		if c.det {
+			name += "-deterministic"
+		}
+		b.Run(name, func(b *testing.B) {
 			var nodes, iters int
 			for i := 0; i < b.N; i++ {
-				sol := Solve(benchProblem(16, 50, 5), Options{Workers: w, MaxNodes: nodeBudget})
+				sol := Solve(benchProblem(16, 50, 5), Options{Workers: c.w, Deterministic: c.det, MaxNodes: nodeBudget})
 				nodes += sol.Nodes
 				iters += sol.NodeIterations
 			}

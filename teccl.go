@@ -107,10 +107,6 @@ import (
 	"teccl/internal/schedule"
 	"teccl/internal/sim"
 	"teccl/internal/topo"
-
-	// Register the rolling-horizon solver (SolverHorizon) with the
-	// Planner dispatch; policies may then route large instances to it.
-	_ "teccl/internal/horizon"
 )
 
 // Topology is a directed graph of GPU and switch nodes; links carry a
