@@ -21,8 +21,13 @@ func sendsFinishEpoch(in *instance, sends []schedule.Send) int {
 // every (source, chunk, destination) triple along its hop-shortest path
 // with greedy windowed list scheduling — a quick SPF-style upper bound
 // that tightens the LP horizon far below the analytic estimate, and
-// returns the planned sends so the flow support can seed a crash basis
-// (see crashBasisLP). Returns -1 and nil sends when the greedy fails.
+// returns the planned sends so their path support can seed a crash basis
+// (see crashBasisLP). The sends of one triple are appended consecutively,
+// triples in (source, chunk, destination) order, each triple's hops in
+// path order and chained: a hop's link Dst is the next hop's link Src,
+// and the next hop departs after the previous one lands. crashBasisLP
+// reads each path's relay holdings and landing read from that order.
+// Returns -1 and nil sends when the greedy fails.
 func lpGreedyBound(in *instance) (int, []schedule.Send) {
 	t := in.topo
 	d := in.demand

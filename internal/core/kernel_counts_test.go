@@ -70,16 +70,17 @@ func TestKernelCountsPinned(t *testing.T) {
 		want   kernelCounts
 		replan kernelCounts
 	}{
-		// Recorded at the commit before PR 16 (the parent of the first
-		// kernel-only change).
+		// The three cold LPs and the linkdown plan below were re-recorded
+		// when the crash basis came to mark the greedy's whole path support
+		// (relay holdings and landing reads as well as flows).
 		{name: "dgx1-alltoall-lp", topo: topo.DGX1(), demand: allToAll, solver: SolverLP,
-			want: kernelCounts{Root: 2100, Refactorizations: 44, FTUpdates: 2069, UpdateNnz: 39620}},
+			want: kernelCounts{Root: 1221, Refactorizations: 24, FTUpdates: 1210, UpdateNnz: 18317}},
 		{name: "internal1x2-alltoall-lp", topo: topo.Internal1(2), demand: allToAll,
 			opt: Options{EpochMode: SlowestLink}, solver: SolverLP,
-			want: kernelCounts{Root: 956, Refactorizations: 24, FTUpdates: 922, UpdateNnz: 16411}},
+			want: kernelCounts{Root: 503, Refactorizations: 12, FTUpdates: 496, UpdateNnz: 7497}},
 		{name: "ndv2mini2-alltoall-lp-slowest", topo: topo.NDv2Mini(2), demand: allToAll,
 			opt: Options{EpochMode: SlowestLink}, solver: SolverLP,
-			want: kernelCounts{Root: 2299, Refactorizations: 36, FTUpdates: 2256, UpdateNnz: 40467}},
+			want: kernelCounts{Root: 1567, Refactorizations: 23, FTUpdates: 1559, UpdateNnz: 22112}},
 		// DGX1 ALLGATHER closes at the root; Internal1(2) branches, so its
 		// node re-solves (warm dual simplex on retained Solvers) are pinned.
 		{name: "dgx1-allgather-milp", topo: topo.DGX1(), demand: allGather, solver: SolverMILP,
@@ -88,8 +89,8 @@ func TestKernelCountsPinned(t *testing.T) {
 			opt: Options{EpochMode: SlowestLink}, solver: SolverMILP,
 			want: kernelCounts{Root: 1948, Refactorizations: 38, FTUpdates: 1989, UpdateNnz: 17354, Nodes: 24, NodeIters: 186}},
 		{name: "dgx1-alltoall-linkdown-replan", topo: topo.DGX1(), demand: allToAll, solver: SolverLP, down: link0,
-			want:   kernelCounts{Root: 2100, Refactorizations: 44, FTUpdates: 2069, UpdateNnz: 39620},
-			replan: kernelCounts{Root: 38, Refactorizations: 1, FTUpdates: 35, UpdateNnz: 506}},
+			want:   kernelCounts{Root: 1221, Refactorizations: 24, FTUpdates: 1210, UpdateNnz: 18317},
+			replan: kernelCounts{Root: 33, Refactorizations: 1, FTUpdates: 30, UpdateNnz: 517}},
 		// The MILP re-root, recorded at the commit before plan and replan
 		// came to share one solve tail per form: with the LP replan above
 		// and the A* resume below, all three replan tails are pinned.

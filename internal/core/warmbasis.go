@@ -103,19 +103,23 @@ func (h *basisHint) basisFor(p *lp.Problem) *lp.Basis {
 	return b
 }
 
-// crashBasisLP builds a crash basis for the LP form from the greedy
-// schedule's flow support: the flow variables the greedy plan actually
-// uses enter the basis, along with each source's inventory chain and one
-// read variable per (source, destination) demand, so phase 1 starts from
-// a near-feasible flow structure instead of the all-slack identity. The
-// guess is purely structural — redundant or dependent columns are
-// demoted by the solver's install/repair pass, so any greedy plan is a
-// safe seed. Returns nil when there is no usable support.
+// crashBasisLP builds a crash basis for the LP form from the support of
+// the greedy schedule's LP point: every hop's flow column; where a hop is
+// followed by the next hop of its path (see lpGreedyBound), the relay's
+// buffer columns from the epoch after the landing to the epoch before the
+// next departure (the conservation row B_k + in(k) = B_{k+1} + R_k +
+// out(k+1) holds the chunk there); where it is the path's last hop, the
+// destination's read at the landing epoch; and each source's inventory
+// chain. Phase 1 thus starts from the greedy's whole path flow instead
+// of the all-slack identity. The guess is purely structural — redundant
+// or dependent columns are demoted by the solver's install/repair pass,
+// so any greedy plan is a safe seed. Returns nil when there is no usable
+// support.
 func crashBasisLP(m *lpModel, sends []schedule.Send) *lp.Basis {
 	if m == nil || len(sends) == 0 {
 		return nil
 	}
-	p := m.p
+	p, in := m.p, m.in
 	rows := p.NumRows()
 	b := &lp.Basis{
 		Vars: make([]lp.BasisStatus, p.NumVars()),
@@ -126,22 +130,31 @@ func crashBasisLP(m *lpModel, sends []schedule.Send) *lp.Basis {
 		srcIdx[s] = si
 	}
 	marked := 0
-	mark := func(v int32) {
-		if v != noVar && b.Vars[v] != lp.BasisBasic && marked < rows {
+	mark := func(col []int32, k int) {
+		if k >= len(col) {
+			return // a send past a caller-set horizon
+		}
+		if v := col[k]; v != noVar && b.Vars[v] != lp.BasisBasic && marked < rows {
 			b.Vars[v] = lp.BasisBasic
 			marked++
 		}
 	}
-	for _, snd := range sends {
+	for i, snd := range sends {
 		si, ok := srcIdx[snd.Src]
-		if !ok {
+		if !ok || int(snd.Link) >= len(m.fvar[si]) {
 			continue
 		}
 		l := int(snd.Link)
-		if l >= len(m.fvar[si]) || snd.Epoch >= len(m.fvar[si][l]) {
-			continue
+		mark(m.fvar[si][l], snd.Epoch)
+		n := int(in.topo.Link(snd.Link).Dst)
+		land := in.landEpoch(l, snd.Epoch)
+		if i+1 < len(sends) && chainedHop(in, snd, sends[i+1]) {
+			for k := land + 1; k < sends[i+1].Epoch; k++ {
+				mark(m.bvar[si][n], k)
+			}
+		} else {
+			mark(m.rvar[si][n], land)
 		}
-		mark(m.fvar[si][l][snd.Epoch])
 	}
 	if marked == 0 {
 		return nil
@@ -149,24 +162,18 @@ func crashBasisLP(m *lpModel, sends []schedule.Send) *lp.Basis {
 	// Source inventory chains: the buffer variables that carry each
 	// source's remaining supply across epochs.
 	for si, s := range m.sources {
-		for _, v := range m.bvar[si][s] {
-			mark(v)
-		}
-	}
-	// One read variable per demand pair (the destination-total rows have
-	// equality slacks fixed at zero, so they need a structural basic).
-	for si := range m.sources {
-		for dst := range m.rvar[si] {
-			col := m.rvar[si][dst]
-			for k := len(col) - 1; k >= 0; k-- {
-				if col[k] != noVar {
-					mark(col[k])
-					break
-				}
-			}
+		col := m.bvar[si][s]
+		for k := range col {
+			mark(col, k)
 		}
 	}
 	return b
+}
+
+// chainedHop reports whether send b is the hop after a on one greedy
+// path: the same commodity, leaving the node a lands at.
+func chainedHop(in *instance, a, b schedule.Send) bool {
+	return a.Src == b.Src && a.Chunk == b.Chunk && in.topo.Link(b.Link).Src == in.topo.Link(a.Link).Dst
 }
 
 // basisStore is a session's warm-basis memory: final bases of solved

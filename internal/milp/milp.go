@@ -169,8 +169,16 @@ type Solution struct {
 	X         []float64 // incumbent point
 	Bound     float64   // best proven bound on the optimum
 	Gap       float64   // relative gap between Objective and Bound
-	Nodes     int       // branch-and-bound nodes explored
-	Elapsed   time.Duration
+	// Nodes counts the branch-and-bound nodes evaluated after the root.
+	// It is not comparable across drivers: the serial search, the
+	// opportunistic pool and the Deterministic rounds prune differently,
+	// so one problem can report different counts. Deterministic prunes
+	// only bounds strictly worse than the incumbent and may evaluate a
+	// node whose bound ties it: the DGX1 ALLGATHER MILP closes at its
+	// root and reports 0 nodes serially and opportunistically, 1 under
+	// Deterministic rounds.
+	Nodes   int
+	Elapsed time.Duration
 
 	// RootIterations is the simplex iteration count of the root
 	// relaxation; NodeIterations is the total across all non-root node
