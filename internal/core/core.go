@@ -70,6 +70,12 @@ const (
 	// heuristic structure, and crash-seeding the relaxation as well
 	// biases equal-objective tie-breaks toward the greedy shape
 	// (measurably worse simulated makespans on ALLGATHER microbenches).
+	// The incumbent itself no longer wins a tie: milp replaces a
+	// caller-supplied point with any point of equal objective its search
+	// finds, an integral root included (milp.Options.IncumbentX), so a
+	// greedy that ties the optimum is not returned verbatim. What the
+	// crash seed would still bias is which optimal vertex the root
+	// lands on.
 	CrashAuto CrashMode = iota
 	// CrashAll additionally crash-starts cold MILP root relaxations
 	// from the greedy incumbent's support. Cheaper roots, but among

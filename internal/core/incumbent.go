@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"teccl/internal/schedule"
@@ -9,11 +10,17 @@ import (
 )
 
 // greedyIncumbent builds a feasible whole-chunk schedule by greedy
-// epoch-by-epoch flooding: each epoch, each link forwards the most useful
-// chunk its source holds toward nodes that still miss it. The result
-// warm-starts the branch-and-bound (it prunes everything worse), playing
-// the role of Gurobi's internal primal heuristics. Returns nil when the
-// greedy cannot finish within the horizon.
+// epoch-by-epoch flooding: each epoch, each live link forwards the most
+// useful chunk its source holds toward destinations that still miss it.
+// A destination misses a commodity until a send that delivers it is
+// planned, not until it lands, so no second copy chases a chunk already
+// on its way. A switch forwards what lands on it in the epoch it lands,
+// copying it onto every outgoing link, so it is sent a given commodity
+// at most once per landing epoch: a second copy would spend the hub's
+// bandwidth for nothing. The result warm-starts the branch-and-bound (it
+// prunes everything worse) and sets the MILP horizon, playing the role
+// of Gurobi's internal primal heuristics. Returns nil when the greedy
+// cannot finish within the horizon.
 func greedyIncumbent(in *instance) []schedule.Send {
 	t := in.topo
 	K := in.K
@@ -26,14 +33,14 @@ func greedyIncumbent(in *instance) []schedule.Send {
 
 	// State.
 	holds := make([][]bool, nN)           // GPU holds chunk (forwardable)
-	hasOrWill := make([][]bool, nN)       // held or already in flight to node
-	switchAt := make([]map[int][]int, nN) // switch: epoch -> commodity list
+	hasOrWill := make([][]bool, nN)       // GPU holds chunk or a send to it is planned
+	switchAt := make([]map[int][]int, nN) // switch: landing epoch -> commodity list
 	for n := 0; n < nN; n++ {
 		holds[n] = make([]bool, nC)
 		hasOrWill[n] = make([]bool, nC)
 		switchAt[n] = map[int][]int{}
 	}
-	missing := make([]int, nC) // destinations still missing the chunk
+	missing := make([]int, nC) // destinations no planned send delivers to yet
 	needs := make([][]bool, nN)
 	for n := range needs {
 		needs[n] = make([]bool, nC)
@@ -76,18 +83,9 @@ func greedyIncumbent(in *instance) []schedule.Send {
 	// Deterministic link order: by ID.
 	var sends []schedule.Send
 	for k := 0; k < K && totalMissing > 0; k++ {
-		// Materialize arrivals that become forwardable at k.
+		// GPU arrivals become forwardable at k.
 		for _, a := range pending[k] {
-			if t.IsSwitch(topo.NodeID(a.node)) {
-				switchAt[a.node][k] = append(switchAt[a.node][k], a.ci)
-			} else {
-				holds[a.node][a.ci] = true
-				if needs[a.node][a.ci] {
-					needs[a.node][a.ci] = false
-					missing[a.ci]--
-					totalMissing--
-				}
-			}
+			holds[a.node][a.ci] = true
 		}
 		delete(pending, k)
 
@@ -164,34 +162,28 @@ func greedyIncumbent(in *instance) []schedule.Send {
 					break
 				}
 				ci := u.ci
+				fwd := k + in.delta[l] + in.kappa[l]
+				if t.IsSwitch(lk.Dst) {
+					if slices.Contains(switchAt[dst][fwd], ci) {
+						continue // one landing already fans out to every link
+					}
+					switchAt[dst][fwd] = append(switchAt[dst][fwd], ci)
+				} else {
+					pending[fwd] = append(pending[fwd], arrival{dst, ci})
+					hasOrWill[dst][ci] = true
+					if needs[dst][ci] {
+						needs[dst][ci] = false
+						missing[ci]--
+						totalMissing--
+					}
+				}
 				sentAt[l][k]++
 				sends = append(sends, schedule.Send{
 					Src: in.comms[ci].src, Chunk: in.comms[ci].chunk,
 					Link: topo.LinkID(l), Epoch: k, Fraction: 1,
 				})
-				fwd := k + in.delta[l] + in.kappa[l]
-				pending[fwd] = append(pending[fwd], arrival{dst, ci})
-				if !t.IsSwitch(lk.Dst) {
-					hasOrWill[dst][ci] = true
-				}
 			}
 		}
-	}
-
-	// Drain arrivals already in flight.
-	for k := K; totalMissing > 0; k++ {
-		arr, ok := pending[k]
-		if !ok {
-			break
-		}
-		for _, a := range arr {
-			if !t.IsSwitch(topo.NodeID(a.node)) && needs[a.node][a.ci] {
-				needs[a.node][a.ci] = false
-				missing[a.ci]--
-				totalMissing--
-			}
-		}
-		delete(pending, k)
 	}
 	if totalMissing > 0 {
 		return nil

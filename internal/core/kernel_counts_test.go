@@ -83,36 +83,44 @@ func TestKernelCountsPinned(t *testing.T) {
 			want: kernelCounts{Root: 1567, Refactorizations: 23, FTUpdates: 1559, UpdateNnz: 22112}},
 		// DGX1 ALLGATHER closes at the root; Internal1(2) branches, so its
 		// node re-solves (warm dual simplex on retained Solvers) are pinned.
+		// Internal1(2)'s plan and re-root were re-recorded when the greedy
+		// incumbent stopped re-sending chunks into switches: its finish
+		// went 12 → 6, so the horizon it sets went 14 → 7 epochs.
 		{name: "dgx1-allgather-milp", topo: topo.DGX1(), demand: allGather, solver: SolverMILP,
 			want: kernelCounts{Root: 504, Refactorizations: 6, FTUpdates: 442, UpdateNnz: 1941}},
 		{name: "internal1x2-allgather-milp", topo: topo.Internal1(2), demand: allGather,
 			opt: Options{EpochMode: SlowestLink}, solver: SolverMILP,
-			want: kernelCounts{Root: 1948, Refactorizations: 38, FTUpdates: 1989, UpdateNnz: 17354, Nodes: 24, NodeIters: 186}},
+			want: kernelCounts{Root: 852, Refactorizations: 15, FTUpdates: 837, UpdateNnz: 8500, Nodes: 3, NodeIters: 38}},
 		{name: "dgx1-alltoall-linkdown-replan", topo: topo.DGX1(), demand: allToAll, solver: SolverLP, down: link0,
 			want:   kernelCounts{Root: 1221, Refactorizations: 24, FTUpdates: 1210, UpdateNnz: 18317},
 			replan: kernelCounts{Root: 33, Refactorizations: 1, FTUpdates: 30, UpdateNnz: 517}},
 		// The MILP re-root, recorded at the commit before plan and replan
 		// came to share one solve tail per form: with the LP replan above
-		// and the A* resume below, all three replan tails are pinned.
+		// and the A* resume below, all three replan tails are pinned. At
+		// the 7-epoch horizon the re-rooted search branches (1 node at
+		// the 14-epoch one).
 		{name: "internal1x2-allgather-milp-linkdown-reroot", topo: topo.Internal1(2), demand: allGather,
 			opt: Options{EpochMode: SlowestLink}, solver: SolverMILP, down: link0,
-			want:   kernelCounts{Root: 1948, Refactorizations: 38, FTUpdates: 1989, UpdateNnz: 17354, Nodes: 24, NodeIters: 186},
-			replan: kernelCounts{Root: 21, Refactorizations: 2, FTUpdates: 18, UpdateNnz: 179, Nodes: 1, NodeIters: 3}},
+			want:   kernelCounts{Root: 852, Refactorizations: 15, FTUpdates: 837, UpdateNnz: 8500, Nodes: 3, NodeIters: 38},
+			replan: kernelCounts{Root: 20, Refactorizations: 74, FTUpdates: 520, UpdateNnz: 7836, Nodes: 73, NodeIters: 722}},
 		// The A* path, recorded at the commit before the round model and
 		// the monolithic MILP became one emitter. NDv2Mini(2) on the fastest
 		// link has κ up to 4, δ up to 3 and Kr = 9, so pending GPU and
 		// switch arrivals and the capacity window straddling a round
 		// boundary are all on the path; the last case takes down a link a
 		// later round uses, so the round loop is re-entered mid-stream.
+		// The three were re-recorded when an integral root relaxation
+		// became the incumbent before the search: a round whose root is
+		// integral no longer re-solves it as its first node.
 		{name: "ndv2mini2-allgather-astar", topo: topo.NDv2Mini(2), demand: allGather, solver: SolverAStar,
-			want: kernelCounts{Root: 515, Refactorizations: 15, FTUpdates: 493, UpdateNnz: 2080, Nodes: 6, NodeIters: 77, Rounds: 6}},
+			want: kernelCounts{Root: 515, Refactorizations: 9, FTUpdates: 434, UpdateNnz: 1709, Rounds: 6}},
 		{name: "internal1x4-allgather-astar-slowest", topo: topo.Internal1(4), demand: allGather,
 			opt: Options{EpochMode: SlowestLink}, solver: SolverAStar,
-			want: kernelCounts{Root: 1637, Refactorizations: 254, FTUpdates: 2497, UpdateNnz: 19807, Nodes: 241, NodeIters: 1874, Rounds: 3}},
+			want: kernelCounts{Root: 1637, Refactorizations: 252, FTUpdates: 2497, UpdateNnz: 19807, Nodes: 239, NodeIters: 1868, Rounds: 3}},
 		{name: "ndv2mini2-allgather-astar-linkdown-resume", topo: topo.NDv2Mini(2), demand: allGather,
 			solver: SolverAStar, down: lateLink,
-			want:   kernelCounts{Root: 515, Refactorizations: 15, FTUpdates: 493, UpdateNnz: 2080, Nodes: 6, NodeIters: 77, Rounds: 6},
-			replan: kernelCounts{Root: 128, Refactorizations: 9, FTUpdates: 117, UpdateNnz: 412, Nodes: 4, NodeIters: 33, Rounds: 5}},
+			want:   kernelCounts{Root: 515, Refactorizations: 9, FTUpdates: 434, UpdateNnz: 1709, Rounds: 6},
+			replan: kernelCounts{Root: 128, Refactorizations: 5, FTUpdates: 96, UpdateNnz: 291, Rounds: 5}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

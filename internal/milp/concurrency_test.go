@@ -136,7 +136,10 @@ func TestDeterministicMatchesSerialObjective(t *testing.T) {
 			t.Fatalf("seed %d: serial %v vs deterministic %v", seed, serial.Objective, det.Objective)
 		}
 	}
-	es.check(t, "serial", effort{361, 1442, 392})
+	// An integral root is offered as the incumbent before the search, so
+	// the serial search no longer re-solves it as its first node: 12 of
+	// the 20 corpus problems close at the root (361 nodes before).
+	es.check(t, "serial", effort{349, 1406, 380})
 	ed.check(t, "deterministic", effort{786, 3166, 821})
 }
 

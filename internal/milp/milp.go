@@ -150,7 +150,14 @@ type Options struct {
 	LP lp.Options
 	// IncumbentX optionally provides a known integer-feasible point to
 	// warm-start pruning (a caller-verified heuristic solution). Its
-	// objective is computed from the problem's cost vector.
+	// objective is computed from the problem's cost vector. It only
+	// prunes: the first point the search finds whose objective equals
+	// it (within 1e-9) or beats it replaces it, an integral root
+	// relaxation included, so a heuristic that ties the optimum is not
+	// returned in place of the solver's own optimum. Under Deterministic
+	// the lexicographic tie-break then runs among the search's points
+	// only; IncumbentX is returned only when the search finds no point
+	// as good.
 	IncumbentX []float64
 	// RootWarmStart optionally seeds the root relaxation with a basis from
 	// an earlier related solve (e.g. the previous horizon in a makespan
@@ -284,6 +291,7 @@ type search struct {
 	nextID     int
 	incumbent  float64 // worst value when incumbentX == nil
 	incumbentX []float64
+	callerInc  bool    // incumbentX is Options.IncumbentX, not a point the search found
 	bestBound  float64 // bound of the best node popped so far
 	nodes      int
 	hitLimit   bool
@@ -432,13 +440,18 @@ func (s *search) effBounds(nd *node, v lp.VarID) (float64, float64) {
 	return s.p.LP.Bounds(v)
 }
 
-// offerIncumbent installs a candidate integer-feasible point. In exact
-// (deterministic) mode equal-valued candidates are tie-broken toward the
-// lexicographically smaller point, so the final incumbent does not depend
-// on the order candidates arrive in.
+// offerIncumbent installs a candidate integer-feasible point. A
+// candidate that ties a caller-supplied Options.IncumbentX (within 1e-9)
+// replaces it. In exact (deterministic) mode equal-valued candidates
+// found by the search are tie-broken toward the lexicographically smaller
+// point, so the final incumbent does not depend on the order candidates
+// arrive in; the caller's point is never part of that tie-break, since
+// the first tying candidate displaces it.
 func (s *search) offerIncumbent(obj float64, x []float64, exact bool) {
 	replace := false
 	if s.incumbentX == nil || s.better(obj, s.incumbent) {
+		replace = true
+	} else if s.callerInc && math.Abs(obj-s.incumbent) <= 1e-9 {
 		replace = true
 	} else if exact && obj == s.incumbent && lexLess(x, s.incumbentX) {
 		replace = true
@@ -446,6 +459,7 @@ func (s *search) offerIncumbent(obj float64, x []float64, exact bool) {
 	if replace {
 		s.incumbent = obj
 		s.incumbentX = append([]float64(nil), x...)
+		s.callerInc = false
 		s.incObj.Store(obj)
 	}
 }
@@ -520,6 +534,7 @@ func (ms *Solver) run(p *Problem, opt Options) *Solution {
 		}
 		s.incumbentX = x
 		s.incumbent = obj
+		s.callerInc = true
 		s.incObj.Store(obj)
 	}
 
@@ -591,6 +606,12 @@ func (ms *Solver) run(p *Problem, opt Options) *Solution {
 		return s.sol
 	}
 
+	// An integral root is an incumbent before any node runs: it closes
+	// the search at the root (the root node then prunes against it) and
+	// displaces a caller point it ties.
+	if _, frac := s.pickBranch(rootSol.X); !frac {
+		s.offerIncumbent(rootSol.Objective, rootSol.X, opt.Deterministic)
+	}
 	s.h = &nodeHeap{max: s.isMax}
 	heap.Init(s.h)
 	s.push(rootSol.Objective, nil, rootSol.Basis, 0)
