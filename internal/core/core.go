@@ -63,9 +63,11 @@ const (
 type CrashMode int8
 
 const (
-	// CrashAuto (the default) crash-starts cold LP-form solves, where
-	// the seed only shortens phase 1 (the LP optimum the decomposition
-	// sees is tie-broken the same way; property-tested). MILP roots keep
+	// CrashAuto (the default) crash-starts cold LP-form solves — the
+	// monolithic LP and a rolling horizon's first window when the
+	// session's basis store has no hit for it — where the seed only
+	// shortens phase 1 (the LP optimum the decomposition sees is
+	// tie-broken the same way; property-tested). MILP roots keep
 	// the all-slack start: their greedy incumbent already encodes the
 	// heuristic structure, and crash-seeding the relaxation as well
 	// biases equal-objective tie-breaks toward the greedy shape
@@ -264,10 +266,11 @@ type Result struct {
 	// from a structurally identical, already-solved point instead of
 	// running the simplex again (its solver counters are therefore zero).
 	Reused bool
-	// WarmStarted marks a solve whose main simplex run (the LP solve, or
-	// the MILP root relaxation) resumed from a basis of an earlier
-	// related solve instead of starting cold — the signature of
-	// cross-request state reuse through a Planner or BatchSolveLP chain.
+	// WarmStarted marks a solve whose main simplex run (the LP solve,
+	// the MILP root relaxation, or a rolling horizon's first window)
+	// resumed from a basis of an earlier related solve instead of
+	// starting cold — the signature of cross-request state reuse
+	// through a Planner or BatchSolveLP chain.
 	WarmStarted bool
 	// CrashStarted marks a cold solve whose main simplex run was seeded
 	// from the greedy schedule's flow support (a crash basis) instead of

@@ -247,3 +247,91 @@ func TestCrashAllMatchesSlackStartMILP(t *testing.T) {
 		t.Fatalf("crash obj %g != slack obj %g", crash.Objective, slack.Objective)
 	}
 }
+
+// TestHorizonFirstWindowCrash: a cold rolling-horizon solve crash-starts
+// its first window from the greedy plan, as a cold monolithic solve
+// does. The crash only picks phase 1's start, so against a CrashOff run
+// window 1's optimum must agree to 1e-9, the stitched schedule must
+// finish in the same epoch, and both schedules must validate and replay
+// in the simulator. On the benchmark's two horizon instances (DGX1 and
+// NDv2Mini(2) ALLTOALL, two chunks per pair) the crash must also save
+// pivots, in window 1 and over the whole solve. The 3–5-node rings,
+// lines and stars move three chunks per pair at a one-epoch commit
+// stride, so even Ring(3) solves at least two windows; on Line(5) with
+// α the driver then falls back to one monolithic LP on both sides (its
+// final window stays infeasible through every extension), which still
+// compares window 1 and the finish.
+func TestHorizonFirstWindowCrash(t *testing.T) {
+	type run struct {
+		res     *Result
+		windows int // window solves, counted before any fallback
+		w1Obj   float64
+		w1Iters int
+	}
+	solve := func(name string, tp *topo.Topology, d *collective.Demand, opt Options) run {
+		t.Helper()
+		var r run
+		opt.Progress = func(p Progress) {
+			if p.Solver == "horizon" && p.Phase == "window" {
+				r.windows++
+				if p.Round == 1 {
+					r.w1Obj, r.w1Iters = p.Incumbent, p.Iterations
+				}
+			}
+		}
+		res, err := SolveHorizon(context.Background(), tp, d, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := res.Schedule.Validate(); err != nil {
+			t.Fatalf("%s: stitched schedule invalid: %v", name, err)
+		}
+		if _, err := sim.Run(res.Schedule); err != nil {
+			t.Fatalf("%s: sim: %v", name, err)
+		}
+		r.res = res
+		return r
+	}
+	check := func(name string, tp *topo.Topology, d *collective.Demand, opt Options, fewerPivots bool) {
+		t.Helper()
+		offOpt := opt
+		offOpt.Crash = CrashOff
+		crash := solve(name+" crash", tp, d, opt)
+		off := solve(name+" off", tp, d, offOpt)
+		if crash.windows < 2 || off.windows < 2 {
+			t.Errorf("%s: %d and %d windows solved, want at least 2", name, crash.windows, off.windows)
+		}
+		if !crash.res.CrashStarted {
+			t.Errorf("%s: the first window was not crash-started", name)
+		}
+		if off.res.CrashStarted {
+			t.Errorf("%s: CrashOff reported a crash start", name)
+		}
+		if math.Abs(crash.w1Obj-off.w1Obj) > 1e-9*(1+math.Abs(off.w1Obj)) {
+			t.Errorf("%s: window 1 objective %.17g with the crash, %.17g without", name, crash.w1Obj, off.w1Obj)
+		}
+		if a, b := crash.res.Schedule.FinishEpoch(), off.res.Schedule.FinishEpoch(); a != b {
+			t.Errorf("%s: finish epoch %d with the crash, %d without", name, a, b)
+		}
+		if fewerPivots && (crash.w1Iters >= off.w1Iters || crash.res.RootIterations >= off.res.RootIterations) {
+			t.Errorf("%s: %d pivots (window 1: %d) with the crash, %d (%d) without", name,
+				crash.res.RootIterations, crash.w1Iters, off.res.RootIterations, off.w1Iters)
+		}
+	}
+
+	allToAll2 := func(tp *topo.Topology) *collective.Demand {
+		return collective.AllToAll(tp.NumNodes(), testGPUs(tp), 2, 25e3)
+	}
+	check("dgx1-x2", topo.DGX1(), allToAll2(topo.DGX1()), Options{}, true)
+	check("ndv2mini2-x2", topo.NDv2Mini(2), allToAll2(topo.NDv2Mini(2)), Options{EpochMode: SlowestLink}, true)
+
+	for _, build := range []func(n int, capacity, alpha float64) *topo.Topology{topo.Ring, topo.Line, topo.Star} {
+		for n := 3; n <= 5; n++ {
+			for _, alpha := range []float64{0, 1e-3} {
+				tp := build(n, 1e9, alpha)
+				d := collective.AllToAll(tp.NumNodes(), testGPUs(tp), 3, 1e6)
+				check(fmt.Sprintf("%s α=%g", tp.Name, alpha), tp, d, Options{HorizonWindow: 2, HorizonOverlap: 1}, false)
+			}
+		}
+	}
+}

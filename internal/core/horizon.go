@@ -55,6 +55,10 @@ package core
 // request), else a key-matched projection of the previous window's
 // basis — overlapping epochs share column keys, so the projection
 // seeds most of the new basis and the dual simplex repairs the rest.
+// A first window with no store hit has no previous window to project:
+// unless Options.Crash is CrashOff it is crash-started from the greedy
+// plan's path support (crashBasisLP), as a cold monolithic solve is,
+// and Result.CrashStarted reports it.
 //
 // Policy routes to this solver (SolverHorizon) when CostModelPolicy
 // prices an LP-eligible request above HorizonCells — the regime where
@@ -154,7 +158,7 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 	res := &Result{Tau: wi.in.tau}
 	var prevProb *lp.Problem
 	var prevBasis *lp.Basis
-	warmFirst := false
+	warmFirst, crashFirst := false, false
 	extensions := 0
 	stalled := 0
 	S := 0
@@ -192,6 +196,10 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 		if warm != nil {
 			lpOpt.WarmStart = warm
 			lpOpt.Method = lp.MethodDual
+		} else if lo == 0 && opt.Crash != CrashOff {
+			// A cold first window starts from the greedy plan's path
+			// support, as a cold monolithic solve does.
+			lpOpt.Crash = crashBasisLP(wlp.m, wi.greedy)
 		}
 		// Each window borrows a workspace from lp's process pool: windows of
 		// one horizon are near-equal in size, so a window usually rebinds
@@ -245,7 +253,7 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 		}
 
 		if res.Windows == 0 {
-			warmFirst = warm != nil
+			warmFirst, crashFirst = warm != nil, lpOpt.Crash != nil
 		}
 		res.Windows++
 		res.RootIterations += sol.Iterations
@@ -285,7 +293,7 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 	res.Schedule = sch
 	res.Objective = obj
 	res.Epochs = wi.in.K
-	res.WarmStarted = warmFirst
+	res.WarmStarted, res.CrashStarted = warmFirst, crashFirst
 	res.SolveTime = time.Since(start)
 
 	if opt.HorizonCertify > 0 {

@@ -64,6 +64,44 @@ func TestPlannerHorizonWarmStarts(t *testing.T) {
 	}
 }
 
+// TestPlannerHorizonCountsCrash: a session reports a crash-started first
+// window as it reports a crash-started monolithic solve (Plan.CrashStart,
+// PlannerStats.CrashStarts); a repeat served from the basis store is a
+// warm start instead, and CrashOff starts from slack.
+func TestPlannerHorizonCountsCrash(t *testing.T) {
+	tp := topo.DGX1()
+	d := collective.AllToAll(tp.NumNodes(), testGPUs(tp), 1, 25e3)
+	for _, mode := range []CrashMode{CrashAuto, CrashOff} {
+		pl := NewPlanner(tp, PlannerOptions{Policy: ForceHorizon})
+		opt := Options{HorizonWindow: 8, HorizonOverlap: 7, Crash: mode}
+		first, err := pl.Plan(context.Background(), Request{Demand: d.Clone(), Options: &opt})
+		if err != nil {
+			t.Fatalf("crash mode %d: first plan: %v", mode, err)
+		}
+		second, err := pl.Plan(context.Background(), Request{Demand: d.Clone(), Options: &opt})
+		if err != nil {
+			t.Fatalf("crash mode %d: second plan: %v", mode, err)
+		}
+		st := pl.Stats()
+		pl.Close()
+		wantCrash := mode != CrashOff
+		if first.CrashStart != wantCrash {
+			t.Errorf("crash mode %d: first plan CrashStart = %v, want %v", mode, first.CrashStart, wantCrash)
+		}
+		if !second.WarmStart || second.CrashStart {
+			t.Errorf("crash mode %d: repeat plan WarmStart = %v, CrashStart = %v; want a warm start only",
+				mode, second.WarmStart, second.CrashStart)
+		}
+		want := 0
+		if wantCrash {
+			want = 1
+		}
+		if st.CrashStarts != want {
+			t.Errorf("crash mode %d: session counted %d crash starts, want %d", mode, st.CrashStarts, want)
+		}
+	}
+}
+
 // TestPlannerHorizonConcurrent hammers one session with concurrent
 // identical horizon requests; under -race this pins the driver's use of
 // the session's shared basis store as data-race-free, and every

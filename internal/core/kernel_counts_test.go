@@ -18,13 +18,13 @@ import (
 )
 
 // kernelCounts is the exact effort of one solve (Rounds is 0 off the A*
-// path).
+// path, Windows 0 off the rolling horizon).
 type kernelCounts struct {
-	Root, Refactorizations, FTUpdates, UpdateNnz, Nodes, NodeIters, Rounds int
+	Root, Refactorizations, FTUpdates, UpdateNnz, Nodes, NodeIters, Rounds, Windows int
 }
 
 func countsOf(r *Result) kernelCounts {
-	return kernelCounts{r.RootIterations, r.Refactorizations, r.FTUpdates, r.UpdateNnz, r.Nodes, r.NodeIterations, r.Rounds}
+	return kernelCounts{r.RootIterations, r.Refactorizations, r.FTUpdates, r.UpdateNnz, r.Nodes, r.NodeIterations, r.Rounds, r.Windows}
 }
 
 // link0 and lateLink pick the link a pinned Replan takes down: link 0, or
@@ -121,6 +121,13 @@ func TestKernelCountsPinned(t *testing.T) {
 			solver: SolverAStar, down: lateLink,
 			want:   kernelCounts{Root: 515, Refactorizations: 9, FTUpdates: 434, UpdateNnz: 1709, Rounds: 6},
 			replan: kernelCounts{Root: 128, Refactorizations: 5, FTUpdates: 96, UpdateNnz: 291, Rounds: 5}},
+		// The rolling horizon, recorded with its first window crash-started
+		// from the greedy plan: the TestPlannerHorizonWarmStarts request,
+		// whose windows after the first warm-start from a key-matched
+		// projection of the window before.
+		{name: "dgx1-alltoall-horizon-w8", topo: topo.DGX1(), demand: allToAll,
+			opt: Options{HorizonWindow: 8, HorizonOverlap: 7}, solver: SolverHorizon,
+			want: kernelCounts{Root: 3646, Refactorizations: 85, FTUpdates: 3596, UpdateNnz: 66992, Windows: 4}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -21,14 +21,16 @@ import (
 
 // WindowInstance is a preprocessed LP-form instance that windows are
 // built on: the per-destination expanded demand, the derived epoch grid,
-// and the shared commodity index.
+// the shared commodity index, and the greedy plan's sends that crash the
+// first window of a cold solve (nil when the greedy did not run).
 type WindowInstance struct {
-	t   *topo.Topology
-	d   *collective.Demand
-	opt Options
-	in  *instance
-	ix  *lpIndex
-	err error
+	t      *topo.Topology
+	d      *collective.Demand
+	opt    Options
+	in     *instance
+	ix     *lpIndex
+	greedy []schedule.Send
+	err    error
 }
 
 // NewWindowInstance preprocesses (t, d, opt) exactly like the monolithic
@@ -40,7 +42,7 @@ func NewWindowInstance(t *topo.Topology, d *collective.Demand, opt Options) *Win
 	if err != nil {
 		return &WindowInstance{err: err}
 	}
-	return &WindowInstance{t: t, d: pr.d, opt: opt, in: pr.in, ix: pr.ix}
+	return &WindowInstance{t: t, d: pr.d, opt: opt, in: pr.in, ix: pr.ix, greedy: pr.greedy}
 }
 
 // Err is the preprocessing error of a world no window can be built on.
