@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -57,19 +58,17 @@ func SolveSCCL(t *topo.Topology, d *collective.Demand, opt SCCLOptions) *SCCLRes
 	}
 	res := &SCCLResult{}
 
-	deadline := time.Time{}
+	ctx := context.TODO() // SolveSCCL takes no caller context
 	if opt.TimeLimit > 0 {
-		deadline = start.Add(opt.TimeLimit)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, start.Add(opt.TimeLimit))
+		defer cancel()
 	}
 	try := func(steps, rounds int) *schedule.Schedule {
-		budget := time.Duration(0)
-		if !deadline.IsZero() {
-			budget = time.Until(deadline)
-			if budget <= 0 {
-				return nil
-			}
+		if ctx.Err() != nil {
+			return nil
 		}
-		s, err := synthesizeSteps(t, d, steps, rounds, budget)
+		s, err := synthesizeSteps(ctx, t, d, steps, rounds)
 		if err != nil {
 			return nil
 		}
@@ -84,7 +83,7 @@ func SolveSCCL(t *topo.Topology, d *collective.Demand, opt SCCLOptions) *SCCLRes
 	search:
 		for steps := 1; steps <= maxSteps; steps++ {
 			for rounds := 1; rounds <= maxRounds; rounds++ {
-				if !deadline.IsZero() && time.Now().After(deadline) {
+				if ctx.Err() != nil {
 					break search
 				}
 				if s := try(steps, rounds); s != nil {
@@ -117,13 +116,13 @@ func alphaZeroClone(t *topo.Topology) *topo.Topology {
 	return out
 }
 
-// synthesizeSteps solves the barrier-model feasibility MILP: within
-// `steps` synchronous steps, each link carrying at most `rounds` chunks
-// per step, deliver every demand. Copy at GPUs is allowed (SCCL's model
+// synthesizeSteps solves the barrier-model feasibility MILP under ctx:
+// within `steps` synchronous steps, each link carrying at most `rounds`
+// chunks per step, deliver every demand. Copy at GPUs is allowed (SCCL's model
 // permits multicasting from a buffer); switches are treated like GPUs
 // here because SCCL targets switchless single-chassis boxes — on switched
 // topologies this is generous to SCCL.
-func synthesizeSteps(t *topo.Topology, d *collective.Demand, steps, rounds int, tl time.Duration) (*schedule.Schedule, error) {
+func synthesizeSteps(ctx context.Context, t *topo.Topology, d *collective.Demand, steps, rounds int) (*schedule.Schedule, error) {
 	type comm struct {
 		src, chunk int
 		dests      []int
@@ -243,7 +242,7 @@ func synthesizeSteps(t *topo.Topology, d *collective.Demand, steps, rounds int, 
 		}
 	}
 
-	msol := milp.Solve(&milp.Problem{LP: p, Integer: ints}, milp.Options{TimeLimit: tl})
+	msol := milp.Solve(&milp.Problem{LP: p, Integer: ints}, milp.Options{Context: ctx})
 	if msol.Status != milp.StatusOptimal && msol.Status != milp.StatusFeasible {
 		return nil, fmt.Errorf("baseline: SCCL %d-step synthesis: %v", steps, msol.Status)
 	}

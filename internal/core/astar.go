@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"teccl/internal/collective"
-	"teccl/internal/lp"
 	"teccl/internal/milp"
 	"teccl/internal/schedule"
 	"teccl/internal/topo"
@@ -193,11 +192,6 @@ func solveRound(ctx context.Context, in *instance, st *astarState, hop [][]float
 		Workers:       in.opt.Workers,
 		RootWarmStart: hint.basisFor(m.p),
 		Progress:      in.opt.Progress.milpHook("astar", off/Kr+1),
-	}
-	if aopt.RootWarmStart != nil {
-		// Later A* rounds reoptimize from the previous round's basis with
-		// the dual simplex (falls back to primal when not dual feasible).
-		aopt.LP.Method = lp.MethodDual
 	}
 	msol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, aopt)
 	switch msol.Status {

@@ -152,10 +152,10 @@ type Options struct {
 	// solvers evaluate concurrently (and the default fan-out of
 	// BatchSolveLP sweeps); 0 or 1 solves serially. The LP and
 	// rolling-horizon solvers run one simplex at a time and ignore it.
-	// The parallel search is opportunistic: it proves the same optimum
-	// but may return a different one of several equally optimal
-	// schedules run to run — see milp.Options.Deterministic for the
-	// reproducible variant.
+	// With Workers > 1 the MILP and A* searches are opportunistic: they
+	// prove the same optimum but may return a different one of several
+	// equally optimal schedules run to run. No option here selects a
+	// reproducible parallel search.
 	Workers int
 
 	// RoundEpochs is the number of epochs per A* round (§4.2); 0 derives
@@ -240,7 +240,7 @@ type Result struct {
 	Epochs    int     // horizon used
 	Tau       float64 // epoch duration used
 	Rounds    int     // A* rounds used (0 for single-shot solvers)
-	Windows   int     // rolling-horizon windows stitched (0 for monolithic solves)
+	Windows   int     // rolling-horizon windows solved (a fallback counts those it abandoned)
 
 	// Solver-effort counters. RootIterations is the simplex iteration
 	// count of the main solve: the root relaxation on the MILP path, the

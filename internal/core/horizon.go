@@ -176,11 +176,11 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 
 		bd, err := st.boundary(lo)
 		if err != nil {
-			return fallbackMono(ctx, t, d, opt, start, err)
+			return fallbackMono(ctx, t, d, opt, start, res, err)
 		}
 		wlp, err := wi.BuildWindow(lo, hi, final, bd)
 		if err != nil {
-			return fallbackMono(ctx, t, d, opt, start, err)
+			return fallbackMono(ctx, t, d, opt, start, res, err)
 		}
 
 		// Warm start: an exact fingerprint hit from the session store
@@ -195,7 +195,6 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 		lpOpt := lp.Options{Context: ctx}
 		if warm != nil {
 			lpOpt.WarmStart = warm
-			lpOpt.Method = lp.MethodDual
 		} else if lo == 0 && opt.Crash != CrashOff {
 			// A cold first window starts from the greedy plan's path
 			// support, as a cold monolithic solve does.
@@ -224,14 +223,14 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 				prevProb, prevBasis = nil, nil
 				continue
 			}
-			return fallbackMono(ctx, t, d, opt, start,
+			return fallbackMono(ctx, t, d, opt, start, res,
 				fmt.Errorf("window [%d,%d) infeasible (K=%d)", lo, hi, K))
 		default:
 			if ierr := ctx.Err(); ierr != nil {
 				return nil, fmt.Errorf("core: horizon window [%d,%d) interrupted after %d iterations: %w",
 					lo, hi, sol.Iterations, context.Cause(ctx))
 			}
-			return fallbackMono(ctx, t, d, opt, start,
+			return fallbackMono(ctx, t, d, opt, start, res,
 				fmt.Errorf("window [%d,%d) solve ended %v", lo, hi, sol.Status))
 		}
 
@@ -256,10 +255,7 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 			warmFirst, crashFirst = warm != nil, lpOpt.Crash != nil
 		}
 		res.Windows++
-		res.RootIterations += sol.Iterations
-		res.Refactorizations += sol.Refactorizations
-		res.FTUpdates += sol.FTUpdates
-		res.UpdateNnz += sol.UpdateNnz
+		res.addLP(sol)
 		opt.Progress.emit(lpSample("horizon", "window", res.Windows, sol.Iterations, sol.Objective, true))
 
 		if warmBases != nil {
@@ -273,7 +269,7 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 			break
 		}
 		if err := st.commit(flows, reads, lo, lo+C); err != nil {
-			return fallbackMono(ctx, t, d, opt, start, err)
+			return fallbackMono(ctx, t, d, opt, start, res, err)
 		}
 		prevProb, prevBasis = wlp.P, sol.Basis
 		S += C
@@ -282,11 +278,11 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 	// Stitch: the committed arrays hold a full-horizon rate allocation;
 	// the same peeling pass as the monolithic path decomposes and
 	// validates it (st.flows is consumed, st.reads survives for the
-	// objective and the certify pass).
+	// objective and measureGap).
 	obj := wi.objectiveAt(st.reads, wi.ix.tail)
 	sch, err := wi.Decompose(st.flows, st.reads)
 	if err != nil {
-		return fallbackMono(ctx, t, d, opt, start, err)
+		return fallbackMono(ctx, t, d, opt, start, res, err)
 	}
 	opt.Progress.emit(lpSample("horizon", "stitch", res.Windows, res.RootIterations, obj, true))
 
@@ -297,17 +293,17 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 	res.SolveTime = time.Since(start)
 
 	if opt.HorizonCertify > 0 {
-		certify(ctx, t, d, opt, wi, st.reads, res)
+		measureGap(ctx, t, d, opt, wi, st.reads, res)
 	}
 	return res, nil
 }
 
-// certify re-solves the instance monolithically under its own budget and
-// scores the stitched allocation at the monolithic horizon's tail
-// weights, recording the relative objective gap. Certification time is
-// excluded from SolveTime; a budget overrun or error leaves the result
-// uncertified (Gap 0, Optimal false).
-func certify(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, wi *WindowInstance, reads [][][]float64, res *Result) {
+// measureGap re-solves the instance monolithically under its own budget
+// and scores the stitched allocation at the monolithic horizon's tail
+// weights, recording the relative objective gap in a "certify" Progress
+// sample. Its time is excluded from SolveTime; a budget overrun or error
+// leaves the gap unmeasured (Gap 0, Optimal false).
+func measureGap(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, wi *WindowInstance, reads [][][]float64, res *Result) {
 	cctx, cancel := context.WithTimeout(ctx, opt.HorizonCertify)
 	defer cancel()
 	copt := opt
@@ -331,13 +327,21 @@ func certify(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Op
 // fallbackMono abandons the decomposition for one monolithic LP solve —
 // the safety net behind every invariant the windowed path checks
 // (boundary bookkeeping, committed-flow closure, final-window
-// feasibility, stitched-schedule validation).
-func fallbackMono(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, start time.Time, cause error) (*Result, error) {
-	opt.Progress.emit(lpSample("horizon", "fallback", 0, 0, 0, false))
+// feasibility, stitched-schedule validation). abandoned holds the effort
+// of the windows solved before it, which the "fallback" Progress sample
+// reports (Round the windows, Iterations their pivots) and the returned
+// Result adds to the monolithic solve's.
+func fallbackMono(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, start time.Time, abandoned *Result, cause error) (*Result, error) {
+	opt.Progress.emit(lpSample("horizon", "fallback", abandoned.Windows, abandoned.RootIterations, 0, false))
 	res, err := SolveLP(ctx, t, d, opt)
 	if err != nil {
 		return nil, fmt.Errorf("core: horizon fallback (%v) failed: %w", cause, err)
 	}
+	res.Windows += abandoned.Windows
+	res.RootIterations += abandoned.RootIterations
+	res.Refactorizations += abandoned.Refactorizations
+	res.FTUpdates += abandoned.FTUpdates
+	res.UpdateNnz += abandoned.UpdateNnz
 	res.SolveTime = time.Since(start)
 	return res, nil
 }

@@ -134,7 +134,7 @@ func kernelBitsSolves(t *testing.T) map[string]kernelBits {
 	rhsEdit := m.p.Clone()
 	rhsEdit.SetRHS(r, rhsEdit.RHS(r)/2)
 	out["dgx1-rhs-warm-dual"] = bitsOf(solve("dgx1-rhs-warm-dual", rhsEdit,
-		lp.Options{WarmStart: cold.Basis, Method: lp.MethodDual}))
+		lp.Options{WarmStart: cold.Basis}))
 
 	// Node re-solve: close a flow column the optimum uses (source 0,
 	// link 24, epoch 0) and reoptimize from the parent's basis the way
@@ -146,7 +146,7 @@ func kernelBitsSolves(t *testing.T) map[string]kernelBits {
 	node := m.p.Clone()
 	node.SetBounds(lp.VarID(v), 0, 0)
 	out["dgx1-node-resolve"] = bitsOf(solve("dgx1-node-resolve", node,
-		lp.Options{WarmStart: cold.Basis, Method: lp.MethodDual, NoPresolve: true}))
+		lp.Options{WarmStart: cold.Basis, NoPresolve: true}))
 	return out
 }
 

@@ -128,6 +128,18 @@ func TestKernelCountsPinned(t *testing.T) {
 		{name: "dgx1-alltoall-horizon-w8", topo: topo.DGX1(), demand: allToAll,
 			opt: Options{HorizonWindow: 8, HorizonOverlap: 7}, solver: SolverHorizon,
 			want: kernelCounts{Root: 3646, Refactorizations: 85, FTUpdates: 3596, UpdateNnz: 66992, Windows: 4}},
+		// A rolling horizon that falls back: on Line(5) with α at a
+		// one-epoch commit stride the final window stays infeasible
+		// through every extension, and the driver abandons its windows for
+		// one monolithic LP. The counts are the abandoned windows' plus
+		// the monolithic solve's; a fallback reporting only the latter
+		// reads far cheaper than the work it did.
+		{name: "line5-alltoall-horizon-fallback", topo: topo.Line(5, 1e9, 1e-3),
+			demand: func(tt *topo.Topology) *collective.Demand {
+				return collective.AllToAll(tt.NumNodes(), testGPUs(tt), 3, 1e6)
+			},
+			opt: Options{HorizonWindow: 2, HorizonOverlap: 1}, solver: SolverHorizon,
+			want: kernelCounts{Root: 3407, Refactorizations: 104, FTUpdates: 3327, UpdateNnz: 36379, Windows: 22}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

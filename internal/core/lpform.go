@@ -714,12 +714,6 @@ func solvePrepped(ctx context.Context, t *topo.Topology, pr *lpPrep, opt Options
 func (m *lpModel) run(ctx context.Context, lpOpt lp.Options, start time.Time) (*Result, *lp.Solution, error) {
 	in, progress := m.in, m.in.opt.Progress
 	lpOpt.Context = ctx
-	if lpOpt.WarmStart != nil {
-		// A transferred basis is near dual feasible under the unchanged
-		// cost structure: reoptimize with the dual simplex, which falls
-		// back to the primal on its own when it is not.
-		lpOpt.Method = lp.MethodDual
-	}
 	progress.emit(lpSample("lp", "model", 0, 0, 0, false))
 	sol, err := lp.Solve(m.p, lpOpt)
 	if err != nil {

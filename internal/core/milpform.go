@@ -588,7 +588,7 @@ func solveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt 
 	if mopt.RootWarmStart == nil && opt.Crash == CrashAll {
 		// Cold root relaxation: crash-start from the greedy incumbent's
 		// flow support instead of the all-slack basis.
-		mopt.LP.Crash = crashBasisMILP(m, mopt.IncumbentX)
+		mopt.RootCrash = crashBasisMILP(m, mopt.IncumbentX)
 	}
 	res, msol, err := m.run(ctx, mopt, start)
 	if err != nil {
@@ -630,12 +630,6 @@ func (m *milpModel) run(ctx context.Context, mopt milp.Options, start time.Time)
 	mopt.GapLimit = in.opt.GapLimit
 	mopt.Workers = in.opt.Workers
 	mopt.Progress = in.opt.Progress.milpHook("milp", 0)
-	if mopt.RootWarmStart != nil {
-		// A transferred root basis reoptimizes with the dual simplex
-		// (safe: it falls back to the primal when the basis is not dual
-		// feasible).
-		mopt.LP.Method = lp.MethodDual
-	}
 	in.opt.Progress.emit(Progress{Solver: "milp", Phase: "model"})
 	msol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, mopt)
 	switch msol.Status {
@@ -666,7 +660,7 @@ func (m *milpModel) run(ctx context.Context, mopt milp.Options, start time.Time)
 		Epochs:       in.K,
 		Tau:          in.tau,
 		WarmStarted:  mopt.RootWarmStart != nil,
-		CrashStarted: mopt.LP.Crash != nil,
+		CrashStarted: mopt.RootCrash != nil,
 	}
 	res.addMILP(msol)
 	return res, msol, nil

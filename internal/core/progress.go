@@ -28,7 +28,8 @@ type Progress struct {
 	// solver adds "em" (epoch multiplier chosen), "window" (one window
 	// solved), "stitch" (stitched schedule validated), "certify"
 	// (monolithic certification re-solve finished), and "fallback"
-	// (decomposition abandoned for one monolithic solve).
+	// (decomposition abandoned for one monolithic solve; Round and
+	// Iterations count the windows abandoned and their pivots).
 	Phase string
 	// Round is the 1-based A* round or rolling-horizon window index, 0
 	// elsewhere.

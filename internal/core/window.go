@@ -73,8 +73,8 @@ func (wi *WindowInstance) dem(si, dst int) float64 {
 // objectiveAt evaluates the LP objective (priority-weighted discounted
 // reads) of a stitched read allocation under a tail-weight vector (see
 // lpTailWeights); reads at epochs past the vector's horizon contribute
-// nothing. The driver scores at the instance's own tail, the certify
-// pass at the monolithic solve's horizon for a like-for-like gap.
+// nothing. The driver scores at the instance's own tail, measureGap at
+// the monolithic solve's horizon for a like-for-like gap.
 func (wi *WindowInstance) objectiveAt(reads [][][]float64, tail []float64) float64 {
 	obj := 0.0
 	for si, s := range wi.ix.sources {

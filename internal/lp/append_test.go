@@ -118,7 +118,7 @@ func TestAppendThenWarmSolveMatchesFresh(t *testing.T) {
 	if ext == nil {
 		t.Fatal("basis extension failed")
 	}
-	warm, err := Solve(p, Options{WarmStart: ext, Method: MethodDual})
+	warm, err := Solve(p, Options{WarmStart: ext})
 	if err != nil || warm.Status != StatusOptimal {
 		t.Fatalf("warm grown solve: %v / %v", err, warm.Status)
 	}
@@ -191,7 +191,7 @@ func TestAppendWarmProperty(t *testing.T) {
 		if ext == nil {
 			t.Fatalf("trial %d: basis extension failed", trial)
 		}
-		warm, err := Solve(p, Options{WarmStart: ext, Method: MethodDual})
+		warm, err := Solve(p, Options{WarmStart: ext})
 		if err != nil || warm.Status != StatusOptimal {
 			t.Fatalf("trial %d: warm grown solve %v / %v", trial, err, warm.Status)
 		}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -28,11 +29,15 @@ func bigLP(rng *rand.Rand, n, m int) *Problem {
 	return p
 }
 
+// TestDeadlineStopsSolve: a context deadline, the solve's only wall-clock
+// budget, stops a long solve.
 func TestDeadlineStopsSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := bigLP(rng, 400, 400)
 	start := time.Now()
-	sol, err := Solve(p, Options{Deadline: time.Now().Add(time.Millisecond)})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	sol, err := Solve(p, Options{Context: ctx})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -48,7 +53,9 @@ func TestExpiredDeadlineStillReturns(t *testing.T) {
 	p := NewProblem(Maximize)
 	x := p.AddVar("x", 0, 1, 1)
 	_ = x
-	sol, err := Solve(p, Options{Deadline: time.Now().Add(-time.Hour)})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
+	defer cancel()
+	sol, err := Solve(p, Options{Context: ctx})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -59,6 +66,8 @@ func TestExpiredDeadlineStillReturns(t *testing.T) {
 	}
 }
 
+// TestZeroDeadlineMeansNoLimit: a solve with no context has no
+// wall-clock budget.
 func TestZeroDeadlineMeansNoLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := bigLP(rng, 60, 60)

@@ -13,12 +13,12 @@ package lp
 // The dual method shines on reoptimization: a basis that was optimal
 // before a bound change (a branch-and-bound child, a tightened horizon)
 // stays DUAL feasible, so the dual simplex walks straight back to
-// optimality with no feasibility phase. solve() selects it through
-// Options.Method: prepareDual reports whether a dual-feasible start
-// exists (bound-flipping boxed variables into sign agreement when
-// allowed), and dualIterate runs the method proper, handing back
-// statusDualStall when it stops making progress so the caller can fall
-// back to the primal path from the current (never corrupted) basis.
+// optimality with no feasibility phase. solve() runs it from every
+// Options.WarmStart: prepareDual reports whether a dual-feasible start
+// exists (bound-flipping boxed variables into sign agreement), and
+// dualIterate runs the method proper, handing back statusDualStall when
+// it stops making progress so the caller can fall back to the primal
+// path from the current (never corrupted) basis.
 
 import (
 	"cmp"
@@ -106,12 +106,12 @@ func (s *simplex) computeDuals() {
 
 // prepareDual decides whether the current (installed) basis is a usable
 // dual-feasible start, sizing the dual working state on first use.
-// When allowFlips is set, boxed nonbasic variables whose reduced cost has
-// the wrong sign are flipped to their other bound — a free dual
-// feasibility repair — before giving up. Flips are only applied when the
-// whole basis can be made dual feasible, so a false return leaves the
-// simplex state untouched for the primal path.
-func (s *simplex) prepareDual(allowFlips bool) bool {
+// Boxed nonbasic variables whose reduced cost has the wrong sign are
+// flipped to their other bound — a free dual feasibility repair — before
+// giving up. Flips are only applied when the whole basis can be made
+// dual feasible, so a false return leaves the simplex state untouched
+// for the primal path.
+func (s *simplex) prepareDual() bool {
 	if s.m == 0 {
 		return false
 	}
@@ -134,14 +134,14 @@ func (s *simplex) prepareDual(allowFlips bool) bool {
 		switch st {
 		case atLower:
 			if d < -dualAcceptTol {
-				if !allowFlips || math.IsInf(hi, 1) {
+				if math.IsInf(hi, 1) {
 					return false
 				}
 				flips = append(flips, int32(j))
 			}
 		case atUpper:
 			if d > dualAcceptTol {
-				if !allowFlips || math.IsInf(lo, -1) {
+				if math.IsInf(lo, -1) {
 					return false
 				}
 				flips = append(flips, int32(j))
@@ -217,7 +217,7 @@ func (s *simplex) pivotRow(rho []float64) {
 // failure, or a progress stall (statusDualStall → primal fallback).
 func (s *simplex) dualIterate(maxIter int) Status {
 	m := s.m
-	checkBudget := !s.opt.Deadline.IsZero() || s.opt.Context != nil
+	checkBudget := s.opt.Context != nil
 	stall := 0
 	retries := 0
 	for {

@@ -14,8 +14,8 @@ func TestQuickPrimalDualAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p, _ := randFeasibleLP(rng)
-		a, err1 := Solve(p, Options{Method: MethodPrimal, NoPresolve: true})
-		b, err2 := Solve(p, Options{Method: MethodDual, NoPresolve: true})
+		a, err1 := Solve(p, Options{testMethod: forcePrimal, NoPresolve: true})
+		b, err2 := Solve(p, Options{testMethod: forceDual, NoPresolve: true})
 		if err1 != nil || err2 != nil {
 			t.Logf("seed %d: errors %v %v", seed, err1, err2)
 			return false
@@ -50,11 +50,11 @@ func TestDualUsedOnWarmChild(t *testing.T) {
 		t.Fatalf("parent: %v %v", err, parent.Status)
 	}
 	p.SetBounds(x, 0, math.Floor(parent.Value(x)))
-	cold, err := Solve(p, Options{Method: MethodPrimal})
+	cold, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatalf("cold child: %v", err)
 	}
-	dual, err := Solve(p, Options{Method: MethodDual, WarmStart: parent.Basis, NoPresolve: true})
+	dual, err := Solve(p, Options{WarmStart: parent.Basis, NoPresolve: true})
 	if err != nil {
 		t.Fatalf("dual child: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestDualUsedOnWarmChild(t *testing.T) {
 // TestDualDegenerateCycling is the dual-cycling regression: a heavily
 // degenerate LP (every vertex massively tied — the transportation-style
 // structure that stalls naive ratio tests) must terminate optimally under
-// MethodDual. Beale's classic cycling instance rides along.
+// the dual simplex. Beale's classic cycling instance rides along.
 func TestDualDegenerateCycling(t *testing.T) {
 	// All-identical rows and costs: every basis is degenerate.
 	p := NewProblem(Minimize)
@@ -87,14 +87,14 @@ func TestDualDegenerateCycling(t *testing.T) {
 		}
 		p.AddRow(terms, GE, 1)
 	}
-	sol, err := Solve(p, Options{Method: MethodDual})
+	sol, err := Solve(p, Options{testMethod: forceDual})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
-	primal, err := Solve(p, Options{Method: MethodPrimal})
+	primal, err := Solve(p, Options{testMethod: forcePrimal})
 	if err != nil || primal.Status != StatusOptimal {
 		t.Fatalf("primal reference: %v %v", err, primal.Status)
 	}
@@ -111,7 +111,7 @@ func TestDualDegenerateCycling(t *testing.T) {
 	b.AddRow([]Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	b.AddRow([]Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
 	b.AddRow([]Term{{x3, 1}}, LE, 1)
-	bs, err := Solve(b, Options{Method: MethodDual})
+	bs, err := Solve(b, Options{testMethod: forceDual})
 	if err != nil {
 		t.Fatalf("Beale dual: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestDualInfeasibleVerdict(t *testing.T) {
 	// Branch into an empty box: x >= 5 makes the row unsatisfiable.
 	p.SetBounds(x, 5, 5)
 	p.SetBounds(y, 1, 5)
-	sol, err := Solve(p, Options{Method: MethodDual, WarmStart: parent.Basis, NoPresolve: true})
+	sol, err := Solve(p, Options{WarmStart: parent.Basis, NoPresolve: true})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -698,7 +698,7 @@ func BenchmarkFtranBtran(b *testing.B) {
 	// holds 45–60 updates.
 	iters := 400
 	for tries := 0; ; tries++ {
-		if _, err := sv.Solve(p, Options{NoPresolve: true, Method: MethodPrimal, MaxIter: iters}); err != nil {
+		if _, err := sv.Solve(p, Options{NoPresolve: true, testMethod: forcePrimal, MaxIter: iters}); err != nil {
 			b.Fatal(err)
 		}
 		u := sv.s.lu.updates

@@ -93,7 +93,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // Inf is the bound value used for unbounded variables.
@@ -490,36 +489,22 @@ type Solution struct {
 // Value returns the solved value of v.
 func (s *Solution) Value(v VarID) float64 { return s.X[v] }
 
-// Method selects the simplex variant driving a solve.
-type Method int8
-
+// Values of Options.testMethod, the simplex variant a test forces in
+// place of the one the start picks.
 const (
-	// MethodAuto picks per solve: the dual simplex when a warm-start
-	// basis prices out dual feasible (the branch-and-bound reoptimization
-	// case — a parent optimum stays dual feasible after a bound change),
-	// the primal simplex otherwise.
-	MethodAuto Method = iota
-	// MethodPrimal forces the primal simplex.
-	MethodPrimal
-	// MethodDual asks for the dual simplex. Boxed nonbasic variables are
-	// bound-flipped to restore dual feasibility of the starting basis
-	// where possible; if no dual-feasible start exists (or the dual
-	// stalls), the solve falls back to the primal method, so MethodDual
-	// is always safe to request.
-	MethodDual
+	forcePrimal int8 = 1 + iota
+	forceDual
 )
 
 // Options tunes the solver. The zero value uses defaults.
 type Options struct {
 	// MaxIter caps simplex iterations; 0 means max(20000, 60*rows).
 	MaxIter int
-	// Deadline, when non-zero, stops the solve with StatusIterLimit once
-	// the wall clock passes it (checked periodically between iterations).
-	Deadline time.Time
 	// Context, when non-nil, stops the solve with StatusIterLimit once the
-	// context is done (cancelled or past its deadline), checked at the
-	// same cadence as Deadline. The caller distinguishes an interrupt from
-	// a genuine iteration limit by inspecting Context.Err() afterwards.
+	// context is done (cancelled or past its deadline), checked every 64
+	// iterations; it is the solve's only wall-clock budget. The caller
+	// distinguishes an interrupt from a genuine iteration limit by
+	// inspecting Context.Err() afterwards.
 	Context context.Context
 	// WarmStart, when non-nil, starts from a basis instead of the
 	// all-slack one. What it buys depends on the basis (see the package
@@ -531,7 +516,9 @@ type Options struct {
 	// safe: dimension mismatches are ignored (cold start), and bases gone
 	// stale — singular after problem edits, primal infeasible after bound
 	// changes — are repaired or re-driven to feasibility by the composite
-	// phase 1.
+	// phase 1. A warm start runs the dual simplex, bound-flipping boxed
+	// nonbasics into dual feasibility, and falls back to the primal when
+	// no dual-feasible start exists; every other start runs the primal.
 	WarmStart *Basis
 	// Crash, when non-nil and WarmStart is absent, seeds the starting
 	// basis from a structural guess instead of the all-slack basis — a
@@ -543,15 +530,17 @@ type Options struct {
 	// is only a phase-1 seed and never routes the solve through the
 	// dual-reoptimization path the way a warm basis does.
 	Crash *Basis
-	// Method selects the simplex variant; the default MethodAuto uses
-	// the dual simplex exactly when a warm-start basis is dual feasible.
-	Method Method
 	// testPerturb pre-applies this many anti-stall bound-perturbation
 	// rounds right after the basis is installed, forcing the solve to run
 	// on shifted bounds and exit through the restore/re-certification
 	// paths. Test hook only (unexported; settable from within the
 	// package).
 	testPerturb int
+	// testMethod, when non-zero, forces the simplex variant: forceDual
+	// tries the dual simplex whatever the start, forcePrimal never does,
+	// so tests can hold the two drivers to each other. Test hook only,
+	// like testPerturb.
+	testMethod int8
 	// testPanic, when positive, panics inside the first Forrest–Tomlin
 	// update from the solve's testPanic-th on that writes the elimination
 	// accumulator, with the accumulator half written: a solve that dies

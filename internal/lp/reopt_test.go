@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -166,7 +167,10 @@ func TestResolveFromOwnBasisIsFree(t *testing.T) {
 // TestDualReoptCostsInProportionToTheEdit: one RHS or bound edit on a
 // solved model, reoptimized by the dual simplex from the optimal basis,
 // takes at most a tenth of the cold pivots. Only the corpus members with
-// enough cold pivots for a tenth to mean anything take part.
+// enough cold pivots for a tenth to mean anything take part. The warm
+// start picks the dual by itself: every reoptimization must take the
+// forced-dual solve's pivot path to the bit, the flip edit included,
+// whose start is dual feasible only once a boxed column flips bound.
 func TestDualReoptCostsInProportionToTheEdit(t *testing.T) {
 	dgx, capRows, flows := dgx1AllToAllLP(5)
 	big := bigLP(rand.New(rand.NewSource(7)), 200, 150)
@@ -195,6 +199,24 @@ func TestDualReoptCostsInProportionToTheEdit(t *testing.T) {
 			}
 			t.Fatal("no used flow column")
 		}},
+		{"dgx1AllToAll/flip", dgx, func(p *Problem, cold *Solution) {
+			// Box an unused flow column and make it attractive: its
+			// reduced cost takes the wrong sign at its lower bound.
+			at := slices.IndexFunc(flows, func(v VarID) bool { return cold.Basis.Vars[v] == BasisAtLower })
+			if at < 0 {
+				t.Fatal("no nonbasic flow column")
+			}
+			p.SetBounds(flows[at], 0, 1)
+			p.SetObj(flows[at], 3)
+			var s simplex
+			s.bind(p, 0, 0, 0)
+			s.reset(Options{WarmStart: cold.Basis})
+			s.install()
+			before := slices.Clone(s.status)
+			if !s.prepareDual() || slices.Equal(before, s.status) {
+				t.Fatal("the start is dual feasible without a flip, or not at all")
+			}
+		}},
 		{"big200x150/rhs", big, func(p *Problem, cold *Solution) {
 			for r := 0; r < p.NumRows(); r++ {
 				if cold.Basis.Rows[r] != BasisBasic {
@@ -220,7 +242,8 @@ func TestDualReoptCostsInProportionToTheEdit(t *testing.T) {
 			q := tc.p.Clone()
 			tc.edit(q, cold)
 			want := solveOK(t, q)
-			got := solveOptimal(t, q, Options{WarmStart: cold.Basis, Method: MethodDual})
+			got := solveOptimal(t, q, Options{WarmStart: cold.Basis})
+			sameSolution(t, "warm start vs forced dual", got, solveOptimal(t, q, Options{WarmStart: cold.Basis, testMethod: forceDual}))
 			if math.Abs(got.Objective-want.Objective) > 1e-6*(1+math.Abs(want.Objective)) {
 				t.Fatalf("reoptimized objective %g != cold %g", got.Objective, want.Objective)
 			}
@@ -275,7 +298,7 @@ func TestCompleteBasisPredicate(t *testing.T) {
 			if got := tc.b.completeFor(p); got != tc.complete {
 				t.Fatalf("completeFor = %v, want %v", got, tc.complete)
 			}
-			opt := Options{WarmStart: tc.b, Method: MethodDual}
+			opt := Options{WarmStart: tc.b}
 			got := solveOptimal(t, p, opt)
 			var want *Solution
 			var err error

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"time"
 )
 
 var lpDebug = os.Getenv("LP_DEBUG") != ""
@@ -722,23 +721,19 @@ func (s *simplex) solve(opt Options) (*Solution, error) {
 		s.perturbBounds()
 	}
 
-	// Method selection: the dual simplex runs first when requested (or,
-	// under MethodAuto, when a warm-start basis prices out dual feasible
-	// — the reoptimization case it exists for). Whatever the dual
-	// concludes, the primal phases below still run from the basis it
-	// leaves behind: after a dual optimum they certify and return in a
-	// handful of iterations; after a dual-unboundedness verdict the
-	// composite phase 1 independently confirms infeasibility; after a
-	// stall the primal simply finishes the job.
-	useDual := false
-	switch s.opt.Method {
-	case MethodPrimal:
-	case MethodDual:
-		useDual = s.prepareDual(true)
-	default:
-		useDual = s.opt.WarmStart != nil && s.prepareDual(false)
+	// The start picks the method: a WarmStart runs the dual simplex first
+	// (the reoptimization case it exists for), every other start the
+	// primal alone. Whatever the dual concludes, the primal phases below
+	// still run from the basis it leaves behind: after a dual optimum
+	// they certify and return in a handful of iterations; after a
+	// dual-unboundedness verdict the composite phase 1 independently
+	// confirms infeasibility; after a refused start or a stall the primal
+	// simply does the job.
+	useDual := s.opt.WarmStart != nil
+	if s.opt.testMethod != 0 {
+		useDual = s.opt.testMethod == forceDual
 	}
-	if useDual {
+	if useDual && s.prepareDual() {
 		switch st := s.dualIterate(maxIter); st {
 		case StatusOptimal, StatusInfeasible, statusDualStall:
 			// Fall through to the primal phases for certification,
@@ -909,18 +904,12 @@ func (s *simplex) snapshot() *Basis {
 	return b
 }
 
-// interrupted reports whether the solve's wall-clock budget is spent: the
-// Options deadline has passed or the Options context is done. Checked
-// every 64 iterations by both simplex drivers, so a cancelled solve
-// returns (with StatusIterLimit and a usable basis snapshot) promptly.
+// interrupted reports whether the solve's wall-clock budget is spent:
+// the Options context is done. Checked every 64 iterations by both
+// simplex drivers, so a cancelled solve returns (with StatusIterLimit
+// and a usable basis snapshot) promptly.
 func (s *simplex) interrupted() bool {
-	if !s.opt.Deadline.IsZero() && time.Now().After(s.opt.Deadline) {
-		return true
-	}
-	if s.opt.Context != nil && s.opt.Context.Err() != nil {
-		return true
-	}
-	return false
+	return s.opt.Context != nil && s.opt.Context.Err() != nil
 }
 
 // iterate runs primal simplex iterations until the phase completes.
@@ -932,7 +921,7 @@ func (s *simplex) interrupted() bool {
 // the respective failures.
 func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 	useBland := false
-	checkBudget := !s.opt.Deadline.IsZero() || s.opt.Context != nil
+	checkBudget := s.opt.Context != nil
 	m := s.m
 
 	// Stall escalation: massively degenerate instances can walk objective

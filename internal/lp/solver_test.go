@@ -78,14 +78,14 @@ func solveBoth(t *testing.T, tag string, sv *Solver, p *Problem, opt Options) *S
 }
 
 // dualStartRefused reports whether the dual simplex has no start from
-// opt's basis, so a MethodDual solve of p as stated builds the dual arrays
+// opt's basis, so a dual solve of p as stated builds the dual arrays
 // and the CSR copy and then runs the primal phases instead.
 func dualStartRefused(p *Problem, opt Options) bool {
 	var s simplex
 	s.bind(p, 0, 0, 0)
 	s.reset(opt)
 	s.install()
-	return !s.prepareDual(true)
+	return !s.prepareDual()
 }
 
 // TestSolverMatchesFreshSolve drives one Solver through a seeded stream
@@ -163,7 +163,7 @@ func TestSolverMatchesFreshSolve(t *testing.T) {
 			}
 		}
 
-		opt := Options{Method: []Method{MethodAuto, MethodPrimal, MethodDual}[rng.Intn(3)]}
+		opt := Options{testMethod: []int8{0, forcePrimal, forceDual}[rng.Intn(3)]}
 		switch rng.Intn(24) {
 		case 0: // cold (rarely: each costs fifty warm solves): through presolve, or as stated in the retained context
 			opt.NoPresolve = rng.Intn(2) == 0
@@ -191,7 +191,7 @@ func TestSolverMatchesFreshSolve(t *testing.T) {
 			both(tag+" (perturbed)", opt)
 		case 80, 160: // infeasible: a destination must read more than exists
 			p.SetRHS(readRow, 50)
-			opt.WarmStart, opt.Method = last, MethodDual
+			opt.WarmStart, opt.testMethod = last, 0
 			if sol := both(tag+" (infeasible)", opt); sol.Status != StatusInfeasible {
 				t.Fatalf("%s: status %v, want infeasible", tag, sol.Status)
 			}
@@ -205,7 +205,7 @@ func TestSolverMatchesFreshSolve(t *testing.T) {
 			v := flows[off+at]
 			p.SetBounds(v, 0, Inf)
 			p.SetObj(v, 3)
-			opt = Options{WarmStart: last, Method: MethodDual}
+			opt = Options{WarmStart: last}
 			if !dualStartRefused(p, opt) {
 				t.Fatalf("%s: the dual simplex accepted the start; the step no longer covers the primal fallback", tag)
 			}
@@ -251,7 +251,7 @@ func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
 		name       string
 		p, infeas  *Problem
 		last       *Basis
-		dualRefuse bool // a cold MethodDual solve as stated has no dual start
+		dualRefuse bool // a cold forced-dual solve as stated has no dual start
 	}
 	var corpus []*inst
 	add := func(name string, p *Problem) {
@@ -291,7 +291,7 @@ func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	methods := []Method{MethodAuto, MethodPrimal, MethodDual}
+	methods := []int8{0, forcePrimal, forceDual}
 	seen := map[string]int{}
 	both := func(tag string, in *inst, p *Problem, opt Options) *Solution {
 		t.Helper()
@@ -309,11 +309,11 @@ func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
 		// The ender, on any problem.
 		e, next := corpus[rng.Intn(len(corpus))], (*inst)(nil)
 		tag := fmt.Sprintf("pair %d ender %s", step, e.name)
-		opt := Options{Method: methods[rng.Intn(3)], NoPresolve: rng.Intn(2) == 0}
+		opt := Options{testMethod: methods[rng.Intn(3)], NoPresolve: rng.Intn(2) == 0}
 		switch step % 6 {
 		case 0: // infeasible: found by presolve, by the primal phase 1, or by the dual from a warm basis
 			if e.last != nil && rng.Intn(2) == 0 {
-				opt.WarmStart, opt.Method = e.last.Extended(e.infeas.NumVars(), e.infeas.NumRows()), MethodDual
+				opt.WarmStart, opt.testMethod = e.last.Extended(e.infeas.NumVars(), e.infeas.NumRows()), 0
 			}
 			if sol := both(tag+" (infeasible)", e, e.infeas, opt); sol.Status != StatusInfeasible {
 				t.Fatalf("%s: status %v, want infeasible", tag, sol.Status)
@@ -334,7 +334,7 @@ func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
 			opt.testPerturb = 1 + rng.Intn(2)
 			both(tag+" (perturbed)", e, e.p, opt)
 		case 4: // perturbed bounds, abandoned: the budget runs out in phase 1, which returns without the restore
-			opt = Options{testPerturb: 1, MaxIter: 1, NoPresolve: true, Method: MethodPrimal}
+			opt = Options{testPerturb: 1, MaxIter: 1, NoPresolve: true, testMethod: forcePrimal}
 			if sol := both(tag+" (perturbed, MaxIter)", e, e.p, opt); sol.Status == StatusIterLimit && sv.s.perturbed {
 				abandoned++
 			}
@@ -342,7 +342,7 @@ func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
 			for !e.dualRefuse {
 				e = corpus[rng.Intn(len(corpus))]
 			}
-			both(fmt.Sprintf("pair %d ender %s (dual refused)", step, e.name), e, e.p, Options{Method: MethodDual, NoPresolve: true})
+			both(fmt.Sprintf("pair %d ender %s (dual refused)", step, e.name), e, e.p, Options{testMethod: forceDual, NoPresolve: true})
 			refused++
 		}
 
@@ -360,7 +360,7 @@ func differentProblems(t *testing.T, sv *Solver, rng *rand.Rand) {
 			}
 		}
 		tag = fmt.Sprintf("pair %d %s after %s", step, c.name, e.name)
-		opt = Options{Method: methods[rng.Intn(3)]}
+		opt = Options{testMethod: methods[rng.Intn(3)]}
 		switch mode := rng.Intn(4); {
 		case c == next: // cold, through presolve
 		case mode == 0: // cold, as stated
@@ -420,7 +420,7 @@ func TestResultsOutliveWorkspace(t *testing.T) {
 		solve(b, opt)
 		solve(c, opt)
 		solve(forcing, Options{})
-		opt.WarmStart, opt.Method = ka.sol.Basis, MethodDual
+		opt.WarmStart = ka.sol.Basis
 		a.SetRHS(capRows[0], a.RHS(capRows[0])/2)
 		solve(a, opt) // reads A's basis as a warm start, and must not write through it
 		a.SetRHS(capRows[0], a.RHS(capRows[0])*2)
@@ -469,7 +469,7 @@ func TestSolverSmallProblems(t *testing.T) {
 				p.SetObj(v, float64(rng.Intn(11)-5))
 			}
 			opt := Options{
-				Method:     []Method{MethodAuto, MethodPrimal, MethodDual}[rng.Intn(3)],
+				testMethod: []int8{0, forcePrimal, forceDual}[rng.Intn(3)],
 				NoPresolve: true,
 			}
 			if rng.Intn(3) > 0 {
@@ -486,7 +486,7 @@ func TestSolverSmallProblems(t *testing.T) {
 func TestSolverResetsDevexWeights(t *testing.T) {
 	p := bigLP(rand.New(rand.NewSource(5)), 40, devexMinRows+50)
 	var sv Solver
-	opt := Options{NoPresolve: true, Method: MethodPrimal}
+	opt := Options{NoPresolve: true, testMethod: forcePrimal}
 	for round := 0; round < 3; round++ {
 		got := solveBoth(t, fmt.Sprintf("round %d", round), &sv, p, opt)
 		if round == 0 && (!sv.s.gammaMoved || got.Iterations == 0) {
@@ -520,7 +520,7 @@ func nodeResolve(tb testing.TB) (p *Problem, opt Options, edit func()) {
 			p.SetBounds(v, 0, Inf)
 		}
 	}
-	return p, Options{WarmStart: cold.Basis, Method: MethodDual, NoPresolve: true}, edit
+	return p, Options{WarmStart: cold.Basis, NoPresolve: true}, edit
 }
 
 // TestNodeResolveAllocs: a steady-state warm re-solve on a retained

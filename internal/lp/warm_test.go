@@ -305,8 +305,8 @@ func TestWarmCorruptedBasisRepaired(t *testing.T) {
 				bad.Rows[i] = BasisStatus(rng.Intn(4))
 			}
 		}
-		for _, m := range []Method{MethodAuto, MethodPrimal, MethodDual} {
-			sol, err := Solve(p, Options{WarmStart: bad, Method: m})
+		for _, m := range []int8{0, forcePrimal} { // the start picks the dual
+			sol, err := Solve(p, Options{WarmStart: bad, testMethod: m})
 			if err != nil {
 				t.Fatalf("trial %d method %v: %v", trial, m, err)
 			}
@@ -396,8 +396,8 @@ func TestWarmDroppedColumnsRepaired(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold edited solve: %v", trial, err)
 		}
-		for _, m := range []Method{MethodAuto, MethodPrimal, MethodDual} {
-			sol, err := Solve(q, Options{WarmStart: base.Basis, Method: m})
+		for _, m := range []int8{0, forcePrimal} { // the start picks the dual
+			sol, err := Solve(q, Options{WarmStart: base.Basis, testMethod: m})
 			if err != nil {
 				t.Fatalf("trial %d method %v: %v", trial, m, err)
 			}
@@ -436,7 +436,7 @@ func TestSetRHSAccessors(t *testing.T) {
 	if p.Fingerprint() == fpBefore {
 		t.Fatal("Fingerprint ignored the RHS edit")
 	}
-	sol, err := Solve(p, Options{WarmStart: base.Basis, Method: MethodDual})
+	sol, err := Solve(p, Options{WarmStart: base.Basis})
 	if err != nil || sol.Status != StatusOptimal || sol.Objective != 6 {
 		t.Fatalf("warm resolve: %v %v obj %g, want optimal 6", err, sol.Status, sol.Objective)
 	}

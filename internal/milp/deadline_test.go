@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -22,11 +23,15 @@ func hardKnapsack(rng *rand.Rand, n int) (*Problem, []lp.VarID) {
 	return &Problem{LP: p, Integer: ints}, ints
 }
 
+// TestTimeLimitPropagatesToLP: a context deadline, the search's only
+// time limit, reaches the root and node LP solves.
 func TestTimeLimitPropagatesToLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p, _ := hardKnapsack(rng, 60)
 	start := time.Now()
-	sol := Solve(p, Options{TimeLimit: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	sol := Solve(p, Options{Context: ctx})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("time limit ignored: %v", elapsed)
 	}
@@ -43,10 +48,9 @@ func TestRootIterLimitWithIncumbentReturnsFeasible(t *testing.T) {
 	p, ints := hardKnapsack(rng, 80)
 	// All-zeros is integer feasible for a knapsack.
 	x := make([]float64, p.LP.NumVars())
-	sol := Solve(p, Options{
-		TimeLimit:  time.Nanosecond, // expire immediately
-		IncumbentX: x,
-	})
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	sol := Solve(p, Options{Context: expired, IncumbentX: x})
 	if sol.Status != StatusFeasible && sol.Status != StatusOptimal {
 		t.Fatalf("status = %v, want feasible fallback", sol.Status)
 	}

@@ -3,7 +3,8 @@
 // Gurobi feature set that TE-CCL relies on: exact solves, relative
 // optimality-gap reporting (the primal-dual gap of §5), an early-stop gap
 // threshold (the paper stops Gurobi at a 30% gap for ALLGATHER), time
-// limits (the paper applies a 2-hour timeout), and — like Gurobi — a
+// limits (the paper applies a 2-hour timeout; here they arrive as the
+// deadline of the caller's Options.Context), and — like Gurobi — a
 // concurrent tree search (Options.Workers).
 //
 // Every node below the root resumes the simplex from its parent's basis
@@ -101,14 +102,11 @@ func (s Status) String() string {
 // Options tunes the search. The zero value searches to optimality,
 // serially.
 type Options struct {
-	// TimeLimit stops the search after this wall-clock duration; 0 means
-	// no limit.
-	TimeLimit time.Duration
 	// Context, when non-nil, stops the search once the context is done
-	// (cancelled or past its deadline). The search returns whatever it has
-	// — the incumbent as StatusFeasible, or StatusNoSolution — exactly as
-	// it does when TimeLimit expires; the context is also propagated into
-	// every node LP solve so a cancellation interrupts a relaxation
+	// (cancelled or past its deadline: the search's only wall-clock
+	// limit). The search returns whatever it has — the incumbent as
+	// StatusFeasible, or StatusNoSolution; the context is also propagated
+	// into every node LP solve so a cancellation interrupts a relaxation
 	// mid-pivot rather than waiting for it to finish.
 	Context context.Context
 	// Progress, when non-nil, is called after every evaluated node (and on
@@ -146,8 +144,6 @@ type Options struct {
 	// per round and the loss of equal-bound pruning; leave it off for
 	// raw throughput.
 	Deterministic bool
-	// LP tunes the per-node LP solves.
-	LP lp.Options
 	// IncumbentX optionally provides a known integer-feasible point to
 	// warm-start pruning (a caller-verified heuristic solution). Its
 	// objective is computed from the problem's cost vector. It only
@@ -167,6 +163,10 @@ type Options struct {
 	// reoptimizes the root as stated and a name-transferred one is a
 	// hint that goes through presolve.
 	RootWarmStart *lp.Basis
+	// RootCrash optionally seeds a cold root relaxation (no
+	// RootWarmStart) with a structural guess, passed to the root solve as
+	// lp.Options.Crash; node re-solves never see it.
+	RootCrash *lp.Basis
 }
 
 // Solution is the result of a MILP solve.
@@ -538,35 +538,19 @@ func (ms *Solver) run(p *Problem, opt Options) *Solution {
 		s.incObj.Store(obj)
 	}
 
-	// Propagate the wall-clock limit and context into individual LP solves
-	// so a single slow relaxation cannot blow past the budget or outlive a
-	// cancellation.
-	lpOpt := opt.LP
-	if opt.TimeLimit > 0 && lpOpt.Deadline.IsZero() {
-		lpOpt.Deadline = s.start.Add(opt.TimeLimit)
-	}
-	if opt.Context != nil && lpOpt.Context == nil {
-		lpOpt.Context = opt.Context
-	}
-
-	// Child-node LP options: reoptimize from the parent basis with the
-	// dual simplex — a parent optimum stays dual feasible after the
-	// branching bound change, so the dual walks back to the child optimum
-	// with no feasibility phase — and skip presolve, since a node LP
-	// differs from its parent by a single bound, far too little to repay
-	// a fresh reduction pass.
-	s.childOpt = lpOpt
-	if s.childOpt.Method == lp.MethodAuto {
-		s.childOpt.Method = lp.MethodDual
-	}
-	s.childOpt.NoPresolve = true
-	// Nodes always resume from their parent's basis; a root crash basis
-	// must not leak into node re-solves.
-	s.childOpt.Crash = nil
+	// Every LP solve runs under the search's context, so a single slow
+	// relaxation cannot outlive a cancellation or the deadline. Child
+	// nodes resume from their parent's basis, which runs the dual simplex
+	// — a parent optimum stays dual feasible after the branching bound
+	// change, so the dual walks back to the child optimum with no
+	// feasibility phase — and skip presolve, since a node LP differs from
+	// its parent by a single bound, far too little to repay a fresh
+	// reduction pass.
+	s.childOpt = lp.Options{Context: opt.Context, NoPresolve: true}
 
 	// Root.
-	lpOpt.WarmStart = opt.RootWarmStart
-	rootSol, err := s.pool[0].solver.Solve(p.LP, lpOpt)
+	rootSol, err := s.pool[0].solver.Solve(p.LP, lp.Options{
+		Context: opt.Context, WarmStart: opt.RootWarmStart, Crash: opt.RootCrash})
 	if rootSol != nil {
 		s.sol.RootIterations = rootSol.Iterations
 		s.sol.Refactorizations = rootSol.Refactorizations
@@ -657,18 +641,12 @@ func (ms *Solver) run(p *Problem, opt Options) *Solution {
 	return s.sol
 }
 
-// limitsHit checks the node, wall-clock, and context budgets.
+// limitsHit checks the node and context budgets.
 func (s *search) limitsHit() bool {
 	if s.opt.MaxNodes > 0 && s.nodes >= s.opt.MaxNodes {
 		return true
 	}
-	if s.opt.TimeLimit > 0 && time.Since(s.start) > s.opt.TimeLimit {
-		return true
-	}
-	if s.opt.Context != nil && s.opt.Context.Err() != nil {
-		return true
-	}
-	return false
+	return s.opt.Context != nil && s.opt.Context.Err() != nil
 }
 
 // emitProgress reports the current search state through Options.Progress.

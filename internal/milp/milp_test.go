@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,7 +135,9 @@ func TestTimeLimit(t *testing.T) {
 		terms = append(terms, lp.Term{Var: v, Coeff: 1 + rng.Float64()})
 	}
 	p.AddRow(terms, lp.LE, 17.5)
-	sol := Solve(&Problem{LP: p, Integer: ints}, Options{TimeLimit: time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	sol := Solve(&Problem{LP: p, Integer: ints}, Options{Context: ctx})
 	// Either it finished very fast or it respected the limit; both fine,
 	// but the call must return promptly and coherently.
 	if sol.Elapsed > 5*time.Second {
