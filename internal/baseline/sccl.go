@@ -123,17 +123,72 @@ func alphaZeroClone(t *topo.Topology) *topo.Topology {
 // here because SCCL targets switchless single-chassis boxes — on switched
 // topologies this is generous to SCCL.
 func synthesizeSteps(ctx context.Context, t *topo.Topology, d *collective.Demand, steps, rounds int) (*schedule.Schedule, error) {
-	type comm struct {
-		src, chunk int
-		dests      []int
+	m := buildSCCL(t, d, steps, rounds)
+	if len(m.comms) == 0 {
+		return &schedule.Schedule{Topo: t, Demand: d, Tau: 1, NumEpochs: 0, AllowCopy: true}, nil
 	}
-	var comms []comm
+	msol := milp.Solve(&milp.Problem{LP: m.p, Integer: m.ints}, milp.Options{Context: ctx})
+	if msol.Status != milp.StatusOptimal && msol.Status != milp.StatusFeasible {
+		return nil, fmt.Errorf("baseline: SCCL %d-step synthesis: %v", steps, msol.Status)
+	}
+
+	// Extract with steps mapped onto epochs 1:1. The τ here is only a
+	// label; scclTransferTime computes the true barrier cost.
+	var sends []schedule.Send
+	for ci, cm := range m.comms {
+		for l := 0; l < t.NumLinks(); l++ {
+			for k := 0; k < steps; k++ {
+				if msol.X[m.fvar[ci][l][k]] > 0.5 {
+					sends = append(sends, schedule.Send{
+						Src: cm.src, Chunk: cm.chunk,
+						Link: topo.LinkID(l), Epoch: k, Fraction: 1,
+					})
+				}
+			}
+		}
+	}
+	// SCCL schedules are step-indexed: one epoch = one synchronous step,
+	// with α paid per step outside the timeline. Validating and pruning
+	// against an α-zero topology makes the step semantics line up with
+	// the epoch machinery; scclTransferTime is the real execution model.
+	s := &schedule.Schedule{
+		Topo: alphaZeroClone(t), Demand: d,
+		Tau:       barrierTau(t, d) * float64(rounds),
+		NumEpochs: steps, Sends: sends, AllowCopy: true,
+	}
+	s = s.Prune()
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("baseline: SCCL synthesis invalid: %w", err)
+	}
+	return s, nil
+}
+
+// scclComm is one (source, chunk) commodity of the barrier model and the
+// destinations that want it.
+type scclComm struct {
+	src, chunk int
+	dests      []int
+}
+
+// scclModel is the barrier-model feasibility MILP of one (steps, rounds)
+// instance, with the commodities and the F[ci][l][s] send columns a
+// solution is read back through. p is nil when nothing is demanded.
+type scclModel struct {
+	p     *lp.Problem
+	ints  []lp.VarID
+	comms []scclComm
+	fvar  [][][]int32
+}
+
+// buildSCCL states the barrier-model MILP synthesizeSteps solves.
+func buildSCCL(t *topo.Topology, d *collective.Demand, steps, rounds int) *scclModel {
+	var comms []scclComm
 	for s := 0; s < d.NumNodes(); s++ {
 		for c := 0; c < d.NumChunks(); c++ {
 			if !d.SourceHasChunk(s, c) {
 				continue
 			}
-			cm := comm{src: s, chunk: c}
+			cm := scclComm{src: s, chunk: c}
 			for dst := 0; dst < d.NumNodes(); dst++ {
 				if d.Wants(s, c, dst) {
 					cm.dests = append(cm.dests, dst)
@@ -143,7 +198,7 @@ func synthesizeSteps(ctx context.Context, t *topo.Topology, d *collective.Demand
 		}
 	}
 	if len(comms) == 0 {
-		return &schedule.Schedule{Topo: t, Demand: d, Tau: 1, NumEpochs: 0, AllowCopy: true}, nil
+		return &scclModel{}
 	}
 
 	p := lp.NewProblem(lp.Maximize)
@@ -242,40 +297,7 @@ func synthesizeSteps(ctx context.Context, t *topo.Topology, d *collective.Demand
 		}
 	}
 
-	msol := milp.Solve(&milp.Problem{LP: p, Integer: ints}, milp.Options{Context: ctx})
-	if msol.Status != milp.StatusOptimal && msol.Status != milp.StatusFeasible {
-		return nil, fmt.Errorf("baseline: SCCL %d-step synthesis: %v", steps, msol.Status)
-	}
-
-	// Extract with steps mapped onto epochs 1:1. The τ here is only a
-	// label; scclTransferTime computes the true barrier cost.
-	var sends []schedule.Send
-	for ci, cm := range comms {
-		for l := 0; l < nL; l++ {
-			for k := 0; k < steps; k++ {
-				if msol.X[fvar[ci][l][k]] > 0.5 {
-					sends = append(sends, schedule.Send{
-						Src: cm.src, Chunk: cm.chunk,
-						Link: topo.LinkID(l), Epoch: k, Fraction: 1,
-					})
-				}
-			}
-		}
-	}
-	// SCCL schedules are step-indexed: one epoch = one synchronous step,
-	// with α paid per step outside the timeline. Validating and pruning
-	// against an α-zero topology makes the step semantics line up with
-	// the epoch machinery; scclTransferTime is the real execution model.
-	s := &schedule.Schedule{
-		Topo: alphaZeroClone(t), Demand: d,
-		Tau:       barrierTau(t, d) * float64(rounds),
-		NumEpochs: steps, Sends: sends, AllowCopy: true,
-	}
-	s = s.Prune()
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("baseline: SCCL synthesis invalid: %w", err)
-	}
-	return s, nil
+	return &scclModel{p: p, ints: ints, comms: comms, fvar: fvar}
 }
 
 // barrierTau is the duration of one synchronous step's transmission wave:

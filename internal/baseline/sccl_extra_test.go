@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -84,5 +86,32 @@ func TestSPFRespectsMaxEpochs(t *testing.T) {
 	r := SolveSPF(tp, d, 1)
 	if r.Feasible {
 		t.Fatal("4 chunks per pair cannot fit one epoch")
+	}
+}
+
+// TestSCCLModelCoefficientsUnit extends core's TestModelCoefficientsUnit
+// to the SCCL baseline's barrier model: every row coefficient is ±1
+// (buffer recurrence, send-requires-holding, per-step link multiplicity),
+// so presolve hands it to the simplex unscaled too. lp exports no row
+// accessor, so the rows are read by reflection.
+func TestSCCLModelCoefficientsUnit(t *testing.T) {
+	for _, tp := range []*topo.Topology{topo.Ring(4, 1e9, 1e-6), topo.Line(3, 1e9, 1e-6), topo.Star(3, 1e9, 1e-6), topo.DGX1()} {
+		g := gpuIDs(tp)
+		for dname, d := range map[string]*collective.Demand{
+			"alltoall":  collective.AllToAll(tp.NumNodes(), g, 2, 1e6),
+			"allgather": collective.AllGather(tp.NumNodes(), g, 2, 1e6),
+		} {
+			name := fmt.Sprintf("%s/%s", tp.Name, dname)
+			rows := reflect.ValueOf(buildSCCL(tp, d, 3, 2).p).Elem().FieldByName("rows")
+		scan:
+			for i := 0; i < rows.Len(); i++ {
+				for k := 0; k < rows.Index(i).Len(); k++ {
+					if c := rows.Index(i).Index(k).FieldByName("Coeff").Float(); c != 1 && c != -1 {
+						t.Errorf("%s: row %d has coefficient %g; every model row must be ±1", name, i, c)
+						break scan
+					}
+				}
+			}
+		}
 	}
 }

@@ -240,7 +240,7 @@ type Result struct {
 	Epochs    int     // horizon used
 	Tau       float64 // epoch duration used
 	Rounds    int     // A* rounds used (0 for single-shot solvers)
-	Windows   int     // rolling-horizon windows solved (a fallback counts those it abandoned)
+	Windows   int     // rolling-horizon window solves, retried and abandoned ones included
 
 	// Solver-effort counters. RootIterations is the simplex iteration
 	// count of the main solve: the root relaxation on the MILP path, the

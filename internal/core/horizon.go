@@ -207,6 +207,14 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 		if err != nil {
 			return nil, err
 		}
+		// Every window solve counts, the ones retried at a longer horizon
+		// or a wider window and the ones a fallback abandons included.
+		if res.Windows == 0 {
+			warmFirst, crashFirst = warm != nil, lpOpt.Crash != nil
+		}
+		res.Windows++
+		res.addLP(sol)
+		opt.Progress.emit(lpSample("horizon", "window", res.Windows, sol.Iterations, sol.Objective, sol.Status == lp.StatusOptimal))
 		switch sol.Status {
 		case lp.StatusOptimal:
 		case lp.StatusInfeasible:
@@ -250,13 +258,6 @@ func solveHorizon(ctx context.Context, t *topo.Topology, d *collective.Demand, o
 		} else {
 			stalled = 0
 		}
-
-		if res.Windows == 0 {
-			warmFirst, crashFirst = warm != nil, lpOpt.Crash != nil
-		}
-		res.Windows++
-		res.addLP(sol)
-		opt.Progress.emit(lpSample("horizon", "window", res.Windows, sol.Iterations, sol.Objective, true))
 
 		if warmBases != nil {
 			warmBases.record(wlp.P, sol.Basis)

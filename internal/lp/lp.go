@@ -32,8 +32,8 @@
 //
 //   - A complete basis — dimensions match the problem and exactly NumRows
 //     variables and slacks are basic — is an advanced start. Solve
-//     reoptimizes the problem as stated from it: no presolve, no scaling,
-//     one factorization. Every Solution.Basis is complete for the problem
+//     reoptimizes the problem as stated from it: no presolve, one
+//     factorization. Every Solution.Basis is complete for the problem
 //     it solved and stays complete across SetBounds/SetRHS/SetObj edits
 //     and Basis.Extended, so re-solving from a solve's own basis costs a
 //     pricing pass, and absorbing a bound or right-hand-side edit costs
@@ -46,8 +46,8 @@
 //     solve goes through presolve; the hint's statuses are carried onto
 //     the surviving rows and columns and the install pass truncates or
 //     slack-pads the result, so the hint shortens phase 1 but does not
-//     skip it. Presolve's smaller, equilibrated model is worth more than
-//     the hint's exact shape here.
+//     skip it. Presolve's smaller model is worth more than the hint's
+//     exact shape here.
 //
 // # Columns: keys, names, storage
 //
@@ -547,12 +547,12 @@ type Options struct {
 	// mid-update, for the pool's robustness tests. Test hook only, like
 	// testPerturb.
 	testPanic int
-	// NoPresolve disables the presolve/scaling layer and solves the
-	// problem as stated (a complete WarmStart implies it). Presolve is on
-	// otherwise: fixed variables, empty/singleton/forcing/redundant rows,
-	// and safe doubleton substitutions are eliminated and the remaining
-	// matrix is equilibrated before the simplex runs; the solution (X,
-	// Duals, and Basis) is mapped back to the original problem afterwards.
+	// NoPresolve disables the presolve layer and solves the problem as
+	// stated (a complete WarmStart implies it). Presolve is on otherwise:
+	// fixed variables, empty/singleton/forcing/redundant rows, and safe
+	// doubleton substitutions are eliminated before the simplex runs; the
+	// solution (X, Duals, and Basis) is mapped back to the original
+	// problem afterwards.
 	NoPresolve bool
 }
 

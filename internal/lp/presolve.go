@@ -4,21 +4,20 @@ package lp
 // simplex methods. Before a solve, the problem is reduced — fixed
 // variables substituted out, empty/singleton rows folded into variable
 // bounds, forcing and redundant rows detected from activity bounds, safe
-// doubleton (implied-free column singleton) substitutions applied — and
-// the surviving matrix is equilibrated with Curtis–Reid-style iterative
-// geometric-mean scaling, rounded to powers of two so the scaling itself
-// introduces no floating-point error. After the solve, postsolve maps the
-// reduced Solution (X, Duals, and the Basis snapshot) back onto the
-// original problem, reconstructing a valid square basis: every dropped
-// row regains exactly one basic variable (its own slack, or the variable
-// the row determined), so warm-start chaining across solves — including
-// the variable-name basis transfer in internal/core — works unchanged
-// whether presolve ran or not.
+// doubleton (implied-free column singleton) substitutions applied. After
+// the solve, postsolve maps the reduced Solution (X, Duals, and the Basis
+// snapshot) back onto the original problem, reconstructing a valid square
+// basis: every dropped row regains exactly one basic variable (its own
+// slack, or the variable the row determined), so warm-start chaining
+// across solves — including the column-key basis transfer in
+// internal/core — works unchanged whether presolve ran or not.
 //
 // Time-expanded flow LPs are the target workload: their horizons produce
 // long chains of fixed/implied variables, per-epoch capacity singletons,
 // and rows made redundant by reachability windows, which presolve removes
-// before the simplex ever factorizes a basis.
+// before the simplex ever factorizes a basis. Every coefficient those
+// models write is ±1, so the reduced matrix goes to the simplex as it
+// stands.
 
 import "math"
 
@@ -58,9 +57,9 @@ type psOp struct {
 
 // presolver is the presolve scratch of a solve workspace (see Solver): the
 // working reduction state, kept in original index space, then the
-// finished reduction — the reduced problem, the index maps and scales
-// connecting it to the original, and the op log postsolve replays. reset
-// starts a reduction of a new problem in the storage the last one left.
+// finished reduction — the reduced problem, the index maps connecting it
+// to the original, and the op log postsolve replays. reset starts a
+// reduction of a new problem in the storage the last one left.
 type presolver struct {
 	p *Problem
 
@@ -98,11 +97,6 @@ type presolver struct {
 	redVars []int32 // reduced var -> orig var
 	rowMap  []int32
 	redRows []int32
-
-	rowScale []float64 // original index space; 1 for dropped rows
-	colScale []float64
-	colMin   []float64 // equilibration scratch, reduced index space
-	colMax   []float64
 }
 
 func (ps *presolver) reset(p *Problem) {
@@ -457,43 +451,6 @@ func (ps *presolver) doubletonPass() bool {
 	return changed
 }
 
-// emptyColPass pins variables that appear in no live row at their
-// objective-preferred bound. Variables whose improving direction is
-// unbounded are left in the problem so the simplex reports unboundedness.
-func (ps *presolver) emptyColPass() bool {
-	changed := false
-	sign := 1.0
-	if ps.p.Dir == Maximize {
-		sign = -1.0
-	}
-	for v := range ps.varLive {
-		if !ps.varLive[v] || ps.colCount[v] != 0 {
-			continue
-		}
-		c := sign * ps.obj[v] // minimization form: want the smaller c·x
-		var val float64
-		var bs BasisStatus
-		switch {
-		case c > 0 && !math.IsInf(ps.lo[v], -1):
-			val, bs = ps.lo[v], BasisAtLower
-		case c < 0 && !math.IsInf(ps.hi[v], 1):
-			val, bs = ps.hi[v], BasisAtUpper
-		case c == 0 && !math.IsInf(ps.lo[v], -1):
-			val, bs = ps.lo[v], BasisAtLower
-		case c == 0 && !math.IsInf(ps.hi[v], 1):
-			val, bs = ps.hi[v], BasisAtUpper
-		case c == 0:
-			val, bs = 0, BasisFree
-		default:
-			continue // improving direction unbounded: leave for the solver
-		}
-		ps.varLive[v] = false
-		ps.ops = append(ps.ops, psOp{kind: opFixVar, row: -1, v: v, val: val, bs: bs})
-		changed = true
-	}
-	return changed
-}
-
 // run drives the reduction passes to a fixpoint (bounded by a handful of
 // sweeps; each pass only fires on work the previous one created).
 func (ps *presolver) run() {
@@ -506,42 +463,16 @@ func (ps *presolver) run() {
 			break
 		}
 	}
-	if !ps.infeasible {
-		ps.emptyColPass()
-	}
 }
 
-// pow2Round rounds a positive scale to the nearest power of two, so
-// applying it is exact in floating point.
-func pow2Round(s float64) float64 {
-	if s <= 0 || math.IsInf(s, 0) || math.IsNaN(s) {
-		return 1
-	}
-	e := math.Round(math.Log2(s))
-	if e > 20 {
-		e = 20
-	} else if e < -20 {
-		e = -20
-	}
-	return math.Ldexp(1, int(e))
-}
-
-// build materializes the reduced problem ps.red, running the
-// Curtis–Reid-style equilibration (iterative geometric-mean row/column
-// scaling, rounded to powers of two) over the surviving matrix. The room
-// arguments are bind's: what storage the reduction outgrows is sized by.
+// build materializes the reduced problem ps.red from the surviving rows
+// and columns. The room arguments are bind's: what storage the reduction
+// outgrows is sized by.
 func (ps *presolver) build(roomN, roomM, roomNnz int) {
 	p := ps.p
 	n, m := p.NumVars(), p.NumRows()
 	ps.varMap, ps.redVars = fit(ps.varMap, n, 0), fit(ps.redVars, n, 0)[:0]
 	ps.rowMap, ps.redRows = fit(ps.rowMap, m, 0), fit(ps.redRows, m, 0)[:0]
-	ps.rowScale, ps.colScale = fit(ps.rowScale, m, 0), fit(ps.colScale, n, 0)
-	for i := range ps.rowScale {
-		ps.rowScale[i] = 1
-	}
-	for j := range ps.colScale {
-		ps.colScale[j] = 1
-	}
 	for j := 0; j < n; j++ {
 		if ps.varLive[j] {
 			ps.varMap[j] = int32(len(ps.redVars))
@@ -561,103 +492,38 @@ func (ps *presolver) build(roomN, roomM, roomNnz int) {
 		}
 	}
 
-	// Equilibration on the live submatrix: alternate row and column
-	// geometric-mean scaling, then snap to powers of two.
-	const scaleIters = 3
-	colMin, colMax := fit(ps.colMin, len(ps.redVars), roomN), fit(ps.colMax, len(ps.redVars), roomN)
-	ps.colMin, ps.colMax = colMin, colMax
-	for it := 0; it < scaleIters; it++ {
-		for _, i32 := range ps.redRows {
-			i := int(i32)
-			minA, maxA := math.Inf(1), 0.0
-			for _, t := range ps.rows[i] {
-				a := math.Abs(t.Coeff) * ps.rowScale[i] * ps.colScale[t.Var]
-				if a < minA {
-					minA = a
-				}
-				if a > maxA {
-					maxA = a
-				}
-			}
-			if maxA > 0 && minA > 0 {
-				ps.rowScale[i] /= math.Sqrt(minA * maxA)
-			}
-		}
-		for k := range colMin {
-			colMin[k], colMax[k] = math.Inf(1), 0
-		}
-		for _, i32 := range ps.redRows {
-			i := int(i32)
-			for _, t := range ps.rows[i] {
-				k := ps.varMap[t.Var]
-				a := math.Abs(t.Coeff) * ps.rowScale[i] * ps.colScale[t.Var]
-				if a < colMin[k] {
-					colMin[k] = a
-				}
-				if a > colMax[k] {
-					colMax[k] = a
-				}
-			}
-		}
-		for k, j32 := range ps.redVars {
-			if colMax[k] > 0 && !math.IsInf(colMin[k], 1) && colMin[k] > 0 {
-				ps.colScale[j32] /= math.Sqrt(colMin[k] * colMax[k])
-			}
-		}
-	}
-	for _, i32 := range ps.redRows {
-		ps.rowScale[i32] = pow2Round(ps.rowScale[i32])
-	}
-	for _, j32 := range ps.redVars {
-		ps.colScale[j32] = pow2Round(ps.colScale[j32])
-	}
-
-	// Materialize the reduced, scaled problem: A' = R·A·C, b' = R·b,
-	// c' = C·c, bounds' = bounds/C (so x = C·x') — at its exact size, in
-	// the storage of the last one, each row merged as AddRow would merge
-	// it. The reduction is private to the solve and carries no names.
+	// Materialize the reduced problem at its exact size, in the storage of
+	// the last one, each row merged as AddRow would merge it. The
+	// reduction is private to the solve and carries no names.
 	red := &ps.red
 	red.Dir = p.Dir
 	nr, mr := len(ps.redVars), len(ps.redRows)
 	red.lo, red.hi, red.obj = fit(red.lo, nr, roomN), fit(red.hi, nr, roomN), fit(red.obj, nr, roomN)
-	for k, j32 := range ps.redVars {
-		j := int(j32)
-		c := ps.colScale[j]
-		lo, hi := ps.lo[j], ps.hi[j]
-		if !math.IsInf(lo, -1) {
-			lo /= c
-		}
-		if !math.IsInf(hi, 1) {
-			hi /= c
-		}
-		red.lo[k], red.hi[k], red.obj[k] = lo, hi, ps.obj[j]*c
+	for k, j := range ps.redVars {
+		red.lo[k], red.hi[k], red.obj[k] = ps.lo[j], ps.hi[j], ps.obj[j]
 	}
 	red.rows, red.senses, red.rhs = fit(red.rows, mr, roomM), fit(red.senses, mr, roomM), fit(red.rhs, mr, roomM)
 	arena, terms := fit(ps.redArena, live, roomNnz)[:0], ps.terms
 	for k, i32 := range ps.redRows {
 		i := int(i32)
-		r := ps.rowScale[i]
 		terms = terms[:0]
 		for _, t := range ps.rows[i] {
-			terms = append(terms, Term{
-				Var:   VarID(ps.varMap[t.Var]),
-				Coeff: t.Coeff * r * ps.colScale[t.Var],
-			})
+			terms = append(terms, Term{Var: VarID(ps.varMap[t.Var]), Coeff: t.Coeff})
 		}
 		at := len(arena)
 		arena = append(arena, red.mergeTerms(terms, nil)...)
-		red.rows[k], red.senses[k], red.rhs[k] = arena[at:], ps.senses[i], ps.rhs[i]*r
+		red.rows[k], red.senses[k], red.rhs[k] = arena[at:], ps.senses[i], ps.rhs[i]
 	}
 	ps.redArena, ps.terms = arena, terms
 }
 
 // mapBasis carries a starting hint of the original problem onto the
-// reduced one by dropping the statuses of eliminated rows and columns
-// (statuses are scale-invariant). The result generally has the wrong
-// number of basics for the reduction — the install pass truncates or
-// slack-pads it — so it seeds phase 1 rather than resuming a solve;
-// complete bases never come here (Solve reoptimizes the original problem
-// from them). Mismatched dimensions fall back to a cold start.
+// reduced one by dropping the statuses of eliminated rows and columns.
+// The result generally has the wrong number of basics for the reduction
+// — the install pass truncates or slack-pads it — so it seeds phase 1
+// rather than resuming a solve; complete bases never come here (Solve
+// reoptimizes the original problem from them). Mismatched dimensions
+// fall back to a cold start.
 func (ps *presolver) mapBasis(b *Basis) *Basis {
 	if b == nil || len(b.Vars) != ps.p.NumVars() || len(b.Rows) != ps.p.NumRows() {
 		return nil
@@ -685,10 +551,10 @@ func tightSlackStatus(s Sense) BasisStatus {
 	return BasisAtLower
 }
 
-// post maps the reduced solution back onto the original problem: values
-// unscale, eliminated variables and dropped rows are reconstructed by
-// replaying the op log in reverse, and the objective is recomputed from
-// the original cost vector.
+// post maps the reduced solution back onto the original problem:
+// eliminated variables and dropped rows are reconstructed by replaying
+// the op log in reverse, and the objective is recomputed from the
+// original cost vector.
 func (ps *presolver) post(rsol *Solution) *Solution {
 	p := ps.p
 	n, m := p.NumVars(), p.NumRows()
@@ -704,7 +570,7 @@ func (ps *presolver) post(rsol *Solution) *Solution {
 	if rsol.X != nil {
 		x = make([]float64, n)
 		for k, j := range ps.redVars {
-			x[j] = rsol.X[k] * ps.colScale[j]
+			x[j] = rsol.X[k]
 		}
 	}
 	var duals []float64
@@ -715,7 +581,7 @@ func (ps *presolver) post(rsol *Solution) *Solution {
 		duals = make([]float64, m)
 		for k, i := range ps.redRows {
 			if rsol.Duals != nil {
-				duals[i] = rsol.Duals[k] * ps.rowScale[i]
+				duals[i] = rsol.Duals[k]
 			}
 		}
 	}

@@ -298,9 +298,11 @@ func TestPresolveInfeasible(t *testing.T) {
 	}
 }
 
-// TestPresolveEmptyAndScaling: empty rows/columns vanish, and the
-// equilibration scaling round-trips a badly scaled instance exactly.
-func TestPresolveEmptyAndScaling(t *testing.T) {
+// TestPresolveEmptyAndBadlyScaled: an empty row drops, an empty column
+// lands inside its bounds, and a badly scaled row (coefficients 1e6 and
+// 1e-4) still solves to its optimum through presolve, which does not
+// rescale.
+func TestPresolveEmptyAndBadlyScaled(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVar("x", 0, Inf, 1e-6)
 	y := p.AddVar("y", 0, Inf, 1e6)

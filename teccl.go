@@ -287,8 +287,9 @@ func SolveAStar(t *Topology, d *Demand, opt Options) (*Result, error) {
 // schedule validated like any monolithic solve. Options.HorizonWindow,
 // HorizonOverlap, HorizonCertify, AutoEpochMultiplier, and
 // HorizonCellBudget tune it; zero values auto-size from the topology.
-// Result.Windows reports how many windows were solved, counting those a
-// fallback to one monolithic solve abandoned.
+// Result.Windows reports how many window solves ran, counting those
+// retried at a longer horizon or a wider window and those a fallback to
+// one monolithic solve abandoned.
 func SolveHorizon(t *Topology, d *Demand, opt Options) (*Result, error) {
 	return solveVia(t, d, opt, SolverHorizon)
 }
