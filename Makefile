@@ -174,8 +174,10 @@ identity:
 # and the side that starts rotated, and prints
 # CHANGES.md's `median [q1, q3] | delta | wins | bound | inside` row for
 # each of the eight end-to-end metrics, every run's reading, and the
-# hypervisor steal over the runs (scripts/pair.sh). About a minute per
-# pair. Not part of `ci`.
+# hypervisor steal over the runs (scripts/pair.sh). RECORD=<file> also
+# writes every run's summary and the rows as JSON (a BENCH_*.json at the
+# root, which TestBenchRecords re-derives). About a minute per pair. Not
+# part of `ci`.
 pair:
-	@test -n "$(PARENT)" || { echo "usage: make pair PARENT=<ref> [WORKLOAD=<name>] [PAIRS=<n>] [SEED=<s>]"; exit 2; }
-	bash scripts/pair.sh "$(PARENT)" $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
+	@test -n "$(PARENT)" || { echo "usage: make pair PARENT=<ref> [WORKLOAD=<name>] [PAIRS=<n>] [SEED=<s>] [RECORD=<file>]"; exit 2; }
+	bash scripts/pair.sh "$(PARENT)" $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) $(if $(RECORD),--record $(RECORD))

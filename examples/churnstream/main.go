@@ -85,8 +85,8 @@ func main() {
 	}
 
 	st := planner.Stats()
-	fmt.Printf("\nsession: %d replans — %d incremental pivots, %d fallbacks "+
+	fmt.Printf("\nsession: %d replans — %d incremental pivots, %d resumes, %d fallbacks "+
 		"(%d structural, %d budget, %d sour)\n",
-		st.Replans, st.ReplanPivots, st.ReplanFallbacks,
+		st.Replans, st.ReplanPivots, st.ReplanResumes, st.ReplanFallbacks,
 		st.ReplanFallbackStructural, st.ReplanFallbackBudget, st.ReplanFallbackSour)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -17,13 +18,21 @@ import (
 // instrumentation allocates (+7 % on an A* plan).
 func skipUnderRace(t *testing.T) {
 	t.Helper()
+	if underRace() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+}
+
+// underRace reports whether the test binary runs under the race detector.
+func underRace() bool {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("the race detector's instrumentation allocates")
+				return true
 			}
 		}
 	}
+	return false
 }
 
 // allocsOf reports what one call of f allocates, bytes and objects, once
@@ -205,28 +214,34 @@ func TestSessionRetention(t *testing.T) {
 // TestSessionRetentionAcrossChurn pins what a session keeps through the
 // churn_replan benchmark's seven-delta script on DGX1 at the fastest-link
 // τ. The replay cache's model index crosses every Replan, so by recover
-// the session holds the entries of its base plan and of its three
-// structural fallbacks — recipes, schedules and bases, no model. After
-// every delta the only lp.Problem reachable from the session is the
-// incumbent's, and recover, served by replaying restore's entry, leaves
-// an incumbent with no model at all. The session holds 50 KB of heap
-// (49 632–50 128 B); the bound is the reading + 10 %.
+// the session holds the entries of its base plan and of its two cold
+// structural fallbacks (degrade, straggler) — recipes, schedules and
+// bases, no model; restore and recover resume the incumbent the fallback
+// before them displaced. After every delta the only lp.Problem reachable
+// from the session is the incumbent's, and recover leaves an incumbent
+// with no model at all: its recipe and basis, beside the displaced
+// straggler incumbent's. The session holds 66–67 KB of heap (66 296–66 344 B;
+// 50 KB before resumes, when recover replayed and nothing was displaced);
+// the bound is the reading + 10 %.
+//
+// Then a fresh session replans maxRecipeSteps incremental deltas (a pair
+// dropped and re-added in turn) and one structural fallback: it still
+// pins exactly one lp.Problem, the cold plan's, and the displaced
+// incumbent is kept as a recipe of maxRecipeSteps steps, which holds
+// 16.7 KB of heap (16 736 B: eight dropped pairs, eight re-added
+// demands, the basis, the world it was displaced from); its bound is the
+// reading + 10 %. One incremental
+// delta more and the lineage is past the cap: the fallback keeps nothing.
 func TestSessionRetentionAcrossChurn(t *testing.T) {
 	spareThreads(8)
 	before := liveHeap()
 	s := newScriptSession(t, topo.DGX1(), Options{})
 	pl := s.pl
 	for _, kind := range churnScript {
-		p, rung := s.replan(t, s.delta(t, kind))
-		var want []uintptr
-		if m := pl.incumbent.model; m != nil {
-			want = append(want, reflect.ValueOf(m.p).Pointer())
-		}
-		if got := problemsReachable(pl); !reflect.DeepEqual(got, want) {
-			t.Errorf("after %s: %d lp.Problems reachable from the session, want %d (the incumbent's)", kind, len(got), len(want))
-		}
-		if kind == "recover" && (!p.CacheHit || rung != "structural-replay" || len(want) != 0) {
-			t.Errorf("recover: %s (cache hit %v, incumbent model %v), want a replay leaving no model", rung, p.CacheHit, len(want) != 0)
+		_, rung := s.replan(t, s.delta(t, kind))
+		assertOneProblem(t, pl, "after "+kind)
+		if kind == "recover" && (rung != "resume" || pl.incumbent.model != nil) {
+			t.Errorf("recover: %s (incumbent model %v), want a resume leaving no model", rung, pl.incumbent.model != nil)
 		}
 	}
 	carried := 0
@@ -238,15 +253,62 @@ func TestSessionRetentionAcrossChurn(t *testing.T) {
 			carried++
 		}
 	}
-	if carried != 4 || pl.state.lpCache.size != carried {
-		t.Errorf("the session carries %d replay entries (size %d), want the base plan's and three fallbacks'", carried, pl.state.lpCache.size)
+	if carried != 3 || pl.state.lpCache.size != carried {
+		t.Errorf("the session carries %d replay entries (size %d), want the base plan's and two fallbacks'", carried, pl.state.lpCache.size)
 	}
 	retained := liveHeap() - before
 	runtime.KeepAlive(s)
-	skipUnderRace(t)
-	const maxBytes = 54_700
-	if retained > maxBytes {
+	const maxBytes = 73_500
+	if !underRace() && retained > maxBytes {
 		t.Errorf("the session retains %d bytes, budget %d", retained, maxBytes)
+	}
+
+	for _, steps := range []int{maxRecipeSteps, maxRecipeSteps + 1} {
+		s := newScriptSession(t, topo.DGX1(), Options{})
+		for i := 0; i < steps; i++ {
+			// Past the cap the incumbent keeps no recipe, which
+			// assertRecipesRestate (in s.replan) would refuse.
+			kind := []string{"drop", "readd"}[i%2]
+			if p, err := s.pl.Replan(context.Background(), s.delta(t, kind)); err != nil || p.ReplanFallback {
+				t.Fatalf("%s %d of %d: %v (fallback %v), want incremental", kind, i+1, steps, err, p != nil && p.ReplanFallback)
+			}
+		}
+		if p, err := s.pl.Replan(context.Background(), s.delta(t, "straggler")); err != nil || !p.ReplanFallback || p.CacheHit {
+			t.Fatalf("straggler after %d incremental deltas: %v, want a cold fallback", steps, err)
+		}
+		assertOneProblem(t, s.pl, fmt.Sprintf("a fallback after %d incremental deltas", steps))
+		kept := s.pl.displaced != nil
+		if want := steps <= maxRecipeSteps; kept != want {
+			t.Fatalf("a fallback after %d incremental deltas keeps the displaced incumbent: %v, want %v", steps, kept, want)
+		}
+		if !kept {
+			s.pl.Close()
+			continue
+		}
+		if n := len(s.pl.displaced.recipe.steps); n != steps {
+			t.Fatalf("the displaced recipe holds %d steps, want %d", n, steps)
+		}
+		held := liveHeap()
+		s.pl.displaced = nil
+		recipe := held - liveHeap()
+		s.pl.Close()
+		const maxRecipeBytes = 18_400
+		if !underRace() && recipe > maxRecipeBytes {
+			t.Errorf("a displaced recipe of %d steps holds %d bytes, budget %d", steps, recipe, maxRecipeBytes)
+		}
+	}
+}
+
+// assertOneProblem checks that the only lp.Problem reachable from pl is
+// its incumbent's, when it keeps one.
+func assertOneProblem(t *testing.T, pl *Planner, when string) {
+	t.Helper()
+	var want []uintptr
+	if m := pl.incumbent.model; m != nil {
+		want = append(want, reflect.ValueOf(m.p).Pointer())
+	}
+	if got := problemsReachable(pl); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: %d lp.Problems reachable from the session, want %d (the incumbent's)", when, len(got), len(want))
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 // cloneIndexes gives the model private copies of every index structure
 // the append path mutates, so the incumbent model shared with the
 // session stays untouched if the append (or the solve after it) fails.
+// A restated model holds its indexes alone and skips the copy.
 // m.p, m.in, and m.dem are the caller's responsibility — the replan
 // path has already swapped in clones of those.
 func (m *lpModel) cloneIndexes() {
@@ -82,8 +83,9 @@ func (m *lpModel) cloneIndexes() {
 // ORs add into the model's demand. An error means the new demand is
 // structural for this model — the caller falls back to a cold rebuild —
 // and leaves the model's demand untouched (the model carries private
-// index clones, discarded by the caller on failure).
-func (m *lpModel) appendDemand(add *collective.Demand) error {
+// index clones, discarded by the caller on failure). private means the
+// indexes are m's own (a restatement): nothing is cloned.
+func (m *lpModel) appendDemand(add *collective.Demand, private bool) error {
 	in := m.in
 	t := in.topo
 	d := in.demand
@@ -142,7 +144,9 @@ func (m *lpModel) appendDemand(add *collective.Demand) error {
 		return nil // everything re-added is already modeled
 	}
 
-	m.cloneIndexes()
+	if !private {
+		m.cloneIndexes()
+	}
 	srcIdx := make(map[int]int, len(m.sources))
 	for si, s := range m.sources {
 		srcIdx[s] = si

@@ -346,7 +346,7 @@ func checkAppendEqual(t *testing.T, name string, never, downed *topo.Topology, d
 			base.DropPair(src, dst)
 		}
 		m := must(prepLP(tp, base, opt)).m
-		if err := m.appendDemand(add); err != nil {
+		if err := m.appendDemand(add, false); err != nil {
 			t.Fatalf("%s: appending source %d on %s: %v", name, src, tp.Name, err)
 		}
 		return m.p

@@ -26,16 +26,17 @@ package core
 //     survives churn is the replay cache's model index: an answer to a
 //     model, which a later world serves only for a model EqualTo the
 //     one it answered, and only after its schedule re-validates on that
-//     world.
+//     world; and the LP incumbent the last fallback displaced, as the
+//     recipe its model is restated from (Replan's resume rung).
 //  3. Close marks the session closed and releases the retained state —
 //     the schedule-replay cache, the warm-basis store, the key-matched
-//     basis chains, and the replan incumbent, the one of them that pins
-//     a whole LP model. Subsequent Plan/Replan calls fail with
-//     ErrPlannerClosed; calls already in flight finish normally (their
-//     results are simply not recorded back into the session). Close is
-//     idempotent, and Stats/Topology keep working on a closed session,
-//     so a serving tier can still report and log a session it has just
-//     evicted.
+//     basis chains, the displaced incumbent's recipe, and the replan
+//     incumbent, the one of them that pins a whole LP model. Subsequent
+//     Plan/Replan calls fail with ErrPlannerClosed; calls already in
+//     flight finish normally (their results are simply not recorded back
+//     into the session). Close is idempotent, and Stats/Topology keep
+//     working on a closed session, so a serving tier can still report
+//     and log a session it has just evicted.
 //
 // Long-lived processes that open sessions dynamically (one per served
 // topology) must Close evicted sessions: the caches are bounded per
@@ -46,6 +47,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"teccl/internal/collective"
@@ -166,6 +168,11 @@ type PlannerStats struct {
 	ReplanFallbackBudget     int
 	ReplanFallbackSour       int
 	ReplanFallbackNoModel    int
+	// ReplanResumes counts replans the incremental rung could not serve
+	// that resumed the incumbent an earlier fallback displaced instead of
+	// solving cold (a restore or recover returning to its world). A
+	// resume is no fallback: it moves none of the counters above.
+	ReplanResumes int
 	// ReBases is always 0, like Plan.ReBased, and stays for wire v1.
 	ReBases int
 }
@@ -187,6 +194,11 @@ type Planner struct {
 	lastLP    sessionBasis    // key-matched warm-start chain, LP form
 	lastMILP  sessionBasis    // key-matched warm-start chain, MILP form
 	incumbent *incumbentState // the one thing a session keeps a whole model for
+	// displaced is the LP incumbent the last fallback or resume replaced,
+	// kept as its recipe and basis with no model (displacedRecipe): what
+	// Replan resumes when churn returns to its world. nil when there is
+	// none, or the incumbent replaced had no recipe.
+	displaced *incumbentState
 	stats     PlannerStats
 
 	// coldPivotEWMA (under mu) is the session's estimate of one cold
@@ -251,12 +263,21 @@ type incumbentState struct {
 	model  *lpModel
 	mmodel *milpModel
 	basis  *lp.Basis
+	// recipe is how an LP incumbent's model is derived, which is all an
+	// incumbent without a model keeps of it (a replay, a resume, a
+	// displaced incumbent): Replan restates the model from it and
+	// reoptimizes from basis (restated). nil when the model cannot be
+	// restated: a MinimizeMakespan refinement, or a lineage past
+	// maxRecipeSteps.
+	recipe *lpRecipe
 	// entry is the replay-cache entry of an LP incumbent: the one its
 	// solve stored (a later replay of that entry is a replay of this
-	// solve, see incumbentPayload), or, for a replay, the one it replayed,
-	// which is all the incumbent keeps — Replan restates the model from
-	// the request and reoptimizes from the entry's basis (restated).
+	// solve, see incumbentPayload), or, for a replay, the one it replayed.
 	entry *batchEntry
+	// at is a displaced incumbent's world and discretization (topology,
+	// τ, δ, κ and chunk size, nothing else of its instance), what
+	// churnedInstance gates a resume on before the model is restated.
+	at *instance
 
 	// A* incumbents: Replan replays unaffected rounds through the state
 	// recurrence and re-solves only rounds touching churned links.
@@ -269,6 +290,46 @@ type incumbentState struct {
 	// form replans from its basis instead): Replan re-validates a MILP
 	// incumbent's against the churned topology to seed the re-root.
 	sends []schedule.Send
+}
+
+// maxRecipeSteps caps an LP incumbent's lineage: the replans a recipe
+// records between its cold root and the incumbent. A displaced incumbent
+// worth resuming is one the session left a delta or two before churn
+// undid it (a restore, a recover), and every lineage the churn
+// benchmark's seven-delta script or the rung stream's sixteen-delta
+// sessions build fits; the cap bounds what a recipe holds (one delta, or
+// one world for a resume, per step) and the edit passes a restatement
+// replays (an ApplyDelta and a pass over the capacity rows each, well
+// under a model build) however long a session runs incrementally.
+const maxRecipeSteps = 16
+
+// lpRecipe derives an LP model without holding it: the world the cold
+// request at its root was planned on, that request's demand (its options
+// are the incumbent's), and the replans the incumbent took since, in
+// order. A recipe is never changed once built; a replan extends a copy.
+type lpRecipe struct {
+	root   *topo.Topology
+	demand *collective.Demand
+	steps  []recipeStep
+}
+
+// recipeStep is one replan of a lineage: an incremental replan of delta
+// d, applied to the previous world, or a resume, which edited a restated
+// model onto world (d is then empty).
+type recipeStep struct {
+	d     Delta
+	world *topo.Topology
+}
+
+// then returns the recipe extended by one step, or nil past
+// maxRecipeSteps (or when r is nil).
+func (r *lpRecipe) then(s recipeStep) *lpRecipe {
+	if r == nil || len(r.steps) >= maxRecipeSteps {
+		return nil
+	}
+	next := *r
+	next.steps = append(slices.Clip(r.steps), s)
+	return &next
 }
 
 // root returns the solved problem and basis of an LP or MILP payload —
@@ -284,26 +345,61 @@ func (inc *incumbentState) root() (*lp.Problem, *lp.Basis) {
 	return nil, nil
 }
 
-// restated returns the LP incumbent a replay left with only its cache
-// entry, with the model restated from its own request on t (the topology
-// it was planned on) and the entry's basis; nil when the entry kept no
-// basis or the basis does not fit. The replay confirmed that this
-// request's model is the entry's (EqualTo, or the same request on the
-// same world), so the basis is an optimal basis of the restated model.
-func (inc *incumbentState) restated(t *topo.Topology) *incumbentState {
-	b := inc.entry.basis
-	if b == nil {
+// restated returns the LP incumbent inc with its model restated from its
+// recipe — prepLP of the root request on the root world, then each
+// step's edits through churnLP, the edit half of an incremental replan —
+// and nil when inc has no recipe or basis, a step no longer applies, or
+// the basis does not fit. It serves the incumbent a replay left (a
+// recipe of no steps: the replay confirmed the request's model is the
+// entry's, so the entry's basis is optimal for it), a resumed one and a
+// displaced one alike; assertRecipesRestate (recipe_test.go) holds the
+// restated model EqualTo the incumbent's and its basis optimal in 0
+// pivots.
+func (inc *incumbentState) restated() *incumbentState {
+	rc, b := inc.recipe, inc.basis
+	if rc == nil || b == nil {
 		return nil
 	}
-	// The request was planned on t, so its τ was accepted then.
-	pr, _ := prepLP(t, inc.demand, inc.opt)
-	m := pr.m
+	// The root request was planned on rc.root, so its τ was accepted then.
+	pr, _ := prepLP(rc.root, rc.demand, inc.opt)
+	m, world := pr.m, rc.root
+	for _, s := range rc.steps {
+		if m == nil {
+			return nil
+		}
+		next := s.world
+		if next == nil {
+			var err error
+			if next, err = world.ApplyDelta(s.d.TopoDelta()); err != nil {
+				return nil
+			}
+		}
+		m, world = churnLP(m, true, world, next, s.d), next
+	}
 	if m == nil || len(b.Vars) != m.p.NumVars() || len(b.Rows) != m.p.NumRows() {
 		return nil
 	}
 	r := *inc
-	r.model, r.basis = m, b
+	r.model = m
 	return &r
+}
+
+// displacedRecipe returns what the session keeps of an LP incumbent a
+// fallback or a resume replaces: its request, recipe and final basis,
+// and the world and discretization a resume is gated on — no model, so a
+// session still pins one lp.Problem at most. nil when inc has no model to
+// read the discretization from or no recipe.
+func (inc *incumbentState) displacedRecipe() *incumbentState {
+	m := inc.model
+	if m == nil || inc.recipe == nil || inc.basis == nil {
+		return nil
+	}
+	in := m.in
+	return &incumbentState{
+		demand: inc.demand, opt: inc.opt, solver: inc.solver,
+		basis: inc.basis, recipe: inc.recipe,
+		at: &instance{topo: in.topo, demand: in.demand, tau: in.tau, delta: in.delta, kappa: in.kappa},
+	}
 }
 
 // NewPlanner opens a session on a topology. The topology is snapshotted
@@ -338,8 +434,9 @@ func (pl *Planner) snapshotOpen() (*sessionState, error) {
 var ErrPlannerClosed = errors.New("core: planner session is closed")
 
 // Close releases the session's retained state — the schedule-replay
-// cache, the warm-basis store, the key-matched basis chains, and the
-// replan incumbent (which pins a whole LP model) — and marks the session
+// cache, the warm-basis store, the key-matched basis chains, the
+// displaced incumbent's recipe, and the replan incumbent (which pins a
+// whole LP model) — and marks the session
 // closed: subsequent Plan and Replan calls return ErrPlannerClosed.
 // Calls already in flight finish normally; their results are not
 // recorded back into the session. Close is idempotent and safe for
@@ -359,7 +456,7 @@ func (pl *Planner) Close() error {
 	// and the swap unpins every cached schedule and basis at once.
 	pl.state = newSessionState(pl.state.t)
 	pl.lastLP, pl.lastMILP = sessionBasis{}, sessionBasis{}
-	pl.incumbent = nil
+	pl.incumbent, pl.displaced = nil, nil
 	return nil
 }
 
@@ -481,11 +578,15 @@ func (pl *Planner) Plan(ctx context.Context, req Request) (*Plan, error) {
 // recordIncumbent remembers a successful request as the session's replan
 // target. The incremental payload in inc is form-specific and may be
 // empty (empty solves and horizon plans replan by cold re-solve) or, for
-// an LP replay, the replayed cache entry alone. A request solved against
-// an already-replaced session state (a Plan racing a Replan) is not
-// recorded: its model references the pre-churn topology.
+// an LP replay, the replayed cache entry's basis and a recipe alone. A
+// request solved against an already-replaced session state (a Plan
+// racing a Replan) is not recorded: its model references the pre-churn
+// topology.
 func (pl *Planner) recordIncumbent(st *sessionState, req Request, incOpt Options, inc incumbentState) {
 	inc.demand = req.Demand.Clone()
+	if inc.recipe != nil {
+		inc.recipe.demand = inc.demand // a plan's recipe roots at its own request
+	}
 	inc.opt = incOpt
 	inc.solver = req.Solver
 	pl.mu.Lock()
@@ -559,6 +660,13 @@ func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.D
 	if replayOf != nil {
 		inc = pl.incumbentPayload(replayOf, d, res.Tau)
 	}
+	// An entry keeps a basis only when its solve ended on the request's
+	// own model (no makespan refinement): then the model is prepLP's of
+	// the request on this world, which recordIncumbent completes into a
+	// recipe of no steps.
+	if e := inc.entry; e != nil && e.basis != nil {
+		inc.basis, inc.recipe = e.basis, &lpRecipe{root: st.t}
+	}
 	return res, inc, err
 }
 
@@ -567,7 +675,8 @@ func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.D
 // model of its own: when it replayed the incumbent's own solve (e is the
 // entry that solve stored), the incumbent's model and basis are handed
 // back, so the request refreshes the incumbent instead of emptying it;
-// otherwise the payload is e alone, whose model Replan restates.
+// otherwise the payload is e alone, whose model Replan restates from the
+// request (planLP adds the recipe).
 func (pl *Planner) incumbentPayload(e *batchEntry, d *collective.Demand, tau float64) incumbentState {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()

@@ -41,26 +41,36 @@ package core
 //     the first round whose sends touch a newly-downed or degraded
 //     link.
 //
-// The ladder has two rungs: incremental, then cold. An incremental
+// The ladder has three rungs: incremental, resume, cold. An incremental
 // attempt runs under the incumbent request's own TimeLimit, and an LP
 // one also under a pivot budget derived from the session's cold-pivot
 // EWMA (ReplanOptions): a deep edit — a GPU lost on a churned DGX1 —
 // can take the dual simplex five times the pivots and seven times the
 // wall time of aborting at the budget and solving cold. The budget
 // counts pivots, not time, so which rung serves a delta depends
-// on the inputs alone, never on the host's speed. Four things send a
-// delta to the cold rung, a crash-started solve of the edited request:
-// churn the incumbent cannot absorb (structural: a scale that changes a
-// live link's δ or κ at the incumbent epoch duration, topology growth,
-// demand churn on a MILP or A* incumbent), an exhausted pivot budget
-// (budget), an attempt that comes back without a validated optimum
-// (sour: infeasible at the incumbent horizon, out of its TimeLimit or of
-// the kernel's iteration cap, or a schedule that fails re-validation),
-// and an incumbent with nothing to edit (no model). When churn returns
-// the session to a world it has already solved (a straggler recovered)
-// the cold rung is a replay from the carried model index (batch.go).
-// Replan never errors when the cold solve would succeed. A seeded stream
-// of mixed churn pins the rung every delta lands on
+// on the inputs alone, never on the host's speed. Four things take a
+// delta off the incremental rung: churn the incumbent cannot absorb
+// (structural: a scale that changes a live link's δ or κ at the
+// incumbent epoch duration, topology growth, demand churn on a MILP or
+// A* incumbent), an exhausted pivot budget (budget), an attempt that
+// comes back without a validated optimum (sour: infeasible at the
+// incumbent horizon, out of its TimeLimit or of the kernel's iteration
+// cap, or a schedule that fails re-validation), and an incumbent with
+// nothing to edit (no model).
+//
+// The resume rung serves churn that undoes churn (a restore, a recover):
+// the LP incumbent the last fallback displaced is kept as its recipe —
+// the cold request and world it was rooted at, the deltas its replans
+// absorbed, its final basis — not as its model. When the churned world
+// keeps every live link's δ/κ at that incumbent's discretization and the
+// session's request is its own, Replan restates its model (prepLP on the
+// root world, then the same edits, churnLP) and reoptimizes it on the
+// churned world through the incremental tail; the two incumbents swap.
+// Otherwise the cold rung runs: a crash-started solve of the edited
+// request, or, when churn returns the session to a world it has already
+// solved cold, a replay from the carried model index (batch.go). Replan
+// never errors when the cold solve would succeed. A seeded stream of
+// mixed churn pins the rung every delta lands on
 // (TestReplanStreamRungs).
 
 import (
@@ -69,6 +79,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"teccl/internal/collective"
@@ -111,6 +122,21 @@ type Delta struct {
 	// it incrementally by appending priced-out columns to the incumbent
 	// model; the other forms solve cold.
 	AddDemand *collective.Demand
+}
+
+// clone returns d with private copies of its slices and demand, so a
+// recipe step does not alias the caller's delta.
+func (d Delta) clone() Delta {
+	d.LinksDown = slices.Clone(d.LinksDown)
+	d.NodesDown = slices.Clone(d.NodesDown)
+	d.Scale = slices.Clone(d.Scale)
+	d.AddNodes = slices.Clone(d.AddNodes)
+	d.AddLinks = slices.Clone(d.AddLinks)
+	d.DropPairs = slices.Clone(d.DropPairs)
+	if d.AddDemand != nil {
+		d.AddDemand = d.AddDemand.Clone()
+	}
+	return d
 }
 
 // TopoDelta is the topology part of the churn: what Replan applies to
@@ -323,18 +349,19 @@ func applyLinkChurn(q *lp.Problem, fvar [][][]int32, capRow [][]int32, in2 *inst
 // and in-flight solves against the old topology cannot contaminate the
 // new caches.
 //
-// When the churn is non-structural, the re-solve is incremental per the
-// incumbent's formulation (see the file comment), under the incumbent
-// request's TimeLimit and, for an LP, the pivot budget of
-// PlannerOptions.Replan; otherwise, or when the incremental path sours
-// or exhausts its budget, Replan degrades to a cold solve of the edited
-// request —
-// Plan.ReplanFallback reports which happened, and PlannerStats
-// aggregates the session's churn history per fallback kind. A caller
-// cancellation during the incremental attempt is returned, not
-// degraded. An infeasible edited request (e.g. a demand whose
-// destination was disconnected without dropping the pair) returns the
-// cold solve's error.
+// The re-solve climbs the ladder of the file comment: incremental per
+// the incumbent's formulation when the churn is non-structural, under the
+// incumbent request's TimeLimit and, for an LP, the pivot budget of
+// PlannerOptions.Replan; then, when that is structural, sours or exhausts
+// its budget, a resume of the LP incumbent an earlier fallback displaced,
+// if the churn has returned the session to a world it can be edited
+// onto; then a cold solve of the edited request. Plan.ReplanFallback
+// reports a cold solve, and PlannerStats counts resumes and aggregates
+// the session's churn history per fallback kind. A caller cancellation
+// during the incremental or resume attempt is returned, not degraded. An
+// infeasible edited request (e.g. a demand whose destination was
+// disconnected without dropping the pair) returns the cold solve's
+// error.
 //
 // Replan requires a prior successful Plan; an invalid delta (unknown
 // IDs, negative scales, malformed growth, mismatched AddDemand shape)
@@ -346,7 +373,7 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 	pl.mu.Lock()
 	closed := pl.closed
 	st := pl.state
-	inc := pl.incumbent
+	inc, dis := pl.incumbent, pl.displaced
 	pl.mu.Unlock()
 	if closed {
 		return nil, ErrPlannerClosed
@@ -410,6 +437,7 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 	demandChurn := d.AddDemand != nil || len(d.DropPairs) > 0 || len(d.NodesDown) > 0
 	var res *Result
 	var next incumbentState
+	cur := inc // the incumbent, with its model restated when it kept none
 	switch {
 	case grew:
 		// Growth changes the node space (and usually reachability);
@@ -418,12 +446,13 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 		replanAbortf("structural fallback: topology growth (+%d nodes, +%d links)",
 			len(d.AddNodes), len(d.AddLinks))
 	case inc.model != nil && inc.basis != nil:
-		res, next, kind = replanIncrementalLP(ctx, inc, st.t, newTopo, d, pl.pivotBudget())
-	case inc.entry != nil:
-		// A replayed LP incumbent: restate its model and reoptimize it
-		// from the replayed entry's basis.
-		if r := inc.restated(st.t); r != nil {
-			res, next, kind = replanIncrementalLP(ctx, r, st.t, newTopo, d, pl.pivotBudget())
+		res, next, kind = replanIncrementalLP(ctx, inc, false, st.t, newTopo, d, pl.pivotBudget())
+	case inc.recipe != nil:
+		// An LP incumbent kept as its recipe (a replay or a resume):
+		// restate its model and reoptimize it from its basis.
+		if r := inc.restated(); r != nil {
+			cur = r
+			res, next, kind = replanIncrementalLP(ctx, r, true, st.t, newTopo, d, pl.pivotBudget())
 		}
 	case inc.mmodel != nil && inc.basis != nil:
 		if demandChurn {
@@ -441,10 +470,25 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 		}
 	}
 	if res != nil {
-		return pl.adoptReplan(newState, inc, newDemand, res, next), nil
+		if cur.recipe != nil {
+			next.recipe = cur.recipe.then(recipeStep{d: d.clone()})
+		}
+		return pl.adoptReplan(newState, inc, newDemand, res, next, false, nil), nil
 	}
 	if ierr := interrupted(ctx); ierr != nil {
 		return nil, fmt.Errorf("core: replan interrupted: %w", ierr)
+	}
+
+	// Resume: the incumbent an earlier fallback displaced, when churn
+	// has returned the session to a world it can be edited onto, swaps
+	// back in for the one that could not absorb this delta.
+	if dis != nil {
+		if res, next := pl.resume(ctx, dis, inc, newTopo, newDemand); res != nil {
+			return pl.adoptReplan(newState, inc, newDemand, res, next, true, cur.displacedRecipe()), nil
+		}
+		if ierr := interrupted(ctx); ierr != nil {
+			return nil, fmt.Errorf("core: replan interrupted: %w", ierr)
+		}
 	}
 
 	// Graceful degradation: cold re-solve of the edited request. The
@@ -472,15 +516,59 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 		plan.Replanned = true
 		plan.ReplanFallback = true
 	}
+	if err == nil {
+		// The incumbent the cold plan replaced is kept as its recipe.
+		displaced := cur.displacedRecipe()
+		pl.mu.Lock()
+		if pl.state == newState {
+			pl.displaced = displaced
+		}
+		pl.mu.Unlock()
+	}
 	return plan, err
 }
 
-// adoptReplan is the epilogue of every incremental replan: the replanned
-// payload becomes the incumbent for the next delta under the incumbent's
-// own request (unless a later Replan already replaced the state), its
-// basis seeds the fresh session caches, and its pivots feed the replan
-// accounting.
-func (pl *Planner) adoptReplan(newState *sessionState, old *incumbentState, newDemand *collective.Demand, res *Result, next incumbentState) *Plan {
+// resume is the rung between incremental and cold. It restates dis, the
+// LP incumbent an earlier fallback or resume displaced, and reoptimizes
+// it on the churned world through the incremental LP tail; the edit is
+// link churn alone (from dis's world to newTopo), since dis must hold
+// the request the session now holds: newDemand, inc's solver, and every
+// Options field its model reads (keyOf). The churned world must also
+// pass churnedInstance's gate at dis's discretization, which is checked
+// before anything is built. nil means the cold rung runs as it would
+// have without dis.
+func (pl *Planner) resume(ctx context.Context, dis, inc *incumbentState, newTopo *topo.Topology, newDemand *collective.Demand) (*Result, incumbentState) {
+	if dis.solver != inc.solver || !dis.demand.Equal(newDemand) {
+		return nil, incumbentState{}
+	}
+	kd, ok := keyOf(dis.demand, &dis.opt)
+	ki, oki := keyOf(newDemand, &inc.opt)
+	if !ok || !oki || kd != ki || churnedInstance(dis.at, newTopo) == nil {
+		return nil, incumbentState{}
+	}
+	r := dis.restated()
+	if r == nil {
+		return nil, incumbentState{}
+	}
+	res, next, _ := replanIncrementalLP(ctx, r, true, r.model.in.topo, newTopo, Delta{}, pl.pivotBudget())
+	if res == nil {
+		return nil, incumbentState{}
+	}
+	next.recipe = r.recipe.then(recipeStep{world: newTopo})
+	return res, next
+}
+
+// adoptReplan is the epilogue of every incremental replan and resume:
+// the replanned payload becomes the incumbent for the next delta under
+// the incumbent's own request (unless a later Replan already replaced
+// the state), its basis seeds the fresh session caches, and its pivots
+// feed the replan accounting. A resume (resumed) also swaps the two
+// incumbents — displaced, the recipe of the one it replaced, takes the
+// displaced slot — and keeps the resumed incumbent as its recipe and
+// basis without its model, as a replay does, so a session that returns
+// to a world holds no more than one that replays it; the next delta
+// restates the model.
+func (pl *Planner) adoptReplan(newState *sessionState, old *incumbentState, newDemand *collective.Demand, res *Result, next incumbentState, resumed bool, displaced *incumbentState) *Plan {
 	next.demand, next.opt, next.solver = newDemand.Clone(), old.opt, old.solver
 	solver, last := SolverAStar, (*sessionBasis)(nil) // an A* payload has no basis to keep
 	switch {
@@ -490,13 +578,22 @@ func (pl *Planner) adoptReplan(newState *sessionState, old *incumbentState, newD
 		solver, last = SolverMILP, &pl.lastMILP
 	}
 	res.WarmStarted = true // resumed from the incumbent, whatever the form
+	pl.keepBasis(newState, last, &next)
+	if resumed && next.recipe != nil {
+		next.model = nil
+	}
 	pl.mu.Lock()
 	pl.stats.ReplanPivots += res.RootIterations + res.NodeIterations
+	if resumed {
+		pl.stats.ReplanResumes++
+	}
 	if pl.state == newState {
 		pl.incumbent = &next
+		if resumed {
+			pl.displaced = displaced
+		}
 	}
 	pl.mu.Unlock()
-	pl.keepBasis(newState, last, &next)
 	return &Plan{Result: res, Solver: solver, WarmStart: true, Replanned: true}
 }
 
@@ -508,28 +605,73 @@ func sour(err error) (*Result, incumbentState, fallbackKind) {
 	return nil, incumbentState{}, fbSour
 }
 
-// replanIncrementalLP edits a clone of the incumbent LP to the churned
-// world — bound and right-hand-side edits for link churn and demand
-// drops, column and row appends for new demand — and reoptimizes it from
-// the (padded) incumbent basis within budget pivots (0: unbudgeted). It
-// returns the fallback kind when the churn is structural at the
-// incumbent discretization, the budget runs out, the dual simplex does
-// not reach a verified optimum, or the reoptimized rates fail to
+// replanIncrementalLP edits the incumbent's model — a clone of it, or,
+// inPlace, a restated model itself — to the churned world (churnLP) and
+// reoptimizes it from the (padded) incumbent basis within budget pivots
+// (0: unbudgeted). It returns the fallback kind when the churn is structural
+// at the incumbent discretization, the budget runs out, the dual simplex
+// does not reach a verified optimum, or the reoptimized rates fail to
 // decompose into a schedule that re-validates on the churned topology —
-// the caller then falls back to a cold solve.
-func replanIncrementalLP(ctx context.Context, inc *incumbentState, oldTopo, newTopo *topo.Topology, d Delta, budget int) (*Result, incumbentState, fallbackKind) {
-	m := inc.model
-	in := m.in
+// the caller then resumes a displaced incumbent or falls back to a cold
+// solve.
+func replanIncrementalLP(ctx context.Context, inc *incumbentState, inPlace bool, oldTopo, newTopo *topo.Topology, d Delta, budget int) (*Result, incumbentState, fallbackKind) {
 	start := time.Now()
+	m2 := churnLP(inc.model, inPlace, oldTopo, newTopo, d)
+	if m2 == nil {
+		return nil, incumbentState{}, fbStructural
+	}
+	q := m2.p
+	// An append pads the incumbent basis — new columns nonbasic, new rows
+	// slack-basic — so the warm start stays structurally valid.
+	var basis *lp.Basis
+	if d.AddDemand != nil {
+		if basis = inc.basis.Extended(q.NumVars(), q.NumRows()); basis == nil {
+			return nil, incumbentState{}, fbStructural
+		}
+	} else {
+		basis = inc.basis.Clone()
+	}
 
+	// Reoptimization from the incumbent basis (a warm start, so the dual
+	// simplex) within the pivot budget.
+	ctx, cancel := withTimeLimit(ctx, inc.opt.TimeLimit)
+	defer cancel()
+	res, sol, err := m2.run(ctx, lp.Options{WarmStart: basis, MaxIter: budget}, start)
+	if err != nil {
+		// The budget is the iteration cap the simplex stopped at unless the
+		// request's TimeLimit or the caller ended it first.
+		if sol != nil && sol.Status == lp.StatusIterLimit && budget > 0 && ctx.Err() == nil {
+			replanAbortf("budget fallback: %d pivots exhausted the incremental budget (%d)", sol.Iterations, budget)
+			return nil, incumbentState{}, fbBudget
+		}
+		return sour(err)
+	}
+	return res, incumbentState{model: m2, basis: sol.Basis}, fbNone
+}
+
+// churnLP is the edit half of an incremental LP replan, shared by the
+// live path and restatement (incumbentState.restated): it edits m to the
+// world newTopo (from oldTopo) and to d's demand edits — bound and
+// right-hand-side edits for link churn and demand drops, column and row
+// appends for new demand (lpappend.go) — and returns the edited model;
+// nil means the churn is structural at m's discretization or the new
+// demand cannot be appended. The edits land on a clone of m's problem
+// and indexes, made once the churn passed the gate, so m is left as it
+// was — unless inPlace, for a model nobody else holds (a restatement),
+// which is edited itself.
+func churnLP(m *lpModel, inPlace bool, oldTopo, newTopo *topo.Topology, d Delta) *lpModel {
+	in := m.in
 	// The edited instance the schedule decomposition (and its built-in
 	// re-validation) runs against: the churned topology and demand, the
 	// recomputed per-epoch budgets, the incumbent discretization.
 	in2 := churnedInstance(in, newTopo)
 	if in2 == nil {
-		return nil, incumbentState{}, fbStructural
+		return nil
 	}
-	q := m.p.Clone()
+	q := m.p
+	if !inPlace {
+		q = q.Clone()
+	}
 	applyLinkChurn(q, m.fvar, m.capRow, in2, oldTopo)
 	// Demand drops: fix the pair's read columns at zero and zero its
 	// destination-total row. The supply rows are left alone — the
@@ -578,38 +720,15 @@ func replanIncrementalLP(ctx context.Context, inc *incumbentState, oldTopo, newT
 	m2.in = in2
 	m2.dem = dem
 
-	// New demand: price the appended pairs into the incumbent model as
-	// appended columns and rows (lpappend.go). The incumbent basis is
-	// padded across the append — new columns nonbasic, new rows
-	// slack-basic — so the warm start stays structurally valid.
-	var basis *lp.Basis
+	// New demand: price the appended pairs into the model as appended
+	// columns and rows.
 	if d.AddDemand != nil {
-		if err := m2.appendDemand(d.AddDemand); err != nil {
+		if err := m2.appendDemand(d.AddDemand, inPlace); err != nil {
 			replanAbortf("structural fallback: demand append: %v", err)
-			return nil, incumbentState{}, fbStructural
+			return nil
 		}
-		if basis = inc.basis.Extended(q.NumVars(), q.NumRows()); basis == nil {
-			return nil, incumbentState{}, fbStructural
-		}
-	} else {
-		basis = inc.basis.Clone()
 	}
-
-	// Reoptimization from the incumbent basis (a warm start, so the dual
-	// simplex) within the pivot budget.
-	ctx, cancel := withTimeLimit(ctx, inc.opt.TimeLimit)
-	defer cancel()
-	res, sol, err := m2.run(ctx, lp.Options{WarmStart: basis, MaxIter: budget}, start)
-	if err != nil {
-		// The budget is the iteration cap the simplex stopped at unless the
-		// request's TimeLimit or the caller ended it first.
-		if sol != nil && sol.Status == lp.StatusIterLimit && budget > 0 && ctx.Err() == nil {
-			replanAbortf("budget fallback: %d pivots exhausted the incremental budget (%d)", sol.Iterations, budget)
-			return nil, incumbentState{}, fbBudget
-		}
-		return sour(err)
-	}
-	return res, incumbentState{model: &m2, basis: sol.Basis}, fbNone
+	return &m2
 }
 
 // replanIncrementalMILP re-roots the incumbent branch-and-bound on the

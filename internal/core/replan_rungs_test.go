@@ -124,6 +124,7 @@ func (s *rungSession) open(t *testing.T) {
 	if _, err := s.pl.Plan(context.Background(), Request{Demand: s.baseDemand, Solver: s.f.solver}); err != nil {
 		t.Fatalf("%s: base plan: %v", s.f.name, err)
 	}
+	assertRecipesRestate(t, s.pl)
 }
 
 // next draws one delta against the session's current world. A link is
@@ -247,8 +248,9 @@ func (s *rungSession) churnDemand(d Delta, nodes int) *collective.Demand {
 	return out
 }
 
-// step replans one delta, checks the answer, and names the rung that
-// served it: "incremental", "structural", "structural-replay", "budget",
+// step replans one delta, checks the answer and the session's recipes
+// (assertRecipesRestate), and names the rung that served it:
+// "incremental", "resume", "structural", "structural-replay", "budget",
 // "sour", "no-model", or "error" when Replan errored (then the session
 // is reopened).
 func (s *rungSession) step(t *testing.T, d Delta) string {
@@ -275,9 +277,12 @@ func (s *rungSession) step(t *testing.T, d Delta) string {
 	}
 	s.demand = demand
 	assertAvoidsDown(t, p)
+	assertRecipesRestate(t, s.pl)
 	after := s.pl.Stats()
 	rung := "incremental"
 	switch {
+	case after.ReplanResumes > before.ReplanResumes:
+		rung = "resume"
 	case after.ReplanFallbackBudget > before.ReplanFallbackBudget:
 		rung = "budget"
 	case after.ReplanFallbackSour > before.ReplanFallbackSour:
@@ -372,7 +377,8 @@ func rungTable(hist map[string]map[string]int) string {
 // TestReplanStreamRungs replans a seeded stream of mixed churn over five
 // LP fabrics (NDv2Mini(2), DGX1, DGX2Mini(2), Ring(6), FullMesh(4), all
 // ALLTOALL) and a Ring(4) ALLGATHER MILP and A* session. Every replan
-// validates on its churned world and avoids its downed links; a replan
+// validates on its churned world and avoids its downed links, every
+// recipe restates its incumbent (assertRecipesRestate); a replan
 // errors only where a fresh session's cold plan of the same churned
 // request errors too; every fourth LP replan equals a cold solve at its
 // (Epochs, Tau). No rung reads a clock (the LP budget counts pivots), so
@@ -390,10 +396,10 @@ func TestReplanStreamRungs(t *testing.T) {
 	}
 	want := map[string]map[string]int{
 		"ndv2m2-lp":   {"incremental": 22, "sour": 1, "structural": 2},
-		"dgx1-lp":     {"incremental": 7, "structural-replay": 3, "structural": 15},
+		"dgx1-lp":     {"incremental": 7, "resume": 5, "structural": 13},
 		"dgx2m2-lp":   {"error": 1, "incremental": 20, "structural": 4},
-		"ring6-lp":    {"error": 1, "incremental": 13, "sour": 2, "structural": 9},
-		"mesh4-lp":    {"incremental": 8, "sour": 2, "structural-replay": 2, "structural": 13},
+		"ring6-lp":    {"error": 1, "incremental": 13, "resume": 3, "sour": 2, "structural": 6},
+		"mesh4-lp":    {"incremental": 8, "resume": 2, "sour": 2, "structural": 13},
 		"ring4-milp":  {"incremental": 4, "sour": 3, "structural": 18},
 		"ring4-astar": {"error": 2, "incremental": 10, "structural": 13},
 	}

@@ -90,14 +90,19 @@ func (s *scriptSession) delta(t *testing.T, kind string) Delta {
 		return Delta{Scale: []topo.LinkScale{{Link: scriptStraggler, Alpha: 3 * s.tau / world.Link(scriptStraggler).Alpha}}}
 	case "recover":
 		return Delta{Scale: []topo.LinkScale{{Link: scriptStraggler, Alpha: s.base.Link(scriptStraggler).Alpha / world.Link(scriptStraggler).Alpha}}}
+	case "return": // restore and recover at once (not in the benchmark's script)
+		return Delta{Scale: []topo.LinkScale{{Link: s.degrad, Capacity: 1.25},
+			{Link: scriptStraggler, Alpha: s.base.Link(scriptStraggler).Alpha / world.Link(scriptStraggler).Alpha}}}
 	}
 	t.Fatalf("unknown delta %q", kind)
 	return Delta{}
 }
 
 // replan applies d and names the rung that served it: "incremental",
-// "structural-cold", "structural-replay", or "fallback-other" (budget,
-// sour or no model), which the script should not reach.
+// "resume" (the displaced incumbent swapped back in), "structural-cold",
+// "structural-replay", or "fallback-other" (budget, sour or no model),
+// which the script should not reach. Every replan's recipes are held to
+// what they derive (assertRecipesRestate).
 func (s *scriptSession) replan(t *testing.T, d Delta) (*Plan, string) {
 	t.Helper()
 	before := s.pl.Stats()
@@ -111,8 +116,14 @@ func (s *scriptSession) replan(t *testing.T, d Delta) (*Plan, string) {
 	if d.AddDemand != nil {
 		s.demand.Or(d.AddDemand)
 	}
+	assertRecipesRestate(t, s.pl)
 	after := s.pl.Stats()
 	switch {
+	case after.ReplanResumes > before.ReplanResumes:
+		if p.ReplanFallback || after.ReplanFallbacks != before.ReplanFallbacks {
+			t.Errorf("a resume reported a fallback")
+		}
+		return p, "resume"
 	case !p.ReplanFallback:
 		return p, "incremental"
 	case after.ReplanFallbackStructural == before.ReplanFallbackStructural:
@@ -160,9 +171,12 @@ func canonicalSends(sends []schedule.Send) []schedule.Send {
 // TestReplanScriptMatchesCold runs the benchmark's churn script on
 // NDv2Mini(2) at the slowest-link τ and on DGX1 at the fastest-link τ.
 // Every replan's objective equals a fresh session's cold plan of the same
-// churned request, and each delta takes the rung pinned below, so a
-// change to which rung fires is a diff of this table. DGX1's recover
-// returns to the world its restore solved, and replays it.
+// churned request, every recipe restates its incumbent
+// (assertRecipesRestate), and each delta takes the rung pinned below, so
+// a change to which rung fires is a diff of this table. A recover
+// returns to the world before its straggler, and resumes the incumbent
+// the straggler's cold plan displaced; DGX1's restore likewise resumes
+// the incumbent its degrade displaced.
 func TestReplanScriptMatchesCold(t *testing.T) {
 	for _, w := range []struct {
 		name  string
@@ -171,9 +185,9 @@ func TestReplanScriptMatchesCold(t *testing.T) {
 		rungs []string
 	}{
 		{"ndv2m2", func() *topo.Topology { return topo.NDv2Mini(2) }, Options{EpochMode: SlowestLink},
-			[]string{"incremental", "incremental", "incremental", "incremental", "incremental", "structural-cold", "structural-cold"}},
+			[]string{"incremental", "incremental", "incremental", "incremental", "incremental", "structural-cold", "resume"}},
 		{"dgx1", topo.DGX1, Options{},
-			[]string{"incremental", "structural-cold", "structural-cold", "incremental", "incremental", "structural-cold", "structural-replay"}},
+			[]string{"incremental", "structural-cold", "resume", "incremental", "incremental", "structural-cold", "resume"}},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			s := newScriptSession(t, w.build(), w.opt)
@@ -196,9 +210,12 @@ func TestReplanScriptMatchesCold(t *testing.T) {
 }
 
 // TestReplanReplaysASolvedWorld: a DGX1 session at the fastest-link τ
-// plans, degrades the fastest link ×0.8, restores it ×1.25, makes link 1
-// a straggler (α = 3τ) and recovers it. The recovered world's model is
-// one the session solved before the straggler, so recover is a
+// plans, degrades the fastest link ×0.8, makes link 1 a straggler
+// (α = 3τ), then restores the link ×1.25 and recovers the straggler in
+// one delta ("return"). Degrade and straggler each change a live link's
+// δ or κ and fall back cold, so the displaced incumbent at return is the
+// degraded world's, whose κ the restored link no longer has: nothing
+// resumes. The returned world's model is the base plan's, so return is a
 // structural fallback served by the carried model index: a replay, no
 // pivot, the sends a fresh session's cold plan finds. The incumbent it
 // leaves holds the replayed entry only, and the next delta reoptimizes
@@ -209,17 +226,19 @@ func TestReplanReplaysASolvedWorld(t *testing.T) {
 	ctx := context.Background()
 	script := func(extraDown bool) (*scriptSession, *Plan) {
 		s := newScriptSession(t, topo.DGX1(), Options{})
-		for _, kind := range []string{"degrade", "restore", "straggler"} {
-			s.replan(t, s.delta(t, kind))
+		for _, kind := range []string{"degrade", "straggler"} {
+			if _, rung := s.replan(t, s.delta(t, kind)); rung != "structural-cold" {
+				t.Fatalf("%s: %s, want a cold structural fallback", kind, rung)
+			}
 		}
 		if extraDown {
 			if _, rung := s.replan(t, s.delta(t, "linkdown")); rung != "incremental" {
 				t.Fatalf("link down after the straggler: %s, want incremental", rung)
 			}
 		}
-		p, rung := s.replan(t, s.delta(t, "recover"))
+		p, rung := s.replan(t, s.delta(t, "return"))
 		if !strings.HasPrefix(rung, "structural-") {
-			t.Fatalf("recover: %s, want a structural fallback", rung)
+			t.Fatalf("return: %s, want a structural fallback", rung)
 		}
 		return s, p
 	}
@@ -227,10 +246,10 @@ func TestReplanReplaysASolvedWorld(t *testing.T) {
 	s, rec := script(false)
 	defer s.pl.Close()
 	if !rec.CacheHit || rec.RootIterations+rec.NodeIterations != 0 {
-		t.Fatalf("recover: cache hit %v after %d pivots, want a replay", rec.CacheHit, rec.RootIterations+rec.NodeIterations)
+		t.Fatalf("return: cache hit %v after %d pivots, want a replay", rec.CacheHit, rec.RootIterations+rec.NodeIterations)
 	}
 	if cold := s.cold(t); cold.CacheHit || !reflect.DeepEqual(canonicalSends(rec.Schedule.Sends), canonicalSends(cold.Schedule.Sends)) {
-		t.Fatalf("recover replayed %d sends, a fresh session's cold plan finds %d (cache hit %v)",
+		t.Fatalf("return replayed %d sends, a fresh session's cold plan finds %d (cache hit %v)",
 			len(rec.Schedule.Sends), len(cold.Schedule.Sends), cold.CacheHit)
 	}
 	e := s.pl.incumbent.entry
@@ -242,22 +261,22 @@ func TestReplanReplaysASolvedWorld(t *testing.T) {
 	// request index starts empty: the same request there is solved.
 	p, rung := s.replan(t, s.delta(t, "linkdown"))
 	if rung != "incremental" || !p.WarmStart {
-		t.Fatalf("link down after a replayed recover: %s, want incremental", rung)
+		t.Fatalf("link down after a replayed return: %s, want incremental", rung)
 	}
 	assertAvoidsDown(t, p)
 	if n := len(s.pl.snapshot().lpCache.requests); n != 0 {
 		t.Fatalf("the churned world's request index holds %d requests, want none", n)
 	}
 	if again, err := s.pl.Plan(ctx, Request{Demand: s.demand.Clone(), Solver: SolverLP}); err != nil || again.CacheHit {
-		t.Fatalf("the recovered request on a world with a link down: %v (cache hit %v), want a solve", err, again != nil && again.CacheHit)
+		t.Fatalf("the returned request on a world with a link down: %v (cache hit %v), want a solve", err, again != nil && again.CacheHit)
 	}
 
-	// One more link down before recover: a world never solved, so
+	// One more link down before return: a world never solved, so
 	// nothing replays.
 	s2, rec2 := script(true)
 	defer s2.pl.Close()
 	if rec2.CacheHit {
-		t.Fatal("recover onto a world with an extra link down replayed")
+		t.Fatal("return onto a world with an extra link down replayed")
 	}
 
 	// An entry answers the model it was solved from, on its own topology:

@@ -101,7 +101,7 @@ func checkAppendUnit(t *testing.T, name string, tp *topo.Topology, d *collective
 		move(gpus[1], gpus[0])
 	}
 	m := must(prepLP(tp, base, opt)).m
-	if err := m.appendDemand(add); err != nil {
+	if err := m.appendDemand(add, false); err != nil {
 		t.Fatalf("%s: appending: %v", name, err)
 	}
 	checkUnit(t, name+"/append", m.p)

@@ -113,6 +113,7 @@ func addStats(a, b core.PlannerStats) core.PlannerStats {
 	a.ReplanFallbackBudget += b.ReplanFallbackBudget
 	a.ReplanFallbackSour += b.ReplanFallbackSour
 	a.ReplanFallbackNoModel += b.ReplanFallbackNoModel
+	a.ReplanResumes += b.ReplanResumes
 	a.ReBases += b.ReBases
 	return a
 }
@@ -188,6 +189,7 @@ func (m *metrics) render(w io.Writer, live core.PlannerStats, sessions int, evic
 		{"replans", total.Replans},
 		{"replan_pivots", total.ReplanPivots},
 		{"replan_fallbacks", total.ReplanFallbacks},
+		{"replan_resumes", total.ReplanResumes},
 		{"rebases", total.ReBases},
 	} {
 		fmt.Fprintf(w, "teccld_planner_counters_total{counter=%q} %d\n", c.name, c.v)

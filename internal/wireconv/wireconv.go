@@ -458,6 +458,7 @@ func FromStats(s core.PlannerStats) wire.Stats {
 		ReplanFallbackSour:       s.ReplanFallbackSour,
 		ReplanFallbackNoModel:    s.ReplanFallbackNoModel,
 		ReBases:                  s.ReBases,
+		ReplanResumes:            s.ReplanResumes,
 	}
 }
 
@@ -480,5 +481,6 @@ func ToStats(s wire.Stats) core.PlannerStats {
 		ReplanFallbackSour:       s.ReplanFallbackSour,
 		ReplanFallbackNoModel:    s.ReplanFallbackNoModel,
 		ReBases:                  s.ReBases,
+		ReplanResumes:            s.ReplanResumes,
 	}
 }

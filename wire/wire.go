@@ -194,6 +194,8 @@ type Plan struct {
 
 // Stats is the wire form of a session's cumulative counters. The field
 // set mirrors PlannerStats one for one; the golden test pins the tags.
+// replan_resumes came last, after v1's first release: a daemon that
+// predates it sends none, which decodes as zero.
 // rebases (like Plan's rebased) is always zero: the adaptive re-basing
 // it counted is gone, and the field stays for v1 clients.
 type Stats struct {
@@ -214,6 +216,7 @@ type Stats struct {
 	ReplanFallbackSour       int `json:"replan_fallback_sour"`
 	ReplanFallbackNoModel    int `json:"replan_fallback_no_model"`
 	ReBases                  int `json:"rebases"`
+	ReplanResumes            int `json:"replan_resumes"`
 }
 
 // PlanRequest is the body of POST /v1/plan. Exactly one of Topology and

@@ -73,7 +73,7 @@ func TestGoldenStats(t *testing.T) {
 		ReplanPivots: 9, ReplanIncrementalPivots: 10, ColdEstimatePivots: 11,
 		ReplanFallbacks: 12, ReplanFallbackStructural: 13,
 		ReplanFallbackBudget: 14, ReplanFallbackSour: 15,
-		ReplanFallbackNoModel: 16, ReBases: 17,
+		ReplanFallbackNoModel: 16, ReBases: 17, ReplanResumes: 18,
 	}
 	const golden = `{"requests":1,"schedule_replays":2,"warm_start_hits":3,` +
 		`"crash_starts":4,"exact_basis_hits":5,"tau_cache_hits":6,` +
@@ -81,7 +81,7 @@ func TestGoldenStats(t *testing.T) {
 		`"replan_incremental_pivots":10,"cold_estimate_pivots":11,` +
 		`"replan_fallbacks":12,"replan_fallback_structural":13,` +
 		`"replan_fallback_budget":14,"replan_fallback_sour":15,` +
-		`"replan_fallback_no_model":16,"rebases":17}`
+		`"replan_fallback_no_model":16,"rebases":17,"replan_resumes":18}`
 	if got := mustJSON(t, s); got != golden {
 		t.Errorf("Stats JSON drifted from the v1 schema:\n got: %s\nwant: %s", got, golden)
 	}
