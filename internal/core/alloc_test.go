@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -162,15 +163,15 @@ func TestModelBuildAllocBudget(t *testing.T) {
 // TestSessionRetention pins what a serving session keeps. Two sessions
 // plan the eight serve_replay shapes (DGX1 ALLTOALL at 200, 100, 50 and
 // 25 kB chunks on the fastest link, NDv2Mini(2) ALLTOALL at the same
-// sizes on the slowest), each planned and then replayed: the only
-// lp.Problem reachable from either session is its incumbent's, because
-// replay-cache entries keep the request that built their model and the
-// warm-start chains keep column keys. DGX1's last size is a model of its
-// own, so its incumbent keeps one; every NDv2Mini(2) size after the first
-// replays the first one's schedule, so its incumbent keeps none. The two
-// sessions hold 331–337 KB of heap, DGX1's incumbent model included;
-// while entries and chains held models they held 897 KB, three models.
-// The bound is the reading + 10 %.
+// sizes on the slowest), each planned and then replayed: no lp.Problem is
+// reachable from either session, because replay-cache entries keep the
+// request that built their model, the warm-start chains keep column keys,
+// and the incumbent each session is left with is a replay's — the
+// replayed entry's basis and a recipe, no model. The two sessions hold
+// 97.5 KB of heap (97 496–97 576 B); 331–337 KB while a replay of the
+// incumbent's own solve handed DGX1's model back, and 897 KB, three
+// models, while entries and chains held models. The bound is the reading
+// + 10 %.
 func TestSessionRetention(t *testing.T) {
 	shapes := []struct {
 		t   *topo.Topology
@@ -195,17 +196,13 @@ func TestSessionRetention(t *testing.T) {
 	}
 	retained := liveHeap() - before
 	for _, pl := range sessions {
-		var want []uintptr
-		if m := pl.incumbent.model; m != nil {
-			want = append(want, reflect.ValueOf(m.p).Pointer())
-		}
-		if got := problemsReachable(pl); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %d lp.Problems reachable from the session, want %d (the incumbent's)", pl.Topology().Name, len(got), len(want))
+		if got := problemsReachable(pl); len(got) != 0 {
+			t.Errorf("%s: %d lp.Problems reachable from the session, want none", pl.Topology().Name, len(got))
 		}
 	}
 	runtime.KeepAlive(sessions)
 	skipUnderRace(t)
-	const maxBytes = 370_000
+	const maxBytes = 107_300
 	if retained > maxBytes {
 		t.Errorf("the two sessions retain %d bytes, budget %d", retained, maxBytes)
 	}
@@ -213,25 +210,26 @@ func TestSessionRetention(t *testing.T) {
 
 // TestSessionRetentionAcrossChurn pins what a session keeps through the
 // churn_replan benchmark's seven-delta script on DGX1 at the fastest-link
-// τ. The replay cache's model index crosses every Replan, so by recover
-// the session holds the entries of its base plan and of its two cold
-// structural fallbacks (degrade, straggler) — recipes, schedules and
-// bases, no model; restore and recover resume the incumbent the fallback
-// before them displaced. After every delta the only lp.Problem reachable
-// from the session is the incumbent's, and recover leaves an incumbent
-// with no model at all: its recipe and basis, beside the displaced
-// straggler incumbent's. The session holds 66–67 KB of heap (66 296–66 344 B;
-// 50 KB before resumes, when recover replayed and nothing was displaced);
-// the bound is the reading + 10 %.
+// τ. Every Replan starts the churned state's caches empty, so after each
+// delta the replay cache holds only what was solved since the swap: the
+// entry of a cold structural fallback (degrade, straggler), nothing after
+// an incremental replan or a resume (restore and recover resume the
+// incumbent the fallback before them displaced). After every delta the
+// only lp.Problem reachable from the session is the incumbent's, and
+// recover leaves an incumbent with no model at all: its recipe and basis,
+// beside the displaced straggler incumbent's. The session holds 42.5 KB
+// of heap (42 464–42 528 B; 66.3 KB while the replay cache's model index
+// crossed churn); the bound is the reading + 10 %.
 //
 // Then a fresh session replans maxRecipeSteps incremental deltas (a pair
 // dropped and re-added in turn) and one structural fallback: it still
 // pins exactly one lp.Problem, the cold plan's, and the displaced
 // incumbent is kept as a recipe of maxRecipeSteps steps, which holds
-// 16.7 KB of heap (16 736 B: eight dropped pairs, eight re-added
-// demands, the basis, the world it was displaced from); its bound is the
-// reading + 10 %. One incremental
-// delta more and the lineage is past the cap: the fallback keeps nothing.
+// 18.5 KB of heap (18 480 B: eight dropped pairs, eight re-added
+// demands, the basis, the world it was displaced from, and the root
+// world, which no replay entry shares); its bound is the reading + 10 %.
+// One incremental delta more and the lineage is past the cap: the
+// fallback keeps nothing.
 func TestSessionRetentionAcrossChurn(t *testing.T) {
 	spareThreads(8)
 	before := liveHeap()
@@ -243,22 +241,17 @@ func TestSessionRetentionAcrossChurn(t *testing.T) {
 		if kind == "recover" && (rung != "resume" || pl.incumbent.model != nil) {
 			t.Errorf("recover: %s (incumbent model %v), want a resume leaving no model", rung, pl.incumbent.model != nil)
 		}
-	}
-	carried := 0
-	for _, bucket := range pl.state.lpCache.entries {
-		for _, e := range bucket {
-			if e.base != nil {
-				t.Error("a carried replay entry holds its model")
-			}
-			carried++
+		want := 0
+		if rung == "structural-cold" {
+			want = 1 // the fallback's own solve
 		}
-	}
-	if carried != 3 || pl.state.lpCache.size != carried {
-		t.Errorf("the session carries %d replay entries (size %d), want the base plan's and two fallbacks'", carried, pl.state.lpCache.size)
+		if c := pl.state.lpCache; c.size != want || len(c.requests) != want {
+			t.Errorf("after %s (%s): the replay cache holds %d entries and %d requests, want %d each", kind, rung, c.size, len(c.requests), want)
+		}
 	}
 	retained := liveHeap() - before
 	runtime.KeepAlive(s)
-	const maxBytes = 73_500
+	const maxBytes = 46_780
 	if !underRace() && retained > maxBytes {
 		t.Errorf("the session retains %d bytes, budget %d", retained, maxBytes)
 	}
@@ -292,10 +285,61 @@ func TestSessionRetentionAcrossChurn(t *testing.T) {
 		s.pl.displaced = nil
 		recipe := held - liveHeap()
 		s.pl.Close()
-		const maxRecipeBytes = 18_400
+		const maxRecipeBytes = 20_330
 		if !underRace() && recipe > maxRecipeBytes {
 			t.Errorf("a displaced recipe of %d steps holds %d bytes, budget %d", steps, recipe, maxRecipeBytes)
 		}
+	}
+}
+
+// TestSessionStateHoldsEveryWorldCache: everything a session derives from
+// its world lives in its sessionState, so the swap of Planner.state that
+// Replan and Close make retires all of it at once. No other Planner field
+// is or reaches a replay cache, a basis store, an estimate cache or a
+// key-matched chain — checked on an LP, a MILP and an A* session after a
+// plan, a replayed plan, and replans that take every rung the form
+// reaches here (incremental, cold with a displaced incumbent, resume).
+func TestSessionStateHoldsEveryWorldCache(t *testing.T) {
+	worldCaches := []reflect.Type{
+		reflect.TypeOf((*batchCache)(nil)), reflect.TypeOf((*basisStore)(nil)),
+		reflect.TypeOf((*estimateCache)(nil)), reflect.TypeOf(sessionBasis{}),
+	}
+	check := func(pl *Planner, when string) {
+		t.Helper()
+		v := reflect.ValueOf(pl).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; name != "state" {
+				for _, c := range reachable(v.Field(i), worldCaches...) {
+					t.Errorf("%s: Planner.%s holds a %v", when, name, c.Type())
+				}
+			}
+		}
+	}
+
+	s := newScriptSession(t, topo.DGX1(), Options{})
+	defer s.pl.Close()
+	check(s.pl, "LP plan")
+	if p, err := s.pl.Plan(context.Background(), Request{Demand: s.demand.Clone(), Solver: SolverLP}); err != nil || !p.CacheHit {
+		t.Fatalf("the repeated LP request: %v, want a replay", err)
+	}
+	check(s.pl, "LP replay")
+	for _, kind := range []string{"linkdown", "degrade", "restore"} {
+		_, rung := s.replan(t, s.delta(t, kind))
+		check(s.pl, "LP "+kind+" ("+rung+")")
+	}
+
+	tt := topo.Ring(4, 25e9, 0.7e-6)
+	for _, solver := range []Solver{SolverMILP, SolverAStar} {
+		pl := NewPlanner(tt, PlannerOptions{})
+		if _, err := pl.Plan(context.Background(), Request{Demand: rungAllGather(tt), Solver: solver}); err != nil {
+			t.Fatal(err)
+		}
+		check(pl, solver.String()+" plan")
+		if _, err := pl.Replan(context.Background(), Delta{LinksDown: []topo.LinkID{0}}); err != nil {
+			t.Fatal(err)
+		}
+		check(pl, solver.String()+" replan")
+		pl.Close()
 	}
 }
 
@@ -313,10 +357,21 @@ func assertOneProblem(t *testing.T, pl *Planner, when string) {
 }
 
 // problemsReachable returns the address of every distinct lp.Problem
-// reachable from root through pointers, interfaces, struct fields
-// (unexported included), slices, arrays and maps. Functions are opaque.
+// reachable from root (see reachable).
 func problemsReachable(root any) []uintptr {
-	problem := reflect.TypeOf((*lp.Problem)(nil))
+	var out []uintptr
+	for _, v := range reachable(reflect.ValueOf(root), reflect.TypeOf((*lp.Problem)(nil))) {
+		out = append(out, v.Pointer())
+	}
+	return out
+}
+
+// reachable returns every value of one of types (a non-nil one, for
+// pointers) that root is or reaches through pointers, interfaces, struct
+// fields (unexported included), slices, arrays and maps, each distinct
+// pointer once; it does not look inside the values it returns. Functions
+// are opaque.
+func reachable(root reflect.Value, types ...reflect.Type) []reflect.Value {
 	type visit struct {
 		at  uintptr
 		typ reflect.Type
@@ -344,7 +399,10 @@ func problemsReachable(root any) []uintptr {
 		holds[typ] = h
 		return h
 	}
-	var out []uintptr
+	for _, typ := range types {
+		holds[typ] = true
+	}
+	var out []reflect.Value
 	var walk func(v reflect.Value)
 	walk = func(v reflect.Value) {
 		if !mayHold(v.Type()) {
@@ -363,28 +421,26 @@ func problemsReachable(root any) []uintptr {
 				return
 			}
 			seen[k] = true
-			switch {
-			case v.Type() == problem:
-				out = append(out, v.Pointer())
-			case v.Kind() == reflect.Pointer:
-				walk(v.Elem())
-			case v.Kind() == reflect.Slice:
-				for i := 0; i < v.Len(); i++ {
-					walk(v.Index(i))
-				}
-			default:
-				for it := v.MapRange(); it.Next(); {
-					walk(it.Key())
-					walk(it.Value())
-				}
-			}
+		}
+		if slices.Contains(types, v.Type()) {
+			out = append(out, v)
+			return
+		}
+		switch v.Kind() {
+		case reflect.Pointer:
+			walk(v.Elem())
 		case reflect.Interface:
 			if !v.IsNil() {
 				walk(v.Elem())
 			}
-		case reflect.Array:
+		case reflect.Slice, reflect.Array:
 			for i := 0; i < v.Len(); i++ {
 				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
 			}
 		case reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
@@ -392,6 +448,6 @@ func problemsReachable(root any) []uintptr {
 			}
 		}
 	}
-	walk(reflect.ValueOf(root))
+	walk(root)
 	return out
 }

@@ -24,15 +24,10 @@ package core
 //     same knob that parallelizes branch-and-bound node evaluation.
 //
 // A Planner session serves its LP requests through the same cache, where
-// the request index below makes a repeated request a lookup.
-//
-// What a session cache may keep across churn: the request index is
-// per-topology (a request names a demand, not a world), but an entry of
-// the model index answers the model it was solved from, on the topology
-// it was solved on, and that stays true on any world. Planner.Replan
-// therefore hands the model index on to the churned state (carry), and a
-// carried entry answers only a model EqualTo its own, rebuilt on its own
-// topology, with its schedule re-validated on the world that asks.
+// the request index below makes a repeated request a lookup. A session's
+// cache belongs to its world: both indexes answer requests and models of
+// the topology the session state was derived from, and Planner.Replan
+// starts the churned state with an empty cache.
 
 import (
 	"context"
@@ -60,16 +55,15 @@ type BatchOptions struct {
 // units (sends, epochs), which is exactly the part that coincides; only
 // the epoch duration differs between identical points. The model the
 // point was solved from is kept as its recipe — the request's demand and
-// options and the topology it was solved on, which prepLP restates it
-// from — rather than as an lp.Problem; only a request carrying a Priority
-// or LinkCapacity function, which cannot be restated as data, keeps its
+// options, which prepLP restates it from on the cache's topology — rather
+// than as an lp.Problem; only a request carrying a Priority or
+// LinkCapacity function, which cannot be restated as data, keeps its
 // model in base. basis is the final basis of that model, what a Replan of
 // an incumbent that replayed the entry reoptimizes from; nil when the
 // solve ended on another model (a MinimizeMakespan refinement).
 type batchEntry struct {
 	demand *collective.Demand
 	opt    Options // the request's options, Progress cleared
-	topo   *topo.Topology
 	base   *lp.Problem
 	basis  *lp.Basis
 
@@ -82,13 +76,13 @@ type batchEntry struct {
 }
 
 // model states the model the entry was solved from: the one it holds, or
-// its recipe built afresh on the entry's own topology.
-func (e *batchEntry) model() *lp.Problem {
+// its recipe built afresh on t, the topology of the entry's cache.
+func (e *batchEntry) model(t *topo.Topology) *lp.Problem {
 	if e.base != nil {
 		return e.base
 	}
 	// The recipe was solved once, so its τ was accepted then.
-	pr, _ := prepLP(e.topo, e.demand, e.opt)
+	pr, _ := prepLP(t, e.demand, e.opt)
 	return pr.m.p
 }
 
@@ -149,9 +143,7 @@ type keyedRequest struct {
 // long-lived Planner session sets a limit, past which storing evicts the
 // oldest fingerprint bucket and remembering the oldest request key, each
 // index on its own. Oldest-first, like the basisStore, so identical
-// request streams replay identically. A session's Replan starts the
-// churned state's cache with the model index carried over (carry) and
-// an empty request index.
+// request streams replay identically.
 type batchCache struct {
 	mu       sync.Mutex
 	entries  map[uint64][]*batchEntry // buckets are append-only
@@ -191,51 +183,22 @@ func (c *batchCache) remember(k requestKey, r keyedRequest) {
 	c.requests[k] = r
 }
 
-// lookup returns an entry solved from a model equal to p under the same
-// MinimizeMakespan choice. The flag is consumed after the model is built,
+// lookup returns an entry solved from a model equal to p, built on t,
+// under the same MinimizeMakespan choice. The flag is consumed after the model is built,
 // so it is invisible to the fingerprint; a session mixing per-request
 // options must not replay an unrefined schedule into a request that asked
 // for the refinement (or vice versa). The confirming build runs outside
 // the lock.
-func (c *batchCache) lookup(fp uint64, p *lp.Problem, makespan bool) *batchEntry {
+func (c *batchCache) lookup(t *topo.Topology, fp uint64, p *lp.Problem, makespan bool) *batchEntry {
 	c.mu.Lock()
 	bucket := c.entries[fp]
 	c.mu.Unlock()
 	for _, e := range bucket {
-		if e.opt.MinimizeMakespan == makespan && e.model().EqualTo(p) {
+		if e.opt.MinimizeMakespan == makespan && e.model(t).EqualTo(p) {
 			return e
 		}
 	}
 	return nil
-}
-
-// carry returns the cache a churned session state starts from: c's model
-// index, oldest first as in c, with an empty request index. Entries that
-// hold their model (function-bearing requests) stay behind, so a session
-// carries no lp.Problem across churn. Buckets are copied, so neither
-// cache's appends reach the other's.
-func (c *batchCache) carry() *batchCache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := &batchCache{limit: c.limit, entries: make(map[uint64][]*batchEntry, len(c.entries))}
-	for fp, bucket := range c.entries {
-		var kept []*batchEntry
-		for _, e := range bucket {
-			if e.base == nil {
-				kept = append(kept, e)
-			}
-		}
-		if kept != nil {
-			next.entries[fp] = kept
-			next.size += len(kept)
-		}
-	}
-	for _, fp := range c.order {
-		if next.entries[fp] != nil {
-			next.order = append(next.order, fp)
-		}
-	}
-	return next
 }
 
 func (c *batchCache) store(fp uint64, e *batchEntry) {
@@ -324,12 +287,11 @@ func BatchSolveLP(ctx context.Context, t *topo.Topology, demands []*collective.D
 
 // solvePoint solves one sweep point: replayed from the cache when the
 // same request or a structurally identical point was already solved,
-// otherwise solved for real (warm-started from hint) and cached. A replay
-// carries no payload of its own; replayOf names the entry it replayed,
-// and a solve's payload names the entry it stored, so a session can
-// recognise a replay of its own incumbent, or keep the entry as the
-// incumbent's payload. Options.TimeLimit is layered onto ctx per point.
-func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, inc incumbentState, replayOf *batchEntry, err error) {
+// otherwise solved for real (warm-started from hint) and cached. e is the
+// entry the point replayed or stored (nil when it stored none); a replay
+// carries no payload of its own. Options.TimeLimit is layered onto ctx
+// per point.
+func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, inc incumbentState, e *batchEntry, err error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
 	start := time.Now()
@@ -348,7 +310,7 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 	var fp uint64
 	if pr.m != nil {
 		fp = pr.m.p.Fingerprint()
-		if e := c.lookup(fp, pr.m.p, opt.MinimizeMakespan); e != nil {
+		if e := c.lookup(t, fp, pr.m.p, opt.MinimizeMakespan); e != nil {
 			if res := e.replay(t, pr.d, pr.in.tau, start); res != nil {
 				if keyed {
 					c.remember(key, keyedRequest{demand: d.Clone(), tau: pr.in.tau, entry: e})
@@ -361,32 +323,31 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 		}
 	}
 	res, inc, err = solvePrepped(ctx, t, pr, opt, hint, start)
-	if err == nil && inc.model != nil {
-		e := &batchEntry{
-			demand:    d.Clone(),
-			opt:       opt,
-			topo:      t,
-			sends:     res.Schedule.Sends,
-			numEpochs: res.Schedule.NumEpochs,
-			epc:       res.Schedule.EpochsPerChunk,
-			objective: res.Objective,
-			gap:       res.Gap,
-			optimal:   res.Optimal,
-		}
-		e.opt.Progress = nil
-		if !keyed {
-			e.base = pr.m.p
-		}
-		if inc.model == pr.m {
-			e.basis = inc.basis
-		}
-		c.store(fp, e)
-		if keyed {
-			c.remember(key, keyedRequest{demand: e.demand, tau: pr.in.tau, entry: e})
-		}
-		inc.entry = e
+	if err != nil || inc.model == nil {
+		return res, inc, nil, err
 	}
-	return res, inc, nil, err
+	e = &batchEntry{
+		demand:    d.Clone(),
+		opt:       opt,
+		sends:     res.Schedule.Sends,
+		numEpochs: res.Schedule.NumEpochs,
+		epc:       res.Schedule.EpochsPerChunk,
+		objective: res.Objective,
+		gap:       res.Gap,
+		optimal:   res.Optimal,
+	}
+	e.opt.Progress = nil
+	if !keyed {
+		e.base = pr.m.p
+	}
+	if inc.model == pr.m {
+		e.basis = inc.basis
+	}
+	c.store(fp, e)
+	if keyed {
+		c.remember(key, keyedRequest{demand: e.demand, tau: pr.in.tau, entry: e})
+	}
+	return res, inc, e, nil
 }
 
 // replay re-issues the entry's schedule for demand d (the form the LP

@@ -350,6 +350,7 @@ func DeriveTau(t *topo.Topology, chunkBytes float64, mode EpochMode, multiplier 
 // any form builds a model.
 func newInstance(t *topo.Topology, d *collective.Demand, opt Options) (*instance, error) {
 	in := &instance{topo: t, demand: d, opt: opt}
+	in.opt.estimates = nil // a model outlives the session state it was built in
 
 	// Commodities.
 	for s := 0; s < d.NumNodes(); s++ {

@@ -19,19 +19,17 @@ package core
 //     caches; nothing expensive happens until the first request.
 //  2. Plan and Replan calls, freely concurrent, populate the caches
 //     (schedule replay, warm bases, estimates) and maintain the replan
-//     incumbent. Replan swaps the cache bundle atomically onto the
-//     churned topology. Topology-derived state — τ and epoch estimates,
-//     the request index, warm bases, the key-matched chains — is per
-//     state and never outlives the topology it was derived from. What
-//     survives churn is the replay cache's model index: an answer to a
-//     model, which a later world serves only for a model EqualTo the
-//     one it answered, and only after its schedule re-validates on that
-//     world; and the LP incumbent the last fallback displaced, as the
-//     recipe its model is restated from (Replan's resume rung).
+//     incumbent. Everything a session derives from its world — τ and
+//     epoch estimates, the replay cache, warm bases, the key-matched
+//     chains — lives in one sessionState, which Replan swaps atomically
+//     for an empty one on the churned topology. What survives churn is
+//     the replan incumbent and the LP incumbent the last fallback
+//     displaced, kept as the recipe its model is restated from (Replan's
+//     resume rung).
 //  3. Close marks the session closed and releases the retained state —
-//     the schedule-replay cache, the warm-basis store, the key-matched
-//     basis chains, the displaced incumbent's recipe, and the replan
-//     incumbent, the one of them that pins a whole LP model. Subsequent
+//     the session state with every cache, the displaced incumbent's
+//     recipe, and the replan incumbent, the one of them that pins a
+//     whole LP model. Subsequent
 //     Plan/Replan calls fail with ErrPlannerClosed; calls already in
 //     flight finish normally (their results are simply not recorded back
 //     into the session). Close is idempotent, and Stats/Topology keep
@@ -105,8 +103,9 @@ type Plan struct {
 	// ReplanFallback marks a replan that could not reoptimize the
 	// incumbent incrementally (structural churn, a sour or infeasible
 	// incremental solve, or an incumbent with no incremental payload) and
-	// degraded to a cold solve of the edited request — a replay
-	// (CacheHit) when the session has solved that model before.
+	// degraded to a cold solve of the edited request. The solve runs in
+	// the churned session state, whose caches start empty, so a fallback
+	// is never a replay (CacheHit).
 	ReplanFallback bool
 	// ReBased is always false. It marked a proactive re-base, which is
 	// gone, and stays for wire v1 (the rebased field).
@@ -191,8 +190,6 @@ type Planner struct {
 	mu        sync.Mutex
 	closed    bool
 	state     *sessionState
-	lastLP    sessionBasis    // key-matched warm-start chain, LP form
-	lastMILP  sessionBasis    // key-matched warm-start chain, MILP form
 	incumbent *incumbentState // the one thing a session keeps a whole model for
 	// displaced is the LP incumbent the last fallback or resume replaced,
 	// kept as its recipe and basis with no model (displacedRecipe): what
@@ -209,18 +206,19 @@ type Planner struct {
 
 // sessionState is everything a session derives from its current
 // topology: the snapshot itself plus every per-topology cache. Replan
-// swaps the whole bundle atomically, so nothing derived from a topology
-// can outlive it — the replay/basis/estimate staleness bugs all reduce
-// to violating that invariant. The one thing the swap hands on is
-// lpCache's model index (batchCache.carry), whose entries are not
-// derived from the current topology: each answers the model it was
-// solved from on its own.
+// swaps the whole bundle atomically for an empty one, so nothing derived
+// from a topology can outlive it — the replay/basis/estimate staleness
+// bugs all reduce to violating that invariant. A swap hands on only the
+// incumbent and the displaced recipe, which the Planner holds.
 type sessionState struct {
 	t         *topo.Topology
 	numGPU    int
 	est       *estimateCache
 	lpCache   *batchCache // exact-structure schedule replay
 	warmBases *basisStore // exact-fingerprint warm bases
+	// lastLP and lastMILP (under Planner.mu) are the key-matched
+	// warm-start chains of the LP and MILP forms.
+	lastLP, lastMILP sessionBasis
 }
 
 func newSessionState(t *topo.Topology) *sessionState {
@@ -230,8 +228,7 @@ func newSessionState(t *topo.Topology) *sessionState {
 		est:    newEstimateCache(),
 		// Sessions are long-lived: bound the schedule-replay cache (each
 		// entry retains a schedule, the request that built its model and
-		// its final basis; entries carried across Replans count too) the
-		// same way the basis store is.
+		// its final basis) the same way the basis store is.
 		lpCache:   &batchCache{limit: basisStoreLimit},
 		warmBases: newBasisStore(),
 	}
@@ -270,10 +267,6 @@ type incumbentState struct {
 	// restated: a MinimizeMakespan refinement, or a lineage past
 	// maxRecipeSteps.
 	recipe *lpRecipe
-	// entry is the replay-cache entry of an LP incumbent: the one its
-	// solve stored (a later replay of that entry is a replay of this
-	// solve, see incumbentPayload), or, for a replay, the one it replayed.
-	entry *batchEntry
 	// at is a displaced incumbent's world and discretization (topology,
 	// τ, δ, κ and chunk size, nothing else of its instance), what
 	// churnedInstance gates a resume on before the model is restated.
@@ -433,10 +426,10 @@ func (pl *Planner) snapshotOpen() (*sessionState, error) {
 // been Closed.
 var ErrPlannerClosed = errors.New("core: planner session is closed")
 
-// Close releases the session's retained state — the schedule-replay
-// cache, the warm-basis store, the key-matched basis chains, the
-// displaced incumbent's recipe, and the replan incumbent (which pins a
-// whole LP model) — and marks the session
+// Close releases the session's retained state — the session state with
+// its schedule-replay cache, warm-basis store and key-matched basis
+// chains, the displaced incumbent's recipe, and the replan incumbent
+// (which pins a whole LP model) — and marks the session
 // closed: subsequent Plan and Replan calls return ErrPlannerClosed.
 // Calls already in flight finish normally; their results are not
 // recorded back into the session. Close is idempotent and safe for
@@ -455,7 +448,6 @@ func (pl *Planner) Close() error {
 	// out: concurrent Plan/Topology calls hold or take state pointers,
 	// and the swap unpins every cached schedule and basis at once.
 	pl.state = newSessionState(pl.state.t)
-	pl.lastLP, pl.lastMILP = sessionBasis{}, sessionBasis{}
 	pl.incumbent, pl.displaced = nil, nil
 	return nil
 }
@@ -627,20 +619,16 @@ func (pl *Planner) choose(st *sessionState, d *collective.Demand, opt Options) S
 	return DefaultPolicy{}.Choose(in)
 }
 
-// keepBasis chains the basis of a solved LP or MILP payload into the
-// session: last, the key-matched chain of its form — unless a Replan
-// swapped the session state mid-solve (a model built against the old
-// topology must not seed the new chain) — and the fingerprint store of
-// the state it was solved against.
+// keepBasis chains the basis of a solved LP or MILP payload into st,
+// the session state it was solved against: last, the key-matched chain of
+// its form, and the fingerprint store.
 func (pl *Planner) keepBasis(st *sessionState, last *sessionBasis, inc *incumbentState) {
 	p, b := inc.root()
 	if p == nil || b == nil || len(b.Vars) != p.NumVars() {
 		return
 	}
 	pl.mu.Lock()
-	if pl.state == st {
-		*last = sessionBasis{keys: p.Keys(), basis: b}
-	}
+	*last = sessionBasis{keys: p.Keys(), basis: b}
 	pl.mu.Unlock()
 	st.warmBases.record(p, b)
 }
@@ -651,52 +639,33 @@ func (pl *Planner) keepBasis(st *sessionState, last *sessionBasis, inc *incumben
 // by column key.
 func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
 	pl.mu.Lock()
-	last := pl.lastLP
+	last := st.lastLP
 	pl.mu.Unlock()
 	hint := sessionHint(last.keys, last.basis, st.warmBases)
 
-	res, inc, replayOf, err := st.lpCache.solvePoint(ctx, st.t, d, opt, hint)
-	pl.keepBasis(st, &pl.lastLP, &inc)
-	if replayOf != nil {
-		inc = pl.incumbentPayload(replayOf, d, res.Tau)
-	}
+	res, inc, e, err := st.lpCache.solvePoint(ctx, st.t, d, opt, hint)
+	pl.keepBasis(st, &st.lastLP, &inc)
 	// An entry keeps a basis only when its solve ended on the request's
 	// own model (no makespan refinement): then the model is prepLP's of
 	// the request on this world, which recordIncumbent completes into a
-	// recipe of no steps.
-	if e := inc.entry; e != nil && e.basis != nil {
+	// recipe of no steps. A replay carries no model, so its incumbent is
+	// the entry's basis and that recipe alone.
+	if e != nil && e.basis != nil {
 		inc.basis, inc.recipe = e.basis, &lpRecipe{root: st.t}
 	}
 	return res, inc, err
-}
-
-// incumbentPayload returns the payload of a request for d at epoch
-// duration tau that has just replayed cache entry e. A replay carries no
-// model of its own: when it replayed the incumbent's own solve (e is the
-// entry that solve stored), the incumbent's model and basis are handed
-// back, so the request refreshes the incumbent instead of emptying it;
-// otherwise the payload is e alone, whose model Replan restates from the
-// request (planLP adds the recipe).
-func (pl *Planner) incumbentPayload(e *batchEntry, d *collective.Demand, tau float64) incumbentState {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	inc := pl.incumbent
-	if inc == nil || inc.model == nil || inc.entry != e || inc.model.in.tau != tau || !inc.demand.Equal(d) {
-		return incumbentState{entry: e}
-	}
-	return incumbentState{model: inc.model, basis: inc.basis, entry: e}
 }
 
 // planMILP serves a MILP-form request, warm-starting the root relaxation
 // from the fingerprint store or the previous MILP's root basis by name.
 func (pl *Planner) planMILP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
 	pl.mu.Lock()
-	last := pl.lastMILP
+	last := st.lastMILP
 	pl.mu.Unlock()
 	hint := sessionHint(last.keys, last.basis, st.warmBases)
 
 	res, inc, err := solveMILP(ctx, st.t, d, opt, hint)
-	pl.keepBasis(st, &pl.lastMILP, &inc)
+	pl.keepBasis(st, &st.lastMILP, &inc)
 	return res, inc, err
 }
 

@@ -6,6 +6,7 @@ package core
 // derives, and the resume rung to the incumbents it swaps.
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -33,7 +34,7 @@ func assertRecipesRestate(t *testing.T, pl *Planner) {
 		s    *incumbentState
 	}{{"incumbent", inc}, {"displaced", dis}} {
 		s := k.s
-		if s == nil || s.model == nil && s.entry == nil && s.recipe == nil {
+		if s == nil || s.model == nil && s.recipe == nil {
 			continue // no LP incumbent: another form, or an empty solve
 		}
 		if s.recipe == nil {
@@ -67,7 +68,9 @@ func assertRecipesRestate(t *testing.T, pl *Planner) {
 // fallback counted, and the two incumbents swap — the degraded world's
 // incumbent is now the displaced recipe, and the resumed one keeps its
 // recipe without a model. A second degrade resumes that one in turn, and
-// the link loss after it reoptimizes a restated model.
+// the link loss after it reoptimizes a restated model. Every Replan
+// starts the churned state's replay cache empty, so the session's request
+// on the final world is solved, not replayed.
 func TestReplanResumesTheDisplacedIncumbent(t *testing.T) {
 	s := newScriptSession(t, topo.DGX1(), Options{})
 	defer s.pl.Close()
@@ -114,4 +117,10 @@ func TestReplanResumesTheDisplacedIncumbent(t *testing.T) {
 		t.Fatalf("link down after a resume: %s, want an incremental replan of the restated model", rung)
 	}
 	assertAvoidsDown(t, p)
+	if n := len(s.pl.snapshot().lpCache.requests); n != 0 {
+		t.Fatalf("the churned world's request index holds %d requests, want none", n)
+	}
+	if again, err := s.pl.Plan(context.Background(), Request{Demand: s.demand.Clone(), Solver: SolverLP}); err != nil || again.CacheHit {
+		t.Fatalf("the session's request on the churned world: %v (cache hit %v), want a solve", err, again != nil && again.CacheHit)
+	}
 }

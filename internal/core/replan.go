@@ -67,9 +67,8 @@ package core
 // root world, then the same edits, churnLP) and reoptimizes it on the
 // churned world through the incremental tail; the two incumbents swap.
 // Otherwise the cold rung runs: a crash-started solve of the edited
-// request, or, when churn returns the session to a world it has already
-// solved cold, a replay from the carried model index (batch.go). Replan
-// never errors when the cold solve would succeed. A seeded stream of
+// request in the churned session state, whose caches start empty, so it
+// never replays. Replan never errors when the cold solve would succeed. A seeded stream of
 // mixed churn pins the rung every delta lands on
 // (TestReplanStreamRungs).
 
@@ -284,7 +283,6 @@ func churnedInstance(in *instance, newTopo *topo.Topology) *instance {
 	in2 := *in
 	in2.topo = newTopo
 	in2.capChunks = make([]float64, nL)
-	in2.opt.estimates = nil
 	for l := 0; l < nL; l++ {
 		if newTopo.LinkDown(topo.LinkID(l)) {
 			continue
@@ -336,18 +334,14 @@ func applyLinkChurn(q *lp.Problem, fvar [][][]int32, capRow [][]int32, in2 *inst
 
 // Replan applies churn to the session and re-solves the incumbent
 // request (the session's last successful Plan) against the churned
-// topology and demand. The session's topology snapshot is replaced and
-// every cache derived from the topology — tau derivations, epoch
-// estimates, the replay cache's request index, warm bases, the
-// key-matched chains — starts empty, atomically, so requests planned
-// after Replan returns can never replay pre-churn state. The replay
-// cache's model index is carried over: its entries answer models, not
-// worlds, so a churned world whose model is EqualTo one solved earlier
-// in the session (a straggler recovered, a capacity cut undone) replays
-// that answer once its schedule re-validates on the churned topology.
-// Concurrent Plan calls are safe: each captures a consistent snapshot
-// and in-flight solves against the old topology cannot contaminate the
-// new caches.
+// topology and demand. The session state — the topology snapshot and
+// every cache derived from it: tau derivations, epoch estimates, the
+// replay cache, warm bases, the key-matched chains — is replaced by an
+// empty one on the churned topology, atomically, so requests planned
+// after Replan returns can never replay pre-churn state. What crosses the
+// swap is the incumbent and the displaced recipe. Concurrent Plan calls
+// are safe: each captures a consistent snapshot and in-flight solves
+// against the old topology cannot contaminate the new caches.
 //
 // The re-solve climbs the ladder of the file comment: incremental per
 // the incumbent's formulation when the churn is non-structural, under the
@@ -411,12 +405,10 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 		newDemand.Or(d.AddDemand)
 	}
 
-	// Swap the session onto the churned topology with fresh caches but
-	// the carried model index; from here on, every concurrent and future
-	// Plan sees post-churn state only. The key-matched basis chains are
-	// flushed too — the fallback below must be a genuinely cold
-	// (crash-started) solve, unless its model is one the session solved
-	// before.
+	// Swap the session onto the churned topology with fresh caches; from
+	// here on, every concurrent and future Plan sees post-churn state
+	// only, and the fallback below is a genuinely cold (crash-started)
+	// solve.
 	newState := newSessionState(newTopo)
 	pl.mu.Lock()
 	if pl.closed {
@@ -426,10 +418,7 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 		return nil, ErrPlannerClosed
 	}
 	pl.foldStateHitsLocked(pl.state)
-	newState.lpCache = pl.state.lpCache.carry()
 	pl.state = newState
-	pl.lastLP = sessionBasis{}
-	pl.lastMILP = sessionBasis{}
 	pl.stats.Replans++
 	pl.mu.Unlock()
 
@@ -492,11 +481,9 @@ func (pl *Planner) Replan(ctx context.Context, d Delta) (*Plan, error) {
 	}
 
 	// Graceful degradation: cold re-solve of the edited request. The
-	// fresh session state guarantees no warm start survives from before
-	// the churn, so this is exactly the solve a brand-new session would
-	// run — or, when the churned model is EqualTo one the session solved
-	// earlier, that solve's schedule replayed after Schedule.Validate on
-	// the churned topology: an optimum of the same model, no simplex run.
+	// fresh session state guarantees no warm start or replay survives
+	// from before the churn, so this is exactly the solve a brand-new
+	// session would run.
 	pl.mu.Lock()
 	pl.stats.ReplanFallbacks++
 	switch kind {
@@ -573,9 +560,9 @@ func (pl *Planner) adoptReplan(newState *sessionState, old *incumbentState, newD
 	solver, last := SolverAStar, (*sessionBasis)(nil) // an A* payload has no basis to keep
 	switch {
 	case next.model != nil:
-		solver, last = SolverLP, &pl.lastLP
+		solver, last = SolverLP, &newState.lastLP
 	case next.mmodel != nil:
-		solver, last = SolverMILP, &pl.lastMILP
+		solver, last = SolverMILP, &newState.lastMILP
 	}
 	res.WarmStarted = true // resumed from the incumbent, whatever the form
 	pl.keepBasis(newState, last, &next)

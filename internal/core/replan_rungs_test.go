@@ -250,9 +250,10 @@ func (s *rungSession) churnDemand(d Delta, nodes int) *collective.Demand {
 
 // step replans one delta, checks the answer and the session's recipes
 // (assertRecipesRestate), and names the rung that served it:
-// "incremental", "resume", "structural", "structural-replay", "budget",
-// "sour", "no-model", or "error" when Replan errored (then the session
-// is reopened).
+// "incremental", "resume", "structural", "budget", "sour", "no-model", or
+// "error" when Replan errored (then the session is reopened). A fallback
+// that replays fails the test: it plans in the churned session state,
+// whose replay cache starts empty.
 func (s *rungSession) step(t *testing.T, d Delta) string {
 	t.Helper()
 	ctx := context.Background()
@@ -279,6 +280,9 @@ func (s *rungSession) step(t *testing.T, d Delta) string {
 	assertAvoidsDown(t, p)
 	assertRecipesRestate(t, s.pl)
 	after := s.pl.Stats()
+	if p.ReplanFallback && p.CacheHit {
+		t.Errorf("%s: the fallback of %+v replayed, but the churned state's cache starts empty", s.f.name, d)
+	}
 	rung := "incremental"
 	switch {
 	case after.ReplanResumes > before.ReplanResumes:
@@ -291,9 +295,6 @@ func (s *rungSession) step(t *testing.T, d Delta) string {
 		rung = "no-model"
 	case after.ReplanFallbackStructural > before.ReplanFallbackStructural:
 		rung = "structural"
-		if p.CacheHit {
-			rung = "structural-replay"
-		}
 	}
 	if s.shadow != nil && s.f.solver != SolverLP {
 		fresh := NewPlanner(world, PlannerOptions{Defaults: s.f.opt})

@@ -531,12 +531,11 @@ func TestReplanConcurrentWithPlans(t *testing.T) {
 }
 
 // TestReplanAfterReplayedRequestStaysIncremental: a request replayed
-// from the schedule cache carries no model of its own, but when it
-// replays the incumbent's own solve the incumbent keeps its model and
-// basis, so the next Replan reoptimizes instead of solving cold. A
-// replay of some other solve keeps the replayed cache entry, and Replan
-// restates the model from the request and reoptimizes from the entry's
-// basis.
+// from the schedule cache carries no model of its own, so its incumbent
+// is the replayed entry's basis and a recipe of no steps, whether it
+// replays the incumbent's own solve or another one. The next Replan
+// restates the model from the request and reoptimizes from that basis
+// instead of solving cold.
 func TestReplanAfterReplayedRequestStaysIncremental(t *testing.T) {
 	tt := topo.DGX1()
 	a := collective.AllToAll(tt.NumNodes(), testGPUs(tt), 1, 25e3)
@@ -552,6 +551,9 @@ func TestReplanAfterReplayedRequestStaysIncremental(t *testing.T) {
 	if !again.CacheHit {
 		t.Fatal("identical request should replay (sanity)")
 	}
+	if inc := pl.incumbent; inc.model != nil || inc.recipe == nil || len(inc.recipe.steps) != 0 || inc.basis == nil {
+		t.Fatal("a replay of the incumbent's own solve must leave a basis and a recipe of no steps, and no model")
+	}
 	rp, err := pl.Replan(ctx, Delta{LinksDown: []topo.LinkID{0}})
 	if err != nil {
 		t.Fatal(err)
@@ -564,9 +566,9 @@ func TestReplanAfterReplayedRequestStaysIncremental(t *testing.T) {
 		t.Fatalf("stats = %+v, want no fallbacks", st)
 	}
 
-	// Plan(A), Plan(B), Plan(A) [replay]: the incumbent is B's solve, not
-	// the one replayed, so there is no model to hand back; the incumbent
-	// keeps A's cache entry, and Replan reoptimizes A's restated model.
+	// Plan(A), Plan(B), Plan(A) [replay]: the incumbent is A's replayed
+	// entry's basis and A's recipe, and Replan reoptimizes A's restated
+	// model.
 	pl = NewPlanner(tt, PlannerOptions{})
 	b := a.Clone()
 	b.DropPair(testGPUs(tt)[0], testGPUs(tt)[1])
@@ -576,8 +578,8 @@ func TestReplanAfterReplayedRequestStaysIncremental(t *testing.T) {
 			t.Fatalf("request %d: %v (cache hit %v)", i, err, p != nil && p.CacheHit)
 		}
 	}
-	if pl.incumbent.model != nil || pl.incumbent.entry == nil {
-		t.Fatal("a replayed incumbent must hold its cache entry and no model")
+	if inc := pl.incumbent; inc.model != nil || inc.recipe == nil || len(inc.recipe.steps) != 0 || inc.basis == nil {
+		t.Fatal("a replayed incumbent must hold a basis and a recipe of no steps, and no model")
 	}
 	if rp, err = pl.Replan(ctx, Delta{LinksDown: []topo.LinkID{0}}); err != nil {
 		t.Fatal(err)
