@@ -153,15 +153,17 @@ func kernelBitsSolves(t *testing.T) map[string]kernelBits {
 // TestKernelBitsPinned holds the solves to goldens recorded at the commit
 // before the simplex kept its duals and pivot rows in step space (the
 // three DGX1 ones re-recorded when the crash basis came to mark the
-// greedy's relay holdings and landing reads), under GOMAXPROCS 1 and 2
+// greedy's relay holdings and landing reads, and the iteration column of
+// all four when the simplex stopped counting a loop entry that prices out
+// optimal: 179, 1221, 20 and 51 before), under GOMAXPROCS 1 and 2
 // (the kernel is single-threaded; a result that depended on scheduling
 // would show here).
 func TestKernelBitsPinned(t *testing.T) {
 	want := map[string]kernelBits{
-		"transport":           {179, 10, 177, 1493, 5829197159272764749},
-		"dgx1-alltoall-crash": {1221, 24, 1210, 18317, 16689317952141138635},
-		"dgx1-rhs-warm-dual":  {20, 1, 17, 245, 13537880770274013994},
-		"dgx1-node-resolve":   {51, 2, 48, 1219, 4699767974194284158},
+		"transport":           {177, 10, 177, 1493, 5829197159272764749},
+		"dgx1-alltoall-crash": {1219, 24, 1210, 18317, 16689317952141138635},
+		"dgx1-rhs-warm-dual":  {17, 1, 17, 245, 13537880770274013994},
+		"dgx1-node-resolve":   {48, 2, 48, 1219, 4699767974194284158},
 	}
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {

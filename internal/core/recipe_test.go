@@ -20,8 +20,7 @@ import (
 // model EqualTo the incumbent's model (when it keeps one), and the kept
 // basis is optimal for the restated model: a warm solve from it takes no
 // pivot — it returns the basis it started from after its one
-// factorization and no update (Iterations still counts 3: the dual, phase
-// 1 and phase 2 loops each enter once to price out). The sessions it
+// factorization, no update and 0 iterations. The sessions it
 // runs on never refine a makespan or outgrow maxRecipeSteps, so an LP
 // incumbent without a recipe is a failure.
 func assertRecipesRestate(t *testing.T, pl *Planner) {
@@ -51,10 +50,10 @@ func assertRecipesRestate(t *testing.T, pl *Planner) {
 			continue
 		}
 		sol, err := lp.Solve(r.model.p, lp.Options{WarmStart: s.basis.Clone()})
-		if err != nil || sol.Status != lp.StatusOptimal || sol.FTUpdates != 0 || sol.Refactorizations != 1 ||
+		if err != nil || sol.Status != lp.StatusOptimal || sol.Iterations != 0 || sol.FTUpdates != 0 || sol.Refactorizations != 1 ||
 			!reflect.DeepEqual(sol.Basis, s.basis) {
-			t.Errorf("the %s's basis re-solves its restated model (%d steps): %v, status %v after %d updates and %d factorizations, want optimal from the same basis",
-				k.role, len(s.recipe.steps), err, sol.Status, sol.FTUpdates, sol.Refactorizations)
+			t.Errorf("the %s's basis re-solves its restated model (%d steps): %v, status %v after %d iterations, %d updates and %d factorizations, want optimal from the same basis",
+				k.role, len(s.recipe.steps), err, sol.Status, sol.Iterations, sol.FTUpdates, sol.Refactorizations)
 		}
 	}
 }

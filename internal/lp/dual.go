@@ -227,7 +227,6 @@ func (s *simplex) dualIterate(maxIter int) Status {
 		if checkBudget && s.iter%64 == 0 && s.interrupted() {
 			return StatusIterLimit
 		}
-		s.iter++
 
 		// Leaving row: devex-weighted largest primal infeasibility.
 		r := -1
@@ -249,6 +248,7 @@ func (s *simplex) dualIterate(maxIter int) Status {
 		if r == -1 {
 			return StatusOptimal // primal feasible; dual feasibility held throughout
 		}
+		s.iter++ // a pivot, not a loop entry: an optimal basis counts none
 		sigma := 1.0
 		if delta < 0 {
 			sigma = -1

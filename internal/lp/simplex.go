@@ -1009,7 +1009,6 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 			fmt.Fprintf(os.Stderr, "lp: iter=%d refactors=%d updates=%d luNnz=%d uNnz=%d(base %d) rNnz=%d obj=%.6g p1=%v bland=%v\n",
 				s.iter, s.refactors, s.lu.statUpdates, s.lu.luNnz, s.lu.uNnz, s.lu.baseUNnz, s.lu.rNnz(), phaseObj(), phase1, useBland)
 		}
-		s.iter++
 
 		// Basic costs in step space: the phase-1 objective is the total
 		// violation, whose gradient on basic variables is ±1.
@@ -1049,6 +1048,7 @@ func (s *simplex) iterate(phase1 bool, cost []float64, maxIter int) Status {
 			}
 			return StatusOptimal
 		}
+		s.iter++ // a pivot, not a loop entry: an optimal basis counts none
 
 		// FTRAN: w = B^-1 a_enter (spike saved for the FT update below).
 		s.ftranEntering(enter)

@@ -76,6 +76,8 @@ func TestWarmVsColdSameIncumbent(t *testing.T) {
 			t.Fatalf("seed %d: objective %g vs rewarmed %g", seed, sol.Objective, again.Objective)
 		}
 	}
-	cold.check(t, "cold root", effort{1988, 8089, 2020})
-	rewarmed.check(t, "rewarmed root", effort{1988, 8089, 2020})
+	// Node iterations count pivots since the simplex stopped counting a
+	// loop entry that prices out optimal (8089 before).
+	cold.check(t, "cold root", effort{1988, 2125, 2020})
+	rewarmed.check(t, "rewarmed root", effort{1988, 2125, 2020})
 }
