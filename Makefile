@@ -9,7 +9,7 @@ GO ?= go
 # with -C on another tree (identity.sh counts the parent's lines this way).
 ROOT := $(dir $(abspath $(lastword $(MAKEFILE_LIST))))
 
-.PHONY: ci vet lint build test race fuzz-smoke bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc loc-lock loc-check identity pair
+.PHONY: ci vet lint build test race fuzz-smoke bench-smoke bench-smoke-short bench bench-verify tables api-compat daemon-smoke loc loc-lock loc-check identity pair trajectory
 
 ci: vet lint build test race fuzz-smoke api-compat daemon-smoke bench-smoke bench-verify
 
@@ -181,3 +181,10 @@ identity:
 pair:
 	@test -n "$(PARENT)" || { echo "usage: make pair PARENT=<ref> [WORKLOAD=<name>] [PAIRS=<n>] [SEED=<s>] [RECORD=<file>]"; exit 2; }
 	bash scripts/pair.sh "$(PARENT)" $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) $(if $(RECORD),--record $(RECORD))
+
+# The perf trajectory across the committed paired-run records: one row
+# per (workload, end-to-end metric), one column per BENCH_PR<NN>.json in
+# PR order, each cell that record's parent -> change medians
+# (scripts/trajectory.sh; needs jq).
+trajectory:
+	@bash $(ROOT)scripts/trajectory.sh
