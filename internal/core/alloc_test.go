@@ -165,13 +165,13 @@ func TestModelBuildAllocBudget(t *testing.T) {
 // 25 kB chunks on the fastest link, NDv2Mini(2) ALLTOALL at the same
 // sizes on the slowest), each planned and then replayed: no lp.Problem is
 // reachable from either session, because replay-cache entries keep the
-// request that built their model, the warm-start chains keep column keys,
-// and the incumbent each session is left with is a replay's — the
+// request that built their model, an LP session keeps no warm-start
+// chain, and the incumbent each session is left with is a replay's — the
 // replayed entry's basis and a recipe, no model. The two sessions hold
-// 97.5 KB of heap (97 496–97 576 B); 331–337 KB while a replay of the
-// incumbent's own solve handed DGX1's model back, and 897 KB, three
-// models, while entries and chains held models. The bound is the reading
-// + 10 %.
+// 37.8 KB of heap (37 800 B); 97.5 KB while the LP chain kept the last
+// solve's keys and basis, 331–337 KB while a replay of the incumbent's
+// own solve handed DGX1's model back, and 897 KB, three models, while
+// entries and chains held models. The bound is the reading + 10 %.
 func TestSessionRetention(t *testing.T) {
 	shapes := []struct {
 		t   *topo.Topology
@@ -202,7 +202,7 @@ func TestSessionRetention(t *testing.T) {
 	}
 	runtime.KeepAlive(sessions)
 	skipUnderRace(t)
-	const maxBytes = 107_300
+	const maxBytes = 41_580
 	if retained > maxBytes {
 		t.Errorf("the two sessions retain %d bytes, budget %d", retained, maxBytes)
 	}
@@ -217,8 +217,9 @@ func TestSessionRetention(t *testing.T) {
 // incumbent the fallback before them displaced). After every delta the
 // only lp.Problem reachable from the session is the incumbent's, and
 // recover leaves an incumbent with no model at all: its recipe and basis,
-// beside the displaced straggler incumbent's. The session holds 42.5 KB
-// of heap (42 464–42 528 B; 66.3 KB while the replay cache's model index
+// beside the displaced straggler incumbent's. The session holds 23.8 KB
+// of heap (23 808–23 824 B; 42.5 KB while the LP chain and the basis
+// store kept LP bases, 66.3 KB while the replay cache's model index
 // crossed churn); the bound is the reading + 10 %.
 //
 // Then a fresh session replans maxRecipeSteps incremental deltas (a pair
@@ -251,7 +252,7 @@ func TestSessionRetentionAcrossChurn(t *testing.T) {
 	}
 	retained := liveHeap() - before
 	runtime.KeepAlive(s)
-	const maxBytes = 46_780
+	const maxBytes = 26_210
 	if !underRace() && retained > maxBytes {
 		t.Errorf("the session retains %d bytes, budget %d", retained, maxBytes)
 	}

@@ -15,11 +15,10 @@ package core
 //     is established by lp.Problem.Fingerprint plus an exact EqualTo
 //     confirmation, and every replayed schedule is re-validated against
 //     its own demand before being trusted.
-//   - The remaining points chain bases: each worker's chain passes the
-//     previous point's optimal basis (matched by column key, as the
-//     MinimizeMakespan loop already does across horizons) into the next
-//     solve, which then reoptimizes with the dual simplex instead of
-//     starting cold.
+//   - Every other point is solved as a new request, from the greedy
+//     plan's crash basis (solvePrepped). Carrying the previous point's
+//     basis over by column key lost to the crash start on every sweep
+//     measured, so points carry nothing but the cache between them.
 //   - Points fan out over a worker pool (BatchOptions.Workers), the
 //     same knob that parallelizes branch-and-bound node evaluation.
 //
@@ -44,9 +43,10 @@ import (
 // BatchOptions tunes a batched sweep solve.
 type BatchOptions struct {
 	// Workers fans the sweep points out over this many goroutines; 0 or
-	// 1 solves the whole sweep as one serial chain. Points are assigned
-	// to workers in contiguous blocks so neighboring points (the ones
-	// most likely to share structure) stay in one basis chain.
+	// 1 solves the whole sweep serially. Points are assigned to workers
+	// in contiguous blocks so neighboring points (the ones most likely
+	// to share a model) run in order on one worker, where the later one
+	// replays the earlier.
 	Workers int
 }
 
@@ -267,17 +267,12 @@ func BatchSolveLP(ctx context.Context, t *topo.Topology, demands []*collective.D
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var prev incumbentState // the chain's last solved model and basis
 			for i := lo; i < hi; i++ {
 				if err := context.Cause(ctx); err != nil && ctx.Err() != nil {
 					errs[i] = err
 					continue
 				}
-				res, inc, _, err := cache.solvePoint(ctx, t, demands[i], opt, hintFromSolve(prev.root()))
-				results[i], errs[i] = res, err
-				if err == nil && inc.model != nil {
-					prev = inc
-				}
+				results[i], _, _, errs[i] = cache.solvePoint(ctx, t, demands[i], opt)
 			}
 		}(lo, hi)
 	}
@@ -287,11 +282,11 @@ func BatchSolveLP(ctx context.Context, t *topo.Topology, demands []*collective.D
 
 // solvePoint solves one sweep point: replayed from the cache when the
 // same request or a structurally identical point was already solved,
-// otherwise solved for real (warm-started from hint) and cached. e is the
+// otherwise solved for real (crash-started) and cached. e is the
 // entry the point replayed or stored (nil when it stored none); a replay
 // carries no payload of its own. Options.TimeLimit is layered onto ctx
 // per point.
-func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (res *Result, inc incumbentState, e *batchEntry, err error) {
+func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (res *Result, inc incumbentState, e *batchEntry, err error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
 	start := time.Now()
@@ -322,7 +317,7 @@ func (c *batchCache) solvePoint(ctx context.Context, t *topo.Topology, d *collec
 			// through to an honest solve.
 		}
 	}
-	res, inc, err = solvePrepped(ctx, t, pr, opt, hint, start)
+	res, inc, err = solvePrepped(ctx, t, pr, opt, start)
 	if err != nil || inc.model == nil {
 		return res, inc, nil, err
 	}

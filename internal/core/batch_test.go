@@ -52,6 +52,13 @@ func TestBatchSolveLPMatchesPointSolves(t *testing.T) {
 		if math.Abs(batch[i].Objective-fresh.Objective) > 1e-6*(1+math.Abs(fresh.Objective)) {
 			t.Fatalf("point %d: objective %v vs %v", i, batch[i].Objective, fresh.Objective)
 		}
+		// A point the batch solved starts as a fresh solve does, so it
+		// walks the same pivots to the same bits.
+		if !batch[i].Reused && (batch[i].RootIterations != fresh.RootIterations ||
+			math.Float64bits(batch[i].Objective) != math.Float64bits(fresh.Objective)) {
+			t.Fatalf("point %d: %d pivots to %v (batch) vs %d to %v (fresh)", i,
+				batch[i].RootIterations, batch[i].Objective, fresh.RootIterations, fresh.Objective)
+		}
 		bs, err1 := sim.Run(batch[i].Schedule)
 		fs, err2 := sim.Run(fresh.Schedule)
 		if err1 != nil || err2 != nil {

@@ -56,10 +56,10 @@ const (
 	SlowestLink
 )
 
-// CrashMode selects the crash-basis policy: whether cold solves (no warm
-// basis available from a session, batch chain, or re-solve) seed the
+// CrashMode selects the crash-basis policy: whether cold solves seed the
 // simplex from the greedy schedule's flow support — a crash basis —
-// instead of the all-slack identity.
+// instead of the all-slack identity. Every LP-form solve of a new
+// request is cold; a MILP root is when the session has no basis for it.
 type CrashMode int8
 
 const (
@@ -266,11 +266,11 @@ type Result struct {
 	// from a structurally identical, already-solved point instead of
 	// running the simplex again (its solver counters are therefore zero).
 	Reused bool
-	// WarmStarted marks a solve whose main simplex run (the LP solve,
-	// the MILP root relaxation, or a rolling horizon's first window)
-	// resumed from a basis of an earlier related solve instead of
-	// starting cold — the signature of cross-request state reuse
-	// through a Planner or BatchSolveLP chain.
+	// WarmStarted marks a solve whose main simplex run (the MILP root
+	// relaxation, a rolling horizon's first window, or a replan's
+	// reoptimization) resumed from a basis of an earlier related solve
+	// instead of starting cold — the signature of cross-request state
+	// reuse through a Planner session.
 	WarmStarted bool
 	// CrashStarted marks a cold solve whose main simplex run was seeded
 	// from the greedy schedule's flow support (a crash basis) instead of

@@ -390,35 +390,32 @@ func TestKeyTransferMatchesNameTransfer(t *testing.T) {
 		})
 	})
 
-	t.Run("MinimizeMakespan K to K-1", func(t *testing.T) {
-		pr := must(prepLP(ndv, a2a, Options{EpochMode: SlowestLink}))
-		tighter := must(prepLP(ndv, a2a, Options{EpochMode: SlowestLink, Epochs: pr.in.K - 1, Tau: pr.in.tau}))
-		checkTransfer(t, "LP", pr.m.p, solveRelaxation(t, pr.m.p), tighter.m.p)
+	dgx := topo.DGX1()
+	ag := collective.AllGather(dgx.NumNodes(), testGPUs(dgx), 1, 25e3)
+	milpOf := func(d *collective.Demand, opt Options) *milpModel {
+		m, err := buildMILP(must(newInstance(dgx, d, opt)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 
-		dgx := topo.DGX1()
-		ag := collective.AllGather(dgx.NumNodes(), testGPUs(dgx), 1, 25e3)
-		in := must(newInstance(dgx, ag, Options{}))
-		m, err := buildMILP(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := buildMILP(must(newInstance(dgx, ag, Options{Epochs: in.K - 1, Tau: in.tau})))
-		if err != nil {
-			t.Fatal(err)
-		}
+	t.Run("MinimizeMakespan K to K-1", func(t *testing.T) {
+		m := milpOf(ag, Options{})
+		m2 := milpOf(ag, Options{Epochs: m.in.K - 1, Tau: m.in.tau})
 		checkTransfer(t, "MILP root", m.p, solveRelaxation(t, m.p), m2.p)
 	})
 
 	t.Run("session chain", func(t *testing.T) {
-		// One request's model onto the next's, as planLP chains them: a
-		// second chunk per pair, then another chunk size.
-		pr := must(prepLP(ndv, a2a, Options{EpochMode: SlowestLink}))
-		basis := solveRelaxation(t, pr.m.p)
+		// One MILP request's root onto the next's, as planMILP chains
+		// them: a second chunk per GPU, then another chunk size.
+		m := milpOf(ag, Options{})
+		basis := solveRelaxation(t, m.p)
 		for _, next := range []*collective.Demand{
-			collective.AllToAll(ndv.NumNodes(), testGPUs(ndv), 2, 25e3),
-			collective.AllToAll(ndv.NumNodes(), testGPUs(ndv), 1, 200e3),
+			collective.AllGather(dgx.NumNodes(), testGPUs(dgx), 2, 25e3),
+			collective.AllGather(dgx.NumNodes(), testGPUs(dgx), 1, 200e3),
 		} {
-			checkTransfer(t, "next request", pr.m.p, basis, must(prepLP(ndv, next, Options{EpochMode: SlowestLink})).m.p)
+			checkTransfer(t, "next request", m.p, basis, milpOf(next, Options{}).p)
 		}
 	})
 

@@ -586,7 +586,7 @@ func buildLP(in *instance, ix *lpIndex) *lpModel {
 func SolveLP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, error) {
 	ctx, cancel := withTimeLimit(ctx, opt.TimeLimit)
 	defer cancel()
-	res, _, err := solveLP(ctx, t, d, opt, nil)
+	res, _, err := solveLP(ctx, t, d, opt)
 	return res, err
 }
 
@@ -658,11 +658,10 @@ func prepLP(t *topo.Topology, d *collective.Demand, opt Options) (*lpPrep, error
 	return pr, err
 }
 
-// solveLP is SolveLP plus warm-start plumbing: hint seeds the simplex
-// basis, and the returned payload (the solved model and its basis) lets
-// a session chain the next request and Replan edit this one. The caller
-// has already layered Options.TimeLimit onto ctx.
-func solveLP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options, hint *basisHint) (*Result, incumbentState, error) {
+// solveLP is SolveLP returning the incremental payload as well: the
+// solved model and its basis, which Replan edits. The caller has already
+// layered Options.TimeLimit onto ctx.
+func solveLP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
 	// The clock starts before model construction: SolveTime and the
 	// TimeLimit deadline cover the build, as they always have.
 	start := time.Now()
@@ -670,23 +669,23 @@ func solveLP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt Op
 	if err != nil {
 		return nil, incumbentState{}, err
 	}
-	return solvePrepped(ctx, t, pr, opt, hint, start)
+	return solvePrepped(ctx, t, pr, opt, start)
 }
 
-// solvePrepped picks the start of an already-built LP-form instance —
-// the hint's basis, else a crash basis — and runs it (and the
-// MinimizeMakespan refinement).
-func solvePrepped(ctx context.Context, t *topo.Topology, pr *lpPrep, opt Options, hint *basisHint, start time.Time) (*Result, incumbentState, error) {
+// solvePrepped runs an already-built LP-form instance (and the
+// MinimizeMakespan refinement) from the one start a new request has: the
+// greedy plan's crash basis, or the slack basis under CrashOff. No basis
+// of another request is carried in; a replay or a Replan is how a
+// session reuses a solve.
+func solvePrepped(ctx context.Context, t *topo.Topology, pr *lpPrep, opt Options, start time.Time) (*Result, incumbentState, error) {
 	m := pr.m
 	if m == nil {
 		r := emptyResult(pr.in, start)
 		r.Schedule.AllowCopy = false
 		return r, incumbentState{}, nil
 	}
-	lpOpt := lp.Options{WarmStart: hint.basisFor(m.p)}
-	if lpOpt.WarmStart == nil && opt.Crash != CrashOff {
-		// Cold start: seed phase 1 from the greedy schedule's flow
-		// support instead of the all-slack basis.
+	var lpOpt lp.Options
+	if opt.Crash != CrashOff {
 		lpOpt.Crash = crashBasisLP(m, pr.greedy)
 	}
 	res, sol, err := m.run(ctx, lpOpt, start)
@@ -697,8 +696,8 @@ func solvePrepped(ctx context.Context, t *topo.Topology, pr *lpPrep, opt Options
 	if !opt.MinimizeMakespan {
 		return res, inc, nil
 	}
-	return refineMakespan(ctx, "lp", opt, res, inc, start, func(opt2 Options, h *basisHint) (*Result, incumbentState, error) {
-		return solveLP(ctx, t, pr.d, opt2, h)
+	return refineMakespan(ctx, "lp", opt, res, inc, start, func(opt2 Options, _ *incumbentState) (*Result, incumbentState, error) {
+		return solveLP(ctx, t, pr.d, opt2)
 	})
 }
 
@@ -754,18 +753,18 @@ func (m *lpModel) run(ctx context.Context, lpOpt lp.Options, start time.Time) (*
 // refineMakespan is MinimizeMakespan for both monolithic forms (§6's
 // "binary search on the number of epochs"): re-solve with the horizon
 // pinned to the current finish epoch until that is infeasible or stops
-// helping. τ is pinned so quantization stays comparable across horizons,
-// and each re-solve resumes from the previous horizon's basis (matched
-// by column key, since the variable set changes with K). An expired
-// TimeLimit stops the refinement and keeps the last complete schedule
-// (valid, just not proven makespan-minimal); a caller cancellation
-// returns that schedule alongside an error wrapping the cause, honoring
-// the cancellation contract.
+// helping. τ is pinned so quantization stays comparable across horizons.
+// resolve gets the previous horizon's payload: the MILP form resumes its
+// root from that basis (matched by column key, since the variable set
+// changes with K), the LP form starts each re-solve as a new request. An
+// expired TimeLimit stops the refinement and keeps the last complete
+// schedule (valid, just not proven makespan-minimal); a caller
+// cancellation returns that schedule alongside an error wrapping the
+// cause, honoring the cancellation contract.
 func refineMakespan(ctx context.Context, solver string, opt Options, res *Result, inc incumbentState, start time.Time,
-	resolve func(Options, *basisHint) (*Result, incumbentState, error)) (*Result, incumbentState, error) {
+	resolve func(Options, *incumbentState) (*Result, incumbentState, error)) (*Result, incumbentState, error) {
 	// WarmStarted/CrashStarted report how THIS REQUEST's root solve
-	// started; the re-solves are always internally warm-started and must
-	// not overwrite that.
+	// started, which the re-solves must not overwrite.
 	rootWarm, rootCrash := res.WarmStarted, res.CrashStarted
 	var err error
 	for {
@@ -782,7 +781,7 @@ func refineMakespan(ctx context.Context, solver string, opt Options, res *Result
 		opt2.MinimizeMakespan = false
 		opt2.Epochs = fe // forces completion by epoch fe-1
 		opt2.Tau = res.Tau
-		tighter, inc2, rerr := resolve(opt2, hintFromSolve(inc.root()))
+		tighter, inc2, rerr := resolve(opt2, &inc)
 		if rerr != nil && interrupted(ctx) != nil {
 			continue // reported at the top of the loop
 		}

@@ -596,8 +596,8 @@ func solveMILP(ctx context.Context, t *topo.Topology, d *collective.Demand, opt 
 	}
 	inc := incumbentState{mmodel: m, basis: msol.RootBasis, sends: res.Schedule.Sends}
 	if opt.MinimizeMakespan {
-		res, inc, err = refineMakespan(ctx, "milp", opt, res, inc, start, func(opt2 Options, h *basisHint) (*Result, incumbentState, error) {
-			return solveMILP(ctx, t, d, opt2, h)
+		res, inc, err = refineMakespan(ctx, "milp", opt, res, inc, start, func(opt2 Options, prev *incumbentState) (*Result, incumbentState, error) {
+			return solveMILP(ctx, t, d, opt2, hintFromSolve(prev.mmodel.p, prev.basis))
 		})
 		if err != nil {
 			return res, inc, err

@@ -5,11 +5,12 @@ package core
 // expensive that survives from one request to the next — tau
 // derivations, epoch estimates (Algorithm 1 runs Floyd–Warshall), solved
 // schedules of repeated requests and of structurally identical LP models,
-// and warm-start bases keyed by problem fingerprint or chained by column
-// key. The free functions (SolveLP and friends) are the same solves with
-// no session around them — Plan's arms call what they call and add the
-// caches — so a service holding a Planner per topology gets the same
-// answers with the cold-start work amortized across its request stream.
+// and MILP root and horizon window bases. An LP request the replay cache
+// cannot answer crash-starts, as on a fresh session: an LP plan is warm
+// only as a replan. The free functions (SolveLP and friends) are the same
+// solves with no session around them — Plan's arms call what they call
+// and add the caches — so a service holding a Planner per topology gets
+// the same answers with the cold-start work amortized across its stream.
 //
 // # Session lifecycle
 //
@@ -20,9 +21,9 @@ package core
 //  2. Plan and Replan calls, freely concurrent, populate the caches
 //     (schedule replay, warm bases, estimates) and maintain the replan
 //     incumbent. Everything a session derives from its world — τ and
-//     epoch estimates, the replay cache, warm bases, the key-matched
-//     chains — lives in one sessionState, which Replan swaps atomically
-//     for an empty one on the churned topology. What survives churn is
+//     epoch estimates, the replay cache, warm bases, the MILP chain —
+//     lives in one sessionState, which Replan swaps atomically for an
+//     empty one on the churned topology. What survives churn is
 //     the replan incumbent and the LP incumbent the last fallback
 //     displaced, kept as the recipe its model is restated from (Replan's
 //     resume rung).
@@ -91,7 +92,8 @@ type Plan struct {
 	// structurally identical earlier request (no simplex ran).
 	CacheHit bool
 	// WarmStart marks a solve whose main simplex run resumed from a
-	// basis of an earlier request instead of starting cold.
+	// basis of an earlier solve instead of starting cold: a replan, a
+	// MILP root or a horizon's first window, never another LP Plan.
 	WarmStart bool
 	// CrashStart marks a cold solve whose main simplex run was seeded
 	// from the greedy schedule's flow support (a crash basis) instead of
@@ -122,14 +124,14 @@ type PlannerStats struct {
 	// model options, no Priority or LinkCapacity function) by lookup, a
 	// new request whose model equals a solved one by building it.
 	ScheduleReplays int
-	// WarmStartHits counts solves that resumed from an earlier
-	// request's basis (Plan.WarmStart).
+	// WarmStartHits counts solves that resumed from an earlier solve's
+	// basis (Plan.WarmStart).
 	WarmStartHits int
 	// CrashStarts counts cold solves seeded from a greedy crash basis
 	// (Plan.CrashStart).
 	CrashStarts int
-	// ExactBasisHits counts warm starts served verbatim from the
-	// fingerprint-keyed basis store (a subset of WarmStartHits).
+	// ExactBasisHits counts MILP roots and horizon windows started
+	// verbatim from the fingerprint-keyed basis store.
 	ExactBasisHits int
 	// TauCacheHits / EpochCacheHits count derived-state cache hits. A
 	// replay by lookup derives nothing, so it moves neither (a policy
@@ -215,10 +217,10 @@ type sessionState struct {
 	numGPU    int
 	est       *estimateCache
 	lpCache   *batchCache // exact-structure schedule replay
-	warmBases *basisStore // exact-fingerprint warm bases
-	// lastLP and lastMILP (under Planner.mu) are the key-matched
-	// warm-start chains of the LP and MILP forms.
-	lastLP, lastMILP sessionBasis
+	warmBases *basisStore // exact-fingerprint MILP root and window bases
+	// lastMILP (under Planner.mu) is the MILP form's key-matched
+	// warm-start chain; the LP form has none.
+	lastMILP sessionBasis
 }
 
 func newSessionState(t *topo.Topology) *sessionState {
@@ -234,10 +236,10 @@ func newSessionState(t *topo.Topology) *sessionState {
 	}
 }
 
-// sessionBasis remembers the most recent solve of one form for
-// key-matched basis transfer into the next request: the model's column
-// keys (lp.Problem.Keys) and final basis, which is all the transfer
-// reads — not the model.
+// sessionBasis remembers the session's most recent MILP solve for
+// key-matched transfer of its root basis into the next MILP request: the
+// model's column keys (lp.Problem.Keys) and root basis, which is all the
+// transfer reads — not the model.
 type sessionBasis struct {
 	keys  []lp.VarKey
 	basis *lp.Basis
@@ -323,19 +325,6 @@ func (r *lpRecipe) then(s recipeStep) *lpRecipe {
 	next := *r
 	next.steps = append(slices.Clip(r.steps), s)
 	return &next
-}
-
-// root returns the solved problem and basis of an LP or MILP payload —
-// what a later solve of the same form chains its warm start from — and
-// nils for any other.
-func (inc *incumbentState) root() (*lp.Problem, *lp.Basis) {
-	switch {
-	case inc.model != nil:
-		return inc.model.p, inc.basis
-	case inc.mmodel != nil:
-		return inc.mmodel.p, inc.basis
-	}
-	return nil, nil
 }
 
 // restated returns the LP incumbent inc with its model restated from its
@@ -427,8 +416,8 @@ func (pl *Planner) snapshotOpen() (*sessionState, error) {
 var ErrPlannerClosed = errors.New("core: planner session is closed")
 
 // Close releases the session's retained state — the session state with
-// its schedule-replay cache, warm-basis store and key-matched basis
-// chains, the displaced incumbent's recipe, and the replan incumbent
+// its schedule-replay cache, warm-basis store and MILP key-matched
+// chain, the displaced incumbent's recipe, and the replan incumbent
 // (which pins a whole LP model) — and marks the session
 // closed: subsequent Plan and Replan calls return ErrPlannerClosed.
 // Calls already in flight finish normally; their results are not
@@ -619,32 +608,27 @@ func (pl *Planner) choose(st *sessionState, d *collective.Demand, opt Options) S
 	return DefaultPolicy{}.Choose(in)
 }
 
-// keepBasis chains the basis of a solved LP or MILP payload into st,
-// the session state it was solved against: last, the key-matched chain of
-// its form, and the fingerprint store.
-func (pl *Planner) keepBasis(st *sessionState, last *sessionBasis, inc *incumbentState) {
-	p, b := inc.root()
-	if p == nil || b == nil || len(b.Vars) != p.NumVars() {
+// keepBasis chains the root basis of a solved MILP payload into st, the
+// session state it was solved against: lastMILP, which the next MILP
+// request starts from by column key, and the fingerprint store. An LP
+// payload keeps nothing here; its basis survives only as a replay entry's
+// or the replan incumbent's.
+func (pl *Planner) keepBasis(st *sessionState, inc *incumbentState) {
+	m, b := inc.mmodel, inc.basis
+	if m == nil || b == nil || len(b.Vars) != m.p.NumVars() {
 		return
 	}
 	pl.mu.Lock()
-	*last = sessionBasis{keys: p.Keys(), basis: b}
+	st.lastMILP = sessionBasis{keys: m.p.Keys(), basis: b}
 	pl.mu.Unlock()
-	st.warmBases.record(p, b)
+	st.warmBases.record(m.p, b)
 }
 
-// planLP serves an LP-form request through the session caches: a
+// planLP serves an LP-form request through the session's replay cache: a
 // repeated request or an identical model replays its schedule, anything
-// else warm-starts from the fingerprint store or the previous LP's basis
-// by column key.
+// else is solved as on a fresh session, from the greedy crash basis.
 func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
-	pl.mu.Lock()
-	last := st.lastLP
-	pl.mu.Unlock()
-	hint := sessionHint(last.keys, last.basis, st.warmBases)
-
-	res, inc, e, err := st.lpCache.solvePoint(ctx, st.t, d, opt, hint)
-	pl.keepBasis(st, &st.lastLP, &inc)
+	res, inc, e, err := st.lpCache.solvePoint(ctx, st.t, d, opt)
 	// An entry keeps a basis only when its solve ended on the request's
 	// own model (no makespan refinement): then the model is prepLP's of
 	// the request on this world, which recordIncumbent completes into a
@@ -657,7 +641,7 @@ func (pl *Planner) planLP(ctx context.Context, st *sessionState, d *collective.D
 }
 
 // planMILP serves a MILP-form request, warm-starting the root relaxation
-// from the fingerprint store or the previous MILP's root basis by name.
+// from the fingerprint store or the previous MILP's root basis by key.
 func (pl *Planner) planMILP(ctx context.Context, st *sessionState, d *collective.Demand, opt Options) (*Result, incumbentState, error) {
 	pl.mu.Lock()
 	last := st.lastMILP
@@ -665,7 +649,7 @@ func (pl *Planner) planMILP(ctx context.Context, st *sessionState, d *collective
 	hint := sessionHint(last.keys, last.basis, st.warmBases)
 
 	res, inc, err := solveMILP(ctx, st.t, d, opt, hint)
-	pl.keepBasis(st, &st.lastMILP, &inc)
+	pl.keepBasis(st, &inc)
 	return res, inc, err
 }
 

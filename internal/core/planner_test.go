@@ -7,6 +7,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"teccl/internal/collective"
@@ -54,30 +56,54 @@ func TestPlannerReplaysIdenticalLPRequest(t *testing.T) {
 	}
 }
 
-func TestPlannerWarmStartsRelatedLPRequests(t *testing.T) {
-	// Different chunk counts produce different models (no replay), but
-	// the variable names overlap, so the second request must resume from
-	// the first's basis.
-	tt := topo.DGX1()
-	pl := NewPlanner(tt, PlannerOptions{})
-	for i, chunks := range []int{1, 2} {
-		d := collective.AllToAll(tt.NumNodes(), testGPUs(tt), chunks, 25e3)
-		plan, err := pl.Plan(context.Background(), Request{Demand: d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.CacheHit {
-			t.Fatalf("request %d replayed despite a different model", i)
-		}
-		if i == 0 && plan.WarmStart {
-			t.Fatal("first request claims a warm start")
-		}
-		if i == 1 && !plan.WarmStart {
-			t.Fatal("second request did not warm-start from the first")
-		}
+// TestSessionLPRequestSolvesAsFresh: an LP request the replay cache
+// cannot answer starts from the greedy crash basis whatever the session
+// solved before it, so the second request of each pair, planned on a
+// session that solved the first, takes the same pivots to the same
+// objective bits and finish epoch as on a fresh session. A basis carried
+// over from the first request (by column key or by fingerprint) would
+// mark it WarmStart and walk another pivot path. A pinned horizon runs no
+// greedy plan, so its request starts from the slack basis instead.
+func TestSessionLPRequestSolvesAsFresh(t *testing.T) {
+	type request struct {
+		chunks, epochs int
 	}
-	if st := pl.Stats(); st.WarmStartHits != 1 {
-		t.Fatalf("stats = %+v, want 1 warm-start hit", st)
+	pairs := [][2]request{{{1, 0}, {2, 0}}, {{2, 0}, {1, 0}}, {{1, 14}, {1, 16}}}
+	for _, c := range []struct {
+		t    *topo.Topology
+		mode EpochMode
+	}{
+		{topo.DGX1(), FastestLink},
+		{topo.NDv2Mini(2), SlowestLink},
+		{topo.Internal1(2), SlowestLink},
+		{topo.Ring(6, 25e9, 0.7e-6), SlowestLink},
+	} {
+		plan := func(pl *Planner, r request) *Plan {
+			t.Helper()
+			d := collective.AllToAll(c.t.NumNodes(), testGPUs(c.t), r.chunks, 25e3)
+			p, err := pl.Plan(context.Background(), Request{Demand: d, Options: &Options{EpochMode: c.mode, Epochs: r.epochs}, Solver: SolverLP})
+			if err != nil {
+				t.Fatalf("%s %+v: %v", c.t.Name, r, err)
+			}
+			return p
+		}
+		for _, pr := range pairs {
+			used := NewPlanner(c.t, PlannerOptions{})
+			plan(used, pr[0])
+			got := plan(used, pr[1])
+			want := plan(NewPlanner(c.t, PlannerOptions{}), pr[1])
+			what := fmt.Sprintf("%s %+v after %+v", c.t.Name, pr[1], pr[0])
+			if got.CacheHit || got.WarmStart || got.CrashStart != (pr[1].epochs == 0) {
+				t.Errorf("%s: cache hit %v, warm %v, crash %v; want a cold start, crashed unless the horizon is pinned",
+					what, got.CacheHit, got.WarmStart, got.CrashStart)
+			}
+			if got.RootIterations != want.RootIterations || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
+				got.Schedule.FinishEpoch() != want.Schedule.FinishEpoch() {
+				t.Errorf("%s: %d pivots, objective %v, finish %d; a fresh session takes %d to %v, finish %d", what,
+					got.RootIterations, got.Objective, got.Schedule.FinishEpoch(),
+					want.RootIterations, want.Objective, want.Schedule.FinishEpoch())
+			}
+		}
 	}
 }
 

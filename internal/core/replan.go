@@ -227,10 +227,12 @@ func replanAbortf(format string, args ...any) {
 // a few solves.
 const regretEWMAAlpha = 0.5
 
-// observeCold folds a genuinely cold solve's pivots into the session's
-// cold-pivot estimate. Replays and warm-started solves are skipped: the
-// budget must be calibrated against what the crash-started fallback
-// would actually cost.
+// observeCold folds a cold solve's pivots into the session's cold-pivot
+// estimate: every LP-form plan the replay cache does not answer, since a
+// related request crash-starts exactly as a fallback does, and a MILP
+// plan whose root started cold. Replays and warm-started solves are
+// skipped: the budget must be calibrated against what the crash-started
+// fallback would actually cost.
 func (pl *Planner) observeCold(res *Result) {
 	if res == nil || res.Reused || res.WarmStarted {
 		return
@@ -336,7 +338,7 @@ func applyLinkChurn(q *lp.Problem, fvar [][][]int32, capRow [][]int32, in2 *inst
 // request (the session's last successful Plan) against the churned
 // topology and demand. The session state — the topology snapshot and
 // every cache derived from it: tau derivations, epoch estimates, the
-// replay cache, warm bases, the key-matched chains — is replaced by an
+// replay cache, warm bases, the MILP key-matched chain — is replaced by an
 // empty one on the churned topology, atomically, so requests planned
 // after Replan returns can never replay pre-churn state. What crosses the
 // swap is the incumbent and the displaced recipe. Concurrent Plan calls
@@ -548,7 +550,8 @@ func (pl *Planner) resume(ctx context.Context, dis, inc *incumbentState, newTopo
 // adoptReplan is the epilogue of every incremental replan and resume:
 // the replanned payload becomes the incumbent for the next delta under
 // the incumbent's own request (unless a later Replan already replaced
-// the state), its basis seeds the fresh session caches, and its pivots
+// the state), a MILP payload's root basis seeds the fresh session's MILP
+// chain and basis store (an LP payload's seeds nothing), and its pivots
 // feed the replan accounting. A resume (resumed) also swaps the two
 // incumbents — displaced, the recipe of the one it replaced, takes the
 // displaced slot — and keeps the resumed incumbent as its recipe and
@@ -557,15 +560,15 @@ func (pl *Planner) resume(ctx context.Context, dis, inc *incumbentState, newTopo
 // restates the model.
 func (pl *Planner) adoptReplan(newState *sessionState, old *incumbentState, newDemand *collective.Demand, res *Result, next incumbentState, resumed bool, displaced *incumbentState) *Plan {
 	next.demand, next.opt, next.solver = newDemand.Clone(), old.opt, old.solver
-	solver, last := SolverAStar, (*sessionBasis)(nil) // an A* payload has no basis to keep
+	solver := SolverAStar
 	switch {
 	case next.model != nil:
-		solver, last = SolverLP, &newState.lastLP
+		solver = SolverLP
 	case next.mmodel != nil:
-		solver, last = SolverMILP, &newState.lastMILP
+		solver = SolverMILP
 	}
 	res.WarmStarted = true // resumed from the incumbent, whatever the form
-	pl.keepBasis(newState, last, &next)
+	pl.keepBasis(newState, &next)
 	if resumed && next.recipe != nil {
 		next.model = nil
 	}

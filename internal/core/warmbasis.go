@@ -8,11 +8,13 @@ import (
 )
 
 // basisHint carries a basis from one solved formulation to a related one
-// whose dimensions differ — a shrunken MinimizeMakespan horizon, the
-// next A* round, or the next request of a Planner session. Variables are
-// matched by their column keys (lp.VarKey, stable across horizons: the
-// key of f[s3,l7,k2] identifies the same flow regardless of K), so the
-// surviving structure of the old optimal basis seeds the new solve;
+// whose dimensions differ — a MILP's shrunken MinimizeMakespan horizon,
+// the next A* round, the next rolling-horizon window, or the next MILP
+// request of a Planner session. A new LP-form request takes none: it
+// crash-starts (solvePrepped). Variables are matched by their column
+// keys (lp.VarKey, stable across horizons: the key of f[s3,l7,k2]
+// identifies the same flow regardless of K), so the surviving structure
+// of the old optimal basis seeds the new solve;
 // anonymous columns take no part, and rows are left to the solver's
 // basis-repair pass, which completes any short basis with the slacks of
 // uncovered rows. A session hint may additionally carry a basisStore:
@@ -53,10 +55,10 @@ func keyMap(keys []lp.VarKey, b *lp.Basis) map[lp.VarKey]lp.BasisStatus {
 	return m
 }
 
-// sessionHint builds a Planner request hint: an exact-fingerprint store
-// plus a lazily materialized key map over the column keys and final
-// basis of the session's previous solve of the same form (see
-// sessionBasis). Returns nil when there is nothing to offer.
+// sessionHint builds a Planner MILP request's hint: an exact-fingerprint
+// store plus a lazily materialized key map over the column keys and root
+// basis of the session's previous MILP solve (see sessionBasis). Returns
+// nil when there is nothing to offer.
 func sessionHint(keys []lp.VarKey, basis *lp.Basis, store *basisStore) *basisHint {
 	if basis == nil && store == nil {
 		return nil
@@ -176,8 +178,8 @@ func chainedHop(in *instance, a, b schedule.Send) bool {
 	return a.Src == b.Src && a.Chunk == b.Chunk && in.topo.Link(b.Link).Src == in.topo.Link(a.Link).Dst
 }
 
-// basisStore is a session's warm-basis memory: final bases of solved
-// problems keyed by lp.Problem.Fingerprint. A lookup that matches both
+// basisStore is a session's warm-basis memory: final bases of solved MILP
+// roots and rolling-horizon windows keyed by lp.Problem.Fingerprint. A lookup that matches both
 // fingerprint and dimensions returns a clone of the stored basis — even
 // a hash collision is safe, because a warm start is only ever a hint
 // (the solver repairs stale or singular bases). The store is bounded:

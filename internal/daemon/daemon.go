@@ -35,6 +35,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -79,7 +80,9 @@ type Options struct {
 	// past it new solves get 429. Default 16.
 	QueueDepth int
 	// Workers is the default branch-and-bound worker count per solve
-	// (core.Options.Workers) when the request does not set one.
+	// (core.Options.Workers) when the request does not set one. A
+	// request's own count is capped at max(Workers, GOMAXPROCS): each
+	// worker is a goroutine with its own LP workspace.
 	Workers int
 	// DefaultTimeLimit applies when a request carries no time limit.
 	// Zero means unlimited.
@@ -258,6 +261,7 @@ func (s *Server) resolveOptions(wopts *wire.Options) (core.Options, error) {
 	if opt.Workers == 0 {
 		opt.Workers = s.opts.Workers
 	}
+	opt.Workers = min(opt.Workers, max(s.opts.Workers, runtime.GOMAXPROCS(0)))
 	if opt.TimeLimit == 0 {
 		opt.TimeLimit = s.opts.DefaultTimeLimit
 	}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -471,5 +472,32 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestResolveOptionsCapsWorkers: a request's workers count is capped at
+// the larger of the daemon's default and GOMAXPROCS, since the MILP
+// search starts a goroutine with its own workspace per worker. Only the
+// resolved options are checked; nothing is solved.
+func TestResolveOptionsCapsWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		daemon, request, want int
+	}{
+		{0, 0, 0},
+		{0, 1, 1},
+		{0, 50_000_000, procs},
+		{procs + 3, 0, procs + 3},
+		{procs + 3, 50_000_000, procs + 3},
+		{1, procs, procs},
+	} {
+		s := New(Options{Workers: c.daemon})
+		opt, err := s.resolveOptions(&wire.Options{Workers: c.request})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.Workers != c.want {
+			t.Errorf("daemon %d, request %d: %d workers, want %d", c.daemon, c.request, opt.Workers, c.want)
+		}
 	}
 }

@@ -182,8 +182,8 @@ func Fig4and5(short bool) *Table {
 		session := newSession(in.topo)
 		// The ALLTOALL column is one size sweep per topology: solve it as
 		// a batch (grouped by epoch mode, which follows the alpha regime
-		// per size) so structurally identical points replay and the rest
-		// chain bases instead of rebuilding the model per point.
+		// per size) so structurally identical points replay instead of
+		// being solved again.
 		atoa := make([]*collective.Demand, len(sizes))
 		modes := make([]core.EpochMode, len(sizes))
 		for i, size := range sizes {

@@ -3,7 +3,7 @@ package teccl
 // planner.go is the session-oriented entry point: a long-lived Planner
 // per topology answering a stream of solve requests with cached
 // per-topology state (tau derivations, epoch estimates, schedule replay
-// for structurally identical models, warm-start bases keyed by problem
+// for structurally identical models, MILP warm-start bases keyed by
 // fingerprint and chained by column key), context-aware cancellation
 // through all four solvers, pluggable solver-selection policy, and a
 // progress hook for serving-side observability. The stateless free
@@ -18,7 +18,7 @@ import (
 
 // Planner is a long-lived solving session pinned to one topology: it
 // caches per-topology derived state across requests (epoch estimates,
-// tau derivations, solved-schedule replay, warm-start bases), so a
+// tau derivations, solved-schedule replay, MILP warm-start bases), so a
 // request stream over one topology gets progressively cheaper. Methods
 // are safe for concurrent use; the topology must not be mutated while
 // the session is alive.

@@ -23,8 +23,8 @@
 // through the same mechanism, uniformly for all four solvers. The
 // session caches per-topology state across requests — epoch estimates,
 // tau derivations, solved schedules of structurally identical models,
-// and warm-start bases — so repeated and related requests (sweeps,
-// serving traffic) get progressively cheaper; Plan provenance
+// MILP warm-start bases — so repeated requests replay and an LP request
+// it cannot replay crash-starts as a fresh session would; Plan provenance
 // (Plan.CacheHit, Plan.WarmStart) and Planner.Stats report the reuse.
 //
 // Sessions also absorb churn online: Planner.Replan applies a Delta
@@ -56,7 +56,7 @@
 //
 // Clients dialing one daemon share sessions: byte-identical topologies
 // map to one fingerprint and therefore one session's caches, so a fleet
-// of short-lived callers still gets schedule replays and warm bases.
+// of short-lived callers still gets schedule replays and MILP warm bases.
 // NewServer embeds the same daemon in-process (examples/multitenant
 // does this); cmd/teccld/README.md documents the wire schema, flags,
 // and deployment. Two Options fields do not cross the wire: Progress is
