@@ -179,12 +179,13 @@ func chainedHop(in *instance, a, b schedule.Send) bool {
 }
 
 // basisStore is a session's warm-basis memory: final bases of solved MILP
-// roots and rolling-horizon windows keyed by lp.Problem.Fingerprint. A lookup that matches both
-// fingerprint and dimensions returns a clone of the stored basis — even
-// a hash collision is safe, because a warm start is only ever a hint
-// (the solver repairs stale or singular bases). The store is bounded:
-// once full, recording evicts the oldest entry, so identical request
-// streams keep identical warm-start decisions and pivot paths.
+// roots and rolling-horizon windows keyed by lp.Problem.Fingerprint. A
+// lookup that matches both fingerprint and dimensions returns a clone of
+// the stored basis — even a hash collision is safe, because a warm start
+// is only ever a hint (the solver repairs stale or singular bases). The
+// store is bounded: once full, recording evicts the oldest entry, so
+// identical request streams keep identical warm-start decisions and
+// pivot paths.
 type basisStore struct {
 	mu    sync.Mutex
 	bases map[uint64]*lp.Basis
